@@ -102,7 +102,9 @@ pub struct M3ROptions {
     /// outputs, counters and simulated seconds are bit-identical with the
     /// flag off (the `Charge::Sort` bill is per record either way). Jobs
     /// with custom comparators always take the sort path; a per-job
-    /// `m3r.reduce.hash.group` conf knob can also force it off.
+    /// `m3r.reduce.hash.group` conf knob can also force it off. The same
+    /// gate lets a combiner job's map output buffer group at `collect()`
+    /// ([`MapOutputBuffer::grouping`]), under the same legality.
     pub hash_group_ingest: bool,
     /// Arena-per-wave allocation (ISSUE 8): reduce/combine scratch (pair
     /// vectors, raw-key buffers, permutations) is leased from a per-place
@@ -1418,14 +1420,33 @@ fn run_map_task<J: JobDef>(
 
     // ---- run the mapper ---------------------------------------------------
     let num_parts = num_reducers.max(1);
-    // The input sequence is already materialized, so its length pre-sizes
-    // the partition buckets (uniform spread assumption).
-    let mut buffer = MapOutputBuffer::with_capacity_hint(
-        num_parts,
-        job.partitioner(conf),
-        job.immutable_output(),
-        pairs.pairs.len(),
-    );
+    let mut combiner = job.create_combiner(conf);
+    let sort_cmp = job.sort_comparator();
+    let group_cmp = job.grouping_comparator();
+    // A combiner job whose groups are raw-key equality classes in
+    // ascending raw order (the hash-group legality) groups at collect time
+    // and never materialises its duplicate keys. Everything else buffers
+    // plain pairs; the input sequence is already materialized, so its
+    // length pre-sizes those buckets (uniform spread assumption).
+    let mut buffer = if combiner.is_some()
+        && tuning.hash_group
+        && sort_cmp.is_natural()
+        && group_cmp.is_natural()
+    {
+        MapOutputBuffer::grouping(
+            num_parts,
+            job.partitioner(conf),
+            job.immutable_output(),
+            arena,
+        )
+    } else {
+        MapOutputBuffer::with_capacity_hint(
+            num_parts,
+            job.partitioner(conf),
+            job.immutable_output(),
+            pairs.pairs.len(),
+        )
+    };
     let mut mapper = job.create_mapper(conf);
     let compute_start = Instant::now();
     mapper.setup(&mut ctx)?;
@@ -1438,38 +1459,27 @@ fn run_map_task<J: JobDef>(
     });
     ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, pairs.pairs.len() as i64);
     ctx.incr_task_counter(task_counter::MAP_OUTPUT_RECORDS, buffer.emitted() as i64);
-    let mut parts = buffer.parts;
 
     // ---- optional combiner --------------------------------------------------
-    if let Some(mut combiner) = job.create_combiner(conf) {
-        let sort_cmp = job.sort_comparator();
-        let group_cmp = job.grouping_comparator();
-        for bucket in parts.iter_mut() {
-            if bucket.len() < 2 {
-                continue;
-            }
-            simgrid::meter::charge(Charge::Sort {
-                records: bucket.len() as u64,
-            });
-            let mut sorted = std::mem::take(bucket);
-            let spans = ingest_reduce_groups(&mut sorted, &sort_cmp, &group_cmp, tuning, arena);
-            ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, sorted.len() as i64);
-            let mut out: hmr_api::collect::VecCollector<J::K2, J::V2> =
-                hmr_api::collect::VecCollector::new();
-            for span in spans {
-                let key = Arc::clone(&sorted[span.start].0);
-                let mut values = sorted[span.clone()].iter().map(|(_, v)| Arc::clone(v));
-                combiner.reduce(key, &mut values, &mut out, &mut ctx)?;
-            }
-            ctx.incr_task_counter(
-                task_counter::COMBINE_OUTPUT_RECORDS,
-                out.pairs.len() as i64,
-            );
-            *bucket = out.pairs;
-            if let Some(a) = arena {
-                a.recycle(sorted);
-            }
-        }
+    let mut parts: Vec<Vec<(Arc<J::K2>, Arc<J::V2>)>> = Vec::with_capacity(num_parts);
+    for part in buffer.into_parts() {
+        let records = part.len();
+        let Some(combiner) = combiner.as_mut().filter(|_| records >= 2) else {
+            parts.push(part.into_pairs(arena));
+            continue;
+        };
+        simgrid::meter::charge(Charge::Sort {
+            records: records as u64,
+        });
+        ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, records as i64);
+        let mut out: hmr_api::collect::VecCollector<J::K2, J::V2> =
+            hmr_api::collect::VecCollector::new();
+        part.into_grouped(&sort_cmp, &group_cmp, tuning, arena)
+            .for_each_group(arena, |key, values| {
+                combiner.reduce(key, values, &mut out, &mut ctx)
+            })?;
+        ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.pairs.len() as i64);
+        parts.push(out.pairs);
     }
 
     // ---- map-only: straight to output (§5.3) --------------------------------

@@ -16,28 +16,195 @@ use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use hmr_api::collect::OutputCollector;
+use hmr_api::comparator::{
+    apply_permutation, ingest_reduce_groups, KeyComparator, RawKeyIndex, SortTuning,
+};
 use hmr_api::error::{HmrError, Result};
 use hmr_api::partition::Partitioner;
 use hmr_api::writable::{ByteReader, Writable};
+use simgrid::arena::{lease_vec, recycle_vec, Arena};
 use simgrid::cost::Charge;
 use simgrid::meter;
 use x10rt::serialize::{DedupMode, Deserializer, SerError, Serializer};
 
 /// Map-task-side collector: partitions emitted pairs, applying the
 /// `ImmutableOutput` cloning contract at emit time.
+///
+/// A [`MapOutputBuffer::grouping`] buffer additionally groups at
+/// `collect()`: each partition interns the emitted key's raw sort bytes in
+/// a [`RawKeyIndex`], keeps a key only when it founds a group and appends
+/// just the value otherwise — so a combiner job never materialises its
+/// duplicate keys. See DESIGN.md, "Map-side grouping at collect time".
 pub struct MapOutputBuffer<K, V> {
     partitioner: Box<dyn Partitioner<K, V>>,
     num_partitions: usize,
     immutable: bool,
-    /// Per-partition emitted pairs.
-    pub parts: Vec<Vec<(Arc<K>, Arc<V>)>>,
+    parts: Vec<MapPart<K, V>>,
     emitted: u64,
+}
+
+/// One partition of a finished [`MapOutputBuffer`].
+pub enum MapPart<K, V> {
+    /// Every emitted pair, in arrival order.
+    Pairs(Vec<(Arc<K>, Arc<V>)>),
+    /// Grouped at collect time.
+    Groups(KeyGroups<K, V>),
+}
+
+/// A partition grouped at collect time: the first-arrived key of every
+/// group, every value in arrival order, and the index that says which
+/// value belongs to which group.
+pub struct KeyGroups<K, V> {
+    index: RawKeyIndex,
+    /// Group id -> the key that founded the group.
+    keys: Vec<Arc<K>>,
+    /// Arrival order; record `i` belongs to group `index.gid_of()[i]`.
+    values: Vec<Arc<V>>,
+}
+
+/// One partition arranged for the combiner: group `j` is `keys[j]` with
+/// the next `counts[j]` of `values`. Groups are in reduce order, a
+/// group's values in arrival order.
+pub struct GroupedPart<K, V> {
+    /// One key per group: the first-arrived (sort-first) key.
+    keys: Vec<Arc<K>>,
+    /// Records per group, parallel to `keys`.
+    counts: Vec<u32>,
+    /// Every value, group after group.
+    values: Vec<Arc<V>>,
+}
+
+impl<K: Send + Sync + 'static, V: Send + Sync + 'static> GroupedPart<K, V> {
+    /// Call `f` once per group, in order, with the group's key and an
+    /// iterator that hands over (not clones) its values. Whatever `f`
+    /// leaves unread is dropped before the next group. The emptied vectors
+    /// go back to `arena`.
+    pub fn for_each_group(
+        mut self,
+        arena: Option<&Arena>,
+        mut f: impl FnMut(Arc<K>, &mut dyn Iterator<Item = Arc<V>>) -> Result<()>,
+    ) -> Result<()> {
+        let mut values = self.values.drain(..);
+        for (key, &count) in self.keys.drain(..).zip(&self.counts) {
+            let mut group = values.by_ref().take(count as usize);
+            f(key, &mut group)?;
+            group.for_each(drop);
+        }
+        drop(values);
+        recycle_vec(arena, self.keys);
+        recycle_vec(arena, self.counts);
+        recycle_vec(arena, self.values);
+        Ok(())
+    }
+}
+
+impl<K, V> KeyGroups<K, V>
+where
+    K: Writable + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    fn new(arena: Option<&Arena>) -> Self {
+        KeyGroups {
+            index: RawKeyIndex::with_capacity(0, arena),
+            keys: lease_vec(arena),
+            values: lease_vec(arena),
+        }
+    }
+
+    /// Back to plain pairs in arrival order; duplicates alias their
+    /// group's key.
+    fn into_pairs(mut self, arena: Option<&Arena>) -> Vec<(Arc<K>, Arc<V>)> {
+        let pairs = self
+            .index
+            .gid_of()
+            .iter()
+            .zip(self.values.drain(..))
+            .map(|(&g, v)| (Arc::clone(&self.keys[g as usize]), v))
+            .collect();
+        self.index.recycle(arena);
+        recycle_vec(arena, self.keys);
+        recycle_vec(arena, self.values);
+        pairs
+    }
+
+    /// Groups ascending by raw key, values scattered into group order.
+    fn into_grouped(mut self, tuning: &SortTuning, arena: Option<&Arena>) -> GroupedPart<K, V> {
+        let mut layout = self.index.layout(tuning, arena);
+        self.index.recycle(arena);
+        apply_permutation(&mut self.values, &mut layout.records);
+        apply_permutation(&mut self.keys, &mut layout.groups);
+        recycle_vec(arena, layout.records);
+        recycle_vec(arena, layout.groups);
+        GroupedPart {
+            keys: self.keys,
+            counts: layout.counts,
+            values: self.values,
+        }
+    }
+}
+
+impl<K, V> MapPart<K, V>
+where
+    K: Writable + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    /// Records collected into this partition.
+    pub fn len(&self) -> usize {
+        match self {
+            MapPart::Pairs(pairs) => pairs.len(),
+            MapPart::Groups(groups) => groups.values.len(),
+        }
+    }
+
+    /// True when nothing was collected into this partition.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The partition as plain pairs in arrival order.
+    pub fn into_pairs(self, arena: Option<&Arena>) -> Vec<(Arc<K>, Arc<V>)> {
+        match self {
+            MapPart::Pairs(pairs) => pairs,
+            MapPart::Groups(groups) => groups.into_pairs(arena),
+        }
+    }
+
+    /// The partition arranged for the combiner. A partition grouped at
+    /// collect time only has to order its groups; plain pairs go through
+    /// [`ingest_reduce_groups`]. Both yield the groups, keys and value
+    /// order of a stable sort under `sort_cmp` split by `group_cmp`.
+    pub fn into_grouped(
+        self,
+        sort_cmp: &KeyComparator<K>,
+        group_cmp: &KeyComparator<K>,
+        tuning: &SortTuning,
+        arena: Option<&Arena>,
+    ) -> GroupedPart<K, V> {
+        match self {
+            MapPart::Groups(groups) => groups.into_grouped(tuning, arena),
+            MapPart::Pairs(mut pairs) => {
+                let spans = ingest_reduce_groups(&mut pairs, sort_cmp, group_cmp, tuning, arena);
+                let mut grouped = GroupedPart {
+                    keys: lease_vec(arena),
+                    counts: lease_vec(arena),
+                    values: lease_vec(arena),
+                };
+                for span in &spans {
+                    grouped.keys.push(Arc::clone(&pairs[span.start].0));
+                    grouped.counts.push(span.len() as u32);
+                }
+                grouped.values.extend(pairs.drain(..).map(|(_, v)| v));
+                recycle_vec(arena, pairs);
+                grouped
+            }
+        }
+    }
 }
 
 impl<K, V> MapOutputBuffer<K, V>
 where
-    K: Writable + Clone,
-    V: Writable + Clone,
+    K: Writable + Clone + Send + Sync + 'static,
+    V: Writable + Clone + Send + Sync + 'static,
 {
     /// A buffer for `num_partitions` partitions.
     pub fn new(
@@ -57,15 +224,43 @@ where
         immutable: bool,
         expected_records: usize,
     ) -> Self {
+        let per_part = expected_records.div_ceil(num_partitions.max(1));
+        Self::with_parts(num_partitions, partitioner, immutable, || {
+            MapPart::Pairs(Vec::with_capacity(per_part))
+        })
+    }
+
+    /// A buffer that groups at `collect()`. Only legal when raw-key
+    /// equality is the job's grouping relation and ascending raw order its
+    /// sort order — natural sort *and* grouping comparator — and only
+    /// worth it when a combiner will consume the groups. A partition whose
+    /// keys turn out to have no raw sort form (or that outgrows the
+    /// index's `u32` offsets) degrades to plain pairs, arrival order
+    /// intact. Scratch is leased from `arena` when one is given; nothing
+    /// is pre-sized, since the groups are a fraction of the input.
+    pub fn grouping(
+        num_partitions: usize,
+        partitioner: Box<dyn Partitioner<K, V>>,
+        immutable: bool,
+        arena: Option<&Arena>,
+    ) -> Self {
+        Self::with_parts(num_partitions, partitioner, immutable, || {
+            MapPart::Groups(KeyGroups::new(arena))
+        })
+    }
+
+    fn with_parts(
+        num_partitions: usize,
+        partitioner: Box<dyn Partitioner<K, V>>,
+        immutable: bool,
+        part: impl FnMut() -> MapPart<K, V>,
+    ) -> Self {
         let num_partitions = num_partitions.max(1);
-        let per_part = expected_records.div_ceil(num_partitions);
         MapOutputBuffer {
             partitioner,
             num_partitions,
             immutable,
-            parts: (0..num_partitions)
-                .map(|_| Vec::with_capacity(per_part))
-                .collect(),
+            parts: std::iter::repeat_with(part).take(num_partitions).collect(),
             emitted: 0,
         }
     }
@@ -74,12 +269,17 @@ where
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
+
+    /// The collected partitions, in partition order.
+    pub fn into_parts(self) -> Vec<MapPart<K, V>> {
+        self.parts
+    }
 }
 
 impl<K, V> OutputCollector<K, V> for MapOutputBuffer<K, V>
 where
-    K: Writable + Clone,
-    V: Writable + Clone,
+    K: Writable + Clone + Send + Sync + 'static,
+    V: Writable + Clone + Send + Sync + 'static,
 {
     fn collect(&mut self, key: Arc<K>, value: Arc<V>) -> Result<()> {
         let p = self
@@ -91,19 +291,44 @@ where
                 self.num_partitions
             )));
         }
-        let (key, value) = if self.immutable {
-            // §4.1: the job promised not to mutate emitted values; alias.
-            (key, value)
-        } else {
+        let immutable = self.immutable;
+        if !immutable {
             // §3.2.2.1: "this forces M3R to conservatively make a copy of
-            // every key/value pair."
+            // every key/value pair." Billed per emitted record, whether or
+            // not grouping ends up needing the key's copy.
             let bytes = (key.serialized_size() + value.serialized_size()) as u64;
             meter::charge(Charge::Clone { bytes });
             meter::charge(Charge::Alloc { objects: 2 });
-            (Arc::new((*key).clone()), Arc::new((*value).clone()))
-        };
-        self.parts[p].push((key, value));
+        }
+        // §4.1: an `ImmutableOutput` job promised not to mutate emitted
+        // objects, so what is retained is an alias; otherwise a deep copy.
+        fn own<T: Clone>(x: Arc<T>, immutable: bool) -> Arc<T> {
+            if immutable {
+                x
+            } else {
+                Arc::new((*x).clone())
+            }
+        }
         self.emitted += 1;
+        let part = &mut self.parts[p];
+        if let MapPart::Groups(groups) = part {
+            // Interned from the borrowed key: a duplicate key is dropped
+            // (or never copied) right here.
+            if let Some((_, founded)) = groups.index.intern(&*key) {
+                if founded {
+                    groups.keys.push(own(key, immutable));
+                }
+                groups.values.push(own(value, immutable));
+                return Ok(());
+            }
+            // No raw sort form, or the index is full: this partition
+            // carries on as plain pairs.
+            let groups = std::mem::replace(part, MapPart::Pairs(Vec::new()));
+            *part = MapPart::Pairs(groups.into_pairs(None));
+        }
+        if let MapPart::Pairs(pairs) = part {
+            pairs.push((own(key, immutable), own(value, immutable)));
+        }
         Ok(())
     }
 }
@@ -359,8 +584,9 @@ mod tests {
         let k = Arc::new(IntWritable(5));
         let v = Arc::new(BytesWritable(vec![1, 2, 3]));
         buf.collect(Arc::clone(&k), Arc::clone(&v)).unwrap();
-        assert!(Arc::ptr_eq(&buf.parts[1][0].0, &k));
-        assert!(Arc::ptr_eq(&buf.parts[1][0].1, &v));
+        let part = buf.into_parts().swap_remove(1).into_pairs(None);
+        assert!(Arc::ptr_eq(&part[0].0, &k));
+        assert!(Arc::ptr_eq(&part[0].1, &v));
     }
 
     #[test]
@@ -372,13 +598,208 @@ mod tests {
         simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
             let mut buf = MapOutputBuffer::new(4, modulo_partitioner(), false);
             buf.collect(Arc::clone(&k), Arc::clone(&v)).unwrap();
-            assert!(!Arc::ptr_eq(&buf.parts[1][0].0, &k), "defensive copy");
-            assert_eq!(*buf.parts[1][0].1, *v, "copy equals the original");
+            let part = buf.into_parts().swap_remove(1).into_pairs(None);
+            assert!(!Arc::ptr_eq(&part[0].0, &k), "defensive copy");
+            assert_eq!(*part[0].1, *v, "copy equals the original");
         });
         let d = cluster.metrics().snapshot().since(&before);
         assert!(d.clone_bytes > 0, "clone cost charged");
         assert_eq!(d.allocs, 2);
         assert_eq!(d.ser_bytes, 0, "local path never serializes");
+    }
+
+    /// A finished partition as the combiner would see it: one
+    /// `(key, values)` entry per group.
+    fn groups_of<K, V>(part: MapPart<K, V>) -> Vec<(Arc<K>, Vec<Arc<V>>)>
+    where
+        K: hmr_api::writable::WritableKey + Send + Sync + 'static,
+        V: Send + Sync + 'static,
+    {
+        let nat = KeyComparator::<K>::natural();
+        let mut out = Vec::new();
+        part.into_grouped(&nat, &nat, &SortTuning::default(), None)
+            .for_each_group(None, |k, vs| {
+                out.push((k, vs.collect()));
+                Ok(())
+            })
+            .unwrap();
+        out
+    }
+
+    #[test]
+    fn grouping_buffer_aliases_first_key_and_every_value() {
+        let mut buf = MapOutputBuffer::grouping(4, modulo_partitioner(), true, None);
+        // Partition 1 sees keys 9, 5, 9, 5, 9; each emit is a fresh Arc.
+        let emitted: Vec<_> = [9, 5, 9, 5, 9]
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| {
+                (
+                    Arc::new(IntWritable(k)),
+                    Arc::new(BytesWritable(vec![i as u8])),
+                )
+            })
+            .collect();
+        for (k, v) in &emitted {
+            buf.collect(Arc::clone(k), Arc::clone(v)).unwrap();
+        }
+        assert_eq!(buf.emitted(), 5);
+        let mut parts = buf.into_parts();
+        assert!(matches!(parts[1], MapPart::Groups(_)));
+        assert_eq!(parts[1].len(), 5);
+        assert!(parts[0].is_empty());
+        for (k, _) in &emitted[2..] {
+            assert_eq!(
+                Arc::strong_count(k),
+                1,
+                "duplicate keys were dropped at collect"
+            );
+        }
+        let groups = groups_of(parts.swap_remove(1));
+        assert_eq!(groups.len(), 2, "groups ascending: 5 then 9");
+        assert!(
+            Arc::ptr_eq(&groups[0].0, &emitted[1].0),
+            "first-arrived key of 5"
+        );
+        assert!(
+            Arc::ptr_eq(&groups[1].0, &emitted[0].0),
+            "first-arrived key of 9"
+        );
+        for (group, arrivals) in groups.iter().zip([&[1usize, 3][..], &[0, 2, 4]]) {
+            assert_eq!(group.1.len(), arrivals.len());
+            for (v, &i) in group.1.iter().zip(arrivals) {
+                assert!(
+                    Arc::ptr_eq(v, &emitted[i].1),
+                    "values alias, in arrival order"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn grouping_buffer_bills_every_record_but_copies_keys_once_per_group() {
+        let run = |grouping: bool| {
+            let cluster = simgrid::Cluster::new(1, simgrid::CostModel::default());
+            let k = Arc::new(IntWritable(5));
+            let v = Arc::new(BytesWritable(vec![1, 2, 3]));
+            let before = cluster.metrics().snapshot();
+            let groups = simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
+                let mut buf = if grouping {
+                    MapOutputBuffer::grouping(4, modulo_partitioner(), false, None)
+                } else {
+                    MapOutputBuffer::new(4, modulo_partitioner(), false)
+                };
+                for _ in 0..3 {
+                    buf.collect(Arc::clone(&k), Arc::clone(&v)).unwrap();
+                }
+                groups_of(buf.into_parts().swap_remove(1))
+            });
+            assert_eq!(Arc::strong_count(&k), 1, "nothing emitted is retained");
+            assert_eq!(groups.len(), 1);
+            assert!(!Arc::ptr_eq(&groups[0].0, &k), "defensive copy of the key");
+            assert_eq!(*groups[0].0, *k);
+            assert_eq!(groups[0].1.len(), 3);
+            assert!(groups[0].1.iter().all(|c| !Arc::ptr_eq(c, &v) && **c == *v));
+            cluster.metrics().snapshot().since(&before)
+        };
+        let (grouped, plain) = (run(true), run(false));
+        assert_eq!(
+            grouped, plain,
+            "identical charges with and without grouping"
+        );
+        assert_eq!(grouped.allocs, 6);
+        assert!(grouped.clone_bytes > 0);
+    }
+
+    /// A key that has a raw sort form except for one value (no real type
+    /// behaves like this; it stands in for "any later key declines").
+    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Flaky(i32);
+    impl Writable for Flaky {
+        fn write_to<S: hmr_api::writable::ByteSink + ?Sized>(&self, out: &mut S) {
+            IntWritable(self.0).write_to(out)
+        }
+        fn read_from(input: &mut ByteReader<'_>) -> Result<Self> {
+            Ok(Flaky(IntWritable::read_from(input)?.0))
+        }
+        fn write_raw_sort_key<S: hmr_api::writable::ByteSink + ?Sized>(&self, out: &mut S) -> bool {
+            self.0 != 13 && IntWritable(self.0).write_raw_sort_key(out)
+        }
+    }
+
+    #[test]
+    fn grouping_buffer_degrades_to_arrival_order_when_a_key_has_no_raw_form() {
+        let keys = [7, 3, 7, 13, 3, 13, 7, 1];
+        let collect_all = |mut buf: MapOutputBuffer<Flaky, IntWritable>| {
+            for (i, &k) in keys.iter().enumerate() {
+                buf.collect(Arc::new(Flaky(k)), Arc::new(IntWritable(i as i32)))
+                    .unwrap();
+            }
+            buf.into_parts().swap_remove(0)
+        };
+        let one_part = || Box::new(FnPartitioner::new(|_: &Flaky, _: &IntWritable, _| 0));
+        let degraded = collect_all(MapOutputBuffer::grouping(1, one_part(), true, None));
+        assert!(
+            matches!(degraded, MapPart::Pairs(_)),
+            "the fourth key declined"
+        );
+        let plain = collect_all(MapOutputBuffer::new(1, one_part(), true));
+        let flat = |pairs: Vec<(Arc<Flaky>, Arc<IntWritable>)>| -> Vec<(i32, i32)> {
+            pairs.iter().map(|(k, v)| (k.0, v.0)).collect()
+        };
+        let arrival: Vec<(i32, i32)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, i as i32))
+            .collect();
+        assert_eq!(
+            flat(
+                collect_all(MapOutputBuffer::grouping(1, one_part(), true, None)).into_pairs(None)
+            ),
+            arrival
+        );
+        // ...and the combiner sees exactly what the plain buffer gives it.
+        let view = |part: MapPart<Flaky, IntWritable>| -> Vec<(i32, Vec<i32>)> {
+            groups_of(part)
+                .iter()
+                .map(|(k, vs)| (k.0, vs.iter().map(|v| v.0).collect()))
+                .collect()
+        };
+        let expect = vec![
+            (1, vec![7]),
+            (3, vec![1, 4]),
+            (7, vec![0, 2, 6]),
+            (13, vec![3, 5]),
+        ];
+        assert_eq!(view(degraded), expect);
+        assert_eq!(view(plain), expect);
+    }
+
+    #[test]
+    fn grouped_part_drops_values_the_callback_leaves_unread() {
+        let mut buf = MapOutputBuffer::grouping(1, modulo_partitioner(), true, None);
+        for (i, k) in [2, 1, 2, 1, 2].into_iter().enumerate() {
+            buf.collect(
+                Arc::new(IntWritable(k)),
+                Arc::new(BytesWritable(vec![i as u8])),
+            )
+            .unwrap();
+        }
+        let nat = KeyComparator::<IntWritable>::natural();
+        let mut firsts = Vec::new();
+        buf.into_parts()
+            .swap_remove(0)
+            .into_grouped(&nat, &nat, &SortTuning::default(), None)
+            .for_each_group(None, |k, vs| {
+                firsts.push((k.0, vs.next().unwrap().0[0]));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(
+            firsts,
+            vec![(1, 1), (2, 0)],
+            "each group starts at its own first value"
+        );
     }
 
     #[test]
@@ -574,6 +995,69 @@ mod prop_tests {
             // Dedup can only ever shrink the stream.
             if mode == DedupMode::Off {
                 prop_assert_eq!(stats.dedup_hits, 0);
+            }
+        }
+
+        /// Whatever is collected, a grouping buffer hands the combiner
+        /// exactly the groups — same first key, same values in the same
+        /// order — that a stable sort + span scan of the plain buffer's
+        /// pairs does, partition by partition.
+        #[test]
+        fn grouping_buffer_matches_stable_sort_then_group(
+            picks in proptest::collection::vec((0u8..4, 0u16..300), 0..700),
+        ) {
+            use hmr_api::comparator::{group_spans, sort_pairs_tuned};
+            use hmr_api::partition::HashPartitioner;
+            use hmr_api::writable::Text;
+            let emitted: Vec<(Arc<Text>, Arc<IntWritable>)> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &(shape, k))| {
+                    let key = match shape {
+                        0 => String::new(),
+                        1 => format!("{}", k % 5),
+                        2 => format!("shared-prefix-{k:03}"),
+                        _ => format!("w{k}"),
+                    };
+                    (Arc::new(Text::from(key)), Arc::new(IntWritable(i as i32)))
+                })
+                .collect();
+            let mut grouping = MapOutputBuffer::grouping(3, Box::new(HashPartitioner), true, None);
+            let mut plain = MapOutputBuffer::new(3, Box::new(HashPartitioner), true);
+            for (k, v) in &emitted {
+                grouping.collect(Arc::clone(k), Arc::clone(v)).unwrap();
+                plain.collect(Arc::clone(k), Arc::clone(v)).unwrap();
+            }
+            let nat = KeyComparator::<Text>::natural();
+            let decoded = SortTuning {
+                raw_min_pairs: usize::MAX,
+                radix_min_pairs: usize::MAX,
+                hash_group: false,
+            };
+            for (g, p) in grouping.into_parts().into_iter().zip(plain.into_parts()) {
+                prop_assert_eq!(g.len(), p.len());
+                let mut sorted = p.into_pairs(None);
+                sort_pairs_tuned(&mut sorted, &nat, &decoded, None);
+                let expect: Vec<_> = group_spans(&sorted, &nat)
+                    .into_iter()
+                    .map(|s| {
+                        let values: Vec<_> = sorted[s.clone()].iter().map(|(_, v)| Arc::clone(v)).collect();
+                        (Arc::clone(&sorted[s.start].0), values)
+                    })
+                    .collect();
+                let mut got = Vec::new();
+                g.into_grouped(&nat, &nat, &SortTuning::default(), None)
+                    .for_each_group(None, |k, vs| {
+                        got.push((k, vs.collect::<Vec<_>>()));
+                        Ok(())
+                    })
+                    .unwrap();
+                prop_assert_eq!(got.len(), expect.len());
+                for ((gk, gv), (ek, ev)) in got.iter().zip(&expect) {
+                    prop_assert!(Arc::ptr_eq(gk, ek), "the first-arrived key Arc");
+                    prop_assert_eq!(gv.len(), ev.len());
+                    prop_assert!(gv.iter().zip(ev).all(|(a, b)| Arc::ptr_eq(a, b)));
+                }
             }
         }
 

@@ -161,8 +161,8 @@ where
                         .then_with(|| raw(a.2).cmp(raw(b.2)))
                         .then(a.2.cmp(&b.2))
                 });
-                let order: Vec<u32> = order.into_iter().map(|(_, _, i)| i).collect();
-                apply_permutation(&mut run, &order);
+                let mut order: Vec<u32> = order.into_iter().map(|(_, _, i)| i).collect();
+                apply_permutation(&mut run, &mut order);
                 return run;
             }
         }

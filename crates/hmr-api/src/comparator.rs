@@ -11,9 +11,12 @@
 //!
 //! * [`sort_pairs_tuned`] — raw-key prefix sort with an LSD radix path for
 //!   large runs, tunable through [`SortTuning`];
+//! * [`RawKeyIndex`] — the hash-group kernel: interns raw sort keys one
+//!   record at a time (`raw bytes → group id`) and lays the groups out in
+//!   ascending key order, sorting only the G distinct keys instead of all
+//!   N records. The M3R map output buffer feeds it at `collect()` time;
 //! * [`hash_group_pairs`] / [`ingest_reduce_groups`] — hash-grouped reduce
-//!   ingest for natural-order jobs, which groups N records by raw-key hash
-//!   and sorts only the G distinct keys instead of all N records;
+//!   ingest for natural-order jobs: the batch wrapper over the same index;
 //! * [`group_spans`] — adjacent grouping over sorted runs.
 //!
 //! Every kernel is pinned bit-identical to the plain stable
@@ -23,9 +26,8 @@
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
-use std::sync::OnceLock;
 
-use simgrid::arena::Arena;
+use simgrid::arena::{lease_vec, recycle_vec, Arena};
 
 use crate::conf::JobConf;
 use crate::writable::Writable;
@@ -105,8 +107,9 @@ pub fn build_raw_keys<'a, K: Writable + 'a>(
 }
 
 /// [`build_raw_keys`] into caller-provided (possibly arena-leased) buffers.
-/// Returns `false` if any key lacks a raw sort form; the buffers may then
-/// hold partial data and should be recycled or discarded.
+/// Returns `false` if any key lacks a raw sort form, or if the raw forms
+/// outgrow the `u32` offsets the spans store; the buffers may then hold
+/// partial data and should be recycled or discarded.
 pub fn build_raw_keys_into<'a, K: Writable + 'a>(
     keys: impl Iterator<Item = &'a K>,
     arena: &mut Vec<u8>,
@@ -117,7 +120,10 @@ pub fn build_raw_keys_into<'a, K: Writable + 'a>(
         if !key.write_raw_sort_key(arena) {
             return false;
         }
-        spans.push((start as u32, arena.len() as u32));
+        let (Ok(start), Ok(end)) = (u32::try_from(start), u32::try_from(arena.len())) else {
+            return false;
+        };
+        spans.push((start, end));
     }
     true
 }
@@ -137,8 +143,7 @@ pub fn build_raw_keys_into<'a, K: Writable + 'a>(
 /// long common prefix degrade to the full-raw fallback — both are why the
 /// default keeps small runs on the decoded path and why the threshold is
 /// a per-job tunable rather than a constant. Override per job with
-/// [`crate::conf::RAW_SORT_MIN_PAIRS`] or process-wide with the
-/// `M3R_RAW_SORT_MIN_PAIRS` environment variable (read once).
+/// [`crate::conf::RAW_SORT_MIN_PAIRS`].
 pub const RAW_SORT_MIN_PAIRS: usize = 1024;
 
 /// Default for [`SortTuning::radix_min_pairs`]: at or above this many
@@ -152,13 +157,11 @@ pub const RAW_SORT_MIN_PAIRS: usize = 1024;
 /// stays at 4k because below it the absolute win is tens of µs while the
 /// radix path's fixed costs — the histogram scan and its scatter's memory
 /// traffic — are the part that degrades most on cold caches. Override per
-/// job with [`crate::conf::RADIX_SORT_MIN_PAIRS`] or process-wide with
-/// `M3R_RADIX_SORT_MIN_PAIRS`.
+/// job with [`crate::conf::RADIX_SORT_MIN_PAIRS`].
 pub const RADIX_SORT_MIN_PAIRS: usize = 4096;
 
 /// Tunables for the reduce-ingest kernels. Defaults come from the measured
-/// crossovers above; the environment (once per process) and then the job's
-/// [`JobConf`] may override them — conf beats env beats default.
+/// crossovers above; the job's [`JobConf`] may override them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SortTuning {
     /// Minimum pairs before the raw-key (memcmp) sort path engages.
@@ -181,39 +184,11 @@ impl Default for SortTuning {
     }
 }
 
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok()?.trim().parse().ok()
-}
-
 impl SortTuning {
-    /// The process-wide tuning: defaults overridden by the
-    /// `M3R_RAW_SORT_MIN_PAIRS`, `M3R_RADIX_SORT_MIN_PAIRS` and
-    /// `M3R_HASH_GROUP` environment variables, read once (bench runners
-    /// sweep thresholds without recompiling).
-    pub fn from_env() -> Self {
-        static ENV: OnceLock<SortTuning> = OnceLock::new();
-        *ENV.get_or_init(|| {
-            let mut t = SortTuning::default();
-            if let Some(v) = env_usize("M3R_RAW_SORT_MIN_PAIRS") {
-                t.raw_min_pairs = v;
-            }
-            if let Some(v) = env_usize("M3R_RADIX_SORT_MIN_PAIRS") {
-                t.radix_min_pairs = v;
-            }
-            if let Some(v) = std::env::var("M3R_HASH_GROUP")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-            {
-                t.hash_group = v;
-            }
-            t
-        })
-    }
-
-    /// Per-job tuning: [`SortTuning::from_env`] with the job's conf knobs
+    /// Per-job tuning: the defaults with the job's conf knobs
     /// ([`crate::conf::RAW_SORT_MIN_PAIRS`] and friends) applied on top.
     pub fn for_job(conf: &JobConf) -> Self {
-        let mut t = Self::from_env();
+        let mut t = Self::default();
         if let Some(v) = conf.raw_sort_min_pairs() {
             t.raw_min_pairs = v;
         }
@@ -227,22 +202,12 @@ impl SortTuning {
     }
 }
 
-fn lease_vec<T: Send + 'static>(arena: Option<&Arena>) -> Vec<T> {
-    arena.map(|a| a.lease::<Vec<T>>()).unwrap_or_default()
-}
-
-fn recycle_vec<T: Send + 'static>(arena: Option<&Arena>, v: Vec<T>) {
-    if let Some(a) = arena {
-        a.recycle(v);
-    }
-}
-
 /// Sort `pairs` by key under `cmp`, stably — matching Hadoop, where equal
 /// keys keep their shuffle arrival order within a partition. Uses the
-/// process-wide [`SortTuning::from_env`] and no scratch arena; engines call
+/// default [`SortTuning`] and no scratch arena; engines call
 /// [`sort_pairs_tuned`] with per-job tuning instead.
 pub fn sort_pairs_by<K: Writable, V>(pairs: &mut [(Arc<K>, Arc<V>)], cmp: &KeyComparator<K>) {
-    sort_pairs_tuned(pairs, cmp, &SortTuning::from_env(), None);
+    sort_pairs_tuned(pairs, cmp, &SortTuning::default(), None);
 }
 
 /// [`sort_pairs_by`] with explicit tuning and an optional scratch [`Arena`]
@@ -264,7 +229,9 @@ pub fn sort_pairs_tuned<K: Writable, V>(
     tuning: &SortTuning,
     arena: Option<&Arena>,
 ) {
-    if cmp.is_natural() && pairs.len() >= tuning.raw_min_pairs {
+    // (Record indices are stored as `u32`; a longer run takes the fallback.)
+    if cmp.is_natural() && pairs.len() >= tuning.raw_min_pairs && u32::try_from(pairs.len()).is_ok()
+    {
         let mut karena: Vec<u8> = lease_vec(arena);
         let mut spans: Vec<(u32, u32)> = lease_vec(arena);
         if build_raw_keys_into(pairs.iter().map(|(k, _)| &**k), &mut karena, &mut spans) {
@@ -309,7 +276,7 @@ pub fn sort_pairs_tuned<K: Writable, V>(
             }
             let mut perm: Vec<u32> = lease_vec(arena);
             perm.extend(order.iter().map(|&(_, i)| i));
-            apply_permutation(pairs, &perm);
+            apply_permutation(pairs, &mut perm);
             recycle_vec(arena, perm);
             recycle_vec(arena, order);
             recycle_vec(arena, spans);
@@ -372,21 +339,17 @@ pub fn raw_prefix(key: &[u8]) -> u64 {
 /// Reorder `items` so position `i` holds the old `items[order[i]]`, by
 /// walking the permutation's cycles with swaps — no clones, so element
 /// types with refcounts (`Arc` pairs) pay plain 16-byte moves instead of
-/// four atomic ops apiece.
-pub fn apply_permutation<T>(items: &mut [T], order: &[u32]) {
-    let mut visited = vec![false; order.len()];
+/// four atomic ops apiece. The permutation doubles as the visited set:
+/// every placed position is rewritten to point at itself, so `order` is
+/// the identity on return.
+pub fn apply_permutation<T>(items: &mut [T], order: &mut [u32]) {
     for start in 0..order.len() {
-        if visited[start] {
-            continue;
-        }
-        visited[start] = true;
         let mut prev = start;
-        let mut cur = order[start] as usize;
+        let mut cur = std::mem::replace(&mut order[start], start as u32) as usize;
         while cur != start {
-            visited[cur] = true;
             items.swap(prev, cur);
             prev = cur;
-            cur = order[cur] as usize;
+            cur = std::mem::replace(&mut order[cur], cur as u32) as usize;
         }
     }
 }
@@ -425,132 +388,294 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Upper 32 bits of a [`RawKeyIndex`] slot: the hash tag.
+const SLOT_TAG: u64 = 0xffff_ffff_0000_0000;
+/// Slots a fresh [`RawKeyIndex`] starts with when no size is known.
+const MIN_SLOTS: usize = 64;
+
+/// The hash-group kernel: an incremental intern index from raw sort keys
+/// to dense group ids. Records are interned one at a time in arrival
+/// order; a key seen before maps to its group's id and leaves nothing
+/// behind, a new key founds the next group and its raw bytes are kept
+/// once. The open-addressing table (linear probing, raw-byte equality
+/// behind a 32-bit hash tag) grows with the number of *groups*, so a
+/// duplicate-heavy stream of N records costs O(G) memory beyond the
+/// per-record group id.
+///
+/// [`RawKeyIndex::layout`] then orders the G group representatives by raw
+/// bytes and derives the record permutation of a stable sort followed by
+/// [`group_spans`] — without ever sorting the N records.
+///
+/// Legality is the caller's: raw-key equality must be the grouping
+/// relation and ascending raw order the observable output order, i.e.
+/// both the sort and the grouping comparator are the natural order.
+///
+/// Offsets, group ids and record indices are stored as `u32`; an intern
+/// that would not fit is declined (`None`) rather than truncated, and the
+/// caller falls back to the sort path.
+pub struct RawKeyIndex {
+    /// `hash tag << 32 | gid + 1`; 0 is empty. Power-of-two length, at
+    /// most half full.
+    slots: Vec<u64>,
+    /// Raw sort keys of the distinct groups, back to back.
+    bytes: Vec<u8>,
+    /// Group `g`'s raw key is `bytes[offsets[g]..offsets[g + 1]]`.
+    offsets: Vec<u32>,
+    /// Group -> records interned into it.
+    counts: Vec<u32>,
+    /// Record (arrival order) -> group id.
+    gid_of: Vec<u32>,
+    /// Largest byte offset / record count accepted; `u32::MAX` outside
+    /// tests.
+    limit: usize,
+}
+
+/// The grouped arrangement of a [`RawKeyIndex`]'s records: groups in
+/// ascending raw-key order, records of one group in arrival order.
+pub struct GroupLayout {
+    /// Group ids in ascending raw-key order.
+    pub groups: Vec<u32>,
+    /// Record count of each group, parallel to `groups`.
+    pub counts: Vec<u32>,
+    /// `records[p]` is the arrival index of the record at grouped
+    /// position `p` — feed it to [`apply_permutation`].
+    pub records: Vec<u32>,
+}
+
+impl GroupLayout {
+    /// Return the scratch to `arena`.
+    pub fn recycle(self, arena: Option<&Arena>) {
+        recycle_vec(arena, self.records);
+        recycle_vec(arena, self.counts);
+        recycle_vec(arena, self.groups);
+    }
+}
+
+impl RawKeyIndex {
+    /// An index sized for about `expected_groups` distinct keys (it grows
+    /// past that by doubling; an exact or over-estimate never rehashes),
+    /// with its vectors leased from `arena` when one is given.
+    pub fn with_capacity(expected_groups: usize, arena: Option<&Arena>) -> Self {
+        Self::with_limit(expected_groups, arena, u32::MAX as usize)
+    }
+
+    fn with_limit(expected_groups: usize, arena: Option<&Arena>, limit: usize) -> Self {
+        let mut slots: Vec<u64> = lease_vec(arena);
+        let cap = expected_groups
+            .saturating_mul(2)
+            .next_power_of_two()
+            .max(MIN_SLOTS);
+        slots.resize(cap, 0);
+        let mut offsets: Vec<u32> = lease_vec(arena);
+        offsets.push(0);
+        RawKeyIndex {
+            slots,
+            bytes: lease_vec(arena),
+            offsets,
+            counts: lease_vec(arena),
+            gid_of: lease_vec(arena),
+            limit,
+        }
+    }
+
+    /// Return the index's vectors to `arena`.
+    pub fn recycle(self, arena: Option<&Arena>) {
+        recycle_vec(arena, self.gid_of);
+        recycle_vec(arena, self.counts);
+        recycle_vec(arena, self.offsets);
+        recycle_vec(arena, self.bytes);
+        recycle_vec(arena, self.slots);
+    }
+
+    /// Distinct keys interned so far.
+    pub fn groups(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Records interned so far.
+    pub fn records(&self) -> usize {
+        self.gid_of.len()
+    }
+
+    /// The group id of every record, in arrival order.
+    pub fn gid_of(&self) -> &[u32] {
+        &self.gid_of
+    }
+
+    /// Group `g`'s raw sort key.
+    pub fn raw(&self, g: u32) -> &[u8] {
+        let g = g as usize;
+        &self.bytes[self.offsets[g] as usize..self.offsets[g + 1] as usize]
+    }
+
+    /// Intern the next record's key. Returns its group id and whether the
+    /// record founded that group, or `None` — leaving the index exactly as
+    /// it was — when the key has no raw sort form or the index is full
+    /// (`u32` offsets / indices would wrap).
+    pub fn intern<K: Writable>(&mut self, key: &K) -> Option<(u32, bool)> {
+        let start = self.bytes.len();
+        if self.gid_of.len() >= self.limit || !key.write_raw_sort_key(&mut self.bytes) {
+            self.bytes.truncate(start);
+            return None;
+        }
+        // The candidate sits at the arena's tail: hash and compare it in
+        // place, keep it only if it founds a group.
+        let hash = fnv1a(&self.bytes[start..]);
+        let tag = hash & SLOT_TAG;
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let probe = self.slots[slot];
+            if probe == 0 {
+                break;
+            }
+            if probe & SLOT_TAG == tag {
+                let g = probe as u32 - 1;
+                if self.raw(g) == &self.bytes[start..] {
+                    self.bytes.truncate(start);
+                    self.counts[g as usize] += 1;
+                    self.gid_of.push(g);
+                    return Some((g, false));
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+        if self.bytes.len() > self.limit {
+            self.bytes.truncate(start);
+            return None;
+        }
+        let g = self.counts.len() as u32;
+        self.slots[slot] = tag | (u64::from(g) + 1);
+        self.offsets.push(self.bytes.len() as u32);
+        self.counts.push(1);
+        self.gid_of.push(g);
+        if self.counts.len() * 2 > self.slots.len() {
+            self.grow();
+        }
+        Some((g, true))
+    }
+
+    /// Double the table and re-place every group (hashes are recomputed
+    /// from the kept raw bytes — G of them, amortized O(1) per group).
+    fn grow(&mut self) {
+        let cap = self.slots.len() * 2;
+        self.slots.clear();
+        self.slots.resize(cap, 0);
+        let mask = cap - 1;
+        for g in 0..self.counts.len() as u32 {
+            let hash = fnv1a(self.raw(g));
+            let mut slot = hash as usize & mask;
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = (hash & SLOT_TAG) | (u64::from(g) + 1);
+        }
+    }
+
+    /// Lay the interned records out grouped: groups in ascending raw-key
+    /// order — the order the sorted path would emit — and each group's
+    /// records in arrival order, exactly what the *stable* sort
+    /// guarantees.
+    ///
+    /// Representatives are ordered as cached `(prefix, gid)` entries so
+    /// the common case is a register compare; the full raw form breaks
+    /// prefix ties only (zero-padding can only produce false equality, and
+    /// identical raw keys are by construction the same group, so no
+    /// further tie-break is needed). Above the radix threshold the reps
+    /// take the same LSD radix pass the raw sort path uses — only G
+    /// entries wide, which is the whole advantage of grouping by hash.
+    pub fn layout(&self, tuning: &SortTuning, arena: Option<&Arena>) -> GroupLayout {
+        let groups = self.groups();
+        let mut group_order: Vec<(u64, u32)> = lease_vec(arena);
+        group_order.extend((0..groups as u32).map(|g| (raw_prefix(self.raw(g)), g)));
+        if groups >= tuning.radix_min_pairs {
+            let mut scratch: Vec<(u64, u32)> = lease_vec(arena);
+            radix_sort_prefixes(&mut group_order, &mut scratch);
+            recycle_vec(arena, scratch);
+            let mut i = 0;
+            while i < group_order.len() {
+                let mut j = i + 1;
+                while j < group_order.len() && group_order[j].0 == group_order[i].0 {
+                    j += 1;
+                }
+                if j - i > 1 {
+                    group_order[i..j].sort_unstable_by(|a, b| self.raw(a.1).cmp(self.raw(b.1)));
+                }
+                i = j;
+            }
+        } else {
+            group_order.sort_unstable_by(|a, b| {
+                a.0.cmp(&b.0).then_with(|| self.raw(a.1).cmp(self.raw(b.1)))
+            });
+        }
+        let mut layout = GroupLayout {
+            groups: lease_vec(arena),
+            counts: lease_vec(arena),
+            records: lease_vec(arena),
+        };
+        let mut offset: Vec<u32> = lease_vec(arena); // group -> next free position
+        offset.resize(groups, 0);
+        let mut cursor = 0u32;
+        for &(_, g) in &group_order {
+            offset[g as usize] = cursor;
+            let c = self.counts[g as usize];
+            layout.groups.push(g);
+            layout.counts.push(c);
+            cursor += c;
+        }
+        // Counting scatter in arrival order: each group's positions fill
+        // front-to-back.
+        layout.records.resize(self.records(), 0);
+        for (i, &g) in self.gid_of.iter().enumerate() {
+            let at = &mut offset[g as usize];
+            layout.records[*at as usize] = i as u32;
+            *at += 1;
+        }
+        recycle_vec(arena, offset);
+        recycle_vec(arena, group_order);
+        layout
+    }
+}
+
 /// Hash-grouped reduce ingest for natural-order jobs: permute `pairs` so
 /// each distinct key's records are contiguous — groups in ascending
 /// natural key order, values in arrival order — and return the group
 /// spans. That is bit-identical to the layout of a stable sort followed by
-/// [`group_spans`], but only the G distinct keys are ever sorted: the N
-/// records are bucketed by raw-key hash (open addressing, linear probing,
-/// raw-byte equality on collision) in one pass and scattered into their
-/// final slots in a second.
+/// [`group_spans`], but only the G distinct keys are ever sorted. This is
+/// the batch form of [`RawKeyIndex`]: every key is interned (the index is
+/// sized from `pairs.len()`, so all-distinct input never rehashes), then
+/// the layout's record permutation is applied in place.
 ///
 /// Legality: the caller must only use this when *both* the sort and the
 /// grouping comparator are the natural order (raw-key equality == key
 /// equality == same group, and ascending raw order == the observable
-/// output order). Returns `None` when the key type has no raw sort form;
-/// the caller falls back to the sort path.
+/// output order). Returns `None` when the key type has no raw sort form or
+/// the run outgrows the index's `u32` offsets; the caller falls back to
+/// the sort path.
 pub fn hash_group_pairs<K: Writable, V>(
     pairs: &mut [(Arc<K>, Arc<V>)],
     tuning: &SortTuning,
     arena: Option<&Arena>,
 ) -> Option<Vec<Range<usize>>> {
-    let n = pairs.len();
-    if n == 0 {
+    if pairs.is_empty() {
         return Some(Vec::new());
     }
-    let mut karena: Vec<u8> = lease_vec(arena);
-    let mut spans: Vec<(u32, u32)> = lease_vec(arena);
-    if !build_raw_keys_into(pairs.iter().map(|(k, _)| &**k), &mut karena, &mut spans) {
-        recycle_vec(arena, spans);
-        recycle_vec(arena, karena);
+    let mut index = RawKeyIndex::with_capacity(pairs.len(), arena);
+    if pairs.iter().any(|(k, _)| index.intern(&**k).is_none()) {
+        index.recycle(arena);
         return None;
     }
-    let raw = |i: u32| {
-        let (s, e) = spans[i as usize];
-        &karena[s as usize..e as usize]
-    };
-    // Slots hold `record index + 1` of a group's first record; 0 is empty.
-    let cap = (n * 2).next_power_of_two();
-    let mut table: Vec<u32> = lease_vec(arena);
-    table.resize(cap, 0);
-    let mut gid_of: Vec<u32> = lease_vec(arena); // record -> group ordinal
-    let mut firsts: Vec<u32> = lease_vec(arena); // group -> first record
-    let mut counts: Vec<u32> = lease_vec(arena); // group -> record count
-    for i in 0..n as u32 {
-        let key = raw(i);
-        let mut slot = (fnv1a(key) as usize) & (cap - 1);
-        loop {
-            let probe = table[slot];
-            if probe == 0 {
-                table[slot] = i + 1;
-                gid_of.push(firsts.len() as u32);
-                firsts.push(i);
-                counts.push(1);
-                break;
-            }
-            let first = probe - 1;
-            if raw(first) == key {
-                let g = gid_of[first as usize];
-                gid_of.push(g);
-                counts[g as usize] += 1;
-                break;
-            }
-            slot = (slot + 1) & (cap - 1);
-        }
+    let mut layout = index.layout(tuning, arena);
+    index.recycle(arena);
+    let mut spans = Vec::with_capacity(layout.counts.len());
+    let mut cursor = 0usize;
+    for &c in &layout.counts {
+        spans.push(cursor..cursor + c as usize);
+        cursor += c as usize;
     }
-    let groups = firsts.len();
-    // Drain in ascending raw order of each group's first (hence every)
-    // record — the order the sorted path would emit. Representatives are
-    // ordered as cached `(prefix, gid)` entries so the common case is a
-    // register compare; the full raw form breaks prefix ties only
-    // (zero-padding can only produce false equality, and identical raw
-    // keys are by construction the same group, so no further tie-break is
-    // needed). Above the radix threshold the reps take the same LSD radix
-    // pass the raw sort path uses — only G entries wide, which is the
-    // whole advantage of grouping by hash.
-    let mut group_order: Vec<(u64, u32)> = lease_vec(arena);
-    group_order.extend((0..groups as u32).map(|g| (raw_prefix(raw(firsts[g as usize])), g)));
-    let full = |g: u32| raw(firsts[g as usize]);
-    if groups >= tuning.radix_min_pairs {
-        let mut scratch: Vec<(u64, u32)> = lease_vec(arena);
-        radix_sort_prefixes(&mut group_order, &mut scratch);
-        recycle_vec(arena, scratch);
-        let mut i = 0;
-        while i < group_order.len() {
-            let mut j = i + 1;
-            while j < group_order.len() && group_order[j].0 == group_order[i].0 {
-                j += 1;
-            }
-            if j - i > 1 {
-                group_order[i..j].sort_unstable_by(|a, b| full(a.1).cmp(full(b.1)));
-            }
-            i = j;
-        }
-    } else {
-        group_order
-            .sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| full(a.1).cmp(full(b.1))));
-    }
-    let mut offset: Vec<u32> = lease_vec(arena); // group -> next free slot
-    offset.resize(groups, 0);
-    let mut out_spans = Vec::with_capacity(groups);
-    let mut cursor = 0u32;
-    for &(_, g) in &group_order {
-        offset[g as usize] = cursor;
-        let c = counts[g as usize];
-        out_spans.push(cursor as usize..(cursor + c) as usize);
-        cursor += c;
-    }
-    // Scatter in arrival order: each group's slots fill front-to-back, so
-    // values keep their shuffle arrival order within the group — exactly
-    // what the *stable* sort guarantees.
-    let mut order: Vec<u32> = lease_vec(arena);
-    order.resize(n, 0);
-    for i in 0..n as u32 {
-        let g = gid_of[i as usize] as usize;
-        order[offset[g] as usize] = i;
-        offset[g] += 1;
-    }
-    apply_permutation(pairs, &order);
-    recycle_vec(arena, order);
-    recycle_vec(arena, offset);
-    recycle_vec(arena, group_order);
-    recycle_vec(arena, counts);
-    recycle_vec(arena, firsts);
-    recycle_vec(arena, gid_of);
-    recycle_vec(arena, table);
-    recycle_vec(arena, spans);
-    recycle_vec(arena, karena);
-    Some(out_spans)
+    apply_permutation(pairs, &mut layout.records);
+    layout.recycle(arena);
+    Some(spans)
 }
 
 /// The reduce-ingest entry point both engines share: arrange `pairs` into
@@ -826,6 +951,148 @@ mod tests {
         assert_eq!(sagain, swithout);
     }
 
+    /// What a collect-time grouper does with the index: intern every key,
+    /// keep the founding key of each group, then read the layout back as
+    /// `(pairs in grouped order, spans)`.
+    fn group_incrementally<K: Writable + Clone, V: Clone>(
+        base: &[(Arc<K>, Arc<V>)],
+        tuning: &SortTuning,
+    ) -> (Vec<(K, V)>, Vec<Range<usize>>) {
+        let mut index = RawKeyIndex::with_capacity(0, None);
+        let mut keys: Vec<&Arc<K>> = Vec::new();
+        for (k, _) in base {
+            let (g, founded) = index.intern(&**k).expect("raw keys");
+            assert_eq!(
+                founded,
+                g as usize == keys.len(),
+                "ids are dense, in first-arrival order"
+            );
+            if founded {
+                keys.push(k);
+            }
+        }
+        assert_eq!(index.groups(), keys.len());
+        assert_eq!(index.records(), base.len());
+        let layout = index.layout(tuning, None);
+        let pairs = layout
+            .records
+            .iter()
+            .map(|&i| {
+                let g = index.gid_of()[i as usize] as usize;
+                ((**keys[g]).clone(), (*base[i as usize].1).clone())
+            })
+            .collect();
+        let mut spans = Vec::new();
+        let mut cursor = 0usize;
+        for (&g, &c) in layout.groups.iter().zip(&layout.counts) {
+            assert_eq!(index.gid_of()[layout.records[cursor] as usize], g);
+            spans.push(cursor..cursor + c as usize);
+            cursor += c as usize;
+        }
+        (pairs, spans)
+    }
+
+    #[test]
+    fn index_interns_incrementally_across_table_doublings() {
+        // 700 distinct keys from an empty (64-slot) index: five doublings,
+        // every duplicate still finds its group afterwards.
+        let mut index = RawKeyIndex::with_capacity(0, None);
+        for round in 0..3 {
+            for k in 0..700i32 {
+                let (g, founded) = index.intern(&IntWritable(k * 31)).unwrap();
+                assert_eq!(g, k as u32);
+                assert_eq!(founded, round == 0);
+            }
+        }
+        assert_eq!(index.groups(), 700);
+        assert_eq!(index.records(), 2100);
+        assert_eq!(index.raw(5), &((5u32 * 31) ^ 0x8000_0000).to_be_bytes());
+    }
+
+    /// A key whose raw form gives up half-way for one value.
+    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    struct Flaky(i32);
+    impl Writable for Flaky {
+        fn write_to<S: crate::writable::ByteSink + ?Sized>(&self, out: &mut S) {
+            IntWritable(self.0).write_to(out)
+        }
+        fn read_from(input: &mut crate::writable::ByteReader<'_>) -> crate::error::Result<Self> {
+            Ok(Flaky(IntWritable::read_from(input)?.0))
+        }
+        fn write_raw_sort_key<S: crate::writable::ByteSink + ?Sized>(&self, out: &mut S) -> bool {
+            out.put_slice(&[0xde, 0xad]);
+            self.0 != 13 && IntWritable(self.0).write_raw_sort_key(out)
+        }
+    }
+
+    #[test]
+    fn index_declines_instead_of_wrapping_or_guessing() {
+        // Stubbed limit: 16 bytes of raw keys / 16 records.
+        let mut index = RawKeyIndex::with_limit(0, None, 16);
+        for k in 0..4 {
+            assert_eq!(index.intern(&IntWritable(k)), Some((k as u32, true)));
+        }
+        // A fifth distinct key would push the arena past the limit.
+        assert_eq!(index.intern(&IntWritable(4)), None);
+        assert_eq!(
+            (index.groups(), index.records()),
+            (4, 4),
+            "declined intern leaves no trace"
+        );
+        // Duplicates add no bytes, so they fit — until the record limit.
+        for i in 0..12 {
+            assert_eq!(
+                index.intern(&IntWritable(i % 4)),
+                Some((i as u32 % 4, false))
+            );
+        }
+        assert_eq!(index.intern(&IntWritable(0)), None);
+        assert_eq!((index.groups(), index.records()), (4, 16));
+
+        // A key without a raw form is declined too, partial bytes and all.
+        let mut index = RawKeyIndex::with_capacity(0, None);
+        assert_eq!(index.intern(&Flaky(1)), Some((0, true)));
+        assert_eq!(index.intern(&Flaky(13)), None);
+        assert_eq!(index.intern(&Flaky(1)), Some((0, false)));
+        assert_eq!(index.intern(&Flaky(2)), Some((1, true)));
+        assert_eq!(index.raw(1).len(), 6);
+    }
+
+    #[test]
+    fn ingest_falls_back_when_a_later_key_has_no_raw_form() {
+        let base: Vec<(Arc<Flaky>, Arc<IntWritable>)> = (0..40)
+            .map(|i| (Arc::new(Flaky(39 - i)), Arc::new(IntWritable(i))))
+            .collect();
+        let mut declined = base.clone();
+        assert!(hash_group_pairs(&mut declined, &SortTuning::default(), None).is_none());
+        assert_eq!(
+            flat(&declined),
+            flat(&base),
+            "a declined run is left in arrival order"
+        );
+        let nat = KeyComparator::<Flaky>::natural();
+        let mut flaky = base;
+        let spans = ingest_reduce_groups(&mut flaky, &nat, &nat, &SortTuning::default(), None);
+        assert_eq!(spans.len(), 40);
+        assert!(
+            flaky.windows(2).all(|w| w[0].0 < w[1].0),
+            "sorted by the fallback"
+        );
+    }
+
+    #[test]
+    fn apply_permutation_consumes_its_order() {
+        let mut items = vec!['a', 'b', 'c', 'd', 'e'];
+        let mut order = vec![3u32, 0, 4, 1, 2];
+        apply_permutation(&mut items, &mut order);
+        assert_eq!(items, vec!['d', 'a', 'e', 'b', 'c']);
+        assert_eq!(
+            order,
+            vec![0, 1, 2, 3, 4],
+            "the permutation is its own visited set"
+        );
+    }
+
     #[test]
     fn tuning_conf_knobs_override_defaults() {
         let mut conf = JobConf::new();
@@ -836,9 +1103,9 @@ mod tests {
         assert_eq!(t.raw_min_pairs, 7);
         assert_eq!(t.radix_min_pairs, 9);
         assert!(!t.hash_group);
-        // An empty conf inherits the process-wide defaults.
+        // An empty conf inherits the defaults.
         let d = SortTuning::for_job(&JobConf::new());
-        assert_eq!(d, SortTuning::from_env());
+        assert_eq!(d, SortTuning::default());
     }
 
     #[cfg(test)]
@@ -872,6 +1139,69 @@ mod tests {
                 for w in spans.windows(2) {
                     prop_assert!(pairs[w[0].start].0 .0 != pairs[w[1].start].0 .0);
                 }
+            }
+
+            /// Collect-time grouping through the index, and the batch
+            /// wrapper over it, both reproduce the stable sort + span scan
+            /// exactly — on byte-string keys with heavy duplication, shared
+            /// > 8-byte prefixes and empty keys, with enough distinct keys
+            /// to double the 64-slot table several times.
+            #[test]
+            fn incremental_and_batch_grouping_match_stable_sort_on_text(
+                picks in proptest::collection::vec((0u8..4, 0u16..400), 0..900),
+                radix in any::<bool>(),
+            ) {
+                let base: Vec<(Arc<Text>, Arc<IntWritable>)> = picks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(shape, k))| {
+                        let key = match shape {
+                            0 => String::new(),
+                            1 => format!("{}", k % 7),
+                            2 => format!("shared-prefix-{k:03}"),
+                            _ => format!("w{k}"),
+                        };
+                        (Arc::new(Text::from(key)), Arc::new(IntWritable(i as i32)))
+                    })
+                    .collect();
+                let tuning = SortTuning {
+                    radix_min_pairs: if radix { 1 } else { usize::MAX },
+                    ..SortTuning::default()
+                };
+                let nat = KeyComparator::<Text>::natural();
+                let mut truth = base.clone();
+                sort_pairs_tuned(&mut truth, &nat, &decoded_tuning(), None);
+                let tspans = group_spans(&truth, &nat);
+                let (pairs, spans) = group_incrementally(&base, &tuning);
+                prop_assert_eq!(&pairs, &flat(&truth));
+                prop_assert_eq!(&spans, &tspans);
+                let mut batch = base;
+                let bspans = hash_group_pairs(&mut batch, &tuning, None).expect("raw keys");
+                prop_assert_eq!(flat(&batch), flat(&truth));
+                prop_assert_eq!(bspans, tspans);
+            }
+
+            #[test]
+            fn incremental_and_batch_grouping_match_stable_sort_on_longs(
+                keys in proptest::collection::vec(-150i64..150, 0..900),
+            ) {
+                let base: Vec<(Arc<LongWritable>, Arc<IntWritable>)> = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| (Arc::new(LongWritable(k * 0x0101_0101)), Arc::new(IntWritable(i as i32))))
+                    .collect();
+                let nat = KeyComparator::<LongWritable>::natural();
+                let mut truth = base.clone();
+                sort_pairs_tuned(&mut truth, &nat, &decoded_tuning(), None);
+                let tspans = group_spans(&truth, &nat);
+                let (pairs, spans) = group_incrementally(&base, &SortTuning::default());
+                prop_assert_eq!(&pairs, &flat(&truth));
+                prop_assert_eq!(&spans, &tspans);
+                let mut batch = base;
+                let bspans = hash_group_pairs(&mut batch, &SortTuning::default(), None)
+                    .expect("raw keys");
+                prop_assert_eq!(flat(&batch), flat(&truth));
+                prop_assert_eq!(bspans, tspans);
             }
 
             #[test]

@@ -59,7 +59,9 @@ pub const RADIX_SORT_MIN_PAIRS: &str = "m3r.sort.radix.min.pairs";
 /// Hot-path tunable (ISSUE 8): whether natural-order reduces may ingest
 /// through the hash-grouping kernel instead of sort-then-span. Output is
 /// bit-identical either way (groups still drain in ascending key order);
-/// the knob exists so the sorted path can be forced for measurement.
+/// the knob exists so the sorted path can be forced for measurement. On
+/// M3R the same gate decides whether a combiner job's map output is
+/// grouped at `collect()` time.
 pub const HASH_GROUP_INGEST: &str = "m3r.reduce.hash.group";
 /// M3R extension (ISSUE 10, ReStore-style cross-job memoization): when
 /// `true`, engines consult the `m3r-memo` reuse index before running this
@@ -254,7 +256,7 @@ impl JobConf {
     // -- hot-path sort/group tunables (ISSUE 8) ------------------------------
 
     /// Per-job override for the raw-sort crossover, if set. `None` defers
-    /// to the process-wide default (env override or the measured constant).
+    /// to the default (the measured constant).
     pub fn raw_sort_min_pairs(&self) -> Option<usize> {
         self.get(RAW_SORT_MIN_PAIRS).and_then(|s| s.parse().ok())
     }

@@ -69,6 +69,20 @@ impl<T: Send + 'static> Scratch for Vec<T> {
     }
 }
 
+/// Lease a vector from `arena`, or make a fresh one when the caller runs
+/// without an arena (kernels take `Option<&Arena>`).
+pub fn lease_vec<T: Send + 'static>(arena: Option<&Arena>) -> Vec<T> {
+    arena.map(|a| a.lease::<Vec<T>>()).unwrap_or_default()
+}
+
+/// Counterpart of [`lease_vec`]: recycle `v` into `arena` if there is one,
+/// otherwise just drop it.
+pub fn recycle_vec<T: Send + 'static>(arena: Option<&Arena>, v: Vec<T>) {
+    if let Some(a) = arena {
+        a.recycle(v);
+    }
+}
+
 /// A parked container and its retained footprint in bytes.
 type Shelf = Vec<(Box<dyn Any + Send>, u64)>;
 

@@ -11,13 +11,24 @@
 //! grouping comparators (the precondition for the hash path), and enough
 //! records per reducer that conf-forced thresholds put each run squarely
 //! in the regime being toggled.
+//!
+//! On M3R the hash gate also decides whether a combiner job's map output is
+//! grouped at `collect()` (ISSUE 14), so the same matrix pins that path —
+//! for the `ImmutableOutput` mapper, for the mutate-and-reuse mapper whose
+//! keys are copied only when they found a group, and for the two shapes
+//! that must fall back: a key type without a raw sort form and a custom
+//! grouping comparator.
 
 use std::sync::Arc;
 
 use hadoop_engine::{EngineOptions, HadoopEngine};
+use hmr_api::comparator::KeyComparator;
 use hmr_api::conf::JobConf;
-use hmr_api::job::{Engine, JobResult};
-use hmr_api::{FileSystem, HPath};
+use hmr_api::io::{InputFormat, OutputFormat, SequenceFileOutputFormat, TextInputFormat};
+use hmr_api::job::{Engine, JobDef, JobResult};
+use hmr_api::task::{LongSumReducer, TaskMapper, TaskReducer};
+use hmr_api::writable::{IntWritable, LongWritable, PairWritable, Text, WritableKey};
+use hmr_api::{FileSystem, HPath, OutputCollector, TaskContext};
 use m3r::{M3REngine, M3ROptions};
 use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel};
@@ -105,6 +116,14 @@ fn part_bytes(fs: &SimDfs, dir: &str) -> Vec<(String, bytes::Bytes)> {
 }
 
 fn run_m3r(t: &Toggles, parallel: bool) -> (JobResult, Vec<(String, bytes::Bytes)>) {
+    run_m3r_job(job(), t, parallel)
+}
+
+fn run_m3r_job<J: JobDef>(
+    job: Arc<J>,
+    t: &Toggles,
+    parallel: bool,
+) -> (JobResult, Vec<(String, bytes::Bytes)>) {
     let cluster = Cluster::new(PLACES, CostModel::default());
     let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
     generate_text(&fs, &HPath::new("/in/corpus.txt"), WORDS, 17).unwrap();
@@ -118,7 +137,7 @@ fn run_m3r(t: &Toggles, parallel: bool) -> (JobResult, Vec<(String, bytes::Bytes
             ..M3ROptions::default()
         },
     );
-    let r = engine.run_job(job(), &conf_for(t, "/out")).unwrap();
+    let r = engine.run_job(job, &conf_for(t, "/out")).unwrap();
     (r, part_bytes(&fs, "/out"))
 }
 
@@ -196,4 +215,157 @@ fn engines_agree_on_wordcount_output_under_full_optimization() {
     let (_, h) = run_hadoop(all, true);
     assert!(!m.is_empty(), "m3r produced no output");
     assert_eq!(m, h, "byte-identical wordcount output across engines");
+}
+
+// ---------------------------------------------------------------------------
+// Collect-time grouping on M3R (ISSUE 14): the other mapper style and the
+// two fallbacks, through the same matrix.
+// ---------------------------------------------------------------------------
+
+/// The whole matrix for one job on M3R, against its own everything-off
+/// baseline. Returns the baseline so callers can assert on its shape.
+fn assert_m3r_matrix<J: JobDef>(make: impl Fn() -> Arc<J>, what: &str) -> JobResult {
+    let reference = run_m3r_job(make(), &BASELINE, false);
+    for t in MATRIX {
+        for parallel in [false, true] {
+            let got = run_m3r_job(make(), t, parallel);
+            let mode = if parallel { "parallel" } else { "serial" };
+            assert_same(&reference, &got, &format!("m3r/{what}/{}/{mode}", t.name));
+        }
+    }
+    reference.0
+}
+
+#[test]
+fn m3r_reuse_text_grouping_copies_keys_per_group_but_bills_per_record() {
+    // Not `ImmutableOutput`: every emitted pair is billed a clone and two
+    // allocations, whether or not grouping needed the key's copy — the
+    // metrics snapshot (`clone_bytes`, `allocs`) is part of `assert_same`.
+    let r = assert_m3r_matrix(
+        || Arc::new(WordCountJob::new(WcStyle::ReuseText)),
+        "reuse-text",
+    );
+    let emitted = r
+        .counters
+        .task(hmr_api::counters::task_counter::MAP_OUTPUT_RECORDS) as u64;
+    let combined = r
+        .counters
+        .task(hmr_api::counters::task_counter::COMBINE_OUTPUT_RECORDS) as u64;
+    assert!(
+        combined > 0 && combined < emitted / 2,
+        "duplicate-heavy: {combined} of {emitted}"
+    );
+    assert!(
+        r.metrics.clone_bytes > 0,
+        "the reuse mapper pays for copies"
+    );
+    assert!(
+        r.metrics.allocs >= 2 * emitted,
+        "two objects billed per emitted pair"
+    );
+}
+
+/// WordCount over keys built by `key_of`, with `LongSumReducer` as both
+/// combiner and reducer and an optional custom grouping comparator.
+struct TokenCount<K: WritableKey> {
+    key_of: fn(&str) -> K,
+    grouping: Option<fn(&K, &K) -> std::cmp::Ordering>,
+}
+
+struct TokenMapper<K>(fn(&str) -> K);
+
+impl<K: WritableKey> TaskMapper<LongWritable, Text, K, LongWritable> for TokenMapper<K> {
+    fn map(
+        &mut self,
+        _key: Arc<LongWritable>,
+        value: Arc<Text>,
+        out: &mut dyn OutputCollector<K, LongWritable>,
+        _ctx: &mut TaskContext,
+    ) -> hmr_api::Result<()> {
+        for tok in value.as_str().split_whitespace() {
+            out.collect(Arc::new((self.0)(tok)), Arc::new(LongWritable(1)))?;
+        }
+        Ok(())
+    }
+}
+
+impl<K: WritableKey> JobDef for TokenCount<K> {
+    type K1 = LongWritable;
+    type V1 = Text;
+    type K2 = K;
+    type V2 = LongWritable;
+    type K3 = K;
+    type V3 = LongWritable;
+
+    fn create_mapper(
+        &self,
+        _: &JobConf,
+    ) -> Box<dyn TaskMapper<LongWritable, Text, K, LongWritable>> {
+        Box::new(TokenMapper(self.key_of))
+    }
+    fn create_reducer(
+        &self,
+        _: &JobConf,
+    ) -> Box<dyn TaskReducer<K, LongWritable, K, LongWritable>> {
+        Box::new(LongSumReducer)
+    }
+    fn create_combiner(
+        &self,
+        _: &JobConf,
+    ) -> Option<Box<dyn TaskReducer<K, LongWritable, K, LongWritable>>> {
+        Some(Box::new(LongSumReducer))
+    }
+    fn input_format(&self, _: &JobConf) -> Box<dyn InputFormat<LongWritable, Text>> {
+        Box::new(TextInputFormat)
+    }
+    fn output_format(&self, _: &JobConf) -> Box<dyn OutputFormat<K, LongWritable>> {
+        Box::new(SequenceFileOutputFormat::new())
+    }
+    fn immutable_output(&self) -> bool {
+        true
+    }
+    fn grouping_comparator(&self) -> KeyComparator<K> {
+        match self.grouping {
+            Some(f) => KeyComparator::new(f),
+            None => self.sort_comparator(),
+        }
+    }
+}
+
+#[test]
+fn m3r_grouping_falls_back_for_keys_without_a_raw_sort_form() {
+    // Natural comparators and a combiner, so the buffer starts grouping —
+    // and `PairWritable` declines at the first key: every partition
+    // degrades to plain pairs and combines through the sort path.
+    type K = PairWritable<Text, IntWritable>;
+    let r = assert_m3r_matrix(
+        || {
+            Arc::new(TokenCount::<K> {
+                key_of: |tok| PairWritable(Text::from(tok), IntWritable(tok.len() as i32)),
+                grouping: None,
+            })
+        },
+        "pair-keys",
+    );
+    assert!(r.output_records > 0);
+}
+
+#[test]
+fn m3r_grouping_stays_off_under_a_custom_grouping_comparator() {
+    // Secondary-sort idiom: sort by word, group by first byte. Raw-key
+    // equality is not the grouping relation, so the map side must take the
+    // sort path or groups would split.
+    let r = assert_m3r_matrix(
+        || {
+            Arc::new(TokenCount::<Text> {
+                key_of: |tok| Text::from(tok),
+                grouping: Some(|a, b| a.as_str().bytes().next().cmp(&b.as_str().bytes().next())),
+            })
+        },
+        "first-byte-groups",
+    );
+    assert!(
+        r.output_records > 0 && r.output_records <= 256,
+        "one record per first byte"
+    );
 }
