@@ -60,11 +60,11 @@ fn m3r_run(budget: Option<u64>, policy: PolicyKind, oom: OomMode) -> Result<RunS
             // schedule); keeping ∞-budget rows serial too makes every row
             // of the sweep the same execution shape.
             real_parallelism: false,
-            memory: Some(MemoryOptions {
+            memory: MemoryOptions {
                 budget_bytes_per_place: None,
                 policy,
                 oom: OomMode::Spill,
-            }),
+            },
             ..M3ROptions::default()
         },
     );

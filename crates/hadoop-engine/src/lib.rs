@@ -38,11 +38,13 @@ use hmr_api::distcache::DistCache;
 use hmr_api::error::{HmrError, Result};
 use hmr_api::fs::FileSystem;
 use hmr_api::io::{InputFormat, InputSplit, OutputFormat, RecordWriter};
-use hmr_api::job::{Engine, JobDef, JobResult, LaneEngine};
+use hmr_api::job::{Engine, JobDef, JobFrame, JobResult, LaneEngine};
+use hmr_api::multi::NamedOutputs;
+use hmr_api::task::{reduce_groups, reduce_partition};
 use hmr_api::writable::Writable;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
-use simgrid::{Arena, BufPool, Cluster, Meter, NodeId};
+use simgrid::{Arena, BufPool, Cluster, JobMem, MemClass, Meter, NodeId};
 
 use sortbuffer::{decode_segment, frame_record, SortBuffer};
 
@@ -63,45 +65,24 @@ pub struct EngineOptions {
     /// fails, the job controller has enough information to restart the
     /// computation ... there is no need to restart the entire job."
     pub max_task_attempts: usize,
-    /// Execute each tasktracker wave's slots on real OS threads instead of
-    /// sequentially. Wall-clock only: simulated seconds, outputs and
-    /// counters are bit-identical either way — every task bills its own
-    /// scratch clock and results are folded in task order.
+    /// Run each wave's slots on real OS threads. Wall-clock only:
+    /// simulated seconds, outputs and counters are bit-identical either
+    /// way (see `simgrid::pool`).
     pub real_parallelism: bool,
     /// Draw map-output segment buffers from a per-node [`BufPool`] and
-    /// reclaim them after the job. Wall-clock only: segment bytes, charges
-    /// and outputs are bit-identical with the pool off.
+    /// reclaim them after the job. Wall-clock only.
     pub buffer_pool: bool,
-    /// Opt-in node-level shared combining (the Hadoop-engine analogue of
-    /// M3R's place-level combine): after each map wave, the wave's
-    /// per-partition segments are decoded, merged through the job's
-    /// combiner and re-framed into one segment, shrinking what reducers
-    /// fetch. Requires an associative and commutative combiner (see
-    /// `hmr_api::conf::PLACE_COMBINE`, which can also enable this per
-    /// job); jobs without a combiner are unaffected. Off (the default) is
-    /// bit-identical to pre-combine behaviour.
+    /// Opt-in node-level shared combining (the analogue of M3R's
+    /// place-level combine): after each map wave, the wave's per-partition
+    /// segments are merged through the job's combiner into one segment.
+    /// Requires an associative and commutative combiner; also enabled per
+    /// job by `hmr_api::conf::PLACE_COMBINE`. Off is bit-identical to
+    /// pre-combine behaviour.
     pub node_combine: bool,
-    /// Hash-grouped reduce ingest (ISSUE 8): natural-order reduces group
-    /// through a raw-key hash table draining in ascending key order instead
-    /// of a full sort. Wall-clock only — outputs, counters and simulated
-    /// seconds are bit-identical with the flag off; custom comparators
-    /// always take the sort path. The per-job `m3r.reduce.hash.group` conf
-    /// knob can also force it off.
-    pub hash_group_ingest: bool,
-    /// Arena-per-wave allocation (ISSUE 8): reduce/combine scratch is
-    /// leased from a per-node [`Arena`] and recycled at wave end. Wall-clock
-    /// only; retention is accounted to [`simgrid::MemClass::Arena`], which
-    /// budgets deliberately ignore.
-    pub arena: bool,
-    /// Cross-job result memoization (ISSUE 10): retain finished jobs'
-    /// output bytes under a content fingerprint and replay a byte-identical
-    /// resubmission without re-running it. Whole-job hits only — the
-    /// Hadoop engine keeps nothing between jobs (segments die with the job,
-    /// every task starts a fresh JVM), so there are no shuffle-stable
-    /// retained partitions to replay a map-prefix match from; that sub-job
-    /// path is M3R-only. Off (the default) is bit-identical to
-    /// pre-memoization behaviour; the per-job `m3r.memo.enable` conf knob
-    /// can also opt a single job in.
+    /// Cross-job result memoization (`m3r-memo`), whole-job hits only: the
+    /// Hadoop engine keeps nothing between jobs, so there are no retained
+    /// partitions to replay a map-prefix match from. Also enabled per job
+    /// by `m3r.memo.enable`. Off is bit-identical to no memoization.
     pub memoize: bool,
 }
 
@@ -115,8 +96,6 @@ impl Default for EngineOptions {
             real_parallelism: true,
             buffer_pool: true,
             node_combine: false,
-            hash_group_ingest: true,
-            arena: true,
             memoize: false,
         }
     }
@@ -132,9 +111,9 @@ pub struct HadoopEngine {
     pools: Vec<Arc<BufPool>>,
     /// One scratch arena per node, persisted across jobs like the pools.
     arenas: Vec<Arc<Arena>>,
-    /// Cross-job reuse index (ISSUE 10). Lives on the engine object — like
-    /// the pools, it is the engine's long-lived state across simulated
-    /// jobs even though simulated tasks are not.
+    /// Cross-job reuse index. Lives on the engine object — like the pools,
+    /// it is the engine's long-lived state across simulated jobs even
+    /// though simulated tasks are not.
     memo: Arc<m3r_memo::ReuseIndex>,
 }
 
@@ -202,105 +181,16 @@ impl HadoopEngine {
         &self.memo
     }
 
-    /// The memo eligibility gate: `Some(basis)` iff this job can
-    /// participate in cross-job memoization. Mirrors the M3R engine's gate
-    /// (enabled, declared identity, real reduce phase, durable non-temp
-    /// output, every input content-versioned) with the engine name
-    /// `"hadoop"` in the basis — the two engines never share entries.
-    fn memo_basis<J: JobDef>(&self, job: &J, conf: &JobConf) -> Option<m3r_memo::FingerprintBasis> {
-        if !(self.opts.memoize || conf.memo_enable()) {
-            return None;
+    /// The shared reuse policy as this engine binds it: no cache sits under
+    /// the job filesystem, so it is also where the durable bytes live.
+    fn reuse(&self) -> m3r_memo::Reuse<'_> {
+        m3r_memo::Reuse {
+            index: &self.memo,
+            engine: "hadoop",
+            enabled: self.opts.memoize,
+            fs: &*self.fs,
+            durable: &*self.fs,
         }
-        let identity = job.memo_identity()?;
-        if conf.num_reduce_tasks() == 0 {
-            return None;
-        }
-        let out = conf.output_path()?;
-        if conf.is_temp_output(&out) {
-            return None;
-        }
-        m3r_memo::FingerprintBasis::gather(&*self.fs, conf, &identity, "hadoop", &[])
-    }
-
-    /// Replay a retained whole-job result: write the stored part bytes and
-    /// the `_SUCCESS` marker into the submitted conf's output directory,
-    /// all unmetered — the resubmission "runs" in ~0 simulated seconds
-    /// with zero map/shuffle spans. The trace still opens a job so rollup
-    /// job numbering tracks submission order; it simply has no spans.
-    fn replay_full(
-        &self,
-        cluster: &Cluster,
-        conf: &JobConf,
-        hit: m3r_memo::FullHit,
-        t0: f64,
-        m0: &simgrid::metrics::MetricsSnapshot,
-    ) -> Result<JobResult> {
-        cluster
-            .trace()
-            .begin_job(&format!("{} (hadoop memo)", conf.job_name()));
-        let out_dir = conf.output_path().expect("memo_basis gated on output");
-        for (name, bytes) in &hit.parts {
-            let path = out_dir.join(name);
-            if self.fs.exists(&path) {
-                self.fs.delete(&path, false)?;
-            }
-            hmr_api::fs::write_file(&*self.fs, &path, bytes)?;
-        }
-        let marker = out_dir.join("_SUCCESS");
-        if !self.fs.exists(&marker) {
-            self.fs.create(&marker)?.close()?;
-        }
-        let t_end = cluster.max_time();
-        for node in cluster.nodes() {
-            node.clock().advance_to(t_end);
-        }
-        Ok(JobResult {
-            sim_time: t_end - t0,
-            counters: hit.counters,
-            metrics: cluster.metrics().snapshot().since(m0),
-            output_records: hit.output_records,
-        })
-    }
-
-    /// Read the finished job's part files back (unmetered) and retain them
-    /// under its whole-job fingerprint. Best-effort: an unreadable output
-    /// directory just skips recording — memoization must never fail a job
-    /// that already succeeded.
-    fn memo_record_full(
-        &self,
-        basis: &m3r_memo::FingerprintBasis,
-        conf: &JobConf,
-        counters: &Counters,
-        output_records: u64,
-    ) {
-        let Some(out_dir) = conf.output_path() else {
-            return;
-        };
-        let Ok(listing) = self.fs.list_status(&out_dir) else {
-            return;
-        };
-        let mut parts = Vec::new();
-        for st in listing {
-            if st.is_dir {
-                continue;
-            }
-            let name = st.path.name().unwrap_or_default().to_string();
-            if name == "_SUCCESS" {
-                continue;
-            }
-            match hmr_api::fs::read_file(&*self.fs, &st.path) {
-                Ok(bytes) => parts.push((name, bytes)),
-                Err(_) => return,
-            }
-        }
-        parts.sort_by(|a, b| a.0.cmp(&b.0));
-        self.memo.record_full(
-            basis.job_fingerprint(),
-            basis.input_versions().to_vec(),
-            parts,
-            counters.clone(),
-            output_records,
-        );
     }
 }
 
@@ -308,20 +198,27 @@ impl HadoopEngine {
 /// with lazy named side outputs (`MultipleOutputs`).
 struct WriterCollector<'a, K, V> {
     writer: Box<dyn RecordWriter<K, V>>,
-    named: std::collections::BTreeMap<String, Box<dyn RecordWriter<K, V>>>,
-    format: &'a dyn OutputFormat<K, V>,
-    fs: &'a dyn FileSystem,
-    conf: &'a JobConf,
-    partition: usize,
+    named: NamedOutputs<'a, K, V>,
     records: u64,
 }
 
-impl<K: Writable, V: Writable> WriterCollector<'_, K, V> {
+impl<'a, K: Writable, V: Writable> WriterCollector<'a, K, V> {
+    fn open(
+        format: &'a dyn OutputFormat<K, V>,
+        fs: &'a dyn FileSystem,
+        conf: &'a JobConf,
+        partition: usize,
+    ) -> Result<Self> {
+        Ok(WriterCollector {
+            writer: format.record_writer(fs, conf, partition)?,
+            named: NamedOutputs::new(format, fs, conf, partition),
+            records: 0,
+        })
+    }
+
     fn close(self) -> Result<u64> {
         self.writer.close()?;
-        for (_, w) in self.named {
-            w.close()?;
-        }
+        self.named.close()?;
         Ok(self.records)
     }
 }
@@ -337,19 +234,7 @@ impl<K: Writable, V: Writable> OutputCollector<K, V> for WriterCollector<'_, K, 
     }
 
     fn collect_named(&mut self, name: &str, key: Arc<K>, value: Arc<V>) -> Result<()> {
-        if !self.named.contains_key(name) {
-            let w = self
-                .format
-                .record_writer_named(self.fs, self.conf, name, self.partition)?;
-            self.named.insert(name.to_string(), w);
-        }
-        simgrid::meter::charge(Charge::Serialize {
-            bytes: (key.serialized_size() + value.serialized_size()) as u64,
-        });
-        self.named
-            .get_mut(name)
-            .expect("inserted above")
-            .write(&key, &value)?;
+        self.named.write(name, &key, &value)?;
         self.records += 1;
         Ok(())
     }
@@ -398,12 +283,23 @@ impl LaneEngine for HadoopEngine {
         job: &Arc<J>,
         conf: &JobConf,
     ) -> Option<Result<JobResult>> {
-        let basis = self.memo_basis(&**job, conf)?;
-        let hit = self.memo.lookup_full(basis.job_fingerprint(), &*self.fs)?;
-        let t0 = self.cluster.max_time();
-        let m0 = self.cluster.metrics().snapshot();
-        Some(self.replay_full(&self.cluster, conf, hit, t0, &m0))
+        self.reuse().try_replay(&self.cluster, &**job, conf)
     }
+}
+
+/// What every phase and task of one running job needs: the engine's
+/// long-lived state plus the job-scoped handles the frame opened.
+struct Run<'a, J: JobDef> {
+    engine: &'a HadoopEngine,
+    cluster: &'a Cluster,
+    tjob: u64,
+    held: &'a JobMem,
+    job: &'a J,
+    conf: &'a Arc<JobConf>,
+    output_format: &'a dyn OutputFormat<J::K3, J::V3>,
+    num_reducers: usize,
+    tuning: SortTuning,
+    dist_cache: Arc<DistCache>,
 }
 
 impl HadoopEngine {
@@ -416,29 +312,46 @@ impl HadoopEngine {
         job: Arc<J>,
         conf: &JobConf,
     ) -> Result<JobResult> {
-        let cluster = cluster.clone();
-        let nnodes = cluster.len();
-        let t0 = cluster.max_time();
-        let m0 = cluster.metrics().snapshot();
+        let frame = JobFrame::open(cluster);
         let conf = Arc::new(conf.clone());
 
-        // Cross-job memoization (ISSUE 10): a whole-job hit replays the
-        // retained output bytes before the job even opens — no submission,
-        // no JVM startups, no map/shuffle/reduce. Checked before
-        // `begin_job` so the replay's own (span-free) trace job keeps
-        // rollup numbering aligned with submission order.
-        let memo_basis = self.memo_basis(&*job, &conf);
-        if let Some(basis) = &memo_basis {
-            match self.memo.lookup_full(basis.job_fingerprint(), &*self.fs) {
-                Some(hit) => return self.replay_full(&cluster, &conf, hit, t0, &m0),
+        // A whole-job memo hit replays the retained output bytes before the
+        // job even opens — no submission, no JVM startups, no phases.
+        let reuse = self.reuse();
+        let basis = reuse.memo_basis(&*job, &conf);
+        if let Some(basis) = &basis {
+            match reuse.lookup_full(basis) {
+                Some(hit) => return reuse.replay_full(frame, &conf, hit),
                 None => self.memo.note_miss(),
             }
         }
 
-        let tjob = cluster
-            .trace()
-            .begin_job(&format!("{} (hadoop)", conf.job_name()));
+        let output_format = job.output_format(&conf);
+        let result = frame.run(
+            &format!("{} (hadoop)", conf.job_name()),
+            &*self.fs,
+            output_format.output_path(&conf),
+            |tjob, held| self.execute(cluster, tjob, held, &*job, &conf, &*output_format),
+        )?;
+        // Retain the finished job's output for future resubmissions.
+        if let Some(basis) = &basis {
+            reuse.memo_record_full(basis, &conf, &result);
+        }
+        Ok(result)
+    }
 
+    /// Everything between the job frame's open and commit: submission,
+    /// split planning, then heartbeat-paced map and reduce waves.
+    fn execute<J: JobDef>(
+        &self,
+        cluster: &Cluster,
+        tjob: u64,
+        held: &JobMem,
+        job: &J,
+        conf: &Arc<JobConf>,
+        output_format: &dyn OutputFormat<J::K3, J::V3>,
+    ) -> Result<(Counters, u64)> {
+        let nnodes = cluster.len();
         // Submission: jobid from the jobtracker, job configuration and user
         // code staged to the jobtracker's filesystem (§3.1). Charged through
         // the meter so the submit span captures it; the charge itself is
@@ -449,21 +362,10 @@ impl HadoopEngine {
             });
         });
 
-        let input_format = job.input_format(&conf);
-        let output_format = job.output_format(&conf);
-        let splits = input_format.get_splits(
-            &*self.fs,
-            &conf,
-            nnodes * self.opts.map_slots_per_node,
-        )?;
+        let input_format = job.input_format(conf);
+        let splits =
+            input_format.get_splits(&*self.fs, conf, nnodes * self.opts.map_slots_per_node)?;
         let num_reducers = conf.num_reduce_tasks();
-        // Sort/group tuning for this job: process defaults and env
-        // overrides, then conf knobs, gated by the engine option.
-        let tuning = {
-            let mut t = SortTuning::for_job(&conf);
-            t.hash_group &= self.opts.hash_group_ingest;
-            t
-        };
         let convert = if num_reducers == 0 {
             Some(job.map_only_convert().ok_or_else(|| {
                 HmrError::InvalidJob(
@@ -473,14 +375,24 @@ impl HadoopEngine {
         } else {
             None
         };
-
         // Distributed cache staging, charged to the submitting node.
         let dist_cache = Arc::new(simgrid::with_meter(
             Meter::new(cluster.node(0).clone()),
-            || trace::span(Phase::Setup, "dist_cache", None, || DistCache::load(&conf, &*self.fs)),
+            || trace::span(Phase::Setup, "dist_cache", None, || DistCache::load(conf, &*self.fs)),
         )?);
+        let run = Run {
+            engine: self,
+            cluster,
+            tjob,
+            held,
+            job,
+            conf,
+            output_format,
+            num_reducers,
+            tuning: SortTuning::for_job(conf),
+            dist_cache,
+        };
 
-        // ---- map phase -----------------------------------------------------
         // "The map tasks (allocated close to their corresponding
         // InputSplits)": assign each split to its first replica host.
         let assigns: Vec<NodeId> = splits
@@ -488,104 +400,16 @@ impl HadoopEngine {
             .enumerate()
             .map(|(i, s)| s.locations().first().copied().unwrap_or(i % nnodes) % nnodes)
             .collect();
-        let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); nnodes];
-        for (i, &n) in assigns.iter().enumerate() {
-            per_node[n].push(i);
-        }
-
         let mut counters = Counters::new();
-        let mut map_outputs: Vec<Vec<Bytes>> = (0..splits.len()).map(|_| Vec::new()).collect();
         let mut output_records = 0u64;
-        // Node-level shared combine (M3R's place-level combine, ROADMAP
-        // item 3): only meaningful with reducers to shuffle to and a
-        // combiner to merge with.
-        let node_combine = (self.opts.node_combine || conf.place_level_combine())
-            && num_reducers > 0
-            && job.create_combiner(&conf).is_some();
-
-        for (node_id, tasks) in per_node.iter().enumerate() {
-            let node = cluster.node(node_id);
-            // Tasks run in slot-parallel waves; the tasktracker receives
-            // work one heartbeat at a time. With `real_parallelism` the
-            // slots are real scoped threads; either way each task bills its
-            // own scratch clock and results are folded in task order.
-            for wave in tasks.chunks(self.opts.map_slots_per_node) {
-                simgrid::with_meter(Meter::new(node.clone()), || {
-                    trace::span(Phase::Barrier, "heartbeat", None, || {
-                        simgrid::meter::charge(Charge::Heartbeat);
-                    });
-                });
-                let wave_base = node.clock().now();
-                let (results, scratches) = simgrid::pool::run_wave(
-                    &cluster,
-                    node_id,
-                    self.opts.real_parallelism,
-                    wave.to_vec(),
-                    |task: usize| {
-                        // "If a node fails, the job controller ... restart[s]
-                        // the computation" — failed attempts are retried
-                        // (each paying startup again) up to the attempt
-                        // limit.
-                        let r = trace::span(Phase::Map, "map", Some(task as u64), || {
-                            retry_attempts(self.opts.max_task_attempts, || {
-                                run_map_task(
-                                    &*job,
-                                    &conf,
-                                    &*self.fs,
-                                    &*input_format,
-                                    &*output_format,
-                                    splits[task].as_ref(),
-                                    task,
-                                    num_reducers,
-                                    convert.clone(),
-                                    &dist_cache,
-                                    self.opts.sort_buffer_bytes,
-                                    self.opts.buffer_pool.then(|| &*self.pools[node_id]),
-                                )
-                            })
-                            .map(|out| (task, out))
-                        });
-                        (r, trace::take_pending())
-                    },
-                );
-                for (result, task_spans) in results {
-                    cluster
-                        .trace()
-                        .record_rebased(tjob, node_id, wave_base, task_spans);
-                    let (task, out) = result?;
-                    counters.merge(&out.counters);
-                    output_records += out.output_records;
-                    // Segments are parked on the producing node until the
-                    // reducers fetch them — live shuffle memory there.
-                    let seg_bytes: u64 = out.segments.iter().map(|s| s.len() as u64).sum();
-                    cluster
-                        .mem()
-                        .grow(node_id, simgrid::MemClass::Shuffle, seg_bytes);
-                    map_outputs[task] = out.segments;
-                }
-                node.clock()
-                    .advance(simgrid::pool::wave_duration(&scratches));
-                if node_combine {
-                    let wave_counters = combine_wave_segments(
-                        &*job,
-                        &conf,
-                        &cluster,
-                        node_id,
-                        wave,
-                        &mut map_outputs,
-                        num_reducers,
-                        self.opts.buffer_pool.then(|| &*self.pools[node_id]),
-                        &dist_cache,
-                        &tuning,
-                        self.opts.arena.then(|| &*self.arenas[node_id]),
-                    )?;
-                    counters.merge(&wave_counters);
-                }
-                if self.opts.arena {
-                    self.arenas[node_id].end_wave();
-                }
-            }
-        }
+        let mut map_outputs = run.map_phase(
+            &*input_format,
+            &splits,
+            &assigns,
+            convert,
+            &mut counters,
+            &mut output_records,
+        )?;
 
         // What the reducers will actually fetch — the engine's shuffle
         // volume after any node-level combining. Recorded unconditionally
@@ -597,122 +421,424 @@ impl HadoopEngine {
             .sum();
         counters.incr(HADOOP_COUNTER_GROUP, "SHUFFLE_SEGMENT_BYTES", seg_bytes_total);
 
-        // ---- reduce phase ---------------------------------------------------
         if num_reducers > 0 {
-            // No reducer finishes its sort before the last mapper is done;
-            // the jobtracker notices completion on a heartbeat.
-            let all_maps_done = cluster.max_time();
-            for node in cluster.nodes() {
-                node.clock().advance_to(all_maps_done);
-            }
-
-            let r_assigns: Vec<NodeId> = (0..num_reducers).map(|p| p % nnodes).collect();
-            let mut per_node_r: Vec<Vec<usize>> = vec![Vec::new(); nnodes];
-            for (p, &n) in r_assigns.iter().enumerate() {
-                per_node_r[n].push(p);
-            }
-            for (node_id, parts) in per_node_r.iter().enumerate() {
-                let node = cluster.node(node_id);
-                for wave in parts.chunks(self.opts.reduce_slots_per_node) {
-                    simgrid::with_meter(Meter::new(node.clone()), || {
-                        trace::span(Phase::Barrier, "heartbeat", None, || {
-                            simgrid::meter::charge(Charge::Heartbeat);
-                        });
-                    });
-                    let wave_base = node.clock().now();
-                    let (results, scratches) = simgrid::pool::run_wave(
-                        &cluster,
-                        node_id,
-                        self.opts.real_parallelism,
-                        wave.to_vec(),
-                        |partition: usize| {
-                            let r = trace::span(
-                                Phase::Reduce,
-                                "reduce",
-                                Some(partition as u64),
-                                || {
-                                    retry_attempts(self.opts.max_task_attempts, || {
-                                        run_reduce_task(
-                                            &*job,
-                                            &conf,
-                                            &*self.fs,
-                                            &*output_format,
-                                            &map_outputs,
-                                            partition,
-                                            &dist_cache,
-                                            self.opts.sort_buffer_bytes,
-                                            &tuning,
-                                            self.opts.arena.then(|| &*self.arenas[node_id]),
-                                        )
-                                    })
-                                },
-                            );
-                            (r, trace::take_pending())
-                        },
-                    );
-                    for (result, task_spans) in results {
-                        cluster
-                            .trace()
-                            .record_rebased(tjob, node_id, wave_base, task_spans);
-                        let (task_counters, recs) = result?;
-                        counters.merge(&task_counters);
-                        output_records += recs;
-                    }
-                    node.clock()
-                        .advance(simgrid::pool::wave_duration(&scratches));
-                    if self.opts.arena {
-                        self.arenas[node_id].end_wave();
-                    }
-                }
-            }
+            run.reduce_phase(&map_outputs, &mut counters, &mut output_records)?;
         }
 
-        // Segments die with the job either way: release their shuffle
-        // accounting, and — with the pool on — recycle the buffers into
-        // their producing node's pool so the next job's sort buffers start
-        // warm. (A handle that a straggling reader still holds simply
-        // isn't reclaimed.)
-        for (task, segments) in map_outputs.into_iter().enumerate() {
+        // Segments die with the job: un-park them and — with the pool on —
+        // recycle the buffers into their producing node's pool so the next
+        // job's sort buffers start warm. (A handle that a straggling reader
+        // still holds simply isn't reclaimed.) Un-parked here, segment by
+        // segment ahead of its reclaim, so the watermark never counts a
+        // dead segment and its pooled buffer at once; a failed job never
+        // gets here, and the frame releases what its segments still held.
+        for (task, segments) in map_outputs.drain(..).enumerate() {
             let node_id = assigns[task];
             let seg_bytes: u64 = segments.iter().map(|s| s.len() as u64).sum();
-            cluster
-                .mem()
-                .shrink(node_id, simgrid::MemClass::Shuffle, seg_bytes);
+            held.shrink(node_id, MemClass::Shuffle, seg_bytes);
             if self.opts.buffer_pool {
-                let pool = &self.pools[node_id];
                 for seg in segments {
-                    pool.reclaim(seg);
+                    self.pools[node_id].reclaim(seg);
                 }
             }
         }
+        Ok((counters, output_records))
+    }
+}
 
-        // Job commit: _SUCCESS marker in the output directory.
-        if let Some(out_dir) = output_format.output_path(&conf) {
-            let marker = out_dir.join("_SUCCESS");
-            if !self.fs.exists(&marker) {
-                let w = self.fs.create(&marker)?;
-                w.close()?;
+impl<J: JobDef> Run<'_, J> {
+    fn pool(&self, node_id: NodeId) -> Option<&BufPool> {
+        self.engine.opts.buffer_pool.then(|| &*self.engine.pools[node_id])
+    }
+
+    /// The tasktracker receives work one heartbeat at a time.
+    fn heartbeat(&self, node_id: NodeId) {
+        simgrid::with_meter(Meter::new(self.cluster.node(node_id).clone()), || {
+            trace::span(Phase::Barrier, "heartbeat", None, || {
+                simgrid::meter::charge(Charge::Heartbeat);
+            });
+        });
+    }
+
+    /// Map tasks in slot-sized, heartbeat-paced waves per node. Returns the
+    /// per-task, per-partition segments, parked on their producing nodes.
+    fn map_phase(
+        &self,
+        input_format: &dyn InputFormat<J::K1, J::V1>,
+        splits: &[Arc<dyn InputSplit>],
+        assigns: &[NodeId],
+        convert: Option<hmr_api::job::MapOnlyConvert<J::K2, J::V2, J::K3, J::V3>>,
+        counters: &mut Counters,
+        output_records: &mut u64,
+    ) -> Result<Vec<Vec<Bytes>>> {
+        let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); self.cluster.len()];
+        for (i, &n) in assigns.iter().enumerate() {
+            per_node[n].push(i);
+        }
+        let mut map_outputs: Vec<Vec<Bytes>> = (0..splits.len()).map(|_| Vec::new()).collect();
+        // Node-level shared combine: only meaningful with reducers to
+        // shuffle to and a combiner to merge with.
+        let node_combine = (self.engine.opts.node_combine || self.conf.place_level_combine())
+            && self.num_reducers > 0
+            && self.job.create_combiner(self.conf).is_some();
+
+        for (node_id, tasks) in per_node.iter().enumerate() {
+            for wave in tasks.chunks(self.engine.opts.map_slots_per_node) {
+                self.heartbeat(node_id);
+                simgrid::pool::traced_wave(
+                    self.cluster,
+                    node_id,
+                    self.tjob,
+                    self.engine.opts.real_parallelism,
+                    &self.engine.arenas[node_id],
+                    wave.to_vec(),
+                    |task: usize| {
+                        // "If a node fails, the job controller ... restart[s]
+                        // the computation" — failed attempts are retried
+                        // (each paying startup again) up to the attempt
+                        // limit.
+                        trace::span(Phase::Map, "map", Some(task as u64), || {
+                            retry_attempts(self.engine.opts.max_task_attempts, || {
+                                self.map_task(
+                                    input_format,
+                                    splits[task].as_ref(),
+                                    task,
+                                    convert.clone(),
+                                    self.pool(node_id),
+                                )
+                            })
+                            .map(|out| (task, out))
+                        })
+                    },
+                    |(task, out)| {
+                        counters.merge(&out.counters);
+                        *output_records += out.output_records;
+                        // Segments are parked on the producing node until
+                        // the reducers fetch them — live shuffle memory.
+                        let seg_bytes: u64 = out.segments.iter().map(|s| s.len() as u64).sum();
+                        self.held.grow(node_id, MemClass::Shuffle, seg_bytes);
+                        map_outputs[task] = out.segments;
+                        Ok(())
+                    },
+                )?;
+                if node_combine {
+                    counters.merge(&self.combine_wave_segments(node_id, wave, &mut map_outputs)?);
+                }
             }
         }
+        Ok(map_outputs)
+    }
 
-        // Retain the finished job's output for future resubmissions
-        // (whole-job only — see `EngineOptions::memoize`).
-        if let Some(basis) = &memo_basis {
-            self.memo_record_full(basis, &conf, &counters, output_records);
+    /// Reduce tasks in slot-sized, heartbeat-paced waves; partition `p`
+    /// reduces on node `p % nodes`.
+    fn reduce_phase(
+        &self,
+        map_outputs: &[Vec<Bytes>],
+        counters: &mut Counters,
+        output_records: &mut u64,
+    ) -> Result<()> {
+        // No reducer finishes its sort before the last mapper is done;
+        // the jobtracker notices completion on a heartbeat.
+        let all_maps_done = self.cluster.max_time();
+        for node in self.cluster.nodes() {
+            node.clock().advance_to(all_maps_done);
+        }
+        let nnodes = self.cluster.len();
+        for node_id in 0..nnodes {
+            let parts: Vec<usize> = (node_id..self.num_reducers).step_by(nnodes).collect();
+            for wave in parts.chunks(self.engine.opts.reduce_slots_per_node) {
+                self.heartbeat(node_id);
+                simgrid::pool::traced_wave(
+                    self.cluster,
+                    node_id,
+                    self.tjob,
+                    self.engine.opts.real_parallelism,
+                    &self.engine.arenas[node_id],
+                    wave.to_vec(),
+                    |partition: usize| {
+                        trace::span(Phase::Reduce, "reduce", Some(partition as u64), || {
+                            retry_attempts(self.engine.opts.max_task_attempts, || {
+                                self.reduce_task(map_outputs, partition, &self.engine.arenas[node_id])
+                            })
+                        })
+                    },
+                    |(task_counters, recs)| {
+                        counters.merge(&task_counters);
+                        *output_records += recs;
+                        Ok(())
+                    },
+                )?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Node-level shared combine — the Hadoop-engine analogue of M3R's
+    /// place-level combine table. After a map wave's barrier, each
+    /// partition's per-task segments are decoded in task order, sorted,
+    /// merged through the job's combiner, and re-framed into a single
+    /// segment parked under the wave's first contributing task (the others
+    /// keep an empty segment, which the reduce fetch already skips). Runs on
+    /// the tasktracker's driver thread in deterministic partition/task
+    /// order, billed to the node clock under a [`Phase::Combine`] span. A
+    /// partition whose decoded working set would breach the memory budget
+    /// is left untouched: the job degrades to plain per-task streaming
+    /// without changing outputs.
+    fn combine_wave_segments(
+        &self,
+        node_id: NodeId,
+        wave: &[usize],
+        map_outputs: &mut [Vec<Bytes>],
+    ) -> Result<Counters> {
+        let (cluster, held, arena) = (self.cluster, self.held, &*self.engine.arenas[node_id]);
+        let mut combiner = self
+            .job
+            .create_combiner(self.conf)
+            .expect("combine_wave_segments requires a combiner");
+        let mut ctx = TaskContext::new(
+            format!("combine_n_{node_id:06}"),
+            Arc::clone(self.conf),
+            Arc::clone(&self.dist_cache),
+        );
+        let sort_cmp = self.job.sort_comparator();
+        let group_cmp = self.job.grouping_comparator();
+        simgrid::with_meter(Meter::new(cluster.node(node_id).clone()), || {
+            trace::span(Phase::Combine, "wave", None, || -> Result<()> {
+                for partition in 0..self.num_reducers {
+                    let contributing: Vec<usize> = wave
+                        .iter()
+                        .copied()
+                        .filter(|&t| map_outputs[t].get(partition).is_some_and(|s| !s.is_empty()))
+                        .collect();
+                    // Nothing merges across fewer than two segments.
+                    if contributing.len() < 2 {
+                        continue;
+                    }
+                    let in_bytes: u64 = contributing
+                        .iter()
+                        .map(|&t| map_outputs[t][partition].len() as u64)
+                        .sum();
+                    // Governor interaction: the decoded working set is combine
+                    // memory. If it would not fit the budget, skip this
+                    // partition — reducers fetch the per-task segments as usual.
+                    if let Some(budget) = cluster.mem().budget() {
+                        if cluster.mem().live(node_id) + in_bytes > budget {
+                            continue;
+                        }
+                    }
+                    held.grow(node_id, MemClass::Combine, in_bytes);
+                    let mut pairs: Vec<(Arc<J::K2>, Arc<J::V2>)> = arena.lease();
+                    for &t in &contributing {
+                        pairs.extend(decode_segment::<J::K2, J::V2>(&map_outputs[t][partition])?);
+                    }
+                    simgrid::meter::charge(Charge::Deserialize { bytes: in_bytes });
+                    let groups = ingest_reduce_groups(
+                        &mut pairs,
+                        &sort_cmp,
+                        &group_cmp,
+                        &self.tuning,
+                        Some(arena),
+                    );
+                    ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, pairs.len() as i64);
+                    let mut out: VecCollector<J::K2, J::V2> = VecCollector::new();
+                    reduce_groups(&pairs, groups, &mut *combiner, &mut out, &mut ctx)?;
+                    ctx.incr_task_counter(
+                        task_counter::COMBINE_OUTPUT_RECORDS,
+                        out.pairs.len() as i64,
+                    );
+                    // The inputs are the wave tasks' already-sorted segments, so
+                    // this is a k-way merge, not a fresh sort: bill one sort-pass
+                    // record per emitted group (the merge's output walk). That
+                    // keeps `records_sorted` a net win — reducers re-merge far
+                    // fewer records than the wave produced.
+                    simgrid::meter::charge(Charge::Sort {
+                        records: out.pairs.len() as u64,
+                    });
+                    let mut buf = match self.pool(node_id) {
+                        Some(p) => p.get_any(in_bytes as usize),
+                        None => BytesMut::with_capacity(in_bytes as usize),
+                    };
+                    let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
+                    for (k, v) in &out.pairs {
+                        kbuf.clear();
+                        vbuf.clear();
+                        k.write_to(&mut kbuf);
+                        v.write_to(&mut vbuf);
+                        frame_record(&mut buf, &kbuf, &vbuf);
+                    }
+                    let seg = buf.freeze();
+                    simgrid::meter::charge(Charge::Serialize {
+                        bytes: seg.len() as u64,
+                    });
+                    // Swap the wave's segments for the combined one; shuffle
+                    // accounting follows the parked bytes.
+                    held.shrink(node_id, MemClass::Shuffle, in_bytes);
+                    held.grow(node_id, MemClass::Shuffle, seg.len() as u64);
+                    for &t in &contributing {
+                        map_outputs[t][partition] = Bytes::new();
+                    }
+                    map_outputs[contributing[0]][partition] = seg;
+                    held.shrink(node_id, MemClass::Combine, in_bytes);
+                    arena.recycle(pairs);
+                }
+                Ok(())
+            })
+        })?;
+        Ok(ctx.into_counters())
+    }
+
+    /// One map task attempt: fresh JVM, split read, real mapper execution,
+    /// sort/spill/merge (or direct output for map-only jobs).
+    fn map_task(
+        &self,
+        input_format: &dyn InputFormat<J::K1, J::V1>,
+        split: &dyn InputSplit,
+        task_idx: usize,
+        convert: Option<hmr_api::job::MapOnlyConvert<J::K2, J::V2, J::K3, J::V3>>,
+        pool: Option<&BufPool>,
+    ) -> Result<MapTaskOutput> {
+        let (job, conf, fs) = (self.job, self.conf, &*self.engine.fs);
+        simgrid::meter::charge(Charge::TaskStartup);
+        let mut ctx = TaskContext::new(
+            format!("attempt_m_{task_idx:06}_0"),
+            Arc::clone(conf),
+            Arc::clone(&self.dist_cache),
+        );
+        ctx.set_split_tag(hmr_api::multi::split_tag(split));
+
+        let mut mapper = job.create_mapper(conf);
+        let mut reader = input_format.record_reader(fs, split, conf)?;
+        // Deserializing the split's bytes into objects.
+        simgrid::meter::charge(Charge::Deserialize {
+            bytes: split.length(),
+        });
+
+        if let Some(convert) = convert {
+            // Map-only: "output from the mapper is sent directly to output as
+            // per Hadoop" (§5.3). The task writes part-<map index>.
+            let mut sink = WriterCollector::open(self.output_format, fs, conf, task_idx)?;
+            let compute_start = Instant::now();
+            {
+                let mut out = MapCollector::new(&mut sink, convert);
+                mapper.setup(&mut ctx)?;
+                while let Some((k, v)) = reader.next()? {
+                    ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, 1);
+                    ctx.incr_task_counter(task_counter::MAP_OUTPUT_RECORDS, 1);
+                    mapper.map(Arc::new(k), Arc::new(v), &mut out, &mut ctx)?;
+                }
+                mapper.cleanup(&mut out, &mut ctx)?;
+            }
+            simgrid::meter::charge(Charge::Compute {
+                seconds: compute_start.elapsed().as_secs_f64(),
+            });
+            let records = sink.close()?;
+            return Ok(MapTaskOutput {
+                segments: Vec::new(),
+                counters: ctx.into_counters(),
+                output_records: records,
+            });
         }
 
-        // The client polls for completion; align clocks at job end.
-        let t_end = cluster.max_time();
-        for node in cluster.nodes() {
-            node.clock().advance_to(t_end);
+        let mut buffer = SortBuffer::new(
+            self.num_reducers,
+            self.engine.opts.sort_buffer_bytes,
+            job.partitioner(conf),
+            job.sort_comparator(),
+            job.grouping_comparator(),
+            job.create_combiner(conf),
+            TaskContext::new(
+                format!("combiner_m_{task_idx:06}"),
+                Arc::clone(conf),
+                Arc::clone(&self.dist_cache),
+            ),
+        );
+        let compute_start = Instant::now();
+        mapper.setup(&mut ctx)?;
+        let mut in_records = 0i64;
+        while let Some((k, v)) = reader.next()? {
+            in_records += 1;
+            mapper.map(Arc::new(k), Arc::new(v), &mut buffer, &mut ctx)?;
         }
-
-        Ok(JobResult {
-            sim_time: t_end - t0,
+        mapper.cleanup(&mut buffer, &mut ctx)?;
+        simgrid::meter::charge(Charge::Compute {
+            seconds: compute_start.elapsed().as_secs_f64(),
+        });
+        ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, in_records);
+        ctx.incr_task_counter(
+            task_counter::MAP_OUTPUT_RECORDS,
+            buffer.emitted_records() as i64,
+        );
+        let (segments, combiner_counters) = buffer.finish(pool)?;
+        let mut counters = ctx.into_counters();
+        counters.merge(&combiner_counters);
+        Ok(MapTaskOutput {
+            segments,
             counters,
-            metrics: cluster.metrics().snapshot().since(&m0),
-            output_records,
+            output_records: 0,
         })
+    }
+
+    /// One reduce task attempt: fetch every mapper's segment (disk + network
+    /// — Hadoop's shuffle has no local fast path), merge-sort out of core,
+    /// then the shared reduce core writing straight to the DFS.
+    fn reduce_task(
+        &self,
+        map_outputs: &[Vec<Bytes>],
+        partition: usize,
+        arena: &Arena,
+    ) -> Result<(Counters, u64)> {
+        simgrid::meter::charge(Charge::TaskStartup);
+        let mut ctx = TaskContext::new(
+            format!("attempt_r_{partition:06}_0"),
+            Arc::clone(self.conf),
+            Arc::clone(&self.dist_cache),
+        );
+        ctx.set_partition(Some(partition));
+
+        // Shuffle fetch: every map task's segment for this partition. The
+        // pair vector is leased from the node's arena so successive reduce
+        // waves reuse grown capacity instead of re-allocating.
+        let mut total_bytes = 0u64;
+        let mut pairs: Vec<(Arc<J::K2>, Arc<J::V2>)> = arena.lease();
+        trace::span(Phase::Shuffle, "fetch", Some(partition as u64), || -> Result<()> {
+            for segments in map_outputs {
+                let Some(seg) = segments.get(partition) else {
+                    continue;
+                };
+                if seg.is_empty() {
+                    continue;
+                }
+                let bytes = seg.len() as u64;
+                total_bytes += bytes;
+                // Read the mapper's local spill file and move it over the
+                // network; §6.1: equal cost for all destinations, local or
+                // remote.
+                simgrid::meter::charge(Charge::DiskRead { bytes });
+                simgrid::meter::charge(Charge::NetTransfer { bytes });
+                pairs.extend(decode_segment::<J::K2, J::V2>(seg)?);
+            }
+            simgrid::meter::charge(Charge::Deserialize { bytes: total_bytes });
+            Ok(())
+        })?;
+        let sink = reduce_partition(
+            self.job,
+            partition,
+            pairs,
+            &self.tuning,
+            arena,
+            || {
+                if total_bytes as usize > self.engine.opts.sort_buffer_bytes {
+                    // Out-of-core merge: one extra round trip through local disk.
+                    simgrid::meter::charge(Charge::DiskWrite { bytes: total_bytes });
+                    simgrid::meter::charge(Charge::DiskRead { bytes: total_bytes });
+                }
+            },
+            || WriterCollector::open(self.output_format, &*self.engine.fs, self.conf, partition),
+            &mut ctx,
+        )?;
+        let records = sink.close()?;
+        ctx.incr_task_counter(task_counter::REDUCE_OUTPUT_RECORDS, records as i64);
+        Ok((ctx.into_counters(), records))
     }
 }
 
@@ -731,347 +857,6 @@ fn retry_attempts<T>(
         }
     }
     Err(last_err.expect("at least one attempt ran"))
-}
-
-/// Node-level shared combine — the Hadoop-engine analogue of M3R's
-/// place-level combine table. After a map wave's barrier, each partition's
-/// per-task segments are decoded in task order, sorted, merged through the
-/// job's combiner, and re-framed into a single segment parked under the
-/// wave's first contributing task (the others keep an empty segment, which
-/// the reduce fetch already skips). Runs on the tasktracker's driver
-/// thread in deterministic partition/task order, billed to the node clock
-/// under a [`Phase::Combine`] span. A partition whose decoded working set
-/// would breach the memory budget is left untouched: the job degrades to
-/// plain per-task streaming without changing outputs.
-#[allow(clippy::too_many_arguments)]
-fn combine_wave_segments<J: JobDef>(
-    job: &J,
-    conf: &Arc<JobConf>,
-    cluster: &Cluster,
-    node_id: NodeId,
-    wave: &[usize],
-    map_outputs: &mut [Vec<Bytes>],
-    num_reducers: usize,
-    pool: Option<&BufPool>,
-    dist_cache: &Arc<DistCache>,
-    tuning: &SortTuning,
-    arena: Option<&Arena>,
-) -> Result<Counters> {
-    let node = cluster.node(node_id);
-    let mut combiner = job
-        .create_combiner(conf)
-        .expect("combine_wave_segments requires a combiner");
-    let mut ctx = TaskContext::new(
-        format!("combine_n_{node_id:06}"),
-        Arc::clone(conf),
-        Arc::clone(dist_cache),
-    );
-    let sort_cmp = job.sort_comparator();
-    let group_cmp = job.grouping_comparator();
-    simgrid::with_meter(Meter::new(node.clone()), || {
-        trace::span(Phase::Combine, "wave", None, || -> Result<()> {
-            for partition in 0..num_reducers {
-                let contributing: Vec<usize> = wave
-                    .iter()
-                    .copied()
-                    .filter(|&t| map_outputs[t].get(partition).is_some_and(|s| !s.is_empty()))
-                    .collect();
-                // Nothing merges across fewer than two segments.
-                if contributing.len() < 2 {
-                    continue;
-                }
-                let in_bytes: u64 = contributing
-                    .iter()
-                    .map(|&t| map_outputs[t][partition].len() as u64)
-                    .sum();
-                // Governor interaction: the decoded working set is combine
-                // memory. If it would not fit the budget, skip this
-                // partition — reducers fetch the per-task segments as usual.
-                if let Some(budget) = cluster.mem().budget() {
-                    if cluster.mem().live(node_id) + in_bytes > budget {
-                        continue;
-                    }
-                }
-                cluster
-                    .mem()
-                    .grow(node_id, simgrid::MemClass::Combine, in_bytes);
-                let mut pairs: Vec<(Arc<J::K2>, Arc<J::V2>)> = match arena {
-                    Some(a) => a.lease(),
-                    None => Vec::new(),
-                };
-                for &t in &contributing {
-                    pairs.extend(decode_segment::<J::K2, J::V2>(&map_outputs[t][partition])?);
-                }
-                simgrid::meter::charge(Charge::Deserialize { bytes: in_bytes });
-                let spans =
-                    ingest_reduce_groups(&mut pairs, &sort_cmp, &group_cmp, tuning, arena);
-                ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, pairs.len() as i64);
-                let mut out: VecCollector<J::K2, J::V2> = VecCollector::new();
-                for span in spans {
-                    let key = Arc::clone(&pairs[span.start].0);
-                    let mut values = pairs[span.clone()].iter().map(|(_, v)| Arc::clone(v));
-                    combiner.reduce(key, &mut values, &mut out, &mut ctx)?;
-                }
-                ctx.incr_task_counter(
-                    task_counter::COMBINE_OUTPUT_RECORDS,
-                    out.pairs.len() as i64,
-                );
-                // The inputs are the wave tasks' already-sorted segments, so
-                // this is a k-way merge, not a fresh sort: bill one sort-pass
-                // record per emitted group (the merge's output walk). That
-                // keeps `records_sorted` a net win — reducers re-merge far
-                // fewer records than the wave produced.
-                simgrid::meter::charge(Charge::Sort {
-                    records: out.pairs.len() as u64,
-                });
-                let mut buf = match pool {
-                    Some(p) => p.get_any(in_bytes as usize),
-                    None => BytesMut::with_capacity(in_bytes as usize),
-                };
-                let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
-                for (k, v) in &out.pairs {
-                    kbuf.clear();
-                    vbuf.clear();
-                    k.write_to(&mut kbuf);
-                    v.write_to(&mut vbuf);
-                    frame_record(&mut buf, &kbuf, &vbuf);
-                }
-                let seg = buf.freeze();
-                simgrid::meter::charge(Charge::Serialize {
-                    bytes: seg.len() as u64,
-                });
-                // Swap the wave's segments for the combined one; shuffle
-                // accounting follows the parked bytes.
-                cluster
-                    .mem()
-                    .shrink(node_id, simgrid::MemClass::Shuffle, in_bytes);
-                cluster
-                    .mem()
-                    .grow(node_id, simgrid::MemClass::Shuffle, seg.len() as u64);
-                for &t in &contributing {
-                    map_outputs[t][partition] = Bytes::new();
-                }
-                map_outputs[contributing[0]][partition] = seg;
-                cluster
-                    .mem()
-                    .shrink(node_id, simgrid::MemClass::Combine, in_bytes);
-                if let Some(a) = arena {
-                    a.recycle(pairs);
-                }
-            }
-            Ok(())
-        })
-    })?;
-    Ok(ctx.into_counters())
-}
-
-/// One map task attempt: fresh JVM, split read, real mapper execution,
-/// sort/spill/merge (or direct output for map-only jobs).
-#[allow(clippy::too_many_arguments)]
-fn run_map_task<J: JobDef>(
-    job: &J,
-    conf: &Arc<JobConf>,
-    fs: &dyn FileSystem,
-    input_format: &dyn InputFormat<J::K1, J::V1>,
-    output_format: &dyn OutputFormat<J::K3, J::V3>,
-    split: &dyn InputSplit,
-    task_idx: usize,
-    num_reducers: usize,
-    convert: Option<hmr_api::job::MapOnlyConvert<J::K2, J::V2, J::K3, J::V3>>,
-    dist_cache: &Arc<DistCache>,
-    sort_buffer_bytes: usize,
-    pool: Option<&BufPool>,
-) -> Result<MapTaskOutput> {
-    simgrid::meter::charge(Charge::TaskStartup);
-    let mut ctx = TaskContext::new(
-        format!("attempt_m_{task_idx:06}_0"),
-        Arc::clone(conf),
-        Arc::clone(dist_cache),
-    );
-    ctx.set_split_tag(hmr_api::multi::split_tag(split));
-
-    let mut mapper = job.create_mapper(conf);
-    let mut reader = input_format.record_reader(fs, split, conf)?;
-    // Deserializing the split's bytes into objects.
-    simgrid::meter::charge(Charge::Deserialize {
-        bytes: split.length(),
-    });
-
-    if let Some(convert) = convert {
-        // Map-only: "output from the mapper is sent directly to output as
-        // per Hadoop" (§5.3). The task writes part-<map index>.
-        let writer = output_format.record_writer(fs, conf, task_idx)?;
-        let mut sink = WriterCollector {
-            writer,
-            named: std::collections::BTreeMap::new(),
-            format: output_format,
-            fs,
-            conf,
-            partition: task_idx,
-            records: 0,
-        };
-        let compute_start = Instant::now();
-        {
-            let mut out = MapCollector::new(&mut sink, convert);
-            mapper.setup(&mut ctx)?;
-            while let Some((k, v)) = reader.next()? {
-                ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, 1);
-                ctx.incr_task_counter(task_counter::MAP_OUTPUT_RECORDS, 1);
-                mapper.map(Arc::new(k), Arc::new(v), &mut out, &mut ctx)?;
-            }
-            mapper.cleanup(&mut out, &mut ctx)?;
-        }
-        simgrid::meter::charge(Charge::Compute {
-            seconds: compute_start.elapsed().as_secs_f64(),
-        });
-        let records = sink.close()?;
-        return Ok(MapTaskOutput {
-            segments: Vec::new(),
-            counters: ctx.into_counters(),
-            output_records: records,
-        });
-    }
-
-    let mut buffer = SortBuffer::new(
-        num_reducers,
-        sort_buffer_bytes,
-        job.partitioner(conf),
-        job.sort_comparator(),
-        job.grouping_comparator(),
-        job.create_combiner(conf),
-        TaskContext::new(
-            format!("combiner_m_{task_idx:06}"),
-            Arc::clone(conf),
-            Arc::clone(dist_cache),
-        ),
-    );
-    let compute_start = Instant::now();
-    mapper.setup(&mut ctx)?;
-    let mut in_records = 0i64;
-    while let Some((k, v)) = reader.next()? {
-        in_records += 1;
-        mapper.map(Arc::new(k), Arc::new(v), &mut buffer, &mut ctx)?;
-    }
-    mapper.cleanup(&mut buffer, &mut ctx)?;
-    simgrid::meter::charge(Charge::Compute {
-        seconds: compute_start.elapsed().as_secs_f64(),
-    });
-    ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, in_records);
-    ctx.incr_task_counter(
-        task_counter::MAP_OUTPUT_RECORDS,
-        buffer.emitted_records() as i64,
-    );
-    let (segments, combiner_counters) = buffer.finish(pool)?;
-    let mut counters = ctx.into_counters();
-    counters.merge(&combiner_counters);
-    Ok(MapTaskOutput {
-        segments,
-        counters,
-        output_records: 0,
-    })
-}
-
-/// One reduce task attempt: fetch every mapper's segment (disk + network —
-/// Hadoop's shuffle has no local fast path), merge-sort out of core, group,
-/// run the real reducer, write to the DFS.
-#[allow(clippy::too_many_arguments)]
-fn run_reduce_task<J: JobDef>(
-    job: &J,
-    conf: &Arc<JobConf>,
-    fs: &dyn FileSystem,
-    output_format: &dyn OutputFormat<J::K3, J::V3>,
-    map_outputs: &[Vec<Bytes>],
-    partition: usize,
-    dist_cache: &Arc<DistCache>,
-    sort_buffer_bytes: usize,
-    tuning: &SortTuning,
-    arena: Option<&Arena>,
-) -> Result<(Counters, u64)> {
-    simgrid::meter::charge(Charge::TaskStartup);
-    let mut ctx = TaskContext::new(
-        format!("attempt_r_{partition:06}_0"),
-        Arc::clone(conf),
-        Arc::clone(dist_cache),
-    );
-    ctx.set_partition(Some(partition));
-
-    // Shuffle fetch: every map task's segment for this partition. The
-    // pair vector is leased from the node's arena so successive reduce
-    // waves reuse grown capacity instead of re-allocating (wall-clock
-    // only; the charges below are unchanged).
-    let mut total_bytes = 0u64;
-    let mut pairs: Vec<(Arc<J::K2>, Arc<J::V2>)> = match arena {
-        Some(a) => a.lease(),
-        None => Vec::new(),
-    };
-    trace::span(Phase::Shuffle, "fetch", Some(partition as u64), || -> Result<()> {
-        for segments in map_outputs {
-            let Some(seg) = segments.get(partition) else {
-                continue;
-            };
-            if seg.is_empty() {
-                continue;
-            }
-            let bytes = seg.len() as u64;
-            total_bytes += bytes;
-            // Read the mapper's local spill file and move it over the
-            // network; §6.1: equal cost for all destinations, local or
-            // remote.
-            simgrid::meter::charge(Charge::DiskRead { bytes });
-            simgrid::meter::charge(Charge::NetTransfer { bytes });
-            pairs.extend(decode_segment::<J::K2, J::V2>(seg)?);
-        }
-        simgrid::meter::charge(Charge::Deserialize { bytes: total_bytes });
-        Ok(())
-    })?;
-    // The ingest kernel (sort-based or hash-grouped) yields groups in the
-    // sorted order and bills per record either way — simulated seconds are
-    // independent of which path ran.
-    let spans = trace::span(Phase::Sort, "sort", Some(partition as u64), || {
-        if total_bytes as usize > sort_buffer_bytes {
-            // Out-of-core merge: one extra round trip through local disk.
-            simgrid::meter::charge(Charge::DiskWrite { bytes: total_bytes });
-            simgrid::meter::charge(Charge::DiskRead { bytes: total_bytes });
-        }
-        simgrid::meter::charge(Charge::Sort {
-            records: pairs.len() as u64,
-        });
-        let sort_cmp = job.sort_comparator();
-        let group_cmp = job.grouping_comparator();
-        ingest_reduce_groups(&mut pairs, &sort_cmp, &group_cmp, tuning, arena)
-    });
-
-    ctx.incr_task_counter(task_counter::REDUCE_INPUT_RECORDS, pairs.len() as i64);
-    ctx.incr_task_counter(task_counter::REDUCE_INPUT_GROUPS, spans.len() as i64);
-
-    let writer = output_format.record_writer(fs, conf, partition)?;
-    let mut sink = WriterCollector {
-        writer,
-        named: std::collections::BTreeMap::new(),
-        format: output_format,
-        fs,
-        conf,
-        partition,
-        records: 0,
-    };
-    let mut reducer = job.create_reducer(conf);
-    let compute_start = Instant::now();
-    reducer.setup(&mut ctx)?;
-    for span in spans {
-        let key = Arc::clone(&pairs[span.start].0);
-        let mut values = pairs[span.clone()].iter().map(|(_, v)| Arc::clone(v));
-        reducer.reduce(key, &mut values, &mut sink, &mut ctx)?;
-    }
-    reducer.cleanup(&mut sink, &mut ctx)?;
-    simgrid::meter::charge(Charge::Compute {
-        seconds: compute_start.elapsed().as_secs_f64(),
-    });
-    if let Some(a) = arena {
-        a.recycle(pairs);
-    }
-    let records = sink.close()?;
-    ctx.incr_task_counter(task_counter::REDUCE_OUTPUT_RECORDS, records as i64);
-    Ok((ctx.into_counters(), records))
 }
 
 #[cfg(test)]

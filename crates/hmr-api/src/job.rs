@@ -15,6 +15,7 @@ use crate::comparator::KeyComparator;
 use crate::conf::JobConf;
 use crate::counters::Counters;
 use crate::error::Result;
+use crate::fs::{FileSystem, HPath};
 use crate::io::{InputFormat, OutputFormat};
 use crate::partition::{HashPartitioner, Partitioner};
 use crate::task::{TaskMapper, TaskReducer};
@@ -175,6 +176,66 @@ pub struct JobResult {
     pub metrics: simgrid::metrics::MetricsSnapshot,
     /// Records written by the output stage.
     pub output_records: u64,
+}
+
+/// The frame every job runs in, on either engine and for memo replays: the
+/// clock and metrics snapshot a [`JobResult`] is measured against, the
+/// trace job, the `_SUCCESS` commit, and the end-of-job clock alignment.
+/// What the engines differ in (§3.1 vs §3.2) happens inside
+/// [`JobFrame::run`]'s body.
+pub struct JobFrame {
+    cluster: simgrid::Cluster,
+    t0: f64,
+    m0: simgrid::metrics::MetricsSnapshot,
+}
+
+impl JobFrame {
+    /// Snapshot `cluster` (the engine's home cluster or a job lane) at
+    /// submission, before anything job-related has been billed.
+    pub fn open(cluster: &simgrid::Cluster) -> Self {
+        JobFrame {
+            cluster: cluster.clone(),
+            t0: cluster.max_time(),
+            m0: cluster.metrics().snapshot(),
+        }
+    }
+
+    /// Run `body` as trace job `label`. The body gets the trace job id and
+    /// the job's memory ledger, and returns the job's counters and output
+    /// record count. Whatever the body grew through the ledger and did not
+    /// shrink again is released when it returns — on `Err` as much as on
+    /// `Ok`. On success the `_SUCCESS` marker is created in `commit` (when
+    /// the job has a durable output directory) through `marker_fs`, and all
+    /// clocks align at the job's end: the client observes completion once.
+    pub fn run(
+        self,
+        label: &str,
+        marker_fs: &dyn FileSystem,
+        commit: Option<HPath>,
+        body: impl FnOnce(u64, &Arc<simgrid::JobMem>) -> Result<(Counters, u64)>,
+    ) -> Result<JobResult> {
+        let tjob = self.cluster.trace().begin_job(label);
+        let held = Arc::new(simgrid::JobMem::new(self.cluster.mem()));
+        let outcome = body(tjob, &held);
+        held.release();
+        let (counters, output_records) = outcome?;
+        if let Some(dir) = commit {
+            let marker = dir.join("_SUCCESS");
+            if !marker_fs.exists(&marker) {
+                marker_fs.create(&marker)?.close()?;
+            }
+        }
+        let t_end = self.cluster.max_time();
+        for node in self.cluster.nodes() {
+            node.clock().advance_to(t_end);
+        }
+        Ok(JobResult {
+            sim_time: t_end - self.t0,
+            counters,
+            metrics: self.cluster.metrics().snapshot().since(&self.m0),
+            output_records,
+        })
+    }
 }
 
 /// A MapReduce engine: accepts a `JobDef` + `JobConf`, runs it, reports.

@@ -15,6 +15,7 @@
 //! as `{output}/{name}-part-NNNNN`.
 
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::conf::JobConf;
@@ -22,8 +23,9 @@ use crate::counters::TaskContext;
 use crate::collect::OutputCollector;
 use crate::error::{HmrError, Result};
 use crate::fs::{FileSystem, HPath};
-use crate::io::{InputFormat, InputSplit, RecordReader};
+use crate::io::{InputFormat, InputSplit, OutputFormat, RecordReader, RecordWriter};
 use crate::task::TaskMapper;
+use crate::writable::Writable;
 
 /// A split wrapped with the index of the input it came from.
 #[derive(Debug)]
@@ -198,6 +200,61 @@ where
 /// Name of a `MultipleOutputs` side file for a partition.
 pub fn named_part_file(name: &str, partition: usize) -> String {
     format!("{name}-part-{partition:05}")
+}
+
+/// The named side outputs of one task (`MultipleOutputs`, §4.2.2): one
+/// writer per name, opened on first use through the job's output format.
+/// Both engines' reduce-side collectors route `collect_named` here.
+pub struct NamedOutputs<'a, K, V> {
+    /// Ordered so `close()` visits (and bills) writers deterministically.
+    writers: BTreeMap<String, Box<dyn RecordWriter<K, V>>>,
+    format: &'a dyn OutputFormat<K, V>,
+    fs: &'a dyn FileSystem,
+    conf: &'a JobConf,
+    partition: usize,
+}
+
+impl<'a, K: Writable, V: Writable> NamedOutputs<'a, K, V> {
+    /// No writer is opened until the first [`NamedOutputs::write`].
+    pub fn new(
+        format: &'a dyn OutputFormat<K, V>,
+        fs: &'a dyn FileSystem,
+        conf: &'a JobConf,
+        partition: usize,
+    ) -> Self {
+        NamedOutputs {
+            writers: BTreeMap::new(),
+            format,
+            fs,
+            conf,
+            partition,
+        }
+    }
+
+    /// Write one pair to the side output `name`, billing its serialization.
+    pub fn write(&mut self, name: &str, key: &K, value: &V) -> Result<()> {
+        if !self.writers.contains_key(name) {
+            let w = self
+                .format
+                .record_writer_named(self.fs, self.conf, name, self.partition)?;
+            self.writers.insert(name.to_string(), w);
+        }
+        simgrid::meter::charge(simgrid::Charge::Serialize {
+            bytes: (key.serialized_size() + value.serialized_size()) as u64,
+        });
+        self.writers
+            .get_mut(name)
+            .expect("inserted above")
+            .write(key, value)
+    }
+
+    /// Close every opened writer, in name order.
+    pub fn close(self) -> Result<()> {
+        for (_, w) in self.writers {
+            w.close()?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

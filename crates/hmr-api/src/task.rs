@@ -9,11 +9,18 @@
 //! combination of old and new style mapper, combiner, and reducer" is
 //! supported because a `JobDef` chooses an adapter per role.
 
+use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
+
+use simgrid::trace::{self, Phase};
+use simgrid::{Arena, Charge};
 
 use crate::collect::OutputCollector;
-use crate::counters::TaskContext;
+use crate::comparator::{ingest_reduce_groups, SortTuning};
+use crate::counters::{task_counter, TaskContext};
 use crate::error::Result;
+use crate::job::JobDef;
 use crate::{mapred, mapreduce};
 
 /// Engine-facing mapper: what actually runs inside a map task.
@@ -63,6 +70,75 @@ pub trait TaskReducer<K2, V2, K3, V3>: Send {
     ) -> Result<()> {
         Ok(())
     }
+}
+
+// ---------------------------------------------------------------------------
+// The reduce-partition core both engines run
+// ---------------------------------------------------------------------------
+
+/// The reducer loop: hand every group of the ingested (sorted and grouped)
+/// `pairs` to `reducer`, first key of the group and its values in order.
+/// Reducers, and the Hadoop engine's node-level combine, all end here.
+pub fn reduce_groups<K2, V2, K3, V3>(
+    pairs: &[(Arc<K2>, Arc<V2>)],
+    groups: Vec<Range<usize>>,
+    reducer: &mut dyn TaskReducer<K2, V2, K3, V3>,
+    out: &mut dyn OutputCollector<K3, V3>,
+    ctx: &mut TaskContext,
+) -> Result<()> {
+    for group in groups {
+        let key = Arc::clone(&pairs[group.start].0);
+        let mut values = pairs[group].iter().map(|(_, v)| Arc::clone(v));
+        reducer.reduce(key, &mut values, out, ctx)?;
+    }
+    Ok(())
+}
+
+/// One reduce partition, from assembled input to a filled sink: the `Sort`
+/// span (billed per record whichever ingest kernel runs, so simulated time
+/// is independent of the path taken), the input counters, the job's reducer
+/// over every group under a `Compute` charge, and the pair vector recycled
+/// into `arena`. `spill` bills whatever the engine pays inside the sort
+/// span ahead of the sort itself (Hadoop's out-of-core merge); `open_sink`
+/// runs after the sort, where Hadoop opens its DFS writer.
+#[allow(clippy::too_many_arguments)]
+pub fn reduce_partition<J: JobDef, S: OutputCollector<J::K3, J::V3>>(
+    job: &J,
+    partition: usize,
+    mut pairs: Vec<(Arc<J::K2>, Arc<J::V2>)>,
+    tuning: &SortTuning,
+    arena: &Arena,
+    spill: impl FnOnce(),
+    open_sink: impl FnOnce() -> Result<S>,
+    ctx: &mut TaskContext,
+) -> Result<S> {
+    let groups = trace::span(Phase::Sort, "sort", Some(partition as u64), || {
+        spill();
+        simgrid::meter::charge(Charge::Sort {
+            records: pairs.len() as u64,
+        });
+        ingest_reduce_groups(
+            &mut pairs,
+            &job.sort_comparator(),
+            &job.grouping_comparator(),
+            tuning,
+            Some(arena),
+        )
+    });
+    ctx.incr_task_counter(task_counter::REDUCE_INPUT_RECORDS, pairs.len() as i64);
+    ctx.incr_task_counter(task_counter::REDUCE_INPUT_GROUPS, groups.len() as i64);
+
+    let mut sink = open_sink()?;
+    let mut reducer = job.create_reducer(ctx.conf());
+    let compute_start = Instant::now();
+    reducer.setup(ctx)?;
+    reduce_groups(&pairs, groups, &mut *reducer, &mut sink, ctx)?;
+    reducer.cleanup(&mut sink, ctx)?;
+    simgrid::meter::charge(Charge::Compute {
+        seconds: compute_start.elapsed().as_secs_f64(),
+    });
+    arena.recycle(pairs);
+    Ok(sink)
 }
 
 // ---------------------------------------------------------------------------

@@ -257,42 +257,6 @@ impl ReuseIndex {
         Some((data, counters))
     }
 
-    /// True when a still-valid whole-job entry exists for `fp`. Stale
-    /// entries are invalidated (as on lookup) but nothing is consumed: no
-    /// hit count, no LRU refresh.
-    pub fn probe_full(&self, fp: Fingerprint, fs: &dyn FileSystem) -> bool {
-        let place = self.place_of(fp);
-        let mut shard = self.shards[place].lock();
-        let Some(entry) = shard.full.get(&fp.value()) else {
-            return false;
-        };
-        if Self::still_valid(fs, &entry.inputs) {
-            return true;
-        }
-        let dead = shard.full.remove(&fp.value()).expect("present above");
-        drop(shard);
-        self.shrink(place, dead.bytes);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-        false
-    }
-
-    /// [`Self::probe_full`] for map-phase entries.
-    pub fn probe_map(&self, fp: Fingerprint, fs: &dyn FileSystem) -> bool {
-        let place = self.place_of(fp);
-        let mut shard = self.shards[place].lock();
-        let Some(entry) = shard.map.get(&fp.value()) else {
-            return false;
-        };
-        if Self::still_valid(fs, &entry.inputs) {
-            return true;
-        }
-        let dead = shard.map.remove(&fp.value()).expect("present above");
-        drop(shard);
-        self.shrink(place, dead.bytes);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-        false
-    }
-
     /// Count one memo miss. Called once per eligible job whose full *and*
     /// map-prefix lookups both came up empty, so hit + miss counts equal
     /// the number of eligible submissions (deterministic for the bench

@@ -22,25 +22,26 @@
 //!   whole-job outputs and map-phase partition sets, owner-tagged
 //!   `MemClass::Memo`, invalidated when any input's DFS version changes,
 //!   dropped (never spilled) LRU-first under budget pressure.
-//! * [`matcher`] — the sub-job matcher classifying a submission as a
-//!   whole-job hit, a map-prefix hit (identical map pipeline, different
-//!   reducer ⇒ replay reduce only), or a miss.
+//! * [`reuse`] — the policy both engines run over the index: the
+//!   eligibility gate, whole-job replay, and record-on-exit, parameterised
+//!   by engine name and the engine's two filesystem views.
 //!
-//! The engines own the wiring: they gather a [`FingerprintBasis`] per
-//! eligible job, consult the index before running, and record on the way
-//! out. The §5.3 job server additionally calls `LaneEngine::try_memo_replay`
-//! pre-admission so whole-job hits resolve tickets without occupying a
-//! dispatch lane. Everything is off by default (`M3ROptions.memoize` /
-//! `m3r.memo.enable`) and bit-identical to the non-memoized engine when
-//! off.
+//! The engines own only the wiring: they bind a [`Reuse`], consult it
+//! before running (a whole-job hit runs nothing; on M3R a map-prefix hit —
+//! identical map pipeline, different reducer — replays the reduce side
+//! only), and record on the way out. The §5.3 job server additionally
+//! calls `LaneEngine::try_memo_replay` pre-admission so whole-job hits
+//! resolve tickets without occupying a dispatch lane. Everything is off by
+//! default (`M3ROptions.memoize` / `m3r.memo.enable`) and bit-identical to
+//! the non-memoized engine when off.
 
 pub mod fingerprint;
 pub mod index;
-pub mod matcher;
+pub mod reuse;
 
 pub use fingerprint::{Fingerprint, FingerprintBasis, NON_SEMANTIC_KEYS};
 pub use index::{FullHit, ReuseIndex};
-pub use matcher::{match_job, MemoMatch};
+pub use reuse::Reuse;
 
 #[cfg(test)]
 mod prop {

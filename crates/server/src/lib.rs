@@ -37,8 +37,7 @@
 //!
 //! The generic [`JobServer`] works over any [`hmr_api::job::LaneEngine`];
 //! [`M3RServer`]/[`M3RClient`] are the M3R-engine aliases matching the old
-//! blocking API's names. The old blocking call survives as the deprecated
-//! [`Client::run_job`] shim.
+//! blocking API's names.
 
 pub mod flight;
 pub mod scheduler;
@@ -153,23 +152,5 @@ mod tests {
         drop(server);
         let err = client.submit(id_job(), &conf("/in", "/out")).unwrap_err();
         assert!(matches!(err, HmrError::ServerShutdown(_)));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn the_blocking_shim_still_works() {
-        let cluster = Cluster::new(2, CostModel::default());
-        let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
-        let records: Vec<(IntWritable, Text)> = (0..4)
-            .map(|i| (IntWritable(i), Text::from("x")))
-            .collect();
-        write_seq_file(&fs, &HPath::new("/in/part-00000"), &records).unwrap();
-        let server = M3RServer::start(M3REngine::new(cluster, Arc::new(fs)));
-        let r = server
-            .client()
-            .run_job(id_job(), &conf("/in", "/out"))
-            .unwrap();
-        assert_eq!(r.output_records, 4);
-        server.shutdown();
     }
 }

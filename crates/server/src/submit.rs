@@ -4,16 +4,15 @@
 //! immediately with a [`JobTicket`] instead of blocking for the result.
 //! [`Client::submission`] opens a [`SubmissionBuilder`] for the knobs a
 //! plain submit doesn't need — priority, a per-client cache quota, and
-//! explicit dependencies on earlier tickets. The old blocking entry point
-//! survives as a deprecated shim ([`Client::run_job`]) that submits and
-//! waits in one call.
+//! explicit dependencies on earlier tickets. Classic blocking
+//! `JobClient.runJob` semantics are `submit(..)?.wait()`.
 
 use std::sync::{Arc, Weak};
 
 use hmr_api::conf::JobConf;
 use hmr_api::error::{HmrError, Result};
 use hmr_api::fs::HPath;
-use hmr_api::job::{JobDef, JobResult, LaneEngine};
+use hmr_api::job::{JobDef, LaneEngine};
 use simgrid::Cluster;
 
 use crate::scheduler::{admit, admit_memo_hit, memo_clear, RunFn, Shared};
@@ -81,13 +80,6 @@ impl<E: LaneEngine> Client<E> {
             cache_quota: None,
             after: Vec::new(),
         }
-    }
-
-    /// Submit and block for the result — classic Hadoop `JobClient.runJob`
-    /// semantics, kept only as a migration shim.
-    #[deprecated(note = "use submit() and wait on the returned JobTicket")]
-    pub fn run_job<J: JobDef>(&self, job: Arc<J>, conf: &JobConf) -> Result<JobResult> {
-        self.submit(job, conf)?.wait()
     }
 }
 

@@ -48,9 +48,9 @@ pub use bufpool::BufPool;
 pub use clock::Clock;
 pub use cluster::{Cluster, Node, NodeId};
 pub use cost::{Charge, CostModel};
-pub use mem::{MemAccountant, MemClass, OomMode};
+pub use mem::{JobMem, MemAccountant, MemClass, OomMode};
 pub use meter::{current_meter, with_meter, Meter};
 pub use metrics::Metrics;
-pub use pool::{run_wave, wave_duration};
+pub use pool::{run_wave, traced_wave, wave_duration};
 pub use telemetry::{Counter, Histogram, TelemetryRegistry};
 pub use trace::{Phase, Rollup, Span, Trace};

@@ -505,9 +505,73 @@ impl MemAccountant {
     }
 }
 
+/// One job's own view of the accountant. `grow`/`shrink` forward to the
+/// shared tallies and keep the job's net holding per (place, class), so the
+/// job frame can hand back on *any* exit whatever the job still holds — a
+/// failed task must not strand parked shuffle bytes or half-filled combine
+/// tables in the accountant. Lanes of concurrent jobs share the accountant,
+/// which is why the ledger is per job and not a before/after snapshot.
+#[derive(Debug)]
+pub struct JobMem {
+    mem: MemAccountant,
+    held: Vec<[AtomicU64; MemClass::COUNT]>,
+}
+
+impl JobMem {
+    /// An empty ledger over `mem`.
+    pub fn new(mem: &MemAccountant) -> Self {
+        JobMem {
+            mem: mem.clone(),
+            held: (0..mem.places()).map(|_| Default::default()).collect(),
+        }
+    }
+
+    /// [`MemAccountant::grow`], remembered as held by this job.
+    pub fn grow(&self, place: usize, class: MemClass, bytes: u64) {
+        self.held[place][class.index()].fetch_add(bytes, Ordering::Relaxed);
+        self.mem.grow(place, class, bytes);
+    }
+
+    /// [`MemAccountant::shrink`] of bytes this job grew earlier.
+    pub fn shrink(&self, place: usize, class: MemClass, bytes: u64) {
+        let _ = self.held[place][class.index()]
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(bytes))
+            });
+        self.mem.shrink(place, class, bytes);
+    }
+
+    /// Shrink everything the job still holds. A job that ran to completion
+    /// and un-parked all it parked releases nothing here.
+    pub fn release(&self) {
+        for (place, classes) in self.held.iter().enumerate() {
+            for class in MemClass::all() {
+                let bytes = classes[class.index()].swap(0, Ordering::Relaxed);
+                self.mem.shrink(place, class, bytes);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn job_ledger_releases_only_what_the_job_still_holds() {
+        let mem = MemAccountant::new(2);
+        mem.grow(1, MemClass::Shuffle, 7); // another job's parked bytes
+        let job = JobMem::new(&mem);
+        job.grow(1, MemClass::Shuffle, 100);
+        job.grow(0, MemClass::Combine, 40);
+        job.shrink(1, MemClass::Shuffle, 60);
+        assert_eq!(mem.live_class(1, MemClass::Shuffle), 47);
+        job.release();
+        assert_eq!(mem.live_class(1, MemClass::Shuffle), 7);
+        assert_eq!(mem.live_class(0, MemClass::Combine), 0);
+        job.release();
+        assert_eq!(mem.live_class(1, MemClass::Shuffle), 7, "release is idempotent");
+    }
 
     #[test]
     fn grow_shrink_and_watermark() {

@@ -15,8 +15,10 @@
 //! order-sensitive post-processing (e.g. shuffle-stream serialization)
 //! deterministically after the join.
 
+use crate::arena::Arena;
 use crate::cluster::{Cluster, Node, NodeId};
 use crate::meter::{with_meter, Meter};
+use crate::trace;
 
 /// Run one wave of simulated tasks at `place`, each under its own scratch
 /// [`Meter`]. With `parallel` set (and more than one task) the tasks run
@@ -78,11 +80,63 @@ pub fn wave_duration(scratches: &[Node]) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// One traced task wave at `place` — the loop every phase of both engines
+/// runs. Each task runs under its own scratch meter ([`run_wave`]); then,
+/// on the calling thread and **in task order**, the spans the task buffered
+/// are rebased onto the place's clock as of wave start and its result goes
+/// to `fold` with the task's scratch meter re-installed, so order-sensitive
+/// follow-up work (shuffle-stream serialization, combine-table absorption)
+/// bills the task exactly as if it had done it inline; spans `fold` records
+/// are rebased the same way. Finally the place clock advances by the
+/// slowest task ([`wave_duration`]) and `arena` is trimmed to its retention
+/// cap. The first task or fold error ends the wave there and is returned.
+///
+/// `task` and `fold` are generic closures: nothing on the per-task path is
+/// boxed or dynamically dispatched.
+#[allow(clippy::too_many_arguments)]
+pub fn traced_wave<T, R, E>(
+    cluster: &Cluster,
+    place: NodeId,
+    job: u64,
+    parallel: bool,
+    arena: &Arena,
+    tasks: Vec<T>,
+    task: impl Fn(T) -> Result<R, E> + Sync,
+    mut fold: impl FnMut(R) -> Result<(), E>,
+) -> Result<(), E>
+where
+    T: Send,
+    R: Send,
+    E: Send,
+{
+    let node = cluster.node(place);
+    // Scratch clocks start at zero: spans recorded during the wave are
+    // wave-relative and rebase onto the place clock as of wave start.
+    let wave_base = node.clock().now();
+    let (results, scratches) = run_wave(cluster, place, parallel, tasks, |t| {
+        (task(t), trace::take_pending())
+    });
+    for ((result, task_spans), scratch) in results.into_iter().zip(&scratches) {
+        cluster
+            .trace()
+            .record_rebased(job, place, wave_base, task_spans);
+        let result = result?;
+        with_meter(Meter::new(scratch.clone()), || fold(result))?;
+        cluster
+            .trace()
+            .record_rebased(job, place, wave_base, trace::take_pending());
+    }
+    node.clock().advance(wave_duration(&scratches));
+    arena.end_wave();
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{Charge, CostModel};
     use crate::meter;
+    use crate::trace::Phase;
 
     fn charges_of(task: usize) -> u64 {
         (task as u64 + 1) * 1000
@@ -136,5 +190,102 @@ mod tests {
         let (r, s) = run_wave(&cluster, 0, true, Vec::<usize>::new(), |t| t);
         assert!(r.is_empty());
         assert_eq!(wave_duration(&s), 0.0);
+    }
+
+    /// A span reduced to what must not depend on the thread schedule.
+    type SpanBits = (Phase, Option<u64>, u64, u64);
+
+    /// Everything a traced wave leaves behind that the simulation can see:
+    /// place clock, serialized bytes, spans, fold order.
+    fn traced(parallel: bool) -> (f64, u64, Vec<SpanBits>, Vec<usize>) {
+        let cluster = Cluster::new(2, CostModel::default());
+        cluster.trace().enable();
+        let job = cluster.trace().begin_job("wave");
+        // The place is mid-job: spans must land after this point.
+        cluster.node(1).charge(Charge::DiskRead { bytes: 1 << 20 });
+        let base = cluster.node(1).clock().now();
+        let mut folded = Vec::new();
+        traced_wave(
+            &cluster,
+            1,
+            job,
+            parallel,
+            &Arena::new(),
+            (0..6usize).collect(),
+            |t| -> Result<usize, ()> {
+                trace::span(Phase::Map, "map", Some(t as u64), || {
+                    meter::charge(Charge::DiskRead {
+                        bytes: charges_of(t),
+                    });
+                });
+                Ok(t)
+            },
+            |t| {
+                trace::span(Phase::Shuffle, "serialize", Some(t as u64), || {
+                    meter::charge(Charge::Serialize {
+                        bytes: charges_of(t),
+                    });
+                });
+                folded.push(t);
+                Ok(())
+            },
+        )
+        .unwrap();
+        let mut spans: Vec<_> = cluster
+            .trace()
+            .spans()
+            .into_iter()
+            .map(|s| {
+                assert_eq!((s.job, s.place), (job, 1));
+                assert!(s.start >= base, "rebased onto the place clock");
+                (s.phase, s.task, s.start.to_bits(), s.end.to_bits())
+            })
+            .collect();
+        spans.sort_by_key(|s| (s.1, s.2));
+        (
+            cluster.node(1).clock().now(),
+            cluster.metrics().ser_bytes(),
+            spans,
+            folded,
+        )
+    }
+
+    #[test]
+    fn traced_wave_is_bit_equal_serial_vs_parallel() {
+        let (clock_s, ser_s, spans_s, folded_s) = traced(false);
+        let (clock_p, ser_p, spans_p, folded_p) = traced(true);
+        assert_eq!(clock_s.to_bits(), clock_p.to_bits(), "clock fold");
+        assert_eq!(ser_s, ser_p, "fold-callback charges");
+        assert_eq!(spans_s, spans_p, "rebased spans");
+        assert_eq!(folded_s, (0..6).collect::<Vec<_>>(), "fold runs in task order");
+        assert_eq!(folded_s, folded_p);
+        // 6 task spans + 6 fold spans, the fold span starting where its
+        // task's own work ended (same scratch clock).
+        assert_eq!(spans_s.len(), 12);
+        for pair in spans_s.chunks(2) {
+            assert_eq!((pair[0].0, pair[1].0), (Phase::Map, Phase::Shuffle));
+            assert_eq!(pair[0].3, pair[1].2);
+        }
+    }
+
+    #[test]
+    fn traced_wave_stops_at_the_first_error() {
+        let cluster = Cluster::new(1, CostModel::default());
+        let mut folded = Vec::new();
+        let r = traced_wave(
+            &cluster,
+            0,
+            0,
+            true,
+            &Arena::new(),
+            vec![0usize, 1, 2],
+            |t| if t == 1 { Err("boom") } else { Ok(t) },
+            |t| {
+                folded.push(t);
+                Ok(())
+            },
+        );
+        assert_eq!(r, Err("boom"));
+        assert_eq!(folded, vec![0], "results before the failure still fold");
     }
 }

@@ -19,7 +19,7 @@ use hmr_api::io::seqfile::write_seq_file;
 use hmr_api::partition::HashPartitioner;
 use hmr_api::writable::{IntWritable, Text};
 use hmr_api::{FileSystem, HPath, JobConf};
-use m3r::{M3REngine, M3ROptions, MemoryOptions, RepartitionJob};
+use m3r::{M3REngine, RepartitionJob};
 use m3r_server::{JobServer, ServerOptions};
 use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel};
@@ -46,16 +46,9 @@ fn main() {
         write_seq_file(&fs, &HPath::new(format!("{dir}/part-00000")), &records).unwrap();
     }
 
-    // A governed cache (infinite budget) so per-client quotas have a spill
-    // path to evict to.
-    let engine = M3REngine::with_options(
-        cluster.clone(),
-        Arc::new(fs.clone()),
-        M3ROptions {
-            memory: Some(MemoryOptions::default()),
-            ..M3ROptions::default()
-        },
-    );
+    // The cache is governed (infinite budget), so per-client quotas have a
+    // spill path to evict to.
+    let engine = M3REngine::new(cluster.clone(), Arc::new(fs.clone()));
     let server = JobServer::with_options(engine, ServerOptions { workers: 4, ..Default::default() });
 
     // --- async submission: tickets come back immediately -------------------

@@ -279,10 +279,10 @@ fn budget_constrained_combine_degrades_to_streaming() {
     let tight = |place_combine: bool| M3ROptions {
         worker_threads: 2,
         place_combine,
-        memory: Some(MemoryOptions {
+        memory: MemoryOptions {
             budget_bytes_per_place: Some(6 * 1024),
             ..MemoryOptions::default()
-        }),
+        },
         ..M3ROptions::default()
     };
     let (_, off_counts, off_parts, _) = run_m3r(&records, 3, 2, 3, tight(false));

@@ -1,7 +1,8 @@
 //! Hot-path optimization determinism (ISSUE 8): every kernel behind the
 //! latency tiers — hash-grouped reduce ingest, the sub-threshold radix
-//! prefix sort, the raw-key sort path, and arena-per-wave allocation — is
-//! a wall-clock-only optimization. Toggling any of them, on either engine,
+//! prefix sort and the raw-key sort path — is a wall-clock-only
+//! optimization. Toggling any of them (per job, through the conf knobs —
+//! the sort path the knobs force is the reference), on either engine,
 //! serial or parallel, must leave every simulated observable untouched:
 //! simulated seconds (compared through `f64::to_bits`, i.e. bit-for-bit),
 //! counters, the metrics snapshot, and the raw output part-file bytes.
@@ -43,9 +44,6 @@ const WORDS: usize = 12_000;
 #[derive(Clone, Copy, Debug)]
 struct Toggles {
     name: &'static str,
-    /// Engine-level hash-grouped-ingest gate (`M3ROptions` /
-    /// `EngineOptions::hash_group_ingest`).
-    hash_opt: bool,
     /// Per-job `m3r.reduce.hash.group` conf knob.
     hash_conf: bool,
     /// `m3r.sort.raw.min.pairs`: 0 forces the raw-key sort path on,
@@ -54,37 +52,22 @@ struct Toggles {
     /// `m3r.sort.radix.min.pairs`: 0 forces LSD radix for the prefix
     /// ordering pass, `usize::MAX` keeps `sort_unstable`.
     radix_min: usize,
-    /// Arena-per-wave scratch allocation.
-    arena: bool,
 }
 
-/// Everything off: decoded stable sort + span scan, plain allocation.
+/// Everything off: decoded stable sort + span scan.
 const BASELINE: Toggles = Toggles {
     name: "baseline",
-    hash_opt: false,
     hash_conf: false,
     raw_min: usize::MAX,
     radix_min: usize::MAX,
-    arena: false,
 };
 
-/// Each optimization alone, the full stack, and the two mixed gate states
-/// (conf knob and engine option disagreeing — the conjunction must win).
+/// Each optimization alone, and the full stack.
 const MATRIX: &[Toggles] = &[
-    Toggles { name: "hash", hash_opt: true, hash_conf: true, ..BASELINE },
+    Toggles { name: "hash", hash_conf: true, ..BASELINE },
     Toggles { name: "raw", raw_min: 0, ..BASELINE },
     Toggles { name: "radix", raw_min: 0, radix_min: 0, ..BASELINE },
-    Toggles { name: "arena", arena: true, ..BASELINE },
-    Toggles {
-        name: "all",
-        hash_opt: true,
-        hash_conf: true,
-        raw_min: 0,
-        radix_min: 0,
-        arena: true,
-    },
-    Toggles { name: "hash-conf-only", hash_conf: true, ..BASELINE },
-    Toggles { name: "hash-opt-only", hash_opt: true, ..BASELINE },
+    Toggles { name: "all", hash_conf: true, raw_min: 0, radix_min: 0 },
 ];
 
 fn conf_for(t: &Toggles, output: &str) -> JobConf {
@@ -131,8 +114,6 @@ fn run_m3r_job<J: JobDef>(
         cluster,
         Arc::new(fs.clone()),
         M3ROptions {
-            hash_group_ingest: t.hash_opt,
-            arena: t.arena,
             real_parallelism: parallel,
             ..M3ROptions::default()
         },
@@ -149,8 +130,6 @@ fn run_hadoop(t: &Toggles, parallel: bool) -> (JobResult, Vec<(String, bytes::By
         cluster,
         Arc::new(fs.clone()),
         EngineOptions {
-            hash_group_ingest: t.hash_opt,
-            arena: t.arena,
             real_parallelism: parallel,
             ..EngineOptions::default()
         },

@@ -207,6 +207,50 @@ fn hit_pins(engine: &str) {
         resub.sim_time
     );
     assert_eq!((hits, misses), (1, 1), "{engine}: hit/miss counts");
+    // The replay still opens a trace job — labelled by the engine that
+    // replayed it — so rollup job numbering tracks submission order.
+    assert_eq!(
+        cluster.trace().job_names(),
+        [format!("wordcount ({engine})"), format!("wordcount ({engine} memo)")]
+    );
+}
+
+#[test]
+fn engines_never_share_memo_entries() {
+    // One policy, two bindings: even over one index and one filesystem, an
+    // entry the M3R binding recorded is invisible to the Hadoop binding —
+    // the engine name is part of the fingerprint.
+    let (cluster, fs) = fresh();
+    wc_input(&fs);
+    let mut conf = JobConf::new();
+    conf.add_input_path(&HPath::new("/in"));
+    conf.set_output_path(&HPath::new("/out"));
+    conf.set_num_reduce_tasks(PARTS);
+    let job = Arc::new(workloads::wordcount::WordCountJob::new(WcStyle::FreshText));
+    let mut e = M3REngine::new(cluster, Arc::new(fs.clone()));
+    let result = e.run_job(Arc::clone(&job), &conf).unwrap();
+
+    let index = m3r_memo::ReuseIndex::new(PLACES);
+    let bind = |engine| m3r_memo::Reuse {
+        index: &index,
+        engine,
+        enabled: true,
+        fs: &fs,
+        durable: &fs,
+    };
+    let (m3r, hadoop) = (bind("m3r"), bind("hadoop"));
+    let recorded = m3r.memo_basis(&*job, &conf).expect("eligible");
+    m3r.memo_record_full(&recorded, &conf, &result);
+    assert_eq!(
+        m3r.lookup_full(&recorded).expect("own entry").parts,
+        dir_bytes(&fs, &HPath::new("/out"))
+            .into_iter()
+            .map(|(name, bytes)| (name, bytes::Bytes::from(bytes)))
+            .collect::<Vec<_>>()
+    );
+    let other = hadoop.memo_basis(&*job, &conf).expect("eligible");
+    assert_ne!(recorded.job_fingerprint(), other.job_fingerprint());
+    assert!(hadoop.lookup_full(&other).is_none());
 }
 
 #[test]
@@ -305,11 +349,11 @@ fn evicted_memo_entry_degrades_to_recomputation() {
         Arc::new(fs.clone()),
         M3ROptions {
             memoize: true,
-            memory: Some(MemoryOptions {
+            memory: MemoryOptions {
                 budget_bytes_per_place: Some(1024),
                 policy: PolicyKind::Lru,
                 oom: OomMode::Spill,
-            }),
+            },
             ..M3ROptions::default()
         },
     );

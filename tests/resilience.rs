@@ -18,7 +18,7 @@ use hmr_api::writable::{IntWritable, Text};
 use hmr_api::HPath;
 use parking_lot::Mutex;
 use simdfs::SimDfs;
-use simgrid::{Cluster, CostModel};
+use simgrid::{Cluster, CostModel, MemClass, Meter};
 
 /// A mapper that fails the first `failures_per_task` attempts of each task.
 struct FlakyMapper {
@@ -173,4 +173,192 @@ fn m3r_does_not_retry_but_survives_for_the_next_job() {
             .task(hmr_api::counters::task_counter::CACHE_HIT_RECORDS)
             > 0
     );
+}
+
+// ---------------------------------------------------------------------------
+// A failed job strands nothing in the accountant
+// ---------------------------------------------------------------------------
+
+/// Identity job over `/in` whose mapper fails on one key, or whose reducer
+/// always fails. The optional combiner is the identity — enough to switch
+/// place-level combining on.
+struct DoomedJob {
+    fail_map_key: Option<i32>,
+    fail_reduce: bool,
+    combiner: bool,
+}
+
+struct KeyFailMapper(Option<i32>);
+
+impl TaskMapper<IntWritable, Text, IntWritable, Text> for KeyFailMapper {
+    fn map(
+        &mut self,
+        key: Arc<IntWritable>,
+        value: Arc<Text>,
+        out: &mut dyn OutputCollector<IntWritable, Text>,
+        _ctx: &mut TaskContext,
+    ) -> Result<()> {
+        if self.0 == Some(key.0) {
+            return Err(HmrError::Io(format!("injected map fault at key {}", key.0)));
+        }
+        out.collect(key, value)
+    }
+}
+
+struct FailingReducer;
+
+impl TaskReducer<IntWritable, Text, IntWritable, Text> for FailingReducer {
+    fn reduce(
+        &mut self,
+        key: Arc<IntWritable>,
+        _values: &mut dyn Iterator<Item = Arc<Text>>,
+        _out: &mut dyn OutputCollector<IntWritable, Text>,
+        _ctx: &mut TaskContext,
+    ) -> Result<()> {
+        Err(HmrError::Io(format!("injected reduce fault at key {}", key.0)))
+    }
+}
+
+impl JobDef for DoomedJob {
+    type K1 = IntWritable;
+    type V1 = Text;
+    type K2 = IntWritable;
+    type V2 = Text;
+    type K3 = IntWritable;
+    type V3 = Text;
+
+    fn create_mapper(
+        &self,
+        _c: &JobConf,
+    ) -> Box<dyn TaskMapper<IntWritable, Text, IntWritable, Text>> {
+        Box::new(KeyFailMapper(self.fail_map_key))
+    }
+    fn create_reducer(
+        &self,
+        _c: &JobConf,
+    ) -> Box<dyn TaskReducer<IntWritable, Text, IntWritable, Text>> {
+        if self.fail_reduce {
+            Box::new(FailingReducer)
+        } else {
+            Box::new(IdentityReducer)
+        }
+    }
+    fn create_combiner(
+        &self,
+        _c: &JobConf,
+    ) -> Option<Box<dyn TaskReducer<IntWritable, Text, IntWritable, Text>>> {
+        self.combiner
+            .then(|| Box::new(IdentityReducer) as Box<dyn TaskReducer<_, _, _, _>>)
+    }
+    fn input_format(&self, _c: &JobConf) -> Box<dyn InputFormat<IntWritable, Text>> {
+        Box::new(SequenceFileInputFormat::new())
+    }
+    fn output_format(&self, _c: &JobConf) -> Box<dyn OutputFormat<IntWritable, Text>> {
+        Box::new(SequenceFileOutputFormat::new())
+    }
+    fn immutable_output(&self) -> bool {
+        true
+    }
+}
+
+const HEALTHY: DoomedJob = DoomedJob {
+    fail_map_key: None,
+    fail_reduce: false,
+    combiner: false,
+};
+
+/// Two places, four input files of ten records, two written from each
+/// node: the first replica lands on the writer, so every place maps two
+/// splits — with one task slot, in two waves. File `f` holds keys
+/// `10f..10f+9`; the last one is place 1's second wave.
+fn setup_two_waves() -> (Cluster, SimDfs) {
+    let cluster = Cluster::new(2, CostModel::default());
+    let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 1);
+    for f in 0..4 {
+        let records: Vec<(IntWritable, Text)> = (10 * f..10 * f + 10)
+            .map(|i| (IntWritable(i), Text::from(format!("v{i}"))))
+            .collect();
+        let path = HPath::new(format!("/in/part-{f:05}"));
+        simgrid::with_meter(Meter::new(cluster.node(f as usize / 2).clone()), || {
+            write_seq_file(&fs, &path, &records).unwrap()
+        });
+    }
+    (cluster, fs)
+}
+
+/// `live_class` of the two job-scoped classes at every place.
+fn job_scoped_bytes(cluster: &Cluster) -> Vec<(u64, u64)> {
+    (0..cluster.len())
+        .map(|p| {
+            (
+                cluster.mem().live_class(p, MemClass::Shuffle),
+                cluster.mem().live_class(p, MemClass::Combine),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn hadoop_reduce_failure_releases_every_parked_segment() {
+    let (cluster, fs) = setup_two_waves();
+    let mut engine = hadoop_engine::HadoopEngine::with_options(
+        cluster.clone(),
+        Arc::new(fs),
+        hadoop_engine::EngineOptions {
+            map_slots_per_node: 1,
+            ..Default::default()
+        },
+    );
+    let before = job_scoped_bytes(&cluster);
+    // All four maps succeed and park their segments; every reduce attempt
+    // fails until the jobtracker gives up.
+    let doomed = DoomedJob {
+        fail_reduce: true,
+        ..HEALTHY
+    };
+    let err = engine.run_job(Arc::new(doomed), &conf("/out1")).unwrap_err();
+    assert!(matches!(err, HmrError::Io(_)));
+    assert_eq!(job_scoped_bytes(&cluster), before, "shuffle volume stranded");
+    let r = engine.run_job(Arc::new(HEALTHY), &conf("/out2")).unwrap();
+    assert_eq!(r.output_records, 40);
+    assert_eq!(job_scoped_bytes(&cluster), before);
+}
+
+#[test]
+fn m3r_map_failure_releases_parked_streams_and_combine_tables() {
+    for place_combine in [false, true] {
+        let (cluster, fs) = setup_two_waves();
+        let mut engine = m3r::M3REngine::with_options(
+            cluster.clone(),
+            Arc::new(fs),
+            m3r::M3ROptions {
+                worker_threads: 1,
+                place_combine,
+                ..Default::default()
+            },
+        );
+        let before = job_scoped_bytes(&cluster);
+        // Place 1's second wave fails. By then place 0 has parked (or will
+        // park) a stream at place 1, and with place-level combining place 1
+        // has absorbed its first wave into the combine tables.
+        let doomed = DoomedJob {
+            fail_map_key: Some(35),
+            combiner: true,
+            ..HEALTHY
+        };
+        let err = engine.run_job(Arc::new(doomed), &conf("/out1")).unwrap_err();
+        assert!(matches!(err, HmrError::Io(_)));
+        assert_eq!(
+            job_scoped_bytes(&cluster),
+            before,
+            "accountant bytes stranded (place_combine={place_combine})"
+        );
+        let healthy = DoomedJob {
+            combiner: true,
+            ..HEALTHY
+        };
+        let r = engine.run_job(Arc::new(healthy), &conf("/out2")).unwrap();
+        assert_eq!(r.output_records, 40);
+        assert_eq!(job_scoped_bytes(&cluster), before);
+    }
 }

@@ -41,7 +41,7 @@ use hmr_api::counters::TaskContext;
 use hmr_api::task::{IdentityReducer, TaskMapper, TaskReducer};
 use hmr_api::writable::{IntWritable, Text};
 use hmr_api::{FileSystem, HPath};
-use m3r::{M3REngine, M3ROptions, MemoryOptions, RepartitionJob};
+use m3r::{M3REngine, RepartitionJob};
 use m3r_server::{JobServer, JobStatus, JobTicket, ServerOptions};
 use simdfs::SimDfs;
 use simgrid::metrics::MetricsSnapshot;
@@ -553,16 +553,9 @@ fn cache_quota_evicts_the_over_quota_tenant_and_spares_the_rest() {
     let (cluster, fs) = fresh();
     gen_input(&fs, "/big", 64, 3);
     gen_input(&fs, "/small", 6, 4);
-    // A governed cache (infinite budget, spill target wired) so quota
+    // The cache is governed (infinite budget, spill target wired), so quota
     // enforcement has somewhere to evict to.
-    let engine = M3REngine::with_options(
-        cluster.clone(),
-        Arc::new(fs.clone()),
-        M3ROptions {
-            memory: Some(MemoryOptions::default()),
-            ..M3ROptions::default()
-        },
-    );
+    let engine = M3REngine::new(cluster.clone(), Arc::new(fs.clone()));
     let server = JobServer::start(engine);
 
     let r_small = server
