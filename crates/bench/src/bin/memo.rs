@@ -11,10 +11,11 @@
 //! * the hit's output bytes are identical to the first run's;
 //! * hit/miss counts are exact (every eligible submission counts one);
 //! * a **cold** run with memoization enabled is sim-bit-identical
-//!   (`f64::to_bits`) to one with it disabled — recording is free.
+//!   (`f64::to_bits`) to one with it disabled — recording is free;
+//! * the headline: a memoized resubmission costs fewer simulated seconds
+//!   than rerunning.
 //!
-//! Results land in `bench-results/memo.{txt,json}`; CI re-checks the
-//! invariants from the JSON.
+//! Results land in `bench-results/memo.{txt,json}`.
 
 use hmr_api::{FileSystem, HPath};
 use m3r_bench::{fresh, secs, BenchReport, NODES};
@@ -355,6 +356,17 @@ fn main() {
         pagerank_outcome("m3r"),
     ];
 
+    for o in &outcomes {
+        assert!(
+            o.resub_memo_s < o.resub_nomemo_s,
+            "{}/{}: a memoized resubmission must beat rerunning: {} vs {}",
+            o.workload,
+            o.engine,
+            o.resub_memo_s,
+            o.resub_nomemo_s
+        );
+    }
+
     let mut report = BenchReport::new("memo");
     report.table(
         "Cross-job memoization: resubmitted jobs",
@@ -379,7 +391,7 @@ fn main() {
             .collect(),
     );
     report.table(
-        "Memo invariants (asserted in-process; CI re-checks from JSON)",
+        "Memo invariants (asserted in-process)",
         &[
             "workload",
             "engine",

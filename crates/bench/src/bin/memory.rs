@@ -17,8 +17,9 @@
 //!
 //! Writes `bench-results/memory.json` (tables, via [`BenchReport`]) and
 //! `bench-results/memory.txt` (tables + the accountant's report section
-//! for the tightest budget). CI asserts the sweep's simulated seconds
-//! are monotone non-decreasing as the budget shrinks.
+//! for the tightest budget). `main` asserts the sweep's simulated seconds
+//! are monotone non-decreasing as the budget shrinks, that the unlimited
+//! run never evicts and that the tightest one does.
 
 use hadoop_engine::HadoopEngine;
 use hmr_api::partition::FnPartitioner;
@@ -148,6 +149,15 @@ fn main() {
     for budget in [w, w / 2, w / 4, w / 8, w / 16] {
         runs.push((Some(budget), m3r_run(Some(budget), PolicyKind::Lru, OomMode::Spill).unwrap()));
     }
+    // The degradation curve's shape: runs go from unlimited budget to the
+    // tightest, and shrinking the budget may only cost simulated time,
+    // never save it.
+    for pair in runs.windows(2) {
+        let (a, b) = (pair[0].1.secs, pair[1].1.secs);
+        assert!(b >= a - 1e-6, "not monotone at budget {:?}: {a} then {b}", pair[1].0);
+    }
+    assert_eq!(runs[0].1.evictions, 0, "unlimited budget must not evict");
+    assert!(runs.last().unwrap().1.evictions > 0, "tightest budget must evict");
     let tightest_report = runs.last().unwrap().1.report.clone();
     let mut rows = Vec::new();
     for (budget, r) in &runs {

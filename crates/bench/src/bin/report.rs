@@ -21,6 +21,7 @@ use hmr_api::partition::FnPartitioner;
 use hmr_api::writable::{BytesWritable, IntWritable};
 use hmr_api::HPath;
 use m3r_bench::{fresh, write_bench_file};
+use simgrid::trace::Phase;
 use simgrid::Cluster;
 use std::sync::Arc;
 use workloads::matvec::{generate_matvec_input, row_partitioner, run_matvec_iterations};
@@ -52,7 +53,14 @@ fn main() {
 /// Export the cluster's trace as Chrome JSON + text report for one run.
 fn export(workload: &str, engine: &str, cluster: &Cluster) {
     let trace = cluster.trace();
-    assert!(!trace.is_empty(), "traced run produced no spans");
+    let spans = trace.spans();
+    for phase in [Phase::Map, Phase::Shuffle, Phase::Sort, Phase::Reduce] {
+        assert!(
+            spans.iter().any(|s| s.phase == phase),
+            "{workload} on {engine}: traced run has no {} spans",
+            phase.as_str()
+        );
+    }
     let json_path =
         write_bench_file(&format!("trace-{workload}-{engine}.json"), &trace.chrome_json())
             .expect("write chrome trace");

@@ -1,28 +1,12 @@
-//! Hot-path latency tiers (ISSUE 8): shared fixtures and the budget table.
-//!
-//! The per-figure harnesses measure *simulated* seconds; these tiers
-//! measure *real* nanoseconds for the handful of operations every job
-//! executes millions of times — a kv-store put/get, a governed-cache hit,
-//! a buffer-pool cycle, a record encode, a shuffle route, and the
-//! reduce-ingest sort/group kernels at sizes straddling their tuning
-//! thresholds. Two consumers share this module so they cannot drift:
-//!
-//! - `benches/latency.rs` — the Criterion view (`cargo bench -p m3r-bench
-//!   --bench latency`), for interactive before/after comparisons;
-//! - `src/bin/latency.rs` — the self-timed runner that writes
-//!   `bench-results/latency.{txt,json}` and backs the CI smoke check.
-//!
-//! Budgets are deliberately loose upper bounds (4–10× the numbers measured
-//! on an idle dev box, recorded per tier in [`SPECS`]) so they catch
-//! order-of-magnitude regressions — an accidental `O(n²)`, a lock in the
-//! wrong place, a lost fast path — without flaking on slow shared CI
-//! hardware. The *relative* rows are the sharp checks: `radix_sort_8192`
-//! must beat `std_sort_8192`, and `hash_group_8192` must beat
-//! `sort_group_8192`, on the same machine in the same run.
+//! Fixtures the `e2e` per-layer probes share with nothing else: a small
+//! cached sequence (`core.cache_hit_ns`) and an engine whose jobs do
+//! nothing (`server.noop_roundtrip_us`). The probes themselves and their
+//! baseline numbers live in `e2e/`; the module keeps the name of the
+//! latency-tier harness it was cut from because `m3r_bench::latency` is the
+//! path the frozen benchmark imports.
 
 use std::sync::Arc;
 
-use hmr_api::comparator::{SortTuning, RADIX_SORT_MIN_PAIRS, RAW_SORT_MIN_PAIRS};
 use hmr_api::conf::JobConf;
 use hmr_api::counters::Counters;
 use hmr_api::error::Result;
@@ -30,75 +14,6 @@ use hmr_api::job::{Engine, JobDef, JobResult, LaneEngine};
 use hmr_api::writable::{IntWritable, Text};
 use m3r::CachedSeq;
 use simgrid::{Cluster, CostModel};
-
-/// Pair count just *below* [`RAW_SORT_MIN_PAIRS`]: the decoded-comparator
-/// sort regime.
-pub const BELOW_RAW: usize = RAW_SORT_MIN_PAIRS / 2;
-
-/// Pair count just *above* [`RAW_SORT_MIN_PAIRS`] but below
-/// [`RADIX_SORT_MIN_PAIRS`]: the raw-prefix comparison-sort regime.
-pub const ABOVE_RAW: usize = RAW_SORT_MIN_PAIRS * 2;
-
-/// Pair count above [`RADIX_SORT_MIN_PAIRS`]: the regime where the radix
-/// prefix sort and hash-grouped ingest run (and must pay for themselves).
-pub const BULK: usize = RADIX_SORT_MIN_PAIRS * 2;
-
-/// Values per distinct key in [`int_pairs`] — the shape of real reduce
-/// ingest, where a reducer sees several records per key (the all-distinct
-/// case is the *worst* case for hash grouping: it hashes every record and
-/// still sorts as many representatives as the sort path sorts pairs).
-pub const VALUES_PER_KEY: usize = 16;
-
-/// Deterministic scrambled `(IntWritable(key), IntWritable(i))` pairs with
-/// `n / VALUES_PER_KEY` distinct keys (Knuth multiplicative spray, so each
-/// key's records are strewn across the whole run in arrival order — what a
-/// shuffle delivers).
-pub fn int_pairs(n: usize) -> Vec<(Arc<IntWritable>, Arc<IntWritable>)> {
-    let keys = (n / VALUES_PER_KEY).max(1) as u64;
-    (0..n)
-        .map(|i| {
-            let key = ((i as u64).wrapping_mul(2654435761) % keys) as i32;
-            (Arc::new(IntWritable(key)), Arc::new(IntWritable(i as i32)))
-        })
-        .collect()
-}
-
-/// All-distinct variant of [`int_pairs`] (keys are a permutation of
-/// `0..n` for the power-of-two sizes the tiers use — multiplication by an
-/// odd constant is bijective mod 2^k): the worst case for both the radix
-/// fixup pass and hash grouping, used to bound the crossover derivation
-/// from above.
-pub fn distinct_int_pairs(n: usize) -> Vec<(Arc<IntWritable>, Arc<IntWritable>)> {
-    (0..n)
-        .map(|i| {
-            let key = ((i as u64).wrapping_mul(2654435761) % n.max(1) as u64) as i32;
-            (Arc::new(IntWritable(key)), Arc::new(IntWritable(i as i32)))
-        })
-        .collect()
-}
-
-/// Grouped `(Text, IntWritable)` pairs, same shape as [`int_pairs`]
-/// (`n / VALUES_PER_KEY` distinct keys, arrival order scattered): the
-/// fixture for deriving `RAW_SORT_MIN_PAIRS`, because the raw-key path
-/// exists for byte-string keys — a decoded `IntWritable` compare is one
-/// register op and never loses to it, while a decoded `Text` compare
-/// chases two `Arc`s per comparison.
-pub fn text_pairs(n: usize) -> Vec<(Arc<Text>, Arc<IntWritable>)> {
-    let keys = (n / VALUES_PER_KEY).max(1) as u64;
-    (0..n)
-        .map(|i| {
-            let key = (i as u64).wrapping_mul(2654435761) % keys;
-            // 8 zero-padded digits: the discriminating bytes land inside
-            // the u64 prefix window (a shared long prefix like "key-0000…"
-            // would force every comparison to the full-raw fallback and
-            // measure that path instead).
-            (
-                Arc::new(Text::from(format!("{key:08}"))),
-                Arc::new(IntWritable(i as i32)),
-            )
-        })
-        .collect()
-}
 
 /// A small cached sequence (the governed-cache hit fixture).
 pub fn small_seq(records: usize) -> Arc<CachedSeq<IntWritable, Text>> {
@@ -114,51 +29,8 @@ pub fn small_seq(records: usize) -> Arc<CachedSeq<IntWritable, Text>> {
     ))
 }
 
-/// Tuning that pins the *decoded-comparator* sort regardless of size.
-pub fn decoded_tuning() -> SortTuning {
-    SortTuning {
-        raw_min_pairs: usize::MAX,
-        radix_min_pairs: usize::MAX,
-        hash_group: false,
-    }
-}
-
-/// Tuning that pins the raw path with *comparison* prefix sort (radix off).
-pub fn comparison_tuning() -> SortTuning {
-    SortTuning {
-        raw_min_pairs: 0,
-        radix_min_pairs: usize::MAX,
-        hash_group: false,
-    }
-}
-
-/// Tuning that pins the raw path with the *LSD radix* prefix sort.
-pub fn radix_tuning() -> SortTuning {
-    SortTuning {
-        raw_min_pairs: 0,
-        radix_min_pairs: 0,
-        hash_group: false,
-    }
-}
-
-/// Ingest tuning that pins the sort+scan grouping path (hash off).
-pub fn sort_ingest_tuning() -> SortTuning {
-    SortTuning {
-        hash_group: false,
-        ..SortTuning::default()
-    }
-}
-
-/// Ingest tuning that pins hash-grouped ingest.
-pub fn hash_ingest_tuning() -> SortTuning {
-    SortTuning {
-        hash_group: true,
-        ..SortTuning::default()
-    }
-}
-
 /// A [`LaneEngine`] whose jobs do nothing: the fixture for the
-/// `server.submit.resolve.noop` tier, which isolates the *server path*
+/// `server.noop_roundtrip_us` probe, which isolates the *server path*
 /// (admission lock, conflict-DAG insert, condvar handoff to a worker,
 /// lane creation, fold, ticket resolution) from any job cost.
 pub struct NoopEngine {
@@ -214,159 +86,4 @@ impl LaneEngine for NoopEngine {
             output_records: 0,
         })
     }
-}
-
-/// One row of the latency budget table.
-pub struct TierSpec {
-    /// Tier name (row key in `bench-results/latency.json`).
-    pub name: &'static str,
-    /// Upper-bound nanoseconds per operation; CI's smoke run checks every
-    /// spec is present and the relative rows hold, while the budget column
-    /// documents the order of magnitude each tier is allowed to cost.
-    pub budget_ns: f64,
-    /// Baseline row this tier must not exceed (the optimization rows).
-    pub must_beat: Option<&'static str>,
-    /// Where the nanoseconds go (the "explain every microsecond" column).
-    pub explanation: &'static str,
-}
-
-/// The budget table. Sizes in row names refer to [`BELOW_RAW`],
-/// [`ABOVE_RAW`] and [`BULK`]; sort-tier budgets are whole-operation (one
-/// sort of that many pairs), everything else is per single operation.
-pub const SPECS: &[TierSpec] = &[
-    TierSpec {
-        name: "kvstore_put",
-        budget_ns: 4_000.0,
-        must_beat: None,
-        explanation: "path hash to the meta shard, 2PL lock-set over the \
-                      ancestor chain, HashMap insert of the block meta, and \
-                      the data-shard insert; replaces the equal-info block \
-                      so the store stays steady-state",
-    },
-    TierSpec {
-        name: "kvstore_get",
-        budget_ns: 2_500.0,
-        must_beat: None,
-        explanation: "single-path lock, meta lookup, linear block-info \
-                      match, then an Arc clone out of the data shard — no \
-                      copies of the payload itself",
-    },
-    TierSpec {
-        name: "cache_hit",
-        budget_ns: 2_500.0,
-        must_beat: None,
-        explanation: "governed-cache resident hit: entry-map lookup, an \
-                      eviction-policy on_access stamp, the kv-store read \
-                      and the typed downcast back to CachedSeq",
-    },
-    TierSpec {
-        name: "bufpool_cycle",
-        budget_ns: 1_000.0,
-        must_beat: None,
-        explanation: "BufPool get (binary-search best fit on the free \
-                      list) plus freeze + reclaim (uniqueness check, \
-                      sorted reinsert); the steady-state shuffle-buffer \
-                      round trip that replaces a multi-MB malloc/free",
-    },
-    TierSpec {
-        name: "serialize_record",
-        budget_ns: 600.0,
-        must_beat: None,
-        explanation: "Serializer encode of one (IntWritable, Text) record \
-                      with dedup off: two length-prefixed writes into a \
-                      pre-reserved BytesMut, no hashing, no allocation",
-    },
-    TierSpec {
-        name: "shuffle_route",
-        budget_ns: 800.0,
-        must_beat: None,
-        explanation: "ShuffleStream push of one record: partition tag + \
-                      dedup-table probe (Full mode, first sight of each \
-                      Arc) + the two writable encodes",
-    },
-    TierSpec {
-        name: "server.submit.resolve.noop",
-        budget_ns: 1_000_000.0,
-        must_beat: None,
-        explanation: "submit->wait round trip for a no-op job on a warm \
-                      1-worker server: admission lock + conflict-DAG scan, \
-                      condvar handoff to the dispatch worker, job-lane \
-                      creation, the (empty) body, fold bookkeeping and \
-                      ticket resolution waking the waiter — two thread \
-                      handoffs dominate; the flight recorder's stamps ride \
-                      along and must stay invisible at this scale",
-    },
-    TierSpec {
-        name: "sort_decoded_512",
-        budget_ns: 150_000.0,
-        must_beat: None,
-        explanation: "512 pairs below RAW_SORT_MIN_PAIRS: stable sort \
-                      through the boxed comparator on decoded keys — the \
-                      per-compare virtual call is the whole story, ~2x the \
-                      raw path's per-pair cost, but on runs this small the \
-                      raw path's key-arena build would not amortize",
-    },
-    TierSpec {
-        name: "sort_raw_2048",
-        budget_ns: 400_000.0,
-        must_beat: None,
-        explanation: "2048 pairs above RAW_SORT_MIN_PAIRS: build the raw \
-                      key arena + u64 prefixes, sort_unstable the (prefix, \
-                      index) entries (memcmp only on equal prefixes — \
-                      never for distinct i32 keys), then apply the \
-                      permutation",
-    },
-    TierSpec {
-        name: "group_spans_2048",
-        budget_ns: 60_000.0,
-        must_beat: None,
-        explanation: "one linear same_group scan over 2048 sorted pairs \
-                      emitting half-open group ranges; decoded compare per \
-                      adjacent pair, no allocation beyond the span vec",
-    },
-    TierSpec {
-        name: "std_sort_8192",
-        budget_ns: 1_500_000.0,
-        must_beat: None,
-        explanation: "baseline for the radix row: 8192 pairs on the raw \
-                      path with radix disabled — sort_unstable over \
-                      (prefix, index) pays ~n log n branchy compares",
-    },
-    TierSpec {
-        name: "radix_sort_8192",
-        budget_ns: 1_200_000.0,
-        must_beat: Some("std_sort_8192"),
-        explanation: "same 8192 pairs, LSD radix on the u64 prefixes: one \
-                      scan builds all eight 256-bucket histograms, then \
-                      only the digits that actually differ get a \
-                      scatter pass — data-independent, branch-free inner \
-                      loops beat the comparison sort above \
-                      RADIX_SORT_MIN_PAIRS",
-    },
-    TierSpec {
-        name: "sort_group_8192",
-        budget_ns: 1_800_000.0,
-        must_beat: None,
-        explanation: "baseline for the hash row: full reduce ingest \
-                      (sort_pairs_tuned + group_spans) of 8192 pairs under \
-                      default tuning — the classic sort-then-scan grouping",
-    },
-    TierSpec {
-        name: "hash_group_8192",
-        budget_ns: 1_500_000.0,
-        must_beat: Some("sort_group_8192"),
-        explanation: "same ingest via hash grouping: one fnv1a pass over \
-                      raw keys into an open-addressed table, groups \
-                      drained in ascending raw-key order — O(n) beats the \
-                      sort's O(n log n) for natural-order reduces, and \
-                      yields byte-identical spans",
-    },
-];
-
-/// Look up a spec row by name (panics on unknown — the tables are static).
-pub fn spec(name: &str) -> &'static TierSpec {
-    SPECS
-        .iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("no latency tier named {name:?}"))
 }

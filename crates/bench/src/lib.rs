@@ -14,11 +14,16 @@
 //! | `fig11` | Figure 11 | SystemML PageRank vs graph size |
 //! | `repartition` | §6.1.1 | one-off repartitioning job cost |
 //! | `ablations` | DESIGN.md | dedup / stability / cache / ImmutableOutput |
+//! | `report` | — | per-job phase tables + Chrome traces of one run per engine |
+//! | `memory` / `combine` / `memo` | extensions | budget sweep, place-level combining, resubmission reuse |
 //!
 //! Inputs are scaled down from the paper's absolute sizes (see
 //! EXPERIMENTS.md); all randomness is seeded, so reruns reproduce the same
 //! numbers except for the (tiny, `compute_scale`-weighted) real-compute
 //! component.
+//!
+//! Nothing here measures wall time: that is `e2e/` (`BENCHMARK.json`), which
+//! imports [`fresh`] and the [`latency`] / [`servermix`] fixtures.
 
 pub mod latency;
 pub mod servermix;
@@ -44,7 +49,7 @@ pub fn fresh(nodes: usize, compute_scale: f64) -> (Cluster, SimDfs) {
 }
 
 /// Print a CSV-ish table: header then rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n# {title}");
     println!("{}", header.join(","));
     for row in rows {
@@ -57,17 +62,12 @@ pub fn secs(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Resolve (and create) the `bench-results/` output directory and return
-/// the path for `file` inside it.
-pub fn bench_results_path(file: &str) -> std::io::Result<std::path::PathBuf> {
+/// Write `contents` to `bench-results/<file>` (creating the directory),
+/// returning the path written.
+pub fn write_bench_file(file: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
     let dir = std::path::Path::new("bench-results");
     std::fs::create_dir_all(dir)?;
-    Ok(dir.join(file))
-}
-
-/// Write `contents` to `bench-results/<file>`, returning the path written.
-pub fn write_bench_file(file: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
-    let path = bench_results_path(file)?;
+    let path = dir.join(file);
     std::fs::write(&path, contents)?;
     Ok(path)
 }
@@ -75,11 +75,10 @@ pub fn write_bench_file(file: &str, contents: &str) -> std::io::Result<std::path
 /// A figure binary's result set: the tables it prints, collected so the
 /// run also lands as machine-readable JSON in `bench-results/<name>.json`.
 ///
-/// Every `fig*` binary used to print tables ad hoc; this helper keeps the
-/// text output identical (each [`BenchReport::table`] call prints through
-/// [`print_table`] immediately) while [`BenchReport::finish`] serializes
-/// the same data for scripts to consume — no JSON dependency, the escaper
-/// is shared with the trace exporter ([`simgrid::trace::json_escape`]).
+/// Each [`BenchReport::table`] call prints the table immediately;
+/// [`BenchReport::finish`] serializes the same data for scripts to consume
+/// — no JSON dependency, the escaper is shared with the trace exporter
+/// ([`simgrid::trace::json_escape`]).
 pub struct BenchReport {
     name: String,
     tables: Vec<(String, Vec<String>, Vec<Vec<String>>)>,

@@ -1,23 +1,16 @@
-//! The seeded multi-tenant job mix shared by the `server` and `serverobs`
-//! benches: 6 clients × 8 jobs, ~55% independent / ~25% chained / ~20%
-//! shared-input, submitted round-robin so every run admits the identical
-//! conflict DAG regardless of worker count.
+//! The job shape of the `servermix` benchmark workload (`e2e/`): 6 clients
+//! × 8 identity-repartition jobs over 400-record inputs. The seeded
+//! independent / chained / shared-input mix itself is generated by
+//! `e2e/src/workload/servermix.rs`.
 
 use std::sync::Arc;
 
 use hmr_api::conf::JobConf;
-use hmr_api::io::seqfile::write_seq_file;
 use hmr_api::partition::HashPartitioner;
 use hmr_api::writable::{IntWritable, Text};
 use hmr_api::HPath;
 use m3r::RepartitionJob;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use simdfs::SimDfs;
 
-/// Simulated nodes for the server benches (smaller than the figure
-/// cluster — the interesting contention is between lanes, not places).
-pub const NODES: usize = 8;
 /// Tenants submitting concurrently.
 pub const CLIENTS: usize = 6;
 /// Jobs each tenant submits.
@@ -26,62 +19,6 @@ pub const JOBS_PER_CLIENT: usize = 8;
 pub const RECORDS: i32 = 400;
 /// Reduce tasks per job.
 pub const REDUCERS: usize = 4;
-/// Seed for the per-client kind roll.
-pub const MIX_SEED: u64 = 42;
-
-/// What a job in the mix reads.
-#[derive(Clone, Copy, Debug)]
-pub enum Kind {
-    /// Reads the client's private base input — no conflict edges.
-    Independent,
-    /// Reads the client's previous output — a dependency chain.
-    Chained,
-    /// Reads the shared dataset — a read conflict across clients.
-    Shared,
-}
-
-/// The seeded per-client job mix. Job 0 of every client is always
-/// independent (nothing to chain to yet).
-pub fn job_mix() -> Vec<Vec<Kind>> {
-    (0..CLIENTS)
-        .map(|c| {
-            let mut rng = StdRng::seed_from_u64(MIX_SEED + c as u64);
-            (0..JOBS_PER_CLIENT)
-                .map(|j| {
-                    let roll: u32 = rng.gen_range(0u32..100);
-                    if j == 0 || roll < 55 {
-                        Kind::Independent
-                    } else if roll < 80 {
-                        Kind::Chained
-                    } else {
-                        Kind::Shared
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Write one seeded input directory (a single part file).
-pub fn gen_input(fs: &SimDfs, dir: &str, salt: i32) {
-    let records: Vec<(IntWritable, Text)> = (0..RECORDS)
-        .map(|i| {
-            (
-                IntWritable(i),
-                Text::from(format!("{salt:04}-{i:06}-{}", "x".repeat(48))),
-            )
-        })
-        .collect();
-    write_seq_file(fs, &HPath::new(format!("{dir}/part-00000")), &records).unwrap();
-}
-
-/// Generate every client's private input plus the shared dataset.
-pub fn gen_all_inputs(fs: &SimDfs) {
-    for c in 0..CLIENTS {
-        gen_input(fs, &format!("/c{c}/in"), c as i32);
-    }
-    gen_input(fs, "/shared", 999);
-}
 
 /// The identity repartition job all mix entries run.
 pub fn id_job() -> Arc<RepartitionJob<IntWritable, Text>> {
@@ -95,43 +32,4 @@ pub fn conf(input: &str, output: &str) -> JobConf {
     c.set_output_path(&HPath::new(output));
     c.set_num_reduce_tasks(REDUCERS);
     c
-}
-
-/// The (client, input, output) triples of the whole mix in round-robin
-/// submission order, resolving `Chained` entries against the client's
-/// previous output.
-pub fn submission_plan(mix: &[Vec<Kind>]) -> Vec<(usize, String, String)> {
-    let mut last_out: Vec<String> = (0..CLIENTS).map(|c| format!("/c{c}/in")).collect();
-    let mut plan = Vec::new();
-    for j in 0..JOBS_PER_CLIENT {
-        for (c, kinds) in mix.iter().enumerate() {
-            let input = match kinds[j] {
-                Kind::Independent => format!("/c{c}/in"),
-                Kind::Chained => last_out[c].clone(),
-                Kind::Shared => "/shared".to_string(),
-            };
-            let output = format!("/c{c}/job{j}");
-            last_out[c] = output.clone();
-            plan.push((c, input, output));
-        }
-    }
-    plan
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mix_is_seeded_and_chained_entries_resolve() {
-        let mix = job_mix();
-        assert_eq!(mix.len(), CLIENTS);
-        assert!(mix.iter().all(|m| m.len() == JOBS_PER_CLIENT));
-        // Job 0 is always independent.
-        assert!(mix.iter().all(|m| matches!(m[0], Kind::Independent)));
-        let plan = submission_plan(&mix);
-        assert_eq!(plan.len(), CLIENTS * JOBS_PER_CLIENT);
-        // Deterministic: same seed, same plan.
-        assert_eq!(plan, submission_plan(&job_mix()));
-    }
 }

@@ -77,9 +77,6 @@ pub struct M3ROptions {
     /// sequentially: eviction order must follow task order, never the
     /// thread schedule.
     pub real_parallelism: bool,
-    /// Draw shuffle-stream buffers from a per-place [`BufPool`] that
-    /// persists across waves and jobs (§3.2.2/§5). Wall-clock only.
-    pub buffer_pool: bool,
     /// Memory governance: budget, eviction policy and overflow behaviour of
     /// the kv-cache. The default — no budget — accounts without ever acting.
     pub memory: MemoryOptions,
@@ -125,7 +122,6 @@ impl Default for M3ROptions {
             partition_stability: true,
             input_cache: true,
             real_parallelism: true,
-            buffer_pool: true,
             memory: MemoryOptions::default(),
             place_combine: false,
             memoize: false,
@@ -457,15 +453,10 @@ impl<J: JobDef> Run<J> {
         self.opts.real_parallelism && self.cluster.mem().budget().is_none()
     }
 
-    /// A fresh place→place stream; with the pool on it writes into a
-    /// recycled buffer from this place's free-list (warm capacity from
-    /// earlier jobs).
+    /// A fresh place→place stream writing into a recycled buffer from this
+    /// place's free-list (warm capacity from earlier jobs).
     fn open_stream(&self, place: usize) -> ShuffleStream {
-        if self.opts.buffer_pool {
-            ShuffleStream::with_buffer(self.pools[place].get_any(1024), self.opts.dedup)
-        } else {
-            ShuffleStream::new(self.opts.dedup)
-        }
+        ShuffleStream::with_buffer(self.pools[place].get_any(1024), self.opts.dedup)
     }
 
     fn task_ctx(&self, id: String) -> TaskContext {
@@ -1243,9 +1234,7 @@ fn reduce_phase_at_place<J: JobDef>(
                     // The iterator's refcount dropped with the loop; if this
                     // was the last handle the buffer returns to this place's
                     // pool.
-                    if run.opts.buffer_pool {
-                        run.pools[place].reclaim(payload.bytes);
-                    }
+                    run.pools[place].reclaim(payload.bytes);
                 }
                 Ok(())
             })

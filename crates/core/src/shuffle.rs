@@ -1029,11 +1029,7 @@ mod prop_tests {
                 plain.collect(Arc::clone(k), Arc::clone(v)).unwrap();
             }
             let nat = KeyComparator::<Text>::natural();
-            let decoded = SortTuning {
-                raw_min_pairs: usize::MAX,
-                radix_min_pairs: usize::MAX,
-                hash_group: false,
-            };
+            let decoded = SortTuning { raw_min_pairs: usize::MAX, hash_group: false };
             for (g, p) in grouping.into_parts().into_iter().zip(plain.into_parts()) {
                 prop_assert_eq!(g.len(), p.len());
                 let mut sorted = p.into_pairs(None);

@@ -29,7 +29,7 @@ pub mod sortbuffer;
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use hmr_api::collect::{MapCollector, OutputCollector, VecCollector};
 use hmr_api::comparator::{ingest_reduce_groups, SortTuning};
 use hmr_api::conf::JobConf;
@@ -69,9 +69,6 @@ pub struct EngineOptions {
     /// simulated seconds, outputs and counters are bit-identical either
     /// way (see `simgrid::pool`).
     pub real_parallelism: bool,
-    /// Draw map-output segment buffers from a per-node [`BufPool`] and
-    /// reclaim them after the job. Wall-clock only.
-    pub buffer_pool: bool,
     /// Opt-in node-level shared combining (the analogue of M3R's
     /// place-level combine): after each map wave, the wave's per-partition
     /// segments are merged through the job's combiner into one segment.
@@ -94,7 +91,6 @@ impl Default for EngineOptions {
             sort_buffer_bytes: 1 << 20,
             max_task_attempts: 4,
             real_parallelism: true,
-            buffer_pool: true,
             node_combine: false,
             memoize: false,
         }
@@ -425,21 +421,19 @@ impl HadoopEngine {
             run.reduce_phase(&map_outputs, &mut counters, &mut output_records)?;
         }
 
-        // Segments die with the job: un-park them and — with the pool on —
-        // recycle the buffers into their producing node's pool so the next
-        // job's sort buffers start warm. (A handle that a straggling reader
-        // still holds simply isn't reclaimed.) Un-parked here, segment by
-        // segment ahead of its reclaim, so the watermark never counts a
-        // dead segment and its pooled buffer at once; a failed job never
-        // gets here, and the frame releases what its segments still held.
+        // Segments die with the job: un-park them and recycle the buffers
+        // into their producing node's pool so the next job's sort buffers
+        // start warm. (A handle that a straggling reader still holds simply
+        // isn't reclaimed.) Un-parked here, segment by segment ahead of its
+        // reclaim, so the watermark never counts a dead segment and its
+        // pooled buffer at once; a failed job never gets here, and the
+        // frame releases what its segments still held.
         for (task, segments) in map_outputs.drain(..).enumerate() {
             let node_id = assigns[task];
             let seg_bytes: u64 = segments.iter().map(|s| s.len() as u64).sum();
             held.shrink(node_id, MemClass::Shuffle, seg_bytes);
-            if self.opts.buffer_pool {
-                for seg in segments {
-                    self.pools[node_id].reclaim(seg);
-                }
+            for seg in segments {
+                self.pools[node_id].reclaim(seg);
             }
         }
         Ok((counters, output_records))
@@ -447,8 +441,8 @@ impl HadoopEngine {
 }
 
 impl<J: JobDef> Run<'_, J> {
-    fn pool(&self, node_id: NodeId) -> Option<&BufPool> {
-        self.engine.opts.buffer_pool.then(|| &*self.engine.pools[node_id])
+    fn pool(&self, node_id: NodeId) -> &BufPool {
+        &self.engine.pools[node_id]
     }
 
     /// The tasktracker receives work one heartbeat at a time.
@@ -654,10 +648,7 @@ impl<J: JobDef> Run<'_, J> {
                     simgrid::meter::charge(Charge::Sort {
                         records: out.pairs.len() as u64,
                     });
-                    let mut buf = match self.pool(node_id) {
-                        Some(p) => p.get_any(in_bytes as usize),
-                        None => BytesMut::with_capacity(in_bytes as usize),
-                    };
+                    let mut buf = self.pool(node_id).get_any(in_bytes as usize);
                     let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
                     for (k, v) in &out.pairs {
                         kbuf.clear();
@@ -695,7 +686,7 @@ impl<J: JobDef> Run<'_, J> {
         split: &dyn InputSplit,
         task_idx: usize,
         convert: Option<hmr_api::job::MapOnlyConvert<J::K2, J::V2, J::K3, J::V3>>,
-        pool: Option<&BufPool>,
+        pool: &BufPool,
     ) -> Result<MapTaskOutput> {
         let (job, conf, fs) = (self.job, self.conf, &*self.engine.fs);
         simgrid::meter::charge(Charge::TaskStartup);
@@ -768,7 +759,7 @@ impl<J: JobDef> Run<'_, J> {
             task_counter::MAP_OUTPUT_RECORDS,
             buffer.emitted_records() as i64,
         );
-        let (segments, combiner_counters) = buffer.finish(pool)?;
+        let (segments, combiner_counters) = buffer.finish(Some(pool))?;
         let mut counters = ctx.into_counters();
         counters.merge(&combiner_counters);
         Ok(MapTaskOutput {

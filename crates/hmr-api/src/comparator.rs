@@ -7,10 +7,11 @@
 //! `reduce()` call (secondary-sort idiom).
 //!
 //! Beyond the comparators themselves this module holds the engine-shared
-//! hot-path kernels the latency tiers measure (`bench-results/latency.*`):
+//! hot-path kernels the `e2e` probes `hmr-api.sort_ns_per_rec` and
+//! `hmr-api.group_ns_per_rec` measure:
 //!
-//! * [`sort_pairs_tuned`] — raw-key prefix sort with an LSD radix path for
-//!   large runs, tunable through [`SortTuning`];
+//! * [`sort_pairs_tuned`] — raw-key LSD radix prefix sort for runs past
+//!   one size threshold, tunable through [`SortTuning`];
 //! * [`RawKeyIndex`] — the hash-group kernel: interns raw sort keys one
 //!   record at a time (`raw bytes → group id`) and lays the groups out in
 //!   ascending key order, sorting only the G distinct keys instead of all
@@ -63,7 +64,7 @@ impl<K> KeyComparator<K> {
     }
 
     /// True when this comparator is the key type's natural order, making
-    /// the raw-key sort fast path legal (see [`sort_pairs_by`]).
+    /// the raw-key sort fast path legal (see [`sort_pairs_tuned`]).
     pub fn is_natural(&self) -> bool {
         self.natural_order
     }
@@ -128,47 +129,31 @@ pub fn build_raw_keys_into<'a, K: Writable + 'a>(
     true
 }
 
-/// Default for [`SortTuning::raw_min_pairs`]: below this many pairs the
-/// decoded comparator sort wins — building the raw-key arena is a fixed
-/// cost the prefix sort cannot amortize on small runs.
+/// Default for [`SortTuning::raw_min_pairs`], the one sort threshold:
+/// below this many pairs the decoded comparator sort runs; at or above it
+/// the raw-key pipeline does — key arena, `u64` prefixes, LSD radix over
+/// the prefixes, full-raw fix-up on prefix ties.
 ///
-/// Re-derived from the raw-path crossover table the `latency` binary
-/// writes to `bench-results/latency.json`: for byte-string keys whose
-/// first eight bytes discriminate (the shape the raw path exists for),
-/// the pipeline is ~1.1–1.3× faster than the decoded stable sort from a
-/// few hundred pairs up, and the gap widens with scale (the `bytepath`
-/// bench measures ~2× at 500k keys). Two caveats the table makes
-/// explicit: keys whose decoded compare is register-cheap (fixed-width
-/// ints) never repay the arena build at these sizes, and keys sharing a
-/// long common prefix degrade to the full-raw fallback — both are why the
-/// default keeps small runs on the decoded path and why the threshold is
-/// a per-job tunable rather than a constant. Override per job with
-/// [`crate::conf::RAW_SORT_MIN_PAIRS`].
+/// Derived from the crossover tables in DESIGN.md, "Byte path" ("Sort
+/// threshold crossovers"): for byte-string keys whose first eight bytes
+/// discriminate (the shape the raw path exists for) the pipeline beats the
+/// decoded stable sort ×2.0 at 1 024 pairs and ×2.5 at 4 096, and the radix
+/// passes beat a comparison sort of the same prefixes at every size the raw
+/// path runs (×1.3–2.3 from 1 024 pairs up), which is why there is no
+/// second "raw but not radix" threshold. Two caveats keep small runs on the
+/// decoded path: keys whose decoded compare is register-cheap (fixed-width
+/// ints) do not repay the arena build on a few hundred pairs, and keys
+/// sharing a long common prefix degrade to the full-raw fix-up. Override
+/// per job with [`crate::conf::RAW_SORT_MIN_PAIRS`].
 pub const RAW_SORT_MIN_PAIRS: usize = 1024;
-
-/// Default for [`SortTuning::radix_min_pairs`]: at or above this many
-/// pairs the u64-prefix LSD radix sort replaces the comparison sort of
-/// `(prefix, index)` entries. Derived from the crossover tables the
-/// `latency` bench binary writes to `bench-results/latency.json`: on the
-/// reference box the counting passes already beat `sort_unstable` at 1k
-/// pairs (~1.4× on all-distinct keys, the radix-hostile shape) and win
-/// 2.2–2.4× from 4k up when keys repeat (duplicates cost the comparison
-/// sort full raw tie-breaks the radix passes never pay). The default
-/// stays at 4k because below it the absolute win is tens of µs while the
-/// radix path's fixed costs — the histogram scan and its scatter's memory
-/// traffic — are the part that degrades most on cold caches. Override per
-/// job with [`crate::conf::RADIX_SORT_MIN_PAIRS`].
-pub const RADIX_SORT_MIN_PAIRS: usize = 4096;
 
 /// Tunables for the reduce-ingest kernels. Defaults come from the measured
 /// crossovers above; the job's [`JobConf`] may override them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SortTuning {
-    /// Minimum pairs before the raw-key (memcmp) sort path engages.
+    /// Minimum pairs (or, for [`RawKeyIndex::layout`], distinct groups)
+    /// before the raw-key radix sort path engages.
     pub raw_min_pairs: usize,
-    /// Minimum pairs before the raw path's prefix sort switches from
-    /// comparison sort to LSD radix.
-    pub radix_min_pairs: usize,
     /// Hash-grouped ingest for natural-order reduces (see
     /// [`ingest_reduce_groups`]).
     pub hash_group: bool,
@@ -178,7 +163,6 @@ impl Default for SortTuning {
     fn default() -> Self {
         SortTuning {
             raw_min_pairs: RAW_SORT_MIN_PAIRS,
-            radix_min_pairs: RADIX_SORT_MIN_PAIRS,
             hash_group: true,
         }
     }
@@ -192,9 +176,6 @@ impl SortTuning {
         if let Some(v) = conf.raw_sort_min_pairs() {
             t.raw_min_pairs = v;
         }
-        if let Some(v) = conf.radix_sort_min_pairs() {
-            t.radix_min_pairs = v;
-        }
         if let Some(v) = conf.hash_group_ingest() {
             t.hash_group = v;
         }
@@ -203,26 +184,19 @@ impl SortTuning {
 }
 
 /// Sort `pairs` by key under `cmp`, stably — matching Hadoop, where equal
-/// keys keep their shuffle arrival order within a partition. Uses the
-/// default [`SortTuning`] and no scratch arena; engines call
-/// [`sort_pairs_tuned`] with per-job tuning instead.
-pub fn sort_pairs_by<K: Writable, V>(pairs: &mut [(Arc<K>, Arc<V>)], cmp: &KeyComparator<K>) {
-    sort_pairs_tuned(pairs, cmp, &SortTuning::default(), None);
-}
-
-/// [`sort_pairs_by`] with explicit tuning and an optional scratch [`Arena`]
-/// the transient buffers (raw-key arena, spans, permutation, radix
-/// scratch) are leased from and recycled into.
+/// keys keep their shuffle arrival order within a partition — with
+/// explicit tuning and an optional scratch [`Arena`] the transient buffers
+/// (raw-key arena, spans, permutation, radix scratch) are leased from and
+/// recycled into.
 ///
-/// When `cmp` is the natural order and the key type has a memcmp-ordered
-/// raw form, sorting orders cached raw-key prefixes with the original
-/// index as tie-break — the exact permutation a stable comparator sort
-/// would produce, without a boxed comparator call per comparison. At or
-/// above `tuning.radix_min_pairs` the prefix ordering runs as an LSD radix
-/// sort (8-bit digits, constant-digit passes skipped) with a stable
-/// full-raw fix-up over equal-prefix runs; the permutation is identical
-/// either way. Custom sort comparators fall back to the decoded stable
-/// sort.
+/// When `cmp` is the natural order, the run has at least
+/// `tuning.raw_min_pairs` pairs and the key type has a memcmp-ordered raw
+/// form, sorting orders cached raw-key prefixes by LSD radix (8-bit digits,
+/// constant-digit passes skipped) with a stable full-raw fix-up over
+/// equal-prefix runs — the exact permutation a stable comparator sort would
+/// produce, without a boxed comparator call per comparison. Smaller runs,
+/// custom sort comparators and keys without a raw form take the decoded
+/// stable sort.
 pub fn sort_pairs_tuned<K: Writable, V>(
     pairs: &mut [(Arc<K>, Arc<V>)],
     cmp: &KeyComparator<K>,
@@ -239,41 +213,9 @@ pub fn sort_pairs_tuned<K: Writable, V>(
                 let (s, e) = spans[i as usize];
                 &karena[s as usize..e as usize]
             };
-            // Order (prefix, index) entries: the big-endian first-8-bytes
-            // prefix resolves most comparisons in a register without
-            // touching the arena. Zero-padding is safe — it can only
-            // produce false *equality* (never a false order), and equal
-            // prefixes fall back to the full raw form, then the original
-            // index, reproducing the stable sort's permutation exactly.
             let mut order: Vec<(u64, u32)> = lease_vec(arena);
             order.extend((0..pairs.len() as u32).map(|i| (raw_prefix(raw(i)), i)));
-            if pairs.len() >= tuning.radix_min_pairs {
-                let mut scratch: Vec<(u64, u32)> = lease_vec(arena);
-                radix_sort_prefixes(&mut order, &mut scratch);
-                recycle_vec(arena, scratch);
-                // The radix passes are stable, so entries within an
-                // equal-prefix run still sit in ascending original index;
-                // a *stable* sort by the full raw form alone therefore
-                // yields (prefix, full raw, index) — the same order the
-                // comparison path below produces.
-                let mut i = 0;
-                while i < order.len() {
-                    let mut j = i + 1;
-                    while j < order.len() && order[j].0 == order[i].0 {
-                        j += 1;
-                    }
-                    if j - i > 1 {
-                        order[i..j].sort_by(|a, b| raw(a.1).cmp(raw(b.1)));
-                    }
-                    i = j;
-                }
-            } else {
-                order.sort_unstable_by(|a, b| {
-                    a.0.cmp(&b.0)
-                        .then_with(|| raw(a.1).cmp(raw(b.1)))
-                        .then(a.1.cmp(&b.1))
-                });
-            }
+            radix_sort_by_raw(&mut order, raw, arena);
             let mut perm: Vec<u32> = lease_vec(arena);
             perm.extend(order.iter().map(|&(_, i)| i));
             apply_permutation(pairs, &mut perm);
@@ -287,6 +229,35 @@ pub fn sort_pairs_tuned<K: Writable, V>(
         recycle_vec(arena, karena);
     }
     pairs.sort_by(|a, b| cmp.compare(&a.0, &b.0));
+}
+
+/// Order `(prefix, index)` entries — built in ascending index — by
+/// (prefix, full raw form, index), the permutation of a stable sort by raw
+/// key. The big-endian first-8-bytes prefix is ordered by
+/// [`radix_sort_prefixes`] without touching the key bytes; zero-padding can
+/// only produce false *equality* (never a false order), and the radix
+/// passes are stable, so entries within an equal-prefix run still sit in
+/// ascending index and a *stable* sort of each such run by the full raw
+/// form alone finishes the order.
+fn radix_sort_by_raw<'a>(
+    entries: &mut Vec<(u64, u32)>,
+    raw: impl Fn(u32) -> &'a [u8],
+    arena: Option<&Arena>,
+) {
+    let mut scratch: Vec<(u64, u32)> = lease_vec(arena);
+    radix_sort_prefixes(entries, &mut scratch);
+    recycle_vec(arena, scratch);
+    let mut i = 0;
+    while i < entries.len() {
+        let mut j = i + 1;
+        while j < entries.len() && entries[j].0 == entries[i].0 {
+            j += 1;
+        }
+        if j - i > 1 {
+            entries[i..j].sort_by(|a, b| raw(a.1).cmp(raw(b.1)));
+        }
+        i = j;
+    }
 }
 
 /// LSD radix sort of `(prefix, index)` entries by the u64 prefix, least
@@ -581,28 +552,16 @@ impl RawKeyIndex {
     /// the common case is a register compare; the full raw form breaks
     /// prefix ties only (zero-padding can only produce false equality, and
     /// identical raw keys are by construction the same group, so no
-    /// further tie-break is needed). Above the radix threshold the reps
-    /// take the same LSD radix pass the raw sort path uses — only G
-    /// entries wide, which is the whole advantage of grouping by hash.
+    /// further tie-break is needed). At or above `tuning.raw_min_pairs`
+    /// groups the reps take the same radix pass the raw sort path uses —
+    /// only G entries wide, which is the whole advantage of grouping by
+    /// hash; fewer are comparison-sorted.
     pub fn layout(&self, tuning: &SortTuning, arena: Option<&Arena>) -> GroupLayout {
         let groups = self.groups();
         let mut group_order: Vec<(u64, u32)> = lease_vec(arena);
         group_order.extend((0..groups as u32).map(|g| (raw_prefix(self.raw(g)), g)));
-        if groups >= tuning.radix_min_pairs {
-            let mut scratch: Vec<(u64, u32)> = lease_vec(arena);
-            radix_sort_prefixes(&mut group_order, &mut scratch);
-            recycle_vec(arena, scratch);
-            let mut i = 0;
-            while i < group_order.len() {
-                let mut j = i + 1;
-                while j < group_order.len() && group_order[j].0 == group_order[i].0 {
-                    j += 1;
-                }
-                if j - i > 1 {
-                    group_order[i..j].sort_unstable_by(|a, b| self.raw(a.1).cmp(self.raw(b.1)));
-                }
-                i = j;
-            }
+        if groups >= tuning.raw_min_pairs {
+            radix_sort_by_raw(&mut group_order, |g| self.raw(g), arena);
         } else {
             group_order.sort_unstable_by(|a, b| {
                 a.0.cmp(&b.0).then_with(|| self.raw(a.1).cmp(self.raw(b.1)))
@@ -720,17 +679,15 @@ mod tests {
 
     /// Tunings that force one specific path each.
     fn radix_tuning() -> SortTuning {
-        SortTuning { raw_min_pairs: 1, radix_min_pairs: 1, hash_group: false }
-    }
-    fn comparison_tuning() -> SortTuning {
-        SortTuning { raw_min_pairs: 1, radix_min_pairs: usize::MAX, hash_group: false }
+        SortTuning { raw_min_pairs: 1, hash_group: false }
     }
     fn decoded_tuning() -> SortTuning {
-        SortTuning {
-            raw_min_pairs: usize::MAX,
-            radix_min_pairs: usize::MAX,
-            hash_group: false,
-        }
+        SortTuning { raw_min_pairs: usize::MAX, hash_group: false }
+    }
+
+    /// [`sort_pairs_tuned`] under the default tuning, no arena.
+    fn sort_pairs_by<K: Writable, V>(pairs: &mut [(Arc<K>, Arc<V>)], cmp: &KeyComparator<K>) {
+        sort_pairs_tuned(pairs, cmp, &SortTuning::default(), None);
     }
 
     fn flat<K: Clone, V: Clone>(pairs: &[(Arc<K>, Arc<V>)]) -> Vec<(K, V)> {
@@ -807,8 +764,8 @@ mod tests {
     }
 
     #[test]
-    fn radix_comparison_and_decoded_sorts_agree_on_longs() {
-        // Sizes straddle both default thresholds; keys carry heavy
+    fn radix_and_decoded_sorts_agree_on_longs() {
+        // Sizes straddle the default threshold; keys carry heavy
         // duplicates (so stability is observable through the values) and
         // negative values (so the sign-flip raw encoding is exercised).
         for n in [2usize, 512, 1023, 1024, 4095, 4096, 10_000] {
@@ -824,11 +781,8 @@ mod tests {
             let nat = KeyComparator::natural();
             let mut radix = base.clone();
             sort_pairs_tuned(&mut radix, &nat, &radix_tuning(), None);
-            let mut cmp = base.clone();
-            sort_pairs_tuned(&mut cmp, &nat, &comparison_tuning(), None);
             let mut dec = base;
             sort_pairs_tuned(&mut dec, &nat, &decoded_tuning(), None);
-            assert_eq!(flat(&radix), flat(&cmp), "radix vs comparison, n={n}");
             assert_eq!(flat(&radix), flat(&dec), "radix vs decoded stable, n={n}");
         }
     }
@@ -1096,12 +1050,9 @@ mod tests {
     #[test]
     fn tuning_conf_knobs_override_defaults() {
         let mut conf = JobConf::new();
-        conf.set_raw_sort_min_pairs(7)
-            .set_radix_sort_min_pairs(9)
-            .set_hash_group_ingest(false);
+        conf.set_raw_sort_min_pairs(7).set_hash_group_ingest(false);
         let t = SortTuning::for_job(&conf);
         assert_eq!(t.raw_min_pairs, 7);
-        assert_eq!(t.radix_min_pairs, 9);
         assert!(!t.hash_group);
         // An empty conf inherits the defaults.
         let d = SortTuning::for_job(&JobConf::new());
@@ -1165,8 +1116,8 @@ mod tests {
                     })
                     .collect();
                 let tuning = SortTuning {
-                    radix_min_pairs: if radix { 1 } else { usize::MAX },
-                    ..SortTuning::default()
+                    raw_min_pairs: if radix { 1 } else { usize::MAX },
+                    hash_group: true,
                 };
                 let nat = KeyComparator::<Text>::natural();
                 let mut truth = base.clone();

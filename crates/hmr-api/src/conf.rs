@@ -48,14 +48,10 @@ pub const CLIENT_ID: &str = "m3r.client.id";
 /// output with this flag on. Jobs without a combiner ignore the flag.
 pub const PLACE_COMBINE: &str = "m3r.shuffle.place.combine";
 /// Hot-path tunable (ISSUE 8): minimum pair count before sorting switches
-/// from decoded comparisons to the raw-key (memcmp-prefix) path. Defaults
-/// to [`crate::comparator::RAW_SORT_MIN_PAIRS`]; per-job override for
-/// workloads whose key encode cost differs from the measured crossover.
+/// from decoded comparisons to the raw-key (memcmp-prefix, LSD radix) path.
+/// Defaults to [`crate::comparator::RAW_SORT_MIN_PAIRS`]; per-job override
+/// for workloads whose key encode cost differs from the measured crossover.
 pub const RAW_SORT_MIN_PAIRS: &str = "m3r.sort.raw.min.pairs";
-/// Hot-path tunable (ISSUE 8): minimum pair count before the raw-key sort
-/// upgrades its prefix ordering pass from `sort_unstable` to LSD radix.
-/// Defaults to [`crate::comparator::RADIX_SORT_MIN_PAIRS`].
-pub const RADIX_SORT_MIN_PAIRS: &str = "m3r.sort.radix.min.pairs";
 /// Hot-path tunable (ISSUE 8): whether natural-order reduces may ingest
 /// through the hash-grouping kernel instead of sort-then-span. Output is
 /// bit-identical either way (groups still drain in ascending key order);
@@ -266,16 +262,6 @@ impl JobConf {
         self.set(RAW_SORT_MIN_PAIRS, n.to_string())
     }
 
-    /// Per-job override for the radix crossover, if set.
-    pub fn radix_sort_min_pairs(&self) -> Option<usize> {
-        self.get(RADIX_SORT_MIN_PAIRS).and_then(|s| s.parse().ok())
-    }
-
-    /// Override the radix crossover for this job.
-    pub fn set_radix_sort_min_pairs(&mut self, n: usize) -> &mut Self {
-        self.set(RADIX_SORT_MIN_PAIRS, n.to_string())
-    }
-
     /// Per-job override for hash-grouped reduce ingest, if set.
     pub fn hash_group_ingest(&self) -> Option<bool> {
         self.get(HASH_GROUP_INGEST).and_then(|s| s.parse().ok())
@@ -385,13 +371,9 @@ mod tests {
     fn sort_tunables_roundtrip_and_default_to_unset() {
         let mut c = JobConf::new();
         assert_eq!(c.raw_sort_min_pairs(), None);
-        assert_eq!(c.radix_sort_min_pairs(), None);
         assert_eq!(c.hash_group_ingest(), None);
-        c.set_raw_sort_min_pairs(7)
-            .set_radix_sort_min_pairs(9)
-            .set_hash_group_ingest(false);
+        c.set_raw_sort_min_pairs(7).set_hash_group_ingest(false);
         assert_eq!(c.raw_sort_min_pairs(), Some(7));
-        assert_eq!(c.radix_sort_min_pairs(), Some(9));
         assert_eq!(c.hash_group_ingest(), Some(false));
         c.set(RAW_SORT_MIN_PAIRS, "not-a-number");
         assert_eq!(c.raw_sort_min_pairs(), None, "unparseable means unset");

@@ -65,7 +65,6 @@ pub const NON_SEMANTIC_KEYS: &[&str] = &[
     conf::CLIENT_ID,
     conf::MEMO_ENABLE,
     conf::RAW_SORT_MIN_PAIRS,
-    conf::RADIX_SORT_MIN_PAIRS,
     conf::HASH_GROUP_INGEST,
     conf::PLACE_COMBINE,
     conf::INPUT_PATHS,

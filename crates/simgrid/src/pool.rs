@@ -89,7 +89,9 @@ pub fn wave_duration(scratches: &[Node]) -> f64 {
 /// bills the task exactly as if it had done it inline; spans `fold` records
 /// are rebased the same way. Finally the place clock advances by the
 /// slowest task ([`wave_duration`]) and `arena` is trimmed to its retention
-/// cap. The first task or fold error ends the wave there and is returned.
+/// cap. The first task or fold error ends the wave there and is returned:
+/// the clock stays put and the failing fold's spans are discarded, but the
+/// arena is still trimmed and no span stays buffered on the calling thread.
 ///
 /// `task` and `fold` are generic closures: nothing on the per-task path is
 /// boxed or dynamically dispatched.
@@ -116,19 +118,29 @@ where
     let (results, scratches) = run_wave(cluster, place, parallel, tasks, |t| {
         (task(t), trace::take_pending())
     });
-    for ((result, task_spans), scratch) in results.into_iter().zip(&scratches) {
-        cluster
-            .trace()
-            .record_rebased(job, place, wave_base, task_spans);
-        let result = result?;
-        with_meter(Meter::new(scratch.clone()), || fold(result))?;
-        cluster
-            .trace()
-            .record_rebased(job, place, wave_base, trace::take_pending());
+    let outcome = results
+        .into_iter()
+        .zip(&scratches)
+        .try_for_each(|((result, task_spans), scratch)| {
+            cluster
+                .trace()
+                .record_rebased(job, place, wave_base, task_spans);
+            let folded = with_meter(Meter::new(scratch.clone()), || fold(result?));
+            // Drained before the error check: spans a failing fold had
+            // already closed would otherwise wait in this (often
+            // long-lived) thread's buffer for the next job's first wave.
+            let fold_spans = trace::take_pending();
+            folded?;
+            cluster
+                .trace()
+                .record_rebased(job, place, wave_base, fold_spans);
+            Ok(())
+        });
+    if outcome.is_ok() {
+        node.clock().advance(wave_duration(&scratches));
     }
-    node.clock().advance(wave_duration(&scratches));
     arena.end_wave();
-    Ok(())
+    outcome
 }
 
 #[cfg(test)]
@@ -287,5 +299,42 @@ mod tests {
         );
         assert_eq!(r, Err("boom"));
         assert_eq!(folded, vec![0], "results before the failure still fold");
+
+        // A fold that fails *after* closing a span must not leave that span
+        // on the calling thread for the next wave to adopt.
+        cluster.trace().enable();
+        let fold_span = |t: usize| {
+            trace::span(Phase::Shuffle, "serialize", Some(t as u64), || {
+                meter::charge(Charge::Serialize { bytes: 1000 });
+            })
+        };
+        let failed = cluster.trace().begin_job("fold fails");
+        let r = traced_wave(
+            &cluster,
+            0,
+            failed,
+            false,
+            &Arena::new(),
+            vec![0usize, 1],
+            Ok,
+            |t| {
+                fold_span(t);
+                if t == 1 { Err("fold boom") } else { Ok(()) }
+            },
+        );
+        assert_eq!(r, Err("fold boom"));
+        assert!(trace::take_pending().is_empty(), "failed fold left spans behind");
+        let next = cluster.trace().begin_job("next");
+        traced_wave(&cluster, 0, next, false, &Arena::new(), vec![7usize], Ok, |t| {
+            fold_span(t);
+            Ok::<(), &str>(())
+        })
+        .unwrap();
+        let by_job = |job| -> Vec<Option<u64>> {
+            let spans = cluster.trace().spans();
+            spans.iter().filter(|s| s.job == job).map(|s| s.task).collect()
+        };
+        assert_eq!(by_job(failed), vec![Some(0)], "the failing fold's span is discarded");
+        assert_eq!(by_job(next), vec![Some(7)], "the next wave records only its own spans");
     }
 }

@@ -1,11 +1,10 @@
-//! Pooled/zero-copy byte-path equivalence: `buffer_pool` must affect
-//! wall-clock time only. Every observable of a job — simulated seconds,
-//! output file bytes, counters, metrics, record counts — has to be
-//! identical whether shuffle streams and segment buffers come from the
-//! per-place pools or from fresh allocations. The raw-key sort fast path is
-//! exercised implicitly (natural comparators throughout fig6/fig7) and its
-//! fallback explicitly (a custom descending comparator), and the pooled
-//! buffers must recycle across the jobs of one engine.
+//! The pooled byte path is invisible to the simulation. Shuffle streams
+//! (M3R) and map-output segments (Hadoop) are written into buffers drawn
+//! from per-place pools that persist across jobs; whether a job finds those
+//! pools warm or empty must change wall-clock time only — never its
+//! simulated seconds, output file bytes, counters, metrics or record
+//! counts — and recycled buffers must not leak a previous stream's dedup
+//! state into the next one.
 //!
 //! Simulated time is compared through `f64::to_bits`, bit-for-bit: pool
 //! traffic is never charged to the cost model, so the clocks must agree
@@ -14,311 +13,127 @@
 use std::sync::Arc;
 
 use hadoop_engine::{EngineOptions, HadoopEngine};
-use hmr_api::comparator::KeyComparator;
-use hmr_api::conf::JobConf;
-use hmr_api::io::{InputFormat, OutputFormat, SequenceFileInputFormat, SequenceFileOutputFormat};
-use hmr_api::job::{Engine, JobDef, JobResult};
-use hmr_api::task::{IdentityMapper, IdentityReducer, TaskMapper, TaskReducer};
-use hmr_api::writable::{BytesWritable, IntWritable, Text};
+use hmr_api::job::{Engine, JobResult};
+use hmr_api::writable::{BytesWritable, IntWritable};
 use hmr_api::{FileSystem, HPath};
 use m3r::{M3REngine, M3ROptions};
 use simdfs::SimDfs;
-use simgrid::{Cluster, CostModel};
-use workloads::matvec::{generate_matvec_input, run_matvec_iterations};
+use simgrid::{BufPool, Cluster};
 use workloads::microbench::{generate_microbench_input, run_microbench};
 use x10rt::serialize::DedupMode;
+
+mod common;
+use common::{assert_same_result, fresh, part_bytes};
 
 const PLACES: usize = 4;
 const PARTS: usize = 8;
 
-fn fresh() -> (Cluster, SimDfs) {
-    let cluster = Cluster::new(PLACES, CostModel::default());
-    let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
-    (cluster, fs)
-}
-
-fn m3r_opts(buffer_pool: bool) -> M3ROptions {
-    M3ROptions {
-        worker_threads: 2,
-        buffer_pool,
-        ..M3ROptions::default()
-    }
-}
-
-fn hadoop_opts(buffer_pool: bool) -> EngineOptions {
-    EngineOptions {
-        map_slots_per_node: 2,
-        reduce_slots_per_node: 2,
-        sort_buffer_bytes: 1 << 14,
-        buffer_pool,
-        ..EngineOptions::default()
-    }
-}
-
-/// Every `part-*` file under `dir`, name + raw bytes.
-fn part_bytes(fs: &SimDfs, dir: &str) -> Vec<(String, bytes::Bytes)> {
-    (0..PARTS)
-        .filter_map(|p| {
-            let name = format!("{dir}/part-{p:05}");
-            let path = HPath::new(name.as_str());
-            fs.exists(&path)
-                .then(|| (name, hmr_api::fs::read_file(fs, &path).unwrap()))
-        })
-        .collect()
-}
-
-fn assert_same_result(off: &JobResult, on: &JobResult, what: &str) {
-    assert_eq!(
-        off.sim_time.to_bits(),
-        on.sim_time.to_bits(),
-        "{what}: simulated seconds must be bit-identical (pool off {} vs on {})",
-        off.sim_time,
-        on.sim_time,
-    );
-    assert_eq!(off.counters, on.counters, "{what}: counters differ");
-    assert_eq!(off.metrics, on.metrics, "{what}: metrics differ");
-    assert_eq!(
-        off.output_records, on.output_records,
-        "{what}: output record counts differ"
-    );
-}
-
 // ---------------------------------------------------------------------------
-// fig6: the shuffle microbenchmark, both engines
+// Pool lifecycle: buffers survive across jobs within one engine, and a job
+// cannot tell a warm pool from a cold one
 // ---------------------------------------------------------------------------
 
-fn fig6_m3r(buffer_pool: bool) -> (Vec<JobResult>, Vec<(String, bytes::Bytes)>, u64) {
-    let (cluster, fs) = fresh();
+/// What one measured job reports.
+struct Measured {
+    result: JobResult,
+    parts: Vec<(String, bytes::Bytes)>,
+    pool_hits: u64,
+}
+
+/// On a fresh cluster: a warm-up fig6 job over `/warmup`, then the measured
+/// fig6 job over `/in` — a *different* input, so M3R's input cache is as
+/// cold for the measured job as the pools are warm. With `cold` the pools
+/// are emptied in between, which leaves every other piece of engine state
+/// (clock, cache, job sequence) exactly as in the warm run.
+fn measured_after_warmup<E: Engine>(
+    make: impl FnOnce(Cluster, SimDfs) -> E,
+    pools: impl Fn(&E) -> &[Arc<BufPool>],
+    m3r_protocol: bool,
+    cold: bool,
+) -> Measured {
+    let (cluster, fs) = fresh(PLACES);
+    generate_microbench_input(&fs, &HPath::new("/warmup"), 192, 64, PARTS, 12).unwrap();
     generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
-    let mut engine = M3REngine::with_options(cluster, Arc::new(fs.clone()), m3r_opts(buffer_pool));
-    let results = run_microbench(
-        &mut engine,
-        &HPath::new("/in"),
-        &HPath::new("/mb"),
-        0.75,
-        3,
-        PARTS,
-        true,
-        Some(&fs),
-    )
-    .unwrap();
-    let hits = engine.cluster().metrics().pool_hits();
-    (results, part_bytes(&fs, "/mb/iter2"), hits)
-}
-
-#[test]
-fn fig6_microbench_pool_toggle_is_invisible_m3r() {
-    let (off, off_parts, off_hits) = fig6_m3r(false);
-    let (on, on_parts, on_hits) = fig6_m3r(true);
-    assert_eq!(off.len(), on.len());
-    for (i, (o, n)) in off.iter().zip(&on).enumerate() {
-        assert_same_result(o, n, &format!("fig6 m3r iter {i}"));
-    }
-    assert_eq!(off_parts, on_parts, "fig6 m3r: output bytes differ");
-    assert_eq!(off_hits, 0, "pool off must never touch the pool");
-    assert!(on_hits > 0, "pooled run reuses buffers across waves/jobs");
-}
-
-fn fig6_hadoop(buffer_pool: bool) -> (Vec<JobResult>, Vec<(String, bytes::Bytes)>) {
-    let (cluster, fs) = fresh();
-    generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
-    let mut engine =
-        HadoopEngine::with_options(cluster, Arc::new(fs.clone()), hadoop_opts(buffer_pool));
-    let results = run_microbench(
-        &mut engine,
-        &HPath::new("/in"),
-        &HPath::new("/mb"),
-        0.75,
-        2,
-        PARTS,
-        false,
-        None,
-    )
-    .unwrap();
-    (results, part_bytes(&fs, "/mb/iter1"))
-}
-
-#[test]
-fn fig6_microbench_pool_toggle_is_invisible_hadoop() {
-    let (off, off_parts) = fig6_hadoop(false);
-    let (on, on_parts) = fig6_hadoop(true);
-    assert_eq!(off.len(), on.len());
-    for (i, (o, n)) in off.iter().zip(&on).enumerate() {
-        assert_same_result(o, n, &format!("fig6 hadoop iter {i}"));
-    }
-    assert_eq!(off_parts, on_parts, "fig6 hadoop: output bytes differ");
-}
-
-// ---------------------------------------------------------------------------
-// fig7: the matrix-vector iteration (broadcast-heavy dedup streams)
-// ---------------------------------------------------------------------------
-
-fn fig7_m3r(buffer_pool: bool) -> (Vec<f64>, Vec<(String, bytes::Bytes)>) {
-    let (cluster, fs) = fresh();
-    generate_matvec_input(&fs, &HPath::new("/g"), &HPath::new("/v0"), 64, 16, 0.05, PARTS, 3)
-        .unwrap();
-    let mut engine = M3REngine::with_options(cluster, Arc::new(fs.clone()), m3r_opts(buffer_pool));
-    let iters = run_matvec_iterations(
-        &mut engine,
-        &HPath::new("/g"),
-        &HPath::new("/v0"),
-        &HPath::new("/w"),
-        2,
-        PARTS,
-        4,
-    )
-    .unwrap();
-    let times = iters.iter().map(|it| it.sim_time()).collect();
-    (times, part_bytes(&fs, "/w/v2"))
-}
-
-#[test]
-fn fig7_matvec_pool_toggle_is_invisible() {
-    let (off_times, off_parts) = fig7_m3r(false);
-    let (on_times, on_parts) = fig7_m3r(true);
-    for (i, (o, n)) in off_times.iter().zip(&on_times).enumerate() {
-        assert_eq!(
-            o.to_bits(),
-            n.to_bits(),
-            "fig7 iter {i}: simulated seconds differ ({o} vs {n})"
-        );
-    }
-    assert_eq!(off_parts, on_parts, "fig7: output vector bytes differ");
-}
-
-// ---------------------------------------------------------------------------
-// Custom sort comparator: the raw-key fast path must stand down and the
-// decoded-comparator fallback must behave identically under the pool.
-// ---------------------------------------------------------------------------
-
-/// Identity job sorting keys in DESCENDING order — `IntWritable` has a raw
-/// sort key, but the custom comparator forces the boxed fallback.
-struct DescendingJob;
-
-impl JobDef for DescendingJob {
-    type K1 = IntWritable;
-    type V1 = Text;
-    type K2 = IntWritable;
-    type V2 = Text;
-    type K3 = IntWritable;
-    type V3 = Text;
-    fn create_mapper(&self, _c: &JobConf) -> Box<dyn TaskMapper<IntWritable, Text, IntWritable, Text>> {
-        Box::new(IdentityMapper)
-    }
-    fn create_reducer(
-        &self,
-        _c: &JobConf,
-    ) -> Box<dyn TaskReducer<IntWritable, Text, IntWritable, Text>> {
-        Box::new(IdentityReducer)
-    }
-    fn input_format(&self, _c: &JobConf) -> Box<dyn InputFormat<IntWritable, Text>> {
-        Box::new(SequenceFileInputFormat::new())
-    }
-    fn output_format(&self, _c: &JobConf) -> Box<dyn OutputFormat<IntWritable, Text>> {
-        Box::new(SequenceFileOutputFormat::new())
-    }
-    fn sort_comparator(&self) -> KeyComparator<IntWritable> {
-        KeyComparator::new(|a: &IntWritable, b: &IntWritable| b.0.cmp(&a.0))
-    }
-    fn name(&self) -> &str {
-        "descending"
-    }
-}
-
-fn run_descending<E: Engine>(engine: &mut E, fs: &SimDfs) -> (JobResult, Vec<(String, bytes::Bytes)>) {
-    let records: Vec<(IntWritable, Text)> = (0..100)
-        .map(|i| (IntWritable((i * 37) % 100), Text::from(format!("v{i}"))))
-        .collect();
-    hmr_api::io::seqfile::write_seq_file(fs, &HPath::new("/in/part-00000"), &records).unwrap();
-    let mut conf = JobConf::new();
-    conf.add_input_path(&HPath::new("/in"));
-    conf.set_output_path(&HPath::new("/out"));
-    conf.set_num_reduce_tasks(2);
-    let result = engine.run_job(Arc::new(DescendingJob), &conf).unwrap();
-    (result, part_bytes(fs, "/out"))
-}
-
-#[test]
-fn custom_comparator_job_is_pool_invariant_on_both_engines() {
-    let mut outputs = Vec::new();
-    for buffer_pool in [false, true] {
-        let (cluster, fs) = fresh();
-        let mut engine =
-            M3REngine::with_options(cluster, Arc::new(fs.clone()), m3r_opts(buffer_pool));
-        outputs.push(run_descending(&mut engine, &fs));
-
-        let (cluster, fs) = fresh();
-        let mut engine =
-            HadoopEngine::with_options(cluster, Arc::new(fs.clone()), hadoop_opts(buffer_pool));
-        outputs.push(run_descending(&mut engine, &fs));
-    }
-    let (m3r_off, hadoop_off, m3r_on, hadoop_on) = (
-        &outputs[0], &outputs[1], &outputs[2], &outputs[3],
+    let mut engine = make(cluster.clone(), fs.clone());
+    let run = |engine: &mut E, input: &str, out: &str| {
+        let cleanup = m3r_protocol.then_some(&fs as &dyn FileSystem);
+        run_microbench(
+            engine,
+            &HPath::new(input),
+            &HPath::new(out),
+            0.75,
+            1,
+            PARTS,
+            m3r_protocol,
+            cleanup,
+        )
+        .unwrap()
+        .remove(0)
+    };
+    run(&mut engine, "/warmup", "/w");
+    let free: usize = pools(&engine).iter().map(|p| p.free_count()).sum();
+    assert!(
+        free > 0,
+        "finished buffers return to the pools once their readers drop them"
     );
-    assert_same_result(&m3r_off.0, &m3r_on.0, "descending m3r");
-    assert_same_result(&hadoop_off.0, &hadoop_on.0, "descending hadoop");
-    assert_eq!(m3r_off.1, m3r_on.1, "descending m3r: output bytes differ");
-    assert_eq!(hadoop_off.1, hadoop_on.1, "descending hadoop: output bytes differ");
-    // Both engines agree on the (descending) output contents.
-    assert_eq!(m3r_on.1, hadoop_on.1, "engines disagree on descending sort");
-    // And the order really is descending — the fallback ran.
-    let (_, bytes) = &m3r_on.1[0];
-    let (_, fs) = fresh();
-    hmr_api::fs::write_file(&fs, &HPath::new("/chk"), bytes).unwrap();
-    let back: Vec<(IntWritable, Text)> =
-        hmr_api::io::seqfile::read_seq_file(&fs, &HPath::new("/chk")).unwrap();
-    assert!(!back.is_empty());
-    for w in back.windows(2) {
-        assert!(w[0].0 .0 >= w[1].0 .0, "output not descending");
+    if cold {
+        pools(&engine).iter().for_each(|p| p.drain());
+    }
+    let hits_before = cluster.metrics().pool_hits();
+    let result = run(&mut engine, "/in", "/a");
+    Measured {
+        result,
+        parts: part_bytes(&fs, "/a/iter0", PARTS),
+        pool_hits: cluster.metrics().pool_hits() - hits_before,
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pool lifecycle: buffers survive across jobs within one engine
-// ---------------------------------------------------------------------------
+fn assert_pool_temperature_is_invisible(what: &str, cold: Measured, warm: Measured) {
+    assert_eq!(cold.pool_hits, 0, "{what}: a job on empty pools scores only misses");
+    assert!(
+        warm.pool_hits > 0,
+        "{what}: the second job draws the first job's buffers"
+    );
+    assert_same_result(&cold.result, &warm.result, what);
+    assert!(!warm.parts.is_empty(), "{what}: the measured job wrote part files");
+    assert_eq!(cold.parts, warm.parts, "{what}: output bytes differ");
+}
 
 #[test]
 fn buffer_pool_reuses_buffers_across_jobs() {
-    let (cluster, fs) = fresh();
-    generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
-    let mut engine = M3REngine::with_options(cluster, Arc::new(fs.clone()), m3r_opts(true));
-    run_microbench(
-        &mut engine,
-        &HPath::new("/in"),
-        &HPath::new("/a"),
-        1.0,
-        1,
-        PARTS,
-        true,
-        Some(&fs),
-    )
-    .unwrap();
-    let hits_after_first = engine.cluster().metrics().pool_hits();
-    let free_after_first: usize = engine
-        .buffer_pools()
-        .iter()
-        .map(|p| p.free_count())
-        .sum();
-    assert!(
-        free_after_first > 0,
-        "finished shuffle buffers return to the pools once receivers drop them"
-    );
-    run_microbench(
-        &mut engine,
-        &HPath::new("/in"),
-        &HPath::new("/b"),
-        1.0,
-        1,
-        PARTS,
-        true,
-        Some(&fs),
-    )
-    .unwrap();
-    let hits_after_second = engine.cluster().metrics().pool_hits();
-    assert!(
-        hits_after_second > hits_after_first,
-        "the second job draws the first job's buffers ({hits_after_first} -> {hits_after_second})"
-    );
+    let m3r = |cold| {
+        measured_after_warmup(
+            |cluster, fs| {
+                let opts = M3ROptions {
+                    worker_threads: 2,
+                    ..M3ROptions::default()
+                };
+                M3REngine::with_options(cluster, Arc::new(fs), opts)
+            },
+            |e| e.buffer_pools(),
+            true,
+            cold,
+        )
+    };
+    assert_pool_temperature_is_invisible("fig6 m3r", m3r(true), m3r(false));
+
+    let hadoop = |cold| {
+        measured_after_warmup(
+            |cluster, fs| {
+                let opts = EngineOptions {
+                    map_slots_per_node: 2,
+                    reduce_slots_per_node: 2,
+                    sort_buffer_bytes: 1 << 14,
+                    ..EngineOptions::default()
+                };
+                HadoopEngine::with_options(cluster, Arc::new(fs), opts)
+            },
+            |e| e.buffer_pools(),
+            false,
+            cold,
+        )
+    };
+    assert_pool_temperature_is_invisible("fig6 hadoop", hadoop(true), hadoop(false));
 }
 
 // ---------------------------------------------------------------------------
@@ -328,7 +143,6 @@ fn buffer_pool_reuses_buffers_across_jobs() {
 #[test]
 fn consecutive_dedup_eviction_is_identical_on_recycled_buffers() {
     use m3r::shuffle::{decode_stream, ShuffleStream};
-    use simgrid::BufPool;
 
     let pool = BufPool::new();
     // More distinct broadcast values than the window (4) holds, each sent

@@ -30,6 +30,9 @@ use proptest::prelude::*;
 use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel};
 
+mod common;
+use common::{assert_same_result, part_bytes};
+
 /// Token counting with a LongSum combiner — associative and commutative,
 /// exactly the contract `m3r.shuffle.place.combine` requires.
 struct TokenCount;
@@ -115,18 +118,6 @@ fn job_conf(out: &str, reducers: usize, place_combine: bool) -> JobConf {
     conf
 }
 
-/// Every `part-*` file under `dir`, name + raw bytes.
-fn part_bytes(fs: &SimDfs, dir: &str, parts: usize) -> Vec<(String, bytes::Bytes)> {
-    (0..parts)
-        .filter_map(|p| {
-            let name = format!("{dir}/part-{p:05}");
-            let path = HPath::new(name.as_str());
-            fs.exists(&path)
-                .then(|| (name, hmr_api::fs::read_file(fs, &path).unwrap()))
-        })
-        .collect()
-}
-
 fn load_counts(fs: &SimDfs, dir: &str, parts: usize) -> BTreeMap<String, i64> {
     let mut m = BTreeMap::new();
     for p in 0..parts {
@@ -139,19 +130,6 @@ fn load_counts(fs: &SimDfs, dir: &str, parts: usize) -> BTreeMap<String, i64> {
         }
     }
     m
-}
-
-fn assert_same_result(a: &JobResult, b: &JobResult, what: &str) {
-    assert_eq!(
-        a.sim_time.to_bits(),
-        b.sim_time.to_bits(),
-        "{what}: simulated seconds must be bit-identical ({} vs {})",
-        a.sim_time,
-        b.sim_time,
-    );
-    assert_eq!(a.counters, b.counters, "{what}: counters differ");
-    assert_eq!(a.metrics, b.metrics, "{what}: metrics differ");
-    assert_eq!(a.output_records, b.output_records, "{what}: record counts differ");
 }
 
 type Counts = BTreeMap<String, i64>;

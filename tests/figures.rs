@@ -7,16 +7,11 @@ use std::sync::Arc;
 use hmr_api::partition::FnPartitioner;
 use hmr_api::writable::{BytesWritable, IntWritable};
 use hmr_api::HPath;
-use simdfs::SimDfs;
-use simgrid::{Cluster, CostModel};
+
+mod common;
+use common::fresh;
 
 const NODES: usize = 4;
-
-fn fresh() -> (Cluster, SimDfs) {
-    let cluster = Cluster::new(NODES, CostModel::default());
-    let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
-    (cluster, fs)
-}
 
 fn micro_partitioner() -> Box<dyn hmr_api::Partitioner<IntWritable, BytesWritable>> {
     Box::new(FnPartitioner::new(
@@ -33,7 +28,7 @@ fn fig6_shape() {
     let mut m3r_iter1 = Vec::new();
     let mut m3r_iter2 = Vec::new();
     for frac in [0.0, 0.5, 1.0] {
-        let (cluster, fs) = fresh();
+        let (cluster, fs) = fresh(NODES);
         workloads::microbench::generate_microbench_input(
             &fs, &HPath::new("/in"), 2_000, 500, NODES, 42,
         )
@@ -45,7 +40,7 @@ fn fig6_shape() {
         .unwrap();
         hadoop_times.push(h.iter().map(|r| r.sim_time).collect::<Vec<_>>());
 
-        let (cluster, fs) = fresh();
+        let (cluster, fs) = fresh(NODES);
         workloads::microbench::generate_microbench_input(
             &fs, &HPath::new("/in"), 2_000, 500, NODES, 42,
         )
@@ -99,7 +94,7 @@ fn fig7_shape() {
     let mut m_times = Vec::new();
     for n in [200usize, 400] {
         let block = 50;
-        let (cluster, fs) = fresh();
+        let (cluster, fs) = fresh(NODES);
         workloads::matvec::generate_matvec_input(
             &fs, &HPath::new("/g"), &HPath::new("/v"), n, block, 0.05, NODES, 42,
         )
@@ -112,7 +107,7 @@ fn fig7_shape() {
         .unwrap();
         h_times.push(h.iter().map(|i| i.sim_time()).sum::<f64>());
 
-        let (cluster, fs) = fresh();
+        let (cluster, fs) = fresh(NODES);
         workloads::matvec::generate_matvec_input(
             &fs, &HPath::new("/g"), &HPath::new("/v"), n, block, 0.05, NODES, 42,
         )
@@ -137,7 +132,7 @@ fn fig7_shape() {
 fn fig8_shape() {
     use workloads::wordcount::{run_wordcount, WcStyle};
     let run = |engine_kind: &str, style: WcStyle| -> f64 {
-        let (cluster, fs) = fresh();
+        let (cluster, fs) = fresh(NODES);
         workloads::textgen::generate_text(&fs, &HPath::new("/in/c.txt"), 100_000, 5).unwrap();
         if engine_kind == "hadoop" {
             let mut e = hadoop_engine::HadoopEngine::new(cluster, Arc::new(fs));
@@ -169,7 +164,7 @@ fn fig9_10_11_shape() {
 
     // GNMF (Figure 9)
     let gnmf = |kind: &str| {
-        let (cluster, fs) = fresh();
+        let (cluster, fs) = fresh(NODES);
         sysml::block::generate_blocked_sparse(&fs, &HPath::new("/v"), n, m, block, 0.1, NODES, 4)
             .unwrap();
         if kind == "hadoop" {
@@ -189,7 +184,7 @@ fn fig9_10_11_shape() {
 
     // Linear regression (Figure 10)
     let linreg = |kind: &str| {
-        let (cluster, fs) = fresh();
+        let (cluster, fs) = fresh(NODES);
         sysml::block::generate_blocked_sparse(&fs, &HPath::new("/x"), n, m, block, 0.1, NODES, 4)
             .unwrap();
         let y = sysml::dense::DenseMatrix::from_vec(n, 1, vec![1.0; n]).unwrap();
@@ -210,7 +205,7 @@ fn fig9_10_11_shape() {
 
     // PageRank (Figure 11)
     let pagerank = |kind: &str| {
-        let (cluster, fs) = fresh();
+        let (cluster, fs) = fresh(NODES);
         sysml::block::generate_blocked_sparse(&fs, &HPath::new("/g"), n, n, block, 0.1, NODES, 4)
             .unwrap();
         if kind == "hadoop" {
@@ -236,7 +231,7 @@ fn fig9_10_11_shape() {
 /// §6.1.1: repartitioning is a one-off cost that pays for itself.
 #[test]
 fn repartitioning_shape() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(NODES);
     workloads::microbench::generate_microbench_input(&fs, &HPath::new("/in"), 2_000, 500, NODES, 42)
         .unwrap();
     let mut engine = m3r::M3REngine::new(cluster, Arc::new(fs));

@@ -1,11 +1,11 @@
 //! Hot-path optimization determinism (ISSUE 8): every kernel behind the
-//! latency tiers — hash-grouped reduce ingest, the sub-threshold radix
-//! prefix sort and the raw-key sort path — is a wall-clock-only
-//! optimization. Toggling any of them (per job, through the conf knobs —
-//! the sort path the knobs force is the reference), on either engine,
-//! serial or parallel, must leave every simulated observable untouched:
-//! simulated seconds (compared through `f64::to_bits`, i.e. bit-for-bit),
-//! counters, the metrics snapshot, and the raw output part-file bytes.
+//! `e2e` sort/group probes — hash-grouped reduce ingest and the raw-key
+//! radix sort path — is a wall-clock-only optimization. Toggling either
+//! (per job, through the conf knobs — the sort path the knobs force is the
+//! reference), on either engine, serial or parallel, must leave every
+//! simulated observable untouched: simulated seconds (compared through
+//! `f64::to_bits`, i.e. bit-for-bit), counters, the metrics snapshot, and
+//! the raw output part-file bytes.
 //!
 //! The workload is WordCount over generated text: `Text` keys with heavy
 //! duplication (the shape hash grouping exists for), natural sort and
@@ -29,12 +29,15 @@ use hmr_api::io::{InputFormat, OutputFormat, SequenceFileOutputFormat, TextInput
 use hmr_api::job::{Engine, JobDef, JobResult};
 use hmr_api::task::{LongSumReducer, TaskMapper, TaskReducer};
 use hmr_api::writable::{IntWritable, LongWritable, PairWritable, Text, WritableKey};
-use hmr_api::{FileSystem, HPath, OutputCollector, TaskContext};
+use hmr_api::{HPath, OutputCollector, TaskContext};
 use m3r::{M3REngine, M3ROptions};
 use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel};
 use workloads::textgen::generate_text;
 use workloads::wordcount::{WcStyle, WordCountJob};
+
+mod common;
+use common::part_bytes;
 
 const PLACES: usize = 3;
 const REDUCERS: usize = 4;
@@ -46,12 +49,9 @@ struct Toggles {
     name: &'static str,
     /// Per-job `m3r.reduce.hash.group` conf knob.
     hash_conf: bool,
-    /// `m3r.sort.raw.min.pairs`: 0 forces the raw-key sort path on,
-    /// `usize::MAX` forces the decoded-comparator path.
+    /// `m3r.sort.raw.min.pairs`: 0 forces the raw-key radix sort path at
+    /// every size, `usize::MAX` forces the decoded-comparator path.
     raw_min: usize,
-    /// `m3r.sort.radix.min.pairs`: 0 forces LSD radix for the prefix
-    /// ordering pass, `usize::MAX` keeps `sort_unstable`.
-    radix_min: usize,
 }
 
 /// Everything off: decoded stable sort + span scan.
@@ -59,15 +59,13 @@ const BASELINE: Toggles = Toggles {
     name: "baseline",
     hash_conf: false,
     raw_min: usize::MAX,
-    radix_min: usize::MAX,
 };
 
 /// Each optimization alone, and the full stack.
 const MATRIX: &[Toggles] = &[
     Toggles { name: "hash", hash_conf: true, ..BASELINE },
     Toggles { name: "raw", raw_min: 0, ..BASELINE },
-    Toggles { name: "radix", raw_min: 0, radix_min: 0, ..BASELINE },
-    Toggles { name: "all", hash_conf: true, raw_min: 0, radix_min: 0 },
+    Toggles { name: "all", hash_conf: true, raw_min: 0 },
 ];
 
 fn conf_for(t: &Toggles, output: &str) -> JobConf {
@@ -77,25 +75,11 @@ fn conf_for(t: &Toggles, output: &str) -> JobConf {
     c.set_num_reduce_tasks(REDUCERS);
     c.set_hash_group_ingest(t.hash_conf);
     c.set_raw_sort_min_pairs(t.raw_min);
-    c.set_radix_sort_min_pairs(t.radix_min);
     c
 }
 
 fn job() -> Arc<WordCountJob> {
     Arc::new(WordCountJob::new(WcStyle::FreshText))
-}
-
-/// Raw bytes of every part file under `dir`, in partition order — the
-/// strongest form of "identical outputs".
-fn part_bytes(fs: &SimDfs, dir: &str) -> Vec<(String, bytes::Bytes)> {
-    (0..REDUCERS)
-        .filter_map(|p| {
-            let name = format!("{dir}/part-{p:05}");
-            let path = HPath::new(name.as_str());
-            fs.exists(&path)
-                .then(|| (name, hmr_api::fs::read_file(fs, &path).unwrap()))
-        })
-        .collect()
 }
 
 fn run_m3r(t: &Toggles, parallel: bool) -> (JobResult, Vec<(String, bytes::Bytes)>) {
@@ -119,7 +103,7 @@ fn run_m3r_job<J: JobDef>(
         },
     );
     let r = engine.run_job(job, &conf_for(t, "/out")).unwrap();
-    (r, part_bytes(&fs, "/out"))
+    (r, part_bytes(&fs, "/out", REDUCERS))
 }
 
 fn run_hadoop(t: &Toggles, parallel: bool) -> (JobResult, Vec<(String, bytes::Bytes)>) {
@@ -135,7 +119,7 @@ fn run_hadoop(t: &Toggles, parallel: bool) -> (JobResult, Vec<(String, bytes::By
         },
     );
     let r = engine.run_job(job(), &conf_for(t, "/out")).unwrap();
-    (r, part_bytes(&fs, "/out"))
+    (r, part_bytes(&fs, "/out", REDUCERS))
 }
 
 fn assert_same(

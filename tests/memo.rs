@@ -36,21 +36,14 @@ use m3r::{M3REngine, M3ROptions, MemoryOptions, OomMode, PolicyKind};
 use m3r_server::{JobServer, ServerOptions};
 use simdfs::SimDfs;
 use simgrid::trace::Phase;
-use simgrid::{Cluster, CostModel};
 use workloads::textgen::generate_text;
 use workloads::wordcount::{run_wordcount, WcStyle};
 
+mod common;
+use common::{assert_same_result, fresh};
+
 const PLACES: usize = 4;
 const PARTS: usize = 4;
-
-fn fresh() -> (Cluster, SimDfs) {
-    // `CostModel::default()` has `compute_scale = 0`: every charge is
-    // modeled, so simulated seconds are bit-reproducible run to run —
-    // the precondition for every to_bits comparison below.
-    let cluster = Cluster::new(PLACES, CostModel::default());
-    let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
-    (cluster, fs)
-}
 
 fn wc_input(fs: &SimDfs) {
     for f in 0..PLACES {
@@ -77,22 +70,9 @@ fn dir_bytes(fs: &SimDfs, dir: &HPath) -> Vec<(String, Vec<u8>)> {
     v
 }
 
-fn assert_same_result(a: &JobResult, b: &JobResult, what: &str) {
-    assert_eq!(
-        a.sim_time.to_bits(),
-        b.sim_time.to_bits(),
-        "{what}: simulated seconds must be bit-identical ({} vs {})",
-        a.sim_time,
-        b.sim_time,
-    );
-    assert_eq!(a.counters, b.counters, "{what}: counters differ");
-    assert_eq!(a.metrics, b.metrics, "{what}: metrics differ");
-    assert_eq!(a.output_records, b.output_records, "{what}: output records differ");
-}
-
 /// One cold WordCount on M3R with the given knobs.
 fn wc_m3r(memoize: bool, parallel: bool, workers: usize) -> (JobResult, Vec<(String, Vec<u8>)>) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     wc_input(&fs);
     let mut e = M3REngine::with_options(
         cluster,
@@ -112,7 +92,7 @@ fn wc_m3r(memoize: bool, parallel: bool, workers: usize) -> (JobResult, Vec<(Str
 
 /// One cold WordCount on the Hadoop engine with the given knobs.
 fn wc_hadoop(memoize: bool, parallel: bool, workers: usize) -> (JobResult, Vec<(String, Vec<u8>)>) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     wc_input(&fs);
     let mut e = HadoopEngine::with_options(
         cluster,
@@ -168,7 +148,7 @@ fn cold_run_with_memoization_enabled_is_bit_identical_on_hadoop() {
 // ---------------------------------------------------------------------------
 
 fn hit_pins(engine: &str) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     wc_input(&fs);
     cluster.trace().enable();
     let input = HPath::new("/in");
@@ -220,7 +200,7 @@ fn engines_never_share_memo_entries() {
     // One policy, two bindings: even over one index and one filesystem, an
     // entry the M3R binding recorded is invisible to the Hadoop binding —
     // the engine name is part of the fingerprint.
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     wc_input(&fs);
     let mut conf = JobConf::new();
     conf.add_input_path(&HPath::new("/in"));
@@ -267,7 +247,7 @@ fn whole_job_hit_replays_bytes_with_zero_spans_on_hadoop() {
 fn per_job_conf_knob_opts_in_without_engine_option() {
     // `m3r.memo.enable` on the conf enables memoization for that one job
     // even when the engine-level option is off.
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     wc_input(&fs);
     let mut e = M3REngine::new(cluster, Arc::new(fs.clone()));
     let mut conf = JobConf::new();
@@ -299,7 +279,7 @@ fn wc_input_mutated(fs: &SimDfs) {
 
 #[test]
 fn changed_input_forces_recomputation_with_new_bytes() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     wc_input(&fs);
     let mut e = M3REngine::with_options(
         cluster,
@@ -330,7 +310,7 @@ fn changed_input_forces_recomputation_with_new_bytes() {
 
     // The recomputation matches a from-scratch memo-off run on the same
     // (new) input — degraded to the baseline engine, not to a stale answer.
-    let (cluster2, fs2) = fresh();
+    let (cluster2, fs2) = fresh(PLACES);
     wc_input_mutated(&fs2);
     let mut base = M3REngine::new(cluster2, Arc::new(fs2.clone()));
     run_wordcount(&mut base, WcStyle::FreshText, &input, &out, PARTS).unwrap();
@@ -342,7 +322,7 @@ fn evicted_memo_entry_degrades_to_recomputation() {
     // A budget far below the retained output size: the entry is recorded,
     // then immediately dropped (never spilled) by the governor. The
     // resubmission misses and recomputes — same bytes, no reuse.
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     wc_input(&fs);
     let mut e = M3REngine::with_options(
         cluster,
@@ -471,7 +451,7 @@ impl JobDef for TokenJob {
 
 #[test]
 fn map_prefix_hit_replays_only_the_reduce_side() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     wc_input(&fs);
     cluster.trace().enable();
     let mut e = M3REngine::with_options(
@@ -507,7 +487,7 @@ fn map_prefix_hit_replays_only_the_reduce_side() {
     );
 
     // The replayed reduce matches a from-scratch memo-off run bit for bit.
-    let (cluster2, fs2) = fresh();
+    let (cluster2, fs2) = fresh(PLACES);
     wc_input(&fs2);
     let mut base = M3REngine::new(cluster2, Arc::new(fs2.clone()));
     base.run_job(Arc::new(TokenJob { max: true }), &conf).unwrap();
@@ -520,7 +500,7 @@ fn map_prefix_hit_replays_only_the_reduce_side() {
 
 #[test]
 fn server_resolves_whole_job_hit_pre_admission() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     wc_input(&fs);
     let engine = M3REngine::with_options(
         cluster,

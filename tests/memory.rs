@@ -26,53 +26,21 @@ use hadoop_engine::{EngineOptions, HadoopEngine};
 use hmr_api::fs::MemFs;
 use hmr_api::job::JobResult;
 use hmr_api::writable::{IntWritable, Text};
-use hmr_api::{FileSystem, HPath};
+use hmr_api::HPath;
 use m3r::cache::CachedSeq;
 use m3r::{
     KvCache, M3REngine, M3ROptions, MemAccountant, MemClass, MemoryOptions, OomMode, PolicyKind,
 };
 use proptest::prelude::*;
-use simdfs::SimDfs;
-use simgrid::{Cluster, CostModel};
+use simgrid::Cluster;
 use workloads::microbench::{generate_microbench_input, run_microbench};
+
+mod common;
+use common::{assert_same_result, fresh, part_bytes};
 
 const PLACES: usize = 4;
 const WORKERS: usize = 4;
 const PARTS: usize = 8;
-
-fn fresh() -> (Cluster, SimDfs) {
-    let cluster = Cluster::new(PLACES, CostModel::default());
-    let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
-    (cluster, fs)
-}
-
-/// Raw bytes of every part file under `dir`, in partition order.
-fn part_bytes(fs: &SimDfs, dir: &str) -> Vec<(String, bytes::Bytes)> {
-    (0..PARTS)
-        .filter_map(|p| {
-            let name = format!("{dir}/part-{p:05}");
-            let path = HPath::new(name.as_str());
-            fs.exists(&path)
-                .then(|| (name, hmr_api::fs::read_file(fs, &path).unwrap()))
-        })
-        .collect()
-}
-
-fn assert_same_result(a: &JobResult, b: &JobResult, what: &str) {
-    assert_eq!(
-        a.sim_time.to_bits(),
-        b.sim_time.to_bits(),
-        "{what}: simulated seconds must be bit-identical ({} vs {})",
-        a.sim_time,
-        b.sim_time,
-    );
-    assert_eq!(a.counters, b.counters, "{what}: counters differ");
-    assert_eq!(a.metrics, b.metrics, "{what}: metrics differ");
-    assert_eq!(
-        a.output_records, b.output_records,
-        "{what}: output record counts differ"
-    );
-}
 
 /// The fig6-style microbenchmark on M3R with explicit memory options.
 /// Returns per-iteration results, final output bytes, and the cluster
@@ -81,7 +49,7 @@ fn microbench_m3r(
     memory: MemoryOptions,
     parallel: bool,
 ) -> (Vec<JobResult>, Vec<(String, bytes::Bytes)>, Cluster) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
     let mut engine = M3REngine::with_options(
         cluster.clone(),
@@ -104,14 +72,14 @@ fn microbench_m3r(
         None,
     )
     .unwrap();
-    (results, part_bytes(&fs, "/mb/iter2"), cluster)
+    (results, part_bytes(&fs, "/mb/iter2", PARTS), cluster)
 }
 
 fn microbench_hadoop(
     budget: Option<u64>,
     parallel: bool,
 ) -> (Vec<JobResult>, Vec<(String, bytes::Bytes)>) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
     // Hadoop has no governed cache: the accountant only *observes* its
     // shuffle segments and pool free lists, so even an absurd budget must
@@ -140,7 +108,7 @@ fn microbench_hadoop(
         None,
     )
     .unwrap();
-    (results, part_bytes(&fs, "/mb/iter1"))
+    (results, part_bytes(&fs, "/mb/iter1", PARTS))
 }
 
 // ---------------------------------------------------------------------------
@@ -230,7 +198,7 @@ fn finite_budget_runs_are_schedule_independent() {
 
 #[test]
 fn fail_fast_surfaces_oom_instead_of_spilling() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
     let mut engine = M3REngine::with_options(
         cluster.clone(),

@@ -22,57 +22,25 @@ use hadoop_engine::{EngineOptions, HadoopEngine};
 use hmr_api::job::JobResult;
 use hmr_api::partition::FnPartitioner;
 use hmr_api::writable::{BytesWritable, IntWritable};
-use hmr_api::{FileSystem, HPath};
+use hmr_api::HPath;
 use m3r::{M3REngine, M3ROptions};
-use simdfs::SimDfs;
 use simgrid::trace::Phase;
-use simgrid::{Cluster, CostModel};
+use simgrid::Cluster;
 use workloads::microbench::{generate_microbench_input, run_microbench};
+
+mod common;
+use common::{assert_same_result, fresh, part_bytes};
 
 const PLACES: usize = 4;
 const WORKERS: usize = 4;
 const PARTS: usize = 8;
-
-fn fresh() -> (Cluster, SimDfs) {
-    let cluster = Cluster::new(PLACES, CostModel::default());
-    let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
-    (cluster, fs)
-}
-
-/// Raw bytes of every part file under `dir`, in partition order.
-fn part_bytes(fs: &SimDfs, dir: &str) -> Vec<(String, bytes::Bytes)> {
-    (0..PARTS)
-        .filter_map(|p| {
-            let name = format!("{dir}/part-{p:05}");
-            let path = HPath::new(name.as_str());
-            fs.exists(&path)
-                .then(|| (name, hmr_api::fs::read_file(fs, &path).unwrap()))
-        })
-        .collect()
-}
-
-fn assert_same_result(a: &JobResult, b: &JobResult, what: &str) {
-    assert_eq!(
-        a.sim_time.to_bits(),
-        b.sim_time.to_bits(),
-        "{what}: simulated seconds must be bit-identical ({} vs {})",
-        a.sim_time,
-        b.sim_time,
-    );
-    assert_eq!(a.counters, b.counters, "{what}: counters differ");
-    assert_eq!(a.metrics, b.metrics, "{what}: metrics differ");
-    assert_eq!(
-        a.output_records, b.output_records,
-        "{what}: output record counts differ"
-    );
-}
 
 // ---------------------------------------------------------------------------
 // Invisibility: trace on == trace off, bit for bit
 // ---------------------------------------------------------------------------
 
 fn microbench_m3r(traced: bool, parallel: bool) -> (Vec<JobResult>, Vec<(String, bytes::Bytes)>) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
     if traced {
         cluster.trace().enable();
@@ -102,14 +70,14 @@ fn microbench_m3r(traced: bool, parallel: bool) -> (Vec<JobResult>, Vec<(String,
     } else {
         assert!(cluster.trace().is_empty(), "disabled trace recorded spans");
     }
-    (results, part_bytes(&fs, "/mb/iter2"))
+    (results, part_bytes(&fs, "/mb/iter2", PARTS))
 }
 
 fn microbench_hadoop(
     traced: bool,
     parallel: bool,
 ) -> (Vec<JobResult>, Vec<(String, bytes::Bytes)>) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
     if traced {
         cluster.trace().enable();
@@ -142,7 +110,7 @@ fn microbench_hadoop(
     } else {
         assert!(cluster.trace().is_empty(), "disabled trace recorded spans");
     }
-    (results, part_bytes(&fs, "/mb/iter1"))
+    (results, part_bytes(&fs, "/mb/iter1", PARTS))
 }
 
 #[test]
@@ -181,7 +149,7 @@ fn tracing_is_invisible_on_hadoop() {
 /// layout `/st`, purge the cache, reset the cluster, enable tracing, then
 /// run three chained iterations at `remote_fraction`.
 fn traced_m3r_protocol(remote_fraction: f64) -> (Cluster, Vec<JobResult>) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
     let mut engine = M3REngine::new(cluster.clone(), Arc::new(fs));
     m3r::repartition(&mut engine, &HPath::new("/in"), &HPath::new("/st"), PARTS, || {

@@ -29,22 +29,18 @@ use hmr_api::io::{InputFormat, OutputFormat, SequenceFileOutputFormat};
 use hmr_api::job::{Engine, JobDef, JobResult};
 use hmr_api::task::{LongSumReducer, TaskMapper, TaskReducer};
 use hmr_api::writable::{LongWritable, Text};
-use hmr_api::{FileSystem, HPath};
+use hmr_api::HPath;
 use m3r::{M3REngine, M3ROptions};
 use simdfs::SimDfs;
-use simgrid::{Cluster, CostModel};
 use workloads::matvec::{generate_matvec_input, run_matvec_iterations};
 use workloads::microbench::{generate_microbench_input, run_microbench};
+
+mod common;
+use common::{assert_same_result, fresh, part_bytes};
 
 const PLACES: usize = 4;
 const WORKERS: usize = 4;
 const PARTS: usize = 8;
-
-fn fresh() -> (Cluster, SimDfs) {
-    let cluster = Cluster::new(PLACES, CostModel::default());
-    let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
-    (cluster, fs)
-}
 
 fn m3r_opts(real_parallelism: bool) -> M3ROptions {
     M3ROptions {
@@ -65,42 +61,12 @@ fn hadoop_opts(real_parallelism: bool) -> EngineOptions {
     }
 }
 
-/// Raw bytes of every part file under `dir`, in partition order. Comparing
-/// file bytes (not decoded records) is the strongest form of "identical
-/// outputs".
-fn part_bytes(fs: &SimDfs, dir: &str) -> Vec<(String, bytes::Bytes)> {
-    (0..PARTS)
-        .filter_map(|p| {
-            let name = format!("{dir}/part-{p:05}");
-            let path = HPath::new(name.as_str());
-            fs.exists(&path)
-                .then(|| (name, hmr_api::fs::read_file(fs, &path).unwrap()))
-        })
-        .collect()
-}
-
-fn assert_same_result(serial: &JobResult, parallel: &JobResult, what: &str) {
-    assert_eq!(
-        serial.sim_time.to_bits(),
-        parallel.sim_time.to_bits(),
-        "{what}: simulated seconds must be bit-identical (serial {} vs parallel {})",
-        serial.sim_time,
-        parallel.sim_time,
-    );
-    assert_eq!(serial.counters, parallel.counters, "{what}: counters differ");
-    assert_eq!(serial.metrics, parallel.metrics, "{what}: metrics differ");
-    assert_eq!(
-        serial.output_records, parallel.output_records,
-        "{what}: output record counts differ"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // fig6: the shuffle microbenchmark
 // ---------------------------------------------------------------------------
 
 fn fig6_m3r(real_parallelism: bool) -> (Vec<JobResult>, Vec<(String, bytes::Bytes)>) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
     let mut engine = M3REngine::with_options(
         cluster,
@@ -118,11 +84,11 @@ fn fig6_m3r(real_parallelism: bool) -> (Vec<JobResult>, Vec<(String, bytes::Byte
         None,
     )
     .unwrap();
-    (results, part_bytes(&fs, "/mb/iter2"))
+    (results, part_bytes(&fs, "/mb/iter2", PARTS))
 }
 
 fn fig6_hadoop(real_parallelism: bool) -> (Vec<JobResult>, Vec<(String, bytes::Bytes)>) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
     let mut engine = HadoopEngine::with_options(
         cluster,
@@ -140,7 +106,7 @@ fn fig6_hadoop(real_parallelism: bool) -> (Vec<JobResult>, Vec<(String, bytes::B
         None,
     )
     .unwrap();
-    (results, part_bytes(&fs, "/mb/iter1"))
+    (results, part_bytes(&fs, "/mb/iter1", PARTS))
 }
 
 #[test]
@@ -185,7 +151,7 @@ fn parallel_runs_are_repeatable() {
 // ---------------------------------------------------------------------------
 
 fn fig7_m3r(real_parallelism: bool) -> (Vec<f64>, Vec<(String, bytes::Bytes)>) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     let n = 60;
     let block = 20;
     generate_matvec_input(
@@ -218,7 +184,7 @@ fn fig7_m3r(real_parallelism: bool) -> (Vec<f64>, Vec<(String, bytes::Bytes)>) {
         .iter()
         .flat_map(|i| [i.product.sim_time, i.sum.sim_time])
         .collect();
-    (times, part_bytes(&fs, "/w/v2"))
+    (times, part_bytes(&fs, "/w/v2", PARTS))
 }
 
 #[test]
@@ -333,7 +299,7 @@ fn wc_conf() -> JobConf {
 }
 
 fn grouped_wc_m3r(real_parallelism: bool) -> (JobResult, Vec<(String, bytes::Bytes)>) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     write_wc_input(&fs);
     let mut engine = M3REngine::with_options(
         cluster,
@@ -341,11 +307,11 @@ fn grouped_wc_m3r(real_parallelism: bool) -> (JobResult, Vec<(String, bytes::Byt
         m3r_opts(real_parallelism),
     );
     let result = engine.run_job(Arc::new(GroupedWordCount), &wc_conf()).unwrap();
-    (result, part_bytes(&fs, "/out"))
+    (result, part_bytes(&fs, "/out", PARTS))
 }
 
 fn grouped_wc_hadoop(real_parallelism: bool) -> (JobResult, Vec<(String, bytes::Bytes)>) {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     write_wc_input(&fs);
     let mut engine = HadoopEngine::with_options(
         cluster,
@@ -353,7 +319,7 @@ fn grouped_wc_hadoop(real_parallelism: bool) -> (JobResult, Vec<(String, bytes::
         hadoop_opts(real_parallelism),
     );
     let result = engine.run_job(Arc::new(GroupedWordCount), &wc_conf()).unwrap();
-    (result, part_bytes(&fs, "/out"))
+    (result, part_bytes(&fs, "/out", PARTS))
 }
 
 #[test]

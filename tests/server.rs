@@ -45,34 +45,19 @@ use m3r::{M3REngine, RepartitionJob};
 use m3r_server::{JobServer, JobStatus, JobTicket, ServerOptions};
 use simdfs::SimDfs;
 use simgrid::metrics::MetricsSnapshot;
-use simgrid::{Cluster, CostModel, Phase};
+use simgrid::{Cluster, Phase};
+
+mod common;
+use common::{assert_same_result, fresh, part_bytes};
 
 const PLACES: usize = 4;
 const PARTS: usize = 8;
-
-fn fresh() -> (Cluster, SimDfs) {
-    let cluster = Cluster::new(PLACES, CostModel::default());
-    let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
-    (cluster, fs)
-}
 
 fn gen_input(fs: &SimDfs, dir: &str, n: i32, salt: i32) {
     let records: Vec<(IntWritable, Text)> = (0..n)
         .map(|i| (IntWritable(i), Text::from(format!("v{salt}-{i}"))))
         .collect();
     write_seq_file(fs, &HPath::new(format!("{dir}/part-00000")), &records).unwrap();
-}
-
-/// Raw bytes of every part file under `dir`, in partition order.
-fn part_bytes(fs: &SimDfs, dir: &str) -> Vec<(String, bytes::Bytes)> {
-    (0..PARTS)
-        .filter_map(|p| {
-            let name = format!("{dir}/part-{p:05}");
-            let path = HPath::new(name.as_str());
-            fs.exists(&path)
-                .then(|| (name, hmr_api::fs::read_file(fs, &path).unwrap()))
-        })
-        .collect()
 }
 
 fn id_job() -> Arc<RepartitionJob<IntWritable, Text>> {
@@ -85,22 +70,6 @@ fn conf(input: &str, output: &str) -> JobConf {
     c.set_output_path(&HPath::new(output));
     c.set_num_reduce_tasks(2);
     c
-}
-
-fn assert_same_result(a: &JobResult, b: &JobResult, what: &str) {
-    assert_eq!(
-        a.sim_time.to_bits(),
-        b.sim_time.to_bits(),
-        "{what}: simulated seconds must be bit-identical ({} vs {})",
-        a.sim_time,
-        b.sim_time,
-    );
-    assert_eq!(a.counters, b.counters, "{what}: counters differ");
-    assert_eq!(a.metrics, b.metrics, "{what}: metrics differ");
-    assert_eq!(
-        a.output_records, b.output_records,
-        "{what}: output record counts differ"
-    );
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -261,7 +230,7 @@ fn collect_outcome(cluster: &Cluster, fs: &SimDfs, per_job: Vec<JobResult>) -> O
         home_seconds: cluster.max_time().to_bits(),
         home_metrics: cluster.metrics().snapshot(),
         outputs: (0..4)
-            .flat_map(|j| part_bytes(fs, &format!("/out{j}")))
+            .flat_map(|j| part_bytes(fs, &format!("/out{j}"), PARTS))
             .collect(),
     }
 }
@@ -317,7 +286,7 @@ fn assert_same_outcome(a: &Outcome, b: &Outcome, what: &str) {
 
 #[test]
 fn concurrent_schedule_is_bit_identical_to_serialized_m3r() {
-    let (c0, f0) = fresh();
+    let (c0, f0) = fresh(PLACES);
     scenario_inputs(&f0);
     let serialized = server_schedule(
         M3REngine::new(c0.clone(), Arc::new(f0.clone())),
@@ -326,7 +295,7 @@ fn concurrent_schedule_is_bit_identical_to_serialized_m3r() {
         1,
     );
     for workers in [2, 8] {
-        let (c, f) = fresh();
+        let (c, f) = fresh(PLACES);
         scenario_inputs(&f);
         let concurrent =
             server_schedule(M3REngine::new(c.clone(), Arc::new(f.clone())), &c, &f, workers);
@@ -336,7 +305,7 @@ fn concurrent_schedule_is_bit_identical_to_serialized_m3r() {
 
 #[test]
 fn concurrent_schedule_is_bit_identical_to_serialized_hadoop() {
-    let (c0, f0) = fresh();
+    let (c0, f0) = fresh(PLACES);
     scenario_inputs(&f0);
     let serialized = server_schedule(
         HadoopEngine::new(c0.clone(), Arc::new(f0.clone())),
@@ -345,7 +314,7 @@ fn concurrent_schedule_is_bit_identical_to_serialized_hadoop() {
         1,
     );
     for workers in [2, 8] {
-        let (c, f) = fresh();
+        let (c, f) = fresh(PLACES);
         scenario_inputs(&f);
         let concurrent = server_schedule(
             HadoopEngine::new(c.clone(), Arc::new(f.clone())),
@@ -367,20 +336,20 @@ fn server_matches_the_direct_api_on_both_engines() {
     // (direct outcome, server outcome) per engine.
     let runs: Vec<(&str, Outcome, Outcome)> = vec![
         ("m3r", {
-            let (c, f) = fresh();
+            let (c, f) = fresh(PLACES);
             scenario_inputs(&f);
             direct_schedule(M3REngine::new(c.clone(), Arc::new(f.clone())), &c, &f)
         }, {
-            let (c, f) = fresh();
+            let (c, f) = fresh(PLACES);
             scenario_inputs(&f);
             server_schedule(M3REngine::new(c.clone(), Arc::new(f.clone())), &c, &f, 8)
         }),
         ("hadoop", {
-            let (c, f) = fresh();
+            let (c, f) = fresh(PLACES);
             scenario_inputs(&f);
             direct_schedule(HadoopEngine::new(c.clone(), Arc::new(f.clone())), &c, &f)
         }, {
-            let (c, f) = fresh();
+            let (c, f) = fresh(PLACES);
             scenario_inputs(&f);
             server_schedule(HadoopEngine::new(c.clone(), Arc::new(f.clone())), &c, &f, 8)
         }),
@@ -422,7 +391,7 @@ fn server_matches_the_direct_api_on_both_engines() {
 
 #[test]
 fn independent_jobs_overlap_while_a_dependent_job_waits() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     cluster.trace().enable();
     gen_input(&fs, "/ina", 10, 1);
     gen_input(&fs, "/inb", 10, 2);
@@ -501,7 +470,7 @@ fn independent_jobs_overlap_while_a_dependent_job_waits() {
 
 #[test]
 fn dependent_jobs_run_in_dag_order() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     gen_input(&fs, "/in", 16, 7);
     let server = JobServer::with_options(
         M3REngine::new(cluster.clone(), Arc::new(fs.clone())),
@@ -550,7 +519,7 @@ fn dependent_jobs_run_in_dag_order() {
 
 #[test]
 fn cache_quota_evicts_the_over_quota_tenant_and_spares_the_rest() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     gen_input(&fs, "/big", 64, 3);
     gen_input(&fs, "/small", 6, 4);
     // The cache is governed (infinite budget, spill target wired), so quota
@@ -601,7 +570,7 @@ fn cache_quota_evicts_the_over_quota_tenant_and_spares_the_rest() {
 
 #[test]
 fn cancelling_a_queued_job_resolves_its_ticket() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     gen_input(&fs, "/ca", 8, 1);
     gen_input(&fs, "/cb", 8, 2);
     let server = JobServer::with_options(
@@ -643,7 +612,7 @@ fn cancelling_a_queued_job_resolves_its_ticket() {
 
 #[test]
 fn shutdown_drains_every_in_flight_ticket() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     for j in 0..3 {
         gen_input(&fs, &format!("/d{j}"), 8, j);
     }
@@ -670,7 +639,7 @@ fn shutdown_drains_every_in_flight_ticket() {
 
 #[test]
 fn shutdown_now_cancels_queued_jobs_but_finishes_running_ones() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     gen_input(&fs, "/na", 8, 1);
     gen_input(&fs, "/nb", 8, 2);
     let server = JobServer::with_options(
@@ -714,7 +683,7 @@ fn shutdown_now_cancels_queued_jobs_but_finishes_running_ones() {
 
 #[test]
 fn priority_orders_ready_jobs_without_breaking_admission_ties() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     for d in ["/pa", "/plo", "/phi"] {
         gen_input(&fs, d, 8, 5);
     }

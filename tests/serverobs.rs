@@ -28,21 +28,18 @@ use hmr_api::io::seqfile::write_seq_file;
 use hmr_api::job::{JobResult, LaneEngine};
 use hmr_api::partition::HashPartitioner;
 use hmr_api::writable::{IntWritable, Text};
-use hmr_api::{FileSystem, HPath};
+use hmr_api::HPath;
 use m3r::{M3REngine, RepartitionJob};
 use m3r_server::{JobServer, JobStatus, JobTicket, ServerOptions, WaitOutcome};
 use simdfs::SimDfs;
 use simgrid::metrics::MetricsSnapshot;
-use simgrid::{Cluster, CostModel};
+use simgrid::Cluster;
+
+mod common;
+use common::{fresh, part_bytes};
 
 const PLACES: usize = 4;
 const PARTS: usize = 8;
-
-fn fresh() -> (Cluster, SimDfs) {
-    let cluster = Cluster::new(PLACES, CostModel::default());
-    let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
-    (cluster, fs)
-}
 
 fn gen_input(fs: &SimDfs, dir: &str, n: i32, salt: i32) {
     let records: Vec<(IntWritable, Text)> = (0..n)
@@ -61,17 +58,6 @@ fn conf(input: &str, output: &str) -> JobConf {
     c.set_output_path(&HPath::new(output));
     c.set_num_reduce_tasks(2);
     c
-}
-
-fn part_bytes(fs: &SimDfs, dir: &str) -> Vec<(String, bytes::Bytes)> {
-    (0..PARTS)
-        .filter_map(|p| {
-            let name = format!("{dir}/part-{p:05}");
-            let path = HPath::new(name.as_str());
-            fs.exists(&path)
-                .then(|| (name, hmr_api::fs::read_file(fs, &path).unwrap()))
-        })
-        .collect()
 }
 
 /// Three independent jobs plus one that reads job 0's output (a conflict
@@ -99,7 +85,7 @@ where
     E: LaneEngine + Send + Sync + 'static,
     F: FnOnce(Cluster, Arc<SimDfs>) -> E,
 {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     for j in 0..3 {
         gen_input(&fs, &format!("/in{j}"), 12 + 2 * j, j);
     }
@@ -140,7 +126,7 @@ where
         home_seconds: cluster.max_time().to_bits(),
         home_metrics: cluster.metrics().snapshot(),
         outputs: (0..4)
-            .flat_map(|j| part_bytes(&fs, &format!("/out{j}")))
+            .flat_map(|j| part_bytes(&fs, &format!("/out{j}"), PARTS))
             .collect(),
     }
 }
@@ -189,10 +175,11 @@ fn observability_is_simulation_invisible_hadoop() {
 
 #[test]
 fn attribution_telescopes_exactly_for_every_ticket() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     for j in 0..3 {
         gen_input(&fs, &format!("/in{j}"), 12 + 2 * j, j);
     }
+    cluster.trace().enable(); // sim-second place tracks for the merged trace
     let server = JobServer::with_options(
         M3REngine::new(cluster.clone(), Arc::new(fs.clone())),
         ServerOptions { workers: 2, ..Default::default() },
@@ -266,12 +253,33 @@ fn attribution_telescopes_exactly_for_every_ticket() {
     );
 
     let events = recorder.chrome_events();
-    assert!(events.iter().any(|e| e.contains(r#""ph":"s""#)), "flow starts");
-    assert!(events.iter().any(|e| e.contains(r#""ph":"f""#)), "flow ends");
+    let flows = |ph: &str| events.iter().filter(|e| e.contains(ph)).count();
+    assert_eq!(flows(r#""ph":"s""#), 4, "one flow start per dispatched ticket");
+    assert_eq!(flows(r#""ph":"f""#), 4, "one flow end per dispatched ticket");
     assert!(
         events.iter().any(|e| e.contains(r#""name":"lane 0""#)),
         "lane track metadata"
     );
+    // The merged trace has exactly two processes: simulated places (pid 0)
+    // and the wall-clock server tracks (pid 1).
+    let merged = cluster.trace().chrome_json_with(&events);
+    let pids: std::collections::BTreeSet<&str> = merged
+        .match_indices(r#""pid":"#)
+        .map(|(i, m)| &merged[i + m.len()..i + m.len() + 1])
+        .collect();
+    assert_eq!(pids.into_iter().collect::<Vec<_>>(), ["0", "1"]);
+
+    let prom = cluster.telemetry().prometheus_text();
+    for family in [
+        "m3r_server_jobs_total",
+        "m3r_server_submit_resolve_ms",
+        "m3r_server_lane_busy_seconds",
+        "m3r_mem_live_bytes",
+        "m3r_cache_resident_bytes",
+    ] {
+        assert!(prom.contains(family), "prometheus text missing {family}");
+    }
+    assert!(prom.contains(r#"state="completed"} 4"#), "completed counter != 4");
     server.shutdown();
 }
 
@@ -287,7 +295,7 @@ fn job_status_display_and_debug_read_well() {
 
 #[test]
 fn wait_timeout_reports_last_observed_status() {
-    let (cluster, fs) = fresh();
+    let (cluster, fs) = fresh(PLACES);
     gen_input(&fs, "/in0", 12, 0);
     let server = JobServer::with_options(
         M3REngine::new(cluster.clone(), Arc::new(fs.clone())),
