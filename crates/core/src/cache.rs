@@ -762,85 +762,62 @@ impl KvCache {
         self.store.exists(&kpath(path))
     }
 
-    /// Publish the cache's governor state into `registry` as pull-based
-    /// gauges: per-owner resident bytes (tenant quota accounting made
-    /// scrapeable), per-tenant quotas, entry/spilled-entry counts and
-    /// per-place thrash trips. Hit/miss, eviction and spill/reload traffic
-    /// are already exported by the accountant's own gauges
-    /// ([`MemAccountant::publish_telemetry`], registered at cluster birth);
-    /// this adds the governor's view. Callbacks capture the shared governor
-    /// state, so exports always read current values; re-registration
-    /// overwrites, so calling this more than once is harmless.
+    /// Register the cache's telemetry source with `registry`: per-owner
+    /// resident bytes (tenant quota accounting made scrapeable),
+    /// per-tenant quotas, entry/spilled-entry counts and per-place thrash
+    /// trips, all read in one pass under the governor lock at export time.
+    /// Hit/miss, eviction and spill/reload traffic are the accountant's to
+    /// export ([`MemAccountant::publish_telemetry`], registered at cluster
+    /// birth); this adds the governor's view.
     pub fn publish_telemetry(&self, registry: &simgrid::TelemetryRegistry) {
-        use std::collections::BTreeMap as Map;
+        use simgrid::telemetry::{Family, Kind};
         let state = Arc::clone(&self.state);
-        registry.gauge(
-            "m3r_cache_resident_bytes",
-            "resident cached bytes by owning tenant (\"<shared>\" = no owner)",
-            Arc::new(move || {
-                let st = state.lock();
-                let mut by_owner: Map<String, f64> = Map::new();
-                // Every interned tenant exports a sample (zero included) so
-                // a tenant evicted to nothing stays visible on a dashboard.
-                for t in &st.tenants {
-                    by_owner.insert(t.clone(), 0.0);
+        let source = move || {
+            let st = state.lock();
+            // Every interned tenant exports a sample (zero included) so a
+            // tenant evicted to nothing stays visible on a dashboard.
+            let mut by_owner: BTreeMap<&str, u64> =
+                st.tenants.iter().map(|t| (t.as_str(), 0)).collect();
+            let mut resident_entries = 0;
+            for e in st.entries.values().filter(|e| e.resident) {
+                let owner = e.owner.and_then(|t| st.tenants.get(t as usize));
+                *by_owner.entry(owner.map_or("<shared>", |t| t)).or_insert(0) += e.bytes;
+                resident_entries += 1;
+            }
+            let mut resident = Family::new(
+                Kind::Gauge,
+                "m3r_cache_resident_bytes",
+                "resident cached bytes by owning tenant (\"<shared>\" = no owner)",
+            );
+            for (owner, bytes) in by_owner {
+                resident.sample(&[("owner", owner)], bytes as f64);
+            }
+            let mut quotas = Family::new(
+                Kind::Gauge,
+                "m3r_cache_quota_bytes",
+                "per-tenant resident-byte quota",
+            );
+            for (t, q) in &st.quotas {
+                if let Some(name) = st.tenants.get(*t as usize) {
+                    quotas.sample(&[("owner", name)], *q as f64);
                 }
-                for e in st.entries.values().filter(|e| e.resident) {
-                    let owner = e
-                        .owner
-                        .and_then(|t| st.tenants.get(t as usize).cloned())
-                        .unwrap_or_else(|| "<shared>".to_string());
-                    *by_owner.entry(owner).or_insert(0.0) += e.bytes as f64;
-                }
-                by_owner
-                    .into_iter()
-                    .map(|(owner, v)| (format!("owner=\"{owner}\""), v))
-                    .collect()
-            }),
-        );
-        let state = Arc::clone(&self.state);
-        registry.gauge(
-            "m3r_cache_quota_bytes",
-            "per-tenant resident-byte quota",
-            Arc::new(move || {
-                let st = state.lock();
-                st.quotas
-                    .iter()
-                    .filter_map(|(t, q)| {
-                        st.tenants
-                            .get(*t as usize)
-                            .map(|name| (format!("owner=\"{name}\""), *q as f64))
-                    })
-                    .collect()
-            }),
-        );
-        let state = Arc::clone(&self.state);
-        registry.gauge(
-            "m3r_cache_entries",
-            "cache entries by residency",
-            Arc::new(move || {
-                let st = state.lock();
-                let resident = st.entries.values().filter(|e| e.resident).count();
-                let spilled = st.entries.len() - resident;
-                vec![
-                    ("state=\"resident\"".to_string(), resident as f64),
-                    ("state=\"spilled\"".to_string(), spilled as f64),
-                ]
-            }),
-        );
-        let state = Arc::clone(&self.state);
-        registry.gauge(
-            "m3r_cache_thrash_trips_total",
-            "thrash-detector trips per place (reload traffic exceeded the budget)",
-            Arc::new(move || {
-                let st = state.lock();
-                st.thrash
-                    .iter()
-                    .enumerate()
-                    .map(|(p, t)| (format!("place=\"{p}\""), t.trips as f64))
-                    .collect()
-            }),
-        );
+            }
+            let mut entries =
+                Family::new(Kind::Gauge, "m3r_cache_entries", "cache entries by residency");
+            entries.sample(&[("state", "resident")], resident_entries as f64);
+            let spilled = st.entries.len() - resident_entries;
+            entries.sample(&[("state", "spilled")], spilled as f64);
+            let mut thrash = Family::new(
+                Kind::Counter,
+                "m3r_cache_thrash_trips_total",
+                "thrash-detector trips per place (reload traffic exceeded the budget)",
+            );
+            for (p, t) in st.thrash.iter().enumerate() {
+                thrash.sample(&[("place", &p.to_string())], t.trips as f64);
+            }
+            vec![resident, quotas, entries, thrash]
+        };
+        registry.register("cache", Arc::new(source));
     }
 
     /// Total resident cache bytes, read from the memory accountant — the

@@ -170,8 +170,8 @@ impl M3REngine {
         // Spills go to the *raw* filesystem: a `CachingFs::create` would
         // re-enter the cache to invalidate the path mid-spill.
         let cache = KvCache::governed(places, mem.clone(), Arc::clone(&fs), opts.memory.policy);
-        // The cache's governor gauges are pull-based callbacks: registering
-        // them here is free at runtime and makes the cluster's telemetry
+        // The cache's telemetry source is a pull-based callback: registering
+        // it here is free at runtime and makes the cluster's telemetry
         // registry answer for per-tenant residency from engine birth.
         cache.publish_telemetry(cluster.telemetry());
         let pools = (0..places)
@@ -206,11 +206,6 @@ impl M3REngine {
     /// The per-place shuffle buffer pools (test/bench introspection).
     pub fn buffer_pools(&self) -> &[Arc<BufPool>] {
         &self.pools
-    }
-
-    /// The per-place scratch arenas (test/bench introspection).
-    pub fn arenas(&self) -> &[Arc<Arena>] {
-        &self.arenas
     }
 
     /// The caching filesystem view jobs should use (also exposes the
@@ -547,7 +542,7 @@ impl M3REngine {
             .filter(|dir| !conf.is_temp_output(dir));
         let mut map_entry = None;
         let result = frame.run(
-            &format!("{} (m3r)", conf.job_name()),
+            format_args!("{} (m3r)", conf.job_name()),
             reuse.durable,
             commit,
             |tjob, held| {

@@ -157,11 +157,6 @@ impl HadoopEngine {
         &self.pools
     }
 
-    /// The per-node scratch arenas (test/bench introspection).
-    pub fn arenas(&self) -> &[Arc<Arena>] {
-        &self.arenas
-    }
-
     /// The simulated cluster.
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
@@ -324,7 +319,7 @@ impl HadoopEngine {
 
         let output_format = job.output_format(&conf);
         let result = frame.run(
-            &format!("{} (hadoop)", conf.job_name()),
+            format_args!("{} (hadoop)", conf.job_name()),
             &*self.fs,
             output_format.output_path(&conf),
             |tjob, held| self.execute(cluster, tjob, held, &*job, &conf, &*output_format),

@@ -200,7 +200,8 @@ impl JobFrame {
         }
     }
 
-    /// Run `body` as trace job `label`. The body gets the trace job id and
+    /// Run `body` as trace job `label` (stringified only when the trace
+    /// records it: pass `format_args!`). The body gets the trace job id and
     /// the job's memory ledger, and returns the job's counters and output
     /// record count. Whatever the body grew through the ledger and did not
     /// shrink again is released when it returns — on `Err` as much as on
@@ -209,7 +210,7 @@ impl JobFrame {
     /// clocks align at the job's end: the client observes completion once.
     pub fn run(
         self,
-        label: &str,
+        label: impl std::fmt::Display,
         marker_fs: &dyn FileSystem,
         commit: Option<HPath>,
         body: impl FnOnce(u64, &Arc<simgrid::JobMem>) -> Result<(Counters, u64)>,

@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 use hmr_api::counters::Counters;
 use hmr_api::fs::{FileSystem, HPath};
 use simgrid::mem::{MemAccountant, MemClass};
-use simgrid::telemetry::TelemetryRegistry;
+use simgrid::telemetry::{Family, Kind, TelemetryRegistry};
 
 use crate::fingerprint::Fingerprint;
 
@@ -343,34 +343,41 @@ impl ReuseIndex {
         (full, map)
     }
 
-    /// Register the subsystem's telemetry:
-    /// `m3r_memo_{hits,misses,invalidations,bytes}_total`.
+    /// Register the subsystem's telemetry source:
+    /// `m3r_memo_{hits,misses,invalidations,bytes}_total`, read from the
+    /// index's own tallies at export time.
     pub fn publish_telemetry(self: &Arc<Self>, registry: &TelemetryRegistry) {
-        let scalar = |v: u64| vec![(String::new(), v as f64)];
         let me = Arc::clone(self);
-        registry.gauge(
-            "m3r_memo_hits_total",
-            "Cross-job memo hits (whole-job + map-prefix) served",
-            Arc::new(move || scalar(me.hits())),
-        );
-        let me = Arc::clone(self);
-        registry.gauge(
-            "m3r_memo_misses_total",
-            "Eligible submissions with no reusable memo entry",
-            Arc::new(move || scalar(me.misses())),
-        );
-        let me = Arc::clone(self);
-        registry.gauge(
-            "m3r_memo_invalidations_total",
-            "Memo entries dropped because an input's content version changed",
-            Arc::new(move || scalar(me.invalidations())),
-        );
-        let me = Arc::clone(self);
-        registry.gauge(
-            "m3r_memo_bytes_total",
-            "Bytes retained in the cross-job memo index",
-            Arc::new(move || scalar(me.bytes_live())),
-        );
+        let source = move || {
+            let scalar = |name, help, v: u64| {
+                let mut f = Family::new(Kind::Counter, name, help);
+                f.sample(&[], v as f64);
+                f
+            };
+            vec![
+                scalar(
+                    "m3r_memo_hits_total",
+                    "Cross-job memo hits (whole-job + map-prefix) served",
+                    me.hits(),
+                ),
+                scalar(
+                    "m3r_memo_misses_total",
+                    "Eligible submissions with no reusable memo entry",
+                    me.misses(),
+                ),
+                scalar(
+                    "m3r_memo_invalidations_total",
+                    "Memo entries dropped because an input's content version changed",
+                    me.invalidations(),
+                ),
+                scalar(
+                    "m3r_memo_bytes_total",
+                    "Bytes retained in the cross-job memo index",
+                    me.bytes_live(),
+                ),
+            ]
+        };
+        registry.register("memo", Arc::new(source));
     }
 
     /// A human-readable accountant-style section for `--bin report`.

@@ -66,7 +66,7 @@ impl Reuse<'_> {
     pub fn replay_full(&self, frame: JobFrame, conf: &JobConf, hit: FullHit) -> Result<JobResult> {
         let out_dir = conf.output_path().expect("memo_basis() gated on output");
         frame.run(
-            &format!("{} ({} memo)", conf.job_name(), self.engine),
+            format_args!("{} ({} memo)", conf.job_name(), self.engine),
             self.durable,
             Some(out_dir.clone()),
             |_, _| {

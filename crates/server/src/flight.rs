@@ -20,17 +20,21 @@
 //! jobs) have the missing stamps clamped to `resolved`, so the identity
 //! holds for every ticket, always, in exact `u64` arithmetic.
 //!
-//! The recorder is **simulation-invisible**: it reads wall clocks and lane
-//! totals but never touches clocks, metrics, caches or outputs, so
-//! simulated seconds and results are bit-identical whether it is enabled
-//! or not (pinned by `tests/serverobs.rs`).
+//! The recorder is always on and is the server's one per-ticket history:
+//! the rollup, the Chrome tracks and the `m3r_server_*` telemetry families
+//! ([`FlightRecorder::publish_telemetry`]) are all views computed from this
+//! log when somebody asks. It is **simulation-invisible**: it reads wall
+//! clocks and lane totals but never touches clocks, metrics, caches or
+//! outputs, so simulated seconds and results are bit-identical at any
+//! worker count whether or not anything is exported (pinned by
+//! `tests/serverobs.rs`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use simgrid::telemetry::TelemetryRegistry;
+use simgrid::telemetry::{Family, Kind, TelemetryRegistry};
 use simgrid::trace::json_escape;
 
 use crate::ticket::JobStatus;
@@ -42,7 +46,7 @@ const LATENCY_BOUNDS_MS: &[f64] = &[
 
 /// One ticket's complete lifecycle, in wall-clock nanoseconds since the
 /// server's epoch plus the deterministic sim-side facts of its lane.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TicketTrace {
     /// Admission sequence number (= ticket id).
     pub seq: u64,
@@ -91,31 +95,6 @@ pub struct TicketTrace {
 }
 
 impl TicketTrace {
-    fn new(seq: u64) -> Self {
-        TicketTrace {
-            seq,
-            client: String::new(),
-            job_name: String::new(),
-            priority: 0,
-            deps: 0,
-            lane: None,
-            memo_hit: false,
-            status: JobStatus::Queued,
-            submitted_ns: 0,
-            admitted_ns: 0,
-            admission_hold_ns: 0,
-            ready_ns: 0,
-            dispatched_ns: 0,
-            lane_start_ns: 0,
-            lane_done_ns: 0,
-            folded_ns: 0,
-            resolved_ns: 0,
-            lane_sim_seconds: 0.0,
-            home_sim_before: 0.0,
-            home_sim_after: 0.0,
-        }
-    }
-
     /// Nanoseconds blocked on unresolved conflict-DAG dependencies.
     pub fn conflict_wait_ns(&self) -> u64 {
         self.ready_ns - self.submitted_ns
@@ -205,97 +184,127 @@ pub struct ServerRollup {
     pub lanes: Vec<LaneStat>,
 }
 
-struct RecState {
-    traces: BTreeMap<u64, TicketTrace>,
-    lane_busy_ns: Vec<u64>,
-    lane_jobs: Vec<u64>,
-    admission_hold_ns: u64,
-    /// Telemetry handles, present once `publish_telemetry` ran.
-    telemetry: Option<TelemetryRegistry>,
-}
-
 struct RecorderInner {
     epoch: Instant,
     lanes: usize,
-    state: Mutex<RecState>,
+    /// The ticket log, by seq: the recorder's only state. Lane occupancy,
+    /// admission-lock hold time and every export are sums over it.
+    traces: Mutex<BTreeMap<u64, TicketTrace>>,
 }
 
-/// The recorder itself: cheap to clone, disabled recorders are free.
+/// The recorder itself: cheap to clone, all clones share one log.
 ///
 /// All `record_*` calls are made by the scheduler with its state lock
 /// held; the recorder's own lock nests strictly inside and is never held
 /// across a callback, so there is no inversion.
 #[derive(Clone)]
 pub struct FlightRecorder {
-    inner: Option<Arc<RecorderInner>>,
+    inner: Arc<RecorderInner>,
+}
+
+/// Per-lane `(jobs, busy wall ns)`: the tickets whose lane has finished,
+/// dispatch → lane-done.
+fn lane_totals(traces: &BTreeMap<u64, TicketTrace>, lanes: usize) -> Vec<(u64, u64)> {
+    let mut totals = vec![(0, 0); lanes];
+    for t in traces.values().filter(|t| t.lane_done_ns > 0) {
+        if let Some(total) = t.lane.and_then(|lane| totals.get_mut(lane)) {
+            total.0 += 1;
+            total.1 += t.lane_run_ns();
+        }
+    }
+    totals
 }
 
 impl FlightRecorder {
-    /// A recorder for `lanes` worker lanes; `enabled = false` yields a
-    /// no-op recorder with zero allocation and zero per-event cost.
-    pub fn new(lanes: usize, enabled: bool) -> Self {
-        if !enabled {
-            return FlightRecorder { inner: None };
-        }
+    /// A recorder for `lanes` worker lanes.
+    pub fn new(lanes: usize) -> Self {
         FlightRecorder {
-            inner: Some(Arc::new(RecorderInner {
+            inner: Arc::new(RecorderInner {
                 epoch: Instant::now(),
                 lanes,
-                state: Mutex::new(RecState {
-                    traces: BTreeMap::new(),
-                    lane_busy_ns: vec![0; lanes],
-                    lane_jobs: vec![0; lanes],
-                    admission_hold_ns: 0,
-                    telemetry: None,
-                }),
-            })),
-        }
-    }
-
-    /// True when events are being recorded.
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Wall nanoseconds since the server's epoch (0 when disabled). Never
-    /// 0 when enabled — 0 is the recorder's "stamp not taken" sentinel.
-    pub fn now_ns(&self) -> u64 {
-        match &self.inner {
-            Some(i) => (i.epoch.elapsed().as_nanos() as u64).max(1),
-            None => 0,
-        }
-    }
-
-    /// Register the server's metric families with `registry` (the home
-    /// cluster's). Counters update live; the lane-busy gauge is evaluated
-    /// at export.
-    pub fn publish_telemetry(&self, registry: &TelemetryRegistry) {
-        let Some(inner) = &self.inner else { return };
-        let weak = Arc::downgrade(inner);
-        registry.gauge(
-            "m3r_server_lane_busy_seconds",
-            "wall-clock seconds each dispatch lane spent running jobs",
-            Arc::new(move || {
-                let Some(inner) = weak.upgrade() else {
-                    return Vec::new();
-                };
-                let st = inner.state.lock();
-                st.lane_busy_ns
-                    .iter()
-                    .enumerate()
-                    .map(|(i, ns)| (format!("lane=\"{i}\""), *ns as f64 / 1e9))
-                    .collect()
+                traces: Mutex::default(),
             }),
-        );
-        let mut st = inner.state.lock();
-        st.telemetry = Some(registry.clone());
+        }
+    }
+
+    /// Wall nanoseconds since the server's epoch. Never 0 — 0 is the
+    /// recorder's "stamp not taken" sentinel.
+    pub fn now_ns(&self) -> u64 {
+        (self.inner.epoch.elapsed().as_nanos() as u64).max(1)
+    }
+
+    /// Register the server's telemetry source with `registry` (the home
+    /// cluster's): lane busy-seconds, `m3r_server_jobs_total{state}`
+    /// counted and `m3r_server_submit_resolve_ms{client}` bucketed over the
+    /// ticket log, in one pass under the recorder lock at export time —
+    /// no lifecycle event touches the registry. The source holds the log
+    /// weakly: once the server and every recorder clone are gone, the
+    /// families are too.
+    pub fn publish_telemetry(&self, registry: &TelemetryRegistry) {
+        let weak = Arc::downgrade(&self.inner);
+        let source = move || {
+            let Some(inner) = weak.upgrade() else {
+                return Vec::new();
+            };
+            let traces = inner.traces.lock();
+            let mut busy = Family::new(
+                Kind::Gauge,
+                "m3r_server_lane_busy_seconds",
+                "wall-clock seconds each dispatch lane spent running jobs",
+            );
+            for (lane, (_, ns)) in lane_totals(&traces, inner.lanes).iter().enumerate() {
+                busy.sample(&[("lane", &lane.to_string())], *ns as f64 / 1e9);
+            }
+            // A state exports once a ticket has reached it.
+            let mut states: BTreeMap<&str, u64> = BTreeMap::new();
+            let mut latencies_ms: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+            for t in traces.values() {
+                *states.entry("submitted").or_default() += 1;
+                if t.memo_hit {
+                    *states.entry("memo_hit").or_default() += 1;
+                }
+                if t.resolved_ns > 0 {
+                    *states.entry(t.status.name()).or_default() += 1;
+                    let ms = t.total_ns() as f64 / 1e6;
+                    latencies_ms.entry(&t.client).or_default().push(ms);
+                }
+            }
+            let mut jobs = Family::new(
+                Kind::Counter,
+                "m3r_server_jobs_total",
+                "tickets by lifecycle outcome",
+            );
+            for (state, n) in states {
+                jobs.sample(&[("state", state)], n as f64);
+            }
+            let mut latency = Family::new(
+                Kind::Histogram(LATENCY_BOUNDS_MS),
+                "m3r_server_submit_resolve_ms",
+                "submit-to-resolve latency per client, milliseconds",
+            );
+            for (client, ms) in latencies_ms {
+                latency.observe(&[("client", client)], ms);
+            }
+            vec![busy, jobs, latency]
+        };
+        registry.register("server", Arc::new(source));
     }
 
     // ---- lifecycle events (scheduler-side) -------------------------------
 
-    /// A submit finished admission. `t_submit` is the stamp taken before
-    /// the admission lock, `t_locked` after acquiring it, `t_admitted`
-    /// after `admit` returned (lock still held).
+    /// Stamp an event on `seq`'s trace: `f` gets the trace and the current
+    /// wall nanoseconds (read before the recorder lock is taken).
+    fn stamp(&self, seq: u64, f: impl FnOnce(&mut TicketTrace, u64)) {
+        let now = self.now_ns();
+        if let Some(t) = self.inner.traces.lock().get_mut(&seq) {
+            f(t, now);
+        }
+    }
+
+    /// A submit finished admission — the event that opens `seq`'s trace.
+    /// `t_submit` is the stamp taken before the admission lock, `t_locked`
+    /// after acquiring it, `t_admitted` after `admit` returned (lock still
+    /// held).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_submitted(
         &self,
@@ -308,188 +317,104 @@ impl FlightRecorder {
         t_locked: u64,
         t_admitted: u64,
     ) {
-        let Some(inner) = &self.inner else { return };
-        let mut st = inner.state.lock();
-        let hold = t_admitted - t_locked;
-        st.admission_hold_ns += hold;
-        let t = st.traces.entry(seq).or_insert_with(|| TicketTrace::new(seq));
-        t.client = client.to_string();
-        t.job_name = job_name.to_string();
-        t.priority = priority;
-        t.deps = deps;
-        t.submitted_ns = t_submit;
-        t.admitted_ns = t_admitted;
-        t.admission_hold_ns = hold;
-        if deps == 0 {
+        let trace = TicketTrace {
+            seq,
+            client: client.to_string(),
+            job_name: job_name.to_string(),
+            priority,
+            deps,
+            submitted_ns: t_submit,
+            admitted_ns: t_admitted,
+            admission_hold_ns: t_admitted - t_locked,
             // No conflict edges: ready the instant admission completes.
-            t.ready_ns = t_admitted;
-        }
-        if let Some(reg) = &st.telemetry {
-            reg.counter(
-                "m3r_server_jobs_total",
-                "tickets by lifecycle outcome",
-                &[("state", "submitted")],
-            )
-            .inc();
-        }
+            ready_ns: if deps == 0 { t_admitted } else { 0 },
+            ..TicketTrace::default()
+        };
+        self.inner.traces.lock().insert(seq, trace);
     }
 
     /// The submission resolved straight from the engine's cross-job memo
     /// index without occupying a lane. Recorded between
     /// `record_submitted` and `record_resolved` (both still fire, so the
-    /// submitted/completed counter invariants are unchanged); the extra
-    /// `state="memo_hit"` sample counts the disposition.
+    /// ticket counts as submitted and completed like any other).
     pub(crate) fn record_memo_hit(&self, seq: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut st = inner.state.lock();
-        let t = st.traces.entry(seq).or_insert_with(|| TicketTrace::new(seq));
-        t.memo_hit = true;
-        if let Some(reg) = &st.telemetry {
-            reg.counter(
-                "m3r_server_jobs_total",
-                "tickets by lifecycle outcome",
-                &[("state", "memo_hit")],
-            )
-            .inc();
-        }
+        self.stamp(seq, |t, _| t.memo_hit = true);
     }
 
     /// The last conflict-DAG dependency of `seq` resolved.
     pub(crate) fn record_ready(&self, seq: u64) {
-        let Some(inner) = &self.inner else { return };
-        let now = (inner.epoch.elapsed().as_nanos() as u64).max(1);
-        let mut st = inner.state.lock();
-        let t = st.traces.entry(seq).or_insert_with(|| TicketTrace::new(seq));
-        if t.ready_ns == 0 {
-            t.ready_ns = now;
-        }
+        self.stamp(seq, |t, now| {
+            if t.ready_ns == 0 {
+                t.ready_ns = now;
+            }
+        });
     }
 
     /// A worker picked `seq` (scheduler lock held).
     pub(crate) fn record_dispatched(&self, seq: u64, lane: usize) {
-        let Some(inner) = &self.inner else { return };
-        let now = (inner.epoch.elapsed().as_nanos() as u64).max(1);
-        let mut st = inner.state.lock();
-        let t = st.traces.entry(seq).or_insert_with(|| TicketTrace::new(seq));
-        t.lane = Some(lane);
-        t.dispatched_ns = now;
+        self.stamp(seq, |t, now| {
+            t.lane = Some(lane);
+            t.dispatched_ns = now;
+        });
     }
 
     /// The worker created the job lane and is about to run the body.
     pub(crate) fn record_lane_start(&self, seq: u64) {
-        let Some(inner) = &self.inner else { return };
-        let now = (inner.epoch.elapsed().as_nanos() as u64).max(1);
-        let mut st = inner.state.lock();
-        if let Some(t) = st.traces.get_mut(&seq) {
-            t.lane_start_ns = now;
-        }
+        self.stamp(seq, |t, now| t.lane_start_ns = now);
     }
 
     /// The job body returned; `lane_sim_seconds` is the lane's
     /// deterministic simulated duration.
-    pub(crate) fn record_lane_done(&self, seq: u64, lane: usize, lane_sim_seconds: f64) {
-        let Some(inner) = &self.inner else { return };
-        let now = (inner.epoch.elapsed().as_nanos() as u64).max(1);
-        let mut st = inner.state.lock();
-        let t = st.traces.entry(seq).or_insert_with(|| TicketTrace::new(seq));
-        t.lane_done_ns = now;
-        t.lane_sim_seconds = lane_sim_seconds;
-        let busy = now.saturating_sub(t.dispatched_ns);
-        if lane < inner.lanes {
-            st.lane_busy_ns[lane] += busy;
-            st.lane_jobs[lane] += 1;
-        }
+    pub(crate) fn record_lane_done(&self, seq: u64, lane_sim_seconds: f64) {
+        self.stamp(seq, |t, now| {
+            t.lane_done_ns = now;
+            t.lane_sim_seconds = lane_sim_seconds;
+        });
     }
 
     /// `seq` folded into the home cluster; home simulated seconds before
     /// and after the fold (deterministic, admission-ordered).
     pub(crate) fn record_folded(&self, seq: u64, home_before: f64, home_after: f64) {
-        let Some(inner) = &self.inner else { return };
-        let now = (inner.epoch.elapsed().as_nanos() as u64).max(1);
-        let mut st = inner.state.lock();
-        if let Some(t) = st.traces.get_mut(&seq) {
+        self.stamp(seq, |t, now| {
             t.folded_ns = now;
             t.home_sim_before = home_before;
             t.home_sim_after = home_after;
-        }
+        });
     }
 
     /// Terminal event: the ticket resolved. Clamps every stamp a cancelled
     /// job never reached to `resolved_ns`, preserving the telescoping
     /// attribution identity exactly.
     pub(crate) fn record_resolved(&self, seq: u64, status: JobStatus) {
-        let Some(inner) = &self.inner else { return };
-        let now = (inner.epoch.elapsed().as_nanos() as u64).max(1);
-        let mut st = inner.state.lock();
-        let t = st.traces.entry(seq).or_insert_with(|| TicketTrace::new(seq));
-        t.status = status;
-        t.resolved_ns = now;
-        if t.ready_ns == 0 {
-            t.ready_ns = now;
-        }
-        if t.dispatched_ns == 0 {
-            t.dispatched_ns = now;
-        }
-        if t.lane_done_ns == 0 {
-            t.lane_done_ns = now;
-        }
-        let (client, total_ms) = (t.client.clone(), t.total_ns() as f64 / 1e6);
-        if let Some(reg) = &st.telemetry {
-            let state = match status {
-                JobStatus::Completed => "completed",
-                JobStatus::Failed => "failed",
-                _ => "cancelled",
-            };
-            reg.counter(
-                "m3r_server_jobs_total",
-                "tickets by lifecycle outcome",
-                &[("state", state)],
-            )
-            .inc();
-            reg.histogram(
-                "m3r_server_submit_resolve_ms",
-                "submit-to-resolve latency per client, milliseconds",
-                &[("client", &client)],
-                LATENCY_BOUNDS_MS,
-            )
-            .observe(total_ms);
-        }
+        self.stamp(seq, |t, now| {
+            t.status = status;
+            t.resolved_ns = now;
+            for stamp in [&mut t.ready_ns, &mut t.dispatched_ns, &mut t.lane_done_ns] {
+                if *stamp == 0 {
+                    *stamp = now;
+                }
+            }
+        });
     }
 
     // ---- reports ---------------------------------------------------------
 
     /// Snapshot every **resolved** ticket's trace, in admission order.
     pub fn traces(&self) -> Vec<TicketTrace> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let st = inner.state.lock();
-        st.traces
-            .values()
-            .filter(|t| t.resolved_ns > 0)
-            .cloned()
-            .collect()
+        let traces = self.inner.traces.lock();
+        traces.values().filter(|t| t.resolved_ns > 0).cloned().collect()
     }
 
     /// Aggregate the resolved tickets into per-client and per-lane tables,
     /// counting SLO breaches against `slo_ns`.
     pub fn rollup(&self, slo_ns: u64) -> ServerRollup {
-        let Some(inner) = &self.inner else {
-            return ServerRollup {
-                wall_ns: 0,
-                jobs: 0,
-                slo_ns,
-                admission_hold_ns: 0,
-                clients: Vec::new(),
-                lanes: Vec::new(),
-            };
-        };
-        let wall_ns = inner.epoch.elapsed().as_nanos() as u64;
-        let st = inner.state.lock();
+        let wall_ns = self.inner.epoch.elapsed().as_nanos() as u64;
+        let traces = self.inner.traces.lock();
         let mut per_client: BTreeMap<&str, Vec<&TicketTrace>> = BTreeMap::new();
-        for t in st.traces.values().filter(|t| t.resolved_ns > 0) {
+        for t in traces.values().filter(|t| t.resolved_ns > 0) {
             per_client.entry(&t.client).or_default().push(t);
         }
+        let jobs = per_client.values().map(Vec::len).sum();
         let clients = per_client
             .into_iter()
             .map(|(client, ts)| {
@@ -511,23 +436,25 @@ impl FlightRecorder {
                 }
             })
             .collect();
-        let lanes = (0..inner.lanes)
-            .map(|lane| LaneStat {
+        let lanes = lane_totals(&traces, self.inner.lanes)
+            .into_iter()
+            .enumerate()
+            .map(|(lane, (jobs, busy_ns))| LaneStat {
                 lane,
-                jobs: st.lane_jobs[lane],
-                busy_ns: st.lane_busy_ns[lane],
+                jobs,
+                busy_ns,
                 utilization: if wall_ns == 0 {
                     0.0
                 } else {
-                    (st.lane_busy_ns[lane] as f64 / wall_ns as f64).clamp(0.0, 1.0)
+                    (busy_ns as f64 / wall_ns as f64).clamp(0.0, 1.0)
                 },
             })
             .collect();
         ServerRollup {
             wall_ns,
-            jobs: st.traces.values().filter(|t| t.resolved_ns > 0).count(),
+            jobs,
             slo_ns,
-            admission_hold_ns: st.admission_hold_ns,
+            admission_hold_ns: traces.values().map(|t| t.admission_hold_ns).sum(),
             clients,
             lanes,
         }
@@ -540,16 +467,13 @@ impl FlightRecorder {
     /// Feed the result to [`simgrid::trace::Trace::chrome_json_with`] to
     /// merge with the sim-time (pid 0) place tracks.
     pub fn chrome_events(&self) -> Vec<String> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let st = inner.state.lock();
+        let traces = self.inner.traces.lock();
         let mut ev = Vec::new();
         ev.push(
             r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"server (wall clock)"}}"#
                 .to_string(),
         );
-        for lane in 0..inner.lanes {
+        for lane in 0..self.inner.lanes {
             ev.push(format!(
                 r#"{{"name":"thread_name","ph":"M","pid":1,"tid":{lane},"args":{{"name":"lane {lane}"}}}}"#
             ));
@@ -559,8 +483,7 @@ impl FlightRecorder {
         }
         // Client tracks sit below the lanes: tid = 1000 + index in name
         // order, so the layout is schedule-independent.
-        let mut clients: Vec<&str> = st
-            .traces
+        let mut clients: Vec<&str> = traces
             .values()
             .filter(|t| t.resolved_ns > 0)
             .map(|t| t.client.as_str())
@@ -579,7 +502,7 @@ impl FlightRecorder {
             ));
         }
         let us = |ns: u64| format!("{:.3}", ns as f64 / 1e3);
-        for t in st.traces.values().filter(|t| t.resolved_ns > 0) {
+        for t in traces.values().filter(|t| t.resolved_ns > 0) {
             let name = json_escape(&t.job_name);
             let tid = client_tid(&t.client);
             // Ticket slice on the client track: submit → resolve.
@@ -636,7 +559,7 @@ mod tests {
     use super::*;
 
     fn trace_with(sub: u64, ready: u64, disp: u64, done: u64, res: u64) -> TicketTrace {
-        let mut t = TicketTrace::new(1);
+        let mut t = TicketTrace { seq: 1, ..TicketTrace::default() };
         t.submitted_ns = sub;
         t.ready_ns = ready;
         t.dispatched_ns = disp;
@@ -659,22 +582,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_is_inert() {
-        let r = FlightRecorder::new(4, false);
-        assert!(!r.enabled());
-        r.record_ready(1);
-        r.record_dispatched(1, 0);
-        r.record_resolved(1, JobStatus::Completed);
-        assert!(r.traces().is_empty());
-        let roll = r.rollup(1_000_000);
-        assert_eq!(roll.jobs, 0);
-        assert!(roll.clients.is_empty());
-        assert!(r.chrome_events().is_empty());
-    }
-
-    #[test]
     fn cancelled_tickets_clamp_and_still_telescope() {
-        let r = FlightRecorder::new(1, true);
+        let r = FlightRecorder::new(1);
         r.record_submitted(1, "a", "job", 0, 1, 5, 6, 7);
         // Never ready, never dispatched: cancelled while queued.
         r.record_resolved(1, JobStatus::Cancelled);
@@ -701,14 +610,14 @@ mod tests {
 
     #[test]
     fn rollup_orders_clients_and_counts_breaches() {
-        let r = FlightRecorder::new(2, true);
+        let r = FlightRecorder::new(2);
         r.record_submitted(1, "zed", "j1", 0, 0, 1, 1, 2);
         r.record_dispatched(1, 0);
-        r.record_lane_done(1, 0, 1.5);
+        r.record_lane_done(1, 1.5);
         r.record_resolved(1, JobStatus::Completed);
         r.record_submitted(2, "amy", "j2", 0, 0, 1, 1, 2);
         r.record_dispatched(2, 1);
-        r.record_lane_done(2, 1, 0.5);
+        r.record_lane_done(2, 0.5);
         r.record_resolved(2, JobStatus::Completed);
         let roll = r.rollup(0); // everything breaches an SLO of 0 ns
         assert_eq!(roll.jobs, 2);
@@ -716,6 +625,10 @@ mod tests {
         assert_eq!(names, ["amy", "zed"]);
         assert!(roll.clients.iter().all(|c| c.slo_breaches == 1));
         assert_eq!(roll.lanes.len(), 2);
+        // Lane occupancy is a sum over the ticket log.
+        for (lane, t) in roll.lanes.iter().zip(r.traces()) {
+            assert_eq!((lane.jobs, lane.busy_ns), (1, t.lane_run_ns()));
+        }
         assert!(roll
             .lanes
             .iter()

@@ -30,10 +30,12 @@
 //!   nanoseconds, attributes the latency exactly across conflict-wait /
 //!   queue-wait / lane-run / fold-delay, rolls the traces up into
 //!   per-client percentiles with SLO breach counts and per-lane
-//!   utilization ([`ServerRollup`]), publishes into the home cluster's
-//!   [`simgrid::telemetry::TelemetryRegistry`], and renders wall-clock
-//!   lane tracks with submit→dispatch flow arrows for the Chrome trace
-//!   viewer — all without perturbing a single simulated bit.
+//!   utilization ([`ServerRollup`]), answers the home cluster's
+//!   [`simgrid::telemetry::TelemetryRegistry`] from that same log at
+//!   export time, and renders wall-clock lane tracks with submit→dispatch
+//!   flow arrows for the Chrome trace viewer — all without perturbing a
+//!   single simulated bit. The scheduler itself keeps only the jobs in
+//!   flight: an entry is dropped once its lane has folded.
 //!
 //! The generic [`JobServer`] works over any [`hmr_api::job::LaneEngine`];
 //! [`M3RServer`]/[`M3RClient`] are the M3R-engine aliases matching the old
@@ -68,6 +70,7 @@ mod tests {
     use m3r::{M3REngine, RepartitionJob};
     use simdfs::SimDfs;
     use simgrid::{Cluster, CostModel};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     fn id_job() -> Arc<RepartitionJob<IntWritable, Text>> {
@@ -141,6 +144,84 @@ mod tests {
         for t in 0..6 {
             assert!(fs.exists(&HPath::new(format!("/out{t}/part-00000"))));
         }
+    }
+
+    /// The scheduler keeps an entry only until its lane has folded: after a
+    /// long mixed history nothing is left, and a seq that has retired reads
+    /// as resolved to `after` and as too late to `cancel`.
+    #[test]
+    fn scheduler_retires_every_entry_it_has_folded() {
+        use hmr_api::fs::FileSystem;
+        let cluster = Cluster::new(2, CostModel::default());
+        let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
+        let records: Vec<(IntWritable, Text)> = (0..8)
+            .map(|i| (IntWritable(i), Text::from("x")))
+            .collect();
+        write_seq_file(&fs, &HPath::new("/in/part-00000"), &records).unwrap();
+        let server = M3RServer::with_options(
+            M3REngine::new(cluster, Arc::new(fs.clone())),
+            ServerOptions { workers: 2 },
+        );
+        let client = server.client();
+
+        // Everything below reads `/in`, and shared reads are conflict edges:
+        // until this first job's partitioner factory is released the whole
+        // mix stays queued behind it, so every cancel lands on a queued job.
+        let release = Arc::new(AtomicBool::new(false));
+        let gate = Arc::clone(&release);
+        let gated = Arc::new(RepartitionJob::<IntWritable, Text>::new(move || {
+            while !gate.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            Box::new(HashPartitioner)
+        }));
+        let mut tickets = vec![client.submit(gated, &conf("/in", "/gate")).unwrap()];
+        for round in 0..20 {
+            // Independent of its round-mates, chained on it (reads its
+            // output), and one parked behind the chain by an explicit edge
+            // and cancelled.
+            let head = client
+                .submit(id_job(), &conf("/in", &format!("/a{round}")))
+                .unwrap();
+            let chained = client
+                .submit(id_job(), &conf(&format!("/a{round}"), &format!("/b{round}")))
+                .unwrap();
+            let doomed = client
+                .submission()
+                .after(&chained)
+                .submit(id_job(), &conf("/in", &format!("/c{round}")))
+                .unwrap();
+            assert!(doomed.cancel(), "queued behind the gate");
+            tickets.extend([head, chained, doomed]);
+        }
+        release.store(true, Ordering::SeqCst);
+        for t in &tickets {
+            let _ = t.wait();
+        }
+        assert_eq!(tickets.len(), 61);
+
+        // `wait` returns at resolve; the fold (and with it the retirement)
+        // follows under the same lock hold, so one lock round-trip later
+        // the map is empty.
+        {
+            let st = server.shared.state.lock();
+            assert!(st.entries.is_empty(), "{} entries never retired", st.entries.len());
+            assert_eq!(st.next_fold, st.next_seq, "everything admitted has folded");
+        }
+
+        let first = &tickets[0];
+        assert!(!first.cancel(), "a retired ticket is too late to cancel");
+        let late = client
+            .submission()
+            .after(first)
+            .submit(id_job(), &conf("/in", "/late"))
+            .unwrap();
+        assert_eq!(late.wait().unwrap().output_records, 8);
+        let flight = server.flight_recorder();
+        let trace = flight.traces().into_iter().find(|t| t.seq == late.id());
+        assert_eq!(trace.expect("late ticket recorded").deps, 0, "a retired dep is resolved");
+        server.shutdown();
+        assert!(fs.exists(&HPath::new("/late/part-00000")));
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //! outputs are bit-identical whether the server runs with one worker or
 //! many (pinned by `tests/server.rs`).
 //!
+//! **What the scheduler remembers.** An entry lives from admission until
+//! its lane has folded and is then dropped, so admission, dispatch and
+//! drain scan the jobs in flight, never the server's history (that is the
+//! [`FlightRecorder`]'s job). A seq that is no longer in the map is a job
+//! that resolved: a dependency on it is already satisfied and cancelling
+//! it is too late.
+//!
 //! When the engine reports [`LaneEngine::exclusive_only`] (finite memory
 //! budget or active cache quotas — eviction order must follow admission
 //! order, never the thread schedule), dispatch serializes: one job in
@@ -47,19 +54,11 @@ pub struct ServerOptions {
     /// Dispatch workers — the maximum number of jobs in flight at once.
     /// Totals are bit-identical for any value ≥ 1 (see module docs).
     pub workers: usize,
-    /// Record the per-ticket flight timeline and lane telemetry
-    /// ([`FlightRecorder`]). Observability only — simulated seconds,
-    /// metrics and outputs are bit-identical either way (pinned by
-    /// `tests/serverobs.rs`). Default on.
-    pub flight: bool,
 }
 
 impl Default for ServerOptions {
     fn default() -> Self {
-        ServerOptions {
-            workers: 4,
-            flight: true,
-        }
+        ServerOptions { workers: 4 }
     }
 }
 
@@ -88,7 +87,6 @@ pub(crate) struct Entry<E> {
     ticket: Arc<TicketInner>,
     /// Lane totals to fold into the home cluster (duration, metrics).
     fold: Option<(f64, MetricsSnapshot)>,
-    folded: bool,
 }
 
 impl<E> Entry<E> {
@@ -101,10 +99,12 @@ pub(crate) struct SchedState<E> {
     /// The home cluster (fold target and lane factory); a plain handle so
     /// cancellation and folding never need the engine itself.
     pub(crate) home: Cluster,
+    /// Every admitted job that has not folded yet — see the module docs.
     pub(crate) entries: BTreeMap<u64, Entry<E>>,
     pub(crate) next_seq: u64,
-    /// Fold cursor: the lowest seq not yet folded into the home cluster.
-    next_fold: u64,
+    /// Fold cursor: the lowest seq not yet folded into the home cluster
+    /// (every entry below it is gone).
+    pub(crate) next_fold: u64,
     /// Jobs currently executing on lanes.
     running: usize,
     pub(crate) accepting: bool,
@@ -115,9 +115,9 @@ pub(crate) struct SchedState<E> {
 pub(crate) struct Shared<E> {
     pub(crate) state: Mutex<SchedState<E>>,
     pub(crate) cv: Condvar,
-    /// The flight recorder (inert when `ServerOptions::flight` is off).
-    /// Lives outside the state mutex: its own lock nests strictly inside
-    /// the scheduler lock and is never held across a wait.
+    /// The flight recorder. Lives outside the state mutex: its own lock
+    /// nests strictly inside the scheduler lock and is never held across a
+    /// wait.
     pub(crate) flight: FlightRecorder,
 }
 
@@ -132,7 +132,7 @@ pub struct JobServer<E: LaneEngine + Send + Sync + 'static> {
     /// `Option` so `shutdown(self) -> E` can move the engine out while a
     /// `Drop` impl exists.
     engine: Option<Arc<E>>,
-    shared: Arc<Shared<E>>,
+    pub(crate) shared: Arc<Shared<E>>,
     canceller: Arc<dyn Fn(u64) -> bool + Send + Sync>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -149,7 +149,7 @@ impl<E: LaneEngine + Send + Sync + 'static> JobServer<E> {
         assert!(opts.workers >= 1, "a server needs at least one worker");
         let engine = Arc::new(engine);
         let home = engine.home().clone();
-        let flight = FlightRecorder::new(opts.workers, opts.flight);
+        let flight = FlightRecorder::new(opts.workers);
         flight.publish_telemetry(home.telemetry());
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedState {
@@ -217,9 +217,8 @@ impl<E: LaneEngine + Send + Sync + 'static> JobServer<E> {
         )
     }
 
-    /// The server's flight recorder (inert when started with
-    /// `flight: false`). Clone it before `shutdown` to keep the timelines
-    /// past the server's life.
+    /// The server's flight recorder. Clone it before `shutdown` to keep the
+    /// timelines past the server's life.
     pub fn flight_recorder(&self) -> FlightRecorder {
         self.shared.flight.clone()
     }
@@ -248,7 +247,7 @@ impl<E: LaneEngine + Send + Sync + 'static> JobServer<E> {
     }
 
     /// Close admission, optionally cancel queued jobs, wait until every
-    /// ticket is resolved and folded, and stop the workers.
+    /// entry has resolved, folded and left the map, and stop the workers.
     fn drain(&mut self, cancel_queued: bool) {
         {
             let mut st = self.shared.state.lock();
@@ -272,7 +271,7 @@ impl<E: LaneEngine + Send + Sync + 'static> JobServer<E> {
                     );
                 }
             }
-            while !st.entries.values().all(|e| e.resolved() && e.folded) {
+            while !st.entries.is_empty() {
                 self.shared.cv.wait(&mut st);
             }
             st.stop = true;
@@ -320,7 +319,8 @@ pub(crate) fn footprints_overlap(a: &[HPath], b: &[HPath]) -> bool {
 }
 
 /// Insert a fully-formed entry (submit-time, state lock held). Returns
-/// the number of conflict-DAG edges the job was admitted with.
+/// the number of conflict-DAG edges the job was admitted with. An explicit
+/// dependency that has already left `entries` is resolved and adds none.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn admit<E>(
     st: &mut SchedState<E>,
@@ -362,7 +362,6 @@ pub(crate) fn admit<E>(
             run: Some(run),
             ticket,
             fold: None,
-            folded: false,
         },
     );
     n_deps
@@ -418,7 +417,6 @@ pub(crate) fn admit_memo_hit<E>(
             run: None,
             ticket: Arc::clone(&ticket),
             fold: None,
-            folded: false,
         },
     );
     let status = if result.is_ok() {
@@ -471,7 +469,8 @@ fn finish_entry<E>(
 }
 
 /// Cancel a queued `seq` (state lock held). Returns false when the job
-/// already started or finished. A failed upstream does not veto its
+/// already started or finished (a finished job may have left `entries`
+/// altogether). A failed upstream does not veto its
 /// dependents — they run and surface their own errors (e.g. missing
 /// input), exactly as in a serialized schedule.
 fn cancel_entry<E>(
@@ -519,21 +518,15 @@ fn release_dependents<E>(st: &mut SchedState<E>, rec: &FlightRecorder, seq: u64)
 /// Fold completed lanes into the home cluster strictly in admission order:
 /// advance every home clock uniformly by the lane's duration (serialized
 /// jobs end clock-aligned, so this reproduces their clocks exactly) and
-/// absorb the lane's metrics. Cancelled jobs fold as zero.
+/// absorb the lane's metrics. Cancelled jobs fold as zero. A folded entry
+/// has nothing left to say and is dropped — this is the one place entries
+/// leave the map.
 fn advance_fold<E>(st: &mut SchedState<E>, rec: &FlightRecorder) {
-    loop {
-        let Some(e) = st.entries.get_mut(&st.next_fold) else {
-            return;
-        };
-        if !e.resolved() {
-            return;
-        }
-        let seq = e.seq;
-        let fold = e.fold.take();
-        e.folded = true;
+    while st.entries.get(&st.next_fold).is_some_and(Entry::resolved) {
+        let e = st.entries.remove(&st.next_fold).expect("checked above");
         st.next_fold += 1;
         let home_before = st.home.max_time();
-        if let Some((dt, snap)) = fold {
+        if let Some((dt, snap)) = e.fold {
             for node in st.home.nodes() {
                 node.clock().advance(dt);
             }
@@ -541,7 +534,7 @@ fn advance_fold<E>(st: &mut SchedState<E>, rec: &FlightRecorder) {
         }
         // The home clocks are deterministic, so `home_before`/`after` are
         // bit-identical across schedules even though `folded_ns` is not.
-        rec.record_folded(seq, home_before, st.home.max_time());
+        rec.record_folded(e.seq, home_before, st.home.max_time());
     }
 }
 
@@ -582,7 +575,7 @@ fn worker_loop<E: LaneEngine + Send + Sync>(
             ))),
         };
         let lane_sim = lane.max_time();
-        shared.flight.record_lane_done(seq, lane_idx, lane_sim);
+        shared.flight.record_lane_done(seq, lane_sim);
         let fold = Some((lane_sim, lane.metrics().snapshot()));
         {
             let mut st = shared.state.lock();

@@ -188,7 +188,7 @@ impl<E: LaneEngine> SubmissionBuilder<'_, E> {
 
         // Register the trace job id under the admission lock so trace ids
         // follow seq order — the rollup is then schedule-independent.
-        let tjob = st.home.trace().register_job(&format!(
+        let tjob = st.home.trace().register_job(format_args!(
             "{} ({})",
             conf.job_name(),
             engine.engine_name()

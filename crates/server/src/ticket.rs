@@ -14,9 +14,10 @@ use hmr_api::job::JobResult;
 use parking_lot::{Condvar, Mutex};
 
 /// Lifecycle of a submitted job, as observed through its ticket.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub enum JobStatus {
     /// Admitted, waiting for a worker (or for upstream jobs it depends on).
+    #[default]
     Queued,
     /// Executing on a lane of the shared places.
     Running,

@@ -3,12 +3,14 @@
 
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use crate::clock::{barrier, Clock};
 use crate::cost::{Charge, CostModel};
 use crate::mem::MemAccountant;
 use crate::metrics::Metrics;
 use crate::telemetry::TelemetryRegistry;
-use crate::trace::{ChargeTotals, Phase, Span, Trace};
+use crate::trace::{ChargeTotals, Phase, RelSpan, Span, Trace};
 
 /// Identifies a node (0-based). The paper's testbed has 20 of these.
 pub type NodeId = usize;
@@ -21,10 +23,12 @@ pub struct Node {
     model: Arc<CostModel>,
     metrics: Metrics,
     trace: Trace,
-    /// True for detached task-measurement nodes whose clock starts at zero
-    /// (see [`Cluster::scratch_node`]); trace spans recorded under a
-    /// scratch meter are wave-relative and buffered for later rebasing.
-    scratch: bool,
+    /// `Some` for detached task-measurement nodes whose clock starts at
+    /// zero (see [`Cluster::scratch_node`]): the spans closed under this
+    /// node's meter, wave-relative, until [`Node::take_spans`] hands them
+    /// over for rebasing. Shared by the node's clones (a [`crate::Meter`]
+    /// holds one) and gone with the last of them.
+    scratch: Option<Arc<Mutex<Vec<RelSpan>>>>,
 }
 
 impl Node {
@@ -53,9 +57,23 @@ impl Node {
         &self.trace
     }
 
-    /// Whether this is a detached scratch node (zero-based clock).
-    pub fn is_scratch(&self) -> bool {
+    /// Log one closed span: buffered wave-relative on a scratch node,
+    /// straight into the trace with absolute times on a real one.
+    pub(crate) fn record_span(&self, span: RelSpan) {
+        match &self.scratch {
+            Some(buffer) => buffer.lock().push(span),
+            None => self
+                .trace
+                .record(span.rebased(self.trace.current_job(), self.id, 0.0)),
+        }
+    }
+
+    /// Drain the spans buffered on this scratch node (always empty on a
+    /// real node), for [`Trace::record_rebased`].
+    pub fn take_spans(&self) -> Vec<RelSpan> {
         self.scratch
+            .as_ref()
+            .map_or_else(Vec::new, |buffer| std::mem::take(&mut *buffer.lock()))
     }
 
     /// Price `charge`, advance this node's clock by it, and record it in the
@@ -114,7 +132,7 @@ impl Cluster {
                 model: Arc::clone(&model),
                 metrics: metrics.clone(),
                 trace: trace.clone(),
-                scratch: false,
+                scratch: None,
             })
             .collect();
         Cluster {
@@ -241,7 +259,7 @@ impl Cluster {
             model: Arc::clone(&self.model),
             metrics: self.metrics.clone(),
             trace: self.trace.clone(),
-            scratch: true,
+            scratch: Some(Arc::default()),
         }
     }
 
@@ -268,7 +286,7 @@ impl Cluster {
                 model: Arc::clone(&self.model),
                 metrics: metrics.clone(),
                 trace: trace.clone(),
-                scratch: false,
+                scratch: None,
             })
             .collect();
         Cluster {

@@ -28,8 +28,9 @@
 //!
 //! The [`telemetry`] module is the operational sensor layer *around* the
 //! simulation: a pull-based [`TelemetryRegistry`] (one per cluster, shared
-//! by job lanes) of counters, gauge callbacks and histograms with
-//! Prometheus-style text and JSON export, also simulation-invisible.
+//! by job lanes) of per-subsystem sources — a stateless view over state
+//! its owners already keep — with Prometheus-style text and JSON export,
+//! also simulation-invisible.
 
 pub mod arena;
 pub mod bufpool;
@@ -52,5 +53,5 @@ pub use mem::{JobMem, MemAccountant, MemClass, OomMode};
 pub use meter::{current_meter, with_meter, Meter};
 pub use metrics::Metrics;
 pub use pool::{run_wave, traced_wave, wave_duration};
-pub use telemetry::{Counter, Histogram, TelemetryRegistry};
+pub use telemetry::TelemetryRegistry;
 pub use trace::{Phase, Rollup, Span, Trace};

@@ -20,8 +20,10 @@
 //! the accountant itself never evicts, it only counts.
 //!
 //! Stats (high watermarks, eviction/spill/reload totals, cache hit rate)
-//! funnel into [`Metrics`] the same way `Node::charge` funnels simulated
-//! work, and surface in the trace text report next to the pool hit rate.
+//! live here and nowhere else: the trace text report
+//! ([`MemAccountant::report_section`]), the telemetry export
+//! ([`MemAccountant::publish_telemetry`]) and the benches all read these
+//! per-place tallies.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -148,6 +150,8 @@ struct MemInner {
     /// Governed-cache lookups that missed (absent, type or length
     /// mismatch). Reload faults count as hits: the entry was present.
     cache_misses: AtomicU64,
+    /// Read only by [`MemAccountant::report_section`], for the buffer-pool
+    /// hit-rate line.
     metrics: Option<Metrics>,
 }
 
@@ -160,13 +164,13 @@ pub struct MemAccountant {
 
 impl MemAccountant {
     /// Accountant for `places` places with an infinite budget and no
-    /// metrics funnel (unit tests).
+    /// metrics handle (unit tests).
     pub fn new(places: usize) -> Self {
         Self::build(places, None)
     }
 
-    /// Accountant whose stats funnel into `metrics` (the form every
-    /// [`crate::Cluster`] constructs).
+    /// Accountant whose report section also prints `metrics`' buffer-pool
+    /// hit rate (the form every [`crate::Cluster`] constructs).
     pub fn with_metrics(places: usize, metrics: Metrics) -> Self {
         Self::build(places, Some(metrics))
     }
@@ -194,8 +198,7 @@ impl MemAccountant {
     }
 
     /// Record `bytes` newly held by `class` at `place`, ratcheting the
-    /// place's high watermark (and the cluster-wide watermark gauge in
-    /// [`Metrics`]).
+    /// place's high watermark.
     pub fn grow(&self, place: usize, class: MemClass, bytes: u64) {
         if bytes == 0 {
             return;
@@ -205,11 +208,7 @@ impl MemAccountant {
         if class == MemClass::Combine {
             p.combine_high_watermark.fetch_max(class_live, Ordering::Relaxed);
         }
-        let live = p.live();
-        p.high_watermark.fetch_max(live, Ordering::Relaxed);
-        if let Some(m) = &self.inner.metrics {
-            m.record_mem_watermark(live);
-        }
+        p.high_watermark.fetch_max(p.live(), Ordering::Relaxed);
     }
 
     /// Record `bytes` released by `class` at `place` (saturating: a
@@ -286,17 +285,11 @@ impl MemAccountant {
         let p = self.place(place);
         p.evictions.fetch_add(1, Ordering::Relaxed);
         p.spill_bytes.fetch_add(spilled_bytes, Ordering::Relaxed);
-        if let Some(m) = &self.inner.metrics {
-            m.record_cache_eviction(spilled_bytes);
-        }
     }
 
     /// Record `bytes` lazily reloaded from the DFS at `place`.
     pub fn note_reload(&self, place: usize, bytes: u64) {
         self.place(place).reload_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(m) = &self.inner.metrics {
-            m.record_cache_reload(bytes);
-        }
     }
 
     /// Count one governed-cache lookup (hit = served, resident or via
@@ -353,91 +346,84 @@ impl MemAccountant {
         self.inner.cache_misses.store(0, Ordering::Relaxed);
     }
 
-    /// Publish the governor's state into `registry` as pull-based gauges:
-    /// per-place live bytes by class, high watermarks, eviction/spill/
-    /// reload totals, and the cluster-wide governed-cache hit/miss tally.
-    /// Callbacks capture a clone of the accountant, so the registry always
-    /// exports the *current* state; registering is idempotent (gauge
-    /// re-registration overwrites).
+    /// Register the governor's telemetry source with `registry`: per-place
+    /// live bytes by class, high watermarks, eviction/spill/reload totals,
+    /// the budget and the cluster-wide governed-cache hit/miss tally. The
+    /// source captures a clone of the accountant and reads its tallies at
+    /// export time, so nothing here is kept twice.
     pub fn publish_telemetry(&self, registry: &crate::telemetry::TelemetryRegistry) {
-        use std::sync::Arc;
-        let per_place = |name: &str, help: &str, read: fn(&MemAccountant, usize) -> u64| {
-            let me = self.clone();
-            registry.gauge(
-                name,
-                help,
-                Arc::new(move || {
-                    (0..me.places())
-                        .map(|p| (format!("place=\"{p}\""), read(&me, p) as f64))
-                        .collect()
-                }),
-            );
-        };
+        use crate::telemetry::{Family, Kind};
         let me = self.clone();
-        registry.gauge(
-            "m3r_mem_live_bytes",
-            "live accounted bytes per place and memory class",
-            Arc::new(move || {
-                let mut samples = Vec::with_capacity(me.places() * MemClass::COUNT);
+        let source = move || {
+            let per_place = |kind, name, help, read: fn(&MemAccountant, usize) -> u64| {
+                let mut f = Family::new(kind, name, help);
                 for p in 0..me.places() {
-                    for class in MemClass::all() {
-                        samples.push((
-                            format!("place=\"{p}\",class=\"{}\"", class.name()),
-                            me.live_class(p, class) as f64,
-                        ));
-                    }
+                    f.sample(&[("place", &p.to_string())], read(&me, p) as f64);
                 }
-                samples
-            }),
-        );
-        per_place(
-            "m3r_mem_high_watermark_bytes",
-            "highest budget-relevant live bytes ever observed per place",
-            MemAccountant::high_watermark,
-        );
-        per_place(
-            "m3r_mem_combine_high_watermark_bytes",
-            "peak combine-table bytes per place",
-            MemAccountant::combine_high_watermark,
-        );
-        per_place(
-            "m3r_mem_evictions_total",
-            "cache entries evicted per place",
-            MemAccountant::evictions,
-        );
-        per_place(
-            "m3r_mem_spill_bytes_total",
-            "bytes spilled to the DFS by evictions per place",
-            MemAccountant::spill_bytes,
-        );
-        per_place(
-            "m3r_mem_reload_bytes_total",
-            "bytes faulted back in from spill files per place",
-            MemAccountant::reload_bytes,
-        );
-        let me = self.clone();
-        registry.gauge(
-            "m3r_cache_requests_total",
-            "governed-cache lookups by outcome",
-            Arc::new(move || {
-                let (hits, misses) = me.cache_accesses();
-                vec![
-                    ("outcome=\"hit\"".to_string(), hits as f64),
-                    ("outcome=\"miss\"".to_string(), misses as f64),
-                ]
-            }),
-        );
-        let me = self.clone();
-        registry.gauge(
-            "m3r_mem_budget_bytes",
-            "per-place byte budget (-1 = unlimited)",
-            Arc::new(move || {
-                vec![(
-                    String::new(),
-                    me.budget().map(|b| b as f64).unwrap_or(-1.0),
-                )]
-            }),
-        );
+                f
+            };
+            let mut live = Family::new(
+                Kind::Gauge,
+                "m3r_mem_live_bytes",
+                "live accounted bytes per place and memory class",
+            );
+            for p in 0..me.places() {
+                for class in MemClass::all() {
+                    let labels = [("place", &*p.to_string()), ("class", class.name())];
+                    live.sample(&labels, me.live_class(p, class) as f64);
+                }
+            }
+            let (hits, misses) = me.cache_accesses();
+            let mut requests = Family::new(
+                Kind::Counter,
+                "m3r_cache_requests_total",
+                "governed-cache lookups by outcome",
+            );
+            requests.sample(&[("outcome", "hit")], hits as f64);
+            requests.sample(&[("outcome", "miss")], misses as f64);
+            let mut budget = Family::new(
+                Kind::Gauge,
+                "m3r_mem_budget_bytes",
+                "per-place byte budget (-1 = unlimited)",
+            );
+            budget.sample(&[], me.budget().map_or(-1.0, |b| b as f64));
+            vec![
+                live,
+                per_place(
+                    Kind::Gauge,
+                    "m3r_mem_high_watermark_bytes",
+                    "highest budget-relevant live bytes ever observed per place",
+                    MemAccountant::high_watermark,
+                ),
+                per_place(
+                    Kind::Gauge,
+                    "m3r_mem_combine_high_watermark_bytes",
+                    "peak combine-table bytes per place",
+                    MemAccountant::combine_high_watermark,
+                ),
+                per_place(
+                    Kind::Counter,
+                    "m3r_mem_evictions_total",
+                    "cache entries evicted per place",
+                    MemAccountant::evictions,
+                ),
+                per_place(
+                    Kind::Counter,
+                    "m3r_mem_spill_bytes_total",
+                    "bytes spilled to the DFS by evictions per place",
+                    MemAccountant::spill_bytes,
+                ),
+                per_place(
+                    Kind::Counter,
+                    "m3r_mem_reload_bytes_total",
+                    "bytes faulted back in from spill files per place",
+                    MemAccountant::reload_bytes,
+                ),
+                requests,
+                budget,
+            ]
+        };
+        registry.register("mem", Arc::new(source));
     }
 
     /// Human-readable per-place memory section for the trace text report,
@@ -601,21 +587,6 @@ mod tests {
         assert_eq!(mem.oom_mode(), OomMode::FailFast);
         mem.set_budget(None);
         assert_eq!(mem.budget(), None);
-    }
-
-    #[test]
-    fn stats_funnel_into_metrics() {
-        let m = Metrics::new();
-        let mem = MemAccountant::with_metrics(1, m.clone());
-        mem.grow(0, MemClass::Cache, 777);
-        mem.note_eviction(0, 500);
-        mem.note_reload(0, 300);
-        assert_eq!(m.mem_high_watermark_bytes(), 777);
-        assert_eq!(m.cache_evictions(), 1);
-        assert_eq!(m.cache_spill_bytes(), 500);
-        assert_eq!(m.cache_reload_bytes(), 300);
-        // None of it leaks into snapshot equality.
-        assert_eq!(m.snapshot(), Metrics::new().snapshot());
     }
 
     #[test]

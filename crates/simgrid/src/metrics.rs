@@ -79,23 +79,6 @@ counters! {
     /// Buffer-pool requests that needed a fresh allocation. See
     /// `pool_hits` for why this stays outside the snapshot.
     pool_misses,
-    /// Governed-cache entries evicted under a finite memory budget. Like
-    /// the pool counters this is NOT part of `MetricsSnapshot`: with the
-    /// default infinite budget it is always zero, and under a finite
-    /// budget it describes governance work, not the simulated job —
-    /// equivalence tests compare snapshots bit-for-bit. Surfaced by the
-    /// trace report's memory section instead.
-    cache_evictions,
-    /// Bytes written to the DFS by cache spills. Outside the snapshot;
-    /// see `cache_evictions`.
-    cache_spill_bytes,
-    /// Bytes read back from the DFS by lazy cache reloads. Outside the
-    /// snapshot; see `cache_evictions`.
-    cache_reload_bytes,
-    /// Cluster-wide gauge: highest per-place live bytes the memory
-    /// accountant ever observed (a `fetch_max` ratchet, not a sum).
-    /// Outside the snapshot; see `cache_evictions`.
-    mem_high_watermark_bytes,
 }
 
 impl Metrics {
@@ -157,28 +140,6 @@ impl Metrics {
             &self.inner.pool_misses
         };
         ctr.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one governed-cache eviction that spilled `spilled_bytes` to
-    /// the DFS (0 for a drop-without-spill).
-    pub fn record_cache_eviction(&self, spilled_bytes: u64) {
-        self.inner.cache_evictions.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .cache_spill_bytes
-            .fetch_add(spilled_bytes, Ordering::Relaxed);
-    }
-
-    /// Count `bytes` lazily reloaded from the DFS into the cache.
-    pub fn record_cache_reload(&self, bytes: u64) {
-        self.inner.cache_reload_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Ratchet the high-watermark gauge up to `live_bytes` (a per-place
-    /// live total observed by the memory accountant).
-    pub fn record_mem_watermark(&self, live_bytes: u64) {
-        self.inner
-            .mem_high_watermark_bytes
-            .fetch_max(live_bytes, Ordering::Relaxed);
     }
 
     /// Reset every counter to zero. Iterates the macro-generated

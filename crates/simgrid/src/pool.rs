@@ -18,7 +18,6 @@
 use crate::arena::Arena;
 use crate::cluster::{Cluster, Node, NodeId};
 use crate::meter::{with_meter, Meter};
-use crate::trace;
 
 /// Run one wave of simulated tasks at `place`, each under its own scratch
 /// [`Meter`]. With `parallel` set (and more than one task) the tasks run
@@ -82,16 +81,17 @@ pub fn wave_duration(scratches: &[Node]) -> f64 {
 
 /// One traced task wave at `place` — the loop every phase of both engines
 /// runs. Each task runs under its own scratch meter ([`run_wave`]); then,
-/// on the calling thread and **in task order**, the spans the task buffered
-/// are rebased onto the place's clock as of wave start and its result goes
-/// to `fold` with the task's scratch meter re-installed, so order-sensitive
-/// follow-up work (shuffle-stream serialization, combine-table absorption)
-/// bills the task exactly as if it had done it inline; spans `fold` records
-/// are rebased the same way. Finally the place clock advances by the
-/// slowest task ([`wave_duration`]) and `arena` is trimmed to its retention
-/// cap. The first task or fold error ends the wave there and is returned:
-/// the clock stays put and the failing fold's spans are discarded, but the
-/// arena is still trimmed and no span stays buffered on the calling thread.
+/// on the calling thread and **in task order**, the spans buffered on the
+/// task's scratch node are rebased onto the place's clock as of wave start
+/// and its result goes to `fold` with the task's scratch meter
+/// re-installed, so order-sensitive follow-up work (shuffle-stream
+/// serialization, combine-table absorption) bills the task exactly as if
+/// it had done it inline; spans `fold` records are rebased the same way.
+/// Finally the place clock advances by the slowest task
+/// ([`wave_duration`]) and `arena` is trimmed to its retention cap. The
+/// first task or fold error ends the wave there and is returned: the clock
+/// stays put, the arena is still trimmed, and the failing fold's spans are
+/// dropped with the scratch node that holds them.
 ///
 /// `task` and `fold` are generic closures: nothing on the per-task path is
 /// boxed or dynamically dispatched.
@@ -115,25 +115,19 @@ where
     // Scratch clocks start at zero: spans recorded during the wave are
     // wave-relative and rebase onto the place clock as of wave start.
     let wave_base = node.clock().now();
-    let (results, scratches) = run_wave(cluster, place, parallel, tasks, |t| {
-        (task(t), trace::take_pending())
-    });
+    let (results, scratches) = run_wave(cluster, place, parallel, tasks, task);
+    let rebase = |scratch: &Node| {
+        cluster
+            .trace()
+            .record_rebased(job, place, wave_base, scratch.take_spans());
+    };
     let outcome = results
         .into_iter()
         .zip(&scratches)
-        .try_for_each(|((result, task_spans), scratch)| {
-            cluster
-                .trace()
-                .record_rebased(job, place, wave_base, task_spans);
-            let folded = with_meter(Meter::new(scratch.clone()), || fold(result?));
-            // Drained before the error check: spans a failing fold had
-            // already closed would otherwise wait in this (often
-            // long-lived) thread's buffer for the next job's first wave.
-            let fold_spans = trace::take_pending();
-            folded?;
-            cluster
-                .trace()
-                .record_rebased(job, place, wave_base, fold_spans);
+        .try_for_each(|(result, scratch)| {
+            rebase(scratch);
+            with_meter(Meter::new(scratch.clone()), || fold(result?))?;
+            rebase(scratch);
             Ok(())
         });
     if outcome.is_ok() {
@@ -148,7 +142,7 @@ mod tests {
     use super::*;
     use crate::cost::{Charge, CostModel};
     use crate::meter;
-    use crate::trace::Phase;
+    use crate::trace::{self, Phase};
 
     fn charges_of(task: usize) -> u64 {
         (task as u64 + 1) * 1000
@@ -301,7 +295,7 @@ mod tests {
         assert_eq!(folded, vec![0], "results before the failure still fold");
 
         // A fold that fails *after* closing a span must not leave that span
-        // on the calling thread for the next wave to adopt.
+        // for the next wave to adopt.
         cluster.trace().enable();
         let fold_span = |t: usize| {
             trace::span(Phase::Shuffle, "serialize", Some(t as u64), || {
@@ -323,7 +317,6 @@ mod tests {
             },
         );
         assert_eq!(r, Err("fold boom"));
-        assert!(trace::take_pending().is_empty(), "failed fold left spans behind");
         let next = cluster.trace().begin_job("next");
         traced_wave(&cluster, 0, next, false, &Arena::new(), vec![7usize], Ok, |t| {
             fold_span(t);

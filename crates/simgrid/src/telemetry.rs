@@ -1,28 +1,33 @@
-//! Pull-based telemetry registry: counters, gauges and histograms with
-//! Prometheus-style text and JSON export.
+//! Pull-based telemetry: a stateless view over state its owners already
+//! keep, exported as Prometheus-style text and JSON.
 //!
 //! The trace module answers "where did *simulated* time go inside a job";
 //! this module is the operational sensor layer *around* jobs — the numbers
-//! a fleet dashboard would scrape from a long-lived server: submit rates,
-//! submit→resolve latency histograms, lane busy-seconds, memory watermarks,
-//! cache hit/miss/spill traffic, per-tenant resident bytes. Every
-//! [`crate::Cluster`] carries one registry (shared by its job lanes, like
-//! the memory accountant), and the server, the memory governor and the
-//! governed cache all publish into it.
+//! a fleet dashboard would scrape from a long-lived server: ticket
+//! outcomes, submit→resolve latency histograms, lane busy-seconds, memory
+//! watermarks, cache hit/miss/spill traffic, per-tenant resident bytes.
+//! Every [`crate::Cluster`] carries one registry (shared by its job lanes,
+//! like the memory accountant).
 //!
 //! # Design rules
 //!
-//! * **Pull-based.** Gauges are *callbacks* evaluated at export time, so
-//!   publishing a gauge costs one registration and reading the registry
-//!   never perturbs the publisher. Counters and histograms are lock-free
-//!   atomics on the update path.
+//! * **The registry owns no numbers.** It holds *sources*: one callback per
+//!   subsystem instance (memory accountant, governed cache, reuse index,
+//!   job server) that reads the state its owner keeps anyway and returns
+//!   every [`Family`] it answers for, in one pass under the owner's one
+//!   lock. Nothing is counted twice and no per-event path touches the
+//!   registry; a family that needs a histogram buckets its owner's log at
+//!   export time ([`Family::observe`]).
 //! * **Simulation-invisible.** Nothing in this module touches clocks,
-//!   [`crate::Metrics`], or job outputs: registering, updating and
-//!   exporting telemetry leaves simulated seconds, counters and
-//!   `MetricsSnapshot`s bit-identical (pinned by `tests/serverobs.rs`).
-//! * **Deterministic export order.** Families and label sets export in
-//!   lexicographic order (`BTreeMap`s all the way down), so two exports of
-//!   the same state are byte-identical.
+//!   [`crate::Metrics`], or job outputs: registering and exporting leaves
+//!   simulated seconds, counters and `MetricsSnapshot`s bit-identical
+//!   (pinned by `tests/serverobs.rs`).
+//! * **One rendering.** [`TelemetryRegistry::prometheus_text`] and
+//!   [`TelemetryRegistry::json`] both render the one sorted list the
+//!   private `collect` returns; sources hand over label
+//!   *pairs* and the escaping happens here. Families export in name order
+//!   and samples in label order, so two exports of the same state are
+//!   byte-identical.
 //!
 //! # Naming scheme
 //!
@@ -33,155 +38,133 @@
 //! byte/second units are spelled out in the name, Prometheus-style.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::trace::json_escape;
 
-/// A monotonically increasing counter handle. Cheap to clone; all clones
-/// (and the registry) share one atomic cell.
-#[derive(Clone, Default)]
-pub struct Counter {
-    cell: Arc<AtomicU64>,
+/// How a family is typed in the exposition (`# TYPE`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Kind {
+    /// Monotonically increasing over the owner's life.
+    Counter,
+    /// A value that can go down.
+    Gauge,
+    /// Bucketed observations; carries the ascending bucket upper bounds
+    /// (an implicit `+Inf` bucket catches the rest).
+    Histogram(&'static [f64]),
 }
 
-impl Counter {
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Increment by `n`.
-    pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-struct HistogramInner {
-    /// Upper bounds of the buckets, ascending; an implicit `+Inf` bucket
-    /// catches the rest.
-    bounds: Vec<f64>,
-    /// One cumulative-at-export count per bound plus the `+Inf` bucket
-    /// (stored non-cumulative; export accumulates).
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum of observed values in micro-units (value × 1e6, rounded) so the
-    /// hot path stays integer-atomic; export divides back.
-    sum_micros: AtomicU64,
-}
-
-/// A fixed-bucket histogram handle. Cheap to clone; clones share state.
-#[derive(Clone)]
-pub struct Histogram {
-    inner: Arc<HistogramInner>,
-}
-
-impl Histogram {
-    /// Record one observation.
-    pub fn observe(&self, value: f64) {
-        let h = &self.inner;
-        let idx = h
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(h.bounds.len());
-        h.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        h.count.fetch_add(1, Ordering::Relaxed);
-        let micros = (value * 1e6).max(0.0) as u64;
-        h.sum_micros.fetch_add(micros, Ordering::Relaxed);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observed values.
-    pub fn sum(&self) -> f64 {
-        self.inner.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
-    /// The value at quantile `q` (0..=1), estimated from the bucket counts
-    /// (upper bound of the bucket the quantile falls in; the last bound for
-    /// the overflow bucket). Returns 0.0 with no observations.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let h = &self.inner;
-        let total = h.count.load(Ordering::Relaxed);
-        if total == 0 {
-            return 0.0;
+impl Kind {
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram(_) => "histogram",
         }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, b) in h.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return h.bounds.get(i).copied().unwrap_or_else(|| {
-                    // Overflow bucket: the best point estimate available is
-                    // the largest finite bound.
-                    h.bounds.last().copied().unwrap_or(0.0)
-                });
-            }
-        }
-        h.bounds.last().copied().unwrap_or(0.0)
     }
 }
 
-/// A gauge callback: evaluated at export time, returns the current samples
-/// of one metric family as `(label_string, value)` pairs. The label string
-/// is the Prometheus-syntax set without braces (e.g. `place="0"`), empty
-/// for an unlabelled gauge.
-pub type GaugeFn = Arc<dyn Fn() -> Vec<(String, f64)> + Send + Sync>;
-
-enum Metric {
-    Counter(BTreeMap<String, Counter>),
-    Gauge(GaugeFn),
-    Histogram {
-        bounds: Vec<f64>,
-        samples: BTreeMap<String, Histogram>,
+/// One sample's value.
+#[derive(Debug, PartialEq)]
+enum Value {
+    Scalar(f64),
+    /// Per-bucket (non-cumulative) counts, one per bound plus `+Inf`, and
+    /// the sum of the observations.
+    Buckets {
+        bounds: &'static [f64],
+        counts: Vec<u64>,
+        sum: f64,
     },
 }
 
-struct Family {
-    help: String,
-    metric: Metric,
+/// One metric family as a source reports it: name, help, kind and the
+/// current samples.
+#[derive(Debug, PartialEq)]
+pub struct Family {
+    name: &'static str,
+    help: &'static str,
+    kind: Kind,
+    /// `(rendered label set, value)`.
+    samples: Vec<(String, Value)>,
 }
 
-#[derive(Default)]
-struct RegistryInner {
-    families: BTreeMap<String, Family>,
+impl Family {
+    /// An empty family.
+    pub fn new(kind: Kind, name: &'static str, help: &'static str) -> Self {
+        Family {
+            name,
+            help,
+            kind,
+            samples: Vec::new(),
+        }
+    }
+
+    /// Add one counter/gauge sample. An empty `labels` is the unlabelled
+    /// sample.
+    pub fn sample(&mut self, labels: &[(&str, &str)], value: f64) {
+        self.samples.push((render_labels(labels), Value::Scalar(value)));
+    }
+
+    /// Add one histogram sample by bucketing `observations` into the
+    /// family's bounds.
+    pub fn observe(&mut self, labels: &[(&str, &str)], observations: impl IntoIterator<Item = f64>) {
+        let Kind::Histogram(bounds) = self.kind else {
+            panic!("{} is not a histogram family", self.name);
+        };
+        let mut counts = vec![0u64; bounds.len() + 1];
+        let mut sum = 0.0;
+        for v in observations {
+            counts[bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len())] += 1;
+            sum += v;
+        }
+        let value = Value::Buckets { bounds, counts, sum };
+        self.samples.push((render_labels(labels), value));
+    }
 }
 
-/// The pull-based telemetry registry. `Clone` is shallow: clones (and the
+/// Render label pairs as the Prometheus label-set string without braces
+/// (`a="1",b="x"`, keys in caller order), escaping `\`, `"` and newline in
+/// values as the exposition format requires.
+fn render_labels(labels: &[(&str, &str)]) -> String {
+    let mut out = String::new();
+    for (k, v) in labels {
+        if !out.is_empty() {
+            out.push(',');
+        }
+        let _ = write!(out, "{k}=\"");
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    out
+}
+
+/// A telemetry source: called at every export, returns the current state
+/// of every family one subsystem instance answers for.
+pub type Source = Arc<dyn Fn() -> Vec<Family> + Send + Sync>;
+
+/// The registry of telemetry sources. `Clone` is shallow: clones (and the
 /// cluster's job lanes) share one registry.
 #[derive(Clone, Default)]
 pub struct TelemetryRegistry {
-    inner: Arc<Mutex<RegistryInner>>,
+    sources: Arc<Mutex<BTreeMap<&'static str, Source>>>,
 }
 
 impl std::fmt::Debug for TelemetryRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("TelemetryRegistry")
-            .field("families", &inner.families.len())
+            .field("sources", &self.sources.lock().keys())
             .finish()
     }
-}
-
-/// Render a label slice as the canonical Prometheus label-set string
-/// (no braces): `a="1",b="x"`. Keys keep caller order.
-pub fn label_string(labels: &[(&str, &str)]) -> String {
-    labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", json_escape(v)))
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 impl TelemetryRegistry {
@@ -190,150 +173,47 @@ impl TelemetryRegistry {
         TelemetryRegistry::default()
     }
 
-    /// Register (or look up) a counter sample. Idempotent: the same
-    /// (name, labels) always returns a handle to the same cell, so
-    /// publishers can re-register freely.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let mut inner = self.inner.lock();
-        let fam = inner.families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            metric: Metric::Counter(BTreeMap::new()),
-        });
-        match &mut fam.metric {
-            Metric::Counter(samples) => samples
-                .entry(label_string(labels))
-                .or_default()
-                .clone(),
-            _ => panic!("telemetry family {name:?} already registered with another type"),
+    /// Register `source` as subsystem `name`, replacing any source already
+    /// registered under that name (a second engine or server started on
+    /// the same cluster takes over its subsystem's families).
+    pub fn register(&self, name: &'static str, source: Source) {
+        self.sources.lock().insert(name, source);
+    }
+
+    /// Ask every source for its families: the one list both exports render,
+    /// families in name order, samples in rendered-label order.
+    fn collect(&self) -> Vec<Family> {
+        // Sources lock their owners; don't hold the registry lock meanwhile.
+        let sources: Vec<Source> = self.sources.lock().values().cloned().collect();
+        let mut families: Vec<Family> = sources.iter().flat_map(|s| s()).collect();
+        families.sort_by_key(|f| f.name);
+        for f in &mut families {
+            f.samples.sort_by(|a, b| a.0.cmp(&b.0));
         }
-    }
-
-    /// Register (or replace) a gauge family: `f` is called at every export
-    /// and returns the family's current `(label_string, value)` samples.
-    /// Re-registration overwrites — publishers whose sample set changes
-    /// over time (e.g. per-tenant gauges) just return the current set.
-    pub fn gauge(&self, name: &str, help: &str, f: GaugeFn) {
-        let mut inner = self.inner.lock();
-        inner.families.insert(
-            name.to_string(),
-            Family {
-                help: help.to_string(),
-                metric: Metric::Gauge(f),
-            },
-        );
-    }
-
-    /// Register (or look up) a histogram sample with the given ascending
-    /// bucket upper bounds (an implicit `+Inf` bucket is added). Idempotent
-    /// per (name, labels); the first registration fixes the bounds.
-    pub fn histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-    ) -> Histogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must ascend"
-        );
-        let mut inner = self.inner.lock();
-        let fam = inner.families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            metric: Metric::Histogram {
-                bounds: bounds.to_vec(),
-                samples: BTreeMap::new(),
-            },
-        });
-        match &mut fam.metric {
-            Metric::Histogram { bounds, samples } => samples
-                .entry(label_string(labels))
-                .or_insert_with(|| Histogram {
-                    inner: Arc::new(HistogramInner {
-                        bounds: bounds.clone(),
-                        buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                        count: AtomicU64::new(0),
-                        sum_micros: AtomicU64::new(0),
-                    }),
-                })
-                .clone(),
-            _ => panic!("telemetry family {name:?} already registered with another type"),
-        }
-    }
-
-    /// Drop every registered family.
-    pub fn clear(&self) {
-        self.inner.lock().families.clear();
-    }
-
-    /// Number of registered families.
-    pub fn len(&self) -> usize {
-        self.inner.lock().families.len()
-    }
-
-    /// Whether no family is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        families
     }
 
     /// Export in the Prometheus text exposition format: `# HELP` / `# TYPE`
-    /// headers, one sample per line, families and label sets in
-    /// lexicographic order.
+    /// headers, one sample per line; histograms as cumulative
+    /// `_bucket{le=…}` lines plus `_sum` and `_count`.
     pub fn prometheus_text(&self) -> String {
-        let inner = self.inner.lock();
         let mut out = String::new();
-        for (name, fam) in &inner.families {
-            out.push_str(&format!("# HELP {name} {}\n", fam.help));
-            let kind = match &fam.metric {
-                Metric::Counter(_) => "counter",
-                Metric::Gauge(_) => "gauge",
-                Metric::Histogram { .. } => "histogram",
-            };
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-            match &fam.metric {
-                Metric::Counter(samples) => {
-                    for (labels, c) in samples {
-                        out.push_str(&sample_line(name, labels, &[], &format!("{}", c.get())));
-                    }
-                }
-                Metric::Gauge(f) => {
-                    let mut samples = f();
-                    samples.sort_by(|a, b| a.0.cmp(&b.0));
-                    for (labels, v) in samples {
-                        out.push_str(&sample_line(name, &labels, &[], &fmt_value(v)));
-                    }
-                }
-                Metric::Histogram { bounds, samples } => {
-                    for (labels, h) in samples {
-                        let mut cum = 0u64;
-                        for (i, b) in bounds.iter().enumerate() {
-                            cum += h.inner.buckets[i].load(Ordering::Relaxed);
-                            out.push_str(&sample_line(
-                                &format!("{name}_bucket"),
-                                labels,
-                                &[("le", &fmt_value(*b))],
-                                &format!("{cum}"),
-                            ));
+        for fam in self.collect() {
+            let name = fam.name;
+            let _ = writeln!(out, "# HELP {name} {}", fam.help);
+            let _ = writeln!(out, "# TYPE {name} {}", fam.kind.as_str());
+            for (labels, value) in &fam.samples {
+                match value {
+                    Value::Scalar(v) => sample_line(&mut out, name, labels, None, &fmt_value(*v)),
+                    Value::Buckets { bounds, counts, sum } => {
+                        let bucket = format!("{name}_bucket");
+                        for (le, cum) in cumulative(bounds, counts) {
+                            let le = le.map_or("+Inf".to_string(), fmt_value);
+                            sample_line(&mut out, &bucket, labels, Some(&le), &cum.to_string());
                         }
-                        cum += h.inner.buckets[bounds.len()].load(Ordering::Relaxed);
-                        out.push_str(&sample_line(
-                            &format!("{name}_bucket"),
-                            labels,
-                            &[("le", "+Inf")],
-                            &format!("{cum}"),
-                        ));
-                        out.push_str(&sample_line(
-                            &format!("{name}_sum"),
-                            labels,
-                            &[],
-                            &fmt_value(h.sum()),
-                        ));
-                        out.push_str(&sample_line(
-                            &format!("{name}_count"),
-                            labels,
-                            &[],
-                            &format!("{}", h.count()),
-                        ));
+                        sample_line(&mut out, &format!("{name}_sum"), labels, None, &fmt_value(*sum));
+                        let count = counts.iter().sum::<u64>().to_string();
+                        sample_line(&mut out, &format!("{name}_count"), labels, None, &count);
                     }
                 }
             }
@@ -345,90 +225,78 @@ impl TelemetryRegistry {
     /// samples: [{labels, value | count/sum/buckets}]}]}`. Same ordering
     /// guarantees as the text format; no JSON dependency (shared escaper).
     pub fn json(&self) -> String {
-        let inner = self.inner.lock();
-        let mut fams: Vec<String> = Vec::with_capacity(inner.families.len());
-        for (name, fam) in &inner.families {
-            let (kind, samples) = match &fam.metric {
-                Metric::Counter(samples) => (
-                    "counter",
-                    samples
-                        .iter()
-                        .map(|(labels, c)| {
-                            format!(
-                                "{{\"labels\":\"{}\",\"value\":{}}}",
-                                json_escape(labels),
-                                c.get()
-                            )
-                        })
-                        .collect::<Vec<_>>(),
-                ),
-                Metric::Gauge(f) => {
-                    let mut s = f();
-                    s.sort_by(|a, b| a.0.cmp(&b.0));
-                    (
-                        "gauge",
-                        s.iter()
-                            .map(|(labels, v)| {
+        let fams: Vec<String> = self
+            .collect()
+            .iter()
+            .map(|fam| {
+                let samples: Vec<String> = fam
+                    .samples
+                    .iter()
+                    .map(|(labels, value)| {
+                        let labels = json_escape(labels);
+                        match value {
+                            Value::Scalar(v) => {
+                                format!("{{\"labels\":\"{labels}\",\"value\":{}}}", fmt_value(*v))
+                            }
+                            Value::Buckets { bounds, counts, sum } => {
+                                // The `+Inf` bucket is `count` itself.
+                                let buckets: Vec<String> = cumulative(bounds, counts)
+                                    .filter_map(|(le, cum)| {
+                                        let le = fmt_value(le?);
+                                        Some(format!("{{\"le\":{le},\"count\":{cum}}}"))
+                                    })
+                                    .collect();
                                 format!(
-                                    "{{\"labels\":\"{}\",\"value\":{}}}",
-                                    json_escape(labels),
-                                    fmt_value(*v)
+                                    "{{\"labels\":\"{labels}\",\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
+                                    counts.iter().sum::<u64>(),
+                                    fmt_value(*sum),
+                                    buckets.join(",")
                                 )
-                            })
-                            .collect(),
-                    )
-                }
-                Metric::Histogram { bounds, samples } => (
-                    "histogram",
-                    samples
-                        .iter()
-                        .map(|(labels, h)| {
-                            let mut cum = 0u64;
-                            let buckets: Vec<String> = bounds
-                                .iter()
-                                .enumerate()
-                                .map(|(i, b)| {
-                                    cum += h.inner.buckets[i].load(Ordering::Relaxed);
-                                    format!("{{\"le\":{},\"count\":{cum}}}", fmt_value(*b))
-                                })
-                                .collect();
-                            format!(
-                                "{{\"labels\":\"{}\",\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-                                json_escape(labels),
-                                h.count(),
-                                fmt_value(h.sum()),
-                                buckets.join(",")
-                            )
-                        })
-                        .collect(),
-                ),
-            };
-            fams.push(format!(
-                "{{\"name\":\"{}\",\"type\":\"{kind}\",\"help\":\"{}\",\"samples\":[{}]}}",
-                json_escape(name),
-                json_escape(&fam.help),
-                samples.join(",")
-            ));
-        }
+                            }
+                        }
+                    })
+                    .collect();
+                format!(
+                    "{{\"name\":\"{}\",\"type\":\"{}\",\"help\":\"{}\",\"samples\":[{}]}}",
+                    json_escape(fam.name),
+                    fam.kind.as_str(),
+                    json_escape(fam.help),
+                    samples.join(",")
+                )
+            })
+            .collect();
         format!("{{\"families\":[{}]}}\n", fams.join(",\n"))
     }
 }
 
-/// Format one sample line. `extra` labels (e.g. `le`) append after the
-/// sample's own label string.
-fn sample_line(name: &str, labels: &str, extra: &[(&str, &str)], value: &str) -> String {
-    let mut all = String::from(labels);
-    for (k, v) in extra {
+/// `(upper bound, cumulative count)` per bucket of a histogram sample; the
+/// last bucket is `+Inf` (`None`).
+fn cumulative<'a>(
+    bounds: &'a [f64],
+    counts: &'a [u64],
+) -> impl Iterator<Item = (Option<f64>, u64)> + 'a {
+    let les = bounds.iter().copied().map(Some).chain([None]);
+    les.zip(counts.iter().scan(0u64, |cum, c| {
+        *cum += c;
+        Some(*cum)
+    }))
+}
+
+/// Append one sample line; `le` (a histogram bucket's bound) renders after
+/// the sample's own labels.
+fn sample_line(out: &mut String, name: &str, labels: &str, le: Option<&str>, value: &str) {
+    let mut all = labels.to_string();
+    if let Some(le) = le {
         if !all.is_empty() {
             all.push(',');
         }
-        all.push_str(&format!("{k}=\"{v}\""));
+        let _ = write!(all, "le=\"{le}\"");
     }
-    if all.is_empty() {
-        format!("{name} {value}\n")
+    let _ = if all.is_empty() {
+        writeln!(out, "{name} {value}")
     } else {
-        format!("{name}{{{all}}} {value}\n")
-    }
+        writeln!(out, "{name}{{{all}}} {value}")
+    };
 }
 
 /// Trim floats so integers export without a trailing `.0...` tail and
@@ -444,84 +312,133 @@ fn fmt_value(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    #[test]
-    fn counters_share_cells_and_are_idempotent() {
-        let reg = TelemetryRegistry::new();
-        let a = reg.counter("m3r_test_total", "test counter", &[("state", "ok")]);
-        let b = reg.counter("m3r_test_total", "test counter", &[("state", "ok")]);
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3, "re-registration returns the same cell");
-        let other = reg.counter("m3r_test_total", "test counter", &[("state", "err")]);
-        assert_eq!(other.get(), 0);
-        let text = reg.prometheus_text();
-        assert!(text.contains("# TYPE m3r_test_total counter"));
-        assert!(text.contains("m3r_test_total{state=\"err\"} 0\n"));
-        assert!(text.contains("m3r_test_total{state=\"ok\"} 3\n"));
+    fn scalar(kind: Kind, name: &'static str, labels: &[(&str, &str)], v: f64) -> Family {
+        let mut f = Family::new(kind, name, "help");
+        f.sample(labels, v);
+        f
     }
 
     #[test]
-    fn gauges_pull_at_export_time() {
+    fn sources_are_pulled_at_export_time() {
         let reg = TelemetryRegistry::new();
         let cell = Arc::new(AtomicU64::new(5));
         let seen = Arc::clone(&cell);
-        reg.gauge(
-            "m3r_test_bytes",
-            "live bytes",
-            Arc::new(move || vec![(String::new(), seen.load(Ordering::Relaxed) as f64)]),
+        reg.register(
+            "test",
+            Arc::new(move || {
+                let v = seen.load(Ordering::Relaxed) as f64;
+                vec![scalar(Kind::Gauge, "m3r_test_bytes", &[], v)]
+            }),
         );
         assert!(reg.prometheus_text().contains("m3r_test_bytes 5\n"));
         cell.store(9, Ordering::Relaxed);
         assert!(
             reg.prometheus_text().contains("m3r_test_bytes 9\n"),
-            "gauges re-evaluate per export"
+            "sources re-evaluate per export"
         );
     }
 
     #[test]
-    fn histogram_buckets_quantiles_and_export() {
+    fn a_source_registered_twice_under_one_name_replaces() {
         let reg = TelemetryRegistry::new();
-        let h = reg.histogram("m3r_test_ms", "latency", &[], &[1.0, 10.0, 100.0]);
-        for v in [0.5, 2.0, 3.0, 50.0] {
-            h.observe(v);
+        for v in [1.0, 2.0] {
+            reg.register(
+                "test",
+                Arc::new(move || vec![scalar(Kind::Gauge, "m3r_test_bytes", &[], v)]),
+            );
         }
-        assert_eq!(h.count(), 4);
-        assert!((h.sum() - 55.5).abs() < 1e-6);
-        assert_eq!(h.quantile(0.5), 10.0, "2nd of 4 lands in the (1,10] bucket");
-        assert_eq!(h.quantile(1.0), 100.0);
         let text = reg.prometheus_text();
-        assert!(text.contains("m3r_test_ms_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("m3r_test_ms_bucket{le=\"10\"} 3\n"));
-        assert!(text.contains("m3r_test_ms_bucket{le=\"100\"} 4\n"));
-        assert!(text.contains("m3r_test_ms_bucket{le=\"+Inf\"} 4\n"));
-        assert!(text.contains("m3r_test_ms_count 4\n"));
-        let json = reg.json();
-        assert!(json.contains("\"name\":\"m3r_test_ms\""));
-        assert!(json.contains("\"count\":4"));
+        assert_eq!(text.matches("# TYPE m3r_test_bytes").count(), 1);
+        assert!(text.contains("m3r_test_bytes 2\n") && !text.contains("m3r_test_bytes 1\n"));
     }
 
     #[test]
-    fn export_order_is_deterministic() {
-        let build = || {
-            let reg = TelemetryRegistry::new();
-            reg.counter("m3r_b_total", "b", &[("z", "1")]).inc();
-            reg.counter("m3r_b_total", "b", &[("a", "1")]).inc();
-            reg.counter("m3r_a_total", "a", &[]).add(7);
-            reg.prometheus_text()
-        };
-        assert_eq!(build(), build());
-        let text = build();
-        let a = text.find("m3r_a_total").unwrap();
-        let b = text.find("m3r_b_total").unwrap();
-        assert!(a < b, "families export in name order");
-    }
-
-    #[test]
-    #[should_panic(expected = "another type")]
-    fn type_conflicts_are_rejected() {
+    fn label_values_are_escaped_into_one_well_formed_line() {
         let reg = TelemetryRegistry::new();
-        reg.counter("m3r_x", "x", &[]);
-        reg.histogram("m3r_x", "x", &[], &[1.0]);
+        reg.register(
+            "test",
+            Arc::new(|| {
+                vec![scalar(
+                    Kind::Gauge,
+                    "m3r_cache_resident_bytes",
+                    &[("owner", "a\"b\\c\nd")],
+                    7.0,
+                )]
+            }),
+        );
+        let text = reg.prometheus_text();
+        assert!(text.contains("m3r_cache_resident_bytes{owner=\"a\\\"b\\\\c\\nd\"} 7\n"));
+        assert_eq!(text.lines().count(), 3, "HELP, TYPE and exactly one sample line");
+        assert!(reg.json().contains(r#""labels":"owner=\"a\\\"b\\\\c\\nd\"""#));
+    }
+
+    #[test]
+    fn total_families_export_as_counters() {
+        let reg = TelemetryRegistry::new();
+        reg.register(
+            "test",
+            Arc::new(|| {
+                vec![
+                    scalar(Kind::Counter, "m3r_test_total", &[("state", "ok")], 3.0),
+                    scalar(Kind::Gauge, "m3r_test_bytes", &[], 1.0),
+                ]
+            }),
+        );
+        let text = reg.prometheus_text();
+        assert!(text.contains("# TYPE m3r_test_total counter\n"));
+        assert!(text.contains("# TYPE m3r_test_bytes gauge\n"));
+        assert!(text.contains("m3r_test_total{state=\"ok\"} 3\n"));
+    }
+
+    #[test]
+    fn histograms_bucket_at_export_and_render_cumulatively() {
+        let reg = TelemetryRegistry::new();
+        reg.register(
+            "test",
+            Arc::new(|| {
+                let mut f = Family::new(Kind::Histogram(&[1.0, 10.0, 100.0]), "m3r_test_ms", "latency");
+                f.observe(&[("client", "a")], [0.5, 2.0, 3.0, 50.0, 1e6]);
+                vec![f]
+            }),
+        );
+        let text = reg.prometheus_text();
+        assert!(text.contains("# TYPE m3r_test_ms histogram\n"));
+        assert!(text.contains("m3r_test_ms_bucket{client=\"a\",le=\"1\"} 1\n"));
+        assert!(text.contains("m3r_test_ms_bucket{client=\"a\",le=\"10\"} 3\n"));
+        assert!(text.contains("m3r_test_ms_bucket{client=\"a\",le=\"100\"} 4\n"));
+        assert!(text.contains("m3r_test_ms_bucket{client=\"a\",le=\"+Inf\"} 5\n"));
+        assert!(text.contains("m3r_test_ms_sum{client=\"a\"} 1000055.5\n"));
+        assert!(text.contains("m3r_test_ms_count{client=\"a\"} 5\n"));
+        let json = reg.json();
+        assert!(json.contains("\"name\":\"m3r_test_ms\",\"type\":\"histogram\""));
+        assert!(json.contains("\"count\":5,\"sum\":1000055.5"));
+        assert!(json.contains("{\"le\":100,\"count\":4}]"), "+Inf is the count itself");
+    }
+
+    #[test]
+    fn export_is_sorted_and_byte_identical_across_collections() {
+        let reg = TelemetryRegistry::new();
+        reg.register(
+            "zz",
+            Arc::new(|| vec![scalar(Kind::Counter, "m3r_a_total", &[], 7.0)]),
+        );
+        reg.register(
+            "aa",
+            Arc::new(|| {
+                let mut f = Family::new(Kind::Counter, "m3r_b_total", "b");
+                f.sample(&[("z", "1")], 1.0);
+                f.sample(&[("a", "1")], 1.0);
+                vec![f]
+            }),
+        );
+        let text = reg.prometheus_text();
+        assert_eq!(text, reg.prometheus_text());
+        assert_eq!(reg.json(), reg.json());
+        assert_eq!(reg.collect(), reg.collect());
+        let at = |needle: &str| text.find(needle).unwrap_or_else(|| panic!("missing {needle}"));
+        assert!(at("m3r_a_total") < at("m3r_b_total"), "families export in name order");
+        assert!(at("m3r_b_total{a=") < at("m3r_b_total{z="), "samples in label order");
     }
 }

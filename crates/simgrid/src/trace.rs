@@ -24,10 +24,13 @@
 //!
 //! Tasks run against *scratch* nodes whose clocks start at zero (see
 //! [`crate::Cluster::scratch_node`] and [`crate::pool::run_wave`]): spans
-//! recorded under a scratch meter are buffered thread-locally as
-//! wave-relative [`RelSpan`]s, which the engine drains inside the wave
-//! closure (same thread) via [`take_pending`] and rebases onto the place's
-//! absolute clock with [`Trace::record_rebased`].
+//! closed under a scratch meter are buffered on that scratch node as
+//! wave-relative [`RelSpan`]s, which [`crate::pool::traced_wave`] drains
+//! ([`crate::Node::take_spans`]) and rebases onto the place's absolute
+//! clock with [`Trace::record_rebased`]. The buffer belongs to the node
+//! that produced it, not to a thread: whichever thread ran the task, the
+//! spans are where the wave looks for them, and spans nobody drained die
+//! with the node instead of waiting for the next job.
 //!
 //! # Determinism rules
 //!
@@ -217,7 +220,8 @@ impl Span {
     }
 }
 
-/// A span timed on a scratch node's zero-based clock, waiting to be
+/// A span timed on the clock of the node it closed on, not yet attributed
+/// to a job and place: on a scratch node's zero-based clock it waits to be
 /// rebased onto its place's absolute clock.
 #[derive(Clone, Debug)]
 pub struct RelSpan {
@@ -233,6 +237,23 @@ pub struct RelSpan {
     pub end: f64,
     /// Exclusive charge totals.
     pub charges: ChargeTotals,
+}
+
+impl RelSpan {
+    /// The span of `job` at `place` this is, `base` seconds into the
+    /// place's clock.
+    pub(crate) fn rebased(self, job: u64, place: usize, base: f64) -> Span {
+        Span {
+            job,
+            phase: self.phase,
+            place,
+            task: self.task,
+            label: self.label,
+            start: base + self.start,
+            end: base + self.end,
+            charges: self.charges,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -265,8 +286,6 @@ pub struct Trace {
 thread_local! {
     /// Accumulator stack mirroring the span nesting on this thread.
     static ACTIVE: RefCell<Vec<ChargeTotals>> = const { RefCell::new(Vec::new()) };
-    /// Completed scratch-clock spans awaiting rebase by the engine.
-    static PENDING: RefCell<Vec<RelSpan>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Trace {
@@ -294,8 +313,10 @@ impl Trace {
     /// returned id. Returns 0 without recording anything when disabled.
     /// On a pinned handle (see [`Trace::for_job`]) the pin is returned
     /// without registering a new name — the job was already registered by
-    /// whoever pinned the handle.
-    pub fn begin_job(&self, name: &str) -> u64 {
+    /// whoever pinned the handle. `name` is only stringified when it is
+    /// recorded, so callers pass `format_args!` and pay nothing when
+    /// tracing is off.
+    pub fn begin_job(&self, name: impl std::fmt::Display) -> u64 {
         if !self.is_enabled() {
             return 0;
         }
@@ -312,8 +333,9 @@ impl Trace {
     /// Register a job name and return its id WITHOUT making it current.
     /// The multi-tenant job server registers every submission in admission
     /// order (keeping ids deterministic) and pins lane handles to the ids.
-    /// Returns 0 without recording anything when disabled.
-    pub fn register_job(&self, name: &str) -> u64 {
+    /// Returns 0 without recording anything (or stringifying `name`) when
+    /// disabled.
+    pub fn register_job(&self, name: impl std::fmt::Display) -> u64 {
         if !self.is_enabled() {
             return 0;
         }
@@ -360,16 +382,8 @@ impl Trace {
             return;
         }
         let mut log = self.inner.log.lock();
-        log.spans.extend(rel.into_iter().map(|r| Span {
-            job,
-            phase: r.phase,
-            place,
-            task: r.task,
-            label: r.label,
-            start: base + r.start,
-            end: base + r.end,
-            charges: r.charges,
-        }));
+        log.spans
+            .extend(rel.into_iter().map(|r| r.rebased(job, place, base)));
     }
 
     /// Attribute one priced charge to the innermost open span on this
@@ -443,16 +457,15 @@ impl Trace {
 /// thread. With no meter installed, or with that node's trace disabled,
 /// `f` runs bare — generators and functional tests stay ceremony-free.
 ///
-/// Under a scratch meter the completed span is buffered thread-locally
-/// (drain with [`take_pending`] on the same thread); under a real node it
-/// is logged directly with absolute times.
+/// Under a scratch meter the completed span is buffered on the scratch
+/// node (drained by [`crate::Node::take_spans`]); under a real node it is
+/// logged directly with absolute times.
 pub fn span<R>(phase: Phase, label: &'static str, task: Option<u64>, f: impl FnOnce() -> R) -> R {
     let Some(meter) = current_meter() else {
         return f();
     };
     let node = meter.node().clone();
-    let trace = node.trace().clone();
-    if !trace.is_enabled() {
+    if !node.trace().is_enabled() {
         return f();
     }
 
@@ -462,7 +475,6 @@ pub fn span<R>(phase: Phase, label: &'static str, task: Option<u64>, f: impl FnO
     // Close the span even on unwind so outer spans don't inherit a stuck
     // accumulator (mirrors the meter stack's panic discipline).
     struct Close {
-        trace: Trace,
         node: crate::cluster::Node,
         phase: Phase,
         label: &'static str,
@@ -474,34 +486,17 @@ pub fn span<R>(phase: Phase, label: &'static str, task: Option<u64>, f: impl FnO
             let charges = ACTIVE
                 .with(|a| a.borrow_mut().pop())
                 .unwrap_or_default();
-            let end = self.node.clock().now();
-            if self.node.is_scratch() {
-                PENDING.with(|p| {
-                    p.borrow_mut().push(RelSpan {
-                        phase: self.phase,
-                        task: self.task,
-                        label: self.label,
-                        start: self.start,
-                        end,
-                        charges,
-                    })
-                });
-            } else {
-                self.trace.record(Span {
-                    job: self.trace.current_job(),
-                    phase: self.phase,
-                    place: self.node.id(),
-                    task: self.task,
-                    label: self.label,
-                    start: self.start,
-                    end,
-                    charges,
-                });
-            }
+            self.node.record_span(RelSpan {
+                phase: self.phase,
+                task: self.task,
+                label: self.label,
+                start: self.start,
+                end: self.node.clock().now(),
+                charges,
+            });
         }
     }
     let _close = Close {
-        trace,
         node,
         phase,
         label,
@@ -519,42 +514,18 @@ pub fn mark(phase: Phase, label: &'static str, task: Option<u64>) {
         return;
     };
     let node = meter.node();
-    let trace = node.trace();
-    if !trace.is_enabled() {
+    if !node.trace().is_enabled() {
         return;
     }
     let now = node.clock().now();
-    if node.is_scratch() {
-        PENDING.with(|p| {
-            p.borrow_mut().push(RelSpan {
-                phase,
-                task,
-                label,
-                start: now,
-                end: now,
-                charges: ChargeTotals::default(),
-            })
-        });
-    } else {
-        trace.record(Span {
-            job: trace.current_job(),
-            phase,
-            place: node.id(),
-            task,
-            label,
-            start: now,
-            end: now,
-            charges: ChargeTotals::default(),
-        });
-    }
-}
-
-/// Drain the scratch-clock spans buffered on this thread. Engines call
-/// this inside the wave closure (the thread the task ran on) and pass the
-/// result to [`Trace::record_rebased`]. Returns an empty `Vec` (no
-/// allocation) when nothing was buffered.
-pub fn take_pending() -> Vec<RelSpan> {
-    PENDING.with(|p| std::mem::take(&mut *p.borrow_mut()))
+    node.record_span(RelSpan {
+        phase,
+        task,
+        label,
+        start: now,
+        end: now,
+        charges: ChargeTotals::default(),
+    });
 }
 
 /// One row of a [`Rollup`]: the spans of one (job, place, phase) cell.
@@ -820,7 +791,6 @@ mod tests {
             mark(Phase::Cache, "cache_hit", None);
         });
         assert!(c.trace().is_empty());
-        assert!(take_pending().is_empty());
         assert_eq!(c.trace().begin_job("j"), 0);
         assert!(c.trace().job_names().is_empty());
     }
@@ -829,7 +799,6 @@ mod tests {
     fn unmetered_span_runs_bare() {
         let out = span(Phase::Io, "dfs_read", None, || 7);
         assert_eq!(out, 7);
-        assert!(take_pending().is_empty());
     }
 
     #[test]
@@ -872,14 +841,16 @@ mod tests {
         c.node(1).clock().advance(5.0);
         let base = c.node(1).clock().now();
         let scratch = c.scratch_node(1);
-        with_meter(Meter::new(scratch), || {
+        with_meter(Meter::new(scratch.clone()), || {
             span(Phase::Map, "map", Some(7), || {
                 crate::meter::charge(Charge::DiskRead { bytes: 80_000_000 });
             });
         });
         assert!(c.trace().is_empty(), "scratch spans are buffered, not logged");
-        let pending = take_pending();
+        assert!(c.node(1).take_spans().is_empty(), "real nodes buffer nothing");
+        let pending = scratch.take_spans();
         assert_eq!(pending.len(), 1);
+        assert!(scratch.take_spans().is_empty(), "draining empties the node");
         assert_eq!(pending[0].start, 0.0);
         c.trace().record_rebased(job, 1, base, pending);
         let spans = c.trace().spans();

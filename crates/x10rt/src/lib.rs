@@ -13,7 +13,11 @@
 //!    spawned asyncs. [`World::at_sync`], [`World::at_async`] and
 //!    [`World::finish`] reproduce these.
 //! 3. **Teams/barriers** — "no reducer is allowed to run until globally all
-//!    shuffle messages have been sent" is enforced with [`Team::barrier`].
+//!    shuffle messages have been sent". The engine needs no separate team
+//!    object for this: [`World::finish`] returns only once every place's
+//!    map-side activity has ended (the wall-clock barrier), and
+//!    `simgrid::Cluster::barrier` then aligns the simulated clocks and
+//!    bills the barrier's cost.
 //! 4. **A serialization protocol that de-duplicates object graphs** — X10's
 //!    serializer recognizes already-serialized objects, which gives M3R free
 //!    de-duplication of broadcast values (§3.2.2.3). [`serialize::Serializer`]
@@ -23,10 +27,8 @@
 
 pub mod place;
 pub mod serialize;
-pub mod team;
 pub mod world;
 
 pub use place::{PlaceCtx, PlaceId};
 pub use serialize::{DedupMode, Deserializer, SerError, Serializer};
-pub use team::Team;
 pub use world::{Finish, World};

@@ -9,10 +9,12 @@ pub type PlaceId = usize;
 /// The state owned by one place: its id, the total number of places, and a
 /// typed heap that survives across jobs.
 ///
-/// The heap is what makes M3R's caching work: a place stores its shard of
-/// the key/value cache here, and because the place (thread) lives for the
-/// whole engine lifetime, cached data stays resident between jobs — the
-/// property Hadoop's fresh-JVM-per-task model cannot offer.
+/// The heap models what makes M3R's caching possible: because the place
+/// (thread) lives for the whole engine lifetime, state put here stays
+/// resident between jobs — the property Hadoop's fresh-JVM-per-task model
+/// cannot offer. (The engine's key/value cache itself is not kept here:
+/// its per-place shards live in `m3r::cache::KvCache`, owned by the engine
+/// that owns the places.)
 pub struct PlaceCtx {
     id: PlaceId,
     num_places: usize,

@@ -49,7 +49,7 @@ fn main() {
     // The cache is governed (infinite budget), so per-client quotas have a
     // spill path to evict to.
     let engine = M3REngine::new(cluster.clone(), Arc::new(fs.clone()));
-    let server = JobServer::with_options(engine, ServerOptions { workers: 4, ..Default::default() });
+    let server = JobServer::with_options(engine, ServerOptions { workers: 4 });
 
     // --- async submission: tickets come back immediately -------------------
     let alice = server.client_as("alice");

@@ -507,7 +507,7 @@ fn server_resolves_whole_job_hit_pre_admission() {
         Arc::new(fs.clone()),
         M3ROptions { memoize: true, ..M3ROptions::default() },
     );
-    let server = JobServer::with_options(engine, ServerOptions { workers: 2, ..Default::default() });
+    let server = JobServer::with_options(engine, ServerOptions { workers: 2 });
 
     let job = || Arc::new(workloads::wordcount::WordCountJob::new(WcStyle::FreshText));
     let conf = |out: &str| {

@@ -243,7 +243,7 @@ fn server_schedule<E: LaneEngine + Send + Sync + 'static>(
     fs: &SimDfs,
     workers: usize,
 ) -> Outcome {
-    let server = JobServer::with_options(engine, ServerOptions { workers, ..Default::default() });
+    let server = JobServer::with_options(engine, ServerOptions { workers });
     let tickets: Vec<JobTicket> = scenario_confs()
         .iter()
         .enumerate()
@@ -398,7 +398,7 @@ fn independent_jobs_overlap_while_a_dependent_job_waits() {
 
     let server = JobServer::with_options(
         M3REngine::new(cluster.clone(), Arc::new(fs.clone())),
-        ServerOptions { workers: 4, ..Default::default() },
+        ServerOptions { workers: 4 },
     );
 
     // A and B rendezvous inside their map phases: the barrier clears only
@@ -474,7 +474,7 @@ fn dependent_jobs_run_in_dag_order() {
     gen_input(&fs, "/in", 16, 7);
     let server = JobServer::with_options(
         M3REngine::new(cluster.clone(), Arc::new(fs.clone())),
-        ServerOptions { workers: 4, ..Default::default() },
+        ServerOptions { workers: 4 },
     );
 
     // A chain /in → /s1 → /s2 → /s3 submitted all at once: every link is a
@@ -575,7 +575,7 @@ fn cancelling_a_queued_job_resolves_its_ticket() {
     gen_input(&fs, "/cb", 8, 2);
     let server = JobServer::with_options(
         M3REngine::new(cluster.clone(), Arc::new(fs.clone())),
-        ServerOptions { workers: 1, ..Default::default() },
+        ServerOptions { workers: 1 },
     );
 
     // A occupies the only worker until the test releases it; B stays queued.
@@ -618,7 +618,7 @@ fn shutdown_drains_every_in_flight_ticket() {
     }
     let server = JobServer::with_options(
         M3REngine::new(cluster.clone(), Arc::new(fs.clone())),
-        ServerOptions { workers: 2, ..Default::default() },
+        ServerOptions { workers: 2 },
     );
     let tickets: Vec<JobTicket> = (0..3)
         .map(|j| {
@@ -644,7 +644,7 @@ fn shutdown_now_cancels_queued_jobs_but_finishes_running_ones() {
     gen_input(&fs, "/nb", 8, 2);
     let server = JobServer::with_options(
         M3REngine::new(cluster.clone(), Arc::new(fs.clone())),
-        ServerOptions { workers: 1, ..Default::default() },
+        ServerOptions { workers: 1 },
     );
 
     let gate = Blocker::new(2);
@@ -689,7 +689,7 @@ fn priority_orders_ready_jobs_without_breaking_admission_ties() {
     }
     let server = JobServer::with_options(
         M3REngine::new(cluster.clone(), Arc::new(fs.clone())),
-        ServerOptions { workers: 1, ..Default::default() },
+        ServerOptions { workers: 1 },
     );
 
     // Hold the only worker so both contenders queue up behind it.

@@ -2,12 +2,14 @@
 //!
 //! Two contracts:
 //!
-//! * **Simulation invisibility** — running with the flight recorder,
-//!   telemetry registry and span tracing all on produces bit-identical
-//!   simulated seconds (`f64::to_bits`), counters, metrics and raw output
-//!   bytes to running with everything off, for 1/2/8 workers, on both the
-//!   M3R and Hadoop engines. Observability must never perturb the
-//!   simulation.
+//! * **Simulation invisibility** — running with span tracing on and every
+//!   export (telemetry text + JSON, merged Chrome trace, rollup) taken
+//!   while the jobs' effects are live produces bit-identical simulated
+//!   seconds (`f64::to_bits`), counters, metrics and raw output bytes to
+//!   running dark, for 1/2/8 workers, on both the M3R and Hadoop engines.
+//!   (The flight recorder itself is always on.) Observability must never
+//!   perturb the simulation — and the telemetry export of everything the
+//!   simulation determines is itself byte-identical run to run.
 //! * **Exact attribution** — for every ticket the recorder's four buckets
 //!   (conflict-DAG wait, worker-queue wait, lane run, fold delay)
 //!   telescope to the measured submit→resolve nanoseconds *exactly*, in
@@ -75,11 +77,14 @@ struct Outcome {
     home_seconds: u64,
     home_metrics: MetricsSnapshot,
     outputs: Vec<(String, bytes::Bytes)>,
+    /// The Prometheus export taken once every ticket had resolved
+    /// (observed runs only).
+    telemetry: Option<String>,
 }
 
-/// Run the scenario through a server with observability fully on
-/// (`flight: true` + span tracing; telemetry gauges registered at engine
-/// birth either way, but only exported when asked) or fully off.
+/// Run the scenario through a server with observability fully on (span
+/// tracing + every export read; the flight recorder runs and telemetry
+/// sources are registered either way, but only read when asked) or dark.
 fn run_observed<E, F>(make_engine: F, workers: usize, observe: bool) -> Outcome
 where
     E: LaneEngine + Send + Sync + 'static,
@@ -94,10 +99,7 @@ where
     }
     let server = JobServer::with_options(
         make_engine(cluster.clone(), Arc::new(fs.clone())),
-        ServerOptions {
-            workers,
-            flight: observe,
-        },
+        ServerOptions { workers },
     );
     let tickets: Vec<JobTicket> = scenario_confs()
         .iter()
@@ -110,16 +112,15 @@ where
         })
         .collect();
     let per_job: Vec<JobResult> = tickets.iter().map(|t| t.wait().unwrap()).collect();
-    if observe {
+    let telemetry = observe.then(|| {
         // Exercise every export path while jobs' effects are live: the
         // exports themselves must not disturb the simulation either.
         let recorder = server.flight_recorder();
-        assert!(recorder.enabled());
-        let _ = cluster.telemetry().prometheus_text();
         let _ = cluster.telemetry().json();
         let _ = cluster.trace().chrome_json_with(&recorder.chrome_events());
         let _ = server.rollup(1_000_000);
-    }
+        cluster.telemetry().prometheus_text()
+    });
     server.shutdown();
     Outcome {
         per_job,
@@ -128,6 +129,7 @@ where
         outputs: (0..4)
             .flat_map(|j| part_bytes(&fs, &format!("/out{j}"), PARTS))
             .collect(),
+        telemetry,
     }
 }
 
@@ -173,6 +175,68 @@ fn observability_is_simulation_invisible_hadoop() {
     }
 }
 
+/// Every family a server over an M3R engine exports: 8 from the memory
+/// accountant, 4 from the governed cache, 4 from the reuse index, 3 from
+/// the server.
+const FAMILIES: [&str; 19] = [
+    "m3r_cache_entries",
+    "m3r_cache_quota_bytes",
+    "m3r_cache_requests_total",
+    "m3r_cache_resident_bytes",
+    "m3r_cache_thrash_trips_total",
+    "m3r_mem_budget_bytes",
+    "m3r_mem_combine_high_watermark_bytes",
+    "m3r_mem_evictions_total",
+    "m3r_mem_high_watermark_bytes",
+    "m3r_mem_live_bytes",
+    "m3r_mem_reload_bytes_total",
+    "m3r_mem_spill_bytes_total",
+    "m3r_memo_bytes_total",
+    "m3r_memo_hits_total",
+    "m3r_memo_invalidations_total",
+    "m3r_memo_misses_total",
+    "m3r_server_jobs_total",
+    "m3r_server_lane_busy_seconds",
+    "m3r_server_submit_resolve_ms",
+];
+
+/// The lines of a Prometheus export whose values the simulation determines
+/// (everything but the two wall-clock server families).
+fn simulation_determined(prom: &str) -> String {
+    prom.lines()
+        .filter(|line| {
+            let name = line
+                .trim_start_matches("# HELP ")
+                .trim_start_matches("# TYPE ");
+            ["m3r_mem_", "m3r_cache_", "m3r_memo_", "m3r_server_jobs_total"]
+                .iter()
+                .any(|prefix| name.starts_with(prefix))
+        })
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
+#[test]
+fn telemetry_export_is_complete_and_deterministic() {
+    let export = || {
+        run_observed(|c, f| M3REngine::new(c, f), 1, true)
+            .telemetry
+            .expect("observed runs export")
+    };
+    let (a, b) = (export(), export());
+    let exported: Vec<&str> = a
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.split(' ').next())
+        .collect();
+    assert_eq!(exported, FAMILIES, "families, in export order");
+    assert_eq!(
+        simulation_determined(&a),
+        simulation_determined(&b),
+        "two runs of one scenario must export the same simulation-determined text"
+    );
+    assert!(simulation_determined(&a).contains(r#"m3r_server_jobs_total{state="completed"} 4"#));
+}
+
 #[test]
 fn attribution_telescopes_exactly_for_every_ticket() {
     let (cluster, fs) = fresh(PLACES);
@@ -182,16 +246,16 @@ fn attribution_telescopes_exactly_for_every_ticket() {
     cluster.trace().enable(); // sim-second place tracks for the merged trace
     let server = JobServer::with_options(
         M3REngine::new(cluster.clone(), Arc::new(fs.clone())),
-        ServerOptions { workers: 2, ..Default::default() },
+        ServerOptions { workers: 2 },
     );
+    // Job 1's tenant has a name that needs escaping in a label value.
+    const HOSTILE: &str = r#"a"b\c"#;
     let tickets: Vec<JobTicket> = scenario_confs()
         .iter()
         .enumerate()
         .map(|(j, c)| {
-            server
-                .client_as(&format!("tenant-{j}"))
-                .submit(id_job(), c)
-                .unwrap()
+            let tenant = if j == 1 { HOSTILE.to_string() } else { format!("tenant-{j}") };
+            server.client_as(&tenant).submit(id_job(), c).unwrap()
         })
         .collect();
     // A queued fifth job behind job 3's output, cancelled before it can
@@ -270,16 +334,45 @@ fn attribution_telescopes_exactly_for_every_ticket() {
     assert_eq!(pids.into_iter().collect::<Vec<_>>(), ["0", "1"]);
 
     let prom = cluster.telemetry().prometheus_text();
-    for family in [
-        "m3r_server_jobs_total",
-        "m3r_server_submit_resolve_ms",
-        "m3r_server_lane_busy_seconds",
-        "m3r_mem_live_bytes",
-        "m3r_cache_resident_bytes",
-    ] {
-        assert!(prom.contains(family), "prometheus text missing {family}");
+    for family in FAMILIES {
+        let kind = match family {
+            "m3r_server_submit_resolve_ms" => "histogram",
+            f if f.ends_with("_total") => "counter",
+            _ => "gauge",
+        };
+        assert!(
+            prom.contains(&format!("# TYPE {family} {kind}\n")),
+            "{family} must export as a {kind}"
+        );
     }
     assert!(prom.contains(r#"state="completed"} 4"#), "completed counter != 4");
+    // The hostile tenant's cache put exports as exactly one well-formed
+    // line, quotes and backslash escaped.
+    let resident: Vec<&str> = prom
+        .lines()
+        .filter(|l| l.starts_with(r#"m3r_cache_resident_bytes{owner="a"#))
+        .collect();
+    assert_eq!(resident.len(), 1, "{resident:?}");
+    let bytes = resident[0]
+        .strip_prefix(r#"m3r_cache_resident_bytes{owner="a\"b\\c"} "#)
+        .unwrap_or_else(|| panic!("badly escaped: {}", resident[0]));
+    assert!(bytes.parse::<u64>().unwrap() > 0, "job 1's output is cached for its tenant");
+    // The latency histogram is bucketed from the ticket log at export time:
+    // cumulative buckets up to +Inf, a sum, and a count equal to the
+    // client's resolved tickets.
+    for c in &rollup.clients {
+        let client = c.client.replace('\\', r"\\").replace('"', r#"\""#);
+        let series = |suffix: &str, le: &str| -> f64 {
+            let head = format!("m3r_server_submit_resolve_ms{suffix}{{client=\"{client}\"{le}}} ");
+            let line = prom.lines().find_map(|l| l.strip_prefix(head.as_str()));
+            line.unwrap_or_else(|| panic!("missing {head}")).parse().unwrap()
+        };
+        assert_eq!(series("_count", ""), c.jobs as f64, "{client}: one observation per ticket");
+        assert_eq!(series("_bucket", r#",le="+Inf""#), c.jobs as f64);
+        assert!(series("_bucket", r#",le="0.05""#) <= series("_bucket", r#",le="1000""#));
+        assert!(series("_bucket", r#",le="1000""#) <= c.jobs as f64, "buckets are cumulative");
+        assert!(series("_sum", "") > 0.0);
+    }
     server.shutdown();
 }
 
@@ -299,7 +392,7 @@ fn wait_timeout_reports_last_observed_status() {
     gen_input(&fs, "/in0", 12, 0);
     let server = JobServer::with_options(
         M3REngine::new(cluster.clone(), Arc::new(fs.clone())),
-        ServerOptions { workers: 1, ..Default::default() },
+        ServerOptions { workers: 1 },
     );
     let client = server.client();
 
