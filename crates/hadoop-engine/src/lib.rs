@@ -737,7 +737,8 @@ impl<J: JobDef> Run<'_, J> {
                 Arc::clone(conf),
                 Arc::clone(&self.dist_cache),
             ),
-        );
+        )
+        .with_tuning(self.tuning);
         let compute_start = Instant::now();
         mapper.setup(&mut ctx)?;
         let mut in_records = 0i64;

@@ -22,7 +22,9 @@
 //!
 //! Every kernel is pinned bit-identical to the plain stable
 //! sort-then-group path: same permutation, same spans, regardless of which
-//! fast path engages.
+//! fast path engages. The kernels order `(Arc<K>, V)` entries by key alone
+//! and only move the payload `V`: reduce ingest carries the decoded
+//! `Arc<value>`, the Hadoop map-side sort buffer a byte span.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -91,27 +93,15 @@ impl<K> std::fmt::Debug for KeyComparator<K> {
     }
 }
 
-/// Raw sort keys for a run of keys, packed into one arena (Hadoop's
-/// `RawComparator` design: sort serialized forms with memcmp, never
-/// deserialize to compare). Returns `None` unless every key advertises a
-/// memcmp-ordered raw form via [`Writable::write_raw_sort_key`]; the first
-/// key is probed before any arena work, so non-raw key types pay O(1).
-///
-/// The result is `(arena, spans)`: key `i`'s raw form is
-/// `arena[spans[i].0 as usize..spans[i].1 as usize]`.
-pub fn build_raw_keys<'a, K: Writable + 'a>(
-    keys: impl Iterator<Item = &'a K>,
-) -> Option<(Vec<u8>, Vec<(u32, u32)>)> {
-    let mut arena: Vec<u8> = Vec::new();
-    let mut spans: Vec<(u32, u32)> = Vec::new();
-    build_raw_keys_into(keys, &mut arena, &mut spans).then_some((arena, spans))
-}
-
-/// [`build_raw_keys`] into caller-provided (possibly arena-leased) buffers.
-/// Returns `false` if any key lacks a raw sort form, or if the raw forms
-/// outgrow the `u32` offsets the spans store; the buffers may then hold
-/// partial data and should be recycled or discarded.
-pub fn build_raw_keys_into<'a, K: Writable + 'a>(
+/// Raw sort keys for a run of keys, packed into caller-provided (possibly
+/// arena-leased) buffers (Hadoop's `RawComparator` design: sort serialized
+/// forms with memcmp, never deserialize to compare). Key `i`'s raw form is
+/// `arena[spans[i].0 as usize..spans[i].1 as usize]`. Returns `false` if
+/// any key lacks a memcmp-ordered raw form via
+/// [`Writable::write_raw_sort_key`], or if the raw forms outgrow the `u32`
+/// offsets the spans store; the buffers may then hold partial data and
+/// should be recycled or discarded.
+fn build_raw_keys_into<'a, K: Writable + 'a>(
     keys: impl Iterator<Item = &'a K>,
     arena: &mut Vec<u8>,
     spans: &mut Vec<(u32, u32)>,
@@ -198,7 +188,7 @@ impl SortTuning {
 /// custom sort comparators and keys without a raw form take the decoded
 /// stable sort.
 pub fn sort_pairs_tuned<K: Writable, V>(
-    pairs: &mut [(Arc<K>, Arc<V>)],
+    pairs: &mut [(Arc<K>, V)],
     cmp: &KeyComparator<K>,
     tuning: &SortTuning,
     arena: Option<&Arena>,
@@ -300,7 +290,7 @@ fn radix_sort_prefixes(entries: &mut Vec<(u64, u32)>, scratch: &mut Vec<(u64, u3
 /// The first eight bytes of `key` as a big-endian integer, zero-padded.
 /// `prefix(a) < prefix(b)` implies `a < b`; equality must be re-checked on
 /// the full slices.
-pub fn raw_prefix(key: &[u8]) -> u64 {
+fn raw_prefix(key: &[u8]) -> u64 {
     let mut buf = [0u8; 8];
     let n = key.len().min(8);
     buf[..n].copy_from_slice(&key[..n]);
@@ -328,7 +318,7 @@ pub fn apply_permutation<T>(items: &mut [T], order: &mut [u32]) {
 /// Group adjacent sorted pairs by `grouping`: yields `(first_key_of_group,
 /// values...)` ranges as index spans.
 pub fn group_spans<K, V>(
-    pairs: &[(Arc<K>, Arc<V>)],
+    pairs: &[(Arc<K>, V)],
     grouping: &KeyComparator<K>,
 ) -> Vec<std::ops::Range<usize>> {
     let mut spans = Vec::new();
@@ -612,7 +602,7 @@ impl RawKeyIndex {
 /// the run outgrows the index's `u32` offsets; the caller falls back to
 /// the sort path.
 pub fn hash_group_pairs<K: Writable, V>(
-    pairs: &mut [(Arc<K>, Arc<V>)],
+    pairs: &mut [(Arc<K>, V)],
     tuning: &SortTuning,
     arena: Option<&Arena>,
 ) -> Option<Vec<Range<usize>>> {
@@ -650,7 +640,7 @@ pub fn hash_group_pairs<K: Writable, V>(
 /// engines' simulated `Charge::Sort` is billed from the record count
 /// either way.
 pub fn ingest_reduce_groups<K: Writable, V>(
-    pairs: &mut [(Arc<K>, Arc<V>)],
+    pairs: &mut [(Arc<K>, V)],
     sort_cmp: &KeyComparator<K>,
     group_cmp: &KeyComparator<K>,
     tuning: &SortTuning,

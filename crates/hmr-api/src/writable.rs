@@ -492,7 +492,8 @@ impl Writable for DoubleArrayWritable {
     }
 }
 
-fn varint_len(v: u64) -> usize {
+/// Bytes [`write_vu64`] emits for `v`.
+pub fn varint_len(v: u64) -> usize {
     if v == 0 {
         1
     } else {

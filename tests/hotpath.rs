@@ -13,6 +13,11 @@
 //! records per reducer that conf-forced thresholds put each run squarely
 //! in the regime being toggled.
 //!
+//! On the Hadoop engine the job's `SortTuning` reaches the map-side sort
+//! buffer as well as reduce ingest, so the same matrix pins the map-side
+//! spill: sort path vs hash-group path under the combiner, decoded vs radix
+//! sort in both the per-partition spill sort and the final merge.
+//!
 //! On M3R the hash gate also decides whether a combiner job's map output is
 //! grouped at `collect()` (ISSUE 14), so the same matrix pins that path —
 //! for the `ImmutableOutput` mapper, for the mutate-and-reuse mapper whose
