@@ -60,7 +60,7 @@ fn m3r_run(budget: Option<u64>, policy: PolicyKind, oom: OomMode) -> Result<RunS
             // them anyway (eviction order must not depend on the thread
             // schedule); keeping ∞-budget rows serial too makes every row
             // of the sweep the same execution shape.
-            real_parallelism: false,
+            workers: simgrid::Workers::Never,
             memory: MemoryOptions {
                 budget_bytes_per_place: None,
                 policy,

@@ -44,7 +44,7 @@ use hmr_api::writable::{write_vu64, Writable};
 use kvstore::policy::PolicyKind;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
-use simgrid::{Arena, BufPool, Cluster, JobMem, MemClass, Meter, OomMode};
+use simgrid::{Arena, BufPool, Cluster, JobMem, MemClass, Meter, OomMode, Workers};
 use x10rt::serialize::DedupMode;
 use x10rt::World;
 
@@ -71,12 +71,13 @@ pub struct M3ROptions {
     pub partition_stability: bool,
     /// The input/output key/value cache (§3.2.1).
     pub input_cache: bool,
-    /// Run each wave's tasks on real OS threads. Wall-clock only: simulated
-    /// seconds, outputs and counters are bit-identical either way (see
-    /// `simgrid::pool`). Under a *finite* memory budget waves always run
-    /// sequentially: eviction order must follow task order, never the
+    /// Whether a wave's tasks may run on worker threads: `Auto` (default)
+    /// decides per wave from the job's input size (`simgrid::pool`).
+    /// Wall-clock only: simulated seconds, outputs and counters are
+    /// bit-identical in every mode. Under a *finite* memory budget waves
+    /// always run inline: eviction order must follow task order, never the
     /// thread schedule.
-    pub real_parallelism: bool,
+    pub workers: Workers,
     /// Memory governance: budget, eviction policy and overflow behaviour of
     /// the kv-cache. The default — no budget — accounts without ever acting.
     pub memory: MemoryOptions,
@@ -121,7 +122,7 @@ impl Default for M3ROptions {
             dedup: DedupMode::Full,
             partition_stability: true,
             input_cache: true,
-            real_parallelism: true,
+            workers: Workers::Auto,
             memory: MemoryOptions::default(),
             place_combine: false,
             memoize: false,
@@ -407,6 +408,9 @@ struct Run<J: JobDef> {
     place_map: PlaceMap,
     num_reducers: usize,
     tuning: SortTuning,
+    /// Σ split lengths — what `Workers::Auto` sizes the job by; `u64::MAX`
+    /// for a map-prefix replay, which plans no splits.
+    input_bytes: u64,
     input_format: Box<dyn InputFormat<J::K1, J::V1>>,
     output_format: Box<dyn OutputFormat<J::K3, J::V3>>,
     dist_cache: Arc<DistCache>,
@@ -439,13 +443,16 @@ impl<J: JobDef> Run<J> {
         }
     }
 
-    /// Waves run on real threads only under the default infinite budget.
-    /// Under a finite one the cache traffic inside each task (input-cache
-    /// puts, reloads of spilled entries, output-cache puts) is
+    /// Waves may leave the place thread only under the default infinite
+    /// budget. Under a finite one the cache traffic inside each task
+    /// (input-cache puts, reloads of spilled entries, output-cache puts) is
     /// order-sensitive — eviction victims depend on admission order — so
-    /// waves run sequentially and the eviction sequence follows task order.
-    fn parallel(&self) -> bool {
-        self.opts.real_parallelism && self.cluster.mem().budget().is_none()
+    /// waves run inline and the eviction sequence follows task order.
+    fn workers(&self) -> Workers {
+        match self.cluster.mem().budget() {
+            Some(_) => Workers::Never,
+            None => self.opts.workers,
+        }
     }
 
     /// A fresh place→place stream writing into a recycled buffer from this
@@ -618,6 +625,7 @@ impl M3REngine {
 
         let input_format = job.input_format(conf);
         let mut plan = None;
+        let mut input_bytes = u64::MAX;
         if retained.is_none() {
             let splits = simgrid::with_meter(Meter::new(cluster.node(0).clone()), || {
                 trace::span(Phase::Setup, "get_splits", None, || {
@@ -632,6 +640,7 @@ impl M3REngine {
                 })?),
                 _ => None,
             };
+            input_bytes = splits.iter().map(|s| s.length()).sum();
             plan = Some((Arc::new(splits), convert));
         }
 
@@ -649,6 +658,7 @@ impl M3REngine {
             place_map,
             num_reducers,
             tuning: SortTuning::for_job(conf),
+            input_bytes,
             input_format,
             output_format: job.output_format(conf),
             local: (0..nplaces).map(|_| Mutex::new(HashMap::new())).collect(),
@@ -906,7 +916,8 @@ fn map_phase_at_place<J: JobDef>(
             cluster,
             place,
             run.tjob,
-            run.parallel(),
+            run.workers(),
+            run.input_bytes,
             &run.arenas[place],
             wave.to_vec(),
             |si: usize| {
@@ -1260,7 +1271,8 @@ fn reduce_phase_at_place<J: JobDef>(
             cluster,
             place,
             run.tjob,
-            run.parallel(),
+            run.workers(),
+            run.input_bytes,
             &run.arenas[place],
             inputs,
             |(p, pairs): (usize, Pairs<J>)| {

@@ -44,7 +44,7 @@ use hmr_api::task::{reduce_groups, reduce_partition};
 use hmr_api::writable::Writable;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
-use simgrid::{Arena, BufPool, Cluster, JobMem, MemClass, Meter, NodeId};
+use simgrid::{Arena, BufPool, Cluster, JobMem, MemClass, Meter, NodeId, Workers};
 
 use sortbuffer::{decode_segment, frame_record, SortBuffer};
 
@@ -65,10 +65,11 @@ pub struct EngineOptions {
     /// fails, the job controller has enough information to restart the
     /// computation ... there is no need to restart the entire job."
     pub max_task_attempts: usize,
-    /// Run each wave's slots on real OS threads. Wall-clock only:
-    /// simulated seconds, outputs and counters are bit-identical either
-    /// way (see `simgrid::pool`).
-    pub real_parallelism: bool,
+    /// Whether a wave's slots may run on worker threads: `Auto` (default)
+    /// decides per wave from the job's input size (`simgrid::pool`).
+    /// Wall-clock only: simulated seconds, outputs and counters are
+    /// bit-identical in every mode.
+    pub workers: Workers,
     /// Opt-in node-level shared combining (the analogue of M3R's
     /// place-level combine): after each map wave, the wave's per-partition
     /// segments are merged through the job's combiner into one segment.
@@ -90,7 +91,7 @@ impl Default for EngineOptions {
             reduce_slots_per_node: 8,
             sort_buffer_bytes: 1 << 20,
             max_task_attempts: 4,
-            real_parallelism: true,
+            workers: Workers::Auto,
             node_combine: false,
             memoize: false,
         }
@@ -290,6 +291,8 @@ struct Run<'a, J: JobDef> {
     output_format: &'a dyn OutputFormat<J::K3, J::V3>,
     num_reducers: usize,
     tuning: SortTuning,
+    /// Σ split lengths — what `Workers::Auto` sizes the job by.
+    input_bytes: u64,
     dist_cache: Arc<DistCache>,
 }
 
@@ -381,6 +384,7 @@ impl HadoopEngine {
             output_format,
             num_reducers,
             tuning: SortTuning::for_job(conf),
+            input_bytes: splits.iter().map(|s| s.length()).sum(),
             dist_cache,
         };
 
@@ -478,7 +482,8 @@ impl<J: JobDef> Run<'_, J> {
                     self.cluster,
                     node_id,
                     self.tjob,
-                    self.engine.opts.real_parallelism,
+                    self.engine.opts.workers,
+                    self.input_bytes,
                     &self.engine.arenas[node_id],
                     wave.to_vec(),
                     |task: usize| {
@@ -541,7 +546,8 @@ impl<J: JobDef> Run<'_, J> {
                     self.cluster,
                     node_id,
                     self.tjob,
-                    self.engine.opts.real_parallelism,
+                    self.engine.opts.workers,
+                    self.input_bytes,
                     &self.engine.arenas[node_id],
                     wave.to_vec(),
                     |partition: usize| {

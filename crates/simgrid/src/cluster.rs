@@ -9,6 +9,7 @@ use crate::clock::{barrier, Clock};
 use crate::cost::{Charge, CostModel};
 use crate::mem::MemAccountant;
 use crate::metrics::Metrics;
+use crate::pool::WavePaths;
 use crate::telemetry::TelemetryRegistry;
 use crate::trace::{ChargeTotals, Phase, RelSpan, Span, Trace};
 
@@ -110,6 +111,7 @@ pub struct Cluster {
     trace: Trace,
     mem: MemAccountant,
     telemetry: TelemetryRegistry,
+    wave_paths: Arc<WavePaths>,
 }
 
 impl Cluster {
@@ -125,6 +127,8 @@ impl Cluster {
         // — registering them here costs nothing at runtime and every
         // cluster's registry answers for its memory from birth.
         mem.publish_telemetry(&telemetry);
+        let wave_paths = Arc::new(WavePaths::default());
+        wave_paths.publish_telemetry(&telemetry);
         let nodes = (0..n)
             .map(|id| Node {
                 id,
@@ -142,6 +146,7 @@ impl Cluster {
             trace,
             mem,
             telemetry,
+            wave_paths,
         }
     }
 
@@ -195,6 +200,13 @@ impl Cluster {
     /// a long-lived server exports one registry for every tenant's jobs.
     pub fn telemetry(&self) -> &TelemetryRegistry {
         &self.telemetry
+    }
+
+    /// How many task waves ran inline and how many on worker threads
+    /// ([`crate::pool::traced_wave`] counts each). Shared by job lanes;
+    /// wall-clock only, so [`Cluster::reset`] leaves it alone.
+    pub fn wave_paths(&self) -> &WavePaths {
+        &self.wave_paths
     }
 
     /// Latest clock across the cluster — "the job is done when the slowest
@@ -296,6 +308,7 @@ impl Cluster {
             trace,
             mem: self.mem.clone(),
             telemetry: self.telemetry.clone(),
+            wave_paths: Arc::clone(&self.wave_paths),
         }
     }
 

@@ -52,6 +52,6 @@ pub use cost::{Charge, CostModel};
 pub use mem::{JobMem, MemAccountant, MemClass, OomMode};
 pub use meter::{current_meter, with_meter, Meter};
 pub use metrics::Metrics;
-pub use pool::{run_wave, traced_wave, wave_duration};
+pub use pool::{run_wave, traced_wave, wave_duration, WavePaths, Workers};
 pub use telemetry::TelemetryRegistry;
 pub use trace::{Phase, Rollup, Span, Trace};

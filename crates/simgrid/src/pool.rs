@@ -1,37 +1,134 @@
-//! Scoped worker pool for intra-node task waves.
+//! Task waves: inline on the place thread, or on scoped worker threads.
 //!
 //! Both engines execute tasks in slot-sized waves: every task in a wave
 //! runs against its own scratch clock, and the node's real clock advances
 //! by the *maximum* scratch time (the tasks are concurrent in simulated
-//! time). Historically the tasks themselves ran sequentially on the place's
-//! OS thread; [`run_wave`] makes the wall-clock execution match the model
-//! by running them on scoped threads, one thread-local [`Meter`] per task.
+//! time). [`run_wave`] can make the wall-clock execution match the model by
+//! running the tasks on scoped threads, one thread-local [`Meter`] per task
+//! — but a thread costs tens of microseconds to spawn and join, which a
+//! small job's tasks never earn back. [`on_workers`] decides, per wave, from
+//! what the engine can observe before the wave runs.
 //!
 //! Determinism contract: because each task bills only its own scratch
 //! clock, per-task charge sums are independent of interleaving, and the
 //! f64 `max` folded over scratch clocks is order-independent, simulated
-//! seconds are bit-identical whether `parallel` is true or false. Results
-//! are returned in task order either way, so callers can perform any
+//! seconds are bit-identical whichever path a wave takes. Results are
+//! returned in task order either way, so callers can perform any
 //! order-sensitive post-processing (e.g. shuffle-stream serialization)
 //! deterministically after the join.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::arena::Arena;
 use crate::cluster::{Cluster, Node, NodeId};
 use crate::meter::{with_meter, Meter};
 
+/// Whether an engine's waves may leave the place thread (the one wave
+/// field of `M3ROptions` / `EngineOptions`). Wall-clock only: simulated
+/// seconds, outputs and counters are bit-identical in all three modes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Workers {
+    /// Every wave runs inline on the place thread — the forced-serial
+    /// reference the bit-identity suites compare against.
+    Never,
+    /// [`on_workers`] decides per wave from the job's input size, the
+    /// wave's task count and the machine's cores.
+    #[default]
+    Auto,
+    /// Every multi-task wave runs on worker threads, however small — lets
+    /// the bit-identity suites force the threaded path on tiny inputs.
+    Always,
+}
+
+/// The smallest job input, in bytes, whose waves [`Workers::Auto`] sends to
+/// worker threads. Below it a wave's whole record work is cheaper than the
+/// spawn + join of its threads; DESIGN.md "Concurrency model" has the
+/// job-size sweep this is read from.
+pub const WORKERS_MIN_JOB_BYTES: u64 = 512 << 10;
+
+/// Should a wave of `tasks_in_wave` tasks, in a job reading
+/// `job_input_bytes`, run on worker threads on a machine with `cores`
+/// cores? The one place the path is chosen, and a pure function of its
+/// arguments. A single task never needs a second thread; `Auto` also stays
+/// inline on one core (nothing can overlap) and below
+/// [`WORKERS_MIN_JOB_BYTES`].
+pub fn on_workers(mode: Workers, tasks_in_wave: usize, job_input_bytes: u64, cores: usize) -> bool {
+    tasks_in_wave > 1
+        && match mode {
+            Workers::Never => false,
+            Workers::Always => true,
+            Workers::Auto => cores > 1 && job_input_bytes >= WORKERS_MIN_JOB_BYTES,
+        }
+}
+
+/// `std::thread::available_parallelism`, read once per process (it is a
+/// syscall, and honours the affinity mask the process started under).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// How many waves took each path — a wall-clock fact about this machine
+/// (it depends on the core count), so it lives beside the cluster's
+/// telemetry and outside `Metrics`, counters and job results. Shared by a
+/// cluster and its job lanes.
+#[derive(Debug, Default)]
+pub struct WavePaths {
+    inline: AtomicU64,
+    workers: AtomicU64,
+}
+
+impl WavePaths {
+    /// Waves run inline on the place thread so far.
+    pub fn inline(&self) -> u64 {
+        self.inline.load(Ordering::Relaxed)
+    }
+
+    /// Waves run on worker threads so far.
+    pub fn workers(&self) -> u64 {
+        self.workers.load(Ordering::Relaxed)
+    }
+
+    fn note(&self, on_workers: bool) {
+        let path = if on_workers { &self.workers } else { &self.inline };
+        path.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Export both counts as `m3r_wave_path_total{path}`.
+    pub(crate) fn publish_telemetry(self: &Arc<Self>, registry: &crate::TelemetryRegistry) {
+        use crate::telemetry::{Family, Kind};
+        let me = Arc::clone(self);
+        registry.register(
+            "wave_path",
+            Arc::new(move || {
+                let mut f = Family::new(
+                    Kind::Counter,
+                    "m3r_wave_path_total",
+                    "task waves by where they ran: inline on the place thread or on worker threads",
+                );
+                f.sample(&[("path", "inline")], me.inline() as f64);
+                f.sample(&[("path", "workers")], me.workers() as f64);
+                vec![f]
+            }),
+        );
+    }
+}
+
 /// Run one wave of simulated tasks at `place`, each under its own scratch
-/// [`Meter`]. With `parallel` set (and more than one task) the tasks run
-/// concurrently on `std::thread::scope` threads; otherwise sequentially on
-/// the calling thread. Returns the task results **in task order** together
-/// with the scratch nodes, so the caller can apply further metered work per
-/// task and then fold the wave duration via [`wave_duration`].
+/// [`Meter`]: sequentially on the calling thread, or — with `on_workers` —
+/// concurrently: the calling thread runs the first task itself and every
+/// other task gets a `std::thread::scope` thread. Returns the task results
+/// **in task order** together with the scratch nodes, so the caller can
+/// apply further metered work per task and then fold the wave duration via
+/// [`wave_duration`].
 ///
 /// A panicking task is resumed on the calling thread after the whole wave
-/// joins, mirroring the sequential behaviour closely enough for tests.
+/// has joined — the lowest-index panic when several tasks panic.
 pub fn run_wave<T, R, F>(
     cluster: &Cluster,
     place: NodeId,
-    parallel: bool,
+    on_workers: bool,
     tasks: Vec<T>,
     f: F,
 ) -> (Vec<R>, Vec<Node>)
@@ -41,31 +138,24 @@ where
     F: Fn(T) -> R + Sync,
 {
     let scratches: Vec<Node> = tasks.iter().map(|_| cluster.scratch_node(place)).collect();
-    let results: Vec<R> = if parallel && tasks.len() > 1 {
+    let run = |(task, scratch): (T, &Node)| with_meter(Meter::new(scratch.clone()), || f(task));
+    let mut work = tasks.into_iter().zip(&scratches);
+    let results: Vec<R> = if on_workers {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = tasks
+            let first = work.next();
+            let run = &run;
+            let spawned: Vec<_> = work.map(|w| scope.spawn(move || run(w))).collect();
+            // The place thread is a worker too. Should its task panic, the
+            // scope joins the others before unwinding further, and task 0's
+            // is the lowest-index panic by construction.
+            let first = first.map(run);
+            let rest = spawned
                 .into_iter()
-                .zip(scratches.iter())
-                .map(|(task, scratch)| {
-                    let scratch = scratch.clone();
-                    let f = &f;
-                    scope.spawn(move || with_meter(Meter::new(scratch), || f(task)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
+                .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+            first.into_iter().chain(rest).collect()
         })
     } else {
-        tasks
-            .into_iter()
-            .zip(scratches.iter())
-            .map(|(task, scratch)| with_meter(Meter::new(scratch.clone()), || f(task)))
-            .collect()
+        work.map(run).collect()
     };
     (results, scratches)
 }
@@ -80,13 +170,17 @@ pub fn wave_duration(scratches: &[Node]) -> f64 {
 }
 
 /// One traced task wave at `place` — the loop every phase of both engines
-/// runs. Each task runs under its own scratch meter ([`run_wave`]); then,
-/// on the calling thread and **in task order**, the spans buffered on the
-/// task's scratch node are rebased onto the place's clock as of wave start
-/// and its result goes to `fold` with the task's scratch meter
-/// re-installed, so order-sensitive follow-up work (shuffle-stream
-/// serialization, combine-table absorption) bills the task exactly as if
-/// it had done it inline; spans `fold` records are rebased the same way.
+/// runs. [`on_workers`] picks the wave's path from `workers`, the task
+/// count, `job_input_bytes` (the job's split bytes; `u64::MAX` when it
+/// planned no splits) and the machine's cores, and the choice is counted on
+/// the cluster ([`Cluster::wave_paths`]). Each task runs under its own
+/// scratch meter ([`run_wave`]); then, on the calling thread and **in task
+/// order**, the spans buffered on the task's scratch node are rebased onto
+/// the place's clock as of wave start and its result goes to `fold` with
+/// the task's scratch meter re-installed, so order-sensitive follow-up work
+/// (shuffle-stream serialization, combine-table absorption) bills the task
+/// exactly as if it had done it inline; spans `fold` records are rebased
+/// the same way.
 /// Finally the place clock advances by the slowest task
 /// ([`wave_duration`]) and `arena` is trimmed to its retention cap. The
 /// first task or fold error ends the wave there and is returned: the clock
@@ -100,7 +194,8 @@ pub fn traced_wave<T, R, E>(
     cluster: &Cluster,
     place: NodeId,
     job: u64,
-    parallel: bool,
+    workers: Workers,
+    job_input_bytes: u64,
     arena: &Arena,
     tasks: Vec<T>,
     task: impl Fn(T) -> Result<R, E> + Sync,
@@ -115,7 +210,9 @@ where
     // Scratch clocks start at zero: spans recorded during the wave are
     // wave-relative and rebase onto the place clock as of wave start.
     let wave_base = node.clock().now();
-    let (results, scratches) = run_wave(cluster, place, parallel, tasks, task);
+    let threaded = on_workers(workers, tasks.len(), job_input_bytes, cores());
+    cluster.wave_paths().note(threaded);
+    let (results, scratches) = run_wave(cluster, place, threaded, tasks, task);
     let rebase = |scratch: &Node| {
         cluster
             .trace()
@@ -143,15 +240,21 @@ mod tests {
     use crate::cost::{Charge, CostModel};
     use crate::meter;
     use crate::trace::{self, Phase};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
+
+    /// Wave sizes every equivalence below runs at: the caller-run task
+    /// alone, one spawned thread beside it, and a full wave.
+    const WAVE_SIZES: [usize; 3] = [1, 2, 8];
 
     fn charges_of(task: usize) -> u64 {
         (task as u64 + 1) * 1000
     }
 
-    fn run(parallel: bool) -> (Vec<usize>, f64, u64) {
+    fn run(on_workers: bool, n: usize) -> (Vec<usize>, f64, u64) {
         let cluster = Cluster::new(2, CostModel::default());
-        let tasks: Vec<usize> = (0..8).collect();
-        let (results, scratches) = run_wave(&cluster, 1, parallel, tasks, |t| {
+        let tasks: Vec<usize> = (0..n).collect();
+        let (results, scratches) = run_wave(&cluster, 1, on_workers, tasks, |t| {
             meter::charge(Charge::DiskRead {
                 bytes: charges_of(t),
             });
@@ -162,18 +265,44 @@ mod tests {
     }
 
     #[test]
+    fn on_workers_is_a_pure_function_of_its_arguments() {
+        const MIN: u64 = WORKERS_MIN_JOB_BYTES;
+        for tasks in [0, 1, 2, 8] {
+            for bytes in [0, 1, MIN - 1, MIN, MIN + 1, u64::MAX] {
+                for cores in [1, 2, 64] {
+                    let many = tasks > 1;
+                    let at = |mode| on_workers(mode, tasks, bytes, cores);
+                    assert!(!at(Workers::Never), "Never is always inline");
+                    assert_eq!(at(Workers::Always), many, "Always ignores bytes and cores");
+                    assert_eq!(
+                        at(Workers::Auto),
+                        many && cores > 1 && bytes >= MIN,
+                        "Auto({tasks} tasks, {bytes} B, {cores} cores)"
+                    );
+                    assert_eq!(at(Workers::Auto), at(Workers::Auto), "same answer when asked twice");
+                }
+            }
+        }
+        assert_eq!(Workers::default(), Workers::Auto);
+    }
+
+    #[test]
     fn results_stay_in_task_order() {
-        let (r, _, _) = run(true);
-        assert_eq!(r, (0..8).collect::<Vec<_>>());
+        for n in WAVE_SIZES {
+            let (r, _, _) = run(true, n);
+            assert_eq!(r, (0..n).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn parallel_and_serial_agree_bit_for_bit() {
-        let (rs, ds, bs) = run(false);
-        let (rp, dp, bp) = run(true);
-        assert_eq!(rs, rp);
-        assert_eq!(ds.to_bits(), dp.to_bits(), "wave duration must be identical");
-        assert_eq!(bs, bp, "metrics must be identical");
+        for n in WAVE_SIZES {
+            let (rs, ds, bs) = run(false, n);
+            let (rp, dp, bp) = run(true, n);
+            assert_eq!(rs, rp);
+            assert_eq!(ds.to_bits(), dp.to_bits(), "wave duration must be identical");
+            assert_eq!(bs, bp, "metrics must be identical");
+        }
     }
 
     #[test]
@@ -198,12 +327,52 @@ mod tests {
         assert_eq!(wave_duration(&s), 0.0);
     }
 
+    #[test]
+    fn the_calling_thread_runs_the_first_task_beside_the_spawned_ones() {
+        let cluster = Cluster::new(1, CostModel::default());
+        let caller = std::thread::current().id();
+        // Every task waits for all four: the wave deadlocks unless the
+        // caller's task runs while the three spawned ones do.
+        let all_running = Barrier::new(4);
+        let (ran_on, _) = run_wave(&cluster, 0, true, (0..4).collect(), |_: usize| {
+            all_running.wait();
+            std::thread::current().id()
+        });
+        assert_eq!(ran_on[0], caller);
+        assert!(ran_on[1..].iter().all(|&id| id != caller));
+    }
+
+    #[test]
+    fn the_lowest_index_panic_is_resumed_after_every_thread_has_joined() {
+        // Task 0 is the caller-run task; every other task is spawned.
+        for panicking in [[0usize, 2], [1, 3]] {
+            let cluster = Cluster::new(1, CostModel::default());
+            let all_running = Barrier::new(4);
+            let finished = AtomicU64::new(0);
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                run_wave(&cluster, 0, true, (0..4usize).collect(), |t| {
+                    all_running.wait();
+                    if panicking.contains(&t) {
+                        panic!("task {t}");
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                })
+            }))
+            .expect_err("the wave must panic");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(format!("task {}", panicking[0]).as_str())
+            );
+            assert_eq!(finished.load(Ordering::SeqCst), 2, "the surviving tasks ran to the end");
+        }
+    }
+
     /// A span reduced to what must not depend on the thread schedule.
     type SpanBits = (Phase, Option<u64>, u64, u64);
 
     /// Everything a traced wave leaves behind that the simulation can see:
     /// place clock, serialized bytes, spans, fold order.
-    fn traced(parallel: bool) -> (f64, u64, Vec<SpanBits>, Vec<usize>) {
+    fn traced(workers: Workers, n: usize) -> (f64, u64, Vec<SpanBits>, Vec<usize>) {
         let cluster = Cluster::new(2, CostModel::default());
         cluster.trace().enable();
         let job = cluster.trace().begin_job("wave");
@@ -215,9 +384,10 @@ mod tests {
             &cluster,
             1,
             job,
-            parallel,
+            workers,
+            0,
             &Arena::new(),
-            (0..6usize).collect(),
+            (0..n).collect(),
             |t| -> Result<usize, ()> {
                 trace::span(Phase::Map, "map", Some(t as u64), || {
                     meter::charge(Charge::DiskRead {
@@ -237,6 +407,12 @@ mod tests {
             },
         )
         .unwrap();
+        let threaded = workers == Workers::Always && n > 1;
+        assert_eq!(
+            (cluster.wave_paths().inline(), cluster.wave_paths().workers()),
+            if threaded { (0, 1) } else { (1, 0) },
+            "the wave's path is counted once"
+        );
         let mut spans: Vec<_> = cluster
             .trace()
             .spans()
@@ -258,44 +434,68 @@ mod tests {
 
     #[test]
     fn traced_wave_is_bit_equal_serial_vs_parallel() {
-        let (clock_s, ser_s, spans_s, folded_s) = traced(false);
-        let (clock_p, ser_p, spans_p, folded_p) = traced(true);
-        assert_eq!(clock_s.to_bits(), clock_p.to_bits(), "clock fold");
-        assert_eq!(ser_s, ser_p, "fold-callback charges");
-        assert_eq!(spans_s, spans_p, "rebased spans");
-        assert_eq!(folded_s, (0..6).collect::<Vec<_>>(), "fold runs in task order");
-        assert_eq!(folded_s, folded_p);
-        // 6 task spans + 6 fold spans, the fold span starting where its
-        // task's own work ended (same scratch clock).
-        assert_eq!(spans_s.len(), 12);
-        for pair in spans_s.chunks(2) {
-            assert_eq!((pair[0].0, pair[1].0), (Phase::Map, Phase::Shuffle));
-            assert_eq!(pair[0].3, pair[1].2);
+        for n in WAVE_SIZES {
+            let (clock_s, ser_s, spans_s, folded_s) = traced(Workers::Never, n);
+            let (clock_p, ser_p, spans_p, folded_p) = traced(Workers::Always, n);
+            assert_eq!(clock_s.to_bits(), clock_p.to_bits(), "clock fold");
+            assert_eq!(ser_s, ser_p, "fold-callback charges");
+            assert_eq!(spans_s, spans_p, "rebased spans");
+            assert_eq!(folded_s, (0..n).collect::<Vec<_>>(), "fold runs in task order");
+            assert_eq!(folded_s, folded_p);
+            // One task span + one fold span per task, the fold span starting
+            // where its task's own work ended (same scratch clock).
+            assert_eq!(spans_s.len(), 2 * n);
+            for pair in spans_s.chunks(2) {
+                assert_eq!((pair[0].0, pair[1].0), (Phase::Map, Phase::Shuffle));
+                assert_eq!(pair[0].3, pair[1].2);
+            }
         }
     }
 
     #[test]
-    fn traced_wave_stops_at_the_first_error() {
+    fn wave_paths_export_as_one_counter_family() {
         let cluster = Cluster::new(1, CostModel::default());
-        let mut folded = Vec::new();
-        let r = traced_wave(
-            &cluster,
-            0,
-            0,
-            true,
-            &Arena::new(),
-            vec![0usize, 1, 2],
-            |t| if t == 1 { Err("boom") } else { Ok(t) },
-            |t| {
-                folded.push(t);
-                Ok(())
-            },
-        );
-        assert_eq!(r, Err("boom"));
-        assert_eq!(folded, vec![0], "results before the failure still fold");
+        let lane = cluster.job_lane(1);
+        for (on, tasks) in [(&cluster, 2usize), (&lane, 2), (&lane, 1)] {
+            let tasks = (0..tasks).collect();
+            traced_wave(on, 0, 0, Workers::Always, 0, &Arena::new(), tasks, Ok::<usize, ()>, |_| Ok(()))
+                .unwrap();
+        }
+        let text = cluster.telemetry().prometheus_text();
+        assert!(text.contains("# TYPE m3r_wave_path_total counter\n"));
+        assert!(text.contains("m3r_wave_path_total{path=\"inline\"} 1\n"), "{text}");
+        assert!(text.contains("m3r_wave_path_total{path=\"workers\"} 2\n"), "lanes share the count");
+    }
+
+    #[test]
+    fn traced_wave_stops_at_the_first_error() {
+        // Task 0 fails on the calling thread, task 1 on a spawned one.
+        for failing in [0usize, 1] {
+            let cluster = Cluster::new(1, CostModel::default());
+            let mut folded = Vec::new();
+            let r = traced_wave(
+                &cluster,
+                0,
+                0,
+                Workers::Always,
+                0,
+                &Arena::new(),
+                vec![0usize, 1, 2],
+                |t| if t == failing { Err("boom") } else { Ok(t) },
+                |t| {
+                    folded.push(t);
+                    Ok(())
+                },
+            );
+            assert_eq!(r, Err("boom"));
+            let before: Vec<usize> = (0..failing).collect();
+            assert_eq!(folded, before, "only results before the failure fold");
+            assert_eq!(cluster.node(0).clock().now(), 0.0, "a failed wave leaves the clock");
+        }
 
         // A fold that fails *after* closing a span must not leave that span
         // for the next wave to adopt.
+        let cluster = Cluster::new(1, CostModel::default());
         cluster.trace().enable();
         let fold_span = |t: usize| {
             trace::span(Phase::Shuffle, "serialize", Some(t as u64), || {
@@ -307,7 +507,8 @@ mod tests {
             &cluster,
             0,
             failed,
-            false,
+            Workers::Never,
+            0,
             &Arena::new(),
             vec![0usize, 1],
             Ok,
@@ -318,7 +519,7 @@ mod tests {
         );
         assert_eq!(r, Err("fold boom"));
         let next = cluster.trace().begin_job("next");
-        traced_wave(&cluster, 0, next, false, &Arena::new(), vec![7usize], Ok, |t| {
+        traced_wave(&cluster, 0, next, Workers::Never, 0, &Arena::new(), vec![7usize], Ok, |t| {
             fold_span(t);
             Ok::<(), &str>(())
         })

@@ -8,7 +8,6 @@
 //! property M3R exploits to keep heap state between jobs (§3.2).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -19,9 +18,17 @@ use parking_lot::Mutex;
 use crate::place::{PlaceCtx, PlaceId};
 
 type Job = Box<dyn FnOnce(&mut PlaceCtx) + Send>;
+type PanicLog = Arc<Mutex<Vec<(PlaceId, String)>>>;
+
+/// What an async spawned under a `finish` carries back to it: the finish's
+/// own panic log and its completion guard.
+struct Completion {
+    panics: PanicLog,
+    _guard: WaitGroup,
+}
 
 enum Msg {
-    Run(Job),
+    Run(Job, Option<Completion>),
     Shutdown,
 }
 
@@ -33,16 +40,14 @@ struct PlaceHandle {
 /// A fixed family of places. Dropping the world shuts the workers down.
 pub struct World {
     places: Vec<PlaceHandle>,
-    panics: Arc<Mutex<Vec<(PlaceId, String)>>>,
-    outstanding: Arc<AtomicUsize>,
+    panics: PanicLog,
 }
 
 impl World {
     /// Spawn `n` places (n ≥ 1), each a long-lived worker thread.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "a world needs at least one place");
-        let panics: Arc<Mutex<Vec<(PlaceId, String)>>> = Arc::new(Mutex::new(Vec::new()));
-        let outstanding = Arc::new(AtomicUsize::new(0));
+        let panics = PanicLog::default();
         let places = (0..n)
             .map(|id| {
                 let (tx, rx) = unbounded::<Msg>();
@@ -53,12 +58,20 @@ impl World {
                         let mut ctx = PlaceCtx::new(id, n);
                         while let Ok(msg) = rx.recv() {
                             match msg {
-                                Msg::Run(job) => {
+                                // Every body — `at_sync`, `at_async`,
+                                // `Finish::at` — is unwound and logged here,
+                                // once; the finish's guard drops only after
+                                // the panic is in both logs.
+                                Msg::Run(job, done) => {
                                     let r = catch_unwind(AssertUnwindSafe(|| job(&mut ctx)));
                                     if let Err(e) = r {
                                         let text = panic_text(&*e);
+                                        if let Some(done) = &done {
+                                            done.panics.lock().push((id, text.clone()));
+                                        }
                                         panics.lock().push((id, text));
                                     }
+                                    drop(done);
                                 }
                                 Msg::Shutdown => break,
                             }
@@ -71,11 +84,7 @@ impl World {
                 }
             })
             .collect();
-        World {
-            places,
-            panics,
-            outstanding,
-        }
+        World { places, panics }
     }
 
     /// Number of places.
@@ -83,10 +92,18 @@ impl World {
         self.places.len()
     }
 
-    fn dispatch(&self, place: PlaceId, job: Job) {
+    /// The one dispatch behind `at_sync`, `at_async` and `Finish::at`: box
+    /// `f` and mail it to `place`, with the enclosing finish's completion
+    /// when there is one.
+    fn dispatch(
+        &self,
+        place: PlaceId,
+        f: impl FnOnce(&mut PlaceCtx) + Send + 'static,
+        done: Option<Completion>,
+    ) {
         self.places[place]
             .tx
-            .send(Msg::Run(job))
+            .send(Msg::Run(Box::new(f), done))
             .expect("place worker alive");
     }
 
@@ -102,12 +119,13 @@ impl World {
         let (tx, rx) = unbounded();
         self.dispatch(
             place,
-            Box::new(move |ctx| {
+            move |ctx| {
                 // If `f` panics the worker records it and drops `tx`;
                 // the receiver then surfaces the failure below.
                 let r = f(ctx);
                 let _ = tx.send(r);
-            }),
+            },
+            None,
         );
         match rx.recv() {
             Ok(r) => r,
@@ -119,30 +137,9 @@ impl World {
     }
 
     /// `async at (p) S` — fire-and-forget. Pair with [`World::finish`] to
-    /// wait for completion.
-    ///
-    /// A panic inside `f` is recorded in the panic log *before* the async is
-    /// considered complete, so an enclosing `finish` reliably observes it.
+    /// wait for completion. A panic inside `f` is recorded in the panic log.
     pub fn at_async(&self, place: PlaceId, f: impl FnOnce(&mut PlaceCtx) + Send + 'static) {
-        self.outstanding.fetch_add(1, Ordering::SeqCst);
-        let outstanding = Arc::clone(&self.outstanding);
-        let panics = Arc::clone(&self.panics);
-        self.dispatch(
-            place,
-            Box::new(move |ctx| {
-                struct Dec(Arc<AtomicUsize>);
-                impl Drop for Dec {
-                    fn drop(&mut self) {
-                        self.0.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-                let _dec = Dec(outstanding);
-                let id = ctx.id();
-                if let Err(e) = catch_unwind(AssertUnwindSafe(|| f(ctx))) {
-                    panics.lock().push((id, panic_text(&*e)));
-                }
-            }),
-        );
+        self.dispatch(place, f, None);
     }
 
     /// `finish S` — run `body`, then wait for every async it spawned through
@@ -153,7 +150,7 @@ impl World {
         // Each finish tracks its own asyncs' panics. Comparing global log
         // lengths would mis-attribute failures when several finishes run
         // concurrently (the multi-tenant job server does exactly that).
-        let panics = Arc::new(Mutex::new(Vec::new()));
+        let panics = PanicLog::default();
         let fin = Finish {
             world: self,
             wg,
@@ -205,7 +202,7 @@ pub struct Finish<'w> {
     wg: WaitGroup,
     /// Panics from asyncs spawned through *this* finish (the world's global
     /// log additionally records them for post-mortem inspection).
-    panics: Arc<Mutex<Vec<(PlaceId, String)>>>,
+    panics: PanicLog,
 }
 
 impl Finish<'_> {
@@ -214,18 +211,11 @@ impl Finish<'_> {
     /// A panic inside `f` is logged *before* the completion guard is
     /// released, so the enclosing `finish` observes it deterministically.
     pub fn at(&self, place: PlaceId, f: impl FnOnce(&mut PlaceCtx) + Send + 'static) {
-        let guard = self.wg.clone();
-        let global = Arc::clone(&self.world.panics);
-        let local = Arc::clone(&self.panics);
-        self.world.at_async(place, move |ctx| {
-            let id = ctx.id();
-            if let Err(e) = catch_unwind(AssertUnwindSafe(|| f(ctx))) {
-                let text = panic_text(&*e);
-                global.lock().push((id, text.clone()));
-                local.lock().push((id, text));
-            }
-            drop(guard);
-        });
+        let done = Completion {
+            panics: Arc::clone(&self.panics),
+            _guard: self.wg.clone(),
+        };
+        self.world.dispatch(place, f, Some(done));
     }
 }
 
@@ -242,6 +232,7 @@ fn panic_text(e: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn at_sync_returns_value_from_place() {

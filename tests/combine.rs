@@ -31,7 +31,7 @@ use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel};
 
 mod common;
-use common::{assert_same_result, part_bytes};
+use common::{assert_same_result, forced, part_bytes};
 
 /// Token counting with a LongSum combiner — associative and commutative,
 /// exactly the contract `m3r.shuffle.place.combine` requires.
@@ -192,7 +192,7 @@ fn run_hadoop(
 fn m3r_opts(place_combine: bool, parallel: bool) -> M3ROptions {
     M3ROptions {
         worker_threads: 2,
-        real_parallelism: parallel,
+        workers: forced(parallel),
         place_combine,
         ..M3ROptions::default()
     }

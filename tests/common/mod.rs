@@ -6,7 +6,7 @@ use hmr_api::fs::FileSystem;
 use hmr_api::job::JobResult;
 use hmr_api::HPath;
 use simdfs::SimDfs;
-use simgrid::{Cluster, CostModel};
+use simgrid::{Cluster, CostModel, Workers};
 
 /// A fresh `places`-node cluster and DFS (1 MB blocks, 2-way replication).
 /// `CostModel::default()` has `compute_scale = 0`: every charge is modeled,
@@ -16,6 +16,17 @@ pub fn fresh(places: usize) -> (Cluster, SimDfs) {
     let cluster = Cluster::new(places, CostModel::default());
     let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
     (cluster, fs)
+}
+
+/// The wave mode a suite's serial/parallel flag stands for. Never `Auto`:
+/// its choice depends on input size and the machine's cores, and these
+/// suites need to know which path they ran.
+pub fn forced(parallel: bool) -> Workers {
+    if parallel {
+        Workers::Always
+    } else {
+        Workers::Never
+    }
 }
 
 /// Raw bytes of every part file under `dir`, in partition order.

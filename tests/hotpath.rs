@@ -42,7 +42,7 @@ use workloads::textgen::generate_text;
 use workloads::wordcount::{WcStyle, WordCountJob};
 
 mod common;
-use common::part_bytes;
+use common::{forced, part_bytes};
 
 const PLACES: usize = 3;
 const REDUCERS: usize = 4;
@@ -103,7 +103,7 @@ fn run_m3r_job<J: JobDef>(
         cluster,
         Arc::new(fs.clone()),
         M3ROptions {
-            real_parallelism: parallel,
+            workers: forced(parallel),
             ..M3ROptions::default()
         },
     );
@@ -119,7 +119,7 @@ fn run_hadoop(t: &Toggles, parallel: bool) -> (JobResult, Vec<(String, bytes::By
         cluster,
         Arc::new(fs.clone()),
         EngineOptions {
-            real_parallelism: parallel,
+            workers: forced(parallel),
             ..EngineOptions::default()
         },
     );

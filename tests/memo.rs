@@ -40,7 +40,7 @@ use workloads::textgen::generate_text;
 use workloads::wordcount::{run_wordcount, WcStyle};
 
 mod common;
-use common::{assert_same_result, fresh};
+use common::{assert_same_result, forced, fresh};
 
 const PLACES: usize = 4;
 const PARTS: usize = 4;
@@ -79,7 +79,7 @@ fn wc_m3r(memoize: bool, parallel: bool, workers: usize) -> (JobResult, Vec<(Str
         Arc::new(fs.clone()),
         M3ROptions {
             memoize,
-            real_parallelism: parallel,
+            workers: forced(parallel),
             worker_threads: workers,
             ..M3ROptions::default()
         },
@@ -99,7 +99,7 @@ fn wc_hadoop(memoize: bool, parallel: bool, workers: usize) -> (JobResult, Vec<(
         Arc::new(fs.clone()),
         EngineOptions {
             memoize,
-            real_parallelism: parallel,
+            workers: forced(parallel),
             map_slots_per_node: workers,
             reduce_slots_per_node: workers,
             ..EngineOptions::default()

@@ -11,7 +11,7 @@
 //!   output bytes equal the ∞ run, and the run is reproducible — the
 //!   eviction sequence follows insertion order, never the thread
 //!   schedule (waves serialize under a finite budget, so
-//!   `real_parallelism` stays bit-identical to serial).
+//!   `Workers::Always` stays bit-identical to `Never`).
 //! * **Graceful degradation** — shrinking the budget costs simulated
 //!   seconds (spill + reload through the DFS cost model) instead of
 //!   correctness; `OomMode::FailFast` restores the paper's strict
@@ -36,7 +36,7 @@ use simgrid::Cluster;
 use workloads::microbench::{generate_microbench_input, run_microbench};
 
 mod common;
-use common::{assert_same_result, fresh, part_bytes};
+use common::{assert_same_result, forced, fresh, part_bytes};
 
 const PLACES: usize = 4;
 const WORKERS: usize = 4;
@@ -56,7 +56,7 @@ fn microbench_m3r(
         Arc::new(fs.clone()),
         M3ROptions {
             worker_threads: WORKERS,
-            real_parallelism: parallel,
+            workers: forced(parallel),
             memory,
             ..M3ROptions::default()
         },
@@ -93,7 +93,7 @@ fn microbench_hadoop(
             reduce_slots_per_node: WORKERS,
             sort_buffer_bytes: 1 << 16,
             max_task_attempts: 4,
-            real_parallelism: parallel,
+            workers: forced(parallel),
             ..EngineOptions::default()
         },
     );
@@ -205,7 +205,7 @@ fn fail_fast_surfaces_oom_instead_of_spilling() {
         Arc::new(fs.clone()),
         M3ROptions {
             worker_threads: WORKERS,
-            real_parallelism: false,
+            workers: simgrid::Workers::Never,
             memory: MemoryOptions {
                 budget_bytes_per_place: Some(256),
                 policy: PolicyKind::Lru,

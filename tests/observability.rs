@@ -29,7 +29,7 @@ use simgrid::Cluster;
 use workloads::microbench::{generate_microbench_input, run_microbench};
 
 mod common;
-use common::{assert_same_result, fresh, part_bytes};
+use common::{assert_same_result, forced, fresh, part_bytes};
 
 const PLACES: usize = 4;
 const WORKERS: usize = 4;
@@ -50,7 +50,7 @@ fn microbench_m3r(traced: bool, parallel: bool) -> (Vec<JobResult>, Vec<(String,
         Arc::new(fs.clone()),
         M3ROptions {
             worker_threads: WORKERS,
-            real_parallelism: parallel,
+            workers: forced(parallel),
             ..M3ROptions::default()
         },
     );
@@ -90,7 +90,7 @@ fn microbench_hadoop(
             reduce_slots_per_node: WORKERS,
             sort_buffer_bytes: 1 << 16,
             max_task_attempts: 4,
-            real_parallelism: parallel,
+            workers: forced(parallel),
             ..EngineOptions::default()
         },
     );

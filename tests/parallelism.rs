@@ -1,8 +1,9 @@
-//! Parallel/serial equivalence: `real_parallelism` must affect wall-clock
+//! Inline/workers equivalence: the `Workers` mode must affect wall-clock
 //! time only. Every observable of a job — simulated seconds, output file
 //! bytes, counters, metrics, record counts — has to be identical whether a
-//! wave's tasks run sequentially on the place thread or concurrently on the
-//! scoped worker pool.
+//! wave's tasks run sequentially on the place thread (`Workers::Never`) or
+//! concurrently on scoped worker threads (`Workers::Always`), and so
+//! whichever of the two `Workers::Auto` picks for a job's size.
 //!
 //! Simulated time is compared through `f64::to_bits`, i.e. bit-for-bit:
 //! floating-point addition is not associative, so this only holds because
@@ -12,10 +13,17 @@
 //! `compute_scale` would fold real wall time into simulated time and no
 //! mode could promise identical seconds.
 //!
+//! Every run reports the cluster's wave-path counts, and every comparison
+//! asserts through them that `Never` ran no wave on workers and `Always` at
+//! least one — the inputs here are far below the size at which `Auto`
+//! would leave the place thread, so a comparison against the default would
+//! compare inline with inline.
+//!
 //! Coverage: the fig6 shuffle microbenchmark (both engines), the fig7
-//! matrix-vector iteration (M3R), and a combiner + grouping-comparator
+//! matrix-vector iteration (M3R), a combiner + grouping-comparator
 //! wordcount (both engines) to exercise map-side combining and non-default
-//! grouping under the pool.
+//! grouping on worker threads, and `Auto` itself just below and just above
+//! its threshold (both engines).
 
 use std::sync::Arc;
 
@@ -32,6 +40,8 @@ use hmr_api::writable::{LongWritable, Text};
 use hmr_api::HPath;
 use m3r::{M3REngine, M3ROptions};
 use simdfs::SimDfs;
+use simgrid::pool::WORKERS_MIN_JOB_BYTES;
+use simgrid::{Cluster, Workers};
 use workloads::matvec::{generate_matvec_input, run_matvec_iterations};
 use workloads::microbench::{generate_microbench_input, run_microbench};
 
@@ -42,37 +52,75 @@ const PLACES: usize = 4;
 const WORKERS: usize = 4;
 const PARTS: usize = 8;
 
-fn m3r_opts(real_parallelism: bool) -> M3ROptions {
+fn m3r_opts(workers: Workers) -> M3ROptions {
     M3ROptions {
         worker_threads: WORKERS,
-        real_parallelism,
+        workers,
         ..M3ROptions::default()
     }
 }
 
-fn hadoop_opts(real_parallelism: bool) -> EngineOptions {
+fn hadoop_opts(workers: Workers) -> EngineOptions {
     EngineOptions {
         map_slots_per_node: WORKERS,
         reduce_slots_per_node: WORKERS,
         sort_buffer_bytes: 1 << 16,
         max_task_attempts: 4,
-        real_parallelism,
+        workers,
         ..EngineOptions::default()
     }
+}
+
+/// What one run leaves behind: what its jobs reported, the final output
+/// bytes, and how many of its waves ran inline / on worker threads.
+struct Ran<R> {
+    results: R,
+    out: Vec<(String, bytes::Bytes)>,
+    inline: u64,
+    on_workers: u64,
+}
+
+impl<R> Ran<R> {
+    fn new(cluster: &Cluster, results: R, out: Vec<(String, bytes::Bytes)>) -> Self {
+        assert!(!out.is_empty(), "the run produced no output");
+        let paths = cluster.wave_paths();
+        Ran {
+            results,
+            out,
+            inline: paths.inline(),
+            on_workers: paths.workers(),
+        }
+    }
+}
+
+/// Run `f` under `Never` and under `Always`, after checking that each mode
+/// really took its path — otherwise the comparison proves nothing.
+fn never_and_always<R>(f: impl Fn(Workers) -> Ran<R>) -> (Ran<R>, Ran<R>) {
+    let (never, always) = (f(Workers::Never), f(Workers::Always));
+    assert!(never.inline > 0, "Never ran no wave at all");
+    assert_eq!(never.on_workers, 0, "Never must keep every wave on the place thread");
+    assert!(always.on_workers > 0, "Always must run multi-task waves on workers");
+    (never, always)
+}
+
+fn assert_same_jobs(a: &Ran<Vec<JobResult>>, b: &Ran<Vec<JobResult>>, what: &str) {
+    assert_eq!(a.results.len(), b.results.len());
+    for (i, (a, b)) in a.results.iter().zip(&b.results).enumerate() {
+        assert_same_result(a, b, &format!("{what} job {i}"));
+    }
+    assert_eq!(a.out, b.out, "{what}: output bytes differ");
 }
 
 // ---------------------------------------------------------------------------
 // fig6: the shuffle microbenchmark
 // ---------------------------------------------------------------------------
 
-fn fig6_m3r(real_parallelism: bool) -> (Vec<JobResult>, Vec<(String, bytes::Bytes)>) {
+/// `pairs` × 64-byte values through the fig6 job chain on M3R.
+fn fig6_m3r(workers: Workers, pairs: usize) -> Ran<Vec<JobResult>> {
     let (cluster, fs) = fresh(PLACES);
-    generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
-    let mut engine = M3REngine::with_options(
-        cluster,
-        Arc::new(fs.clone()),
-        m3r_opts(real_parallelism),
-    );
+    generate_microbench_input(&fs, &HPath::new("/in"), pairs, 64, PARTS, 11).unwrap();
+    let mut engine =
+        M3REngine::with_options(cluster.clone(), Arc::new(fs.clone()), m3r_opts(workers));
     let results = run_microbench(
         &mut engine,
         &HPath::new("/in"),
@@ -84,17 +132,14 @@ fn fig6_m3r(real_parallelism: bool) -> (Vec<JobResult>, Vec<(String, bytes::Byte
         None,
     )
     .unwrap();
-    (results, part_bytes(&fs, "/mb/iter2", PARTS))
+    Ran::new(&cluster, results, part_bytes(&fs, "/mb/iter2", PARTS))
 }
 
-fn fig6_hadoop(real_parallelism: bool) -> (Vec<JobResult>, Vec<(String, bytes::Bytes)>) {
+fn fig6_hadoop(workers: Workers, pairs: usize) -> Ran<Vec<JobResult>> {
     let (cluster, fs) = fresh(PLACES);
-    generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
-    let mut engine = HadoopEngine::with_options(
-        cluster,
-        Arc::new(fs.clone()),
-        hadoop_opts(real_parallelism),
-    );
+    generate_microbench_input(&fs, &HPath::new("/in"), pairs, 64, PARTS, 11).unwrap();
+    let mut engine =
+        HadoopEngine::with_options(cluster.clone(), Arc::new(fs.clone()), hadoop_opts(workers));
     let results = run_microbench(
         &mut engine,
         &HPath::new("/in"),
@@ -106,51 +151,75 @@ fn fig6_hadoop(real_parallelism: bool) -> (Vec<JobResult>, Vec<(String, bytes::B
         None,
     )
     .unwrap();
-    (results, part_bytes(&fs, "/mb/iter1", PARTS))
+    Ran::new(&cluster, results, part_bytes(&fs, "/mb/iter1", PARTS))
 }
 
 #[test]
 fn fig6_microbench_is_identical_on_m3r() {
-    let (serial, serial_out) = fig6_m3r(false);
-    let (parallel, parallel_out) = fig6_m3r(true);
-    assert_eq!(serial.len(), parallel.len());
-    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        assert_same_result(s, p, &format!("m3r fig6 iter{i}"));
-    }
-    assert!(!serial_out.is_empty(), "microbench produced no output");
-    assert_eq!(serial_out, parallel_out, "m3r fig6 output bytes differ");
+    let (never, always) = never_and_always(|w| fig6_m3r(w, 192));
+    assert_same_jobs(&never, &always, "m3r fig6");
 }
 
 #[test]
 fn fig6_microbench_is_identical_on_hadoop() {
-    let (serial, serial_out) = fig6_hadoop(false);
-    let (parallel, parallel_out) = fig6_hadoop(true);
-    assert_eq!(serial.len(), parallel.len());
-    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        assert_same_result(s, p, &format!("hadoop fig6 iter{i}"));
-    }
-    assert!(!serial_out.is_empty(), "microbench produced no output");
-    assert_eq!(serial_out, parallel_out, "hadoop fig6 output bytes differ");
+    let (never, always) = never_and_always(|w| fig6_hadoop(w, 192));
+    assert_same_jobs(&never, &always, "hadoop fig6");
 }
 
 #[test]
 fn parallel_runs_are_repeatable() {
-    // Two parallel runs must also agree with each other — this catches
-    // nondeterminism that happens to cancel out against a serial baseline
+    // Two runs on workers must also agree with each other — this catches
+    // nondeterminism that happens to cancel out against an inline baseline
     // (e.g. racy stream arrival order present in *both* modes).
-    let (a, a_out) = fig6_m3r(true);
-    let (b, b_out) = fig6_m3r(true);
-    for (i, (s, p)) in a.iter().zip(&b).enumerate() {
-        assert_same_result(s, p, &format!("m3r fig6 repeat iter{i}"));
+    let (a, b) = (fig6_m3r(Workers::Always, 192), fig6_m3r(Workers::Always, 192));
+    assert!(a.on_workers > 0 && a.on_workers == b.on_workers);
+    assert_same_jobs(&a, &b, "m3r fig6 repeat");
+}
+
+// ---------------------------------------------------------------------------
+// Auto: the same bits on either side of the threshold
+// ---------------------------------------------------------------------------
+
+/// `Auto` picks from the job's input size, so run one input just under
+/// `WORKERS_MIN_JOB_BYTES` and one just over it, and hold each against the
+/// forced-inline reference: same simulated seconds, counters and bytes; the
+/// small one entirely inline; the large one on workers wherever the machine
+/// has a second core to run them on (the one-core CI leg is the `else`).
+fn assert_auto_flips_at_the_threshold(run: impl Fn(Workers, usize) -> Ran<Vec<JobResult>>, what: &str) {
+    // A pair with a 64-byte value is 71 bytes of sequence file, and every
+    // job of the chain reads what the generator wrote, reshuffled: 0.9× and
+    // 1.1× the threshold.
+    let threshold = WORKERS_MIN_JOB_BYTES as usize / 71;
+    let multicore = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+    for (pairs, expect_workers) in [(threshold * 9 / 10, false), (threshold * 11 / 10, multicore)] {
+        let auto = run(Workers::Auto, pairs);
+        let never = run(Workers::Never, pairs);
+        assert_same_jobs(&never, &auto, &format!("{what} auto, {pairs} pairs"));
+        assert_eq!(
+            auto.on_workers > 0,
+            expect_workers,
+            "{what} auto, {pairs} pairs: {} waves inline, {} on workers",
+            auto.inline,
+            auto.on_workers
+        );
     }
-    assert_eq!(a_out, b_out, "repeated parallel runs diverged");
+}
+
+#[test]
+fn auto_flips_at_the_threshold_on_m3r() {
+    assert_auto_flips_at_the_threshold(fig6_m3r, "m3r");
+}
+
+#[test]
+fn auto_flips_at_the_threshold_on_hadoop() {
+    assert_auto_flips_at_the_threshold(fig6_hadoop, "hadoop");
 }
 
 // ---------------------------------------------------------------------------
 // fig7: iterated sparse-matrix × dense-vector multiply
 // ---------------------------------------------------------------------------
 
-fn fig7_m3r(real_parallelism: bool) -> (Vec<f64>, Vec<(String, bytes::Bytes)>) {
+fn fig7_m3r(workers: Workers) -> Ran<Vec<f64>> {
     let (cluster, fs) = fresh(PLACES);
     let n = 60;
     let block = 20;
@@ -165,11 +234,8 @@ fn fig7_m3r(real_parallelism: bool) -> (Vec<f64>, Vec<(String, bytes::Bytes)>) {
         5,
     )
     .unwrap();
-    let mut engine = M3REngine::with_options(
-        cluster,
-        Arc::new(fs.clone()),
-        m3r_opts(real_parallelism),
-    );
+    let mut engine =
+        M3REngine::with_options(cluster.clone(), Arc::new(fs.clone()), m3r_opts(workers));
     let iters = run_matvec_iterations(
         &mut engine,
         &HPath::new("/g"),
@@ -184,27 +250,25 @@ fn fig7_m3r(real_parallelism: bool) -> (Vec<f64>, Vec<(String, bytes::Bytes)>) {
         .iter()
         .flat_map(|i| [i.product.sim_time, i.sum.sim_time])
         .collect();
-    (times, part_bytes(&fs, "/w/v2", PARTS))
+    Ran::new(&cluster, times, part_bytes(&fs, "/w/v2", PARTS))
 }
 
 #[test]
 fn fig7_matvec_is_identical_on_m3r() {
-    let (serial_times, serial_out) = fig7_m3r(false);
-    let (parallel_times, parallel_out) = fig7_m3r(true);
-    assert_eq!(serial_times.len(), parallel_times.len());
-    for (i, (s, p)) in serial_times.iter().zip(&parallel_times).enumerate() {
+    let (never, always) = never_and_always(fig7_m3r);
+    assert_eq!(never.results.len(), always.results.len());
+    for (i, (s, p)) in never.results.iter().zip(&always.results).enumerate() {
         assert_eq!(
             s.to_bits(),
             p.to_bits(),
-            "matvec job {i}: simulated seconds differ (serial {s} vs parallel {p})"
+            "matvec job {i}: simulated seconds differ (inline {s} vs workers {p})"
         );
     }
-    assert!(!serial_out.is_empty(), "matvec produced no output");
-    assert_eq!(serial_out, parallel_out, "matvec final vector bytes differ");
+    assert_eq!(never.out, always.out, "matvec final vector bytes differ");
 }
 
 // ---------------------------------------------------------------------------
-// Combiner + grouping comparator under the pool
+// Combiner + grouping comparator on worker threads
 // ---------------------------------------------------------------------------
 
 /// WordCount with a map-side combiner and a grouping comparator that
@@ -298,44 +362,32 @@ fn wc_conf() -> JobConf {
     conf
 }
 
-fn grouped_wc_m3r(real_parallelism: bool) -> (JobResult, Vec<(String, bytes::Bytes)>) {
+fn grouped_wc_m3r(workers: Workers) -> Ran<Vec<JobResult>> {
     let (cluster, fs) = fresh(PLACES);
     write_wc_input(&fs);
-    let mut engine = M3REngine::with_options(
-        cluster,
-        Arc::new(fs.clone()),
-        m3r_opts(real_parallelism),
-    );
+    let mut engine =
+        M3REngine::with_options(cluster.clone(), Arc::new(fs.clone()), m3r_opts(workers));
     let result = engine.run_job(Arc::new(GroupedWordCount), &wc_conf()).unwrap();
-    (result, part_bytes(&fs, "/out", PARTS))
+    Ran::new(&cluster, vec![result], part_bytes(&fs, "/out", PARTS))
 }
 
-fn grouped_wc_hadoop(real_parallelism: bool) -> (JobResult, Vec<(String, bytes::Bytes)>) {
+fn grouped_wc_hadoop(workers: Workers) -> Ran<Vec<JobResult>> {
     let (cluster, fs) = fresh(PLACES);
     write_wc_input(&fs);
-    let mut engine = HadoopEngine::with_options(
-        cluster,
-        Arc::new(fs.clone()),
-        hadoop_opts(real_parallelism),
-    );
+    let mut engine =
+        HadoopEngine::with_options(cluster.clone(), Arc::new(fs.clone()), hadoop_opts(workers));
     let result = engine.run_job(Arc::new(GroupedWordCount), &wc_conf()).unwrap();
-    (result, part_bytes(&fs, "/out", PARTS))
+    Ran::new(&cluster, vec![result], part_bytes(&fs, "/out", PARTS))
 }
 
 #[test]
 fn grouped_wordcount_is_identical_on_m3r() {
-    let (serial, serial_out) = grouped_wc_m3r(false);
-    let (parallel, parallel_out) = grouped_wc_m3r(true);
-    assert_same_result(&serial, &parallel, "m3r grouped wordcount");
-    assert!(!serial_out.is_empty(), "wordcount produced no output");
-    assert_eq!(serial_out, parallel_out, "m3r grouped wordcount bytes differ");
+    let (never, always) = never_and_always(grouped_wc_m3r);
+    assert_same_jobs(&never, &always, "m3r grouped wordcount");
 }
 
 #[test]
 fn grouped_wordcount_is_identical_on_hadoop() {
-    let (serial, serial_out) = grouped_wc_hadoop(false);
-    let (parallel, parallel_out) = grouped_wc_hadoop(true);
-    assert_same_result(&serial, &parallel, "hadoop grouped wordcount");
-    assert!(!serial_out.is_empty(), "wordcount produced no output");
-    assert_eq!(serial_out, parallel_out, "hadoop grouped wordcount bytes differ");
+    let (never, always) = never_and_always(grouped_wc_hadoop);
+    assert_same_jobs(&never, &always, "hadoop grouped wordcount");
 }

@@ -177,8 +177,8 @@ fn observability_is_simulation_invisible_hadoop() {
 
 /// Every family a server over an M3R engine exports: 8 from the memory
 /// accountant, 4 from the governed cache, 4 from the reuse index, 3 from
-/// the server.
-const FAMILIES: [&str; 19] = [
+/// the server, 1 from the wave pool.
+const FAMILIES: [&str; 20] = [
     "m3r_cache_entries",
     "m3r_cache_quota_bytes",
     "m3r_cache_requests_total",
@@ -198,10 +198,12 @@ const FAMILIES: [&str; 19] = [
     "m3r_server_jobs_total",
     "m3r_server_lane_busy_seconds",
     "m3r_server_submit_resolve_ms",
+    "m3r_wave_path_total",
 ];
 
 /// The lines of a Prometheus export whose values the simulation determines
-/// (everything but the two wall-clock server families).
+/// (everything but the two wall-clock server families and the wave paths,
+/// which depend on the machine's cores).
 fn simulation_determined(prom: &str) -> String {
     prom.lines()
         .filter(|line| {
