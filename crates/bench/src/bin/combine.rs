@@ -16,14 +16,14 @@
 
 use std::sync::Arc;
 
-use hadoop_engine::{EngineOptions, HadoopEngine, HADOOP_COUNTER_GROUP};
+use hadoop_engine::{HadoopEngine, HADOOP_COUNTER_GROUP};
 use hmr_api::conf::JobConf;
 use hmr_api::job::{Engine, JobResult};
 use hmr_api::HPath;
-use m3r::{M3REngine, M3ROptions};
+use m3r::M3REngine;
 use m3r_bench::{fresh, secs, write_bench_file, BenchReport};
 use simdfs::SimDfs;
-use workloads::microbench::{generate_microbench_input, run_microbench};
+use workloads::microbench::{generate_microbench_input, MicrobenchJob};
 use workloads::wordcount::{WcStyle, WordCountJob};
 
 const NODES: usize = 8;
@@ -124,118 +124,70 @@ fn stage_corpus(fs: &SimDfs) {
     }
 }
 
-fn wc_conf() -> JobConf {
+/// The conf of one measured job; `combine` is the per-job switch
+/// (`m3r.shuffle.place.combine`) both engines read.
+fn job_conf(out: &str, name: &str, combine: bool) -> JobConf {
     let mut conf = JobConf::new();
     conf.add_input_path(&HPath::new("/in"));
-    conf.set_output_path(&HPath::new("/out"));
+    conf.set_output_path(&HPath::new(out));
     conf.set_num_reduce_tasks(PARTS);
-    conf.set(hmr_api::conf::JOB_NAME, "wordcount-combine");
+    conf.set(hmr_api::conf::JOB_NAME, name);
+    conf.set_place_level_combine(combine);
     conf
 }
 
-fn wordcount_m3r(combine: bool) -> Run {
-    let (cluster, fs) = fresh(NODES, 0.0);
-    stage_corpus(&fs);
-    let mut engine = M3REngine::with_options(
-        cluster,
-        Arc::new(fs),
-        M3ROptions {
-            place_combine: combine,
-            ..M3ROptions::default()
-        },
-    );
-    let r = engine
-        .run_job(Arc::new(WordCountJob::new(WcStyle::FreshText)), &wc_conf())
-        .unwrap();
-    let bytes = r.counters.get(m3r::M3R_COUNTER_GROUP, "SHUFFLE_STREAM_BYTES");
-    Run::new("wordcount-skew", "m3r", combine, bytes, &r)
-}
-
-fn wordcount_hadoop(combine: bool) -> Run {
-    let (cluster, fs) = fresh(NODES, 0.0);
-    stage_corpus(&fs);
-    let mut engine = HadoopEngine::with_options(
-        cluster,
-        Arc::new(fs),
-        EngineOptions {
-            node_combine: combine,
-            ..EngineOptions::default()
-        },
-    );
-    let r = engine
-        .run_job(Arc::new(WordCountJob::new(WcStyle::FreshText)), &wc_conf())
-        .unwrap();
-    let bytes = r.counters.get(HADOOP_COUNTER_GROUP, "SHUFFLE_SEGMENT_BYTES");
-    Run::new("wordcount-skew", "hadoop", combine, bytes, &r)
-}
-
-fn microbench_m3r(combine: bool) -> Run {
-    let (cluster, fs) = fresh(NODES, 0.0);
-    generate_microbench_input(&fs, &HPath::new("/in"), MB_PAIRS, MB_VALUE_BYTES, PARTS, 42)
-        .unwrap();
-    let mut engine = M3REngine::with_options(
-        cluster,
-        Arc::new(fs),
-        M3ROptions {
-            place_combine: combine,
-            ..M3ROptions::default()
-        },
-    );
-    let r = run_microbench(
-        &mut engine,
-        &HPath::new("/in"),
-        &HPath::new("/work"),
-        MB_FRAC,
-        1,
-        PARTS,
-        false,
-        None,
-    )
+/// Submit `workload`'s one job to `engine`. The microbench job is the first
+/// iteration `run_microbench` would submit, built here so its conf can carry
+/// the combine switch.
+fn submit<E: Engine>(engine: &mut E, workload: &str, combine: bool) -> JobResult {
+    match workload {
+        "microbench" => engine.run_job(
+            Arc::new(MicrobenchJob { remote_fraction: MB_FRAC, seed: 0xB0B }),
+            &job_conf("/work/iter0", "microbench-iter0", combine),
+        ),
+        _ => engine.run_job(
+            Arc::new(WordCountJob::new(WcStyle::FreshText)),
+            &job_conf("/out", "wordcount-combine", combine),
+        ),
+    }
     .unwrap()
-    .remove(0);
-    let bytes = r.counters.get(m3r::M3R_COUNTER_GROUP, "SHUFFLE_STREAM_BYTES");
-    Run::new("microbench", "m3r", combine, bytes, &r)
 }
 
-fn microbench_hadoop(combine: bool) -> Run {
+/// One measured run on a fresh cluster.
+fn measure(workload: &'static str, engine: &'static str, combine: bool) -> Run {
     let (cluster, fs) = fresh(NODES, 0.0);
-    generate_microbench_input(&fs, &HPath::new("/in"), MB_PAIRS, MB_VALUE_BYTES, PARTS, 42)
-        .unwrap();
-    let mut engine = HadoopEngine::with_options(
-        cluster,
-        Arc::new(fs),
-        EngineOptions {
-            node_combine: combine,
-            ..EngineOptions::default()
-        },
-    );
-    let r = run_microbench(
-        &mut engine,
-        &HPath::new("/in"),
-        &HPath::new("/work"),
-        MB_FRAC,
-        1,
-        PARTS,
-        false,
-        None,
-    )
-    .unwrap()
-    .remove(0);
-    let bytes = r.counters.get(HADOOP_COUNTER_GROUP, "SHUFFLE_SEGMENT_BYTES");
-    Run::new("microbench", "hadoop", combine, bytes, &r)
+    match workload {
+        "microbench" => {
+            generate_microbench_input(&fs, &HPath::new("/in"), MB_PAIRS, MB_VALUE_BYTES, PARTS, 42)
+                .unwrap();
+        }
+        _ => stage_corpus(&fs),
+    }
+    let fs = Arc::new(fs);
+    let (r, group, counter) = match engine {
+        "m3r" => (
+            submit(&mut M3REngine::new(cluster, fs), workload, combine),
+            m3r::M3R_COUNTER_GROUP,
+            "SHUFFLE_STREAM_BYTES",
+        ),
+        _ => (
+            submit(&mut HadoopEngine::new(cluster, fs), workload, combine),
+            HADOOP_COUNTER_GROUP,
+            "SHUFFLE_SEGMENT_BYTES",
+        ),
+    };
+    Run::new(workload, engine, combine, r.counters.get(group, counter), &r)
 }
 
 fn main() {
-    let runs = [
-        wordcount_m3r(false),
-        wordcount_m3r(true),
-        wordcount_hadoop(false),
-        wordcount_hadoop(true),
-        microbench_m3r(false),
-        microbench_m3r(true),
-        microbench_hadoop(false),
-        microbench_hadoop(true),
-    ];
+    let mut runs = Vec::new();
+    for workload in ["wordcount-skew", "microbench"] {
+        for engine in ["m3r", "hadoop"] {
+            for combine in [false, true] {
+                runs.push(measure(workload, engine, combine));
+            }
+        }
+    }
 
     // The two properties the sweep exists to demonstrate.
     for engine in ["m3r", "hadoop"] {

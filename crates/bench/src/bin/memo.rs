@@ -17,10 +17,14 @@
 //!
 //! Results land in `bench-results/memo.{txt,json}`.
 
+use hadoop_engine::{EngineOptions, HadoopEngine};
+use hmr_api::job::Engine;
 use hmr_api::{FileSystem, HPath};
+use m3r::{M3REngine, M3ROptions};
 use m3r_bench::{fresh, secs, BenchReport, NODES};
 use simdfs::SimDfs;
 use simgrid::trace::Phase;
+use simgrid::Cluster;
 use std::sync::Arc;
 use sysml::block::generate_blocked_sparse;
 use sysml::pagerank::run_pagerank;
@@ -41,12 +45,17 @@ struct Outcome {
     first_s: f64,
     resub_memo_s: f64,
     resub_nomemo_s: f64,
+    replay: Replay,
+    cold_bits_equal: bool,
+    outputs_equal: bool,
+}
+
+/// What the index and the trace recorded about a memoized resubmission.
+struct Replay {
     hits: u64,
     misses: u64,
     hit_map_spans: u64,
     hit_shuffle_spans: u64,
-    cold_bits_equal: bool,
-    outputs_equal: bool,
 }
 
 fn wc_input(fs: &SimDfs) {
@@ -79,120 +88,75 @@ fn dir_bytes(fs: &SimDfs, dir: &HPath) -> Vec<(String, Vec<u8>)> {
     v
 }
 
-/// Summed span counts for `phase` over trace jobs `jobs`.
-fn span_count(rollup: &simgrid::trace::Rollup, jobs: std::ops::Range<u64>, phase: Phase) -> u64 {
-    jobs.map(|j| rollup.phase_row(j, phase).count).sum()
+/// What the trace and the index must show for a resubmission that replayed
+/// trace jobs `hit_jobs` from the memo: no map or shuffle span, ~0 simulated
+/// seconds, and one hit and one miss per job.
+fn assert_replayed(
+    what: &str,
+    cluster: &Cluster,
+    hit_jobs: std::ops::Range<u64>,
+    resub_s: f64,
+    (hits, misses): (u64, u64),
+) -> Replay {
+    let rollup = cluster.trace().rollup();
+    let spans = |phase| hit_jobs.clone().map(|j| rollup.phase_row(j, phase).count).sum::<u64>();
+    let (hit_map_spans, hit_shuffle_spans) = (spans(Phase::Map), spans(Phase::Shuffle));
+    assert_eq!(hit_map_spans, 0, "{what} memo hit must elide the map phase");
+    assert_eq!(hit_shuffle_spans, 0, "{what} memo hit must elide the shuffle");
+    assert!(resub_s < 1e-9, "{what} memo hit must add ~0 simulated seconds, got {resub_s}");
+    let jobs = hit_jobs.end - hit_jobs.start;
+    assert_eq!((hits, misses), (jobs, jobs), "{what} hit/miss counts");
+    Replay { hits, misses, hit_map_spans, hit_shuffle_spans }
 }
 
-/// Resubmitted WordCount on one engine. `hit_jobs` are the trace job ids
-/// the memo-hit resubmission occupies (one per submitted job).
-fn wordcount_outcome(engine: &'static str) -> Outcome {
+/// A cold run with memoization on must reproduce the memo-off clock
+/// exactly — recording costs nothing. `cold_run` must use
+/// `compute_scale = 0`: at 1.0 the clock folds in *measured* user-compute
+/// wall time, which is never bit-reproducible run to run.
+fn assert_cold_bits_equal(what: &str, cold_run: impl Fn(bool) -> f64) {
+    let (on, off) = (cold_run(true), cold_run(false));
+    assert!(
+        on.to_bits() == off.to_bits(),
+        "{what} cold run must be sim-bit-identical memo-on vs memo-off: {on} vs {off}"
+    );
+}
+
+/// Resubmitted WordCount on one engine kind: `make(cluster, fs, memoize)`
+/// builds it, `counts` reads its index's `(hits, misses)`.
+fn wordcount_outcome<E: Engine>(
+    engine: &'static str,
+    make: impl Fn(Cluster, SimDfs, bool) -> E,
+    counts: impl Fn(&E) -> (u64, u64),
+) -> Outcome {
+    let input = HPath::new("/in");
+    let out = HPath::new("/out");
+    let run = |e: &mut E| run_wordcount(e, WcStyle::FreshText, &input, &out, PARTS).unwrap();
+
     // ---- memoization on: run, resubmit (hits), inspect -------------------
     let (cluster, fs) = fresh(NODES, 1.0);
     cluster.trace().enable();
     wc_input(&fs);
-    let input = HPath::new("/in");
-    let out = HPath::new("/out");
-    let (first, resub, hits, misses) = if engine == "hadoop" {
-        let mut e = hadoop_engine::HadoopEngine::with_options(
-            cluster.clone(),
-            Arc::new(fs.clone()),
-            hadoop_engine::EngineOptions {
-                memoize: true,
-                ..Default::default()
-            },
-        );
-        let first = run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS).unwrap();
-        let parts1 = dir_bytes(&fs, &out);
-        let resub = run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS).unwrap();
-        assert_eq!(parts1, dir_bytes(&fs, &out), "hadoop memo hit output bytes");
-        (first, resub, e.memo().hits(), e.memo().misses())
-    } else {
-        let mut e = m3r::M3REngine::with_options(
-            cluster.clone(),
-            Arc::new(fs.clone()),
-            m3r::M3ROptions {
-                memoize: true,
-                ..Default::default()
-            },
-        );
-        let first = run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS).unwrap();
-        let parts1 = dir_bytes(&fs, &out);
-        let resub = run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS).unwrap();
-        assert_eq!(parts1, dir_bytes(&fs, &out), "m3r memo hit output bytes");
-        (first, resub, e.memo().hits(), e.memo().misses())
-    };
-    let rollup = cluster.trace().rollup();
+    let mut e = make(cluster.clone(), fs.clone(), true);
+    let first = run(&mut e);
+    let parts1 = dir_bytes(&fs, &out);
+    let resub = run(&mut e);
+    assert_eq!(parts1, dir_bytes(&fs, &out), "{engine} memo hit output bytes");
     // Trace job 0 is the first run, job 1 the replayed hit.
-    let hit_map_spans = span_count(&rollup, 1..2, Phase::Map);
-    let hit_shuffle_spans = span_count(&rollup, 1..2, Phase::Shuffle);
-    assert_eq!(hit_map_spans, 0, "{engine} memo hit must elide the map phase");
-    assert_eq!(
-        hit_shuffle_spans, 0,
-        "{engine} memo hit must elide the shuffle"
-    );
-    assert!(
-        resub.sim_time < 1e-9,
-        "{engine} memo hit must add ~0 simulated seconds, got {}",
-        resub.sim_time
-    );
-    assert_eq!((hits, misses), (1, 1), "{engine} wordcount hit/miss counts");
+    let replay = assert_replayed(engine, &cluster, 1..2, resub.sim_time, counts(&e));
 
     // ---- memoization off: resubmission baseline --------------------------
     let (cluster_off, fs_off) = fresh(NODES, 1.0);
     wc_input(&fs_off);
-    let resub_off = if engine == "hadoop" {
-        let mut e = hadoop_engine::HadoopEngine::new(cluster_off, Arc::new(fs_off.clone()));
-        run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS).unwrap();
-        fs_off.delete(&out, true).unwrap();
-        run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS).unwrap()
-    } else {
-        let mut e = m3r::M3REngine::new(cluster_off, Arc::new(fs_off.clone()));
-        run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS).unwrap();
-        fs_off.delete(&out, true).unwrap();
-        run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS).unwrap()
-    };
+    let mut e = make(cluster_off, fs_off.clone(), false);
+    run(&mut e);
+    fs_off.delete(&out, true).unwrap();
+    let resub_off = run(&mut e);
 
-    // ---- cold-run bit-identity -------------------------------------------
-    // Needs `compute_scale = 0`: at 1.0 the clock folds in *measured*
-    // user-compute wall time, which is never bit-reproducible run to run.
-    // At 0 every charge is modeled, so a memo-on cold run must reproduce
-    // the memo-off clock exactly — recording costs nothing.
-    let cold_run = |memoize: bool| -> f64 {
+    assert_cold_bits_equal(engine, |memoize| {
         let (cluster, fs) = fresh(NODES, 0.0);
         wc_input(&fs);
-        if engine == "hadoop" {
-            let mut e = hadoop_engine::HadoopEngine::with_options(
-                cluster,
-                Arc::new(fs),
-                hadoop_engine::EngineOptions {
-                    memoize,
-                    ..Default::default()
-                },
-            );
-            run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS)
-                .unwrap()
-                .sim_time
-        } else {
-            let mut e = m3r::M3REngine::with_options(
-                cluster,
-                Arc::new(fs),
-                m3r::M3ROptions {
-                    memoize,
-                    ..Default::default()
-                },
-            );
-            run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS)
-                .unwrap()
-                .sim_time
-        }
-    };
-    let (on, off) = (cold_run(true), cold_run(false));
-    let cold_bits_equal = on.to_bits() == off.to_bits();
-    assert!(
-        cold_bits_equal,
-        "{engine} cold run must be sim-bit-identical memo-on vs memo-off: {on} vs {off}"
-    );
+        run(&mut make(cluster, fs, memoize)).sim_time
+    });
 
     Outcome {
         workload: "wordcount",
@@ -200,127 +164,51 @@ fn wordcount_outcome(engine: &'static str) -> Outcome {
         first_s: first.sim_time,
         resub_memo_s: resub.sim_time,
         resub_nomemo_s: resub_off.sim_time,
-        hits,
-        misses,
-        hit_map_spans,
-        hit_shuffle_spans,
-        cold_bits_equal,
+        replay,
+        cold_bits_equal: true,
         outputs_equal: true,
     }
 }
 
-/// Resubmitted 3-iteration PageRank on one engine: the whole second run
+/// Resubmitted 3-iteration PageRank on one engine kind: the whole second run
 /// (every per-iteration mapmult, including the ones whose operands are the
 /// first run's own outputs) must replay from the memo index.
-fn pagerank_outcome(engine: &'static str) -> Outcome {
-    let (cluster, fs) = fresh(NODES, 1.0);
-    cluster.trace().enable();
-    generate_blocked_sparse(&fs, &HPath::new("/g"), PR_N, PR_N, BLOCK, SPARSITY, PARTS, 42)
-        .unwrap();
+fn pagerank_outcome<E: Engine>(
+    engine: &'static str,
+    make: impl Fn(Cluster, SimDfs, bool) -> E,
+    counts: impl Fn(&E) -> (u64, u64),
+) -> Outcome {
     let g = HPath::new("/g");
     let w = HPath::new("/w");
-    let (first, resub, hits, misses) = if engine == "hadoop" {
-        let mut e = hadoop_engine::HadoopEngine::with_options(
-            cluster.clone(),
-            Arc::new(fs.clone()),
-            hadoop_engine::EngineOptions {
-                memoize: true,
-                ..Default::default()
-            },
-        );
-        let a = run_pagerank(&mut e, &fs, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85).unwrap();
-        let b = run_pagerank(&mut e, &fs, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85).unwrap();
-        assert_ranks_equal(engine, &a.ranks.data, &b.ranks.data);
-        (a, b, e.memo().hits(), e.memo().misses())
-    } else {
-        let mut e = m3r::M3REngine::with_options(
-            cluster.clone(),
-            Arc::new(fs.clone()),
-            m3r::M3ROptions {
-                memoize: true,
-                ..Default::default()
-            },
-        );
-        let a = run_pagerank(&mut e, &fs, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85).unwrap();
-        let b = run_pagerank(&mut e, &fs, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85).unwrap();
-        assert_ranks_equal(engine, &a.ranks.data, &b.ranks.data);
-        (a, b, e.memo().hits(), e.memo().misses())
+    let staged = |compute_scale: f64| {
+        let (cluster, fs) = fresh(NODES, compute_scale);
+        generate_blocked_sparse(&fs, &g, PR_N, PR_N, BLOCK, SPARSITY, PARTS, 42).unwrap();
+        (cluster, fs)
     };
-    let rollup = cluster.trace().rollup();
+    let run = |e: &mut E, fs: &SimDfs| {
+        run_pagerank(e, fs, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85).unwrap()
+    };
+
+    let (cluster, fs) = staged(1.0);
+    cluster.trace().enable();
+    let mut e = make(cluster.clone(), fs.clone(), true);
+    let first = run(&mut e, &fs);
+    let resub = run(&mut e, &fs);
+    assert_ranks_equal(engine, &first.ranks.data, &resub.ranks.data);
     // Jobs 0..ITERS are the first run, ITERS..2*ITERS the replayed hits.
-    let hit_map_spans = span_count(&rollup, ITERS as u64..2 * ITERS as u64, Phase::Map);
-    let hit_shuffle_spans = span_count(&rollup, ITERS as u64..2 * ITERS as u64, Phase::Shuffle);
-    assert_eq!(
-        hit_map_spans, 0,
-        "{engine} pagerank resubmission must elide every map phase"
-    );
-    assert_eq!(
-        hit_shuffle_spans, 0,
-        "{engine} pagerank resubmission must elide every shuffle"
-    );
-    assert!(
-        resub.total_sim_time() < 1e-9,
-        "{engine} pagerank resubmission must add ~0 simulated seconds, got {}",
-        resub.total_sim_time()
-    );
-    assert_eq!(
-        (hits, misses),
-        (ITERS as u64, ITERS as u64),
-        "{engine} pagerank hit/miss counts"
-    );
+    let (what, n) = (format!("{engine} pagerank"), ITERS as u64);
+    let replay = assert_replayed(&what, &cluster, n..2 * n, resub.total_sim_time(), counts(&e));
 
     // Memo-off resubmission baseline.
-    let (cluster_off, fs_off) = fresh(NODES, 1.0);
-    generate_blocked_sparse(&fs_off, &HPath::new("/g"), PR_N, PR_N, BLOCK, SPARSITY, PARTS, 42)
-        .unwrap();
-    let resub_off = if engine == "hadoop" {
-        let mut e = hadoop_engine::HadoopEngine::new(cluster_off, Arc::new(fs_off.clone()));
-        run_pagerank(&mut e, &fs_off, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85).unwrap();
-        run_pagerank(&mut e, &fs_off, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85).unwrap()
-    } else {
-        let mut e = m3r::M3REngine::new(cluster_off, Arc::new(fs_off.clone()));
-        run_pagerank(&mut e, &fs_off, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85).unwrap();
-        run_pagerank(&mut e, &fs_off, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85).unwrap()
-    };
+    let (cluster_off, fs_off) = staged(1.0);
+    let mut e = make(cluster_off, fs_off.clone(), false);
+    run(&mut e, &fs_off);
+    let resub_off = run(&mut e, &fs_off);
 
-    // Cold-run bit-identity at `compute_scale = 0` (see wordcount_outcome
-    // for why 1.0 can never be bit-reproducible).
-    let cold_run = |memoize: bool| -> f64 {
-        let (cluster, fs) = fresh(NODES, 0.0);
-        generate_blocked_sparse(&fs, &HPath::new("/g"), PR_N, PR_N, BLOCK, SPARSITY, PARTS, 42)
-            .unwrap();
-        if engine == "hadoop" {
-            let mut e = hadoop_engine::HadoopEngine::with_options(
-                cluster,
-                Arc::new(fs.clone()),
-                hadoop_engine::EngineOptions {
-                    memoize,
-                    ..Default::default()
-                },
-            );
-            run_pagerank(&mut e, &fs, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85)
-                .unwrap()
-                .total_sim_time()
-        } else {
-            let mut e = m3r::M3REngine::with_options(
-                cluster,
-                Arc::new(fs.clone()),
-                m3r::M3ROptions {
-                    memoize,
-                    ..Default::default()
-                },
-            );
-            run_pagerank(&mut e, &fs, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85)
-                .unwrap()
-                .total_sim_time()
-        }
-    };
-    let (on, off) = (cold_run(true), cold_run(false));
-    let cold_bits_equal = on.to_bits() == off.to_bits();
-    assert!(
-        cold_bits_equal,
-        "{engine} cold pagerank must be sim-bit-identical memo-on vs memo-off: {on} vs {off}"
-    );
+    assert_cold_bits_equal(&what, |memoize| {
+        let (cluster, fs) = staged(0.0);
+        run(&mut make(cluster, fs.clone(), memoize), &fs).total_sim_time()
+    });
 
     Outcome {
         workload: "pagerank",
@@ -328,11 +216,8 @@ fn pagerank_outcome(engine: &'static str) -> Outcome {
         first_s: first.total_sim_time(),
         resub_memo_s: resub.total_sim_time(),
         resub_nomemo_s: resub_off.total_sim_time(),
-        hits,
-        misses,
-        hit_map_spans,
-        hit_shuffle_spans,
-        cold_bits_equal,
+        replay,
+        cold_bits_equal: true,
         outputs_equal: true,
     }
 }
@@ -349,11 +234,21 @@ fn assert_ranks_equal(engine: &str, a: &[f64], b: &[f64]) {
 }
 
 fn main() {
+    let hadoop = |cluster, fs, memoize| {
+        let opts = EngineOptions { memoize, ..Default::default() };
+        HadoopEngine::with_options(cluster, Arc::new(fs), opts)
+    };
+    let hadoop_counts = |e: &HadoopEngine| (e.memo().hits(), e.memo().misses());
+    let m3r = |cluster, fs, memoize| {
+        let opts = M3ROptions { memoize, ..Default::default() };
+        M3REngine::with_options(cluster, Arc::new(fs), opts)
+    };
+    let m3r_counts = |e: &M3REngine| (e.memo().hits(), e.memo().misses());
     let outcomes = vec![
-        wordcount_outcome("hadoop"),
-        wordcount_outcome("m3r"),
-        pagerank_outcome("hadoop"),
-        pagerank_outcome("m3r"),
+        wordcount_outcome("hadoop", hadoop, hadoop_counts),
+        wordcount_outcome("m3r", m3r, m3r_counts),
+        pagerank_outcome("hadoop", hadoop, hadoop_counts),
+        pagerank_outcome("m3r", m3r, m3r_counts),
     ];
 
     for o in &outcomes {
@@ -408,10 +303,10 @@ fn main() {
                 vec![
                     o.workload.to_string(),
                     o.engine.to_string(),
-                    o.hits.to_string(),
-                    o.misses.to_string(),
-                    o.hit_map_spans.to_string(),
-                    o.hit_shuffle_spans.to_string(),
+                    o.replay.hits.to_string(),
+                    o.replay.misses.to_string(),
+                    o.replay.hit_map_spans.to_string(),
+                    o.replay.hit_shuffle_spans.to_string(),
                     o.cold_bits_equal.to_string(),
                     o.outputs_equal.to_string(),
                 ]
@@ -425,7 +320,7 @@ fn main() {
     for o in &outcomes {
         txt.push_str(&format!(
             "{} on {}: first {:.2}s, resub(memo) {:.4}s, resub(no memo) {:.2}s, {} hits / {} misses\n",
-            o.workload, o.engine, o.first_s, o.resub_memo_s, o.resub_nomemo_s, o.hits, o.misses
+            o.workload, o.engine, o.first_s, o.resub_memo_s, o.resub_nomemo_s, o.replay.hits, o.replay.misses
         ));
     }
     m3r_bench::write_bench_file("memo.txt", &txt).unwrap();

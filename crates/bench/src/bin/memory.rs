@@ -26,7 +26,7 @@ use hmr_api::partition::FnPartitioner;
 use hmr_api::writable::{BytesWritable, IntWritable};
 use hmr_api::HPath;
 use m3r_bench::{fresh, secs, write_bench_file, BenchReport};
-use m3r::{M3REngine, M3ROptions, MemoryOptions, OomMode, PolicyKind};
+use m3r::{M3REngine, M3ROptions, OomMode, PolicyKind};
 use std::sync::Arc;
 use workloads::microbench::{generate_microbench_input, run_microbench};
 
@@ -61,11 +61,7 @@ fn m3r_run(budget: Option<u64>, policy: PolicyKind, oom: OomMode) -> Result<RunS
             // schedule); keeping ∞-budget rows serial too makes every row
             // of the sweep the same execution shape.
             workers: simgrid::Workers::Never,
-            memory: MemoryOptions {
-                budget_bytes_per_place: None,
-                policy,
-                oom: OomMode::Spill,
-            },
+            cache_policy: policy,
             ..M3ROptions::default()
         },
     );

@@ -44,7 +44,7 @@ use hmr_api::writable::{write_vu64, Writable};
 use kvstore::policy::PolicyKind;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
-use simgrid::{Arena, BufPool, Cluster, JobMem, MemClass, Meter, OomMode, Workers};
+use simgrid::{Cluster, JobMem, MemClass, Meter, Workers};
 use x10rt::serialize::DedupMode;
 use x10rt::World;
 
@@ -56,10 +56,14 @@ use crate::stability::PlaceMap;
 /// The M3R counter group for engine-specific statistics.
 pub const M3R_COUNTER_GROUP: &str = "m3r";
 
-/// Engine configuration. The defaults are the paper's (§6): one place per
-/// host, 8 worker threads, full de-duplication, partition stability and the
-/// input/output cache on. The `false`/`Off` settings exist for the ablation
-/// benches DESIGN.md calls out.
+/// What this M3R *installation* is. The defaults are the paper's (§6): one
+/// place per host, 8 worker threads, full de-duplication, partition stability
+/// and the input/output cache on; the `false`/`Off` settings exist for the
+/// ablation benches DESIGN.md calls out. Nothing here is a second copy of a
+/// setting with another home: the memory budget and overflow mode live on
+/// the cluster's accountant (`cluster.mem()`), the per-node buffer pools and
+/// arenas on the cluster, and per-job behaviour (place-level combining, the
+/// sort tunables) in the job's `JobConf`.
 #[derive(Clone, Debug)]
 pub struct M3ROptions {
     /// Concurrent map/reduce tasks per place.
@@ -78,41 +82,19 @@ pub struct M3ROptions {
     /// always run inline: eviction order must follow task order, never the
     /// thread schedule.
     pub workers: Workers,
-    /// Memory governance: budget, eviction policy and overflow behaviour of
-    /// the kv-cache. The default — no budget — accounts without ever acting.
-    pub memory: MemoryOptions,
-    /// Opt-in place-level shared combining: merge equal keys across all map
-    /// tasks of the place through the job's combiner *before* shuffle-stream
-    /// serialization ([`crate::shuffle::CombineTable`]). Requires an
-    /// associative and commutative combiner; also enabled per job by
-    /// `hmr_api::conf::PLACE_COMBINE`. Off is bit-identical to pre-combine
-    /// behaviour; under a finite budget an over-budget table drains early
-    /// and degrades to plain streaming.
-    pub place_combine: bool,
-    /// ReStore-style cross-job result memoization (`m3r-memo`): jobs that
-    /// declare a `memo_identity` record their outputs (and shuffle-stable
-    /// reduce inputs); a fingerprint-identical resubmission replays retained
-    /// bytes in ~0 simulated seconds, and a map-prefix match (same map
-    /// pipeline, different reducer) replays only the reduce side. Also
-    /// enabled per job by `m3r.memo.enable`. Off is bit-identical to no
-    /// memoization; under a *finite* budget retained entries are
-    /// budget-live and may shift cache-eviction timing.
+    /// Which cached entry the kv-cache evicts first once the accountant's
+    /// budget is exceeded. Inert under the default unlimited budget.
+    pub cache_policy: PolicyKind,
+    /// ReStore-style cross-job result memoization (`m3r-memo`) — a result
+    /// repository is a property of the installation, so this is the one
+    /// switch: jobs that declare a `memo_identity` record their outputs (and
+    /// shuffle-stable reduce inputs); a fingerprint-identical resubmission
+    /// replays retained bytes in ~0 simulated seconds, and a map-prefix
+    /// match (same map pipeline, different reducer) replays only the reduce
+    /// side. Off is bit-identical to no memoization; under a *finite*
+    /// budget retained entries are budget-live and may shift cache-eviction
+    /// timing.
     pub memoize: bool,
-}
-
-/// How the governed cache behaves under a per-place memory budget. The
-/// budget itself lives on the cluster's [`simgrid::MemAccountant`] so the
-/// trace/report layers can read it; these options seed it at engine
-/// construction.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MemoryOptions {
-    /// Per-place byte budget; `None` (default) is unlimited.
-    pub budget_bytes_per_place: Option<u64>,
-    /// Victim selection under pressure.
-    pub policy: PolicyKind,
-    /// Spill gracefully (default) or reproduce the paper's strict
-    /// must-fit-in-memory contract.
-    pub oom: OomMode,
 }
 
 impl Default for M3ROptions {
@@ -123,8 +105,7 @@ impl Default for M3ROptions {
             partition_stability: true,
             input_cache: true,
             workers: Workers::Auto,
-            memory: MemoryOptions::default(),
-            place_combine: false,
+            cache_policy: PolicyKind::default(),
             memoize: false,
         }
     }
@@ -142,12 +123,6 @@ pub struct M3REngine {
     /// Distributed-cache bytes survive across jobs in the long-lived
     /// places (nothing in M3R restarts between jobs).
     dist_memo: Mutex<HashMap<HPath, Bytes>>,
-    /// One buffer pool per place, persisted across jobs — the shuffle
-    /// streams of job *n+1* reuse the grown buffers of job *n*.
-    pools: Arc<[Arc<BufPool>]>,
-    /// One scratch arena per place, persisted across jobs like the pools:
-    /// wave *n+1* leases the pair vectors wave *n* grew.
-    arenas: Arc<[Arc<Arena>]>,
     /// The cross-job reuse index (`m3r-memo`): retained whole-job outputs
     /// and map-phase partition sets, keyed by fingerprint. Long-lived like
     /// everything else on the places.
@@ -166,27 +141,13 @@ impl M3REngine {
         assert!(opts.worker_threads >= 1);
         let places = cluster.len();
         let mem = cluster.mem().clone();
-        mem.set_budget(opts.memory.budget_bytes_per_place);
-        mem.set_oom_mode(opts.memory.oom);
         // Spills go to the *raw* filesystem: a `CachingFs::create` would
         // re-enter the cache to invalidate the path mid-spill.
-        let cache = KvCache::governed(places, mem.clone(), Arc::clone(&fs), opts.memory.policy);
+        let cache = KvCache::governed(places, mem.clone(), Arc::clone(&fs), opts.cache_policy);
         // The cache's telemetry source is a pull-based callback: registering
         // it here is free at runtime and makes the cluster's telemetry
         // registry answer for per-tenant residency from engine birth.
         cache.publish_telemetry(cluster.telemetry());
-        let pools = (0..places)
-            .map(|place| {
-                Arc::new(BufPool::with_accounting(
-                    cluster.metrics().clone(),
-                    mem.clone(),
-                    place,
-                ))
-            })
-            .collect();
-        let arenas = (0..places)
-            .map(|place| Arc::new(Arena::with_accounting(mem.clone(), place)))
-            .collect();
         // Retained results are budget-live (`MemClass::Memo`) and dropped —
         // never spilled — under pressure.
         let memo = Arc::new(m3r_memo::ReuseIndex::governed(places, mem));
@@ -198,15 +159,8 @@ impl M3REngine {
             opts,
             job_seq: AtomicU64::new(0),
             dist_memo: Mutex::new(HashMap::new()),
-            pools,
-            arenas,
             memo,
         }
-    }
-
-    /// The per-place shuffle buffer pools (test/bench introspection).
-    pub fn buffer_pools(&self) -> &[Arc<BufPool>] {
-        &self.pools
     }
 
     /// The caching filesystem view jobs should use (also exposes the
@@ -401,8 +355,6 @@ struct Run<J: JobDef> {
     fs: Arc<CachingFs>,
     cluster: Cluster,
     opts: M3ROptions,
-    pools: Arc<[Arc<BufPool>]>,
-    arenas: Arc<[Arc<Arena>]>,
     tjob: u64,
     held: Arc<JobMem>,
     place_map: PlaceMap,
@@ -458,7 +410,7 @@ impl<J: JobDef> Run<J> {
     /// A fresh place→place stream writing into a recycled buffer from this
     /// place's free-list (warm capacity from earlier jobs).
     fn open_stream(&self, place: usize) -> ShuffleStream {
-        ShuffleStream::with_buffer(self.pools[place].get_any(1024), self.opts.dedup)
+        ShuffleStream::with_buffer(self.cluster.pool(place).get_any(1024), self.opts.dedup)
     }
 
     fn task_ctx(&self, id: String) -> TaskContext {
@@ -521,9 +473,9 @@ impl M3REngine {
     /// run one job against `cluster` (the home cluster for the classic
     /// blocking path, a [`Cluster::job_lane`] for server submissions) with
     /// `job_seq` as the engine-level job ordinal. Everything job-scoped
-    /// (clocks, metrics deltas, trace job id) comes from `cluster`; the
-    /// engine contributes the long-lived state — world, cache, buffer
-    /// pools, distributed-cache memo.
+    /// (clocks, metrics deltas, trace job id) and everything node-scoped
+    /// (buffer pools, arenas) comes from `cluster`; the engine contributes
+    /// the long-lived M3R state — world, cache, distributed-cache memo.
     fn run_job_inner<J: JobDef>(
         &self,
         cluster: &Cluster,
@@ -651,8 +603,6 @@ impl M3REngine {
             fs: Arc::clone(&self.fs),
             cluster: cluster.clone(),
             opts: self.opts.clone(),
-            pools: Arc::clone(&self.pools),
-            arenas: Arc::clone(&self.arenas),
             tjob,
             held: Arc::clone(held),
             place_map,
@@ -900,7 +850,7 @@ fn map_phase_at_place<J: JobDef>(
     let mut outbox = Outbox::<J> {
         streams: (0..nplaces).map(|_| None).collect(),
         stream_counts: vec![HashMap::new(); nplaces],
-        combine_tables: ((run.opts.place_combine || run.conf.place_level_combine())
+        combine_tables: (run.conf.place_level_combine()
             && run.num_reducers > 0
             && run.job.create_combiner(&run.conf).is_some())
         .then(|| (0..nplaces).map(|_| CombineTable::new()).collect()),
@@ -918,7 +868,6 @@ fn map_phase_at_place<J: JobDef>(
             run.tjob,
             run.workers(),
             run.input_bytes,
-            &run.arenas[place],
             wave.to_vec(),
             |si: usize| {
                 trace::span(Phase::Map, "map", Some(si as u64), || {
@@ -1024,7 +973,7 @@ fn run_map_task<J: JobDef>(
     convert: Option<MapOnlyConvert<J::K2, J::V2, J::K3, J::V3>>,
 ) -> Result<RoutedOutput<J>> {
     let (job, conf, fs, opts) = (&*run.job, &run.conf, &run.fs, &run.opts);
-    let arena = Some(&*run.arenas[place]);
+    let arena = Some(run.cluster.arena(place));
     let mut ctx = run.task_ctx(format!("m3r_m_{si:06}"));
     ctx.set_split_tag(hmr_api::multi::split_tag(split));
 
@@ -1240,7 +1189,7 @@ fn reduce_phase_at_place<J: JobDef>(
                     // The iterator's refcount dropped with the loop; if this
                     // was the last handle the buffer returns to this place's
                     // pool.
-                    run.pools[place].reclaim(payload.bytes);
+                    cluster.pool(place).reclaim(payload.bytes);
                 }
                 Ok(())
             })
@@ -1273,7 +1222,6 @@ fn reduce_phase_at_place<J: JobDef>(
             run.tjob,
             run.workers(),
             run.input_bytes,
-            &run.arenas[place],
             inputs,
             |(p, pairs): (usize, Pairs<J>)| {
                 trace::span(Phase::Reduce, "reduce", Some(p as u64), || {
@@ -1323,7 +1271,7 @@ fn run_reduce_partition<J: JobDef>(
         partition,
         pairs,
         &run.tuning,
-        &run.arenas[place],
+        run.cluster.arena(place),
         || {},
         || {
             Ok(ReduceCollector {

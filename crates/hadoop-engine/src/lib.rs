@@ -51,7 +51,10 @@ use sortbuffer::{decode_segment, frame_record, SortBuffer};
 /// Counter group for Hadoop-engine statistics (mirrors the `m3r` group).
 pub const HADOOP_COUNTER_GROUP: &str = "hadoop";
 
-/// Tuning knobs of the simulated Hadoop installation.
+/// Tuning knobs of the simulated Hadoop *installation*. Per-job behaviour
+/// (node-level combining, the sort tunables) lives in the job's `JobConf`,
+/// the memory budget on the cluster's accountant (`cluster.mem()`), and the
+/// per-node buffer pools and arenas on the cluster.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
     /// Concurrent map tasks per node (paper testbed: 8 cores/node).
@@ -70,17 +73,11 @@ pub struct EngineOptions {
     /// Wall-clock only: simulated seconds, outputs and counters are
     /// bit-identical in every mode.
     pub workers: Workers,
-    /// Opt-in node-level shared combining (the analogue of M3R's
-    /// place-level combine): after each map wave, the wave's per-partition
-    /// segments are merged through the job's combiner into one segment.
-    /// Requires an associative and commutative combiner; also enabled per
-    /// job by `hmr_api::conf::PLACE_COMBINE`. Off is bit-identical to
-    /// pre-combine behaviour.
-    pub node_combine: bool,
     /// Cross-job result memoization (`m3r-memo`), whole-job hits only: the
     /// Hadoop engine keeps nothing between jobs, so there are no retained
-    /// partitions to replay a map-prefix match from. Also enabled per job
-    /// by `m3r.memo.enable`. Off is bit-identical to no memoization.
+    /// partitions to replay a map-prefix match from. The one switch; a job
+    /// takes part by declaring a `memo_identity`. Off is bit-identical to
+    /// no memoization.
     pub memoize: bool,
 }
 
@@ -92,7 +89,6 @@ impl Default for EngineOptions {
             sort_buffer_bytes: 1 << 20,
             max_task_attempts: 4,
             workers: Workers::Auto,
-            node_combine: false,
             memoize: false,
         }
     }
@@ -103,14 +99,8 @@ pub struct HadoopEngine {
     cluster: Cluster,
     fs: Arc<dyn FileSystem>,
     opts: EngineOptions,
-    /// One segment-buffer pool per node. The engine object is long-lived
-    /// even though simulated tasks are not, so buffers recycle across jobs.
-    pools: Vec<Arc<BufPool>>,
-    /// One scratch arena per node, persisted across jobs like the pools.
-    arenas: Vec<Arc<Arena>>,
-    /// Cross-job reuse index. Lives on the engine object — like the pools,
-    /// it is the engine's long-lived state across simulated jobs even
-    /// though simulated tasks are not.
+    /// Cross-job reuse index: the engine object's long-lived state across
+    /// simulated jobs, even though simulated tasks are not long-lived.
     memo: Arc<m3r_memo::ReuseIndex>,
 }
 
@@ -123,39 +113,13 @@ impl HadoopEngine {
     /// An engine with explicit options.
     pub fn with_options(cluster: Cluster, fs: Arc<dyn FileSystem>, opts: EngineOptions) -> Self {
         assert!(opts.map_slots_per_node >= 1 && opts.reduce_slots_per_node >= 1);
-        let pools = (0..cluster.len())
-            .map(|node| {
-                Arc::new(BufPool::with_accounting(
-                    cluster.metrics().clone(),
-                    cluster.mem().clone(),
-                    node,
-                ))
-            })
-            .collect();
-        let arenas = (0..cluster.len())
-            .map(|node| Arc::new(Arena::with_accounting(cluster.mem().clone(), node)))
-            .collect();
-        // Memo entries are budget-live retained state; govern them whenever
-        // the cluster runs under a memory budget so they compete (and are
-        // dropped) like everything else.
-        let memo = Arc::new(match cluster.mem().budget() {
-            Some(_) => m3r_memo::ReuseIndex::governed(cluster.len(), cluster.mem().clone()),
-            None => m3r_memo::ReuseIndex::new(cluster.len()),
-        });
+        // Memo entries are budget-live retained state (`MemClass::Memo`):
+        // under the accountant's budget they compete, and are dropped, like
+        // everything else — whether it was set before or after this engine
+        // was built.
+        let memo = Arc::new(m3r_memo::ReuseIndex::governed(cluster.len(), cluster.mem().clone()));
         memo.publish_telemetry(cluster.telemetry());
-        HadoopEngine {
-            cluster,
-            fs,
-            opts,
-            pools,
-            arenas,
-            memo,
-        }
-    }
-
-    /// The per-node segment buffer pools (test/bench introspection).
-    pub fn buffer_pools(&self) -> &[Arc<BufPool>] {
-        &self.pools
+        HadoopEngine { cluster, fs, opts, memo }
     }
 
     /// The simulated cluster.
@@ -432,7 +396,7 @@ impl HadoopEngine {
             let seg_bytes: u64 = segments.iter().map(|s| s.len() as u64).sum();
             held.shrink(node_id, MemClass::Shuffle, seg_bytes);
             for seg in segments {
-                self.pools[node_id].reclaim(seg);
+                cluster.pool(node_id).reclaim(seg);
             }
         }
         Ok((counters, output_records))
@@ -440,10 +404,6 @@ impl HadoopEngine {
 }
 
 impl<J: JobDef> Run<'_, J> {
-    fn pool(&self, node_id: NodeId) -> &BufPool {
-        &self.engine.pools[node_id]
-    }
-
     /// The tasktracker receives work one heartbeat at a time.
     fn heartbeat(&self, node_id: NodeId) {
         simgrid::with_meter(Meter::new(self.cluster.node(node_id).clone()), || {
@@ -471,7 +431,7 @@ impl<J: JobDef> Run<'_, J> {
         let mut map_outputs: Vec<Vec<Bytes>> = (0..splits.len()).map(|_| Vec::new()).collect();
         // Node-level shared combine: only meaningful with reducers to
         // shuffle to and a combiner to merge with.
-        let node_combine = (self.engine.opts.node_combine || self.conf.place_level_combine())
+        let node_combine = self.conf.place_level_combine()
             && self.num_reducers > 0
             && self.job.create_combiner(self.conf).is_some();
 
@@ -484,7 +444,6 @@ impl<J: JobDef> Run<'_, J> {
                     self.tjob,
                     self.engine.opts.workers,
                     self.input_bytes,
-                    &self.engine.arenas[node_id],
                     wave.to_vec(),
                     |task: usize| {
                         // "If a node fails, the job controller ... restart[s]
@@ -498,7 +457,7 @@ impl<J: JobDef> Run<'_, J> {
                                     splits[task].as_ref(),
                                     task,
                                     convert.clone(),
-                                    self.pool(node_id),
+                                    self.cluster.pool(node_id),
                                 )
                             })
                             .map(|out| (task, out))
@@ -548,12 +507,11 @@ impl<J: JobDef> Run<'_, J> {
                     self.tjob,
                     self.engine.opts.workers,
                     self.input_bytes,
-                    &self.engine.arenas[node_id],
                     wave.to_vec(),
                     |partition: usize| {
                         trace::span(Phase::Reduce, "reduce", Some(partition as u64), || {
                             retry_attempts(self.engine.opts.max_task_attempts, || {
-                                self.reduce_task(map_outputs, partition, &self.engine.arenas[node_id])
+                                self.reduce_task(map_outputs, partition, self.cluster.arena(node_id))
                             })
                         })
                     },
@@ -585,7 +543,7 @@ impl<J: JobDef> Run<'_, J> {
         wave: &[usize],
         map_outputs: &mut [Vec<Bytes>],
     ) -> Result<Counters> {
-        let (cluster, held, arena) = (self.cluster, self.held, &*self.engine.arenas[node_id]);
+        let (cluster, held, arena) = (self.cluster, self.held, self.cluster.arena(node_id));
         let mut combiner = self
             .job
             .create_combiner(self.conf)
@@ -649,7 +607,7 @@ impl<J: JobDef> Run<'_, J> {
                     simgrid::meter::charge(Charge::Sort {
                         records: out.pairs.len() as u64,
                     });
-                    let mut buf = self.pool(node_id).get_any(in_bytes as usize);
+                    let mut buf = cluster.pool(node_id).get_any(in_bytes as usize);
                     let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
                     for (k, v) in &out.pairs {
                         kbuf.clear();

@@ -59,13 +59,6 @@ pub const RAW_SORT_MIN_PAIRS: &str = "m3r.sort.raw.min.pairs";
 /// M3R the same gate decides whether a combiner job's map output is
 /// grouped at `collect()` time.
 pub const HASH_GROUP_INGEST: &str = "m3r.reduce.hash.group";
-/// M3R extension (ISSUE 10, ReStore-style cross-job memoization): when
-/// `true`, engines consult the `m3r-memo` reuse index before running this
-/// job and record its outputs afterwards. Off by default — memo-off runs
-/// are bit-identical to pre-memo engines. Non-semantic: the flag itself is
-/// excluded from job fingerprints (a memo-on and memo-off submission of
-/// the same job share one fingerprint).
-pub const MEMO_ENABLE: &str = "m3r.memo.enable";
 
 /// A string-keyed configuration map with typed accessors.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -272,17 +265,6 @@ impl JobConf {
         self.set(HASH_GROUP_INGEST, on.to_string())
     }
 
-    /// Whether cross-job memoization is requested for this job (default
-    /// `false`). See [`MEMO_ENABLE`].
-    pub fn memo_enable(&self) -> bool {
-        self.get_bool(MEMO_ENABLE, false)
-    }
-
-    /// Opt this job into (or out of) cross-job memoization.
-    pub fn set_memo_enable(&mut self, on: bool) -> &mut Self {
-        self.set(MEMO_ENABLE, on.to_string())
-    }
-
     /// Iterate over all properties.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.props.iter().map(|(k, v)| (k.as_str(), v.as_str()))
@@ -377,16 +359,6 @@ mod tests {
         assert_eq!(c.hash_group_ingest(), Some(false));
         c.set(RAW_SORT_MIN_PAIRS, "not-a-number");
         assert_eq!(c.raw_sort_min_pairs(), None, "unparseable means unset");
-    }
-
-    #[test]
-    fn memo_knob_roundtrip() {
-        let mut c = JobConf::new();
-        assert!(!c.memo_enable(), "off by default");
-        c.set_memo_enable(true);
-        assert!(c.memo_enable());
-        c.set_memo_enable(false);
-        assert!(!c.memo_enable());
     }
 
     #[test]

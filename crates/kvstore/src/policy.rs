@@ -36,7 +36,9 @@ pub trait EvictionPolicy: Send {
 
     /// Choose the next victim and forget it, or `None` when the policy
     /// tracks no entries. Ties break on insertion order (smallest id).
-    fn victim(&mut self) -> Option<u64>;
+    fn victim(&mut self) -> Option<u64> {
+        self.victim_from(&mut |_| true)
+    }
 
     /// Like [`EvictionPolicy::victim`], but restricted to entries for which
     /// `allowed` returns true; the chosen entry is forgotten. The governed
@@ -115,16 +117,6 @@ impl EvictionPolicy for Lru {
         self.last_touch.remove(&id);
     }
 
-    fn victim(&mut self) -> Option<u64> {
-        let id = self
-            .last_touch
-            .iter()
-            .min_by_key(|(_, stamp)| **stamp)
-            .map(|(id, _)| *id)?;
-        self.last_touch.remove(&id);
-        Some(id)
-    }
-
     fn victim_from(&mut self, allowed: &mut dyn FnMut(u64) -> bool) -> Option<u64> {
         let id = self
             .last_touch
@@ -160,16 +152,6 @@ impl EvictionPolicy for Lfu {
 
     fn on_remove(&mut self, id: u64) {
         self.freq.remove(&id);
-    }
-
-    fn victim(&mut self) -> Option<u64> {
-        let id = self
-            .freq
-            .iter()
-            .min_by_key(|(id, f)| (**f, **id))
-            .map(|(id, _)| *id)?;
-        self.freq.remove(&id);
-        Some(id)
     }
 
     fn victim_from(&mut self, allowed: &mut dyn FnMut(u64) -> bool) -> Option<u64> {
@@ -228,16 +210,6 @@ impl EvictionPolicy for CostAware {
 
     fn on_remove(&mut self, id: u64) {
         self.entries.remove(&id);
-    }
-
-    fn victim(&mut self) -> Option<u64> {
-        let id = self
-            .entries
-            .iter()
-            .min_by_key(|(id, (f, b))| (cost_score(*f, *b), **id))
-            .map(|(id, _)| *id)?;
-        self.entries.remove(&id);
-        Some(id)
     }
 
     fn victim_from(&mut self, allowed: &mut dyn FnMut(u64) -> bool) -> Option<u64> {

@@ -52,8 +52,6 @@ impl std::fmt::Display for Fingerprint {
 /// channel instead of as raw conf text).
 ///
 /// * Labels and routing: job name, client id.
-/// * The memo flag itself — enabling memoization must not change the
-///   fingerprint of the job being memoized.
 /// * Sort/shuffle/grouping tuning knobs: they pick among implementations
 ///   that are pinned byte-identical by the tier-1 tests.
 /// * Path-carrying keys: inputs and cache files enter as `(path, content
@@ -63,7 +61,6 @@ impl std::fmt::Display for Fingerprint {
 pub const NON_SEMANTIC_KEYS: &[&str] = &[
     conf::JOB_NAME,
     conf::CLIENT_ID,
-    conf::MEMO_ENABLE,
     conf::RAW_SORT_MIN_PAIRS,
     conf::HASH_GROUP_INGEST,
     conf::PLACE_COMBINE,
@@ -212,7 +209,6 @@ mod tests {
         let fp0 = basis_on(&fs, &conf, &id).job_fingerprint();
         conf.set(conf::JOB_NAME, "renamed")
             .set_client_id("tenant-b")
-            .set_memo_enable(true)
             .set_raw_sort_min_pairs(7)
             .set_place_level_combine(true)
             .set_output_path(&HPath::new("/elsewhere"));

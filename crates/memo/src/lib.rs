@@ -32,8 +32,8 @@
 //! only), and record on the way out. The §5.3 job server additionally
 //! calls `LaneEngine::try_memo_replay` pre-admission so whole-job hits
 //! resolve tickets without occupying a dispatch lane. Everything is off by
-//! default (`M3ROptions.memoize` / `m3r.memo.enable`) and bit-identical to
-//! the non-memoized engine when off.
+//! default (`M3ROptions::memoize` / `EngineOptions::memoize`) and
+//! bit-identical to the non-memoized engine when off.
 
 pub mod fingerprint;
 pub mod index;

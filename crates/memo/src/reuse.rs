@@ -17,8 +17,8 @@ pub struct Reuse<'a> {
     /// Engine name: part of every fingerprint (the two engines never share
     /// entries) and of the replay's trace-job label.
     pub engine: &'static str,
-    /// The engine-level `memoize` option; the per-job `m3r.memo.enable`
-    /// conf knob enables a single job regardless.
+    /// The engine's `memoize` option — the one switch. A job takes part
+    /// per job by declaring `JobDef::memo_identity`.
     pub enabled: bool,
     /// The filesystem view jobs read and write through.
     pub fs: &'a dyn FileSystem,
@@ -36,7 +36,7 @@ impl Reuse<'_> {
     /// file (`gather` returns `None` otherwise). Unmetered — version reads
     /// are namenode metadata and this runs outside any phase meter.
     pub fn memo_basis<J: JobDef>(&self, job: &J, conf: &JobConf) -> Option<FingerprintBasis> {
-        if !(self.enabled || conf.memo_enable()) {
+        if !self.enabled {
             return None;
         }
         let identity = job.memo_identity()?;

@@ -130,8 +130,8 @@ impl Arena {
     }
 
     /// An arena whose retained bytes are reported to `mem` under
-    /// [`MemClass::Arena`] at `place` (the form the engines construct).
-    pub fn with_accounting(mem: MemAccountant, place: usize) -> Self {
+    /// [`MemClass::Arena`] at `place` (the form [`crate::Cluster`] builds).
+    pub(crate) fn with_accounting(mem: MemAccountant, place: usize) -> Self {
         Arena {
             inner: Mutex::new(Inner::default()),
             retain_cap: DEFAULT_RETAIN_CAP,

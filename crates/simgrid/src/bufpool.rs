@@ -3,12 +3,12 @@
 //! M3R's performance story leans on long-lived places: a JVM that survives
 //! across jobs can keep its big shuffle buffers warm instead of re-growing
 //! them from empty every task (§3.2.2, and the long-lived-JVM reuse
-//! discussion in §5). [`BufPool`] is that story for the byte hot path: an
-//! engine holds one pool per place, serializers draw pre-sized `BytesMut`
-//! buffers from it, and finished [`bytes::Bytes`] handles flow through the
-//! shuffle by refcount. Once every reader drops its handle, the unique
-//! buffer is reclaimed (`Bytes::try_into_mut`) and goes back on the
-//! free-list with its grown capacity intact.
+//! discussion in §5). [`BufPool`] is that story for the byte hot path: the
+//! cluster holds one pool per node ([`crate::Cluster::pool`]), serializers
+//! draw pre-sized `BytesMut` buffers from it, and finished [`bytes::Bytes`]
+//! handles flow through the shuffle by refcount. Once every reader drops its
+//! handle, the unique buffer is reclaimed (`Bytes::try_into_mut`) and goes
+//! back on the free-list with its grown capacity intact.
 //!
 //! The pool affects wall-clock time only. Simulated charges are priced on
 //! byte counts, which are identical whether a buffer came from the pool or
@@ -66,7 +66,7 @@ impl BufPool {
     /// free-list capacity to `mem` as [`MemClass::Pool`] bytes held at
     /// `place`. Warm-but-dead pool bytes are exactly the memory a budget
     /// has to weigh against live cache entries.
-    pub fn with_accounting(metrics: Metrics, mem: MemAccountant, place: usize) -> Self {
+    pub(crate) fn with_accounting(metrics: Metrics, mem: MemAccountant, place: usize) -> Self {
         BufPool {
             free: Mutex::new(Vec::new()),
             metrics: Some(metrics),

@@ -5,6 +5,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::arena::Arena;
+use crate::bufpool::BufPool;
 use crate::clock::{barrier, Clock};
 use crate::cost::{Charge, CostModel};
 use crate::mem::MemAccountant;
@@ -112,6 +114,11 @@ pub struct Cluster {
     mem: MemAccountant,
     telemetry: TelemetryRegistry,
     wave_paths: Arc<WavePaths>,
+    /// One byte-buffer pool and one scratch arena per node, long-lived like
+    /// the node: whichever engine runs there draws from them, and job *n+1*
+    /// reuses what job *n* grew.
+    pools: Arc<[BufPool]>,
+    arenas: Arc<[Arena]>,
 }
 
 impl Cluster {
@@ -139,6 +146,10 @@ impl Cluster {
                 scratch: None,
             })
             .collect();
+        let pools = (0..n)
+            .map(|id| BufPool::with_accounting(metrics.clone(), mem.clone(), id))
+            .collect();
+        let arenas = (0..n).map(|id| Arena::with_accounting(mem.clone(), id)).collect();
         Cluster {
             nodes: Arc::new(nodes),
             model,
@@ -147,6 +158,8 @@ impl Cluster {
             mem,
             telemetry,
             wave_paths,
+            pools,
+            arenas,
         }
     }
 
@@ -207,6 +220,18 @@ impl Cluster {
     /// wall-clock only, so [`Cluster::reset`] leaves it alone.
     pub fn wave_paths(&self) -> &WavePaths {
         &self.wave_paths
+    }
+
+    /// Node `id`'s byte-buffer pool; its free capacity is accounted as
+    /// [`crate::MemClass::Pool`] bytes there. Shared by job lanes.
+    pub fn pool(&self, id: NodeId) -> &BufPool {
+        &self.pools[id]
+    }
+
+    /// Node `id`'s scratch arena; its parked capacity is accounted as
+    /// [`crate::MemClass::Arena`] bytes there. Shared by job lanes.
+    pub fn arena(&self, id: NodeId) -> &Arena {
+        &self.arenas[id]
     }
 
     /// Latest clock across the cluster — "the job is done when the slowest
@@ -278,9 +303,9 @@ impl Cluster {
     /// An isolated *lane* for running one job concurrently with others: the
     /// same node count and cost model, but fresh zeroed clocks and a fresh
     /// metrics sink, with every node's trace handle pinned to `job` (see
-    /// [`Trace::for_job`]). The memory accountant is **shared** — lanes
-    /// compete for the same real memory, so budget/quota enforcement sees
-    /// the union of all lanes' live bytes.
+    /// [`Trace::for_job`]). The memory accountant, the buffer pools and the
+    /// arenas are **shared** — lanes compete for the same real memory, so
+    /// budget/quota enforcement sees the union of all lanes' live bytes.
     ///
     /// The multi-tenant job server runs each submission on its own lane and
     /// afterwards folds the lane's `max_time()` and metrics back into the
@@ -309,6 +334,8 @@ impl Cluster {
             mem: self.mem.clone(),
             telemetry: self.telemetry.clone(),
             wave_paths: Arc::clone(&self.wave_paths),
+            pools: Arc::clone(&self.pools),
+            arenas: Arc::clone(&self.arenas),
         }
     }
 

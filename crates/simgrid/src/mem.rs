@@ -155,8 +155,9 @@ struct MemInner {
     metrics: Option<Metrics>,
 }
 
-/// Shared per-place memory accountant. `Clone` is shallow; an engine, its
-/// cache and its buffer pools all hold handles onto the same tallies.
+/// Shared per-place memory accountant. `Clone` is shallow; the cluster's
+/// buffer pools and arenas, an engine's cache and its reuse index all hold
+/// handles onto the same tallies.
 #[derive(Clone, Debug)]
 pub struct MemAccountant {
     inner: Arc<MemInner>,

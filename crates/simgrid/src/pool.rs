@@ -20,7 +20,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::arena::Arena;
 use crate::cluster::{Cluster, Node, NodeId};
 use crate::meter::{with_meter, Meter};
 
@@ -182,10 +181,10 @@ pub fn wave_duration(scratches: &[Node]) -> f64 {
 /// exactly as if it had done it inline; spans `fold` records are rebased
 /// the same way.
 /// Finally the place clock advances by the slowest task
-/// ([`wave_duration`]) and `arena` is trimmed to its retention cap. The
-/// first task or fold error ends the wave there and is returned: the clock
-/// stays put, the arena is still trimmed, and the failing fold's spans are
-/// dropped with the scratch node that holds them.
+/// ([`wave_duration`]) and the place's arena ([`Cluster::arena`]) is trimmed
+/// to its retention cap. The first task or fold error ends the wave there
+/// and is returned: the clock stays put, the arena is still trimmed, and the
+/// failing fold's spans are dropped with the scratch node that holds them.
 ///
 /// `task` and `fold` are generic closures: nothing on the per-task path is
 /// boxed or dynamically dispatched.
@@ -196,7 +195,6 @@ pub fn traced_wave<T, R, E>(
     job: u64,
     workers: Workers,
     job_input_bytes: u64,
-    arena: &Arena,
     tasks: Vec<T>,
     task: impl Fn(T) -> Result<R, E> + Sync,
     mut fold: impl FnMut(R) -> Result<(), E>,
@@ -230,7 +228,7 @@ where
     if outcome.is_ok() {
         node.clock().advance(wave_duration(&scratches));
     }
-    arena.end_wave();
+    cluster.arena(place).end_wave();
     outcome
 }
 
@@ -386,7 +384,6 @@ mod tests {
             job,
             workers,
             0,
-            &Arena::new(),
             (0..n).collect(),
             |t| -> Result<usize, ()> {
                 trace::span(Phase::Map, "map", Some(t as u64), || {
@@ -458,7 +455,7 @@ mod tests {
         let lane = cluster.job_lane(1);
         for (on, tasks) in [(&cluster, 2usize), (&lane, 2), (&lane, 1)] {
             let tasks = (0..tasks).collect();
-            traced_wave(on, 0, 0, Workers::Always, 0, &Arena::new(), tasks, Ok::<usize, ()>, |_| Ok(()))
+            traced_wave(on, 0, 0, Workers::Always, 0, tasks, Ok::<usize, ()>, |_| Ok(()))
                 .unwrap();
         }
         let text = cluster.telemetry().prometheus_text();
@@ -479,8 +476,7 @@ mod tests {
                 0,
                 Workers::Always,
                 0,
-                &Arena::new(),
-                vec![0usize, 1, 2],
+                    vec![0usize, 1, 2],
                 |t| if t == failing { Err("boom") } else { Ok(t) },
                 |t| {
                     folded.push(t);
@@ -509,7 +505,6 @@ mod tests {
             failed,
             Workers::Never,
             0,
-            &Arena::new(),
             vec![0usize, 1],
             Ok,
             |t| {
@@ -519,7 +514,7 @@ mod tests {
         );
         assert_eq!(r, Err("fold boom"));
         let next = cluster.trace().begin_job("next");
-        traced_wave(&cluster, 0, next, Workers::Never, 0, &Arena::new(), vec![7usize], Ok, |t| {
+        traced_wave(&cluster, 0, next, Workers::Never, 0, vec![7usize], Ok, |t| {
             fold_span(t);
             Ok::<(), &str>(())
         })

@@ -1,7 +1,8 @@
 //! The pooled byte path is invisible to the simulation. Shuffle streams
 //! (M3R) and map-output segments (Hadoop) are written into buffers drawn
-//! from per-place pools that persist across jobs; whether a job finds those
-//! pools warm or empty must change wall-clock time only — never its
+//! from the cluster's per-node pools, which persist across jobs and are shared
+//! by every engine on the cluster; whether a job finds those pools warm or
+//! empty must change wall-clock time only — never its
 //! simulated seconds, output file bytes, counters, metrics or record
 //! counts — and recycled buffers must not leak a previous stream's dedup
 //! state into the next one.
@@ -18,7 +19,7 @@ use hmr_api::writable::{BytesWritable, IntWritable};
 use hmr_api::{FileSystem, HPath};
 use m3r::{M3REngine, M3ROptions};
 use simdfs::SimDfs;
-use simgrid::{BufPool, Cluster};
+use simgrid::{BufPool, Cluster, MemClass};
 use workloads::microbench::{generate_microbench_input, run_microbench};
 use x10rt::serialize::DedupMode;
 
@@ -29,8 +30,8 @@ const PLACES: usize = 4;
 const PARTS: usize = 8;
 
 // ---------------------------------------------------------------------------
-// Pool lifecycle: buffers survive across jobs within one engine, and a job
-// cannot tell a warm pool from a cold one
+// Pool lifecycle: buffers survive across jobs on the cluster's nodes, and a
+// job cannot tell a warm pool from a cold one
 // ---------------------------------------------------------------------------
 
 /// What one measured job reports.
@@ -47,7 +48,6 @@ struct Measured {
 /// (clock, cache, job sequence) exactly as in the warm run.
 fn measured_after_warmup<E: Engine>(
     make: impl FnOnce(Cluster, SimDfs) -> E,
-    pools: impl Fn(&E) -> &[Arc<BufPool>],
     m3r_protocol: bool,
     cold: bool,
 ) -> Measured {
@@ -71,13 +71,14 @@ fn measured_after_warmup<E: Engine>(
         .remove(0)
     };
     run(&mut engine, "/warmup", "/w");
-    let free: usize = pools(&engine).iter().map(|p| p.free_count()).sum();
+    let pools = || (0..PLACES).map(|p| cluster.pool(p));
+    let free: usize = pools().map(|p| p.free_count()).sum();
     assert!(
         free > 0,
         "finished buffers return to the pools once their readers drop them"
     );
     if cold {
-        pools(&engine).iter().for_each(|p| p.drain());
+        pools().for_each(|p| p.drain());
     }
     let hits_before = cluster.metrics().pool_hits();
     let result = run(&mut engine, "/in", "/a");
@@ -110,7 +111,6 @@ fn buffer_pool_reuses_buffers_across_jobs() {
                 };
                 M3REngine::with_options(cluster, Arc::new(fs), opts)
             },
-            |e| e.buffer_pools(),
             true,
             cold,
         )
@@ -128,12 +128,47 @@ fn buffer_pool_reuses_buffers_across_jobs() {
                 };
                 HadoopEngine::with_options(cluster, Arc::new(fs), opts)
             },
-            |e| e.buffer_pools(),
             false,
             cold,
         )
     };
     assert_pool_temperature_is_invisible("fig6 hadoop", hadoop(true), hadoop(false));
+}
+
+/// Every node's `MemClass::Pool` bytes are exactly its pool's free capacity.
+fn assert_pool_bytes_are_accounted(cluster: &Cluster, when: &str) {
+    for p in 0..PLACES {
+        let free: usize = cluster.pool(p).free_capacities().iter().sum();
+        assert_eq!(
+            cluster.mem().live_class(p, MemClass::Pool),
+            free as u64,
+            "{when}: node {p}"
+        );
+    }
+}
+
+#[test]
+fn engines_on_one_cluster_draw_from_one_pool_per_node() {
+    let (cluster, fs) = fresh(PLACES);
+    generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
+    let mut hadoop = HadoopEngine::new(cluster.clone(), Arc::new(fs.clone()));
+    let mut m3r = M3REngine::new(cluster.clone(), Arc::new(fs.clone()));
+    let input = HPath::new("/in");
+
+    // The Hadoop job's dead segments are reclaimed into the nodes' pools…
+    run_microbench(&mut hadoop, &input, &HPath::new("/h"), 0.75, 1, PARTS, false, None).unwrap();
+    let free: usize = (0..PLACES).map(|p| cluster.pool(p).free_count()).sum();
+    assert!(free > 0, "the hadoop job left its buffers on the nodes");
+    assert_pool_bytes_are_accounted(&cluster, "after the hadoop job");
+
+    // …and the M3R job's shuffle streams are written into them.
+    let hits_before = cluster.metrics().pool_hits();
+    run_microbench(&mut m3r, &input, &HPath::new("/m"), 0.75, 1, PARTS, true, None).unwrap();
+    assert!(
+        cluster.metrics().pool_hits() > hits_before,
+        "the m3r job draws the buffers the hadoop job reclaimed"
+    );
+    assert_pool_bytes_are_accounted(&cluster, "after the m3r job");
 }
 
 // ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ use hmr_api::job::{Engine, JobDef, JobResult};
 use hmr_api::task::{LongSumReducer, TaskMapper, TaskReducer};
 use hmr_api::writable::{IntWritable, LongWritable, Text};
 use hmr_api::{FileSystem, HPath};
-use m3r::{M3REngine, M3ROptions, MemoryOptions};
+use m3r::{M3REngine, M3ROptions};
 use proptest::prelude::*;
 use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel};
@@ -135,21 +135,26 @@ fn load_counts(fs: &SimDfs, dir: &str, parts: usize) -> BTreeMap<String, i64> {
 type Counts = BTreeMap<String, i64>;
 type Parts = Vec<(String, bytes::Bytes)>;
 
-/// Run `TokenCount` on a fresh M3R instance; returns the result, the
-/// summed counts, the raw output bytes, and the cluster for inspection.
+/// Run `TokenCount` on a fresh M3R instance under a per-place `budget`;
+/// returns the result, the summed counts, the raw output bytes, and the
+/// cluster for inspection.
 fn run_m3r(
     records: &[(i32, String)],
     files: usize,
     places: usize,
     reducers: usize,
-    opts: M3ROptions,
+    place_combine: bool,
+    workers: simgrid::Workers,
+    budget: Option<u64>,
 ) -> (JobResult, Counts, Parts, Cluster) {
     let cluster = Cluster::new(places, CostModel::default());
     let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
     stage_input(&fs, records, files);
+    cluster.mem().set_budget(budget);
+    let opts = M3ROptions { worker_threads: 2, workers, ..M3ROptions::default() };
     let mut engine = M3REngine::with_options(cluster.clone(), Arc::new(fs.clone()), opts);
     let r = engine
-        .run_job(Arc::new(TokenCount), &job_conf("/out", reducers, false))
+        .run_job(Arc::new(TokenCount), &job_conf("/out", reducers, place_combine))
         .unwrap();
     (
         r,
@@ -189,15 +194,6 @@ fn run_hadoop(
     )
 }
 
-fn m3r_opts(place_combine: bool, parallel: bool) -> M3ROptions {
-    M3ROptions {
-        worker_threads: 2,
-        workers: forced(parallel),
-        place_combine,
-        ..M3ROptions::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 6, // each case runs five full MR jobs
@@ -219,15 +215,15 @@ proptest! {
     ) {
         // M3R: combine off (the PR 6 behaviour) vs on, parallel waves.
         let (_, off_counts, off_parts, _) =
-            run_m3r(&records, files, places, reducers, m3r_opts(false, true));
+            run_m3r(&records, files, places, reducers, false, forced(true), None);
         let (on_par, on_counts, on_parts, _) =
-            run_m3r(&records, files, places, reducers, m3r_opts(true, true));
+            run_m3r(&records, files, places, reducers, true, forced(true), None);
         prop_assert_eq!(&off_counts, &on_counts, "m3r: combine changed answers");
         prop_assert_eq!(&off_parts, &on_parts, "m3r: combine changed output bytes");
 
         // Combine-on must itself be deterministic across worker counts.
         let (on_ser, ser_counts, ser_parts, _) =
-            run_m3r(&records, files, places, reducers, m3r_opts(true, false));
+            run_m3r(&records, files, places, reducers, true, forced(false), None);
         assert_same_result(&on_ser, &on_par, "m3r combine-on serial vs parallel");
         prop_assert_eq!(&ser_counts, &on_counts, "serial combine counts differ");
         prop_assert_eq!(&ser_parts, &on_parts, "serial combine bytes differ");
@@ -254,17 +250,11 @@ fn budget_constrained_combine_degrades_to_streaming() {
     let records: Vec<(i32, String)> = (0..120)
         .map(|i| (i, "alpha beta gamma alpha beta alpha".to_string()))
         .collect();
-    let tight = |place_combine: bool| M3ROptions {
-        worker_threads: 2,
-        place_combine,
-        memory: MemoryOptions {
-            budget_bytes_per_place: Some(6 * 1024),
-            ..MemoryOptions::default()
-        },
-        ..M3ROptions::default()
+    let tight = |place_combine: bool| {
+        run_m3r(&records, 3, 2, 3, place_combine, simgrid::Workers::Auto, Some(6 * 1024))
     };
-    let (_, off_counts, off_parts, _) = run_m3r(&records, 3, 2, 3, tight(false));
-    let (_, on_counts, on_parts, cluster) = run_m3r(&records, 3, 2, 3, tight(true));
+    let (_, off_counts, off_parts, _) = tight(false);
+    let (_, on_counts, on_parts, cluster) = tight(true);
     assert_eq!(off_counts, on_counts, "budgeted combine changed answers");
     assert_eq!(off_parts, on_parts, "budgeted combine changed output bytes");
     assert_eq!(on_counts["alpha"], 360);

@@ -32,7 +32,7 @@ use hmr_api::job::{ComputeIdentity, Engine, JobDef, JobResult};
 use hmr_api::task::{LongSumReducer, TaskMapper, TaskReducer};
 use hmr_api::writable::{LongWritable, Text};
 use hmr_api::{FileSystem, HPath, TaskContext};
-use m3r::{M3REngine, M3ROptions, MemoryOptions, OomMode, PolicyKind};
+use m3r::{M3REngine, M3ROptions};
 use m3r_server::{JobServer, ServerOptions};
 use simdfs::SimDfs;
 use simgrid::trace::Phase;
@@ -243,27 +243,6 @@ fn whole_job_hit_replays_bytes_with_zero_spans_on_hadoop() {
     hit_pins("hadoop");
 }
 
-#[test]
-fn per_job_conf_knob_opts_in_without_engine_option() {
-    // `m3r.memo.enable` on the conf enables memoization for that one job
-    // even when the engine-level option is off.
-    let (cluster, fs) = fresh(PLACES);
-    wc_input(&fs);
-    let mut e = M3REngine::new(cluster, Arc::new(fs.clone()));
-    let mut conf = JobConf::new();
-    conf.add_input_path(&HPath::new("/in"));
-    conf.set_output_path(&HPath::new("/out"));
-    conf.set_num_reduce_tasks(PARTS);
-    conf.set_memo_enable(true);
-    let job = Arc::new(workloads::wordcount::WordCountJob::new(WcStyle::FreshText));
-    e.run_job(Arc::clone(&job), &conf).unwrap();
-    let first_out = dir_bytes(&fs, &HPath::new("/out"));
-    let resub = e.run_job(job, &conf).unwrap();
-    assert!(resub.sim_time < 1e-9, "conf-enabled hit must be free: {}", resub.sim_time);
-    assert_eq!(first_out, dir_bytes(&fs, &HPath::new("/out")));
-    assert_eq!((e.memo().hits(), e.memo().misses()), (1, 1));
-}
-
 // ---------------------------------------------------------------------------
 // Never wrong: changed inputs and evicted entries both recompute
 // ---------------------------------------------------------------------------
@@ -324,18 +303,11 @@ fn evicted_memo_entry_degrades_to_recomputation() {
     // resubmission misses and recomputes — same bytes, no reuse.
     let (cluster, fs) = fresh(PLACES);
     wc_input(&fs);
+    cluster.mem().set_budget(Some(1024));
     let mut e = M3REngine::with_options(
         cluster,
         Arc::new(fs.clone()),
-        M3ROptions {
-            memoize: true,
-            memory: MemoryOptions {
-                budget_bytes_per_place: Some(1024),
-                policy: PolicyKind::Lru,
-                oom: OomMode::Spill,
-            },
-            ..M3ROptions::default()
-        },
+        M3ROptions { memoize: true, ..M3ROptions::default() },
     );
     let input = HPath::new("/in");
     let out = HPath::new("/out");

@@ -19,6 +19,11 @@
 //! * **Budget invariant** — property test: live cached bytes per place
 //!   never exceed the budget, across random put/get/delete workloads,
 //!   every policy, and spilled entries always reload intact.
+//! * **One home for governance** — the budget and overflow mode live on
+//!   the cluster's accountant and nowhere else: building an engine never
+//!   writes them, and what is governed does not depend on whether the
+//!   budget was set before or after an engine was built, or on which
+//!   engine was built first.
 
 use std::sync::Arc;
 
@@ -28,9 +33,7 @@ use hmr_api::job::JobResult;
 use hmr_api::writable::{IntWritable, Text};
 use hmr_api::HPath;
 use m3r::cache::CachedSeq;
-use m3r::{
-    KvCache, M3REngine, M3ROptions, MemAccountant, MemClass, MemoryOptions, OomMode, PolicyKind,
-};
+use m3r::{KvCache, M3REngine, M3ROptions, MemAccountant, MemClass, OomMode, PolicyKind};
 use proptest::prelude::*;
 use simgrid::Cluster;
 use workloads::microbench::{generate_microbench_input, run_microbench};
@@ -42,22 +45,22 @@ const PLACES: usize = 4;
 const WORKERS: usize = 4;
 const PARTS: usize = 8;
 
-/// The fig6-style microbenchmark on M3R with explicit memory options.
-/// Returns per-iteration results, final output bytes, and the cluster
-/// (for accountant inspection).
+/// The fig6-style microbenchmark on M3R under a per-place `budget` (LRU,
+/// spill on overflow). Returns per-iteration results, final output bytes,
+/// and the cluster (for accountant inspection).
 fn microbench_m3r(
-    memory: MemoryOptions,
+    budget: Option<u64>,
     parallel: bool,
 ) -> (Vec<JobResult>, Vec<(String, bytes::Bytes)>, Cluster) {
     let (cluster, fs) = fresh(PLACES);
     generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
+    cluster.mem().set_budget(budget);
     let mut engine = M3REngine::with_options(
         cluster.clone(),
         Arc::new(fs.clone()),
         M3ROptions {
             worker_threads: WORKERS,
             workers: forced(parallel),
-            memory,
             ..M3ROptions::default()
         },
     );
@@ -133,17 +136,9 @@ fn accounting_is_invisible_on_hadoop() {
 // Graceful degradation under a finite budget
 // ---------------------------------------------------------------------------
 
-fn finite(budget: u64) -> MemoryOptions {
-    MemoryOptions {
-        budget_bytes_per_place: Some(budget),
-        policy: PolicyKind::Lru,
-        oom: OomMode::Spill,
-    }
-}
-
 #[test]
 fn finite_budget_trades_time_for_memory_not_answers() {
-    let (inf, inf_out, inf_cluster) = microbench_m3r(MemoryOptions::default(), false);
+    let (inf, inf_out, inf_cluster) = microbench_m3r(None, false);
     // At ∞ the accountant did account (watermarks moved) without acting.
     assert!(
         (0..PLACES).any(|p| inf_cluster.mem().high_watermark(p) > 0),
@@ -157,7 +152,7 @@ fn finite_budget_trades_time_for_memory_not_answers() {
     // Below one place's share of an iteration's cached output (~2 part
     // sequences of ~2 KiB), so entries spill *before* the next iteration
     // reads them back — evictions AND reloads both fire.
-    let (tight, tight_out, cluster) = microbench_m3r(finite(2048), false);
+    let (tight, tight_out, cluster) = microbench_m3r(Some(2048), false);
 
     assert_eq!(inf_out, tight_out, "spilling must not change a single output byte");
     let evictions: u64 = (0..PLACES).map(|p| cluster.mem().evictions(p)).sum();
@@ -187,8 +182,8 @@ fn finite_budget_runs_are_schedule_independent() {
     // budget the "parallel" run serializes its waves, so thread schedule
     // can never pick a different victim. Serial and parallel must agree
     // bit for bit, run after run.
-    let (serial, serial_out, _) = microbench_m3r(finite(2048), false);
-    let (par, par_out, _) = microbench_m3r(finite(2048), true);
+    let (serial, serial_out, _) = microbench_m3r(Some(2048), false);
+    let (par, par_out, _) = microbench_m3r(Some(2048), true);
     assert_eq!(serial.len(), par.len());
     for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
         assert_same_result(a, b, &format!("finite-budget iter{i}"));
@@ -200,17 +195,14 @@ fn finite_budget_runs_are_schedule_independent() {
 fn fail_fast_surfaces_oom_instead_of_spilling() {
     let (cluster, fs) = fresh(PLACES);
     generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
+    cluster.mem().set_budget(Some(256));
+    cluster.mem().set_oom_mode(OomMode::FailFast);
     let mut engine = M3REngine::with_options(
         cluster.clone(),
         Arc::new(fs.clone()),
         M3ROptions {
             worker_threads: WORKERS,
             workers: simgrid::Workers::Never,
-            memory: MemoryOptions {
-                budget_bytes_per_place: Some(256),
-                policy: PolicyKind::Lru,
-                oom: OomMode::FailFast,
-            },
             ..M3ROptions::default()
         },
     );
@@ -231,6 +223,100 @@ fn fail_fast_surfaces_oom_instead_of_spilling() {
     );
     let evictions: u64 = (0..PLACES).map(|p| cluster.mem().evictions(p)).sum();
     assert_eq!(evictions, 0, "fail_fast must never spill");
+}
+
+// ---------------------------------------------------------------------------
+// One home for governance: the accountant, whatever the construction order
+// ---------------------------------------------------------------------------
+
+#[test]
+fn building_an_engine_never_writes_the_accountants_settings() {
+    let (cluster, fs) = fresh(PLACES);
+    cluster.mem().set_budget(Some(4096));
+    cluster.mem().set_oom_mode(OomMode::FailFast);
+    let _engine = M3REngine::new(cluster.clone(), Arc::new(fs));
+    assert_eq!(cluster.mem().budget(), Some(4096));
+    assert_eq!(cluster.mem().oom_mode(), OomMode::FailFast);
+}
+
+/// A fresh cluster whose DFS holds one small text file under `/in`.
+fn cluster_with_text() -> (Cluster, simdfs::SimDfs) {
+    let (cluster, fs) = fresh(PLACES);
+    workloads::textgen::generate_text(&fs, &HPath::new("/in/f.txt"), 16 << 10, 7).unwrap();
+    (cluster, fs)
+}
+
+/// A memoizing Hadoop engine on `cluster`.
+fn memoizing_hadoop(cluster: &Cluster, fs: &simdfs::SimDfs) -> HadoopEngine {
+    HadoopEngine::with_options(
+        cluster.clone(),
+        Arc::new(fs.clone()),
+        EngineOptions { memoize: true, ..EngineOptions::default() },
+    )
+}
+
+/// One memoizable WordCount into `out` with `reducers` partitions.
+fn wordcount(engine: &mut HadoopEngine, out: &str, reducers: usize) {
+    use workloads::wordcount::{run_wordcount, WcStyle};
+    run_wordcount(engine, WcStyle::FreshText, &HPath::new("/in"), &HPath::new(out), reducers)
+        .unwrap();
+}
+
+fn memo_bytes(cluster: &Cluster) -> u64 {
+    (0..PLACES).map(|p| cluster.mem().live_class(p, MemClass::Memo)).sum()
+}
+
+#[test]
+fn hadoop_memo_is_governed_whenever_the_budget_is_set() {
+    for budget_first in [false, true] {
+        let what = format!("budget_first={budget_first}");
+        let (cluster, fs) = cluster_with_text();
+        let roomy = Some(1 << 30);
+        if budget_first {
+            cluster.mem().set_budget(roomy);
+        }
+        let mut engine = memoizing_hadoop(&cluster, &fs);
+        if !budget_first {
+            cluster.mem().set_budget(roomy);
+        }
+
+        // Retained results are live `Memo` bytes on the accountant.
+        wordcount(&mut engine, "/a", PARTS);
+        assert!(memo_bytes(&cluster) > 0, "{what}: retained result not accounted");
+        assert_eq!(memo_bytes(&cluster), engine.memo().bytes_live(), "{what}");
+
+        // Under pressure the next record drops what its place retains — the
+        // new entry included, so resubmitting that job (the output path is
+        // not part of its fingerprint) recomputes.
+        cluster.mem().set_budget(Some(1));
+        wordcount(&mut engine, "/b", PARTS + 1);
+        assert!(engine.memo().evictions() > 0, "{what}: nothing dropped under pressure");
+        assert_eq!(memo_bytes(&cluster), engine.memo().bytes_live(), "{what}");
+        wordcount(&mut engine, "/c", PARTS + 1);
+        assert_eq!(engine.memo().hits(), 0, "{what}: a dropped entry must not hit");
+    }
+}
+
+#[test]
+fn engine_construction_order_changes_nothing_governed() {
+    let observed = |m3r_first: bool| {
+        let (cluster, fs) = cluster_with_text();
+        cluster.mem().set_budget(Some(1 << 30));
+        cluster.mem().set_oom_mode(OomMode::FailFast);
+        let (_m3r, mut hadoop) = if m3r_first {
+            let m3r = M3REngine::new(cluster.clone(), Arc::new(fs.clone()));
+            (m3r, memoizing_hadoop(&cluster, &fs))
+        } else {
+            let hadoop = memoizing_hadoop(&cluster, &fs);
+            (M3REngine::new(cluster.clone(), Arc::new(fs.clone())), hadoop)
+        };
+        wordcount(&mut hadoop, "/a", PARTS);
+        (cluster.mem().budget(), cluster.mem().oom_mode(), memo_bytes(&cluster))
+    };
+    let (m3r_first, hadoop_first) = (observed(true), observed(false));
+    assert_eq!(m3r_first, hadoop_first);
+    assert_eq!((m3r_first.0, m3r_first.1), (Some(1 << 30), OomMode::FailFast));
+    assert!(m3r_first.2 > 0, "the Hadoop engine's retained result is accounted either way");
 }
 
 // ---------------------------------------------------------------------------

@@ -333,10 +333,14 @@ fn m3r_map_failure_releases_parked_streams_and_combine_tables() {
             Arc::new(fs),
             m3r::M3ROptions {
                 worker_threads: 1,
-                place_combine,
                 ..Default::default()
             },
         );
+        let conf = |out| {
+            let mut c = conf(out);
+            c.set_place_level_combine(place_combine);
+            c
+        };
         let before = job_scoped_bytes(&cluster);
         // Place 1's second wave fails. By then place 0 has parked (or will
         // park) a stream at place 1, and with place-level combining place 1
