@@ -340,8 +340,17 @@ pub fn group_spans<K, V>(
 /// function works — FNV keeps the kernel dependency-free and branch-free.
 /// Public because the `m3r-memo` fingerprint subsystem reuses the same
 /// kernel (content versions and job fingerprints hash through it).
+#[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Streaming [`fnv1a`]: fold `bytes` into a running hash `state`, so
+/// `fnv1a_continue(fnv1a(a), b) == fnv1a(a ++ b)`. Lets a multi-block file
+/// be hashed block by block without stitching its bytes together.
+#[inline]
+pub fn fnv1a_continue(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -1055,6 +1064,16 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
+            #[test]
+            fn fnv1a_streams_across_any_split(
+                bytes in proptest::collection::vec(any::<u8>(), 0..200),
+                cut in any::<usize>(),
+            ) {
+                let cut = cut % (bytes.len() + 1);
+                let (a, b) = bytes.split_at(cut);
+                prop_assert_eq!(fnv1a_continue(fnv1a(a), b), fnv1a(&bytes));
+            }
+
             #[test]
             fn spans_cover_input_exactly(keys in proptest::collection::vec(0i32..10, 0..60)) {
                 let mut pairs: Vec<(Arc<IntWritable>, Arc<IntWritable>)> = keys

@@ -18,16 +18,20 @@ use crate::writable::{write_vu64, ByteReader, Writable};
 
 const MAGIC: &[u8; 4] = b"SEQ6";
 
-/// Serialize one record onto `out`.
+/// Serialize one record onto `out`. Key and value are encoded once,
+/// straight into `out`; their two varint lengths are appended after them
+/// and rotated to the front of the record in place, so no per-record
+/// buffer is allocated.
 pub fn append_record<K: Writable, V: Writable>(out: &mut Vec<u8>, key: &K, value: &V) {
-    let mut kbuf = Vec::new();
-    key.write_to(&mut kbuf);
-    let mut vbuf = Vec::new();
-    value.write_to(&mut vbuf);
-    write_vu64(out, kbuf.len() as u64);
-    write_vu64(out, vbuf.len() as u64);
-    out.extend_from_slice(&kbuf);
-    out.extend_from_slice(&vbuf);
+    let start = out.len();
+    key.write_to(out);
+    let key_len = out.len() - start;
+    value.write_to(out);
+    let record_end = out.len();
+    write_vu64(out, key_len as u64);
+    write_vu64(out, (record_end - start - key_len) as u64);
+    let header_len = out.len() - record_end;
+    out[start..].rotate_right(header_len);
 }
 
 /// Reads `(K, V)` records from SequenceFiles.
@@ -344,5 +348,81 @@ mod tests {
         let back: Vec<(IntWritable, Text)> =
             read_seq_file(&fs, &HPath::new("/empty")).unwrap();
         assert!(back.is_empty());
+    }
+
+    mod prop {
+        use super::*;
+        use crate::writable::BytesWritable;
+        use proptest::prelude::*;
+
+        /// The encoder `append_record` replaced: key and value each into a
+        /// fresh `Vec`, then lengths, then both copies. Kept as the
+        /// reference the single-pass encoder must match byte for byte.
+        fn two_vec_append<K: Writable, V: Writable>(out: &mut Vec<u8>, key: &K, value: &V) {
+            let mut kbuf = Vec::new();
+            key.write_to(&mut kbuf);
+            let mut vbuf = Vec::new();
+            value.write_to(&mut vbuf);
+            write_vu64(out, kbuf.len() as u64);
+            write_vu64(out, vbuf.len() as u64);
+            out.extend_from_slice(&kbuf);
+            out.extend_from_slice(&vbuf);
+        }
+
+        fn same_encoding<K: Writable, V: Writable>(prefix: &[u8], key: &K, value: &V) {
+            let (mut got, mut want) = (prefix.to_vec(), prefix.to_vec());
+            append_record(&mut got, key, value);
+            two_vec_append(&mut want, key, value);
+            assert_eq!(got, want, "{key:?} / {value:?}");
+        }
+
+        /// Payload lengths whose encodings land on either side of the
+        /// one/two- and two/three-byte varint boundaries (0, 127/128,
+        /// 16 383/16 384), plus small random ones.
+        fn payload_len() -> impl Strategy<Value = usize> {
+            prop_oneof![Just(0usize), 124..132usize, 16_378..16_388usize, 0..300usize]
+        }
+
+        fn payload(len: usize, seed: u8) -> Vec<u8> {
+            (0..len).map(|i| seed.wrapping_add(i as u8)).collect()
+        }
+
+        fn text(len: usize, seed: u8) -> Text {
+            let ascii: String = payload(len, seed).iter().map(|b| (b'a' + b % 26) as char).collect();
+            Text::from(ascii)
+        }
+
+        #[test]
+        fn append_record_matches_at_every_varint_boundary() {
+            // Payload lengths whose encoded key/value lengths (payload +
+            // its own varint) are exactly 0/1, 127, 128, 16 383 and 16 384.
+            for len in [0usize, 126, 127, 16_381, 16_382, 16_383, 16_384] {
+                same_encoding(b"SEQ6", &text(len, 7), &BytesWritable(payload(len, 9)));
+                same_encoding(b"", &BytesWritable(payload(len, 3)), &IntWritable(-1));
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn append_record_matches_the_two_vec_encoder(
+                prefix in proptest::collection::vec(any::<u8>(), 0..8),
+                klen in payload_len(),
+                vlen in payload_len(),
+                seed in any::<u8>(),
+                n in any::<i32>(),
+            ) {
+                same_encoding(&prefix, &IntWritable(n), &text(vlen, seed));
+                same_encoding(&prefix, &text(klen, seed), &IntWritable(n));
+                same_encoding(&prefix, &text(klen, seed), &text(vlen, seed ^ 0x5a));
+                same_encoding(
+                    &prefix,
+                    &BytesWritable(payload(klen, seed)),
+                    &BytesWritable(payload(vlen, !seed)),
+                );
+                same_encoding(&prefix, &IntWritable(n), &BytesWritable(payload(vlen, seed)));
+            }
+        }
     }
 }

@@ -22,7 +22,7 @@ pub mod placement;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -51,14 +51,16 @@ enum DfsNode {
     File {
         blocks: Vec<BlockInfo>,
         len: u64,
-        /// fnv1a over the file's full contents, stamped once at writer
-        /// close. This is the file's *content version* (`m3r-memo`):
-        /// rewriting identical bytes under a fresh path-and-recreate still
-        /// yields the same version, while any byte change yields a new one.
-        /// Rename moves the node (and version) wholesale; delete removes it
-        /// — so a memo entry's recorded versions go stale exactly when the
-        /// input's content can no longer be proven unchanged.
-        version: u64,
+        /// fnv1a over the file's full contents: the file's *content
+        /// version* (`m3r-memo`). Files are immutable once closed, so it is
+        /// hashed on the first [`FileSystem::content_version`] and cached
+        /// here — jobs that never fingerprint never pay for it. Rewriting
+        /// identical bytes under a fresh path-and-recreate still yields the
+        /// same version, while any byte change yields a new one. Rename
+        /// moves the node (and cell) wholesale; delete removes it — so a
+        /// memo entry's recorded versions go stale exactly when the input's
+        /// content can no longer be proven unchanged.
+        version: Arc<OnceLock<u64>>,
     },
     Dir,
 }
@@ -71,6 +73,8 @@ struct Inner {
     /// were distinct).
     blocks: RwLock<std::collections::HashMap<u64, Bytes>>,
     next_block: AtomicU64,
+    /// Bytes folded into content versions so far (each file at most once).
+    bytes_hashed: AtomicU64,
     cluster: simgrid::Cluster,
     block_size: u64,
     replication: usize,
@@ -98,6 +102,7 @@ impl SimDfs {
             meta: RwLock::new(BTreeMap::new()),
             blocks: RwLock::new(std::collections::HashMap::new()),
             next_block: AtomicU64::new(1),
+            bytes_hashed: AtomicU64::new(0),
             policy: PlacementPolicy::new(cluster.len()),
             cluster,
             block_size,
@@ -122,6 +127,14 @@ impl SimDfs {
     /// Configured block size.
     pub fn block_size(&self) -> u64 {
         self.inner.block_size
+    }
+
+    /// Bytes hashed into content versions so far. Each file's bytes are
+    /// hashed at most once, on its first `content_version`, so a job that
+    /// never fingerprints its inputs leaves this at 0. A read-only counter
+    /// for tests and probes, not a setting.
+    pub fn content_bytes_hashed(&self) -> u64 {
+        self.inner.bytes_hashed.load(Ordering::Relaxed)
     }
 
     /// A namenode round trip: metadata lives on one central node.
@@ -172,7 +185,6 @@ impl FsWriter for DfsWriter {
     fn close(self: Box<Self>) -> Result<u64> {
         let inner = &*self.dfs.inner;
         let total = self.buf.len() as u64;
-        let version = hmr_api::comparator::fnv1a(&self.buf);
         // Prefer the writer's own node for the first replica (HDFS
         // write-local affinity); fall back to a path-hash.
         let local = meter::current_meter().map(|m| m.node().id()).unwrap_or_else(|| {
@@ -184,16 +196,11 @@ impl FsWriter for DfsWriter {
             (h.finish() % inner.cluster.len() as u64) as usize
         });
 
+        // Freeze the buffer once: every block is a view of that one
+        // allocation, so splitting copies nothing.
+        let data = Bytes::from(self.buf);
+        let block_size = inner.block_size as usize;
         let mut blocks = Vec::new();
-        let mut data = self.buf;
-        let mut chunks: Vec<Vec<u8>> = Vec::new();
-        if !data.is_empty() {
-            while data.len() as u64 > inner.block_size {
-                let rest = data.split_off(inner.block_size as usize);
-                chunks.push(std::mem::replace(&mut data, rest));
-            }
-            chunks.push(data);
-        }
         // Placement is seeded by (path, chunk index), not the block id: the
         // global id counter's values depend on the order concurrent writers
         // reach it, and replica layout (hence later read locality) must not.
@@ -204,7 +211,8 @@ impl FsWriter for DfsWriter {
             h.finish()
         };
         trace::span(trace::Phase::Io, "dfs_write", None, || {
-            for (chunk_idx, chunk) in chunks.into_iter().enumerate() {
+            for (chunk_idx, start) in (0..data.len()).step_by(block_size).enumerate() {
+                let chunk = data.slice(start..start.saturating_add(block_size).min(data.len()));
                 let id = inner.next_block.fetch_add(1, Ordering::Relaxed);
                 let replicas = inner.policy.place(
                     local,
@@ -221,7 +229,7 @@ impl FsWriter for DfsWriter {
                     meter::charge(Charge::NetTransfer { bytes: len });
                     meter::charge(Charge::DiskWrite { bytes: len });
                 }
-                inner.blocks.write().insert(id, Bytes::from(chunk));
+                inner.blocks.write().insert(id, chunk);
                 blocks.push(BlockInfo { id, len, replicas });
             }
         });
@@ -249,7 +257,7 @@ impl FsWriter for DfsWriter {
             DfsNode::File {
                 blocks,
                 len: total,
-                version,
+                version: Arc::default(),
             },
         );
         Ok(total)
@@ -356,6 +364,8 @@ impl FileSystem for SimDfs {
 
     fn delete(&self, path: &HPath, recursive: bool) -> Result<bool> {
         self.charge_namenode();
+        // Lock order: namenode (`meta`) → datanodes (`blocks`), the same
+        // nesting `content_version` uses.
         let mut meta = self.inner.meta.write();
         match meta.get(path) {
             None => Ok(false),
@@ -497,23 +507,77 @@ impl FileSystem for SimDfs {
     }
 
     fn content_version(&self, path: &HPath) -> Option<u64> {
-        // Pure namenode metadata: the hash was stamped at write time, so a
-        // version read costs the same round trip as any stat.
+        // A version read costs the same namenode round trip as any stat.
+        // A file nobody has asked about yet is hashed here, once: its cell
+        // and block handles are taken under the locks, the bytes hashed
+        // after releasing them.
         self.charge_namenode();
-        let meta = self.inner.meta.read();
-        match meta.get(path)? {
-            DfsNode::File { version, .. } => Some(*version),
-            DfsNode::Dir => {
-                let entries: Vec<(&HPath, u64)> = meta
-                    .range(path.clone()..)
-                    .take_while(|(p, _)| p.starts_with(path))
-                    .filter_map(|(p, n)| match n {
-                        DfsNode::File { version, .. } => Some((p, *version)),
-                        DfsNode::Dir => None,
-                    })
-                    .collect();
-                Some(hmr_api::fs::combine_dir_version(&entries))
+        let (is_dir, files) = {
+            // Lock order: namenode (`meta`) → datanodes (`blocks`), the
+            // same nesting `delete` uses.
+            let meta = self.inner.meta.read();
+            let mut store = None;
+            let mut snapshot = |blocks: &[BlockInfo], cell: &Arc<OnceLock<u64>>| {
+                if let Some(&v) = cell.get() {
+                    return Some(Version::Hashed(v));
+                }
+                let store = store.get_or_insert_with(|| self.inner.blocks.read());
+                let handles = blocks
+                    .iter()
+                    .map(|b| store.get(&b.id).cloned())
+                    .collect::<Option<Vec<Bytes>>>()?;
+                Some(Version::Unhashed(Arc::clone(cell), handles))
+            };
+            match meta.get(path)? {
+                DfsNode::File { blocks, version, .. } => {
+                    (false, vec![(path.clone(), snapshot(blocks, version)?)])
+                }
+                DfsNode::Dir => {
+                    let subtree = meta.range(path.clone()..).take_while(|(p, _)| p.starts_with(path));
+                    let mut files = Vec::new();
+                    for (p, node) in subtree {
+                        if let DfsNode::File { blocks, version, .. } = node {
+                            files.push((p.clone(), snapshot(blocks, version)?));
+                        }
+                    }
+                    (true, files)
+                }
             }
+        };
+        let versions: Vec<(HPath, u64)> = files
+            .into_iter()
+            .map(|(p, v)| (p, v.resolve(&self.inner.bytes_hashed)))
+            .collect();
+        if !is_dir {
+            return Some(versions[0].1);
+        }
+        let entries: Vec<(&HPath, u64)> = versions.iter().map(|(p, v)| (p, *v)).collect();
+        Some(hmr_api::fs::combine_dir_version(&entries))
+    }
+}
+
+/// A file's content version as read under the namenode lock.
+enum Version {
+    /// Already hashed by an earlier `content_version`.
+    Hashed(u64),
+    /// Not yet hashed: the file's cell and its blocks, in file order.
+    Unhashed(Arc<OnceLock<u64>>, Vec<Bytes>),
+}
+
+impl Version {
+    /// The version, hashing the blocks into the cell if no one has yet.
+    /// Runs outside every lock; a racing caller waits on the cell, and the
+    /// block handles keep the bytes alive even if the file is deleted
+    /// meanwhile (the caller then gets the version it snapshotted).
+    fn resolve(self, bytes_hashed: &AtomicU64) -> u64 {
+        use hmr_api::comparator::{fnv1a, fnv1a_continue};
+        match self {
+            Version::Hashed(v) => v,
+            Version::Unhashed(cell, blocks) => *cell.get_or_init(|| {
+                let n: usize = blocks.iter().map(|b| b.len()).sum();
+                bytes_hashed.fetch_add(n as u64, Ordering::Relaxed);
+                blocks.iter().fold(fnv1a(&[]), |h, b| fnv1a_continue(h, b))
+            }),
         }
     }
 }
@@ -657,6 +721,113 @@ mod tests {
         write_file(&fs, &HPath::new("/in/g"), b"more").unwrap();
         assert_ne!(fs.content_version(&HPath::new("/in")), Some(dv));
         assert_eq!(fs.content_version(&HPath::new("/absent")), None);
+    }
+
+    #[test]
+    fn content_version_is_fnv1a_of_the_bytes() {
+        use hmr_api::comparator::fnv1a;
+        let fs = dfs(2);
+        let big: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+        let files: [(&str, &[u8]); 3] =
+            [("/v/empty", b""), ("/v/one", b"one block"), ("/v/three", &big)];
+        for (name, data) in files {
+            let p = HPath::new(name);
+            write_file(&fs, &p, data).unwrap();
+            let v = fs.content_version(&p).unwrap();
+            assert_eq!(v, fnv1a(&read_file(&fs, &p).unwrap()), "{name}");
+            assert_eq!(fs.content_version(&p), Some(v), "{name}: cached value");
+        }
+        assert_eq!(fs.block_locations(&HPath::new("/v/three"), 0, 3000).unwrap().len(), 3);
+        // The version moves with the file.
+        let v = fs.content_version(&HPath::new("/v/three")).unwrap();
+        fs.rename(&HPath::new("/v/three"), &HPath::new("/w/three")).unwrap();
+        assert_eq!(fs.content_version(&HPath::new("/w/three")), Some(v));
+        assert_eq!(fs.content_version(&HPath::new("/v/three")), None);
+    }
+
+    #[test]
+    fn content_versions_match_the_write_time_stamps() {
+        // Literals computed on the commit that still hashed every file at
+        // writer close: lazy hashing must not move a single version.
+        let fs = SimDfs::with_config(Cluster::new(2, CostModel::default()), 8, 2);
+        let p = HPath::new("/pin");
+        write_file(&fs, &p, b"M3R: Increased performance for in-memory Hadoop jobs").unwrap();
+        assert_eq!(fs.content_version(&p), Some(0xd13d_1ad8_7b7b_ec1e));
+        write_file(&fs, &HPath::new("/d/a"), b"alpha").unwrap();
+        write_file(&fs, &HPath::new("/d/sub/b"), b"").unwrap();
+        assert_eq!(fs.content_version(&HPath::new("/d")), Some(0xf655_f213_1bc9_e875));
+    }
+
+    #[test]
+    fn files_are_hashed_once_and_only_when_asked() {
+        let fs = dfs(2);
+        write_file(&fs, &HPath::new("/h/a"), &[1u8; 2500]).unwrap();
+        write_file(&fs, &HPath::new("/h/b"), b"bee").unwrap();
+        read_file(&fs, &HPath::new("/h/a")).unwrap();
+        assert_eq!(fs.content_bytes_hashed(), 0, "writes and reads never hash");
+        fs.content_version(&HPath::new("/h/a")).unwrap();
+        assert_eq!(fs.content_bytes_hashed(), 2500);
+        // The directory hashes only the file nobody asked about yet.
+        fs.content_version(&HPath::new("/h")).unwrap();
+        fs.content_version(&HPath::new("/h")).unwrap();
+        assert_eq!(fs.content_bytes_hashed(), 2503);
+    }
+
+    #[test]
+    fn multi_block_file_is_views_of_one_allocation() {
+        let fs = dfs(2);
+        let data: Vec<u8> = (0..3000u32).map(|i| (i % 253) as u8).collect();
+        write_file(&fs, &HPath::new("/m"), &data).unwrap();
+        let stored: Vec<Bytes> = {
+            let meta = fs.inner.meta.read();
+            let Some(DfsNode::File { blocks, .. }) = meta.get(&HPath::new("/m")) else {
+                panic!("/m is a file");
+            };
+            let store = fs.inner.blocks.read();
+            blocks.iter().map(|b| store[&b.id].clone()).collect()
+        };
+        assert_eq!(stored.iter().map(|b| b.len()).collect::<Vec<_>>(), [1024, 1024, 952]);
+        for w in stored.windows(2) {
+            assert_eq!(
+                w[0].as_ptr() as usize + w[0].len(),
+                w[1].as_ptr() as usize,
+                "consecutive blocks are contiguous views of one buffer"
+            );
+        }
+        assert_eq!(read_file(&fs, &HPath::new("/m")).unwrap(), data);
+    }
+
+    #[test]
+    fn content_version_races_delete_and_rename() {
+        use hmr_api::comparator::fnv1a;
+        let data: Vec<u8> = (0..5000u32).map(|i| (i % 241) as u8).collect();
+        let want = fnv1a(&data);
+        for round in 0..50 {
+            let fs = dfs(2);
+            let (a, b) = (HPath::new("/r/a"), HPath::new("/r/b"));
+            write_file(&fs, &a, &data).unwrap();
+            let start = std::sync::Barrier::new(3);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        start.wait();
+                        for p in [&a, &b, &HPath::new("/r")] {
+                            let v = fs.content_version(p);
+                            if p.as_str() != "/r" {
+                                assert!(v.is_none() || v == Some(want), "round {round}: {v:?}");
+                            }
+                        }
+                    });
+                }
+                s.spawn(|| {
+                    start.wait();
+                    let _ = fs.rename(&a, &b);
+                    let _ = fs.delete(&b, false);
+                });
+            });
+            assert_eq!(fs.content_version(&b), None);
+            assert!(fs.inner.blocks.read().is_empty(), "round {round}: blocks reclaimed");
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@ use m3r::{M3REngine, M3ROptions};
 use m3r_server::{JobServer, ServerOptions};
 use simdfs::SimDfs;
 use simgrid::trace::Phase;
+use workloads::microbench::{generate_microbench_input, run_microbench};
 use workloads::textgen::generate_text;
 use workloads::wordcount::{run_wordcount, WcStyle};
 
@@ -241,6 +242,75 @@ fn whole_job_hit_replays_bytes_with_zero_spans_on_m3r() {
 #[test]
 fn whole_job_hit_replays_bytes_with_zero_spans_on_hadoop() {
     hit_pins("hadoop");
+}
+
+// ---------------------------------------------------------------------------
+// Content versions cost only what fingerprinting asks for
+// ---------------------------------------------------------------------------
+
+#[test]
+fn memo_off_chain_hashes_no_bytes_on_either_engine() {
+    // SimDfs hashes a file's content version on first ask; with memo off
+    // nobody asks, so a whole fig6 chain — inputs, iterations, outputs —
+    // never folds a byte.
+    for m3r in [true, false] {
+        let (cluster, fs) = fresh(PLACES);
+        generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
+        let (input, work) = (HPath::new("/in"), HPath::new("/mb"));
+        let results = if m3r {
+            let mut e = M3REngine::new(cluster, Arc::new(fs.clone()));
+            run_microbench(&mut e, &input, &work, 0.5, 3, PARTS, true, None)
+        } else {
+            let mut e = HadoopEngine::new(cluster, Arc::new(fs.clone()));
+            run_microbench(&mut e, &input, &work, 0.5, 3, PARTS, false, None)
+        }
+        .unwrap();
+        assert_eq!(results.len(), 3);
+        assert_eq!(fs.content_bytes_hashed(), 0, "m3r={m3r}: memo off must hash nothing");
+    }
+}
+
+#[test]
+fn memo_on_resubmissions_hash_each_input_once() {
+    for engine in ["m3r", "hadoop"] {
+        let (cluster, fs) = fresh(PLACES);
+        wc_input(&fs);
+        let input_bytes: u64 = fs
+            .list_status(&HPath::new("/in"))
+            .unwrap()
+            .iter()
+            .map(|st| st.len)
+            .sum();
+        let (input, out) = (HPath::new("/in"), HPath::new("/out"));
+        let mut hashed = Vec::new();
+        let (hits, misses) = if engine == "m3r" {
+            let mut e = M3REngine::with_options(
+                cluster,
+                Arc::new(fs.clone()),
+                M3ROptions { memoize: true, ..M3ROptions::default() },
+            );
+            for _ in 0..3 {
+                run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS).unwrap();
+                hashed.push(fs.content_bytes_hashed());
+            }
+            (e.memo().hits(), e.memo().misses())
+        } else {
+            let mut e = HadoopEngine::with_options(
+                cluster,
+                Arc::new(fs.clone()),
+                EngineOptions { memoize: true, ..EngineOptions::default() },
+            );
+            for _ in 0..3 {
+                run_wordcount(&mut e, WcStyle::FreshText, &input, &out, PARTS).unwrap();
+                hashed.push(fs.content_bytes_hashed());
+            }
+            (e.memo().hits(), e.memo().misses())
+        };
+        assert_eq!((hits, misses), (2, 1), "{engine}: two resubmissions hit");
+        // The first fingerprint hashes every input byte once; the hits'
+        // fingerprints and validity checks read the cached versions.
+        assert_eq!(hashed, [input_bytes; 3], "{engine}: bytes hashed after each run");
+    }
 }
 
 // ---------------------------------------------------------------------------
