@@ -6,14 +6,20 @@
 //! barrier makes every place wait for the slowest, §5.1). Clocks are shared
 //! (`Clone` is shallow) so an engine, its tasks, and the metering layer can
 //! all charge the same node.
+//!
+//! A clock is the bits of one `f64` in an `AtomicU64`. A real node's clock
+//! may be charged from several threads at once and advances by
+//! compare-and-swap; a task's scratch clock has one writer at a time and
+//! advances by a plain load and store. Both perform the same `f64`
+//! addition, so the two paths agree to the bit.
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A shareable monotone virtual clock (seconds of simulated time).
 #[derive(Clone, Debug, Default)]
 pub struct Clock {
-    inner: Arc<Mutex<f64>>,
+    bits: Arc<AtomicU64>,
 }
 
 impl Clock {
@@ -23,34 +29,58 @@ impl Clock {
     }
 
     /// Current simulated time in seconds.
+    #[inline]
     pub fn now(&self) -> f64 {
-        *self.inner.lock()
+        f64::from_bits(self.bits.load(Ordering::Acquire))
     }
 
     /// Advance the clock by `seconds` (must be non-negative) and return the
-    /// new time.
+    /// new time. Safe against concurrent advances of the same clock.
+    #[inline]
     pub fn advance(&self, seconds: f64) -> f64 {
-        debug_assert!(seconds >= 0.0, "cannot advance a clock backwards");
-        debug_assert!(seconds.is_finite(), "cannot advance a clock by a non-finite amount");
-        let mut t = self.inner.lock();
-        *t += seconds;
-        *t
+        check_step(seconds);
+        let before = self
+            .bits
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |t| {
+                Some((f64::from_bits(t) + seconds).to_bits())
+            })
+            .expect("the update never declines");
+        f64::from_bits(before) + seconds
+    }
+
+    /// [`Clock::advance`] for a clock nobody else advances meanwhile (a
+    /// task's scratch clock): one load and one store, no read-modify-write.
+    /// A concurrent advance would be lost, so the caller guarantees there
+    /// is none.
+    #[inline]
+    pub(crate) fn advance_unshared(&self, seconds: f64) -> f64 {
+        check_step(seconds);
+        let t = f64::from_bits(self.bits.load(Ordering::Relaxed)) + seconds;
+        self.bits.store(t.to_bits(), Ordering::Relaxed);
+        t
     }
 
     /// Move the clock forward to `instant` if it is currently behind it
     /// (never moves the clock backwards). Returns the new time.
     pub fn advance_to(&self, instant: f64) -> f64 {
-        let mut t = self.inner.lock();
-        if instant > *t {
-            *t = instant;
+        match self.bits.fetch_update(Ordering::AcqRel, Ordering::Acquire, |t| {
+            (instant > f64::from_bits(t)).then_some(instant.to_bits())
+        }) {
+            Ok(_) => instant,
+            Err(t) => f64::from_bits(t),
         }
-        *t
     }
 
     /// Reset to time zero. Engines call this between independent experiments.
     pub fn reset(&self) {
-        *self.inner.lock() = 0.0;
+        self.bits.store(0f64.to_bits(), Ordering::Release);
     }
+}
+
+#[inline]
+fn check_step(seconds: f64) {
+    debug_assert!(seconds >= 0.0, "cannot advance a clock backwards");
+    debug_assert!(seconds.is_finite(), "cannot advance a clock by a non-finite amount");
 }
 
 /// Synchronize a set of clocks to the maximum among them (a barrier), then

@@ -1,5 +1,5 @@
 //! The simulated cluster: a fixed set of nodes sharing one cost model and
-//! one metrics sink.
+//! one metrics sink, and the detached scratch nodes a task is billed to.
 
 use std::sync::Arc;
 
@@ -26,12 +26,47 @@ pub struct Node {
     model: Arc<CostModel>,
     metrics: Metrics,
     trace: Trace,
-    /// `Some` for detached task-measurement nodes whose clock starts at
-    /// zero (see [`Cluster::scratch_node`]): the spans closed under this
-    /// node's meter, wave-relative, until [`Node::take_spans`] hands them
-    /// over for rebasing. Shared by the node's clones (a [`crate::Meter`]
-    /// holds one) and gone with the last of them.
-    scratch: Option<Arc<Mutex<Vec<RelSpan>>>>,
+    /// `Some` for detached task-measurement nodes (see
+    /// [`Cluster::scratch_node`]), whose clock and metrics belong to one
+    /// task. Shared by the node's clones (a [`crate::Meter`] holds one) and
+    /// gone with the last of them.
+    scratch: Option<Arc<TaskScratch>>,
+}
+
+/// What only a scratch node has.
+#[derive(Default)]
+struct TaskScratch {
+    /// The spans closed under this node's meter, wave-relative, until
+    /// [`Node::take_spans`] hands them over for rebasing.
+    spans: Mutex<Vec<RelSpan>>,
+    /// Debug builds only: a token of the thread inside [`Node::charge`]
+    /// right now (0 when none), to catch a second thread charging at once.
+    #[cfg(debug_assertions)]
+    charging: std::sync::atomic::AtomicUsize,
+}
+
+#[cfg(debug_assertions)]
+impl TaskScratch {
+    /// Claim the node for the calling thread until the guard drops; panics
+    /// if another thread holds it.
+    fn enter(&self) -> impl Drop + '_ {
+        use std::sync::atomic::Ordering;
+        thread_local! {
+            static TOKEN: u8 = const { 0 };
+        }
+        let me = TOKEN.with(|t| t as *const u8 as usize);
+        let claim = self.charging.compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed);
+        if let Err(other) = claim {
+            panic!("scratch node charged by thread {me:#x} while thread {other:#x} charges it");
+        }
+        struct Leave<'a>(&'a std::sync::atomic::AtomicUsize);
+        impl Drop for Leave<'_> {
+            fn drop(&mut self) {
+                self.0.store(0, Ordering::Release);
+            }
+        }
+        Leave(&self.charging)
+    }
 }
 
 impl Node {
@@ -50,7 +85,8 @@ impl Node {
         &self.model
     }
 
-    /// The cluster-wide metrics sink.
+    /// The metrics this node's charges go to: the cluster-wide sink on a
+    /// real node, the task's own ledger on a scratch node.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -64,7 +100,7 @@ impl Node {
     /// straight into the trace with absolute times on a real one.
     pub(crate) fn record_span(&self, span: RelSpan) {
         match &self.scratch {
-            Some(buffer) => buffer.lock().push(span),
+            Some(scratch) => scratch.spans.lock().push(span),
             None => self
                 .trace
                 .record(span.rebased(self.trace.current_job(), self.id, 0.0)),
@@ -76,15 +112,32 @@ impl Node {
     pub fn take_spans(&self) -> Vec<RelSpan> {
         self.scratch
             .as_ref()
-            .map_or_else(Vec::new, |buffer| std::mem::take(&mut *buffer.lock()))
+            .map_or_else(Vec::new, |scratch| std::mem::take(&mut *scratch.spans.lock()))
     }
 
     /// Price `charge`, advance this node's clock by it, and record it in the
     /// metrics. Returns the simulated duration charged.
+    ///
+    /// A scratch node is charged by one thread at a time (its task's, then
+    /// the place thread's in the wave's fold, ordered by the join), so its
+    /// clock and ledger advance without read-modify-writes; a real node's
+    /// are shared and advance atomically. Both perform the same additions
+    /// in the same order.
+    #[inline]
     pub fn charge(&self, charge: Charge) -> f64 {
         let dt = self.model.price(charge);
-        self.metrics.record(charge);
-        self.clock.advance(dt);
+        match &self.scratch {
+            Some(_scratch) => {
+                #[cfg(debug_assertions)]
+                let _owner = _scratch.enter();
+                self.metrics.record_unshared(charge);
+                self.clock.advance_unshared(dt);
+            }
+            None => {
+                self.metrics.record(charge);
+                self.clock.advance(dt);
+            }
+        }
         // Attribute to the innermost open trace span, if any. Never touches
         // clocks or metrics: tracing on/off is simulation-invisible.
         self.trace.note_charge(charge, dt);
@@ -283,21 +336,33 @@ impl Cluster {
         self.mem.reset_stats();
     }
 
-    /// A detached node sharing this cluster's cost model and metrics but
-    /// owning a fresh zeroed clock. Engines run one simulated task against a
-    /// scratch node to measure the task's duration, then fold that duration
-    /// into real node clocks according to their scheduling model (e.g.
-    /// "tasks in one wave run in parallel, so a node advances by the max of
-    /// its tasks' durations").
+    /// A detached node sharing this cluster's cost model and trace but
+    /// owning a fresh zeroed clock and a fresh zeroed metrics ledger.
+    /// Engines run one simulated task against a scratch node to measure the
+    /// task's duration, then fold that duration into real node clocks
+    /// according to their scheduling model (e.g. "tasks in one wave run in
+    /// parallel, so a node advances by the max of its tasks' durations"),
+    /// and [`Cluster::publish`] its ledger into [`Cluster::metrics`].
+    ///
+    /// Only one thread may charge a scratch node at a time (checked in
+    /// debug builds): handing it to another thread needs a
+    /// synchronisation point such as a join.
     pub fn scratch_node(&self, id: NodeId) -> Node {
         Node {
             id,
             clock: Clock::new(),
             model: Arc::clone(&self.model),
-            metrics: self.metrics.clone(),
+            metrics: Metrics::new(),
             trace: self.trace.clone(),
             scratch: Some(Arc::default()),
         }
+    }
+
+    /// Add a scratch node's ledger ([`Node::metrics`]) to the cluster-wide
+    /// counters. Call it once per scratch node, after its last charge.
+    pub fn publish(&self, scratch: &Node) {
+        debug_assert!(scratch.scratch.is_some(), "only a scratch node has a ledger of its own");
+        self.metrics.absorb(&scratch.metrics.snapshot());
     }
 
     /// An isolated *lane* for running one job concurrently with others: the
@@ -436,5 +501,69 @@ mod tests {
         // Folding is the server's job: absorb + uniform clock advance.
         c.metrics().absorb(&lane.metrics().snapshot());
         assert_eq!(c.metrics().disk_bytes_written(), 50);
+    }
+
+    #[test]
+    fn scratch_node_keeps_its_counts_until_published() {
+        let c = Cluster::new(2, CostModel::default());
+        let scratch = c.scratch_node(1);
+        scratch.charge(Charge::Alloc { objects: 3 });
+        assert_eq!(scratch.metrics().allocs(), 3);
+        assert_eq!(c.metrics().allocs(), 0, "the ledger is the task's own");
+        c.publish(&scratch);
+        assert_eq!(c.metrics().allocs(), 3);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_scratch_node_charged_from_two_threads_at_once_panics() {
+        let c = Cluster::new(1, CostModel::default());
+        let scratch = c.scratch_node(0);
+        let _held = scratch.scratch.as_ref().unwrap().enter();
+        let other = std::thread::scope(|s| s.spawn(|| scratch.charge(Charge::Heartbeat)).join());
+        assert!(other.is_err(), "the second thread must be caught");
+    }
+
+    mod charge_paths {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn any_charge() -> impl Strategy<Value = Charge> {
+            (0u8..13, 0u64..1 << 32, 0.0f64..10.0).prop_map(|(kind, n, seconds)| match kind {
+                0 => Charge::DiskRead { bytes: n },
+                1 => Charge::DiskWrite { bytes: n },
+                2 => Charge::NetTransfer { bytes: n },
+                3 => Charge::Serialize { bytes: n },
+                4 => Charge::Deserialize { bytes: n },
+                5 => Charge::Clone { bytes: n },
+                6 => Charge::Alloc { objects: n },
+                7 => Charge::Sort { records: n },
+                8 => Charge::TaskStartup,
+                9 => Charge::Heartbeat,
+                10 => Charge::JobSubmit,
+                11 => Charge::Barrier,
+                _ => Charge::Compute { seconds },
+            })
+        }
+
+        proptest! {
+            /// A scratch node's unshared clock and ledger, once published,
+            /// end where a real node's shared ones do after the same
+            /// charges: the same clock bits and the same counters.
+            #[test]
+            fn scratch_and_real_nodes_agree_to_the_bit(
+                charges in proptest::collection::vec(any_charge(), 0..200),
+            ) {
+                let task = Cluster::new(1, CostModel::default());
+                let real = Cluster::new(1, CostModel::default());
+                let (scratch, node) = (task.scratch_node(0), real.node(0));
+                for &charge in &charges {
+                    prop_assert_eq!(scratch.charge(charge).to_bits(), node.charge(charge).to_bits());
+                }
+                task.publish(&scratch);
+                prop_assert_eq!(scratch.clock().now().to_bits(), node.clock().now().to_bits());
+                prop_assert_eq!(task.metrics().snapshot(), real.metrics().snapshot());
+            }
+        }
     }
 }

@@ -157,6 +157,7 @@ impl CostModel {
     }
 
     /// Price a [`Charge`] in seconds of simulated time.
+    #[inline]
     pub fn price(&self, charge: Charge) -> f64 {
         match charge {
             Charge::DiskRead { bytes } => self.disk_seek + bytes as f64 / self.disk_bw,

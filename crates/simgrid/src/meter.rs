@@ -33,6 +33,7 @@ impl Meter {
     }
 
     /// Bill a charge to the metered node.
+    #[inline]
     pub fn charge(&self, charge: Charge) -> f64 {
         self.node.charge(charge)
     }
@@ -66,6 +67,7 @@ pub fn current_meter() -> Option<Meter> {
 
 /// Bill `charge` to the current meter; a no-op when none is installed.
 /// Returns the simulated duration charged (0.0 when unmetered).
+#[inline]
 pub fn charge(charge: Charge) -> f64 {
     CURRENT.with(|c| match c.borrow().last() {
         Some(m) => m.charge(charge),

@@ -87,47 +87,43 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Record the side effects of a charge.
-    pub fn record(&self, charge: Charge) {
+    /// The counter `charge` adds to, and by how much (`None` for
+    /// [`Charge::Compute`], which counts nothing).
+    #[inline]
+    fn cell(&self, charge: Charge) -> Option<(&AtomicU64, u64)> {
         let i = &*self.inner;
-        match charge {
-            Charge::DiskRead { bytes } => {
-                i.disk_bytes_read.fetch_add(bytes, Ordering::Relaxed);
-            }
-            Charge::DiskWrite { bytes } => {
-                i.disk_bytes_written.fetch_add(bytes, Ordering::Relaxed);
-            }
-            Charge::NetTransfer { bytes } => {
-                i.net_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-            Charge::Serialize { bytes } => {
-                i.ser_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-            Charge::Deserialize { bytes } => {
-                i.deser_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-            Charge::Clone { bytes } => {
-                i.clone_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-            Charge::Alloc { objects } => {
-                i.allocs.fetch_add(objects, Ordering::Relaxed);
-            }
-            Charge::Sort { records } => {
-                i.records_sorted.fetch_add(records, Ordering::Relaxed);
-            }
-            Charge::TaskStartup => {
-                i.task_startups.fetch_add(1, Ordering::Relaxed);
-            }
-            Charge::Heartbeat => {
-                i.heartbeats.fetch_add(1, Ordering::Relaxed);
-            }
-            Charge::JobSubmit => {
-                i.job_submits.fetch_add(1, Ordering::Relaxed);
-            }
-            Charge::Barrier => {
-                i.barriers.fetch_add(1, Ordering::Relaxed);
-            }
-            Charge::Compute { .. } => {}
+        Some(match charge {
+            Charge::DiskRead { bytes } => (&i.disk_bytes_read, bytes),
+            Charge::DiskWrite { bytes } => (&i.disk_bytes_written, bytes),
+            Charge::NetTransfer { bytes } => (&i.net_bytes, bytes),
+            Charge::Serialize { bytes } => (&i.ser_bytes, bytes),
+            Charge::Deserialize { bytes } => (&i.deser_bytes, bytes),
+            Charge::Clone { bytes } => (&i.clone_bytes, bytes),
+            Charge::Alloc { objects } => (&i.allocs, objects),
+            Charge::Sort { records } => (&i.records_sorted, records),
+            Charge::TaskStartup => (&i.task_startups, 1),
+            Charge::Heartbeat => (&i.heartbeats, 1),
+            Charge::JobSubmit => (&i.job_submits, 1),
+            Charge::Barrier => (&i.barriers, 1),
+            Charge::Compute { .. } => return None,
+        })
+    }
+
+    /// Record the side effects of a charge. Safe against concurrent
+    /// recording into the same counters.
+    #[inline]
+    pub fn record(&self, charge: Charge) {
+        if let Some((cell, n)) = self.cell(charge) {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// [`Metrics::record`] into counters nobody else writes meanwhile (a
+    /// task's own ledger): a load and a store, no read-modify-write.
+    #[inline]
+    pub(crate) fn record_unshared(&self, charge: Charge) {
+        if let Some((cell, n)) = self.cell(charge) {
+            cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
         }
     }
 

@@ -12,11 +12,14 @@
 //! Determinism contract: because each task bills only its own scratch
 //! clock, per-task charge sums are independent of interleaving, and the
 //! f64 `max` folded over scratch clocks is order-independent, simulated
-//! seconds are bit-identical whichever path a wave takes. Results are
-//! returned in task order either way, so callers can perform any
-//! order-sensitive post-processing (e.g. shuffle-stream serialization)
-//! deterministically after the join.
+//! seconds are bit-identical whichever path a wave takes. A task's counters
+//! go to its scratch node's own ledger, which [`traced_wave`] publishes into
+//! the cluster's metrics in task order; they are integers, so the totals
+//! are exact. Results are returned in task order either way, so callers can
+//! perform any order-sensitive post-processing (e.g. shuffle-stream
+//! serialization) deterministically after the join.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -114,32 +117,27 @@ impl WavePaths {
     }
 }
 
-/// Run one wave of simulated tasks at `place`, each under its own scratch
-/// [`Meter`]: sequentially on the calling thread, or — with `on_workers` —
-/// concurrently: the calling thread runs the first task itself and every
-/// other task gets a `std::thread::scope` thread. Returns the task results
-/// **in task order** together with the scratch nodes, so the caller can
-/// apply further metered work per task and then fold the wave duration via
-/// [`wave_duration`].
+/// Run one wave of simulated tasks, task *i* under a [`Meter`] on
+/// `scratches[i]` (one [`Cluster::scratch_node`] per task): sequentially on
+/// the calling thread, or — with `on_workers` — concurrently: the calling
+/// thread runs the first task itself and every other task gets a
+/// `std::thread::scope` thread. Returns the task results **in task order**,
+/// so the caller can apply further metered work per task, then fold the
+/// wave duration via [`wave_duration`] and [`Cluster::publish`] each
+/// scratch node's ledger.
 ///
 /// A panicking task is resumed on the calling thread after the whole wave
 /// has joined — the lowest-index panic when several tasks panic.
-pub fn run_wave<T, R, F>(
-    cluster: &Cluster,
-    place: NodeId,
-    on_workers: bool,
-    tasks: Vec<T>,
-    f: F,
-) -> (Vec<R>, Vec<Node>)
+pub fn run_wave<T, R, F>(scratches: &[Node], on_workers: bool, tasks: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let scratches: Vec<Node> = tasks.iter().map(|_| cluster.scratch_node(place)).collect();
+    assert_eq!(scratches.len(), tasks.len(), "one scratch node per task");
     let run = |(task, scratch): (T, &Node)| with_meter(Meter::new(scratch.clone()), || f(task));
-    let mut work = tasks.into_iter().zip(&scratches);
-    let results: Vec<R> = if on_workers {
+    let mut work = tasks.into_iter().zip(scratches);
+    if on_workers {
         std::thread::scope(|scope| {
             let first = work.next();
             let run = &run;
@@ -150,13 +148,12 @@ where
             let first = first.map(run);
             let rest = spawned
                 .into_iter()
-                .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)));
             first.into_iter().chain(rest).collect()
         })
     } else {
         work.map(run).collect()
-    };
-    (results, scratches)
+    }
 }
 
 /// Simulated duration of a wave: the latest scratch clock — "a node
@@ -180,11 +177,14 @@ pub fn wave_duration(scratches: &[Node]) -> f64 {
 /// (shuffle-stream serialization, combine-table absorption) bills the task
 /// exactly as if it had done it inline; spans `fold` records are rebased
 /// the same way.
-/// Finally the place clock advances by the slowest task
-/// ([`wave_duration`]) and the place's arena ([`Cluster::arena`]) is trimmed
-/// to its retention cap. The first task or fold error ends the wave there
-/// and is returned: the clock stays put, the arena is still trimmed, and the
-/// failing fold's spans are dropped with the scratch node that holds them.
+/// Then every task's ledger is published into [`Cluster::metrics`] in task
+/// order ([`Cluster::publish`]), the place clock advances by the slowest
+/// task ([`wave_duration`]) and the place's arena ([`Cluster::arena`]) is
+/// trimmed to its retention cap. The first task or fold error ends the wave
+/// there and is returned: every ledger is still published, the clock stays
+/// put, the arena is still trimmed, and the failing fold's spans are
+/// dropped with the scratch node that holds them. A panicking task or fold
+/// is resumed after every ledger is published.
 ///
 /// `task` and `fold` are generic closures: nothing on the per-task path is
 /// boxed or dynamically dispatched.
@@ -210,21 +210,30 @@ where
     let wave_base = node.clock().now();
     let threaded = on_workers(workers, tasks.len(), job_input_bytes, cores());
     cluster.wave_paths().note(threaded);
-    let (results, scratches) = run_wave(cluster, place, threaded, tasks, task);
+    let scratches: Vec<Node> = tasks.iter().map(|_| cluster.scratch_node(place)).collect();
     let rebase = |scratch: &Node| {
         cluster
             .trace()
             .record_rebased(job, place, wave_base, scratch.take_spans());
     };
-    let outcome = results
-        .into_iter()
-        .zip(&scratches)
-        .try_for_each(|(result, scratch)| {
-            rebase(scratch);
-            with_meter(Meter::new(scratch.clone()), || fold(result?))?;
-            rebase(scratch);
-            Ok(())
-        });
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let results = run_wave(&scratches, threaded, tasks, task);
+        results
+            .into_iter()
+            .zip(&scratches)
+            .try_for_each(|(result, scratch)| {
+                rebase(scratch);
+                with_meter(Meter::new(scratch.clone()), || fold(result?))?;
+                rebase(scratch);
+                Ok(())
+            })
+    }));
+    // However the wave ended, the cluster's counters hold everything its
+    // tasks billed — what they would hold had every charge gone there.
+    for scratch in &scratches {
+        cluster.publish(scratch);
+    }
+    let outcome = outcome.unwrap_or_else(|payload| resume_unwind(payload));
     if outcome.is_ok() {
         node.clock().advance(wave_duration(&scratches));
     }
@@ -245,6 +254,23 @@ mod tests {
     /// alone, one spawned thread beside it, and a full wave.
     const WAVE_SIZES: [usize; 3] = [1, 2, 8];
 
+    /// [`run_wave`] at `place` on fresh scratch nodes, each published
+    /// afterwards.
+    fn wave<T: Send, R: Send>(
+        cluster: &Cluster,
+        place: NodeId,
+        on_workers: bool,
+        tasks: Vec<T>,
+        f: impl Fn(T) -> R + Sync,
+    ) -> (Vec<R>, Vec<Node>) {
+        let scratches: Vec<Node> = tasks.iter().map(|_| cluster.scratch_node(place)).collect();
+        let results = run_wave(&scratches, on_workers, tasks, f);
+        for scratch in &scratches {
+            cluster.publish(scratch);
+        }
+        (results, scratches)
+    }
+
     fn charges_of(task: usize) -> u64 {
         (task as u64 + 1) * 1000
     }
@@ -252,7 +278,7 @@ mod tests {
     fn run(on_workers: bool, n: usize) -> (Vec<usize>, f64, u64) {
         let cluster = Cluster::new(2, CostModel::default());
         let tasks: Vec<usize> = (0..n).collect();
-        let (results, scratches) = run_wave(&cluster, 1, on_workers, tasks, |t| {
+        let (results, scratches) = wave(&cluster, 1, on_workers, tasks, |t| {
             meter::charge(Charge::DiskRead {
                 bytes: charges_of(t),
             });
@@ -306,7 +332,7 @@ mod tests {
     #[test]
     fn each_task_bills_its_own_scratch() {
         let cluster = Cluster::new(1, CostModel::default());
-        let (_, scratches) = run_wave(&cluster, 0, true, vec![0usize, 1], |t| {
+        let (_, scratches) = wave(&cluster, 0, true, vec![0usize, 1], |t| {
             if t == 1 {
                 meter::charge(Charge::DiskRead { bytes: 1 << 20 });
             }
@@ -320,7 +346,7 @@ mod tests {
     #[test]
     fn empty_wave_is_a_noop() {
         let cluster = Cluster::new(1, CostModel::default());
-        let (r, s) = run_wave(&cluster, 0, true, Vec::<usize>::new(), |t| t);
+        let (r, s) = wave(&cluster, 0, true, Vec::<usize>::new(), |t| t);
         assert!(r.is_empty());
         assert_eq!(wave_duration(&s), 0.0);
     }
@@ -332,7 +358,7 @@ mod tests {
         // Every task waits for all four: the wave deadlocks unless the
         // caller's task runs while the three spawned ones do.
         let all_running = Barrier::new(4);
-        let (ran_on, _) = run_wave(&cluster, 0, true, (0..4).collect(), |_: usize| {
+        let (ran_on, _) = wave(&cluster, 0, true, (0..4).collect(), |_: usize| {
             all_running.wait();
             std::thread::current().id()
         });
@@ -348,7 +374,7 @@ mod tests {
             let all_running = Barrier::new(4);
             let finished = AtomicU64::new(0);
             let payload = catch_unwind(AssertUnwindSafe(|| {
-                run_wave(&cluster, 0, true, (0..4usize).collect(), |t| {
+                wave(&cluster, 0, true, (0..4usize).collect(), |t| {
                     all_running.wait();
                     if panicking.contains(&t) {
                         panic!("task {t}");
@@ -525,5 +551,40 @@ mod tests {
         };
         assert_eq!(by_job(failed), vec![Some(0)], "the failing fold's span is discarded");
         assert_eq!(by_job(next), vec![Some(7)], "the next wave records only its own spans");
+    }
+
+    #[test]
+    fn every_ledger_is_published_however_the_wave_ends() {
+        // Every task bills 1 allocation and every fold 10. Task 1 fails
+        // (after the fold of task 0), or the last task panics (before any
+        // fold; inline, an earlier panic would stop the tasks after it).
+        for (panics, allocs) in [(false, 13), (true, 3)] {
+            for workers in [Workers::Never, Workers::Always] {
+                let cluster = Cluster::new(1, CostModel::default());
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    traced_wave(
+                        &cluster,
+                        0,
+                        0,
+                        workers,
+                        0,
+                        vec![0usize, 1, 2],
+                        |t| {
+                            meter::charge(Charge::Alloc { objects: 1 });
+                            match t {
+                                2 if panics => panic!("task 2"),
+                                1 if !panics => Err("boom"),
+                                _ => Ok(t),
+                            }
+                        },
+                        |_| {
+                            meter::charge(Charge::Alloc { objects: 10 });
+                            Ok(())
+                        },
+                    )
+                }));
+                assert_eq!(cluster.metrics().allocs(), allocs, "panics {panics}, {workers:?}");
+            }
+        }
     }
 }

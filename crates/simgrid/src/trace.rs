@@ -305,6 +305,7 @@ impl Trace {
     }
 
     /// Whether spans are currently being recorded.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
     }
@@ -389,6 +390,7 @@ impl Trace {
     /// Attribute one priced charge to the innermost open span on this
     /// thread. Called by [`crate::Node::charge`]; a no-op when disabled or
     /// when no span is open.
+    #[inline]
     pub(crate) fn note_charge(&self, charge: Charge, dt: f64) {
         if !self.is_enabled() {
             return;

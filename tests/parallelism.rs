@@ -22,8 +22,13 @@
 //! Coverage: the fig6 shuffle microbenchmark (both engines), the fig7
 //! matrix-vector iteration (M3R), a combiner + grouping-comparator
 //! wordcount (both engines) to exercise map-side combining and non-default
-//! grouping on worker threads, and `Auto` itself just below and just above
-//! its threshold (both engines).
+//! grouping on worker threads, the Fig. 8 `FreshText` wordcount (both
+//! engines), which bills one allocation per token from inside its tasks,
+//! and `Auto` itself just below and just above its threshold (both
+//! engines). Every comparison includes the cluster-wide `Metrics` totals,
+//! which tasks reach only through the ledger each wave publishes; jobs that
+//! fail mid-wave (a reducer in task 1 of a 2-task wave, a mapper) must leave
+//! the same totals on both paths, and the ones pinned below.
 
 use std::sync::Arc;
 
@@ -32,7 +37,7 @@ use hmr_api::collect::OutputCollector;
 use hmr_api::comparator::KeyComparator;
 use hmr_api::conf::JobConf;
 use hmr_api::counters::TaskContext;
-use hmr_api::error::Result;
+use hmr_api::error::{HmrError, Result};
 use hmr_api::io::{InputFormat, OutputFormat, SequenceFileOutputFormat};
 use hmr_api::job::{Engine, JobDef, JobResult};
 use hmr_api::task::{LongSumReducer, TaskMapper, TaskReducer};
@@ -40,10 +45,12 @@ use hmr_api::writable::{LongWritable, Text};
 use hmr_api::HPath;
 use m3r::{M3REngine, M3ROptions};
 use simdfs::SimDfs;
+use simgrid::metrics::MetricsSnapshot;
 use simgrid::pool::WORKERS_MIN_JOB_BYTES;
 use simgrid::{Cluster, Workers};
 use workloads::matvec::{generate_matvec_input, run_matvec_iterations};
 use workloads::microbench::{generate_microbench_input, run_microbench};
+use workloads::wordcount::{run_wordcount, WcStyle};
 
 mod common;
 use common::{assert_same_result, fresh, part_bytes};
@@ -72,10 +79,12 @@ fn hadoop_opts(workers: Workers) -> EngineOptions {
 }
 
 /// What one run leaves behind: what its jobs reported, the final output
-/// bytes, and how many of its waves ran inline / on worker threads.
+/// bytes, the cluster's metrics totals, and how many of its waves ran
+/// inline / on worker threads.
 struct Ran<R> {
     results: R,
     out: Vec<(String, bytes::Bytes)>,
+    totals: MetricsSnapshot,
     inline: u64,
     on_workers: u64,
 }
@@ -87,6 +96,7 @@ impl<R> Ran<R> {
         Ran {
             results,
             out,
+            totals: cluster.metrics().snapshot(),
             inline: paths.inline(),
             on_workers: paths.workers(),
         }
@@ -109,6 +119,7 @@ fn assert_same_jobs(a: &Ran<Vec<JobResult>>, b: &Ran<Vec<JobResult>>, what: &str
         assert_same_result(a, b, &format!("{what} job {i}"));
     }
     assert_eq!(a.out, b.out, "{what}: output bytes differ");
+    assert_eq!(a.totals, b.totals, "{what}: cluster metrics totals differ");
 }
 
 // ---------------------------------------------------------------------------
@@ -265,6 +276,7 @@ fn fig7_matvec_is_identical_on_m3r() {
         );
     }
     assert_eq!(never.out, always.out, "matvec final vector bytes differ");
+    assert_eq!(never.totals, always.totals, "matvec cluster metrics totals differ");
 }
 
 // ---------------------------------------------------------------------------
@@ -390,4 +402,212 @@ fn grouped_wordcount_is_identical_on_m3r() {
 fn grouped_wordcount_is_identical_on_hadoop() {
     let (never, always) = never_and_always(grouped_wc_hadoop);
     assert_same_jobs(&never, &always, "hadoop grouped wordcount");
+}
+
+// ---------------------------------------------------------------------------
+// Fig. 8 WordCount: one charge per token from inside the tasks
+// ---------------------------------------------------------------------------
+
+fn fresh_wc_m3r(workers: Workers) -> Ran<Vec<JobResult>> {
+    let (cluster, fs) = fresh(PLACES);
+    write_wc_input(&fs);
+    let mut engine =
+        M3REngine::with_options(cluster.clone(), Arc::new(fs.clone()), m3r_opts(workers));
+    let (input, output) = (HPath::new("/in"), HPath::new("/out"));
+    let result = run_wordcount(&mut engine, WcStyle::FreshText, &input, &output, PARTS).unwrap();
+    Ran::new(&cluster, vec![result], part_bytes(&fs, "/out", PARTS))
+}
+
+fn fresh_wc_hadoop(workers: Workers) -> Ran<Vec<JobResult>> {
+    let (cluster, fs) = fresh(PLACES);
+    write_wc_input(&fs);
+    let mut engine =
+        HadoopEngine::with_options(cluster.clone(), Arc::new(fs.clone()), hadoop_opts(workers));
+    let (input, output) = (HPath::new("/in"), HPath::new("/out"));
+    let result = run_wordcount(&mut engine, WcStyle::FreshText, &input, &output, PARTS).unwrap();
+    Ran::new(&cluster, vec![result], part_bytes(&fs, "/out", PARTS))
+}
+
+#[test]
+fn fresh_text_wordcount_is_identical_on_m3r() {
+    let (never, always) = never_and_always(fresh_wc_m3r);
+    assert_same_jobs(&never, &always, "m3r fresh-text wordcount");
+    assert_eq!(never.totals.allocs, 720, "one allocation per token");
+}
+
+#[test]
+fn fresh_text_wordcount_is_identical_on_hadoop() {
+    let (never, always) = never_and_always(fresh_wc_hadoop);
+    assert_same_jobs(&never, &always, "hadoop fresh-text wordcount");
+    assert_eq!(never.totals.allocs, 720, "one allocation per token");
+}
+
+// ---------------------------------------------------------------------------
+// A failed job's counters
+// ---------------------------------------------------------------------------
+
+/// WordCount that bills one allocation per token, whose mapper fails on the
+/// token `poison` and whose reducer fails on partition `fail_partition`.
+struct DoomedWordCount {
+    fail_partition: Option<usize>,
+}
+
+struct PoisonMapper;
+
+impl TaskMapper<LongWritable, Text, Text, LongWritable> for PoisonMapper {
+    fn map(
+        &mut self,
+        _key: Arc<LongWritable>,
+        value: Arc<Text>,
+        out: &mut dyn OutputCollector<Text, LongWritable>,
+        _ctx: &mut TaskContext,
+    ) -> Result<()> {
+        for tok in value.as_str().split_whitespace() {
+            simgrid::meter::charge(simgrid::Charge::Alloc { objects: 1 });
+            if tok == "poison" {
+                return Err(HmrError::Io("injected map fault".into()));
+            }
+            out.collect(Arc::new(Text::from(tok)), Arc::new(LongWritable(1)))?;
+        }
+        Ok(())
+    }
+}
+
+struct PartitionFailReducer(Option<usize>);
+
+impl TaskReducer<Text, LongWritable, Text, LongWritable> for PartitionFailReducer {
+    fn reduce(
+        &mut self,
+        key: Arc<Text>,
+        values: &mut dyn Iterator<Item = Arc<LongWritable>>,
+        out: &mut dyn OutputCollector<Text, LongWritable>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
+        if ctx.partition().is_some() && ctx.partition() == self.0 {
+            return Err(HmrError::Io(format!("injected reduce fault at {key:?}")));
+        }
+        LongSumReducer.reduce(key, values, out, ctx)
+    }
+}
+
+impl JobDef for DoomedWordCount {
+    type K1 = LongWritable;
+    type V1 = Text;
+    type K2 = Text;
+    type V2 = LongWritable;
+    type K3 = Text;
+    type V3 = LongWritable;
+
+    fn create_mapper(
+        &self,
+        _conf: &JobConf,
+    ) -> Box<dyn TaskMapper<LongWritable, Text, Text, LongWritable>> {
+        Box::new(PoisonMapper)
+    }
+    fn create_reducer(
+        &self,
+        _conf: &JobConf,
+    ) -> Box<dyn TaskReducer<Text, LongWritable, Text, LongWritable>> {
+        Box::new(PartitionFailReducer(self.fail_partition))
+    }
+    fn input_format(&self, _conf: &JobConf) -> Box<dyn InputFormat<LongWritable, Text>> {
+        Box::new(hmr_api::io::TextInputFormat)
+    }
+    fn output_format(&self, _conf: &JobConf) -> Box<dyn OutputFormat<Text, LongWritable>> {
+        Box::new(SequenceFileOutputFormat::new())
+    }
+    fn immutable_output(&self) -> bool {
+        true
+    }
+}
+
+/// The cluster's metrics totals after `job` failed on `engine`, and
+/// whether any wave ran on worker threads.
+fn failed_totals(
+    engine: &str,
+    job: DoomedWordCount,
+    poison: bool,
+    workers: Workers,
+) -> (MetricsSnapshot, bool) {
+    let (cluster, fs) = fresh(PLACES);
+    write_wc_input(&fs);
+    if poison {
+        let poisoned = b"ant bear poison cat\ndoor\n";
+        hmr_api::fs::write_file(&fs, &HPath::new("/in/f6.txt"), poisoned).unwrap();
+    }
+    let (fs, job, conf) = (Arc::new(fs), Arc::new(job), wc_conf());
+    let err = match engine {
+        "m3r" => M3REngine::with_options(cluster.clone(), fs, m3r_opts(workers))
+            .run_job(job, &conf),
+        _ => HadoopEngine::with_options(cluster.clone(), fs, hadoop_opts(workers))
+            .run_job(job, &conf),
+    }
+    .expect_err("the job must fail");
+    assert!(matches!(err, HmrError::Io(_)), "{engine}: {err:?}");
+    (cluster.metrics().snapshot(), cluster.wave_paths().workers() > 0)
+}
+
+/// A snapshot as `[disk read, disk written, net, ser, deser, clone, allocs,
+/// sorted, startups, heartbeats, barriers, submits]`.
+fn counts(s: MetricsSnapshot) -> [u64; 12] {
+    [
+        s.disk_bytes_read,
+        s.disk_bytes_written,
+        s.net_bytes,
+        s.ser_bytes,
+        s.deser_bytes,
+        s.clone_bytes,
+        s.allocs,
+        s.records_sorted,
+        s.task_startups,
+        s.heartbeats,
+        s.barriers,
+        s.job_submits,
+    ]
+}
+
+/// A failed job leaves the same cluster totals on both wave paths, and the
+/// totals of a build that billed every charge straight to the cluster.
+fn assert_failed_totals(
+    job: impl Fn() -> DoomedWordCount,
+    poison: bool,
+    pinned: [(&str, [u64; 12]); 2],
+) {
+    for (engine, expected) in pinned {
+        let (never, never_on_workers) = failed_totals(engine, job(), poison, Workers::Never);
+        let (always, always_on_workers) = failed_totals(engine, job(), poison, Workers::Always);
+        assert!(!never_on_workers && always_on_workers, "{engine}: each mode took its path");
+        assert_eq!(never, always, "{engine}: failed job totals differ between wave paths");
+        assert_eq!(counts(never), expected, "{engine}: failed job totals moved");
+    }
+}
+
+#[test]
+fn a_reducer_failing_in_task_1_of_its_wave_keeps_every_count() {
+    // Partition p reduces at place p % 4, two per place in one wave:
+    // partition 4 is task 1 of place 0's wave.
+    let job = || DoomedWordCount {
+        fail_partition: Some(4),
+    };
+    assert_failed_totals(
+        job,
+        false,
+        [
+            ("m3r", [3312, 318, 20927, 10385, 13584, 0, 720, 720, 0, 0, 2, 0]),
+            ("hadoop", [10800, 9168, 10608, 9110, 10800, 0, 720, 1224, 11, 5, 0, 1]),
+        ],
+    );
+}
+
+#[test]
+fn a_failing_mapper_keeps_every_count() {
+    let job = || DoomedWordCount { fail_partition: None };
+    assert_failed_totals(
+        job,
+        true,
+        [
+            ("m3r", [3337, 0, 5888, 10272, 3337, 0, 723, 0, 0, 0, 1, 0]),
+            ("hadoop", [3412, 9072, 2560, 9172, 3412, 0, 732, 720, 10, 4, 0, 1]),
+        ],
+    );
 }
