@@ -61,8 +61,8 @@ pub const M3R_COUNTER_GROUP: &str = "m3r";
 /// and the input/output cache on; the `false`/`Off` settings exist for the
 /// ablation benches DESIGN.md calls out. Nothing here is a second copy of a
 /// setting with another home: the memory budget and overflow mode live on
-/// the cluster's accountant (`cluster.mem()`), the per-node buffer pools and
-/// arenas on the cluster, and per-job behaviour (place-level combining, the
+/// the cluster's accountant (`cluster.mem()`), the per-node buffer pools on
+/// the cluster, and per-job behaviour (place-level combining, the
 /// sort tunables) in the job's `JobConf`.
 #[derive(Clone, Debug)]
 pub struct M3ROptions {
@@ -474,7 +474,7 @@ impl M3REngine {
     /// blocking path, a [`Cluster::job_lane`] for server submissions) with
     /// `job_seq` as the engine-level job ordinal. Everything job-scoped
     /// (clocks, metrics deltas, trace job id) and everything node-scoped
-    /// (buffer pools, arenas) comes from `cluster`; the engine contributes
+    /// (buffer pools) comes from `cluster`; the engine contributes
     /// the long-lived M3R state — world, cache, distributed-cache memo.
     fn run_job_inner<J: JobDef>(
         &self,
@@ -973,7 +973,6 @@ fn run_map_task<J: JobDef>(
     convert: Option<MapOnlyConvert<J::K2, J::V2, J::K3, J::V3>>,
 ) -> Result<RoutedOutput<J>> {
     let (job, conf, fs, opts) = (&*run.job, &run.conf, &run.fs, &run.opts);
-    let arena = Some(run.cluster.arena(place));
     let mut ctx = run.task_ctx(format!("m3r_m_{si:06}"));
     ctx.set_split_tag(hmr_api::multi::split_tag(split));
 
@@ -1045,7 +1044,6 @@ fn run_map_task<J: JobDef>(
             num_parts,
             job.partitioner(conf),
             job.immutable_output(),
-            arena,
         )
     } else {
         MapOutputBuffer::with_capacity_hint(
@@ -1073,7 +1071,7 @@ fn run_map_task<J: JobDef>(
     for part in buffer.into_parts() {
         let records = part.len();
         let Some(combiner) = combiner.as_mut().filter(|_| records >= 2) else {
-            parts.push(part.into_pairs(arena));
+            parts.push(part.into_pairs());
             continue;
         };
         simgrid::meter::charge(Charge::Sort {
@@ -1082,8 +1080,8 @@ fn run_map_task<J: JobDef>(
         ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, records as i64);
         let mut out: hmr_api::collect::VecCollector<J::K2, J::V2> =
             hmr_api::collect::VecCollector::new();
-        part.into_grouped(&sort_cmp, &group_cmp, &run.tuning, arena)
-            .for_each_group(arena, |key, values| {
+        part.into_grouped(&sort_cmp, &group_cmp, &run.tuning)
+            .for_each_group(|key, values| {
                 combiner.reduce(key, values, &mut out, &mut ctx)
             })?;
         ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.pairs.len() as i64);
@@ -1271,7 +1269,6 @@ fn run_reduce_partition<J: JobDef>(
         partition,
         pairs,
         &run.tuning,
-        run.cluster.arena(place),
         || {},
         || {
             Ok(ReduceCollector {

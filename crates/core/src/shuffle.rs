@@ -22,7 +22,6 @@ use hmr_api::comparator::{
 use hmr_api::error::{HmrError, Result};
 use hmr_api::partition::Partitioner;
 use hmr_api::writable::{ByteReader, Writable};
-use simgrid::arena::{lease_vec, recycle_vec, Arena};
 use simgrid::cost::Charge;
 use simgrid::meter;
 use x10rt::serialize::{DedupMode, Deserializer, SerError, Serializer};
@@ -77,11 +76,9 @@ pub struct GroupedPart<K, V> {
 impl<K: Send + Sync + 'static, V: Send + Sync + 'static> GroupedPart<K, V> {
     /// Call `f` once per group, in order, with the group's key and an
     /// iterator that hands over (not clones) its values. Whatever `f`
-    /// leaves unread is dropped before the next group. The emptied vectors
-    /// go back to `arena`.
+    /// leaves unread is dropped before the next group.
     pub fn for_each_group(
         mut self,
-        arena: Option<&Arena>,
         mut f: impl FnMut(Arc<K>, &mut dyn Iterator<Item = Arc<V>>) -> Result<()>,
     ) -> Result<()> {
         let mut values = self.values.drain(..);
@@ -90,10 +87,6 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> GroupedPart<K, V> {
             f(key, &mut group)?;
             group.for_each(drop);
         }
-        drop(values);
-        recycle_vec(arena, self.keys);
-        recycle_vec(arena, self.counts);
-        recycle_vec(arena, self.values);
         Ok(())
     }
 }
@@ -103,38 +96,31 @@ where
     K: Writable + Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
-    fn new(arena: Option<&Arena>) -> Self {
+    fn new() -> Self {
         KeyGroups {
-            index: RawKeyIndex::with_capacity(0, arena),
-            keys: lease_vec(arena),
-            values: lease_vec(arena),
+            index: RawKeyIndex::with_capacity(0),
+            keys: Vec::new(),
+            values: Vec::new(),
         }
     }
 
     /// Back to plain pairs in arrival order; duplicates alias their
     /// group's key.
-    fn into_pairs(mut self, arena: Option<&Arena>) -> Vec<(Arc<K>, Arc<V>)> {
-        let pairs = self
-            .index
+    fn into_pairs(self) -> Vec<(Arc<K>, Arc<V>)> {
+        self.index
             .gid_of()
             .iter()
-            .zip(self.values.drain(..))
+            .zip(self.values)
             .map(|(&g, v)| (Arc::clone(&self.keys[g as usize]), v))
-            .collect();
-        self.index.recycle(arena);
-        recycle_vec(arena, self.keys);
-        recycle_vec(arena, self.values);
-        pairs
+            .collect()
     }
 
     /// Groups ascending by raw key, values scattered into group order.
-    fn into_grouped(mut self, tuning: &SortTuning, arena: Option<&Arena>) -> GroupedPart<K, V> {
-        let mut layout = self.index.layout(tuning, arena);
-        self.index.recycle(arena);
+    fn into_grouped(mut self, tuning: &SortTuning) -> GroupedPart<K, V> {
+        let mut layout = self.index.layout(tuning);
+        drop(self.index);
         apply_permutation(&mut self.values, &mut layout.records);
         apply_permutation(&mut self.keys, &mut layout.groups);
-        recycle_vec(arena, layout.records);
-        recycle_vec(arena, layout.groups);
         GroupedPart {
             keys: self.keys,
             counts: layout.counts,
@@ -162,10 +148,10 @@ where
     }
 
     /// The partition as plain pairs in arrival order.
-    pub fn into_pairs(self, arena: Option<&Arena>) -> Vec<(Arc<K>, Arc<V>)> {
+    pub fn into_pairs(self) -> Vec<(Arc<K>, Arc<V>)> {
         match self {
             MapPart::Pairs(pairs) => pairs,
-            MapPart::Groups(groups) => groups.into_pairs(arena),
+            MapPart::Groups(groups) => groups.into_pairs(),
         }
     }
 
@@ -178,24 +164,16 @@ where
         sort_cmp: &KeyComparator<K>,
         group_cmp: &KeyComparator<K>,
         tuning: &SortTuning,
-        arena: Option<&Arena>,
     ) -> GroupedPart<K, V> {
         match self {
-            MapPart::Groups(groups) => groups.into_grouped(tuning, arena),
+            MapPart::Groups(groups) => groups.into_grouped(tuning),
             MapPart::Pairs(mut pairs) => {
-                let spans = ingest_reduce_groups(&mut pairs, sort_cmp, group_cmp, tuning, arena);
-                let mut grouped = GroupedPart {
-                    keys: lease_vec(arena),
-                    counts: lease_vec(arena),
-                    values: lease_vec(arena),
-                };
-                for span in &spans {
-                    grouped.keys.push(Arc::clone(&pairs[span.start].0));
-                    grouped.counts.push(span.len() as u32);
+                let spans = ingest_reduce_groups(&mut pairs, sort_cmp, group_cmp, tuning, None);
+                GroupedPart {
+                    keys: spans.iter().map(|span| Arc::clone(&pairs[span.start].0)).collect(),
+                    counts: spans.iter().map(|span| span.len() as u32).collect(),
+                    values: pairs.into_iter().map(|(_, v)| v).collect(),
                 }
-                grouped.values.extend(pairs.drain(..).map(|(_, v)| v));
-                recycle_vec(arena, pairs);
-                grouped
             }
         }
     }
@@ -236,16 +214,15 @@ where
     /// worth it when a combiner will consume the groups. A partition whose
     /// keys turn out to have no raw sort form (or that outgrows the
     /// index's `u32` offsets) degrades to plain pairs, arrival order
-    /// intact. Scratch is leased from `arena` when one is given; nothing
-    /// is pre-sized, since the groups are a fraction of the input.
+    /// intact. Nothing is pre-sized, since the groups are a fraction of
+    /// the input.
     pub fn grouping(
         num_partitions: usize,
         partitioner: Box<dyn Partitioner<K, V>>,
         immutable: bool,
-        arena: Option<&Arena>,
     ) -> Self {
         Self::with_parts(num_partitions, partitioner, immutable, || {
-            MapPart::Groups(KeyGroups::new(arena))
+            MapPart::Groups(KeyGroups::new())
         })
     }
 
@@ -324,7 +301,7 @@ where
             // No raw sort form, or the index is full: this partition
             // carries on as plain pairs.
             let groups = std::mem::replace(part, MapPart::Pairs(Vec::new()));
-            *part = MapPart::Pairs(groups.into_pairs(None));
+            *part = MapPart::Pairs(groups.into_pairs());
         }
         if let MapPart::Pairs(pairs) = part {
             pairs.push((own(key, immutable), own(value, immutable)));
@@ -584,7 +561,7 @@ mod tests {
         let k = Arc::new(IntWritable(5));
         let v = Arc::new(BytesWritable(vec![1, 2, 3]));
         buf.collect(Arc::clone(&k), Arc::clone(&v)).unwrap();
-        let part = buf.into_parts().swap_remove(1).into_pairs(None);
+        let part = buf.into_parts().swap_remove(1).into_pairs();
         assert!(Arc::ptr_eq(&part[0].0, &k));
         assert!(Arc::ptr_eq(&part[0].1, &v));
     }
@@ -598,7 +575,7 @@ mod tests {
         simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
             let mut buf = MapOutputBuffer::new(4, modulo_partitioner(), false);
             buf.collect(Arc::clone(&k), Arc::clone(&v)).unwrap();
-            let part = buf.into_parts().swap_remove(1).into_pairs(None);
+            let part = buf.into_parts().swap_remove(1).into_pairs();
             assert!(!Arc::ptr_eq(&part[0].0, &k), "defensive copy");
             assert_eq!(*part[0].1, *v, "copy equals the original");
         });
@@ -617,8 +594,8 @@ mod tests {
     {
         let nat = KeyComparator::<K>::natural();
         let mut out = Vec::new();
-        part.into_grouped(&nat, &nat, &SortTuning::default(), None)
-            .for_each_group(None, |k, vs| {
+        part.into_grouped(&nat, &nat, &SortTuning::default())
+            .for_each_group(|k, vs| {
                 out.push((k, vs.collect()));
                 Ok(())
             })
@@ -628,7 +605,7 @@ mod tests {
 
     #[test]
     fn grouping_buffer_aliases_first_key_and_every_value() {
-        let mut buf = MapOutputBuffer::grouping(4, modulo_partitioner(), true, None);
+        let mut buf = MapOutputBuffer::grouping(4, modulo_partitioner(), true);
         // Partition 1 sees keys 9, 5, 9, 5, 9; each emit is a fresh Arc.
         let emitted: Vec<_> = [9, 5, 9, 5, 9]
             .iter()
@@ -685,7 +662,7 @@ mod tests {
             let before = cluster.metrics().snapshot();
             let groups = simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
                 let mut buf = if grouping {
-                    MapOutputBuffer::grouping(4, modulo_partitioner(), false, None)
+                    MapOutputBuffer::grouping(4, modulo_partitioner(), false)
                 } else {
                     MapOutputBuffer::new(4, modulo_partitioner(), false)
                 };
@@ -738,7 +715,7 @@ mod tests {
             buf.into_parts().swap_remove(0)
         };
         let one_part = || Box::new(FnPartitioner::new(|_: &Flaky, _: &IntWritable, _| 0));
-        let degraded = collect_all(MapOutputBuffer::grouping(1, one_part(), true, None));
+        let degraded = collect_all(MapOutputBuffer::grouping(1, one_part(), true));
         assert!(
             matches!(degraded, MapPart::Pairs(_)),
             "the fourth key declined"
@@ -754,7 +731,7 @@ mod tests {
             .collect();
         assert_eq!(
             flat(
-                collect_all(MapOutputBuffer::grouping(1, one_part(), true, None)).into_pairs(None)
+                collect_all(MapOutputBuffer::grouping(1, one_part(), true)).into_pairs()
             ),
             arrival
         );
@@ -777,7 +754,7 @@ mod tests {
 
     #[test]
     fn grouped_part_drops_values_the_callback_leaves_unread() {
-        let mut buf = MapOutputBuffer::grouping(1, modulo_partitioner(), true, None);
+        let mut buf = MapOutputBuffer::grouping(1, modulo_partitioner(), true);
         for (i, k) in [2, 1, 2, 1, 2].into_iter().enumerate() {
             buf.collect(
                 Arc::new(IntWritable(k)),
@@ -789,8 +766,8 @@ mod tests {
         let mut firsts = Vec::new();
         buf.into_parts()
             .swap_remove(0)
-            .into_grouped(&nat, &nat, &SortTuning::default(), None)
-            .for_each_group(None, |k, vs| {
+            .into_grouped(&nat, &nat, &SortTuning::default())
+            .for_each_group(|k, vs| {
                 firsts.push((k.0, vs.next().unwrap().0[0]));
                 Ok(())
             })
@@ -1022,7 +999,7 @@ mod prop_tests {
                     (Arc::new(Text::from(key)), Arc::new(IntWritable(i as i32)))
                 })
                 .collect();
-            let mut grouping = MapOutputBuffer::grouping(3, Box::new(HashPartitioner), true, None);
+            let mut grouping = MapOutputBuffer::grouping(3, Box::new(HashPartitioner), true);
             let mut plain = MapOutputBuffer::new(3, Box::new(HashPartitioner), true);
             for (k, v) in &emitted {
                 grouping.collect(Arc::clone(k), Arc::clone(v)).unwrap();
@@ -1032,7 +1009,7 @@ mod prop_tests {
             let decoded = SortTuning { raw_min_pairs: usize::MAX, hash_group: false };
             for (g, p) in grouping.into_parts().into_iter().zip(plain.into_parts()) {
                 prop_assert_eq!(g.len(), p.len());
-                let mut sorted = p.into_pairs(None);
+                let mut sorted = p.into_pairs();
                 sort_pairs_tuned(&mut sorted, &nat, &decoded, None);
                 let expect: Vec<_> = group_spans(&sorted, &nat)
                     .into_iter()
@@ -1042,8 +1019,8 @@ mod prop_tests {
                     })
                     .collect();
                 let mut got = Vec::new();
-                g.into_grouped(&nat, &nat, &SortTuning::default(), None)
-                    .for_each_group(None, |k, vs| {
+                g.into_grouped(&nat, &nat, &SortTuning::default())
+                    .for_each_group(|k, vs| {
                         got.push((k, vs.collect::<Vec<_>>()));
                         Ok(())
                     })

@@ -44,7 +44,7 @@ use hmr_api::task::{reduce_groups, reduce_partition};
 use hmr_api::writable::Writable;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
-use simgrid::{Arena, BufPool, Cluster, JobMem, MemClass, Meter, NodeId, Workers};
+use simgrid::{BufPool, Cluster, JobMem, MemClass, Meter, NodeId, Workers};
 
 use sortbuffer::{decode_segment, frame_record, SortBuffer};
 
@@ -54,7 +54,7 @@ pub const HADOOP_COUNTER_GROUP: &str = "hadoop";
 /// Tuning knobs of the simulated Hadoop *installation*. Per-job behaviour
 /// (node-level combining, the sort tunables) lives in the job's `JobConf`,
 /// the memory budget on the cluster's accountant (`cluster.mem()`), and the
-/// per-node buffer pools and arenas on the cluster.
+/// per-node buffer pools on the cluster.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
     /// Concurrent map tasks per node (paper testbed: 8 cores/node).
@@ -511,7 +511,7 @@ impl<J: JobDef> Run<'_, J> {
                     |partition: usize| {
                         trace::span(Phase::Reduce, "reduce", Some(partition as u64), || {
                             retry_attempts(self.engine.opts.max_task_attempts, || {
-                                self.reduce_task(map_outputs, partition, self.cluster.arena(node_id))
+                                self.reduce_task(map_outputs, partition)
                             })
                         })
                     },
@@ -543,7 +543,7 @@ impl<J: JobDef> Run<'_, J> {
         wave: &[usize],
         map_outputs: &mut [Vec<Bytes>],
     ) -> Result<Counters> {
-        let (cluster, held, arena) = (self.cluster, self.held, self.cluster.arena(node_id));
+        let (cluster, held) = (self.cluster, self.held);
         let mut combiner = self
             .job
             .create_combiner(self.conf)
@@ -580,7 +580,7 @@ impl<J: JobDef> Run<'_, J> {
                         }
                     }
                     held.grow(node_id, MemClass::Combine, in_bytes);
-                    let mut pairs: Vec<(Arc<J::K2>, Arc<J::V2>)> = arena.lease();
+                    let mut pairs: Vec<(Arc<J::K2>, Arc<J::V2>)> = Vec::new();
                     for &t in &contributing {
                         pairs.extend(decode_segment::<J::K2, J::V2>(&map_outputs[t][partition])?);
                     }
@@ -590,7 +590,7 @@ impl<J: JobDef> Run<'_, J> {
                         &sort_cmp,
                         &group_cmp,
                         &self.tuning,
-                        Some(arena),
+                        None,
                     );
                     ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, pairs.len() as i64);
                     let mut out: VecCollector<J::K2, J::V2> = VecCollector::new();
@@ -629,7 +629,6 @@ impl<J: JobDef> Run<'_, J> {
                     }
                     map_outputs[contributing[0]][partition] = seg;
                     held.shrink(node_id, MemClass::Combine, in_bytes);
-                    arena.recycle(pairs);
                 }
                 Ok(())
             })
@@ -736,7 +735,6 @@ impl<J: JobDef> Run<'_, J> {
         &self,
         map_outputs: &[Vec<Bytes>],
         partition: usize,
-        arena: &Arena,
     ) -> Result<(Counters, u64)> {
         simgrid::meter::charge(Charge::TaskStartup);
         let mut ctx = TaskContext::new(
@@ -746,11 +744,9 @@ impl<J: JobDef> Run<'_, J> {
         );
         ctx.set_partition(Some(partition));
 
-        // Shuffle fetch: every map task's segment for this partition. The
-        // pair vector is leased from the node's arena so successive reduce
-        // waves reuse grown capacity instead of re-allocating.
+        // Shuffle fetch: every map task's segment for this partition.
         let mut total_bytes = 0u64;
-        let mut pairs: Vec<(Arc<J::K2>, Arc<J::V2>)> = arena.lease();
+        let mut pairs: Vec<(Arc<J::K2>, Arc<J::V2>)> = Vec::new();
         trace::span(Phase::Shuffle, "fetch", Some(partition as u64), || -> Result<()> {
             for segments in map_outputs {
                 let Some(seg) = segments.get(partition) else {
@@ -776,7 +772,6 @@ impl<J: JobDef> Run<'_, J> {
             partition,
             pairs,
             &self.tuning,
-            arena,
             || {
                 if total_bytes as usize > self.engine.opts.sort_buffer_bytes {
                     // Out-of-core merge: one extra round trip through local disk.

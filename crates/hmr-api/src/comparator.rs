@@ -30,8 +30,6 @@ use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
-use simgrid::arena::{lease_vec, recycle_vec, Arena};
-
 use crate::conf::JobConf;
 use crate::writable::Writable;
 
@@ -93,25 +91,25 @@ impl<K> std::fmt::Debug for KeyComparator<K> {
     }
 }
 
-/// Raw sort keys for a run of keys, packed into caller-provided (possibly
-/// arena-leased) buffers (Hadoop's `RawComparator` design: sort serialized
-/// forms with memcmp, never deserialize to compare). Key `i`'s raw form is
-/// `arena[spans[i].0 as usize..spans[i].1 as usize]`. Returns `false` if
+/// Raw sort keys for a run of keys, packed into caller-provided buffers
+/// (Hadoop's `RawComparator` design: sort serialized forms with memcmp,
+/// never deserialize to compare). Key `i`'s raw form is
+/// `bytes[spans[i].0 as usize..spans[i].1 as usize]`. Returns `false` if
 /// any key lacks a memcmp-ordered raw form via
 /// [`Writable::write_raw_sort_key`], or if the raw forms outgrow the `u32`
 /// offsets the spans store; the buffers may then hold partial data and
-/// should be recycled or discarded.
+/// should be discarded.
 fn build_raw_keys_into<'a, K: Writable + 'a>(
     keys: impl Iterator<Item = &'a K>,
-    arena: &mut Vec<u8>,
+    bytes: &mut Vec<u8>,
     spans: &mut Vec<(u32, u32)>,
 ) -> bool {
     for key in keys {
-        let start = arena.len();
-        if !key.write_raw_sort_key(arena) {
+        let start = bytes.len();
+        if !key.write_raw_sort_key(bytes) {
             return false;
         }
-        let (Ok(start), Ok(end)) = (u32::try_from(start), u32::try_from(arena.len())) else {
+        let (Ok(start), Ok(end)) = (u32::try_from(start), u32::try_from(bytes.len())) else {
             return false;
         };
         spans.push((start, end));
@@ -121,7 +119,7 @@ fn build_raw_keys_into<'a, K: Writable + 'a>(
 
 /// Default for [`SortTuning::raw_min_pairs`], the one sort threshold:
 /// below this many pairs the decoded comparator sort runs; at or above it
-/// the raw-key pipeline does — key arena, `u64` prefixes, LSD radix over
+/// the raw-key pipeline does — key bytes, `u64` prefixes, LSD radix over
 /// the prefixes, full-raw fix-up on prefix ties.
 ///
 /// Derived from the crossover tables in DESIGN.md, "Byte path" ("Sort
@@ -132,7 +130,7 @@ fn build_raw_keys_into<'a, K: Writable + 'a>(
 /// path runs (×1.3–2.3 from 1 024 pairs up), which is why there is no
 /// second "raw but not radix" threshold. Two caveats keep small runs on the
 /// decoded path: keys whose decoded compare is register-cheap (fixed-width
-/// ints) do not repay the arena build on a few hundred pairs, and keys
+/// ints) do not repay the raw-key build on a few hundred pairs, and keys
 /// sharing a long common prefix degrade to the full-raw fix-up. Override
 /// per job with [`crate::conf::RAW_SORT_MIN_PAIRS`].
 pub const RAW_SORT_MIN_PAIRS: usize = 1024;
@@ -173,11 +171,18 @@ impl SortTuning {
     }
 }
 
+/// The type of the trailing argument of [`sort_pairs_tuned`] and
+/// [`ingest_reduce_groups`]. It has no values, so that argument is always
+/// `None`: every kernel allocates its scratch (raw keys, spans,
+/// permutation, radix buffers, index tables) itself and frees it when it
+/// returns. The argument is kept so that callers written against the form
+/// that took a shared scratch arena still compile.
+#[derive(Debug)]
+pub enum NoArena {}
+
 /// Sort `pairs` by key under `cmp`, stably — matching Hadoop, where equal
 /// keys keep their shuffle arrival order within a partition — with
-/// explicit tuning and an optional scratch [`Arena`] the transient buffers
-/// (raw-key arena, spans, permutation, radix scratch) are leased from and
-/// recycled into.
+/// explicit tuning.
 ///
 /// When `cmp` is the natural order, the run has at least
 /// `tuning.raw_min_pairs` pairs and the key type has a memcmp-ordered raw
@@ -191,32 +196,25 @@ pub fn sort_pairs_tuned<K: Writable, V>(
     pairs: &mut [(Arc<K>, V)],
     cmp: &KeyComparator<K>,
     tuning: &SortTuning,
-    arena: Option<&Arena>,
+    _: Option<&NoArena>,
 ) {
     // (Record indices are stored as `u32`; a longer run takes the fallback.)
     if cmp.is_natural() && pairs.len() >= tuning.raw_min_pairs && u32::try_from(pairs.len()).is_ok()
     {
-        let mut karena: Vec<u8> = lease_vec(arena);
-        let mut spans: Vec<(u32, u32)> = lease_vec(arena);
-        if build_raw_keys_into(pairs.iter().map(|(k, _)| &**k), &mut karena, &mut spans) {
+        let mut bytes = Vec::new();
+        let mut spans = Vec::with_capacity(pairs.len());
+        if build_raw_keys_into(pairs.iter().map(|(k, _)| &**k), &mut bytes, &mut spans) {
             let raw = |i: u32| {
                 let (s, e) = spans[i as usize];
-                &karena[s as usize..e as usize]
+                &bytes[s as usize..e as usize]
             };
-            let mut order: Vec<(u64, u32)> = lease_vec(arena);
-            order.extend((0..pairs.len() as u32).map(|i| (raw_prefix(raw(i)), i)));
-            radix_sort_by_raw(&mut order, raw, arena);
-            let mut perm: Vec<u32> = lease_vec(arena);
-            perm.extend(order.iter().map(|&(_, i)| i));
+            let mut order: Vec<(u64, u32)> =
+                (0..pairs.len() as u32).map(|i| (raw_prefix(raw(i)), i)).collect();
+            radix_sort_by_raw(&mut order, raw);
+            let mut perm: Vec<u32> = order.iter().map(|&(_, i)| i).collect();
             apply_permutation(pairs, &mut perm);
-            recycle_vec(arena, perm);
-            recycle_vec(arena, order);
-            recycle_vec(arena, spans);
-            recycle_vec(arena, karena);
             return;
         }
-        recycle_vec(arena, spans);
-        recycle_vec(arena, karena);
     }
     pairs.sort_by(|a, b| cmp.compare(&a.0, &b.0));
 }
@@ -229,14 +227,8 @@ pub fn sort_pairs_tuned<K: Writable, V>(
 /// passes are stable, so entries within an equal-prefix run still sit in
 /// ascending index and a *stable* sort of each such run by the full raw
 /// form alone finishes the order.
-fn radix_sort_by_raw<'a>(
-    entries: &mut Vec<(u64, u32)>,
-    raw: impl Fn(u32) -> &'a [u8],
-    arena: Option<&Arena>,
-) {
-    let mut scratch: Vec<(u64, u32)> = lease_vec(arena);
-    radix_sort_prefixes(entries, &mut scratch);
-    recycle_vec(arena, scratch);
+fn radix_sort_by_raw<'a>(entries: &mut Vec<(u64, u32)>, raw: impl Fn(u32) -> &'a [u8]) {
+    radix_sort_prefixes(entries);
     let mut i = 0;
     while i < entries.len() {
         let mut j = i + 1;
@@ -253,9 +245,10 @@ fn radix_sort_by_raw<'a>(
 /// LSD radix sort of `(prefix, index)` entries by the u64 prefix, least
 /// significant byte first. One scan builds all eight digit histograms;
 /// passes whose digit is constant across every entry are skipped (common
-/// for short or low-entropy keys). Counting passes are stable, so equal
+/// for short or low-entropy keys), and the ping-pong buffer is only
+/// allocated once a pass runs. Counting passes are stable, so equal
 /// prefixes keep their original (index-ascending) order.
-fn radix_sort_prefixes(entries: &mut Vec<(u64, u32)>, scratch: &mut Vec<(u64, u32)>) {
+fn radix_sort_prefixes(entries: &mut Vec<(u64, u32)>) {
     let n = entries.len();
     if n < 2 {
         return;
@@ -266,12 +259,12 @@ fn radix_sort_prefixes(entries: &mut Vec<(u64, u32)>, scratch: &mut Vec<(u64, u3
             h[((p >> (8 * d)) & 0xff) as usize] += 1;
         }
     }
-    scratch.clear();
-    scratch.resize(n, (0u64, 0u32));
+    let mut scratch = Vec::new();
     for (d, h) in hist.iter().enumerate() {
         if h.iter().any(|&c| c as usize == n) {
             continue; // every entry shares this digit
         }
+        scratch.resize(n, (0u64, 0u32));
         let mut offsets = [0u32; 256];
         let mut sum = 0u32;
         for (b, &c) in h.iter().enumerate() {
@@ -283,7 +276,7 @@ fn radix_sort_prefixes(entries: &mut Vec<(u64, u32)>, scratch: &mut Vec<(u64, u3
             scratch[offsets[b] as usize] = (p, i);
             offsets[b] += 1;
         }
-        std::mem::swap(entries, scratch);
+        std::mem::swap(entries, &mut scratch);
     }
 }
 
@@ -412,49 +405,26 @@ pub struct GroupLayout {
     pub records: Vec<u32>,
 }
 
-impl GroupLayout {
-    /// Return the scratch to `arena`.
-    pub fn recycle(self, arena: Option<&Arena>) {
-        recycle_vec(arena, self.records);
-        recycle_vec(arena, self.counts);
-        recycle_vec(arena, self.groups);
-    }
-}
-
 impl RawKeyIndex {
     /// An index sized for about `expected_groups` distinct keys (it grows
-    /// past that by doubling; an exact or over-estimate never rehashes),
-    /// with its vectors leased from `arena` when one is given.
-    pub fn with_capacity(expected_groups: usize, arena: Option<&Arena>) -> Self {
-        Self::with_limit(expected_groups, arena, u32::MAX as usize)
+    /// past that by doubling; an exact or over-estimate never rehashes).
+    pub fn with_capacity(expected_groups: usize) -> Self {
+        Self::with_limit(expected_groups, u32::MAX as usize)
     }
 
-    fn with_limit(expected_groups: usize, arena: Option<&Arena>, limit: usize) -> Self {
-        let mut slots: Vec<u64> = lease_vec(arena);
+    fn with_limit(expected_groups: usize, limit: usize) -> Self {
         let cap = expected_groups
             .saturating_mul(2)
             .next_power_of_two()
             .max(MIN_SLOTS);
-        slots.resize(cap, 0);
-        let mut offsets: Vec<u32> = lease_vec(arena);
-        offsets.push(0);
         RawKeyIndex {
-            slots,
-            bytes: lease_vec(arena),
-            offsets,
-            counts: lease_vec(arena),
-            gid_of: lease_vec(arena),
+            slots: vec![0; cap],
+            bytes: Vec::new(),
+            offsets: vec![0],
+            counts: Vec::new(),
+            gid_of: Vec::new(),
             limit,
         }
-    }
-
-    /// Return the index's vectors to `arena`.
-    pub fn recycle(self, arena: Option<&Arena>) {
-        recycle_vec(arena, self.gid_of);
-        recycle_vec(arena, self.counts);
-        recycle_vec(arena, self.offsets);
-        recycle_vec(arena, self.bytes);
-        recycle_vec(arena, self.slots);
     }
 
     /// Distinct keys interned so far.
@@ -488,7 +458,7 @@ impl RawKeyIndex {
             self.bytes.truncate(start);
             return None;
         }
-        // The candidate sits at the arena's tail: hash and compare it in
+        // The candidate sits at the byte buffer's tail: hash and compare it in
         // place, keep it only if it founds a group.
         let hash = fnv1a(&self.bytes[start..]);
         let tag = hash & SLOT_TAG;
@@ -555,24 +525,23 @@ impl RawKeyIndex {
     /// groups the reps take the same radix pass the raw sort path uses —
     /// only G entries wide, which is the whole advantage of grouping by
     /// hash; fewer are comparison-sorted.
-    pub fn layout(&self, tuning: &SortTuning, arena: Option<&Arena>) -> GroupLayout {
+    pub fn layout(&self, tuning: &SortTuning) -> GroupLayout {
         let groups = self.groups();
-        let mut group_order: Vec<(u64, u32)> = lease_vec(arena);
-        group_order.extend((0..groups as u32).map(|g| (raw_prefix(self.raw(g)), g)));
+        let mut group_order: Vec<(u64, u32)> =
+            (0..groups as u32).map(|g| (raw_prefix(self.raw(g)), g)).collect();
         if groups >= tuning.raw_min_pairs {
-            radix_sort_by_raw(&mut group_order, |g| self.raw(g), arena);
+            radix_sort_by_raw(&mut group_order, |g| self.raw(g));
         } else {
             group_order.sort_unstable_by(|a, b| {
                 a.0.cmp(&b.0).then_with(|| self.raw(a.1).cmp(self.raw(b.1)))
             });
         }
         let mut layout = GroupLayout {
-            groups: lease_vec(arena),
-            counts: lease_vec(arena),
-            records: lease_vec(arena),
+            groups: Vec::with_capacity(groups),
+            counts: Vec::with_capacity(groups),
+            records: vec![0; self.records()],
         };
-        let mut offset: Vec<u32> = lease_vec(arena); // group -> next free position
-        offset.resize(groups, 0);
+        let mut offset = vec![0u32; groups]; // group -> next free position
         let mut cursor = 0u32;
         for &(_, g) in &group_order {
             offset[g as usize] = cursor;
@@ -583,14 +552,11 @@ impl RawKeyIndex {
         }
         // Counting scatter in arrival order: each group's positions fill
         // front-to-back.
-        layout.records.resize(self.records(), 0);
         for (i, &g) in self.gid_of.iter().enumerate() {
             let at = &mut offset[g as usize];
             layout.records[*at as usize] = i as u32;
             *at += 1;
         }
-        recycle_vec(arena, offset);
-        recycle_vec(arena, group_order);
         layout
     }
 }
@@ -613,18 +579,16 @@ impl RawKeyIndex {
 pub fn hash_group_pairs<K: Writable, V>(
     pairs: &mut [(Arc<K>, V)],
     tuning: &SortTuning,
-    arena: Option<&Arena>,
 ) -> Option<Vec<Range<usize>>> {
     if pairs.is_empty() {
         return Some(Vec::new());
     }
-    let mut index = RawKeyIndex::with_capacity(pairs.len(), arena);
+    let mut index = RawKeyIndex::with_capacity(pairs.len());
     if pairs.iter().any(|(k, _)| index.intern(&**k).is_none()) {
-        index.recycle(arena);
         return None;
     }
-    let mut layout = index.layout(tuning, arena);
-    index.recycle(arena);
+    let mut layout = index.layout(tuning);
+    drop(index);
     let mut spans = Vec::with_capacity(layout.counts.len());
     let mut cursor = 0usize;
     for &c in &layout.counts {
@@ -632,7 +596,6 @@ pub fn hash_group_pairs<K: Writable, V>(
         cursor += c as usize;
     }
     apply_permutation(pairs, &mut layout.records);
-    layout.recycle(arena);
     Some(spans)
 }
 
@@ -653,14 +616,14 @@ pub fn ingest_reduce_groups<K: Writable, V>(
     sort_cmp: &KeyComparator<K>,
     group_cmp: &KeyComparator<K>,
     tuning: &SortTuning,
-    arena: Option<&Arena>,
+    _: Option<&NoArena>,
 ) -> Vec<Range<usize>> {
     if tuning.hash_group && sort_cmp.is_natural() && group_cmp.is_natural() {
-        if let Some(spans) = hash_group_pairs(pairs, tuning, arena) {
+        if let Some(spans) = hash_group_pairs(pairs, tuning) {
             return spans;
         }
     }
-    sort_pairs_tuned(pairs, sort_cmp, tuning, arena);
+    sort_pairs_tuned(pairs, sort_cmp, tuning, None);
     group_spans(pairs, group_cmp)
 }
 
@@ -684,7 +647,7 @@ mod tests {
         SortTuning { raw_min_pairs: usize::MAX, hash_group: false }
     }
 
-    /// [`sort_pairs_tuned`] under the default tuning, no arena.
+    /// [`sort_pairs_tuned`] under the default tuning.
     fn sort_pairs_by<K: Writable, V>(pairs: &mut [(Arc<K>, Arc<V>)], cmp: &KeyComparator<K>) {
         sort_pairs_tuned(pairs, cmp, &SortTuning::default(), None);
     }
@@ -823,7 +786,7 @@ mod tests {
                 .collect();
             let nat = KeyComparator::natural();
             let mut hashed = base.clone();
-            let hspans = hash_group_pairs(&mut hashed, &SortTuning::default(), None)
+            let hspans = hash_group_pairs(&mut hashed, &SortTuning::default())
                 .expect("Text has raw keys");
             let mut sorted = base;
             sort_pairs_tuned(&mut sorted, &nat, &decoded_tuning(), None);
@@ -876,34 +839,6 @@ mod tests {
         assert_eq!(first, vec![3, 5, 9], "secondary order survives the fallback");
     }
 
-    #[test]
-    fn ingest_with_arena_is_identical_and_recycles_scratch() {
-        let arena = simgrid::arena::Arena::new();
-        let mut seed = 123u64;
-        let base: Vec<(Arc<LongWritable>, Arc<IntWritable>)> = (0..6000)
-            .map(|i| {
-                (
-                    Arc::new(LongWritable((lcg(&mut seed) % 50) as i64)),
-                    Arc::new(IntWritable(i)),
-                )
-            })
-            .collect();
-        let nat = KeyComparator::natural();
-        let tuning = SortTuning::default();
-        let mut with = base.clone();
-        let swith = ingest_reduce_groups(&mut with, &nat, &nat, &tuning, Some(&arena));
-        let mut without = base.clone();
-        let swithout = ingest_reduce_groups(&mut without, &nat, &nat, &tuning, None);
-        assert_eq!(flat(&with), flat(&without));
-        assert_eq!(swith, swithout);
-        assert!(arena.retained_bytes() > 0, "scratch was recycled");
-        // A second run leases the warm scratch and still agrees.
-        let mut again = base;
-        let sagain = ingest_reduce_groups(&mut again, &nat, &nat, &tuning, Some(&arena));
-        assert_eq!(flat(&again), flat(&without));
-        assert_eq!(sagain, swithout);
-    }
-
     /// What a collect-time grouper does with the index: intern every key,
     /// keep the founding key of each group, then read the layout back as
     /// `(pairs in grouped order, spans)`.
@@ -911,7 +846,7 @@ mod tests {
         base: &[(Arc<K>, Arc<V>)],
         tuning: &SortTuning,
     ) -> (Vec<(K, V)>, Vec<Range<usize>>) {
-        let mut index = RawKeyIndex::with_capacity(0, None);
+        let mut index = RawKeyIndex::with_capacity(0);
         let mut keys: Vec<&Arc<K>> = Vec::new();
         for (k, _) in base {
             let (g, founded) = index.intern(&**k).expect("raw keys");
@@ -926,7 +861,7 @@ mod tests {
         }
         assert_eq!(index.groups(), keys.len());
         assert_eq!(index.records(), base.len());
-        let layout = index.layout(tuning, None);
+        let layout = index.layout(tuning);
         let pairs = layout
             .records
             .iter()
@@ -949,7 +884,7 @@ mod tests {
     fn index_interns_incrementally_across_table_doublings() {
         // 700 distinct keys from an empty (64-slot) index: five doublings,
         // every duplicate still finds its group afterwards.
-        let mut index = RawKeyIndex::with_capacity(0, None);
+        let mut index = RawKeyIndex::with_capacity(0);
         for round in 0..3 {
             for k in 0..700i32 {
                 let (g, founded) = index.intern(&IntWritable(k * 31)).unwrap();
@@ -981,11 +916,11 @@ mod tests {
     #[test]
     fn index_declines_instead_of_wrapping_or_guessing() {
         // Stubbed limit: 16 bytes of raw keys / 16 records.
-        let mut index = RawKeyIndex::with_limit(0, None, 16);
+        let mut index = RawKeyIndex::with_limit(0, 16);
         for k in 0..4 {
             assert_eq!(index.intern(&IntWritable(k)), Some((k as u32, true)));
         }
-        // A fifth distinct key would push the arena past the limit.
+        // A fifth distinct key would push the raw bytes past the limit.
         assert_eq!(index.intern(&IntWritable(4)), None);
         assert_eq!(
             (index.groups(), index.records()),
@@ -1003,7 +938,7 @@ mod tests {
         assert_eq!((index.groups(), index.records()), (4, 16));
 
         // A key without a raw form is declined too, partial bytes and all.
-        let mut index = RawKeyIndex::with_capacity(0, None);
+        let mut index = RawKeyIndex::with_capacity(0);
         assert_eq!(index.intern(&Flaky(1)), Some((0, true)));
         assert_eq!(index.intern(&Flaky(13)), None);
         assert_eq!(index.intern(&Flaky(1)), Some((0, false)));
@@ -1017,7 +952,7 @@ mod tests {
             .map(|i| (Arc::new(Flaky(39 - i)), Arc::new(IntWritable(i))))
             .collect();
         let mut declined = base.clone();
-        assert!(hash_group_pairs(&mut declined, &SortTuning::default(), None).is_none());
+        assert!(hash_group_pairs(&mut declined, &SortTuning::default()).is_none());
         assert_eq!(
             flat(&declined),
             flat(&base),
@@ -1136,7 +1071,7 @@ mod tests {
                 prop_assert_eq!(&pairs, &flat(&truth));
                 prop_assert_eq!(&spans, &tspans);
                 let mut batch = base;
-                let bspans = hash_group_pairs(&mut batch, &tuning, None).expect("raw keys");
+                let bspans = hash_group_pairs(&mut batch, &tuning).expect("raw keys");
                 prop_assert_eq!(flat(&batch), flat(&truth));
                 prop_assert_eq!(bspans, tspans);
             }
@@ -1158,7 +1093,7 @@ mod tests {
                 prop_assert_eq!(&pairs, &flat(&truth));
                 prop_assert_eq!(&spans, &tspans);
                 let mut batch = base;
-                let bspans = hash_group_pairs(&mut batch, &SortTuning::default(), None)
+                let bspans = hash_group_pairs(&mut batch, &SortTuning::default())
                     .expect("raw keys");
                 prop_assert_eq!(flat(&batch), flat(&truth));
                 prop_assert_eq!(bspans, tspans);
@@ -1177,7 +1112,7 @@ mod tests {
                 truth.sort_by(|a, b| a.0.cmp(&b.0));
                 let tspans = group_spans(&truth, &nat);
                 let mut hashed = base.clone();
-                let hspans = hash_group_pairs(&mut hashed, &radix_tuning(), None)
+                let hspans = hash_group_pairs(&mut hashed, &radix_tuning())
                     .expect("raw keys");
                 prop_assert_eq!(flat(&hashed), flat(&truth));
                 prop_assert_eq!(hspans, tspans);

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use simgrid::trace::{self, Phase};
-use simgrid::{Arena, Charge};
+use simgrid::Charge;
 
 use crate::collect::OutputCollector;
 use crate::comparator::{ingest_reduce_groups, SortTuning};
@@ -96,18 +96,16 @@ pub fn reduce_groups<K2, V2, K3, V3>(
 
 /// One reduce partition, from assembled input to a filled sink: the `Sort`
 /// span (billed per record whichever ingest kernel runs, so simulated time
-/// is independent of the path taken), the input counters, the job's reducer
-/// over every group under a `Compute` charge, and the pair vector recycled
-/// into `arena`. `spill` bills whatever the engine pays inside the sort
-/// span ahead of the sort itself (Hadoop's out-of-core merge); `open_sink`
-/// runs after the sort, where Hadoop opens its DFS writer.
-#[allow(clippy::too_many_arguments)]
+/// is independent of the path taken), the input counters, and the job's
+/// reducer over every group under a `Compute` charge. `spill` bills
+/// whatever the engine pays inside the sort span ahead of the sort itself
+/// (Hadoop's out-of-core merge); `open_sink` runs after the sort, where
+/// Hadoop opens its DFS writer.
 pub fn reduce_partition<J: JobDef, S: OutputCollector<J::K3, J::V3>>(
     job: &J,
     partition: usize,
     mut pairs: Vec<(Arc<J::K2>, Arc<J::V2>)>,
     tuning: &SortTuning,
-    arena: &Arena,
     spill: impl FnOnce(),
     open_sink: impl FnOnce() -> Result<S>,
     ctx: &mut TaskContext,
@@ -122,7 +120,7 @@ pub fn reduce_partition<J: JobDef, S: OutputCollector<J::K3, J::V3>>(
             &job.sort_comparator(),
             &job.grouping_comparator(),
             tuning,
-            Some(arena),
+            None,
         )
     });
     ctx.incr_task_counter(task_counter::REDUCE_INPUT_RECORDS, pairs.len() as i64);
@@ -137,7 +135,6 @@ pub fn reduce_partition<J: JobDef, S: OutputCollector<J::K3, J::V3>>(
     simgrid::meter::charge(Charge::Compute {
         seconds: compute_start.elapsed().as_secs_f64(),
     });
-    arena.recycle(pairs);
     Ok(sink)
 }
 

@@ -32,7 +32,6 @@
 //! its owners already keep — with Prometheus-style text and JSON export,
 //! also simulation-invisible.
 
-pub mod arena;
 pub mod bufpool;
 pub mod clock;
 pub mod cluster;
@@ -44,7 +43,6 @@ pub mod pool;
 pub mod telemetry;
 pub mod trace;
 
-pub use arena::{Arena, Scratch};
 pub use bufpool::BufPool;
 pub use clock::Clock;
 pub use cluster::{Cluster, Node, NodeId};

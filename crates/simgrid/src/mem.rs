@@ -42,14 +42,6 @@ pub enum MemClass {
     /// Place/node-level combine tables absorbing map output before the
     /// shuffle streams serialize it (transient within a map phase).
     Combine,
-    /// Per-wave scratch arena retention (recycled pair vectors and raw-key
-    /// buffers parked between waves, see [`crate::arena`]). Tracked for
-    /// observability but **excluded from [`MemAccountant::live`]**: leases
-    /// move these bytes onto worker threads mid-wave, so counting them
-    /// toward the place total would make budget gates and watermarks
-    /// depend on thread schedule and break the arena's bit-identity
-    /// contract (arena on/off must not change simulated behaviour).
-    Arena,
     /// Cross-job memoization entries (the `m3r-memo` reuse index): retained
     /// output partition sets and shuffle-stable map outputs keyed by job
     /// fingerprint. Budget-live like the cache — reuse must never blow the
@@ -59,7 +51,7 @@ pub enum MemClass {
 }
 
 impl MemClass {
-    const COUNT: usize = 6;
+    const COUNT: usize = 5;
 
     fn index(self) -> usize {
         match self {
@@ -67,8 +59,7 @@ impl MemClass {
             MemClass::Shuffle => 1,
             MemClass::Pool => 2,
             MemClass::Combine => 3,
-            MemClass::Arena => 4,
-            MemClass::Memo => 5,
+            MemClass::Memo => 4,
         }
     }
 
@@ -78,7 +69,6 @@ impl MemClass {
             MemClass::Shuffle => "shuffle",
             MemClass::Pool => "pool",
             MemClass::Combine => "combine",
-            MemClass::Arena => "arena",
             MemClass::Memo => "memo",
         }
     }
@@ -89,7 +79,6 @@ impl MemClass {
             MemClass::Shuffle,
             MemClass::Pool,
             MemClass::Combine,
-            MemClass::Arena,
             MemClass::Memo,
         ]
     }
@@ -126,15 +115,9 @@ struct PlaceMem {
 }
 
 impl PlaceMem {
-    /// Budget-relevant live bytes: every class except [`MemClass::Arena`]
-    /// (see its doc comment — arena retention is observability-only).
+    /// Live bytes across every class: each one counts toward the budget.
     fn live(&self) -> u64 {
-        self.classes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != MemClass::Arena.index())
-            .map(|(_, c)| c.load(Ordering::Relaxed))
-            .sum()
+        self.classes.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -156,8 +139,8 @@ struct MemInner {
 }
 
 /// Shared per-place memory accountant. `Clone` is shallow; the cluster's
-/// buffer pools and arenas, an engine's cache and its reuse index all hold
-/// handles onto the same tallies.
+/// buffer pools, an engine's cache and its reuse index all hold handles
+/// onto the same tallies.
 #[derive(Clone, Debug)]
 pub struct MemAccountant {
     inner: Arc<MemInner>,
@@ -624,16 +607,16 @@ mod tests {
     }
 
     #[test]
-    fn arena_bytes_are_visible_but_outside_the_budget_total() {
+    fn every_class_is_budget_live() {
         let mem = MemAccountant::new(1);
-        mem.grow(0, MemClass::Cache, 100);
-        mem.grow(0, MemClass::Arena, 4096);
-        assert_eq!(mem.live_class(0, MemClass::Arena), 4096);
-        assert_eq!(mem.live(0), 100, "arena retention is not budget-live");
-        assert_eq!(mem.high_watermark(0), 100);
-        assert!(mem.report_section().contains("arena:4096"));
-        mem.shrink(0, MemClass::Arena, 4096);
-        assert_eq!(mem.live_class(0, MemClass::Arena), 0);
+        for (i, class) in MemClass::all().into_iter().enumerate() {
+            mem.grow(0, class, 1 << i);
+        }
+        assert_eq!(mem.live(0), (1 << MemClass::COUNT) - 1, "no class sits outside the total");
+        assert_eq!(mem.high_watermark(0), mem.live(0));
+        assert!(mem
+            .report_section()
+            .contains("live=cache:1 shuffle:2 pool:4 combine:8 memo:16 hwm=31"));
     }
 
     #[test]

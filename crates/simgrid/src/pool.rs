@@ -178,13 +178,12 @@ pub fn wave_duration(scratches: &[Node]) -> f64 {
 /// exactly as if it had done it inline; spans `fold` records are rebased
 /// the same way.
 /// Then every task's ledger is published into [`Cluster::metrics`] in task
-/// order ([`Cluster::publish`]), the place clock advances by the slowest
-/// task ([`wave_duration`]) and the place's arena ([`Cluster::arena`]) is
-/// trimmed to its retention cap. The first task or fold error ends the wave
+/// order ([`Cluster::publish`]) and the place clock advances by the slowest
+/// task ([`wave_duration`]). The first task or fold error ends the wave
 /// there and is returned: every ledger is still published, the clock stays
-/// put, the arena is still trimmed, and the failing fold's spans are
-/// dropped with the scratch node that holds them. A panicking task or fold
-/// is resumed after every ledger is published.
+/// put, and the failing fold's spans are dropped with the scratch node that
+/// holds them. A panicking task or fold is resumed after every ledger is
+/// published.
 ///
 /// `task` and `fold` are generic closures: nothing on the per-task path is
 /// boxed or dynamically dispatched.
@@ -237,7 +236,6 @@ where
     if outcome.is_ok() {
         node.clock().advance(wave_duration(&scratches));
     }
-    cluster.arena(place).end_wave();
     outcome
 }
 

@@ -26,7 +26,10 @@
 //! engines), which bills one allocation per token from inside its tasks,
 //! and `Auto` itself just below and just above its threshold (both
 //! engines). Every comparison includes the cluster-wide `Metrics` totals,
-//! which tasks reach only through the ledger each wave publishes; jobs that
+//! which tasks reach only through the ledger each wave publishes, and every
+//! place's accounted bytes per memory class: a task's scratch is its own
+//! and gone when the call returns, so nothing a wave leaves in the
+//! accountant may depend on which thread ran which task; jobs that
 //! fail mid-wave (a reducer in task 1 of a 2-task wave, a mapper) must leave
 //! the same totals on both paths, and the ones pinned below.
 
@@ -47,7 +50,7 @@ use m3r::{M3REngine, M3ROptions};
 use simdfs::SimDfs;
 use simgrid::metrics::MetricsSnapshot;
 use simgrid::pool::WORKERS_MIN_JOB_BYTES;
-use simgrid::{Cluster, Workers};
+use simgrid::{Cluster, MemClass, Workers};
 use workloads::matvec::{generate_matvec_input, run_matvec_iterations};
 use workloads::microbench::{generate_microbench_input, run_microbench};
 use workloads::wordcount::{run_wordcount, WcStyle};
@@ -78,13 +81,24 @@ fn hadoop_opts(workers: Workers) -> EngineOptions {
     }
 }
 
+/// Every accounting class, in report order.
+const MEM_CLASSES: [MemClass; 5] = [
+    MemClass::Cache,
+    MemClass::Shuffle,
+    MemClass::Pool,
+    MemClass::Combine,
+    MemClass::Memo,
+];
+
 /// What one run leaves behind: what its jobs reported, the final output
-/// bytes, the cluster's metrics totals, and how many of its waves ran
-/// inline / on worker threads.
+/// bytes, the cluster's metrics totals, every place's accounted bytes per
+/// class and high watermark, and how many of its waves ran inline / on
+/// worker threads.
 struct Ran<R> {
     results: R,
     out: Vec<(String, bytes::Bytes)>,
     totals: MetricsSnapshot,
+    mem: Vec<([u64; MEM_CLASSES.len()], u64)>,
     inline: u64,
     on_workers: u64,
 }
@@ -93,10 +107,21 @@ impl<R> Ran<R> {
     fn new(cluster: &Cluster, results: R, out: Vec<(String, bytes::Bytes)>) -> Self {
         assert!(!out.is_empty(), "the run produced no output");
         let paths = cluster.wave_paths();
+        let mem = cluster.mem();
+        let mem = (0..mem.places())
+            .map(|p| {
+                let live = MEM_CLASSES.map(|class| mem.live_class(p, class));
+                assert_eq!(live.iter().sum::<u64>(), mem.live(p), "a class outside the place total");
+                let parked = mem.live_class(p, MemClass::Shuffle) + mem.live_class(p, MemClass::Combine);
+                assert_eq!(parked, 0, "a finished job left shuffle or combine bytes");
+                (live, mem.high_watermark(p))
+            })
+            .collect();
         Ran {
             results,
             out,
             totals: cluster.metrics().snapshot(),
+            mem,
             inline: paths.inline(),
             on_workers: paths.workers(),
         }
@@ -120,6 +145,7 @@ fn assert_same_jobs(a: &Ran<Vec<JobResult>>, b: &Ran<Vec<JobResult>>, what: &str
     }
     assert_eq!(a.out, b.out, "{what}: output bytes differ");
     assert_eq!(a.totals, b.totals, "{what}: cluster metrics totals differ");
+    assert_eq!(a.mem, b.mem, "{what}: accounted bytes differ");
 }
 
 // ---------------------------------------------------------------------------
