@@ -11,7 +11,7 @@ use hmr_api::partition::FnPartitioner;
 use hmr_api::writable::{BytesWritable, IntWritable};
 use hmr_api::HPath;
 use m3r::{DedupMode, M3REngine, M3ROptions};
-use m3r_bench::{fresh, secs, BenchReport, NODES};
+use m3r_bench::{secs, BenchReport, NODES};
 use std::sync::Arc;
 use workloads::matvec::{generate_matvec_input, run_matvec_iterations};
 use workloads::microbench::{generate_microbench_input, run_microbench};
@@ -38,7 +38,7 @@ fn dedup_ablation(report: &mut BenchReport) {
         ("consecutive", DedupMode::Consecutive),
         ("off", DedupMode::Off),
     ] {
-        let (cluster, fs) = fresh(NODES, 1.0);
+        let (cluster, fs) = m3r_bench::cluster(NODES);
         let (n, block) = (8_000usize, 100);
         generate_matvec_input(&fs, &HPath::new("/g"), &HPath::new("/v"), n, block, 0.001, NODES, 42)
             .unwrap();
@@ -77,7 +77,7 @@ fn dedup_ablation(report: &mut BenchReport) {
 fn stability_ablation(report: &mut BenchReport) {
     let mut rows = Vec::new();
     for (label, stable) in [("stable", true), ("unstable", false)] {
-        let (cluster, fs) = fresh(NODES, 1.0);
+        let (cluster, fs) = m3r_bench::cluster(NODES);
         generate_microbench_input(&fs, &HPath::new("/in"), 20_000, 1_000, NODES, 42).unwrap();
         let mut engine = engine_with(
             M3ROptions {
@@ -121,7 +121,7 @@ fn stability_ablation(report: &mut BenchReport) {
 fn cache_ablation(report: &mut BenchReport) {
     let mut rows = Vec::new();
     for (label, cache) in [("cache_on", true), ("cache_off", false)] {
-        let (cluster, fs) = fresh(NODES, 1.0);
+        let (cluster, fs) = m3r_bench::cluster(NODES);
         generate_microbench_input(&fs, &HPath::new("/in"), 20_000, 1_000, NODES, 42).unwrap();
         let mut engine = engine_with(
             M3ROptions {
@@ -161,7 +161,7 @@ fn immutable_ablation(report: &mut BenchReport) {
         ("immutable", WcStyle::FreshText),
         ("cloning", WcStyle::ReuseText),
     ] {
-        let (cluster, fs) = fresh(NODES, 1.0);
+        let (cluster, fs) = m3r_bench::cluster(NODES);
         generate_text(&fs, &HPath::new("/in/c.txt"), 4 << 20, 5).unwrap();
         let mut engine = M3REngine::new(cluster, Arc::new(fs));
         let r = run_wordcount(&mut engine, style, &HPath::new("/in"), &HPath::new("/out"), NODES)

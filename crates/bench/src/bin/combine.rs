@@ -21,7 +21,7 @@ use hmr_api::conf::JobConf;
 use hmr_api::job::{Engine, JobResult};
 use hmr_api::HPath;
 use m3r::M3REngine;
-use m3r_bench::{fresh, secs, write_bench_file, BenchReport};
+use m3r_bench::{secs, write_bench_file, BenchReport};
 use simdfs::SimDfs;
 use workloads::microbench::{generate_microbench_input, MicrobenchJob};
 use workloads::wordcount::{WcStyle, WordCountJob};
@@ -155,7 +155,7 @@ fn submit<E: Engine>(engine: &mut E, workload: &str, combine: bool) -> JobResult
 
 /// One measured run on a fresh cluster.
 fn measure(workload: &'static str, engine: &'static str, combine: bool) -> Run {
-    let (cluster, fs) = fresh(NODES, 0.0);
+    let (cluster, fs) = m3r_bench::cluster(NODES);
     match workload {
         "microbench" => {
             generate_microbench_input(&fs, &HPath::new("/in"), MB_PAIRS, MB_VALUE_BYTES, PARTS, 42)

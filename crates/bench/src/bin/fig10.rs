@@ -3,7 +3,7 @@
 //! here), Hadoop vs M3R.
 
 use hmr_api::HPath;
-use m3r_bench::{fresh, secs, BenchReport, NODES};
+use m3r_bench::{secs, BenchReport, NODES};
 use std::sync::Arc;
 use sysml::block::generate_blocked_sparse;
 use sysml::dense::DenseMatrix;
@@ -22,7 +22,7 @@ fn main() {
     for &n in &point_counts {
         let mut cells = vec![n.to_string()];
         for engine_kind in ["hadoop", "m3r"] {
-            let (cluster, fs) = fresh(NODES, 1.0);
+            let (cluster, fs) = m3r_bench::cluster(NODES);
             generate_blocked_sparse(&fs, &HPath::new("/x"), n, VARS, BLOCK, SPARSITY, PARTS, 42)
                 .unwrap();
             let y = DenseMatrix::from_vec(n, 1, (0..n).map(|i| ((i % 13) as f64) - 6.0).collect())

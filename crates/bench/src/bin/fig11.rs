@@ -2,7 +2,7 @@
 //! link matrix G), Hadoop vs M3R.
 
 use hmr_api::HPath;
-use m3r_bench::{fresh, secs, BenchReport, NODES};
+use m3r_bench::{secs, BenchReport, NODES};
 use std::sync::Arc;
 use sysml::block::generate_blocked_sparse;
 use sysml::pagerank::run_pagerank;
@@ -19,7 +19,7 @@ fn main() {
     for &n in &graph_sizes {
         let mut cells = vec![n.to_string()];
         for engine_kind in ["hadoop", "m3r"] {
-            let (cluster, fs) = fresh(NODES, 1.0);
+            let (cluster, fs) = m3r_bench::cluster(NODES);
             generate_blocked_sparse(&fs, &HPath::new("/g"), n, n, BLOCK, SPARSITY, PARTS, 42)
                 .unwrap();
             let time = if engine_kind == "hadoop" {

@@ -9,13 +9,13 @@
 use hmr_api::partition::FnPartitioner;
 use hmr_api::writable::{BytesWritable, IntWritable};
 use hmr_api::HPath;
-use m3r_bench::{fresh, secs, BenchReport, NODES};
+use m3r_bench::{secs, BenchReport, NODES};
 use std::sync::Arc;
 use workloads::microbench::{generate_microbench_input, run_microbench};
 
 // The microbenchmark does no per-pair CPU work (§6.1 measures pure
-// communication), so the harness runs with compute_scale = 0: the series
-// are the deterministic cost-model component only.
+// communication): it charges no modeled compute, so the series are I/O,
+// network, serialization and startup costs only.
 const PAIRS: usize = 50_000;
 const VALUE_BYTES: usize = 2_000;
 const PARTS: usize = NODES;
@@ -28,7 +28,7 @@ fn main() {
 
     for &frac in &fractions {
         // --- Hadoop -------------------------------------------------------
-        let (cluster, fs) = fresh(NODES, 0.0);
+        let (cluster, fs) = m3r_bench::cluster(NODES);
         generate_microbench_input(&fs, &HPath::new("/in"), PAIRS, VALUE_BYTES, PARTS, 42)
             .unwrap();
         let mut hadoop = hadoop_engine::HadoopEngine::new(cluster, Arc::new(fs));
@@ -50,7 +50,7 @@ fn main() {
         );
 
         // --- M3R ----------------------------------------------------------
-        let (cluster, fs) = fresh(NODES, 0.0);
+        let (cluster, fs) = m3r_bench::cluster(NODES);
         generate_microbench_input(&fs, &HPath::new("/in"), PAIRS, VALUE_BYTES, PARTS, 42)
             .unwrap();
         let mut engine = m3r::M3REngine::new(cluster, Arc::new(fs));

@@ -9,7 +9,7 @@
 //! row partitioner so only the inherent V broadcast communicates.
 
 use hmr_api::HPath;
-use m3r_bench::{fresh, secs, BenchReport, NODES};
+use m3r_bench::{secs, BenchReport, NODES};
 use std::sync::Arc;
 use workloads::matvec::{generate_matvec_input, row_partitioner, run_matvec_iterations};
 
@@ -30,7 +30,7 @@ fn main() {
         let row_blocks = n.div_ceil(BLOCK);
 
         // --- Hadoop -------------------------------------------------------
-        let (cluster, fs) = fresh(NODES, 1.0);
+        let (cluster, fs) = m3r_bench::cluster(NODES);
         generate_matvec_input(&fs, &HPath::new("/g"), &HPath::new("/v"), n, BLOCK, SPARSITY, PARTS, 42)
             .unwrap();
         let mut hadoop = hadoop_engine::HadoopEngine::new(cluster, Arc::new(fs));
@@ -46,7 +46,7 @@ fn main() {
         .unwrap();
 
         // --- M3R ----------------------------------------------------------
-        let (cluster, fs) = fresh(NODES, 1.0);
+        let (cluster, fs) = m3r_bench::cluster(NODES);
         generate_matvec_input(&fs, &HPath::new("/g"), &HPath::new("/v"), n, BLOCK, SPARSITY, PARTS, 42)
             .unwrap();
         let mut engine = m3r::M3REngine::new(cluster.clone(), Arc::new(fs));

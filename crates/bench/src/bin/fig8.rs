@@ -8,7 +8,7 @@
 //! churn), since none of M3R's other optimizations apply to this job.
 
 use hmr_api::HPath;
-use m3r_bench::{fresh, secs, BenchReport, NODES};
+use m3r_bench::{secs, BenchReport, NODES};
 use std::sync::Arc;
 use workloads::textgen::generate_text;
 use workloads::wordcount::{run_wordcount, WcStyle};
@@ -26,7 +26,7 @@ fn main() {
             ("hadoop", WcStyle::ReuseText),
             ("m3r", WcStyle::FreshText),
         ] {
-            let (cluster, fs) = fresh(NODES, 1.0);
+            let (cluster, fs) = m3r_bench::cluster(NODES);
             // The corpus is split across files so every node maps a share.
             for f in 0..NODES {
                 generate_text(

@@ -3,7 +3,7 @@
 //! 1000 — scaled here), Hadoop vs M3R running the *identical* job sequence.
 
 use hmr_api::HPath;
-use m3r_bench::{fresh, secs, BenchReport, NODES};
+use m3r_bench::{secs, BenchReport, NODES};
 use std::sync::Arc;
 use sysml::block::generate_blocked_sparse;
 use sysml::gnmf::run_gnmf;
@@ -22,7 +22,7 @@ fn main() {
     for &n in &row_counts {
         let mut cells = vec![n.to_string()];
         for engine_kind in ["hadoop", "m3r"] {
-            let (cluster, fs) = fresh(NODES, 1.0);
+            let (cluster, fs) = m3r_bench::cluster(NODES);
             generate_blocked_sparse(&fs, &HPath::new("/v"), n, COLS, BLOCK, SPARSITY, PARTS, 42)
                 .unwrap();
             let time = if engine_kind == "hadoop" {

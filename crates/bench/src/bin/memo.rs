@@ -11,7 +11,8 @@
 //! * the hit's output bytes are identical to the first run's;
 //! * hit/miss counts are exact (every eligible submission counts one);
 //! * a **cold** run with memoization enabled is sim-bit-identical
-//!   (`f64::to_bits`) to one with it disabled — recording is free;
+//!   (`f64::to_bits`) to one with it disabled — recording is free (the
+//!   memo-on and memo-off first runs are that pair);
 //! * the headline: a memoized resubmission costs fewer simulated seconds
 //!   than rerunning.
 //!
@@ -21,7 +22,7 @@ use hadoop_engine::{EngineOptions, HadoopEngine};
 use hmr_api::job::Engine;
 use hmr_api::{FileSystem, HPath};
 use m3r::{M3REngine, M3ROptions};
-use m3r_bench::{fresh, secs, BenchReport, NODES};
+use m3r_bench::{secs, BenchReport, NODES};
 use simdfs::SimDfs;
 use simgrid::trace::Phase;
 use simgrid::Cluster;
@@ -109,18 +110,6 @@ fn assert_replayed(
     Replay { hits, misses, hit_map_spans, hit_shuffle_spans }
 }
 
-/// A cold run with memoization on must reproduce the memo-off clock
-/// exactly — recording costs nothing. `cold_run` must use
-/// `compute_scale = 0`: at 1.0 the clock folds in *measured* user-compute
-/// wall time, which is never bit-reproducible run to run.
-fn assert_cold_bits_equal(what: &str, cold_run: impl Fn(bool) -> f64) {
-    let (on, off) = (cold_run(true), cold_run(false));
-    assert!(
-        on.to_bits() == off.to_bits(),
-        "{what} cold run must be sim-bit-identical memo-on vs memo-off: {on} vs {off}"
-    );
-}
-
 /// Resubmitted WordCount on one engine kind: `make(cluster, fs, memoize)`
 /// builds it, `counts` reads its index's `(hits, misses)`.
 fn wordcount_outcome<E: Engine>(
@@ -133,7 +122,7 @@ fn wordcount_outcome<E: Engine>(
     let run = |e: &mut E| run_wordcount(e, WcStyle::FreshText, &input, &out, PARTS).unwrap();
 
     // ---- memoization on: run, resubmit (hits), inspect -------------------
-    let (cluster, fs) = fresh(NODES, 1.0);
+    let (cluster, fs) = m3r_bench::cluster(NODES);
     cluster.trace().enable();
     wc_input(&fs);
     let mut e = make(cluster.clone(), fs.clone(), true);
@@ -145,18 +134,15 @@ fn wordcount_outcome<E: Engine>(
     let replay = assert_replayed(engine, &cluster, 1..2, resub.sim_time, counts(&e));
 
     // ---- memoization off: resubmission baseline --------------------------
-    let (cluster_off, fs_off) = fresh(NODES, 1.0);
+    let (cluster_off, fs_off) = m3r_bench::cluster(NODES);
     wc_input(&fs_off);
     let mut e = make(cluster_off, fs_off.clone(), false);
-    run(&mut e);
+    // Recording is free: the memo-on first run is the memo-off one, bit
+    // for bit.
+    let first_off = run(&mut e);
+    assert_eq!(first.sim_time.to_bits(), first_off.sim_time.to_bits(), "{engine} cold run");
     fs_off.delete(&out, true).unwrap();
     let resub_off = run(&mut e);
-
-    assert_cold_bits_equal(engine, |memoize| {
-        let (cluster, fs) = fresh(NODES, 0.0);
-        wc_input(&fs);
-        run(&mut make(cluster, fs, memoize)).sim_time
-    });
 
     Outcome {
         workload: "wordcount",
@@ -180,8 +166,8 @@ fn pagerank_outcome<E: Engine>(
 ) -> Outcome {
     let g = HPath::new("/g");
     let w = HPath::new("/w");
-    let staged = |compute_scale: f64| {
-        let (cluster, fs) = fresh(NODES, compute_scale);
+    let staged = || {
+        let (cluster, fs) = m3r_bench::cluster(NODES);
         generate_blocked_sparse(&fs, &g, PR_N, PR_N, BLOCK, SPARSITY, PARTS, 42).unwrap();
         (cluster, fs)
     };
@@ -189,7 +175,7 @@ fn pagerank_outcome<E: Engine>(
         run_pagerank(e, fs, &g, &w, PR_N, BLOCK, PARTS, ITERS, 0.85).unwrap()
     };
 
-    let (cluster, fs) = staged(1.0);
+    let (cluster, fs) = staged();
     cluster.trace().enable();
     let mut e = make(cluster.clone(), fs.clone(), true);
     let first = run(&mut e, &fs);
@@ -200,15 +186,12 @@ fn pagerank_outcome<E: Engine>(
     let replay = assert_replayed(&what, &cluster, n..2 * n, resub.total_sim_time(), counts(&e));
 
     // Memo-off resubmission baseline.
-    let (cluster_off, fs_off) = staged(1.0);
+    let (cluster_off, fs_off) = staged();
     let mut e = make(cluster_off, fs_off.clone(), false);
-    run(&mut e, &fs_off);
+    let first_off = run(&mut e, &fs_off);
+    let (on, off) = (first.total_sim_time(), first_off.total_sim_time());
+    assert_eq!(on.to_bits(), off.to_bits(), "{what} cold run");
     let resub_off = run(&mut e, &fs_off);
-
-    assert_cold_bits_equal(&what, |memoize| {
-        let (cluster, fs) = staged(0.0);
-        run(&mut make(cluster, fs.clone(), memoize), &fs).total_sim_time()
-    });
 
     Outcome {
         workload: "pagerank",

@@ -25,7 +25,7 @@ use hadoop_engine::HadoopEngine;
 use hmr_api::partition::FnPartitioner;
 use hmr_api::writable::{BytesWritable, IntWritable};
 use hmr_api::HPath;
-use m3r_bench::{fresh, secs, write_bench_file, BenchReport};
+use m3r_bench::{secs, write_bench_file, BenchReport};
 use m3r::{M3REngine, M3ROptions, OomMode, PolicyKind};
 use std::sync::Arc;
 use workloads::microbench::{generate_microbench_input, run_microbench};
@@ -50,7 +50,7 @@ struct RunStats {
 /// phase (after repartition + purge + reset), so every row pays the same
 /// setup and the sweep isolates the governance cost.
 fn m3r_run(budget: Option<u64>, policy: PolicyKind, oom: OomMode) -> Result<RunStats, String> {
-    let (cluster, fs) = fresh(NODES, 0.0);
+    let (cluster, fs) = m3r_bench::cluster(NODES);
     generate_microbench_input(&fs, &HPath::new("/in"), PAIRS, VALUE_BYTES, PARTS, 42).unwrap();
     let mut engine = M3REngine::with_options(
         cluster.clone(),
@@ -106,7 +106,7 @@ fn m3r_run(budget: Option<u64>, policy: PolicyKind, oom: OomMode) -> Result<RunS
 /// iteration round-trips the DFS, which is the floor the tightest budget
 /// degrades toward.
 fn hadoop_run() -> f64 {
-    let (cluster, fs) = fresh(NODES, 0.0);
+    let (cluster, fs) = m3r_bench::cluster(NODES);
     generate_microbench_input(&fs, &HPath::new("/in"), PAIRS, VALUE_BYTES, PARTS, 42).unwrap();
     let mut engine = HadoopEngine::new(cluster.clone(), Arc::new(fs));
     run_microbench(

@@ -9,7 +9,7 @@
 use hmr_api::partition::FnPartitioner;
 use hmr_api::writable::{BytesWritable, IntWritable};
 use hmr_api::HPath;
-use m3r_bench::{fresh, secs, BenchReport, NODES};
+use m3r_bench::{secs, BenchReport, NODES};
 use std::sync::Arc;
 use workloads::microbench::{generate_microbench_input, run_microbench};
 
@@ -18,7 +18,7 @@ const VALUE_BYTES: usize = 1_000;
 const PARTS: usize = NODES;
 
 fn main() {
-    let (cluster, fs) = fresh(NODES, 1.0);
+    let (cluster, fs) = m3r_bench::cluster(NODES);
     generate_microbench_input(&fs, &HPath::new("/in"), PAIRS, VALUE_BYTES, PARTS, 42).unwrap();
     let mut engine = m3r::M3REngine::new(cluster.clone(), Arc::new(fs));
 

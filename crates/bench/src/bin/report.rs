@@ -20,7 +20,7 @@
 use hmr_api::partition::FnPartitioner;
 use hmr_api::writable::{BytesWritable, IntWritable};
 use hmr_api::HPath;
-use m3r_bench::{fresh, write_bench_file};
+use m3r_bench::write_bench_file;
 use simgrid::trace::Phase;
 use simgrid::Cluster;
 use std::sync::Arc;
@@ -80,7 +80,7 @@ fn export(workload: &str, engine: &str, cluster: &Cluster) {
 }
 
 fn microbench_hadoop() {
-    let (cluster, fs) = fresh(NODES, 0.0);
+    let (cluster, fs) = m3r_bench::cluster(NODES);
     generate_microbench_input(&fs, &HPath::new("/in"), PAIRS, VALUE_BYTES, PARTS, 42).unwrap();
     cluster.trace().enable();
     let mut engine = hadoop_engine::HadoopEngine::new(cluster.clone(), Arc::new(fs));
@@ -99,7 +99,7 @@ fn microbench_hadoop() {
 }
 
 fn microbench_m3r() {
-    let (cluster, fs) = fresh(NODES, 0.0);
+    let (cluster, fs) = m3r_bench::cluster(NODES);
     generate_microbench_input(&fs, &HPath::new("/in"), PAIRS, VALUE_BYTES, PARTS, 42).unwrap();
     let mut engine = m3r::M3REngine::new(cluster.clone(), Arc::new(fs));
     // The fig6 protocol: repartition into the stable layout, purge the
@@ -134,7 +134,7 @@ fn microbench_m3r() {
 }
 
 fn matvec_hadoop() {
-    let (cluster, fs) = fresh(NODES, 1.0);
+    let (cluster, fs) = m3r_bench::cluster(NODES);
     generate_matvec_input(
         &fs,
         &HPath::new("/g"),
@@ -168,7 +168,7 @@ fn wordcount_memo_m3r() {
     use workloads::textgen::generate_text;
     use workloads::wordcount::{run_wordcount, WcStyle};
 
-    let (cluster, fs) = fresh(NODES, 0.0);
+    let (cluster, fs) = m3r_bench::cluster(NODES);
     for f in 0..NODES {
         generate_text(&fs, &HPath::new(format!("/in/part-{f:03}.txt")), 64 << 10, 7 + f as u64)
             .unwrap();
@@ -201,7 +201,7 @@ fn wordcount_memo_m3r() {
 }
 
 fn matvec_m3r() {
-    let (cluster, fs) = fresh(NODES, 1.0);
+    let (cluster, fs) = m3r_bench::cluster(NODES);
     generate_matvec_input(
         &fs,
         &HPath::new("/g"),

@@ -25,7 +25,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -374,23 +373,25 @@ struct Run<J: JobDef> {
     /// how the place threads happen to interleave.
     streams: Vec<Vec<Mutex<Option<StreamPayload>>>>,
     counters: Mutex<Counters>,
-    error: Mutex<Option<HmrError>>,
+    /// The lowest failing place's error, with that place: which place's
+    /// error is reported must not depend on which one failed first.
+    error: Mutex<Option<(usize, HmrError)>>,
     output_records: AtomicU64,
 }
 
 impl<J: JobDef> Run<J> {
-    fn record(&self, r: Result<()>) {
+    fn record(&self, place: usize, r: Result<()>) {
         if let Err(e) = r {
             let mut slot = self.error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
+            if slot.as_ref().is_none_or(|(p, _)| place < *p) {
+                *slot = Some((place, e));
             }
         }
     }
 
     fn check(&self) -> Result<()> {
         match self.error.lock().take() {
-            Some(e) => Err(e),
+            Some((_, e)) => Err(e),
             None => Ok(()),
         }
     }
@@ -641,7 +642,7 @@ impl M3REngine {
                     fin.at(place, move |_pc| {
                         let r =
                             map_phase_at_place(&run, place, &splits, &per_place[place], convert);
-                        run.record(r);
+                        run.record(place, r);
                     });
                 }
             });
@@ -667,7 +668,7 @@ impl M3REngine {
                     let capture = capture.as_ref().map(|(_, parts)| Arc::clone(parts));
                     fin.at(place, move |_pc| {
                         let r = reduce_phase_at_place(&run, place, replay, capture.as_deref());
-                        run.record(r);
+                        run.record(place, r);
                     });
                 }
             });
@@ -1054,15 +1055,11 @@ fn run_map_task<J: JobDef>(
         )
     };
     let mut mapper = job.create_mapper(conf);
-    let compute_start = Instant::now();
     mapper.setup(&mut ctx)?;
     for (k, v) in &pairs.pairs {
         mapper.map(Arc::clone(k), Arc::clone(v), &mut buffer, &mut ctx)?;
     }
     mapper.cleanup(&mut buffer, &mut ctx)?;
-    simgrid::meter::charge(Charge::Compute {
-        seconds: compute_start.elapsed().as_secs_f64(),
-    });
     ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, pairs.pairs.len() as i64);
     ctx.incr_task_counter(task_counter::MAP_OUTPUT_RECORDS, buffer.emitted() as i64);
 

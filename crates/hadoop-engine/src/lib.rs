@@ -27,7 +27,6 @@
 pub mod sortbuffer;
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use hmr_api::collect::{MapCollector, OutputCollector, VecCollector};
@@ -666,7 +665,6 @@ impl<J: JobDef> Run<'_, J> {
             // Map-only: "output from the mapper is sent directly to output as
             // per Hadoop" (§5.3). The task writes part-<map index>.
             let mut sink = WriterCollector::open(self.output_format, fs, conf, task_idx)?;
-            let compute_start = Instant::now();
             {
                 let mut out = MapCollector::new(&mut sink, convert);
                 mapper.setup(&mut ctx)?;
@@ -677,9 +675,6 @@ impl<J: JobDef> Run<'_, J> {
                 }
                 mapper.cleanup(&mut out, &mut ctx)?;
             }
-            simgrid::meter::charge(Charge::Compute {
-                seconds: compute_start.elapsed().as_secs_f64(),
-            });
             let records = sink.close()?;
             return Ok(MapTaskOutput {
                 segments: Vec::new(),
@@ -702,7 +697,6 @@ impl<J: JobDef> Run<'_, J> {
             ),
         )
         .with_tuning(self.tuning);
-        let compute_start = Instant::now();
         mapper.setup(&mut ctx)?;
         let mut in_records = 0i64;
         while let Some((k, v)) = reader.next()? {
@@ -710,9 +704,6 @@ impl<J: JobDef> Run<'_, J> {
             mapper.map(Arc::new(k), Arc::new(v), &mut buffer, &mut ctx)?;
         }
         mapper.cleanup(&mut buffer, &mut ctx)?;
-        simgrid::meter::charge(Charge::Compute {
-            seconds: compute_start.elapsed().as_secs_f64(),
-        });
         ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, in_records);
         ctx.incr_task_counter(
             task_counter::MAP_OUTPUT_RECORDS,

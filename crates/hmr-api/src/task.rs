@@ -11,7 +11,6 @@
 
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 use simgrid::trace::{self, Phase};
 use simgrid::Charge;
@@ -97,7 +96,7 @@ pub fn reduce_groups<K2, V2, K3, V3>(
 /// One reduce partition, from assembled input to a filled sink: the `Sort`
 /// span (billed per record whichever ingest kernel runs, so simulated time
 /// is independent of the path taken), the input counters, and the job's
-/// reducer over every group under a `Compute` charge. `spill` bills
+/// reducer over every group. `spill` bills
 /// whatever the engine pays inside the sort span ahead of the sort itself
 /// (Hadoop's out-of-core merge); `open_sink` runs after the sort, where
 /// Hadoop opens its DFS writer.
@@ -128,13 +127,9 @@ pub fn reduce_partition<J: JobDef, S: OutputCollector<J::K3, J::V3>>(
 
     let mut sink = open_sink()?;
     let mut reducer = job.create_reducer(ctx.conf());
-    let compute_start = Instant::now();
     reducer.setup(ctx)?;
     reduce_groups(&pairs, groups, &mut *reducer, &mut sink, ctx)?;
     reducer.cleanup(&mut sink, ctx)?;
-    simgrid::meter::charge(Charge::Compute {
-        seconds: compute_start.elapsed().as_secs_f64(),
-    });
     Ok(sink)
 }
 

@@ -64,10 +64,11 @@ pub enum Charge {
     JobSubmit,
     /// Fast in-memory coordination (an X10 barrier / team operation, §5.1).
     Barrier,
-    /// Real user-code compute time, in seconds, measured on the host and
-    /// scaled by [`CostModel::compute_scale`].
+    /// Modeled user-code compute time, in seconds, billed as given: a
+    /// workload derives it from its own work (e.g. flops × a per-flop
+    /// price), never from the host clock.
     Compute {
-        /// Measured (or modeled) CPU seconds.
+        /// Modeled CPU seconds.
         seconds: f64,
     },
 }
@@ -107,10 +108,6 @@ pub struct CostModel {
     pub job_submit: f64,
     /// An X10 barrier / fast coordination operation (s).
     pub barrier: f64,
-    /// Multiplier applied to real measured user-compute seconds before they
-    /// are added to the simulated clock. Set to 0.0 for fully deterministic
-    /// unit tests; 1.0 folds real CPU time into the simulation.
-    pub compute_scale: f64,
 }
 
 impl Default for CostModel {
@@ -129,14 +126,14 @@ impl Default for CostModel {
             heartbeat: 3.0,
             job_submit: 2.0,
             barrier: 500e-6,
-            compute_scale: 0.0,
         }
     }
 }
 
 impl CostModel {
     /// A model with every price set to zero; useful for tests that only care
-    /// about functional behaviour.
+    /// about functional behaviour. Modeled [`Charge::Compute`] is the one
+    /// charge it cannot silence: the workload names its seconds.
     pub fn free() -> Self {
         CostModel {
             disk_bw: f64::INFINITY,
@@ -152,7 +149,6 @@ impl CostModel {
             heartbeat: 0.0,
             job_submit: 0.0,
             barrier: 0.0,
-            compute_scale: 0.0,
         }
     }
 
@@ -178,7 +174,7 @@ impl CostModel {
             Charge::Heartbeat => self.heartbeat,
             Charge::JobSubmit => self.job_submit,
             Charge::Barrier => self.barrier,
-            Charge::Compute { seconds } => seconds * self.compute_scale,
+            Charge::Compute { seconds } => seconds,
         }
     }
 }
@@ -217,7 +213,6 @@ mod tests {
             Charge::Heartbeat,
             Charge::JobSubmit,
             Charge::Barrier,
-            Charge::Compute { seconds: 10.0 },
         ] {
             assert_eq!(m.price(c), 0.0, "{c:?} should be free");
         }
@@ -249,11 +244,10 @@ mod tests {
     }
 
     #[test]
-    fn compute_scale_zero_silences_compute() {
-        let m = CostModel::default();
-        assert_eq!(m.price(Charge::Compute { seconds: 42.0 }), 0.0);
-        let mut m2 = m.clone();
-        m2.compute_scale = 0.5;
-        assert_eq!(m2.price(Charge::Compute { seconds: 42.0 }), 21.0);
+    fn compute_is_billed_as_given() {
+        for m in [CostModel::default(), CostModel::free()] {
+            assert_eq!(m.price(Charge::Compute { seconds: 42.0 }), 42.0);
+            assert_eq!(m.price(Charge::Compute { seconds: 0.0 }), 0.0);
+        }
     }
 }

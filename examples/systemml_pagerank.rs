@@ -23,11 +23,7 @@ fn main() {
     let mut report = Vec::new();
     let mut final_ranks = Vec::new();
     for engine_kind in ["hadoop", "m3r"] {
-        let model = CostModel {
-            compute_scale: 1.0,
-            ..CostModel::default()
-        };
-        let cluster = Cluster::new(PARTS, model);
+        let cluster = Cluster::new(PARTS, CostModel::default());
         let dfs = SimDfs::new(cluster.clone());
         generate_blocked_sparse(&dfs, &HPath::new("/g"), N, N, BLOCK, 0.01, PARTS, 11).unwrap();
 

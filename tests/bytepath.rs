@@ -9,7 +9,7 @@
 //!
 //! Simulated time is compared through `f64::to_bits`, bit-for-bit: pool
 //! traffic is never charged to the cost model, so the clocks must agree
-//! exactly at the default cost model (`compute_scale` 0.0).
+//! exactly.
 
 use std::sync::Arc;
 

@@ -9,9 +9,9 @@ use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel, Workers};
 
 /// A fresh `places`-node cluster and DFS (1 MB blocks, 2-way replication).
-/// `CostModel::default()` has `compute_scale = 0`: every charge is modeled,
-/// so simulated seconds are bit-reproducible run to run — the precondition
-/// for every `to_bits` comparison in the suites.
+/// Every charge is priced from the job's own work (the cost model never
+/// reads the host clock), so simulated seconds are bit-reproducible run to
+/// run — the precondition for every `to_bits` comparison in the suites.
 pub fn fresh(places: usize) -> (Cluster, SimDfs) {
     let cluster = Cluster::new(places, CostModel::default());
     let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);

@@ -8,10 +8,9 @@
 //! Simulated time is compared through `f64::to_bits`, i.e. bit-for-bit:
 //! floating-point addition is not associative, so this only holds because
 //! each task bills its own scratch clock (same charge sequence per clock)
-//! and the wave folds an order-independent `max`. The guarantee is exact at
-//! the default cost model, whose `compute_scale` is 0.0; a nonzero
-//! `compute_scale` would fold real wall time into simulated time and no
-//! mode could promise identical seconds.
+//! and the wave folds an order-independent `max`. It also needs every charge
+//! to be a function of the task's work: the cost model prices modeled
+//! compute as given and never reads the host clock.
 //!
 //! Every run reports the cluster's wave-path counts, and every comparison
 //! asserts through them that `Never` ran no wave on workers and `Always` at

@@ -179,16 +179,17 @@ fn m3r_does_not_retry_but_survives_for_the_next_job() {
 // A failed job strands nothing in the accountant
 // ---------------------------------------------------------------------------
 
-/// Identity job over `/in` whose mapper fails on one key, or whose reducer
-/// always fails. The optional combiner is the identity — enough to switch
-/// place-level combining on.
+/// Identity job over `/in` whose mapper fails on some keys, or whose
+/// reducer always fails. The optional combiner is the identity — enough to
+/// switch place-level combining on.
 struct DoomedJob {
-    fail_map_key: Option<i32>,
+    /// Keys the mapper fails on, each after stalling that many milliseconds.
+    fail_map_keys: &'static [(i32, u64)],
     fail_reduce: bool,
     combiner: bool,
 }
 
-struct KeyFailMapper(Option<i32>);
+struct KeyFailMapper(&'static [(i32, u64)]);
 
 impl TaskMapper<IntWritable, Text, IntWritable, Text> for KeyFailMapper {
     fn map(
@@ -198,7 +199,8 @@ impl TaskMapper<IntWritable, Text, IntWritable, Text> for KeyFailMapper {
         out: &mut dyn OutputCollector<IntWritable, Text>,
         _ctx: &mut TaskContext,
     ) -> Result<()> {
-        if self.0 == Some(key.0) {
+        if let Some(&(_, stall_ms)) = self.0.iter().find(|(k, _)| *k == key.0) {
+            std::thread::sleep(std::time::Duration::from_millis(stall_ms));
             return Err(HmrError::Io(format!("injected map fault at key {}", key.0)));
         }
         out.collect(key, value)
@@ -231,7 +233,7 @@ impl JobDef for DoomedJob {
         &self,
         _c: &JobConf,
     ) -> Box<dyn TaskMapper<IntWritable, Text, IntWritable, Text>> {
-        Box::new(KeyFailMapper(self.fail_map_key))
+        Box::new(KeyFailMapper(self.fail_map_keys))
     }
     fn create_reducer(
         &self,
@@ -262,7 +264,7 @@ impl JobDef for DoomedJob {
 }
 
 const HEALTHY: DoomedJob = DoomedJob {
-    fail_map_key: None,
+    fail_map_keys: &[],
     fail_reduce: false,
     combiner: false,
 };
@@ -346,7 +348,7 @@ fn m3r_map_failure_releases_parked_streams_and_combine_tables() {
         // park) a stream at place 1, and with place-level combining place 1
         // has absorbed its first wave into the combine tables.
         let doomed = DoomedJob {
-            fail_map_key: Some(35),
+            fail_map_keys: &[(35, 0)],
             combiner: true,
             ..HEALTHY
         };
@@ -364,5 +366,21 @@ fn m3r_map_failure_releases_parked_streams_and_combine_tables() {
         let r = engine.run_job(Arc::new(healthy), &conf("/out2")).unwrap();
         assert_eq!(r.output_records, 40);
         assert_eq!(job_scoped_bytes(&cluster), before);
+    }
+}
+
+#[test]
+fn m3r_reports_the_lowest_failing_place_whatever_fails_first() {
+    let (cluster, fs) = setup_two_waves();
+    let mut engine = m3r::M3REngine::new(cluster, Arc::new(fs));
+    // Both places fail in their first wave, place 0 (keys 0..20) well
+    // after place 1 (keys 20..40): the error reported is still place 0's.
+    let doomed = DoomedJob {
+        fail_map_keys: &[(5, 20), (25, 0)],
+        ..HEALTHY
+    };
+    match engine.run_job(Arc::new(doomed), &conf("/out")) {
+        Err(HmrError::Io(msg)) => assert!(msg.ends_with("at key 5"), "{msg}"),
+        other => panic!("expected place 0's map fault, got {other:?}"),
     }
 }
