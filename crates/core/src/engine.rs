@@ -743,13 +743,13 @@ impl<J: JobDef> Outbox<J> {
         run: &Run<J>,
         place: usize,
         tables: &mut [CombineTable<J::K2, J::V2>],
-        remote: &[(usize, usize, Pairs<J>)],
+        remote: Vec<(usize, usize, Pairs<J>)>,
     ) {
         for (dest, p, bucket) in remote {
             let mut grew = 0u64;
             let mut key_bytes = 0u64;
             for (k, v) in bucket {
-                let (g, kb) = tables[*dest].absorb(*p, k, v);
+                let (g, kb) = tables[dest].absorb(p, k, v);
                 grew += g;
                 key_bytes += kb;
             }
@@ -758,10 +758,10 @@ impl<J: JobDef> Outbox<J> {
         }
     }
 
-    /// Serialize one task's remote buckets into the place-wide streams.
-    fn serialize(&mut self, run: &Run<J>, place: usize, remote: &[(usize, usize, Pairs<J>)]) {
+    /// Move one task's remote buckets into the place-wide streams.
+    fn serialize(&mut self, run: &Run<J>, place: usize, remote: Vec<(usize, usize, Pairs<J>)>) {
         for (dest, p, bucket) in remote {
-            let stream = self.streams[*dest].get_or_insert_with(|| run.open_stream(place));
+            let stream = self.streams[dest].get_or_insert_with(|| run.open_stream(place));
             // Reserve from `serialized_size` hints (plus framing) so the
             // bucket appends without re-growing mid-push.
             let hint: usize = bucket
@@ -770,13 +770,13 @@ impl<J: JobDef> Outbox<J> {
                 .sum();
             stream.reserve(hint);
             let before = stream.len();
+            *self.stream_counts[dest].entry(p).or_insert(0) += bucket.len() as u64;
             for (k, v) in bucket {
-                stream.push(*p, k, v);
+                stream.push_owned(p, k, v);
             }
             simgrid::meter::charge(Charge::Serialize {
                 bytes: (stream.len() - before) as u64,
             });
-            *self.stream_counts[*dest].entry(*p).or_insert(0) += bucket.len() as u64;
         }
     }
 
@@ -818,13 +818,12 @@ impl<J: JobDef> Outbox<J> {
                 for (p, key, values) in table.drain() {
                     let mut out: hmr_api::collect::VecCollector<J::K2, J::V2> =
                         hmr_api::collect::VecCollector::new();
-                    let mut vals = values.iter().map(Arc::clone);
-                    combiner.reduce(key, &mut vals, &mut out, &mut ctx)?;
-                    for (k, v) in &out.pairs {
-                        stream.push(p, k, v);
-                    }
+                    combiner.reduce(key, &mut values.into_iter(), &mut out, &mut ctx)?;
                     *self.stream_counts[dest].entry(p).or_insert(0) += out.pairs.len() as u64;
                     self.place_combined.1 += out.pairs.len() as u64;
+                    for (k, v) in out.pairs {
+                        stream.push_owned(p, k, v);
+                    }
                 }
                 simgrid::meter::charge(Charge::Serialize {
                     bytes: (stream.len() - before) as u64,
@@ -883,7 +882,7 @@ fn map_phase_at_place<J: JobDef>(
             |(si, routed)| {
                 if let Some(tables) = outbox.combine_tables.as_mut() {
                     trace::span(Phase::Combine, "absorb", Some(si as u64), || {
-                        Outbox::absorb(run, place, tables, &routed.remote)
+                        Outbox::absorb(run, place, tables, routed.remote)
                     });
                     // Governor interaction: if absorbing pushed this place
                     // over its budget, combine what is held now and degrade
@@ -896,7 +895,7 @@ fn map_phase_at_place<J: JobDef>(
                     }
                 } else {
                     trace::span(Phase::Shuffle, "serialize", Some(si as u64), || {
-                        outbox.serialize(run, place, &routed.remote)
+                        outbox.serialize(run, place, routed.remote)
                     });
                 }
                 for (p, bucket) in routed.local {
@@ -1171,16 +1170,7 @@ fn reduce_phase_at_place<J: JobDef>(
                     simgrid::meter::charge(Charge::Deserialize {
                         bytes: payload.bytes.len() as u64,
                     });
-                    for &(p, n) in &payload.counts {
-                        remote.entry(p).or_default().reserve(n as usize);
-                    }
-                    for rec in decode_stream::<J::K2, J::V2>(payload.bytes.clone()) {
-                        let (p, k, v) = rec?;
-                        remote
-                            .get_mut(&p)
-                            .expect("reserved from the published counts")
-                            .push((k, v));
-                    }
+                    ingest_stream(&mut remote, &payload)?;
                     // The iterator's refcount dropped with the loop; if this
                     // was the last handle the buffer returns to this place's
                     // pool.
@@ -1225,6 +1215,25 @@ fn reduce_phase_at_place<J: JobDef>(
             },
             |()| Ok(()),
         )?;
+    }
+    Ok(())
+}
+
+/// Decode one received stream into `remote`, reserved from the published
+/// counts. A record for a partition nobody published is a typed error.
+fn ingest_stream<K: Writable + Send + Sync, V: Writable + Send + Sync>(
+    remote: &mut HashMap<usize, Vec<(Arc<K>, Arc<V>)>>,
+    payload: &StreamPayload,
+) -> Result<()> {
+    for &(p, n) in &payload.counts {
+        remote.entry(p).or_default().reserve(n as usize);
+    }
+    for rec in decode_stream::<K, V>(payload.bytes.clone()) {
+        let (p, k, v) = rec?;
+        remote
+            .get_mut(&p)
+            .ok_or_else(|| HmrError::Serde(format!("record for unpublished partition {p}")))?
+            .push((k, v));
     }
     Ok(())
 }
@@ -1345,4 +1354,40 @@ fn write_and_cache_output<J: JobDef>(
         conf.client_id(),
     )?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hmr_api::writable::IntWritable;
+
+    fn stream(records: &[(usize, i32)]) -> Bytes {
+        let mut s = ShuffleStream::new(DedupMode::Full);
+        for &(p, x) in records {
+            s.push_owned(p, Arc::new(IntWritable(x)), Arc::new(IntWritable(-x)));
+        }
+        s.finish().0
+    }
+
+    #[test]
+    fn a_record_for_an_unpublished_partition_is_a_typed_error() {
+        let bytes = stream(&[(0, 1), (3, 2), (0, 3)]);
+        let mut remote = HashMap::new();
+        let mismatched = StreamPayload {
+            bytes: bytes.clone(),
+            counts: vec![(0, 2)],
+        };
+        let err = ingest_stream::<IntWritable, IntWritable>(&mut remote, &mismatched)
+            .expect_err("partition 3 was never published");
+        assert!(matches!(err, HmrError::Serde(_)), "{err:?}");
+
+        let mut remote = HashMap::new();
+        let published = StreamPayload {
+            bytes,
+            counts: vec![(0, 2), (3, 1)],
+        };
+        ingest_stream::<IntWritable, IntWritable>(&mut remote, &published).unwrap();
+        let keys = |p| remote[&p].iter().map(|(k, _)| k.0).collect::<Vec<_>>();
+        assert_eq!((keys(0), keys(3)), (vec![1, 3], vec![2]));
+    }
 }

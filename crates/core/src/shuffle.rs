@@ -338,16 +338,27 @@ impl ShuffleStream {
         self.ser.reserve(additional);
     }
 
-    /// Append one `(partition, key, value)` record.
+    /// Append one record the caller keeps: forwards clones to `push_owned`.
     pub fn push<K: Writable + Send + Sync, V: Writable + Send + Sync>(
         &mut self,
         partition: usize,
         key: &Arc<K>,
         value: &Arc<V>,
     ) {
+        self.push_owned(partition, Arc::clone(key), Arc::clone(value))
+    }
+
+    /// Append one `(partition, key, value)` record, taking the handles over
+    /// ([`Serializer::write_arc_owned`]).
+    pub fn push_owned<K: Writable + Send + Sync, V: Writable + Send + Sync>(
+        &mut self,
+        partition: usize,
+        key: Arc<K>,
+        value: Arc<V>,
+    ) {
         self.ser.write_u32(partition as u32);
-        self.ser.write_arc_with(key, |k, buf| k.write_to(buf));
-        self.ser.write_arc_with(value, |v, buf| v.write_to(buf));
+        self.ser.write_arc_owned(key, |k, buf| k.write_to(buf));
+        self.ser.write_arc_owned(value, |v, buf| v.write_to(buf));
     }
 
     /// Current encoded length.
@@ -507,22 +518,22 @@ where
     }
 
     /// Absorb one `(partition, key, value)` record, merging it into the
-    /// group of any previously absorbed equal key. Returns `(grew_bytes,
-    /// key_bytes)`: how many accountable bytes the table grew by, and the
-    /// encoded key length (the serialization work the caller should bill
-    /// for admission).
-    pub fn absorb(&mut self, partition: usize, key: &Arc<K>, value: &Arc<V>) -> (u64, u64) {
+    /// group of any previously absorbed equal key (dropping the new key).
+    /// Returns `(grew_bytes, key_bytes)`: how many accountable bytes the
+    /// table grew by, and the encoded key length (the serialization work
+    /// the caller should bill for admission).
+    pub fn absorb(&mut self, partition: usize, key: Arc<K>, value: Arc<V>) -> (u64, u64) {
         let mut kbytes = Vec::with_capacity(key.serialized_size());
         key.write_to(&mut kbytes);
         let klen = kbytes.len() as u64;
         let vlen = value.serialized_size() as u64;
         let grew = match self.entries.entry((partition, kbytes)) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
-                e.get_mut().1.push(Arc::clone(value));
+                e.get_mut().1.push(value);
                 vlen + COMBINE_VALUE_OVERHEAD
             }
             std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert((Arc::clone(key), vec![Arc::clone(value)]));
+                e.insert((key, vec![value]));
                 klen + COMBINE_ENTRY_OVERHEAD + vlen + COMBINE_VALUE_OVERHEAD
             }
         };
@@ -865,11 +876,11 @@ mod tests {
     fn combine_table_merges_and_drains_deterministically() {
         let mut t: CombineTable<IntWritable, IntWritable> = CombineTable::new();
         // Absorb in a scrambled order; equal keys across "tasks" merge.
-        t.absorb(1, &Arc::new(IntWritable(9)), &Arc::new(IntWritable(100)));
-        t.absorb(0, &Arc::new(IntWritable(4)), &Arc::new(IntWritable(1)));
-        t.absorb(1, &Arc::new(IntWritable(9)), &Arc::new(IntWritable(200)));
-        t.absorb(0, &Arc::new(IntWritable(2)), &Arc::new(IntWritable(7)));
-        t.absorb(0, &Arc::new(IntWritable(4)), &Arc::new(IntWritable(2)));
+        t.absorb(1, Arc::new(IntWritable(9)), Arc::new(IntWritable(100)));
+        t.absorb(0, Arc::new(IntWritable(4)), Arc::new(IntWritable(1)));
+        t.absorb(1, Arc::new(IntWritable(9)), Arc::new(IntWritable(200)));
+        t.absorb(0, Arc::new(IntWritable(2)), Arc::new(IntWritable(7)));
+        t.absorb(0, Arc::new(IntWritable(4)), Arc::new(IntWritable(2)));
         assert_eq!(t.records(), 5);
         assert_eq!(t.groups(), 3);
         let drained: Vec<_> = t
@@ -895,10 +906,10 @@ mod tests {
     fn combine_table_byte_accounting_grows_per_absorb() {
         let mut t: CombineTable<IntWritable, BytesWritable> = CombineTable::new();
         let k = Arc::new(IntWritable(1));
-        let (g1, klen) = t.absorb(0, &k, &Arc::new(BytesWritable(vec![0u8; 10])));
+        let (g1, klen) = t.absorb(0, Arc::clone(&k), Arc::new(BytesWritable(vec![0u8; 10])));
         assert_eq!(klen, k.serialized_size() as u64);
         assert!(g1 > 10, "first absorb pays key + entry overhead");
-        let (g2, _) = t.absorb(0, &k, &Arc::new(BytesWritable(vec![0u8; 10])));
+        let (g2, _) = t.absorb(0, Arc::clone(&k), Arc::new(BytesWritable(vec![0u8; 10])));
         assert!(g2 < g1, "merging into an existing group is cheaper");
         assert_eq!(t.bytes(), g1 + g2);
     }
@@ -930,7 +941,88 @@ mod prop_tests {
         ]
     }
 
+    /// Where one bucket's handles come from. Kind 0: a sole handle; 1: one
+    /// of three `Arc`s repeated only inside the bucket; 2: one of three
+    /// `Arc`s an outside holder keeps; 3: a fresh `Arc` with a live `Weak`.
+    struct Handles<T> {
+        repeated: Vec<Arc<T>>,
+        outside: Vec<Arc<T>>,
+        weak: Vec<std::sync::Weak<T>>,
+    }
+
+    impl<T> Handles<T> {
+        fn new(make: impl Fn(u8) -> T) -> Self {
+            Handles {
+                repeated: (0..3).map(|i| Arc::new(make(100 + i))).collect(),
+                outside: (0..3).map(|i| Arc::new(make(200 + i))).collect(),
+                weak: Vec::new(),
+            }
+        }
+
+        fn pick(&mut self, kind: u8, idx: u8, fresh: T) -> Arc<T> {
+            match kind {
+                0 => Arc::new(fresh),
+                1 => Arc::clone(&self.repeated[idx as usize]),
+                2 => Arc::clone(&self.outside[idx as usize]),
+                _ => {
+                    let a = Arc::new(fresh);
+                    self.weak.push(Arc::downgrade(&a));
+                    a
+                }
+            }
+        }
+    }
+
+    type Spec = (usize, (u8, u8), (u8, u8), u8);
+
+    /// Encode the bucket `spec` describes, by `push` or by `push_owned`;
+    /// the outside holders and weak handles live until the stream is done.
+    fn encode_bucket(
+        spec: &[Spec],
+        mode: DedupMode,
+        owned: bool,
+    ) -> (Bytes, x10rt::serialize::SerStats) {
+        let mut keys = Handles::new(|i| IntWritable(i32::from(i)));
+        let mut values = Handles::new(|i| BytesWritable(vec![i]));
+        let bucket: Vec<_> = spec
+            .iter()
+            .map(|&(p, (kk, ki), (vk, vi), x)| {
+                let k = keys.pick(kk, ki, IntWritable(i32::from(x)));
+                (p, k, values.pick(vk, vi, BytesWritable(vec![x; 3])))
+            })
+            .collect();
+        keys.repeated.clear();
+        values.repeated.clear();
+        let mut stream = ShuffleStream::new(mode);
+        if owned {
+            for (p, k, v) in bucket {
+                stream.push_owned(p, k, v);
+            }
+        } else {
+            for (p, k, v) in &bucket {
+                stream.push(*p, k, v);
+            }
+        }
+        stream.finish()
+    }
+
     proptest! {
+        /// Handing the stream its handles changes no byte and no stat —
+        /// total, payload, hits, retained — in any mode, whether a handle
+        /// is sole, repeated in the bucket, held outside or watched by a
+        /// `Weak`.
+        #[test]
+        fn push_owned_matches_push(
+            spec in proptest::collection::vec(
+                (0usize..8, (0u8..4, 0u8..3), (0u8..4, 0u8..3), any::<u8>()),
+                0..60,
+            ),
+            mode in mode_strategy(),
+        ) {
+            let owned = encode_bucket(&spec, mode, true);
+            prop_assert_eq!(owned, encode_bucket(&spec, mode, false));
+        }
+
         /// Streams decode back to exactly what was pushed, in order, for
         /// every de-duplication mode and any aliasing pattern (shared Arcs
         /// simulate broadcast reuse).

@@ -593,7 +593,7 @@ impl<J: JobDef> Run<'_, J> {
                     );
                     ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, pairs.len() as i64);
                     let mut out: VecCollector<J::K2, J::V2> = VecCollector::new();
-                    reduce_groups(&pairs, groups, &mut *combiner, &mut out, &mut ctx)?;
+                    reduce_groups(pairs, groups, &mut *combiner, &mut out, &mut ctx)?;
                     ctx.incr_task_counter(
                         task_counter::COMBINE_OUTPUT_RECORDS,
                         out.pairs.len() as i64,

@@ -78,17 +78,24 @@ pub trait TaskReducer<K2, V2, K3, V3>: Send {
 /// The reducer loop: hand every group of the ingested (sorted and grouped)
 /// `pairs` to `reducer`, first key of the group and its values in order.
 /// Reducers, and the Hadoop engine's node-level combine, all end here.
+/// `groups` are [`ingest_reduce_groups`]' contiguous spans; keys and values
+/// move to the reducer, and what it leaves unread drops before the next group.
 pub fn reduce_groups<K2, V2, K3, V3>(
-    pairs: &[(Arc<K2>, Arc<V2>)],
+    pairs: Vec<(Arc<K2>, Arc<V2>)>,
     groups: Vec<Range<usize>>,
     reducer: &mut dyn TaskReducer<K2, V2, K3, V3>,
     out: &mut dyn OutputCollector<K3, V3>,
     ctx: &mut TaskContext,
 ) -> Result<()> {
+    let mut pairs = pairs.into_iter();
     for group in groups {
-        let key = Arc::clone(&pairs[group.start].0);
-        let mut values = pairs[group].iter().map(|(_, v)| Arc::clone(v));
+        let mut group = pairs.by_ref().take(group.len());
+        let Some((key, first)) = group.next() else {
+            continue;
+        };
+        let mut values = std::iter::once(first).chain(group.map(|(_, v)| v));
         reducer.reduce(key, &mut values, out, ctx)?;
+        values.for_each(drop);
     }
     Ok(())
 }
@@ -128,7 +135,7 @@ pub fn reduce_partition<J: JobDef, S: OutputCollector<J::K3, J::V3>>(
     let mut sink = open_sink()?;
     let mut reducer = job.create_reducer(ctx.conf());
     reducer.setup(ctx)?;
-    reduce_groups(&pairs, groups, &mut *reducer, &mut sink, ctx)?;
+    reduce_groups(pairs, groups, &mut *reducer, &mut sink, ctx)?;
     reducer.cleanup(&mut sink, ctx)?;
     Ok(sink)
 }
@@ -386,6 +393,59 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.pairs[0].1 .0, 10);
+    }
+
+    /// Reads only the first value of each group. `released[j]` are values
+    /// that only the caller may still hold when group `j` starts.
+    struct FirstOnly {
+        seen: Vec<(Arc<Text>, Arc<IntWritable>)>,
+        released: Vec<Vec<std::sync::Weak<IntWritable>>>,
+    }
+
+    impl TaskReducer<Text, IntWritable, Text, IntWritable> for FirstOnly {
+        fn reduce(
+            &mut self,
+            key: Arc<Text>,
+            values: &mut dyn Iterator<Item = Arc<IntWritable>>,
+            _out: &mut dyn OutputCollector<Text, IntWritable>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            for w in &self.released[self.seen.len()] {
+                assert_eq!(w.strong_count(), 1, "an unread value outlived its group");
+            }
+            self.seen.push((key, values.next().unwrap()));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn reduce_groups_drains_its_input() {
+        let input: Vec<(Arc<Text>, Arc<IntWritable>)> = ["a", "a", "a", "b", "c", "c"]
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (Arc::new(Text::from(*k)), Arc::new(IntWritable(i as i32))))
+            .collect();
+        let weak = |i: usize| Arc::downgrade(&input[i].1);
+        let mut r = FirstOnly {
+            seen: Vec::new(),
+            released: vec![vec![], vec![weak(1), weak(2)], vec![]],
+        };
+        let mut out = VecCollector::new();
+        reduce_groups(input.clone(), vec![0..3, 3..4, 4..6], &mut r, &mut out, &mut ctx())
+            .unwrap();
+        let firsts: Vec<_> = r.seen.iter().map(|(k, v)| (k.to_string(), v.0)).collect();
+        assert_eq!(
+            firsts,
+            vec![("a".into(), 0), ("b".into(), 3), ("c".into(), 4)]
+        );
+        for ((k, v), &i) in r.seen.iter().zip(&[0, 3, 4]) {
+            assert!(Arc::ptr_eq(k, &input[i].0) && Arc::ptr_eq(v, &input[i].1));
+        }
+        for (i, (k, v)) in input.iter().enumerate() {
+            let handed = [0, 3, 4].contains(&i);
+            assert_eq!(Arc::strong_count(k), 1 + usize::from(handed), "key {i}");
+            assert_eq!(Arc::strong_count(v), 1 + usize::from(handed), "value {i}");
+        }
     }
 
     struct OldCounting {

@@ -14,6 +14,12 @@
 //! matched falsely). [`DedupMode::Consecutive`] implements the paper's
 //! proposed fix: only the immediately preceding value is remembered, which
 //! still captures the broadcast idiom of emitting one value in a loop.
+//!
+//! A stream owns what it encodes ([`Serializer::write_arc_owned`]), which
+//! answers part of §6.3 without changing a byte: a value that enters the
+//! table moves in rather than being cloned, and under `Full` a *sole*
+//! handle — one nobody else holds, so it can never be written again — takes
+//! its ordinal but no table slot and is freed while still hot.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -83,8 +89,9 @@ pub struct SerStats {
     pub payload_bytes: u64,
     /// Number of values replaced by back-references.
     pub dedup_hits: u64,
-    /// Number of distinct values retained by the de-duplication table —
-    /// the memory overhead of `DedupMode::Full`.
+    /// Number of distinct values the X10 protocol retains — the memory
+    /// overhead of `DedupMode::Full` — counted whether or not a value took
+    /// a table slot (a sole handle does not).
     pub values_retained: u64,
 }
 
@@ -168,15 +175,31 @@ impl Serializer {
         }
     }
 
-    /// Write a shared value. `encode` is invoked only when the value has not
-    /// been written to this stream before (per the active [`DedupMode`]).
+    /// Write a shared value the caller keeps: forwards a clone (never sole)
+    /// to [`Serializer::write_arc_owned`].
     pub fn write_arc_with<T: Send + Sync + 'static>(
         &mut self,
         value: &Arc<T>,
         encode: impl FnOnce(&T, &mut BytesMut),
     ) {
-        let ptr = Arc::as_ptr(value) as usize;
-        if let Some(id) = self.lookup(ptr) {
+        self.write_arc_owned(Arc::clone(value), encode)
+    }
+
+    /// Write a shared value, taking it over. `encode` runs only when the
+    /// value has not been written to this stream before (per the active
+    /// [`DedupMode`]); a value that enters the identity table moves into its
+    /// keep-alive slot. Under `Full` a *sole* handle (no other strong or weak
+    /// reference) can never recur: it takes an ordinal but no slot, is
+    /// dropped here, and still counts in [`SerStats::values_retained`].
+    pub fn write_arc_owned<T: Send + Sync + 'static>(
+        &mut self,
+        mut value: Arc<T>,
+        encode: impl FnOnce(&T, &mut BytesMut),
+    ) {
+        let sole = self.mode == DedupMode::Full && Arc::get_mut(&mut value).is_some();
+        let ptr = Arc::as_ptr(&value) as usize;
+        let hit = if sole { None } else { self.lookup(ptr) };
+        if let Some(id) = hit {
             self.buf.extend_from_slice(&[TAG_BACKREF]);
             self.buf.extend_from_slice(&id.to_le_bytes());
             self.dedup_hits += 1;
@@ -186,9 +209,11 @@ impl Serializer {
         self.next_id += 1;
         self.buf.extend_from_slice(&[TAG_INLINE]);
         let before = self.buf.len();
-        encode(value, &mut self.buf);
+        encode(&value, &mut self.buf);
         self.payload_bytes += (self.buf.len() - before) as u64;
-        self.remember(ptr, id, Arc::clone(value) as Arc<dyn Any + Send + Sync>);
+        if !sole {
+            self.remember(ptr, id, value);
+        }
     }
 
     /// Append raw framing bytes (record counts, partition headers, ...).
@@ -226,7 +251,11 @@ impl Serializer {
             total_bytes: self.buf.len() as u64,
             payload_bytes: self.payload_bytes,
             dedup_hits: self.dedup_hits,
-            values_retained: self.seen.len() as u64 + self.window.len() as u64,
+            // `Full` retains every inline value, slotted or sole.
+            values_retained: match self.mode {
+                DedupMode::Full => u64::from(self.next_id),
+                _ => self.window.len() as u64,
+            },
         };
         (self.buf.freeze(), stats)
     }
@@ -410,6 +439,26 @@ mod tests {
         for i in 0..100u64 {
             assert_eq!(*d.read_arc_with(dec).unwrap(), i);
         }
+    }
+
+    #[test]
+    fn sole_handles_take_an_ordinal_but_no_slot() {
+        let mut s = Serializer::new(DedupMode::Full);
+        let shared = Arc::new(2u64);
+        let watched = Arc::new(3u64);
+        let weak = Arc::downgrade(&watched);
+        s.write_arc_owned(Arc::new(1u64), enc);
+        s.write_arc_owned(Arc::clone(&shared), enc);
+        s.write_arc_owned(watched, enc);
+        s.write_arc_with(&shared, enc);
+        assert_eq!(s.seen.len(), 2, "the sole handle took no slot");
+        assert!(weak.upgrade().is_some(), "a live Weak keeps its slot");
+        let (bytes, stats) = s.finish();
+        assert_eq!((stats.dedup_hits, stats.values_retained), (1, 3));
+        let mut d = Deserializer::new(&bytes[..]);
+        let got: Vec<_> = (0..4).map(|_| d.read_arc_with(dec).unwrap()).collect();
+        assert_eq!(got.iter().map(|v| **v).collect::<Vec<_>>(), [1, 2, 3, 2]);
+        assert!(Arc::ptr_eq(&got[1], &got[3]), "backref ids count the sole ordinal");
     }
 
     #[test]

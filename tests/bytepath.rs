@@ -20,6 +20,7 @@ use hmr_api::{FileSystem, HPath};
 use m3r::{M3REngine, M3ROptions};
 use simdfs::SimDfs;
 use simgrid::{BufPool, Cluster, MemClass};
+use workloads::matvec::{generate_matvec_input, run_matvec_iterations};
 use workloads::microbench::{generate_microbench_input, run_microbench};
 use x10rt::serialize::DedupMode;
 
@@ -229,4 +230,100 @@ fn consecutive_dedup_eviction_is_identical_on_recycled_buffers() {
     assert_eq!(pool.free_count(), 0, "recycled buffer is in use again");
     assert_eq!(stats_second.dedup_hits, stats_first.dedup_hits);
     assert_eq!(first_copy, second.to_vec(), "recycled buffer changes bytes");
+}
+
+// ---------------------------------------------------------------------------
+// A stream owns what it encodes: the owned byte path (handles moved into
+// the streams, sole handles encoded without a table slot) sends exactly the
+// bytes, back-references and retention of the borrowed one
+// ---------------------------------------------------------------------------
+
+/// `(SHUFFLE_STREAM_BYTES, DEDUP_HITS, DEDUP_RETAINED_VALUES, sim_time
+/// bits)` of one M3R job.
+fn stream_figures(r: &JobResult) -> (i64, i64, i64, u64) {
+    let c = |name| r.counters.get(m3r::M3R_COUNTER_GROUP, name);
+    (
+        c("SHUFFLE_STREAM_BYTES"),
+        c("DEDUP_HITS"),
+        c("DEDUP_RETAINED_VALUES"),
+        r.sim_time.to_bits(),
+    )
+}
+
+fn m3r_with(cluster: Cluster, fs: &SimDfs, dedup: DedupMode) -> M3REngine {
+    let opts = M3ROptions {
+        dedup,
+        ..M3ROptions::default()
+    };
+    M3REngine::with_options(cluster, Arc::new(fs.clone()), opts)
+}
+
+/// Both Fig. 6 iterations: the first reads the DFS, the second the cache.
+fn fig6_stream_figures(dedup: DedupMode) -> Vec<(i64, i64, i64, u64)> {
+    let (cluster, fs) = fresh(PLACES);
+    generate_microbench_input(&fs, &HPath::new("/in"), 192, 64, PARTS, 11).unwrap();
+    let mut engine = m3r_with(cluster, &fs, dedup);
+    let input = HPath::new("/in");
+    run_microbench(&mut engine, &input, &HPath::new("/o"), 0.75, 2, PARTS, true, Some(&fs))
+        .unwrap()
+        .iter()
+        .map(stream_figures)
+        .collect()
+}
+
+/// One matvec iteration: the product job broadcasts each vector block to
+/// every row block of its column, the sum job shuffles the products.
+fn matvec_stream_figures(dedup: DedupMode) -> Vec<(i64, i64, i64, u64)> {
+    let (cluster, fs) = fresh(PLACES);
+    let (n, block) = (160, 10);
+    let (g, v) = (HPath::new("/g"), HPath::new("/v"));
+    generate_matvec_input(&fs, &g, &v, n, block, 0.3, PARTS, 5).unwrap();
+    let mut engine = m3r_with(cluster, &fs, dedup);
+    let work = HPath::new("/w");
+    run_matvec_iterations(&mut engine, &g, &v, &work, 1, PARTS, n.div_ceil(block))
+        .unwrap()
+        .iter()
+        .flat_map(|it| [stream_figures(&it.product), stream_figures(&it.sum)])
+        .collect()
+}
+
+// Computed with the borrowed byte path (every value cloned into the
+// table), before the streams took their handles over.
+const FIG6_FULL: &[(i64, i64, i64, u64)] = &[
+    (9600, 0, 256, 4576243362041188262),
+    (12000, 0, 320, 4579260615963559910),
+];
+const FIG6_CONSECUTIVE: &[(i64, i64, i64, u64)] = &[
+    (9600, 0, 36, 4576243362041188262),
+    (12000, 0, 16, 4579260615963559910),
+];
+const FIG6_OFF: &[(i64, i64, i64, u64)] = &[
+    (9600, 0, 0, 4576243362041188262),
+    (12000, 0, 0, 4579260615963559910),
+];
+const MATVEC_FULL: &[(i64, i64, i64, u64)] = &[
+    (75680, 144, 560, 4577492536538768554),
+    (0, 0, 0, 4579150665277047818),
+];
+const MATVEC_CONSECUTIVE: &[(i64, i64, i64, u64)] = &[
+    (79424, 96, 48, 4577499914712342810),
+    (0, 0, 0, 4579150665277047818),
+];
+const MATVEC_OFF: &[(i64, i64, i64, u64)] = &[
+    (86912, 0, 0, 4577514671059491320),
+    (0, 0, 0, 4579150665277047818),
+];
+
+/// Fig. 6 (fresh keys: sole handles under `Full`) and a matvec iteration
+/// (broadcast vector blocks: back-references) under every dedup mode.
+#[test]
+fn owned_stream_path_keeps_every_stream_figure() {
+    for (dedup, fig6, matvec) in [
+        (DedupMode::Full, FIG6_FULL, MATVEC_FULL),
+        (DedupMode::Consecutive, FIG6_CONSECUTIVE, MATVEC_CONSECUTIVE),
+        (DedupMode::Off, FIG6_OFF, MATVEC_OFF),
+    ] {
+        assert_eq!(fig6_stream_figures(dedup), fig6, "fig6 under {dedup:?}");
+        assert_eq!(matvec_stream_figures(dedup), matvec, "matvec under {dedup:?}");
+    }
 }
