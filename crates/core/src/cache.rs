@@ -142,24 +142,6 @@ struct Entry {
     /// the put came through the §5.3 job server. Quota enforcement charges
     /// the entry's bytes to this tenant.
     owner: Option<u32>,
-    /// Times this entry has faulted back in from its spill file. An entry
-    /// reloading for the second or later time is *hot*: the working set
-    /// wants it, and evicting it as-newest again is likely to thrash.
-    reloads: u32,
-}
-
-/// Per-place thrash detector for speculative re-admission (ISSUE 8):
-/// cumulative reload traffic is compared against the place budget, and each
-/// time a budget's worth of bytes has faulted back in, the detector trips —
-/// evidence that eviction is cycling the working set rather than shedding
-/// cold data. After the first trip, hot reloads (see [`Entry::reloads`])
-/// are re-admitted *promoted and pinned* instead of merely as-newest.
-#[derive(Clone, Copy, Debug, Default)]
-struct ThrashState {
-    /// Reload bytes accumulated toward the next trip.
-    window_bytes: u64,
-    /// Completed trips (windows of reload traffic exceeding the budget).
-    trips: u64,
 }
 
 /// Mutable governor state, held under one lock across each cache
@@ -181,8 +163,6 @@ struct GovState {
     /// interned id. `BTreeMap` so quota enforcement visits tenants in a
     /// fixed order.
     quotas: BTreeMap<u32, u64>,
-    /// One thrash detector per place (speculative re-admission).
-    thrash: Vec<ThrashState>,
 }
 
 impl GovState {
@@ -271,7 +251,6 @@ impl KvCache {
                 next_id: 0,
                 tenants: Vec::new(),
                 quotas: BTreeMap::new(),
-                thrash: (0..places).map(|_| ThrashState::default()).collect(),
             })),
             spill,
         }
@@ -336,7 +315,6 @@ impl KvCache {
                 spill_path: None,
                 codec,
                 owner,
-                reloads: 0,
             },
         );
         self.mem.grow(place, MemClass::Cache, len);
@@ -429,10 +407,8 @@ impl KvCache {
     }
 
     /// Fault a spilled entry back in: read + decode the spill file through
-    /// the cost model, restore the kv-store block, and re-admit the entry —
-    /// as the newest insertion normally, or *promoted and pinned* when the
-    /// place's thrash detector has tripped and this entry is reloading for
-    /// the second or later time (speculative re-admission, ISSUE 8).
+    /// the cost model, restore the kv-store block, and re-admit the entry
+    /// as the newest insertion.
     fn reload_locked<K: Send + Sync + 'static, V: Send + Sync + 'static>(
         &self,
         st: &mut GovState,
@@ -453,54 +429,19 @@ impl KvCache {
             .ok()?;
         let _ = spill.fs.delete(&spath, false);
         let id = st.admit(path.clone(), place, bytes);
-        let reloads = {
-            let e = st.entries.get_mut(path).expect("entry present");
-            e.id = id;
-            e.resident = true;
-            e.spill_path = None;
-            e.reloads += 1;
-            e.reloads
-        };
+        let e = st.entries.get_mut(path).expect("entry present");
+        e.id = id;
+        e.resident = true;
+        e.spill_path = None;
         self.mem.grow(place, MemClass::Cache, bytes);
         self.mem.note_reload(place, bytes);
-        // Thrash detection: every time a budget's worth of bytes has been
-        // reloaded at this place, the detector trips — the cache is cycling
-        // its working set, not shedding cold data.
-        if let Some(budget) = self.mem.budget() {
-            let ts = &mut st.thrash[place];
-            ts.window_bytes += bytes;
-            if ts.window_bytes > budget {
-                ts.trips += 1;
-                ts.window_bytes = 0;
-            }
-        }
-        // Speculative re-admission: once thrash is evident, a *hot* reload
-        // (second fault or later) is promoted — seeded with one policy
-        // access per past reload, so frequency/recency policies rank it
-        // above colder entries — and pinned against the enforcement pass
-        // this very reload triggers, so it cannot be chosen as the victim
-        // of its own fault-in.
-        let pin = if st.thrash[place].trips >= 1 && reloads >= 2 {
-            for _ in 0..reloads {
-                st.policies[place].on_access(id);
-            }
-            Some(id)
-        } else {
-            None
-        };
         // The reload itself may overflow the budget. Only `Spill` mode can
         // reach here (nothing ever spills under `FailFast`), so enforcement
-        // cannot error; under a thrashing budget some entry may spill right
+        // cannot error; under a tight budget some entry may spill right
         // back out — the caller still gets its data.
-        let _ = self.enforce_pinned_locked(st, pin);
+        let _ = self.enforce_locked(st);
         let seq = loaded.downcast::<CachedSeq<K, V>>().ok()?;
         Some(CacheHit { seq, place, meta })
-    }
-
-    /// Completed thrash-detector trips at `place` (reload windows whose
-    /// bytes exceeded the budget). Test/bench introspection.
-    pub fn thrash_trips(&self, place: usize) -> u64 {
-        self.state.lock().thrash[place].trips
     }
 
     /// Evict victims until every over-quota tenant fits its quota and every
@@ -512,15 +453,6 @@ impl KvCache {
     /// the budget step below only ever evicts from tenants already within
     /// their quotas (or unattributed entries).
     fn enforce_locked(&self, st: &mut GovState) -> Result<()> {
-        self.enforce_pinned_locked(st, None)
-    }
-
-    /// [`KvCache::enforce_locked`] with an optional pinned entry: `pin` is
-    /// exempt from victim selection for *this* pass only (used by
-    /// speculative re-admission so a hot reload cannot be evicted by the
-    /// enforcement its own fault-in triggers). The pin is an id, so it
-    /// expires naturally — the next (re-)admission issues a fresh id.
-    fn enforce_pinned_locked(&self, st: &mut GovState, pin: Option<u64>) -> Result<()> {
         let Some(spill) = &self.spill else {
             return Ok(());
         };
@@ -545,17 +477,7 @@ impl KvCache {
                         self.mem.live_class(place, MemClass::Cache)
                     )));
                 }
-                // The pin is advisory: it biases victim selection away from
-                // the re-admitted entry, but the budget is a hard guarantee,
-                // so when no other victim exists the pinned entry spills
-                // after all rather than leaving the place over budget.
-                let victim = match pin {
-                    Some(pinned) => st.policies[place]
-                        .victim_from(&mut |id| id != pinned)
-                        .or_else(|| st.policies[place].victim()),
-                    None => st.policies[place].victim(),
-                };
-                let Some(victim) = victim else {
+                let Some(victim) = st.policies[place].victim() else {
                     break;
                 };
                 self.spill_locked(st, victim, spill.as_ref())?;
@@ -764,8 +686,8 @@ impl KvCache {
 
     /// Register the cache's telemetry source with `registry`: per-owner
     /// resident bytes (tenant quota accounting made scrapeable),
-    /// per-tenant quotas, entry/spilled-entry counts and per-place thrash
-    /// trips, all read in one pass under the governor lock at export time.
+    /// per-tenant quotas and entry/spilled-entry counts, all read in one
+    /// pass under the governor lock at export time.
     /// Hit/miss, eviction and spill/reload traffic are the accountant's to
     /// export ([`MemAccountant::publish_telemetry`], registered at cluster
     /// birth); this adds the governor's view.
@@ -807,15 +729,7 @@ impl KvCache {
             entries.sample(&[("state", "resident")], resident_entries as f64);
             let spilled = st.entries.len() - resident_entries;
             entries.sample(&[("state", "spilled")], spilled as f64);
-            let mut thrash = Family::new(
-                Kind::Counter,
-                "m3r_cache_thrash_trips_total",
-                "thrash-detector trips per place (reload traffic exceeded the budget)",
-            );
-            for (p, t) in st.thrash.iter().enumerate() {
-                thrash.sample(&[("place", &p.to_string())], t.trips as f64);
-            }
-            vec![resident, quotas, entries, thrash]
+            vec![resident, quotas, entries]
         };
         registry.register("cache", Arc::new(source));
     }
@@ -962,36 +876,6 @@ mod tests {
         // The reload pushed /d/b out in turn (budget fits only one).
         assert_eq!(cache.total_bytes(), 20);
         assert!(!fs.exists(&HPath::new("/.m3r-spill/e0")), "spill file reclaimed");
-    }
-
-    #[test]
-    fn thrash_detector_trips_and_pins_the_hot_reload() {
-        // Budget 25, LFU. /hot and /cold are 20 bytes each: only one fits.
-        let (cache, _fs) = governed(1, 25, PolicyKind::Lfu);
-        let hot = HPath::new("/hot");
-        let cold = HPath::new("/cold");
-        cache.put_seq(0, &hot, seq(2), 20).unwrap();
-        cache.put_seq(0, &cold, seq(2), 20).unwrap();
-        // The LFU tie broke to the older entry: /hot spilled. Warm /cold
-        // so it outranks a plain (unpromoted) re-admission of /hot.
-        assert!(cache.get_seq::<IntWritable, Text>(&cold, None).is_some());
-        assert!(cache.get_seq::<IntWritable, Text>(&cold, None).is_some());
-
-        // First fault of /hot: 20 reload bytes stay inside the 25-byte
-        // window — no trip — and the re-admission (freq 1 vs /cold's 3)
-        // spills right back out: the classic thrash cycle.
-        assert!(cache.get_seq::<IntWritable, Text>(&hot, None).is_some());
-        assert_eq!(cache.thrash_trips(0), 0);
-
-        // Second fault: cumulative reload traffic (40 bytes) exceeds the
-        // budget and the detector trips. /hot is now a *hot* reload
-        // (reloads = 2), so it comes back promoted and pinned — this time
-        // /cold is the victim and /hot survives its own fault-in.
-        assert!(cache.get_seq::<IntWritable, Text>(&hot, None).is_some());
-        assert_eq!(cache.thrash_trips(0), 1);
-        let before = cache.mem().reload_bytes(0);
-        assert!(cache.get_seq::<IntWritable, Text>(&hot, None).is_some());
-        assert_eq!(cache.mem().reload_bytes(0), before, "hot entry stayed resident");
     }
 
     #[test]

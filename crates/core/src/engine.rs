@@ -29,7 +29,6 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use hmr_api::comparator::SortTuning;
 use hmr_api::conf::JobConf;
 use hmr_api::counters::{task_counter, Counters, TaskContext};
 use hmr_api::distcache::DistCache;
@@ -358,7 +357,6 @@ struct Run<J: JobDef> {
     held: Arc<JobMem>,
     place_map: PlaceMap,
     num_reducers: usize,
-    tuning: SortTuning,
     /// Σ split lengths — what `Workers::Auto` sizes the job by; `u64::MAX`
     /// for a map-prefix replay, which plans no splits.
     input_bytes: u64,
@@ -608,7 +606,6 @@ impl M3REngine {
             held: Arc::clone(held),
             place_map,
             num_reducers,
-            tuning: SortTuning::for_job(conf),
             input_bytes,
             input_format,
             output_format: job.output_format(conf),
@@ -887,10 +884,15 @@ fn map_phase_at_place<J: JobDef>(
                     // Governor interaction: if absorbing pushed this place
                     // over its budget, combine what is held now and degrade
                     // to plain streaming for the rest of the map phase.
-                    // Deterministic — finite-budget waves always run
-                    // sequentially, so the flush point depends only on task
-                    // order. The flush bills the current task.
-                    if cluster.mem().budget().is_some_and(|b| cluster.mem().live(place) > b) {
+                    // The flush bills the current task. It must depend only
+                    // on task order: finite-budget waves run sequentially,
+                    // but places run concurrently and other places publish
+                    // their streams into this place's `Shuffle` class, so
+                    // that class is left out, as the cache governor does.
+                    let mem = cluster.mem();
+                    let own = [MemClass::Cache, MemClass::Pool, MemClass::Combine, MemClass::Memo]
+                        .map(|class| mem.live_class(place, class));
+                    if mem.budget().is_some_and(|b| own.iter().sum::<u64>() > b) {
                         outbox.drain_combine_tables(run, place)?;
                     }
                 } else {
@@ -1031,15 +1033,11 @@ fn run_map_task<J: JobDef>(
     let sort_cmp = job.sort_comparator();
     let group_cmp = job.grouping_comparator();
     // A combiner job whose groups are raw-key equality classes in
-    // ascending raw order (the hash-group legality) groups at collect time
-    // and never materialises its duplicate keys. Everything else buffers
-    // plain pairs; the input sequence is already materialized, so its
-    // length pre-sizes those buckets (uniform spread assumption).
-    let mut buffer = if combiner.is_some()
-        && run.tuning.hash_group
-        && sort_cmp.is_natural()
-        && group_cmp.is_natural()
-    {
+    // ascending raw order (natural sort and grouping comparators) groups at
+    // collect time and never materialises its duplicate keys. Everything
+    // else buffers plain pairs; the input sequence is already materialized,
+    // so its length pre-sizes those buckets (uniform spread assumption).
+    let mut buffer = if combiner.is_some() && sort_cmp.is_natural() && group_cmp.is_natural() {
         MapOutputBuffer::grouping(
             num_parts,
             job.partitioner(conf),
@@ -1076,7 +1074,7 @@ fn run_map_task<J: JobDef>(
         ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, records as i64);
         let mut out: hmr_api::collect::VecCollector<J::K2, J::V2> =
             hmr_api::collect::VecCollector::new();
-        part.into_grouped(&sort_cmp, &group_cmp, &run.tuning)
+        part.into_grouped(&sort_cmp, &group_cmp)
             .for_each_group(|key, values| {
                 combiner.reduce(key, values, &mut out, &mut ctx)
             })?;
@@ -1274,7 +1272,6 @@ fn run_reduce_partition<J: JobDef>(
         &*run.job,
         partition,
         pairs,
-        &run.tuning,
         || {},
         || {
             Ok(ReduceCollector {

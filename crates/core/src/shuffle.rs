@@ -116,8 +116,8 @@ where
     }
 
     /// Groups ascending by raw key, values scattered into group order.
-    fn into_grouped(mut self, tuning: &SortTuning) -> GroupedPart<K, V> {
-        let mut layout = self.index.layout(tuning);
+    fn into_grouped(mut self) -> GroupedPart<K, V> {
+        let mut layout = self.index.layout(&SortTuning::default());
         drop(self.index);
         apply_permutation(&mut self.values, &mut layout.records);
         apply_permutation(&mut self.keys, &mut layout.groups);
@@ -163,12 +163,12 @@ where
         self,
         sort_cmp: &KeyComparator<K>,
         group_cmp: &KeyComparator<K>,
-        tuning: &SortTuning,
     ) -> GroupedPart<K, V> {
         match self {
-            MapPart::Groups(groups) => groups.into_grouped(tuning),
+            MapPart::Groups(groups) => groups.into_grouped(),
             MapPart::Pairs(mut pairs) => {
-                let spans = ingest_reduce_groups(&mut pairs, sort_cmp, group_cmp, tuning, None);
+                let tuning = SortTuning::default();
+                let spans = ingest_reduce_groups(&mut pairs, sort_cmp, group_cmp, &tuning, None);
                 GroupedPart {
                     keys: spans.iter().map(|span| Arc::clone(&pairs[span.start].0)).collect(),
                     counts: spans.iter().map(|span| span.len() as u32).collect(),
@@ -605,7 +605,7 @@ mod tests {
     {
         let nat = KeyComparator::<K>::natural();
         let mut out = Vec::new();
-        part.into_grouped(&nat, &nat, &SortTuning::default())
+        part.into_grouped(&nat, &nat)
             .for_each_group(|k, vs| {
                 out.push((k, vs.collect()));
                 Ok(())
@@ -777,7 +777,7 @@ mod tests {
         let mut firsts = Vec::new();
         buf.into_parts()
             .swap_remove(0)
-            .into_grouped(&nat, &nat, &SortTuning::default())
+            .into_grouped(&nat, &nat)
             .for_each_group(|k, vs| {
                 firsts.push((k.0, vs.next().unwrap().0[0]));
                 Ok(())
@@ -1098,7 +1098,7 @@ mod prop_tests {
                 plain.collect(Arc::clone(k), Arc::clone(v)).unwrap();
             }
             let nat = KeyComparator::<Text>::natural();
-            let decoded = SortTuning { raw_min_pairs: usize::MAX, hash_group: false };
+            let decoded = SortTuning { raw_min_pairs: usize::MAX };
             for (g, p) in grouping.into_parts().into_iter().zip(plain.into_parts()) {
                 prop_assert_eq!(g.len(), p.len());
                 let mut sorted = p.into_pairs();
@@ -1111,7 +1111,7 @@ mod prop_tests {
                     })
                     .collect();
                 let mut got = Vec::new();
-                g.into_grouped(&nat, &nat, &SortTuning::default())
+                g.into_grouped(&nat, &nat)
                     .for_each_group(|k, vs| {
                         got.push((k, vs.collect::<Vec<_>>()));
                         Ok(())

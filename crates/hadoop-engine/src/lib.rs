@@ -253,7 +253,6 @@ struct Run<'a, J: JobDef> {
     conf: &'a Arc<JobConf>,
     output_format: &'a dyn OutputFormat<J::K3, J::V3>,
     num_reducers: usize,
-    tuning: SortTuning,
     /// Σ split lengths — what `Workers::Auto` sizes the job by.
     input_bytes: u64,
     dist_cache: Arc<DistCache>,
@@ -346,7 +345,6 @@ impl HadoopEngine {
             conf,
             output_format,
             num_reducers,
-            tuning: SortTuning::for_job(conf),
             input_bytes: splits.iter().map(|s| s.length()).sum(),
             dist_cache,
         };
@@ -588,7 +586,7 @@ impl<J: JobDef> Run<'_, J> {
                         &mut pairs,
                         &sort_cmp,
                         &group_cmp,
-                        &self.tuning,
+                        &SortTuning::default(),
                         None,
                     );
                     ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, pairs.len() as i64);
@@ -695,8 +693,7 @@ impl<J: JobDef> Run<'_, J> {
                 Arc::clone(conf),
                 Arc::clone(&self.dist_cache),
             ),
-        )
-        .with_tuning(self.tuning);
+        );
         mapper.setup(&mut ctx)?;
         let mut in_records = 0i64;
         while let Some((k, v)) = reader.next()? {
@@ -762,7 +759,6 @@ impl<J: JobDef> Run<'_, J> {
             self.job,
             partition,
             pairs,
-            &self.tuning,
             || {
                 if total_bytes as usize > self.engine.opts.sort_buffer_bytes {
                     // Out-of-core merge: one extra round trip through local disk.

@@ -158,7 +158,7 @@ pub struct SortBuffer<K, V> {
 
 impl<K: Writable, V: Writable> SortBuffer<K, V> {
     /// A buffer spilling after `threshold_bytes` of serialized output,
-    /// sorting under [`SortTuning::default`] (see [`Self::with_tuning`]).
+    /// sorting under [`SortTuning::default`].
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         num_partitions: usize,
@@ -188,9 +188,10 @@ impl<K: Writable, V: Writable> SortBuffer<K, V> {
         }
     }
 
-    /// Sort and group under the job's tuning instead of the default
-    /// (wall-clock only: every kernel path yields the same bytes).
-    pub fn with_tuning(mut self, tuning: SortTuning) -> Self {
+    /// Sort under `tuning` instead of the default, to force one sort path
+    /// (wall-clock only: every path yields the same bytes).
+    #[cfg(test)]
+    fn with_tuning(mut self, tuning: SortTuning) -> Self {
         self.tuning = tuning;
         self
     }
@@ -574,8 +575,8 @@ mod prop_tests {
     use proptest::prelude::*;
     use std::cmp::Ordering;
 
-    /// A key whose raw sort form declines for one value, so every raw-key
-    /// kernel path has to fall back mid-run.
+    /// A key whose raw sort form declines for one value, so the radix sort
+    /// has to fall back mid-run.
     #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
     struct Flaky(i32);
     impl Writable for Flaky {
@@ -758,15 +759,16 @@ mod prop_tests {
     }
 
     /// `order`: 0 natural, 1 reversed sort, 2 natural sort under the coarse
-    /// grouping comparator. `kernel` picks which sort / group paths the
-    /// tuning allows; all of them must produce the model's outcome.
+    /// grouping comparator. `radix` forces the raw-key radix sort at every
+    /// size, otherwise the decoded sort runs; both must produce the model's
+    /// outcome.
     fn check<K: ModelKey>(
         keys: &[i32],
         parts: usize,
         threshold: usize,
         order: u8,
         combine: bool,
-        kernel: u8,
+        radix: bool,
     ) {
         let case = Case {
             recs: keys
@@ -789,8 +791,7 @@ mod prop_tests {
             combine,
         };
         let tuning = SortTuning {
-            raw_min_pairs: if kernel & 1 == 0 { 0 } else { usize::MAX },
-            hash_group: kernel & 2 == 0,
+            raw_min_pairs: if radix { 0 } else { usize::MAX },
         };
         assert_eq!(buffer(&case, tuning), model(&case));
     }
@@ -799,7 +800,7 @@ mod prop_tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Whatever the key shape, comparators, combiner, spill threshold
-        /// and kernel path, the buffer agrees with the reference model on
+        /// and sort path, the buffer agrees with the reference model on
         /// segment *bytes* (so: the exact multiset, the partition routing,
         /// the sort order and its stability), the combiner counters, the
         /// spill count and every billed byte and record.
@@ -814,8 +815,9 @@ mod prop_tests {
             keys in proptest::collection::vec(-30i32..30, 0..120),
             threshold in prop_oneof![16usize..4096, Just(usize::MAX)],
             partitions in 1usize..6,
-            (shape, order, kernel) in (0u8..4, 0u8..3, 0u8..4),
+            (shape, order) in (0u8..4, 0u8..3),
             combine in any::<bool>(),
+            radix in any::<bool>(),
         ) {
             let check = match shape {
                 0 => check::<Text>,
@@ -823,7 +825,7 @@ mod prop_tests {
                 2 => check::<PairWritable<IntWritable, IntWritable>>,
                 _ => check::<Flaky>,
             };
-            check(&keys, partitions, threshold, order, combine, kernel);
+            check(&keys, partitions, threshold, order, combine, radix);
         }
 
         /// A valid segment cut at any byte decodes to an error or to a

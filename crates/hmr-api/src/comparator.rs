@@ -11,14 +11,14 @@
 //! `hmr-api.group_ns_per_rec` measure:
 //!
 //! * [`sort_pairs_tuned`] — raw-key LSD radix prefix sort for runs past
-//!   one size threshold, tunable through [`SortTuning`];
+//!   one size threshold ([`RAW_SORT_MIN_PAIRS`]);
+//! * [`group_spans`] — adjacent grouping over sorted runs;
+//! * [`ingest_reduce_groups`] — reduce ingest on both engines: the sort,
+//!   then the span scan;
 //! * [`RawKeyIndex`] — the hash-group kernel: interns raw sort keys one
 //!   record at a time (`raw bytes → group id`) and lays the groups out in
 //!   ascending key order, sorting only the G distinct keys instead of all
-//!   N records. The M3R map output buffer feeds it at `collect()` time;
-//! * [`hash_group_pairs`] / [`ingest_reduce_groups`] — hash-grouped reduce
-//!   ingest for natural-order jobs: the batch wrapper over the same index;
-//! * [`group_spans`] — adjacent grouping over sorted runs.
+//!   N records. The M3R map output buffer feeds it at `collect()` time.
 //!
 //! Every kernel is pinned bit-identical to the plain stable
 //! sort-then-group path: same permutation, same spans, regardless of which
@@ -30,7 +30,6 @@ use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::conf::JobConf;
 use crate::writable::Writable;
 
 /// A total order over keys, shareable across tasks and places.
@@ -117,7 +116,7 @@ fn build_raw_keys_into<'a, K: Writable + 'a>(
     true
 }
 
-/// Default for [`SortTuning::raw_min_pairs`], the one sort threshold:
+/// The one sort threshold ([`SortTuning::raw_min_pairs`]' default):
 /// below this many pairs the decoded comparator sort runs; at or above it
 /// the raw-key pipeline does — key bytes, `u64` prefixes, LSD radix over
 /// the prefixes, full-raw fix-up on prefix ties.
@@ -131,43 +130,23 @@ fn build_raw_keys_into<'a, K: Writable + 'a>(
 /// second "raw but not radix" threshold. Two caveats keep small runs on the
 /// decoded path: keys whose decoded compare is register-cheap (fixed-width
 /// ints) do not repay the raw-key build on a few hundred pairs, and keys
-/// sharing a long common prefix degrade to the full-raw fix-up. Override
-/// per job with [`crate::conf::RAW_SORT_MIN_PAIRS`].
+/// sharing a long common prefix degrade to the full-raw fix-up.
 pub const RAW_SORT_MIN_PAIRS: usize = 1024;
 
-/// Tunables for the reduce-ingest kernels. Defaults come from the measured
-/// crossovers above; the job's [`JobConf`] may override them.
+/// The sort threshold the kernels read. Engines always pass the default
+/// ([`RAW_SORT_MIN_PAIRS`]); tests set it to force one sort path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SortTuning {
     /// Minimum pairs (or, for [`RawKeyIndex::layout`], distinct groups)
     /// before the raw-key radix sort path engages.
     pub raw_min_pairs: usize,
-    /// Hash-grouped ingest for natural-order reduces (see
-    /// [`ingest_reduce_groups`]).
-    pub hash_group: bool,
 }
 
 impl Default for SortTuning {
     fn default() -> Self {
         SortTuning {
             raw_min_pairs: RAW_SORT_MIN_PAIRS,
-            hash_group: true,
         }
-    }
-}
-
-impl SortTuning {
-    /// Per-job tuning: the defaults with the job's conf knobs
-    /// ([`crate::conf::RAW_SORT_MIN_PAIRS`] and friends) applied on top.
-    pub fn for_job(conf: &JobConf) -> Self {
-        let mut t = Self::default();
-        if let Some(v) = conf.raw_sort_min_pairs() {
-            t.raw_min_pairs = v;
-        }
-        if let Some(v) = conf.hash_group_ingest() {
-            t.hash_group = v;
-        }
-        t
     }
 }
 
@@ -561,56 +540,9 @@ impl RawKeyIndex {
     }
 }
 
-/// Hash-grouped reduce ingest for natural-order jobs: permute `pairs` so
-/// each distinct key's records are contiguous — groups in ascending
-/// natural key order, values in arrival order — and return the group
-/// spans. That is bit-identical to the layout of a stable sort followed by
-/// [`group_spans`], but only the G distinct keys are ever sorted. This is
-/// the batch form of [`RawKeyIndex`]: every key is interned (the index is
-/// sized from `pairs.len()`, so all-distinct input never rehashes), then
-/// the layout's record permutation is applied in place.
-///
-/// Legality: the caller must only use this when *both* the sort and the
-/// grouping comparator are the natural order (raw-key equality == key
-/// equality == same group, and ascending raw order == the observable
-/// output order). Returns `None` when the key type has no raw sort form or
-/// the run outgrows the index's `u32` offsets; the caller falls back to
-/// the sort path.
-pub fn hash_group_pairs<K: Writable, V>(
-    pairs: &mut [(Arc<K>, V)],
-    tuning: &SortTuning,
-) -> Option<Vec<Range<usize>>> {
-    if pairs.is_empty() {
-        return Some(Vec::new());
-    }
-    let mut index = RawKeyIndex::with_capacity(pairs.len());
-    if pairs.iter().any(|(k, _)| index.intern(&**k).is_none()) {
-        return None;
-    }
-    let mut layout = index.layout(tuning);
-    drop(index);
-    let mut spans = Vec::with_capacity(layout.counts.len());
-    let mut cursor = 0usize;
-    for &c in &layout.counts {
-        spans.push(cursor..cursor + c as usize);
-        cursor += c as usize;
-    }
-    apply_permutation(pairs, &mut layout.records);
-    Some(spans)
-}
-
-/// The reduce-ingest entry point both engines share: arrange `pairs` into
-/// grouped reduce-input order and return the group spans.
-///
-/// When hash grouping is enabled and *both* comparators are the natural
-/// order — the job set no sort comparator, so the only observable order is
-/// ascending natural, and no grouping comparator, so groups are exactly
-/// key-equality classes — ingest goes through [`hash_group_pairs`].
-/// Everything else (custom comparators, keys without raw sort forms) takes
-/// the stable sort + [`group_spans`] path. Both paths produce bit-identical
-/// pair order and spans; which one runs is wall-clock-only, and the
-/// engines' simulated `Charge::Sort` is billed from the record count
-/// either way.
+/// The reduce-ingest entry point both engines share: stable-sort `pairs`
+/// under `sort_cmp` ([`sort_pairs_tuned`]) and return the spans of
+/// adjacent keys `group_cmp` calls equal ([`group_spans`]).
 pub fn ingest_reduce_groups<K: Writable, V>(
     pairs: &mut [(Arc<K>, V)],
     sort_cmp: &KeyComparator<K>,
@@ -618,11 +550,6 @@ pub fn ingest_reduce_groups<K: Writable, V>(
     tuning: &SortTuning,
     _: Option<&NoArena>,
 ) -> Vec<Range<usize>> {
-    if tuning.hash_group && sort_cmp.is_natural() && group_cmp.is_natural() {
-        if let Some(spans) = hash_group_pairs(pairs, tuning) {
-            return spans;
-        }
-    }
     sort_pairs_tuned(pairs, sort_cmp, tuning, None);
     group_spans(pairs, group_cmp)
 }
@@ -641,10 +568,34 @@ mod tests {
 
     /// Tunings that force one specific path each.
     fn radix_tuning() -> SortTuning {
-        SortTuning { raw_min_pairs: 1, hash_group: false }
+        SortTuning { raw_min_pairs: 1 }
     }
     fn decoded_tuning() -> SortTuning {
-        SortTuning { raw_min_pairs: usize::MAX, hash_group: false }
+        SortTuning { raw_min_pairs: usize::MAX }
+    }
+
+    /// Group a whole run through a [`RawKeyIndex`], as the collect-time
+    /// grouper does record by record: intern every key, lay the groups
+    /// out and permute `pairs` into that layout. Returns the group spans,
+    /// or `None` — leaving `pairs` in arrival order — when the index
+    /// declines a key.
+    fn group_by_index<K: Writable, V>(
+        pairs: &mut [(Arc<K>, V)],
+        tuning: &SortTuning,
+    ) -> Option<Vec<Range<usize>>> {
+        let mut index = RawKeyIndex::with_capacity(pairs.len());
+        if pairs.iter().any(|(k, _)| index.intern(&**k).is_none()) {
+            return None;
+        }
+        let mut layout = index.layout(tuning);
+        let mut spans = Vec::with_capacity(layout.counts.len());
+        let mut cursor = 0usize;
+        for &c in &layout.counts {
+            spans.push(cursor..cursor + c as usize);
+            cursor += c as usize;
+        }
+        apply_permutation(pairs, &mut layout.records);
+        Some(spans)
     }
 
     /// [`sort_pairs_tuned`] under the default tuning.
@@ -773,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_group_matches_sort_then_group() {
+    fn index_grouping_matches_sort_then_group() {
         for n in [0usize, 1, 7, 1000, 5000] {
             let mut seed = 31 + n as u64;
             let base: Vec<(Arc<Text>, Arc<IntWritable>)> = (0..n)
@@ -786,8 +737,8 @@ mod tests {
                 .collect();
             let nat = KeyComparator::natural();
             let mut hashed = base.clone();
-            let hspans = hash_group_pairs(&mut hashed, &SortTuning::default())
-                .expect("Text has raw keys");
+            let hspans =
+                group_by_index(&mut hashed, &SortTuning::default()).expect("Text has raw keys");
             let mut sorted = base;
             sort_pairs_tuned(&mut sorted, &nat, &decoded_tuning(), None);
             let sspans = group_spans(&sorted, &nat);
@@ -797,31 +748,9 @@ mod tests {
     }
 
     #[test]
-    fn ingest_hash_and_sort_paths_are_bit_identical() {
-        let mut seed = 9u64;
-        let base: Vec<(Arc<LongWritable>, Arc<Text>)> = (0..2500)
-            .map(|i| {
-                (
-                    Arc::new(LongWritable((lcg(&mut seed) % 40) as i64 - 20)),
-                    Arc::new(Text::from(format!("v{i}"))),
-                )
-            })
-            .collect();
-        let nat = KeyComparator::<LongWritable>::natural();
-        let on = SortTuning { hash_group: true, ..SortTuning::default() };
-        let off = SortTuning { hash_group: false, ..SortTuning::default() };
-        let mut a = base.clone();
-        let sa = ingest_reduce_groups(&mut a, &nat, &nat, &on, None);
-        let mut b = base;
-        let sb = ingest_reduce_groups(&mut b, &nat, &nat, &off, None);
-        assert_eq!(flat(&a), flat(&b));
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn ingest_falls_back_for_custom_comparators() {
-        // Secondary sort: group by primary only. The hash path must not
-        // engage (grouping is not natural), or groups would split.
+    fn ingest_groups_by_the_grouping_comparator() {
+        // Secondary sort: group by primary only, so one group holds keys
+        // the sort comparator orders apart.
         type K = PairWritable<IntWritable, IntWritable>;
         let sort = KeyComparator::<K>::natural();
         let group = KeyComparator::<K>::new(|a: &K, b: &K| a.0.cmp(&b.0));
@@ -832,11 +761,10 @@ mod tests {
             )
         };
         let mut pairs = vec![mk(1, 9), mk(2, 1), mk(1, 3), mk(2, 0), mk(1, 5)];
-        let tuning = SortTuning { hash_group: true, ..SortTuning::default() };
-        let spans = ingest_reduce_groups(&mut pairs, &sort, &group, &tuning, None);
+        let spans = ingest_reduce_groups(&mut pairs, &sort, &group, &SortTuning::default(), None);
         assert_eq!(spans.len(), 2, "grouped by primary key only");
         let first: Vec<i32> = pairs[spans[0].clone()].iter().map(|(k, _)| k.1 .0).collect();
-        assert_eq!(first, vec![3, 5, 9], "secondary order survives the fallback");
+        assert_eq!(first, vec![3, 5, 9], "secondary order inside the group");
     }
 
     /// What a collect-time grouper does with the index: intern every key,
@@ -947,12 +875,12 @@ mod tests {
     }
 
     #[test]
-    fn ingest_falls_back_when_a_later_key_has_no_raw_form() {
+    fn index_declines_a_run_whose_later_key_has_no_raw_form() {
         let base: Vec<(Arc<Flaky>, Arc<IntWritable>)> = (0..40)
             .map(|i| (Arc::new(Flaky(39 - i)), Arc::new(IntWritable(i))))
             .collect();
         let mut declined = base.clone();
-        assert!(hash_group_pairs(&mut declined, &SortTuning::default()).is_none());
+        assert!(group_by_index(&mut declined, &SortTuning::default()).is_none());
         assert_eq!(
             flat(&declined),
             flat(&base),
@@ -964,7 +892,7 @@ mod tests {
         assert_eq!(spans.len(), 40);
         assert!(
             flaky.windows(2).all(|w| w[0].0 < w[1].0),
-            "sorted by the fallback"
+            "ingest sorts by the decoded compare"
         );
     }
 
@@ -979,18 +907,6 @@ mod tests {
             vec![0, 1, 2, 3, 4],
             "the permutation is its own visited set"
         );
-    }
-
-    #[test]
-    fn tuning_conf_knobs_override_defaults() {
-        let mut conf = JobConf::new();
-        conf.set_raw_sort_min_pairs(7).set_hash_group_ingest(false);
-        let t = SortTuning::for_job(&conf);
-        assert_eq!(t.raw_min_pairs, 7);
-        assert!(!t.hash_group);
-        // An empty conf inherits the defaults.
-        let d = SortTuning::for_job(&JobConf::new());
-        assert_eq!(d, SortTuning::default());
     }
 
     #[cfg(test)]
@@ -1036,8 +952,8 @@ mod tests {
                 }
             }
 
-            /// Collect-time grouping through the index, and the batch
-            /// wrapper over it, both reproduce the stable sort + span scan
+            /// Collect-time grouping through the index, record by record and
+            /// over a whole run, reproduces the stable sort + span scan
             /// exactly — on byte-string keys with heavy duplication, shared
             /// > 8-byte prefixes and empty keys, with enough distinct keys
             /// to double the 64-slot table several times.
@@ -1061,7 +977,6 @@ mod tests {
                     .collect();
                 let tuning = SortTuning {
                     raw_min_pairs: if radix { 1 } else { usize::MAX },
-                    hash_group: true,
                 };
                 let nat = KeyComparator::<Text>::natural();
                 let mut truth = base.clone();
@@ -1071,7 +986,7 @@ mod tests {
                 prop_assert_eq!(&pairs, &flat(&truth));
                 prop_assert_eq!(&spans, &tspans);
                 let mut batch = base;
-                let bspans = hash_group_pairs(&mut batch, &tuning).expect("raw keys");
+                let bspans = group_by_index(&mut batch, &tuning).expect("raw keys");
                 prop_assert_eq!(flat(&batch), flat(&truth));
                 prop_assert_eq!(bspans, tspans);
             }
@@ -1093,8 +1008,8 @@ mod tests {
                 prop_assert_eq!(&pairs, &flat(&truth));
                 prop_assert_eq!(&spans, &tspans);
                 let mut batch = base;
-                let bspans = hash_group_pairs(&mut batch, &SortTuning::default())
-                    .expect("raw keys");
+                let bspans =
+                    group_by_index(&mut batch, &SortTuning::default()).expect("raw keys");
                 prop_assert_eq!(flat(&batch), flat(&truth));
                 prop_assert_eq!(bspans, tspans);
             }
@@ -1112,8 +1027,7 @@ mod tests {
                 truth.sort_by(|a, b| a.0.cmp(&b.0));
                 let tspans = group_spans(&truth, &nat);
                 let mut hashed = base.clone();
-                let hspans = hash_group_pairs(&mut hashed, &radix_tuning())
-                    .expect("raw keys");
+                let hspans = group_by_index(&mut hashed, &radix_tuning()).expect("raw keys");
                 prop_assert_eq!(flat(&hashed), flat(&truth));
                 prop_assert_eq!(hspans, tspans);
                 let mut radix = base;

@@ -47,18 +47,6 @@ pub const CLIENT_ID: &str = "m3r.client.id";
 /// sensitive to grouping depth or value arrival order will change job
 /// output with this flag on. Jobs without a combiner ignore the flag.
 pub const PLACE_COMBINE: &str = "m3r.shuffle.place.combine";
-/// Hot-path tunable (ISSUE 8): minimum pair count before sorting switches
-/// from decoded comparisons to the raw-key (memcmp-prefix, LSD radix) path.
-/// Defaults to [`crate::comparator::RAW_SORT_MIN_PAIRS`]; per-job override
-/// for workloads whose key encode cost differs from the measured crossover.
-pub const RAW_SORT_MIN_PAIRS: &str = "m3r.sort.raw.min.pairs";
-/// Hot-path tunable (ISSUE 8): whether natural-order reduces may ingest
-/// through the hash-grouping kernel instead of sort-then-span. Output is
-/// bit-identical either way (groups still drain in ascending key order);
-/// the knob exists so the sorted path can be forced for measurement. On
-/// M3R the same gate decides whether a combiner job's map output is
-/// grouped at `collect()` time.
-pub const HASH_GROUP_INGEST: &str = "m3r.reduce.hash.group";
 
 /// A string-keyed configuration map with typed accessors.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -242,29 +230,6 @@ impl JobConf {
         self.set(PLACE_COMBINE, on.to_string())
     }
 
-    // -- hot-path sort/group tunables (ISSUE 8) ------------------------------
-
-    /// Per-job override for the raw-sort crossover, if set. `None` defers
-    /// to the default (the measured constant).
-    pub fn raw_sort_min_pairs(&self) -> Option<usize> {
-        self.get(RAW_SORT_MIN_PAIRS).and_then(|s| s.parse().ok())
-    }
-
-    /// Override the raw-sort crossover for this job.
-    pub fn set_raw_sort_min_pairs(&mut self, n: usize) -> &mut Self {
-        self.set(RAW_SORT_MIN_PAIRS, n.to_string())
-    }
-
-    /// Per-job override for hash-grouped reduce ingest, if set.
-    pub fn hash_group_ingest(&self) -> Option<bool> {
-        self.get(HASH_GROUP_INGEST).and_then(|s| s.parse().ok())
-    }
-
-    /// Force hash-grouped reduce ingest on or off for this job.
-    pub fn set_hash_group_ingest(&mut self, on: bool) -> &mut Self {
-        self.set(HASH_GROUP_INGEST, on.to_string())
-    }
-
     /// Iterate over all properties.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.props.iter().map(|(k, v)| (k.as_str(), v.as_str()))
@@ -347,18 +312,6 @@ mod tests {
         assert!(c.place_level_combine());
         c.set_place_level_combine(false);
         assert!(!c.place_level_combine());
-    }
-
-    #[test]
-    fn sort_tunables_roundtrip_and_default_to_unset() {
-        let mut c = JobConf::new();
-        assert_eq!(c.raw_sort_min_pairs(), None);
-        assert_eq!(c.hash_group_ingest(), None);
-        c.set_raw_sort_min_pairs(7).set_hash_group_ingest(false);
-        assert_eq!(c.raw_sort_min_pairs(), Some(7));
-        assert_eq!(c.hash_group_ingest(), Some(false));
-        c.set(RAW_SORT_MIN_PAIRS, "not-a-number");
-        assert_eq!(c.raw_sort_min_pairs(), None, "unparseable means unset");
     }
 
     #[test]

@@ -101,8 +101,8 @@ pub fn reduce_groups<K2, V2, K3, V3>(
 }
 
 /// One reduce partition, from assembled input to a filled sink: the `Sort`
-/// span (billed per record whichever ingest kernel runs, so simulated time
-/// is independent of the path taken), the input counters, and the job's
+/// span (billed per record whichever sort path runs, so simulated time is
+/// independent of the path taken), the input counters, and the job's
 /// reducer over every group. `spill` bills
 /// whatever the engine pays inside the sort span ahead of the sort itself
 /// (Hadoop's out-of-core merge); `open_sink` runs after the sort, where
@@ -111,7 +111,6 @@ pub fn reduce_partition<J: JobDef, S: OutputCollector<J::K3, J::V3>>(
     job: &J,
     partition: usize,
     mut pairs: Vec<(Arc<J::K2>, Arc<J::V2>)>,
-    tuning: &SortTuning,
     spill: impl FnOnce(),
     open_sink: impl FnOnce() -> Result<S>,
     ctx: &mut TaskContext,
@@ -125,7 +124,7 @@ pub fn reduce_partition<J: JobDef, S: OutputCollector<J::K3, J::V3>>(
             &mut pairs,
             &job.sort_comparator(),
             &job.grouping_comparator(),
-            tuning,
+            &SortTuning::default(),
             None,
         )
     });

@@ -12,9 +12,8 @@
 //!   partitioner), so only jobs running the same code can collide;
 //! * the *semantic* subset of the effective `JobConf`, normalized: keys are
 //!   iterated in sorted (BTreeMap) order and keys that cannot change output
-//!   bytes — job name, client id, sort/shuffle tuning knobs, the memo
-//!   enable flag itself, and the path-carrying keys hashed separately —
-//!   are excluded;
+//!   bytes — job name, client id, the place-combine switch, and the
+//!   path-carrying keys hashed separately — are excluded;
 //! * the engine name and any engine options that affect output bytes.
 //!
 //! Everything is hashed with the same fnv1a kernel the comparators use.
@@ -52,8 +51,8 @@ impl std::fmt::Display for Fingerprint {
 /// channel instead of as raw conf text).
 ///
 /// * Labels and routing: job name, client id.
-/// * Sort/shuffle/grouping tuning knobs: they pick among implementations
-///   that are pinned byte-identical by the tier-1 tests.
+/// * The place-combine switch: combining is pinned byte-identical in
+///   outputs by the tier-1 tests.
 /// * Path-carrying keys: inputs and cache files enter as `(path, content
 ///   version)` pairs; the output path is where results *land*, not what
 ///   they *are* — a hit may replay into a different output directory.
@@ -61,8 +60,6 @@ impl std::fmt::Display for Fingerprint {
 pub const NON_SEMANTIC_KEYS: &[&str] = &[
     conf::JOB_NAME,
     conf::CLIENT_ID,
-    conf::RAW_SORT_MIN_PAIRS,
-    conf::HASH_GROUP_INGEST,
     conf::PLACE_COMBINE,
     conf::INPUT_PATHS,
     conf::CACHE_FILES,
@@ -209,7 +206,6 @@ mod tests {
         let fp0 = basis_on(&fs, &conf, &id).job_fingerprint();
         conf.set(conf::JOB_NAME, "renamed")
             .set_client_id("tenant-b")
-            .set_raw_sort_min_pairs(7)
             .set_place_level_combine(true)
             .set_output_path(&HPath::new("/elsewhere"));
         assert_eq!(basis_on(&fs, &conf, &id).job_fingerprint(), fp0);

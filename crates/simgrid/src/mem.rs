@@ -207,7 +207,12 @@ impl MemAccountant {
         });
     }
 
-    /// Total live bytes at `place` across all classes.
+    /// Total live bytes at `place` across all classes: what the high
+    /// watermark tracks and the reports print. No decision may read it
+    /// while places run concurrently: a stream publish grows
+    /// [`MemClass::Shuffle`] at its destination from the source place's
+    /// thread, so the sum depends on thread timing. Such decisions read
+    /// [`MemAccountant::live_class`] for the classes their own place grows.
     pub fn live(&self, place: usize) -> u64 {
         self.place(place).live()
     }

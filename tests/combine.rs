@@ -135,9 +135,11 @@ fn load_counts(fs: &SimDfs, dir: &str, parts: usize) -> BTreeMap<String, i64> {
 type Counts = BTreeMap<String, i64>;
 type Parts = Vec<(String, bytes::Bytes)>;
 
-/// Run `TokenCount` on a fresh M3R instance under a per-place `budget`;
-/// returns the result, the summed counts, the raw output bytes, and the
-/// cluster for inspection.
+/// Run `TokenCount` on a fresh M3R instance under a per-place `budget`,
+/// with `parked` shuffle bytes already live at place 0 (another job's
+/// stream, as far as the accountant knows); returns the result, the summed
+/// counts, the raw output bytes, and the cluster for inspection.
+#[allow(clippy::too_many_arguments)]
 fn run_m3r(
     records: &[(i32, String)],
     files: usize,
@@ -146,11 +148,13 @@ fn run_m3r(
     place_combine: bool,
     workers: simgrid::Workers,
     budget: Option<u64>,
+    parked: u64,
 ) -> (JobResult, Counts, Parts, Cluster) {
     let cluster = Cluster::new(places, CostModel::default());
     let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
     stage_input(&fs, records, files);
     cluster.mem().set_budget(budget);
+    cluster.mem().grow(0, simgrid::MemClass::Shuffle, parked);
     let opts = M3ROptions { worker_threads: 2, workers, ..M3ROptions::default() };
     let mut engine = M3REngine::with_options(cluster.clone(), Arc::new(fs.clone()), opts);
     let r = engine
@@ -215,15 +219,15 @@ proptest! {
     ) {
         // M3R: combine off (the PR 6 behaviour) vs on, parallel waves.
         let (_, off_counts, off_parts, _) =
-            run_m3r(&records, files, places, reducers, false, forced(true), None);
+            run_m3r(&records, files, places, reducers, false, forced(true), None, 0);
         let (on_par, on_counts, on_parts, _) =
-            run_m3r(&records, files, places, reducers, true, forced(true), None);
+            run_m3r(&records, files, places, reducers, true, forced(true), None, 0);
         prop_assert_eq!(&off_counts, &on_counts, "m3r: combine changed answers");
         prop_assert_eq!(&off_parts, &on_parts, "m3r: combine changed output bytes");
 
         // Combine-on must itself be deterministic across worker counts.
         let (on_ser, ser_counts, ser_parts, _) =
-            run_m3r(&records, files, places, reducers, true, forced(false), None);
+            run_m3r(&records, files, places, reducers, true, forced(false), None, 0);
         assert_same_result(&on_ser, &on_par, "m3r combine-on serial vs parallel");
         prop_assert_eq!(&ser_counts, &on_counts, "serial combine counts differ");
         prop_assert_eq!(&ser_parts, &on_parts, "serial combine bytes differ");
@@ -251,7 +255,7 @@ fn budget_constrained_combine_degrades_to_streaming() {
         .map(|i| (i, "alpha beta gamma alpha beta alpha".to_string()))
         .collect();
     let tight = |place_combine: bool| {
-        run_m3r(&records, 3, 2, 3, place_combine, simgrid::Workers::Auto, Some(6 * 1024))
+        run_m3r(&records, 3, 2, 3, place_combine, simgrid::Workers::Auto, Some(6 * 1024), 0)
     };
     let (_, off_counts, off_parts, _) = tight(false);
     let (_, on_counts, on_parts, cluster) = tight(true);
@@ -270,4 +274,32 @@ fn budget_constrained_combine_degrades_to_streaming() {
         let live = cluster.mem().live_class(p, simgrid::MemClass::Combine);
         assert_eq!(live, 0, "place {p} leaked combine bytes");
     }
+}
+
+#[test]
+fn foreign_shuffle_bytes_never_move_the_place_combine_flush() {
+    // A stream publish grows `MemClass::Shuffle` at its destination from
+    // the *source* place's thread, so those bytes say nothing about the
+    // destination's own combine tables, and when they land depends on
+    // thread timing. A job whose tables fit its budget must flush at the
+    // same point — here, only after the map phase — with or without them.
+    let records: Vec<(i32, String)> = (0..120)
+        .map(|i| (i, "alpha beta gamma alpha beta alpha".to_string()))
+        .collect();
+    let budget = 1 << 20;
+    let run = |parked| run_m3r(&records, 4, 2, 3, true, forced(false), Some(budget), parked);
+    let (alone, counts, parts, _) = run(0);
+    let (crowded, crowded_counts, crowded_parts, cluster) = run(budget + 1);
+    assert!(
+        alone.counters.get(m3r::M3R_COUNTER_GROUP, "PLACE_COMBINE_INPUT_RECORDS") > 0,
+        "the combine table never engaged — the test is vacuous"
+    );
+    assert_same_result(&alone, &crowded, "place combine with foreign shuffle bytes");
+    assert_eq!(counts, crowded_counts);
+    assert_eq!(parts, crowded_parts);
+    assert_eq!(
+        cluster.mem().live_class(0, simgrid::MemClass::Shuffle),
+        budget + 1,
+        "the parked bytes stayed live through the job"
+    );
 }

@@ -176,14 +176,13 @@ fn observability_is_simulation_invisible_hadoop() {
 }
 
 /// Every family a server over an M3R engine exports: 8 from the memory
-/// accountant, 4 from the governed cache, 4 from the reuse index, 3 from
+/// accountant, 3 from the governed cache, 4 from the reuse index, 3 from
 /// the server, 1 from the wave pool.
-const FAMILIES: [&str; 20] = [
+const FAMILIES: [&str; 19] = [
     "m3r_cache_entries",
     "m3r_cache_quota_bytes",
     "m3r_cache_requests_total",
     "m3r_cache_resident_bytes",
-    "m3r_cache_thrash_trips_total",
     "m3r_mem_budget_bytes",
     "m3r_mem_combine_high_watermark_bytes",
     "m3r_mem_evictions_total",
