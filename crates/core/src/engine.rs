@@ -38,7 +38,7 @@ use hmr_api::io::{part_file_name, InputFormat, InputSplit, OutputFormat};
 use hmr_api::job::{Engine, JobDef, JobFrame, JobResult, LaneEngine, MapOnlyConvert};
 use hmr_api::multi::NamedOutputs;
 use hmr_api::task::reduce_partition;
-use hmr_api::writable::{write_vu64, Writable};
+use hmr_api::writable::{varint_len, Writable};
 use kvstore::policy::PolicyKind;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
@@ -48,7 +48,7 @@ use x10rt::World;
 
 use crate::cache::{CachedSeq, KvCache};
 use crate::cachefs::CachingFs;
-use crate::shuffle::{decode_stream, CombineTable, MapOutputBuffer, ShuffleStream};
+use crate::shuffle::{decode_targeted, CombineTable, MapOutputBuffer, ShuffleStream};
 use crate::stability::PlaceMap;
 
 /// The M3R counter group for engine-specific statistics.
@@ -295,16 +295,14 @@ fn cache_target(name: &str) -> Option<(HPath, Option<u64>)> {
 /// Serialized length a sequence would have as a SequenceFile — the "file
 /// size" reported for temporary outputs that never reach the DFS.
 fn seq_file_len<K: Writable, V: Writable>(pairs: &[(Arc<K>, Arc<V>)]) -> u64 {
-    let mut n = 4u64; // magic
-    let mut scratch = Vec::new();
-    for (k, v) in pairs {
-        let (kl, vl) = (k.serialized_size() as u64, v.serialized_size() as u64);
-        scratch.clear();
-        write_vu64(&mut scratch, kl);
-        write_vu64(&mut scratch, vl);
-        n += scratch.len() as u64 + kl + vl;
-    }
-    n
+    let records: usize = pairs
+        .iter()
+        .map(|(k, v)| {
+            let (kl, vl) = (k.serialized_size(), v.serialized_size());
+            varint_len(kl as u64) + varint_len(vl as u64) + kl + vl
+        })
+        .sum();
+    4 + records as u64 // magic
 }
 
 /// Intermediate pairs of job `J`, as they move through the shuffle.
@@ -342,6 +340,9 @@ struct StreamPayload {
     /// so the receiver reserves exact ingest capacity without a counting
     /// pass over the decoded stream.
     counts: Vec<(usize, u64)>,
+    /// Ordinals the stream's back-references target, ascending: the only
+    /// decoded values the receiver registers (`decode_targeted`).
+    targets: Vec<u32>,
 }
 
 /// One running job: what every place and task needs of the engine and the
@@ -934,7 +935,7 @@ fn map_phase_at_place<J: JobDef>(
         let Some(stream) = slot.filter(|s| !s.is_empty()) else {
             continue;
         };
-        let (bytes, stats) = stream.finish();
+        let (bytes, stats, targets) = stream.finish();
         any_stream = true;
         stream_bytes += bytes.len() as i64;
         dedup_hits += stats.dedup_hits as i64;
@@ -945,7 +946,11 @@ fn map_phase_at_place<J: JobDef>(
         // The payload is parked at the destination until its reduce wave
         // ingests it; those bytes are live memory at `dest`.
         run.held.grow(dest, MemClass::Shuffle, bytes.len() as u64);
-        *run.streams[dest][place].lock() = Some(StreamPayload { bytes, counts });
+        *run.streams[dest][place].lock() = Some(StreamPayload {
+            bytes,
+            counts,
+            targets,
+        });
     }
     let (combined_in, combined_out) = outbox.place_combined;
     if any_stream || combined_in > 0 {
@@ -1169,9 +1174,11 @@ fn reduce_phase_at_place<J: JobDef>(
                         bytes: payload.bytes.len() as u64,
                     });
                     ingest_stream(&mut remote, &payload)?;
-                    // The iterator's refcount dropped with the loop; if this
-                    // was the last handle the buffer returns to this place's
-                    // pool.
+                    // The iterator's refcount dropped with the loop. A
+                    // stream of fixed-width or string values leaves no
+                    // other handle, and its buffer returns to this place's
+                    // pool; byte-string values are views that keep it
+                    // alive, and it is freed when the last of them drops.
                     cluster.pool(place).reclaim(payload.bytes);
                 }
                 Ok(())
@@ -1226,7 +1233,7 @@ fn ingest_stream<K: Writable + Send + Sync, V: Writable + Send + Sync>(
     for &(p, n) in &payload.counts {
         remote.entry(p).or_default().reserve(n as usize);
     }
-    for rec in decode_stream::<K, V>(payload.bytes.clone()) {
+    for rec in decode_targeted::<K, V>(payload.bytes.clone(), payload.targets.clone()) {
         let (p, k, v) = rec?;
         remote
             .get_mut(&p)
@@ -1356,7 +1363,9 @@ fn write_and_cache_output<J: JobDef>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmr_api::writable::IntWritable;
+    use hmr_api::fs::{FileSystem, MemFs};
+    use hmr_api::io::seqfile::write_seq_file;
+    use hmr_api::writable::{BytesWritable, IntWritable};
 
     fn stream(records: &[(usize, i32)]) -> Bytes {
         let mut s = ShuffleStream::new(DedupMode::Full);
@@ -1367,12 +1376,35 @@ mod tests {
     }
 
     #[test]
+    fn seq_file_len_is_the_written_length_across_varint_boundaries() {
+        // Serialized sizes (payload + its own length varint) land on both
+        // sides of the 1→2 and 2→3 byte boundaries of the record header.
+        let lens = [0, 1, 125, 126, 127, 128, 16380, 16381, 16382, 16383];
+        let field = |n: usize| BytesWritable(vec![7u8; n].into());
+        let pairs: Vec<_> = lens
+            .iter()
+            .flat_map(|&k| lens.iter().map(move |&v| (k, v)))
+            .map(|(k, v)| (Arc::new(field(k)), Arc::new(field(v))))
+            .collect();
+        let sizes: Vec<_> = pairs.iter().map(|(k, _)| k.serialized_size()).collect();
+        for boundary in [127, 128, 16383, 16384] {
+            assert!(sizes.contains(&boundary), "no field of {boundary} bytes");
+        }
+        let fs = MemFs::new();
+        let owned: Vec<_> = pairs.iter().map(|(k, v)| ((**k).clone(), (**v).clone())).collect();
+        let path = HPath::new("/len");
+        write_seq_file(&fs, &path, &owned).unwrap();
+        assert_eq!(seq_file_len(&pairs), fs.get_file_status(&path).unwrap().len);
+    }
+
+    #[test]
     fn a_record_for_an_unpublished_partition_is_a_typed_error() {
         let bytes = stream(&[(0, 1), (3, 2), (0, 3)]);
         let mut remote = HashMap::new();
         let mismatched = StreamPayload {
             bytes: bytes.clone(),
             counts: vec![(0, 2)],
+            targets: Vec::new(),
         };
         let err = ingest_stream::<IntWritable, IntWritable>(&mut remote, &mismatched)
             .expect_err("partition 3 was never published");
@@ -1382,6 +1414,7 @@ mod tests {
         let published = StreamPayload {
             bytes,
             counts: vec![(0, 2), (3, 1)],
+            targets: Vec::new(),
         };
         ingest_stream::<IntWritable, IntWritable>(&mut remote, &published).unwrap();
         let keys = |p| remote[&p].iter().map(|(k, _)| k.0).collect::<Vec<_>>();

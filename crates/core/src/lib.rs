@@ -60,6 +60,6 @@ pub use kvstore::policy::PolicyKind;
 pub use simgrid::mem::{MemAccountant, MemClass, OomMode};
 pub use interop::{JobClient, Ran};
 pub use repartition::{repartition, RepartitionJob};
-pub use shuffle::{decode_stream, MapOutputBuffer, ShuffleStream};
+pub use shuffle::{decode_stream, decode_targeted, MapOutputBuffer, ShuffleStream};
 pub use stability::PlaceMap;
 pub use x10rt::serialize::DedupMode;

@@ -371,10 +371,12 @@ impl ShuffleStream {
         self.ser.is_empty()
     }
 
-    /// Finish the stream: a refcounted handle to the encoded bytes plus
-    /// stats. The handle is shared (not copied) with every reader; once the
-    /// last reader drops it the buffer can return to a pool.
-    pub fn finish(self) -> (Bytes, x10rt::serialize::SerStats) {
+    /// Finish the stream: a refcounted handle to the encoded bytes, stats,
+    /// and the ordinals some back-reference targeted (ascending) — the list
+    /// a receiver hands [`decode_targeted`]. The handle is shared (not
+    /// copied) with every reader; once the last reader drops it, and every
+    /// value decoded as a view of it, the buffer can return to a pool.
+    pub fn finish(self) -> (Bytes, x10rt::serialize::SerStats, Vec<u32>) {
         self.ser.finish()
     }
 }
@@ -383,10 +385,11 @@ fn ser_err(e: SerError) -> HmrError {
     HmrError::Serde(e.to_string())
 }
 
-fn read_writable<T: Writable, D: AsRef<[u8]>>(
-    d: &mut Deserializer<D>,
-) -> std::result::Result<T, SerError> {
-    let mut br = ByteReader::new(d.rest());
+/// Decode one writable at the stream's position through a reader backed by
+/// the stream, so byte-string fields are views of it rather than copies.
+fn read_writable<T: Writable>(d: &mut Deserializer<Bytes>) -> std::result::Result<T, SerError> {
+    let (stream, at) = (d.data(), d.position());
+    let mut br = ByteReader::shared(stream, at..stream.len());
     let v = T::read_from(&mut br).map_err(|e| SerError::Custom(e.to_string()))?;
     let used = br.position();
     d.advance(used)?;
@@ -416,8 +419,8 @@ where
         let d = &mut self.d;
         let rec = (|| {
             let p = d.read_u32().map_err(ser_err)? as usize;
-            let k = d.read_arc_with(read_writable::<K, _>).map_err(ser_err)?;
-            let v = d.read_arc_with(read_writable::<V, _>).map_err(ser_err)?;
+            let k = d.read_arc_with(read_writable::<K>).map_err(ser_err)?;
+            let v = d.read_arc_with(read_writable::<V>).map_err(ser_err)?;
             Ok((p, k, v))
         })();
         if rec.is_err() {
@@ -431,8 +434,11 @@ where
 
 /// Decode a shuffle stream lazily. Back-references reconstruct aliases: a
 /// value broadcast to many partitions decodes into many `Arc`s of one
-/// allocation. The iterator holds a refcount on `bytes`; dropping it (and
-/// every other handle) lets a pool reclaim the buffer.
+/// allocation. Byte-string fields (`BytesWritable`) decode into views of
+/// `bytes`. The iterator and every such view hold a refcount on `bytes`;
+/// once all of them (and every other handle) drop, a pool can reclaim the
+/// buffer. Every inline value is registered in case a back-reference
+/// names it; [`decode_targeted`] registers only the ones that are named.
 pub fn decode_stream<K, V>(bytes: Bytes) -> StreamRecords<K, V>
 where
     K: Writable + Send + Sync,
@@ -440,6 +446,21 @@ where
 {
     StreamRecords {
         d: Deserializer::new(bytes),
+        _marker: PhantomData,
+    }
+}
+
+/// [`decode_stream`] for a stream whose sender published `targets`, the
+/// ordinals its back-references named ([`ShuffleStream::finish`]): only
+/// those values are registered, so a stream without back-references keeps
+/// no decoded value alive beyond its consumer. Aliasing is the same.
+pub fn decode_targeted<K, V>(bytes: Bytes, targets: Vec<u32>) -> StreamRecords<K, V>
+where
+    K: Writable + Send + Sync,
+    V: Writable + Send + Sync,
+{
+    StreamRecords {
+        d: Deserializer::with_targets(bytes, targets),
         _marker: PhantomData,
     }
 }
@@ -570,7 +591,7 @@ mod tests {
     fn immutable_buffer_aliases() {
         let mut buf = MapOutputBuffer::new(4, modulo_partitioner(), true);
         let k = Arc::new(IntWritable(5));
-        let v = Arc::new(BytesWritable(vec![1, 2, 3]));
+        let v = Arc::new(BytesWritable(vec![1, 2, 3].into()));
         buf.collect(Arc::clone(&k), Arc::clone(&v)).unwrap();
         let part = buf.into_parts().swap_remove(1).into_pairs();
         assert!(Arc::ptr_eq(&part[0].0, &k));
@@ -581,7 +602,7 @@ mod tests {
     fn mutable_buffer_copies_and_charges() {
         let cluster = simgrid::Cluster::new(1, simgrid::CostModel::default());
         let k = Arc::new(IntWritable(5));
-        let v = Arc::new(BytesWritable(vec![1, 2, 3]));
+        let v = Arc::new(BytesWritable(vec![1, 2, 3].into()));
         let before = cluster.metrics().snapshot();
         simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
             let mut buf = MapOutputBuffer::new(4, modulo_partitioner(), false);
@@ -624,7 +645,7 @@ mod tests {
             .map(|(i, &k)| {
                 (
                     Arc::new(IntWritable(k)),
-                    Arc::new(BytesWritable(vec![i as u8])),
+                    Arc::new(BytesWritable(vec![i as u8].into())),
                 )
             })
             .collect();
@@ -669,7 +690,7 @@ mod tests {
         let run = |grouping: bool| {
             let cluster = simgrid::Cluster::new(1, simgrid::CostModel::default());
             let k = Arc::new(IntWritable(5));
-            let v = Arc::new(BytesWritable(vec![1, 2, 3]));
+            let v = Arc::new(BytesWritable(vec![1, 2, 3].into()));
             let before = cluster.metrics().snapshot();
             let groups = simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
                 let mut buf = if grouping {
@@ -769,7 +790,7 @@ mod tests {
         for (i, k) in [2, 1, 2, 1, 2].into_iter().enumerate() {
             buf.collect(
                 Arc::new(IntWritable(k)),
-                Arc::new(BytesWritable(vec![i as u8])),
+                Arc::new(BytesWritable(vec![i as u8].into())),
             )
             .unwrap();
         }
@@ -797,10 +818,10 @@ mod tests {
             s.push(
                 i % 3,
                 &Arc::new(IntWritable(i as i32)),
-                &Arc::new(BytesWritable(vec![i as u8])),
+                &Arc::new(BytesWritable(vec![i as u8].into())),
             );
         }
-        let (bytes, _) = s.finish();
+        let (bytes, _, _) = s.finish();
         let recs: Vec<_> = decode_stream::<IntWritable, BytesWritable>(bytes)
             .collect::<Result<_>>()
             .unwrap();
@@ -815,12 +836,12 @@ mod tests {
     #[test]
     fn broadcast_value_deduplicates_and_aliases_on_arrival() {
         // The matvec broadcast idiom: one V block sent to every partition.
-        let v = Arc::new(BytesWritable(vec![9u8; 1000]));
+        let v = Arc::new(BytesWritable(vec![9u8; 1000].into()));
         let mut s = ShuffleStream::new(DedupMode::Full);
         for p in 0..20 {
             s.push(p, &Arc::new(IntWritable(p as i32)), &v);
         }
-        let (bytes, stats) = s.finish();
+        let (bytes, stats, _) = s.finish();
         assert_eq!(stats.dedup_hits, 19, "19 of 20 copies replaced by backrefs");
         assert!(
             (bytes.len() as u64) < 2_200,
@@ -844,12 +865,12 @@ mod tests {
         // §6.3's proposed fix: the broadcast value repeats with only a
         // fresh key between occurrences, which the sliding window catches —
         // while memory stays O(1) instead of O(values sent).
-        let v = Arc::new(BytesWritable(vec![7u8; 500]));
+        let v = Arc::new(BytesWritable(vec![7u8; 500].into()));
         let mut s = ShuffleStream::new(DedupMode::Consecutive);
         for p in 0..10 {
             s.push(p, &Arc::new(IntWritable(p as i32)), &v);
         }
-        let (bytes, stats) = s.finish();
+        let (bytes, stats, _) = s.finish();
         assert_eq!(stats.dedup_hits, 9, "value sent once, 9 backrefs");
         assert!(stats.values_retained <= 4, "O(1) retention");
         let recs: Vec<_> = decode_stream::<IntWritable, BytesWritable>(bytes)
@@ -864,8 +885,8 @@ mod tests {
     #[test]
     fn truncated_stream_is_an_error() {
         let mut s = ShuffleStream::new(DedupMode::Off);
-        s.push(0, &Arc::new(IntWritable(1)), &Arc::new(BytesWritable(vec![1])));
-        let (bytes, _) = s.finish();
+        s.push(0, &Arc::new(IntWritable(1)), &Arc::new(BytesWritable(vec![1].into())));
+        let (bytes, _, _) = s.finish();
         let bytes = bytes.slice(..bytes.len() - 1);
         let res: Result<Vec<_>> =
             decode_stream::<IntWritable, BytesWritable>(bytes).collect();
@@ -906,10 +927,10 @@ mod tests {
     fn combine_table_byte_accounting_grows_per_absorb() {
         let mut t: CombineTable<IntWritable, BytesWritable> = CombineTable::new();
         let k = Arc::new(IntWritable(1));
-        let (g1, klen) = t.absorb(0, Arc::clone(&k), Arc::new(BytesWritable(vec![0u8; 10])));
+        let (g1, klen) = t.absorb(0, Arc::clone(&k), Arc::new(BytesWritable(vec![0u8; 10].into())));
         assert_eq!(klen, k.serialized_size() as u64);
         assert!(g1 > 10, "first absorb pays key + entry overhead");
-        let (g2, _) = t.absorb(0, Arc::clone(&k), Arc::new(BytesWritable(vec![0u8; 10])));
+        let (g2, _) = t.absorb(0, Arc::clone(&k), Arc::new(BytesWritable(vec![0u8; 10].into())));
         assert!(g2 < g1, "merging into an existing group is cheaper");
         assert_eq!(t.bytes(), g1 + g2);
     }
@@ -922,7 +943,7 @@ mod tests {
             true,
         );
         assert!(buf
-            .collect(Arc::new(IntWritable(0)), Arc::new(BytesWritable(vec![])))
+            .collect(Arc::new(IntWritable(0)), Arc::new(BytesWritable(vec![].into())))
             .is_err());
     }
 }
@@ -981,14 +1002,14 @@ mod prop_tests {
         spec: &[Spec],
         mode: DedupMode,
         owned: bool,
-    ) -> (Bytes, x10rt::serialize::SerStats) {
+    ) -> (Bytes, x10rt::serialize::SerStats, Vec<u32>) {
         let mut keys = Handles::new(|i| IntWritable(i32::from(i)));
-        let mut values = Handles::new(|i| BytesWritable(vec![i]));
+        let mut values = Handles::new(|i| BytesWritable(vec![i].into()));
         let bucket: Vec<_> = spec
             .iter()
             .map(|&(p, (kk, ki), (vk, vi), x)| {
                 let k = keys.pick(kk, ki, IntWritable(i32::from(x)));
-                (p, k, values.pick(vk, vi, BytesWritable(vec![x; 3])))
+                (p, k, values.pick(vk, vi, BytesWritable(vec![x; 3].into())))
             })
             .collect();
         keys.repeated.clear();
@@ -1006,21 +1027,100 @@ mod prop_tests {
         stream.finish()
     }
 
+    fn spec_strategy() -> impl Strategy<Value = Vec<Spec>> {
+        proptest::collection::vec(
+            (0usize..8, (0u8..4, 0u8..3), (0u8..4, 0u8..3), any::<u8>()),
+            0..60,
+        )
+    }
+
+    type Decoded = Vec<(usize, Arc<IntWritable>, Arc<BytesWritable>)>;
+
+    /// Per record, the first record whose key (value) is the same `Arc`.
+    fn alias_pattern(recs: &Decoded) -> Vec<(usize, usize)> {
+        recs.iter()
+            .map(|(_, k, v)| {
+                let first_k = recs.iter().position(|(_, k2, _)| Arc::ptr_eq(k, k2));
+                let first_v = recs.iter().position(|(_, _, v2)| Arc::ptr_eq(v, v2));
+                (first_k.unwrap(), first_v.unwrap())
+            })
+            .collect()
+    }
+
     proptest! {
         /// Handing the stream its handles changes no byte and no stat —
-        /// total, payload, hits, retained — in any mode, whether a handle
-        /// is sole, repeated in the bucket, held outside or watched by a
-        /// `Weak`.
+        /// total, payload, hits, retained, targeted ordinals — in any mode,
+        /// whether a handle is sole, repeated in the bucket, held outside
+        /// or watched by a `Weak`.
         #[test]
-        fn push_owned_matches_push(
-            spec in proptest::collection::vec(
-                (0usize..8, (0u8..4, 0u8..3), (0u8..4, 0u8..3), any::<u8>()),
-                0..60,
-            ),
-            mode in mode_strategy(),
-        ) {
+        fn push_owned_matches_push(spec in spec_strategy(), mode in mode_strategy()) {
             let owned = encode_bucket(&spec, mode, true);
             prop_assert_eq!(owned, encode_bucket(&spec, mode, false));
+        }
+
+        /// Registering only the published targets rebuilds exactly the
+        /// values and the aliasing of registering everything, over
+        /// broadcast values, sole handles and repeats in every mode; with
+        /// any one target left out, the first back-reference to it is a
+        /// dangling-reference error, not a panic.
+        #[test]
+        fn target_lists_keep_aliasing_exact(
+            spec in spec_strategy(),
+            mode in mode_strategy(),
+            drop_at in any::<usize>(),
+        ) {
+            let (bytes, stats, targets) = encode_bucket(&spec, mode, true);
+            prop_assert!(targets.windows(2).all(|w| w[0] < w[1]), "ascending, once each");
+            prop_assert_eq!(targets.is_empty(), stats.dedup_hits == 0);
+            let all: Decoded = decode_stream(bytes.clone()).collect::<Result<_>>().unwrap();
+            let some: Decoded =
+                decode_targeted(bytes.clone(), targets.clone()).collect::<Result<_>>().unwrap();
+            let flat = |recs: &Decoded| -> Vec<(usize, i32, Vec<u8>)> {
+                recs.iter().map(|(p, k, v)| (*p, k.0, v.0.to_vec())).collect()
+            };
+            prop_assert_eq!(flat(&all), flat(&some));
+            prop_assert_eq!(alias_pattern(&all), alias_pattern(&some));
+            if !targets.is_empty() {
+                let mut fewer = targets.clone();
+                let dropped = fewer.remove(drop_at % targets.len());
+                let err = decode_targeted::<IntWritable, BytesWritable>(bytes, fewer)
+                    .find_map(|r| r.err())
+                    .expect("a back-reference names the dropped ordinal");
+                prop_assert_eq!(
+                    err.to_string(),
+                    ser_err(SerError::BadBackref(dropped)).to_string()
+                );
+            }
+        }
+
+        /// A valid stream cut at any byte, with one byte changed, or made
+        /// of arbitrary bytes decodes — with or without a target list, and
+        /// with the values taken as views — to records or to an error,
+        /// never a panic.
+        #[test]
+        fn decode_survives_truncation_and_garbage(
+            spec in spec_strategy(),
+            mode in mode_strategy(),
+            (at, flip) in (any::<usize>(), 1u8..=255),
+            garbage in proptest::collection::vec(any::<u8>(), 0..96),
+            stray in proptest::collection::vec(any::<u32>(), 0..4),
+        ) {
+            let (bytes, _, targets) = encode_bucket(&spec, mode, true);
+            let decode_all = |b: Bytes| {
+                let _ = decode_stream::<IntWritable, BytesWritable>(b.clone()).count();
+                let _ = decode_targeted::<IntWritable, BytesWritable>(b.clone(), targets.clone())
+                    .count();
+                let _ = decode_targeted::<IntWritable, BytesWritable>(b, stray.clone()).count();
+            };
+            for cut in (0..bytes.len()).step_by(1 + bytes.len() / 64) {
+                decode_all(bytes.slice(..cut));
+            }
+            if !bytes.is_empty() {
+                let mut flipped = bytes.to_vec();
+                flipped[at % bytes.len()] ^= flip;
+                decode_all(flipped.into());
+            }
+            decode_all(garbage.into());
         }
 
         /// Streams decode back to exactly what was pushed, in order, for
@@ -1036,7 +1136,7 @@ mod prop_tests {
         ) {
             // A small pool of shared values: index 0..4 alias each other.
             let pool: Vec<Arc<BytesWritable>> = (0..4)
-                .map(|i| Arc::new(BytesWritable(vec![i as u8; 8])))
+                .map(|i| Arc::new(BytesWritable(vec![i as u8; 8].into())))
                 .collect();
             let mut stream = ShuffleStream::new(mode);
             let mut expect = Vec::new();
@@ -1045,13 +1145,13 @@ mod prop_tests {
                 let value = if fresh.is_empty() {
                     Arc::clone(&pool[*pool_idx as usize])
                 } else {
-                    Arc::new(BytesWritable(fresh.clone()))
+                    Arc::new(BytesWritable(fresh.clone().into()))
                 };
                 let key = Arc::new(IntWritable(*p as i32));
                 stream.push(*p, &key, &value);
                 expect.push((*p, key.0, value.0.clone()));
             }
-            let (bytes, stats) = stream.finish();
+            let (bytes, stats, _) = stream.finish();
             let decoded: Vec<_> = decode_stream::<IntWritable, BytesWritable>(bytes)
                 .collect::<Result<_>>()
                 .unwrap();
@@ -1131,7 +1231,7 @@ mod prop_tests {
         fn full_dedup_never_larger(
             repeats in 1usize..40,
         ) {
-            let v = Arc::new(BytesWritable(vec![7u8; 64]));
+            let v = Arc::new(BytesWritable(vec![7u8; 64].into()));
             let sizes: Vec<u64> = [DedupMode::Full, DedupMode::Off]
                 .iter()
                 .map(|mode| {

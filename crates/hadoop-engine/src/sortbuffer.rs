@@ -32,7 +32,9 @@ use hmr_api::counters::{task_counter, TaskContext};
 use hmr_api::error::{HmrError, Result};
 use hmr_api::partition::Partitioner;
 use hmr_api::task::TaskReducer;
-use hmr_api::writable::{from_bytes, varint_len, write_vu64, ByteReader, ByteSink, Writable};
+use hmr_api::writable::{
+    from_bytes, from_reader, varint_len, write_vu64, ByteReader, ByteSink, Writable,
+};
 use simgrid::cost::Charge;
 use simgrid::meter;
 use simgrid::trace;
@@ -108,20 +110,19 @@ pub fn frame_record<S: ByteSink + ?Sized>(out: &mut S, kbytes: &[u8], vbytes: &[
     out.put_slice(vbytes);
 }
 
-/// Decode every framed record in `bytes` into typed pairs. Accepts any
-/// byte storage — a borrowed slice or a refcounted [`Bytes`] segment. Each
-/// key and value must consume its frame exactly: truncated input or bytes
-/// left over inside a frame are a typed [`HmrError::Serde`], never a panic.
-pub fn decode_segment<K: Writable, V: Writable>(
-    bytes: impl AsRef<[u8]>,
-) -> Result<Vec<(Arc<K>, Arc<V>)>> {
-    let mut r = ByteReader::new(bytes.as_ref());
+/// Decode every framed record of the segment `bytes` into typed pairs.
+/// Reads are backed by the segment, so a byte-string field decodes into a
+/// view of it rather than a copy. Each key and value must consume its frame
+/// exactly: truncated input or bytes left over inside a frame are a typed
+/// [`HmrError::Serde`], never a panic.
+pub fn decode_segment<K: Writable, V: Writable>(bytes: &Bytes) -> Result<Vec<(Arc<K>, Arc<V>)>> {
+    let mut r = ByteReader::shared(bytes, 0..bytes.len());
     let mut out = Vec::new();
     while r.remaining() > 0 {
         let klen = r.read_vu64()? as usize;
         let vlen = r.read_vu64()? as usize;
-        let key = from_bytes::<K>(r.read_bytes(klen)?)?;
-        let value = from_bytes::<V>(r.read_bytes(vlen)?)?;
+        let key = from_reader::<K>(r.sub(klen)?)?;
+        let value = from_reader::<V>(r.sub(vlen)?)?;
         out.push((Arc::new(key), Arc::new(value)));
     }
     Ok(out)
@@ -473,10 +474,28 @@ mod tests {
         v.write_to(&mut vb);
         frame_record(&mut seg, &kb, &vb);
         frame_record(&mut seg, &kb, &vb);
-        let recs = decode_segment::<Text, LongWritable>(&seg).unwrap();
+        let recs = decode_segment::<Text, LongWritable>(&Bytes::from(seg)).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].0.as_str(), "key");
         assert_eq!(recs[1].1 .0, 77);
+    }
+
+    #[test]
+    fn byte_string_values_are_views_of_the_segment() {
+        use hmr_api::writable::BytesWritable;
+        let mut seg = Vec::new();
+        for payload in [&b"first"[..], b"", b"third value"] {
+            let value = BytesWritable(Bytes::copy_from_slice(payload));
+            frame_record(&mut seg, &to_bytes(&Text::from("k")), &to_bytes(&value));
+        }
+        let seg = Bytes::from(seg);
+        let recs = decode_segment::<Text, BytesWritable>(&seg).unwrap();
+        let values: Vec<&[u8]> = recs.iter().map(|(_, v)| &v.0[..]).collect();
+        assert_eq!(values, [&b"first"[..], b"", b"third value"]);
+        let inside = seg.as_ptr_range();
+        assert!(recs
+            .iter()
+            .all(|(_, v)| inside.contains(&v.0.as_ptr()) || v.0.is_empty()));
     }
 
     #[test]
@@ -502,7 +521,7 @@ mod tests {
             let mut seg = Vec::new();
             frame_record(&mut seg, &kb, &vb);
             frame_record(&mut seg, k, v);
-            decode_segment::<Text, LongWritable>(&seg)
+            decode_segment::<Text, LongWritable>(&Bytes::from(seg))
         };
         assert_eq!(padded(&kb, &vb).unwrap().len(), 2);
         let (junk_k, junk_v) = ([&kb[..], &[0xff]].concat(), [&vb[..], &[0]].concat());
@@ -571,7 +590,7 @@ mod prop_tests {
     use hmr_api::distcache::DistCache;
     use hmr_api::partition::FnPartitioner;
     use hmr_api::task::LongSumReducer;
-    use hmr_api::writable::{to_bytes, IntWritable, LongWritable, PairWritable, Text};
+    use hmr_api::writable::{to_bytes, BytesWritable, IntWritable, LongWritable, PairWritable, Text};
     use proptest::prelude::*;
     use std::cmp::Ordering;
 
@@ -830,7 +849,9 @@ mod prop_tests {
 
         /// A valid segment cut at any byte decodes to an error or to a
         /// strict prefix of its records; with any one byte changed, or made
-        /// of arbitrary bytes, it decodes or fails without panicking.
+        /// of arbitrary bytes, it decodes or fails without panicking. The
+        /// values are `BytesWritable`s, so every decode takes views of the
+        /// segment, and the cuts are views into one shared buffer.
         #[test]
         fn decoder_survives_truncation_and_garbage(
             words in proptest::collection::vec("[a-z]{0,12}", 1..12),
@@ -839,24 +860,26 @@ mod prop_tests {
         ) {
             let mut seg = Vec::new();
             for (i, w) in words.iter().enumerate() {
-                frame_record(&mut seg, &to_bytes(&Text::from(w.as_str())), &to_bytes(&LongWritable(i as i64)));
+                let value = BytesWritable(format!("{w}{i}").into_bytes().into());
+                frame_record(&mut seg, &to_bytes(&Text::from(w.as_str())), &to_bytes(&value));
             }
-            let decode = |bytes: &[u8]| decode_segment::<Text, LongWritable>(bytes);
-            let flat = |recs: Vec<(Arc<Text>, Arc<LongWritable>)>| -> Vec<(String, i64)> {
-                recs.iter().map(|(k, v)| (k.as_str().to_string(), v.0)).collect()
+            let decode = |bytes: &Bytes| decode_segment::<Text, BytesWritable>(bytes);
+            let flat = |recs: Vec<(Arc<Text>, Arc<BytesWritable>)>| -> Vec<(String, Vec<u8>)> {
+                recs.iter().map(|(k, v)| (k.as_str().to_string(), v.0.to_vec())).collect()
             };
-            let full = flat(decode(&seg).unwrap());
+            let shared = Bytes::from(seg.clone());
+            let full = flat(decode(&shared).unwrap());
             prop_assert_eq!(full.len(), words.len());
             for cut in 0..seg.len() {
-                if let Ok(recs) = decode(&seg[..cut]) {
+                if let Ok(recs) = decode(&shared.slice(..cut)) {
                     let recs = flat(recs);
                     prop_assert!(recs.len() < full.len() && recs[..] == full[..recs.len()]);
                 }
             }
             let at = at % seg.len();
             seg[at] ^= flip;
-            let _ = decode(&seg);
-            let _ = decode(&garbage);
+            let _ = decode(&Bytes::from(seg));
+            let _ = decode(&Bytes::from(garbage));
         }
     }
 }

@@ -127,19 +127,13 @@ impl<K: Writable, V: Writable> RecordReader<K, V> for SeqFileReader<K, V> {
         if self.pos >= self.bytes.len() {
             return Ok(None);
         }
-        let mut r = ByteReader::new(&self.bytes[self.pos..]);
+        // Backed by the block: a byte-string field decodes into a view of
+        // it, not a copy.
+        let mut r = ByteReader::shared(&self.bytes, self.pos..self.bytes.len());
         let klen = r.read_vu64()? as usize;
         let vlen = r.read_vu64()? as usize;
-        let key = {
-            let kbytes = r.read_bytes(klen)?;
-            let mut kr = ByteReader::new(kbytes);
-            K::read_from(&mut kr)?
-        };
-        let value = {
-            let vbytes = r.read_bytes(vlen)?;
-            let mut vr = ByteReader::new(vbytes);
-            V::read_from(&mut vr)?
-        };
+        let key = K::read_from(&mut r.sub(klen)?)?;
+        let value = V::read_from(&mut r.sub(vlen)?)?;
         self.pos += r.position();
         Ok(Some((key, value)))
     }
@@ -397,8 +391,8 @@ mod tests {
             // Payload lengths whose encoded key/value lengths (payload +
             // its own varint) are exactly 0/1, 127, 128, 16 383 and 16 384.
             for len in [0usize, 126, 127, 16_381, 16_382, 16_383, 16_384] {
-                same_encoding(b"SEQ6", &text(len, 7), &BytesWritable(payload(len, 9)));
-                same_encoding(b"", &BytesWritable(payload(len, 3)), &IntWritable(-1));
+                same_encoding(b"SEQ6", &text(len, 7), &BytesWritable(payload(len, 9).into()));
+                same_encoding(b"", &BytesWritable(payload(len, 3).into()), &IntWritable(-1));
             }
         }
 
@@ -418,10 +412,50 @@ mod tests {
                 same_encoding(&prefix, &text(klen, seed), &text(vlen, seed ^ 0x5a));
                 same_encoding(
                     &prefix,
-                    &BytesWritable(payload(klen, seed)),
-                    &BytesWritable(payload(vlen, !seed)),
+                    &BytesWritable(payload(klen, seed).into()),
+                    &BytesWritable(payload(vlen, !seed).into()),
                 );
-                same_encoding(&prefix, &IntWritable(n), &BytesWritable(payload(vlen, seed)));
+                same_encoding(&prefix, &IntWritable(n), &BytesWritable(payload(vlen, seed).into()));
+            }
+
+            /// The reader takes views of the file it reads: a valid file
+            /// decodes to exactly what was written, and the same file cut
+            /// at any byte, with one byte changed, or replaced by arbitrary
+            /// bytes reads to records or to an `HmrError` — never a panic
+            /// (a view taken before its length check would be one).
+            #[test]
+            fn reader_survives_truncation_and_garbage(
+                lens in proptest::collection::vec(payload_len(), 1..5),
+                (at, flip) in (any::<usize>(), 1u8..=255),
+                garbage in proptest::collection::vec(any::<u8>(), 0..64),
+            ) {
+                let records: Vec<(Text, BytesWritable)> = lens
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &len)| (text(i, 1), BytesWritable(payload(len, i as u8).into())))
+                    .collect();
+                let fs = MemFs::new();
+                let path = HPath::new("/valid");
+                write_seq_file(&fs, &path, &records).unwrap();
+                prop_assert_eq!(read_seq_file::<Text, BytesWritable>(&fs, &path).unwrap(), records);
+                let file = fs.open(&path).unwrap().read_all().unwrap().to_vec();
+                let read_raw = |name: &str, bytes: &[u8]| {
+                    let path = HPath::new(name);
+                    let mut w = fs.create(&path).unwrap();
+                    w.write_all(bytes).unwrap();
+                    w.close().unwrap();
+                    let _ = read_seq_file::<Text, BytesWritable>(&fs, &path);
+                    let _ = read_seq_file::<IntWritable, BytesWritable>(&fs, &path);
+                    fs.delete(&path, false).unwrap();
+                };
+                for cut in (0..file.len()).step_by(1 + file.len() / 64) {
+                    read_raw("/cut", &file[..cut]);
+                }
+                let mut flipped = file.clone();
+                flipped[at % file.len()] ^= flip;
+                read_raw("/flipped", &flipped);
+                read_raw("/garbage", &[&MAGIC[..], &garbage].concat());
+                read_raw("/raw", &garbage);
             }
         }
     }

@@ -10,20 +10,45 @@
 //! [`WritableValue`].
 
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::Arc;
+
+use bytes::Bytes;
 
 use crate::error::{HmrError, Result};
 
 /// Cursor over a byte slice used by [`Writable::read_from`].
+///
+/// A reader built by [`ByteReader::shared`] also knows the refcounted
+/// buffer its bytes lie in, so [`ByteReader::read_shared`] can hand out
+/// views of that buffer instead of copies ("reads borrow", DESIGN.md "Byte
+/// path").
 pub struct ByteReader<'a> {
     data: &'a [u8],
     pos: usize,
+    /// The buffer `data` is a view of, and where `data` starts in it.
+    backing: Option<(&'a Bytes, usize)>,
 }
 
 impl<'a> ByteReader<'a> {
     /// Read from the start of `data`.
     pub fn new(data: &'a [u8]) -> Self {
-        ByteReader { data, pos: 0 }
+        ByteReader {
+            data,
+            pos: 0,
+            backing: None,
+        }
+    }
+
+    /// Read `bytes[range]`, backed by `bytes`: byte strings read through
+    /// [`ByteReader::read_shared`] slice `bytes` instead of copying.
+    /// Panics if `range` is out of bounds, like slicing.
+    pub fn shared(bytes: &'a Bytes, range: Range<usize>) -> Self {
+        ByteReader {
+            data: &bytes[range.clone()],
+            pos: 0,
+            backing: Some((bytes, range.start)),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -47,6 +72,30 @@ impl<'a> ByteReader<'a> {
         let s = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Read exactly `n` bytes as a [`Bytes`]: a view sharing the backing
+    /// buffer when the reader has one, a copy otherwise. The length is
+    /// checked before any view is taken, so short input is an error.
+    pub fn read_shared(&mut self, n: usize) -> Result<Bytes> {
+        let at = self.pos;
+        let s = self.read_bytes(n)?;
+        Ok(match self.backing {
+            Some((buf, base)) => buf.slice(base + at..base + at + n),
+            None => Bytes::copy_from_slice(s),
+        })
+    }
+
+    /// Split off the next `n` bytes as a reader of their own (a framed
+    /// field), keeping the backing buffer.
+    pub fn sub(&mut self, n: usize) -> Result<ByteReader<'a>> {
+        let at = self.pos;
+        let data = self.read_bytes(n)?;
+        Ok(ByteReader {
+            data,
+            pos: 0,
+            backing: self.backing.map(|(buf, base)| (buf, base + at)),
+        })
     }
 
     /// Read one byte.
@@ -198,7 +247,12 @@ pub fn to_bytes<W: Writable>(w: &W) -> Vec<u8> {
 
 /// Deserialize a single writable from a buffer, requiring full consumption.
 pub fn from_bytes<W: Writable>(bytes: &[u8]) -> Result<W> {
-    let mut r = ByteReader::new(bytes);
+    from_reader(ByteReader::new(bytes))
+}
+
+/// Deserialize a single writable from what `r` has left, requiring full
+/// consumption (a framed field split off by [`ByteReader::sub`]).
+pub fn from_reader<W: Writable>(mut r: ByteReader<'_>) -> Result<W> {
     let w = W::read_from(&mut r)?;
     if r.remaining() != 0 {
         return Err(HmrError::Serde(format!(
@@ -399,9 +453,11 @@ impl Writable for Text {
 
 impl RawComparable for Text {}
 
-/// Raw bytes (Hadoop `BytesWritable`).
+/// Raw bytes (Hadoop `BytesWritable`). The contents are a refcounted
+/// [`Bytes`]: decoded from a backed [`ByteReader`] they are a view of the
+/// stream, segment or block they were read from, which they keep alive.
 #[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BytesWritable(pub Vec<u8>);
+pub struct BytesWritable(pub Bytes);
 
 impl Writable for BytesWritable {
     fn write_to<S: ByteSink + ?Sized>(&self, out: &mut S) {
@@ -410,7 +466,7 @@ impl Writable for BytesWritable {
     }
     fn read_from(input: &mut ByteReader<'_>) -> Result<Self> {
         let n = input.read_vu64()? as usize;
-        Ok(BytesWritable(input.read_bytes(n)?.to_vec()))
+        Ok(BytesWritable(input.read_shared(n)?))
     }
     fn serialized_size(&self) -> usize {
         self.0.len() + varint_len(self.0.len() as u64)
@@ -521,7 +577,7 @@ mod tests {
         roundtrip(DoubleWritable(std::f64::consts::PI));
         roundtrip(Text::from("hello m3r"));
         roundtrip(Text::from(""));
-        roundtrip(BytesWritable(vec![0, 255, 3]));
+        roundtrip(BytesWritable(vec![0, 255, 3].into()));
         roundtrip(PairWritable(IntWritable(1), Text::from("x")));
         roundtrip(ArrayWritable(vec![IntWritable(5), IntWritable(6)]));
         roundtrip(DoubleArrayWritable(vec![1.0, -2.5, f64::MAX]));
@@ -567,6 +623,32 @@ mod tests {
         let bytes = to_bytes(&LongWritable(1));
         let r: Result<LongWritable> = from_bytes(&bytes[..4]);
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn backed_reads_slice_their_buffer_and_unbacked_reads_copy() {
+        let mut wire = Vec::new();
+        IntWritable(3).write_to(&mut wire);
+        BytesWritable(b"payload".to_vec().into()).write_to(&mut wire);
+        let buf = Bytes::from(wire);
+        let inside = buf.as_ptr_range();
+
+        let mut r = ByteReader::shared(&buf, 4..buf.len());
+        let view = BytesWritable::read_from(&mut r).unwrap();
+        assert_eq!((&view.0[..], r.remaining()), (&b"payload"[..], 0));
+        assert!(inside.contains(&view.0.as_ptr()), "a view of the buffer");
+
+        let copy: BytesWritable = from_bytes(&buf[4..]).unwrap();
+        assert_eq!(copy, view);
+        assert!(!inside.contains(&copy.0.as_ptr()), "an unbacked read copies");
+
+        // A framed field keeps the backing; short input is an error first.
+        let mut r = ByteReader::shared(&buf, 0..buf.len());
+        r.read_u32().unwrap();
+        let field: BytesWritable = from_reader(r.sub(8).unwrap()).unwrap();
+        assert!(inside.contains(&field.0.as_ptr()));
+        let mut short = ByteReader::shared(&buf, 4..8);
+        assert!(BytesWritable::read_from(&mut short).is_err());
     }
 
     #[test]
@@ -632,7 +714,7 @@ mod tests {
 
             #[test]
             fn bytes_roundtrips(b in proptest::collection::vec(any::<u8>(), 0..512)) {
-                roundtrip(BytesWritable(b));
+                roundtrip(BytesWritable(b.into()));
             }
 
             #[test]

@@ -8,7 +8,9 @@
 //! draw pre-sized `BytesMut` buffers from it, and finished [`bytes::Bytes`]
 //! handles flow through the shuffle by refcount. Once every reader drops its
 //! handle, the unique buffer is reclaimed (`Bytes::try_into_mut`) and goes
-//! back on the free-list with its grown capacity intact.
+//! back on the free-list with its grown capacity intact. A buffer still
+//! shared when it is reclaimed — values decoded as views of a stream pin it
+//! — waits on a pinned list and joins the free-list once those views drop.
 //!
 //! The pool affects wall-clock time only. Simulated charges are priced on
 //! byte counts, which are identical whether a buffer came from the pool or
@@ -33,6 +35,9 @@ use bytes::{Bytes, BytesMut};
 #[derive(Debug, Default)]
 pub struct BufPool {
     free: Mutex<Vec<BytesMut>>,
+    /// Reclaimed handles that were still shared; swept onto `free` by the
+    /// next pool call that finds them unique.
+    pinned: Mutex<Vec<Bytes>>,
     metrics: Option<Metrics>,
     /// When set, free-list capacity is reported to the memory accountant
     /// as [`MemClass::Pool`] bytes at this place.
@@ -46,6 +51,7 @@ impl BufPool {
     pub fn new() -> Self {
         BufPool {
             free: Mutex::new(Vec::new()),
+            pinned: Mutex::new(Vec::new()),
             metrics: None,
             accounting: None,
             max_buffers: 64,
@@ -56,6 +62,7 @@ impl BufPool {
     pub fn with_metrics(metrics: Metrics) -> Self {
         BufPool {
             free: Mutex::new(Vec::new()),
+            pinned: Mutex::new(Vec::new()),
             metrics: Some(metrics),
             accounting: None,
             max_buffers: 64,
@@ -69,6 +76,7 @@ impl BufPool {
     pub(crate) fn with_accounting(metrics: Metrics, mem: MemAccountant, place: usize) -> Self {
         BufPool {
             free: Mutex::new(Vec::new()),
+            pinned: Mutex::new(Vec::new()),
             metrics: Some(metrics),
             accounting: Some((mem, place)),
             max_buffers: 64,
@@ -91,6 +99,7 @@ impl BufPool {
     /// Counts a hit when a recycled buffer is returned (even if it must
     /// grow — the allocation is amortized away after the first wave).
     pub fn get(&self, min_capacity: usize) -> BytesMut {
+        self.sweep();
         let recycled = {
             let mut free = self.free.lock();
             // Best fit: the smallest buffer already big enough; otherwise
@@ -122,6 +131,7 @@ impl BufPool {
     /// front (shuffle streams grow with the data): the largest warm buffer
     /// is the one most likely to absorb the whole stream without growing.
     pub fn get_any(&self, min_capacity: usize) -> BytesMut {
+        self.sweep();
         let recycled = self.free.lock().pop();
         if let Some(m) = &self.metrics {
             m.record_pool_request(recycled.is_some());
@@ -158,26 +168,57 @@ impl BufPool {
         }
     }
 
-    /// Reclaim a frozen handle if this is the last reference to it;
-    /// otherwise the storage stays alive until its other readers drop.
+    /// Reclaim a frozen handle. If it is the last reference the buffer goes
+    /// on the free-list now; otherwise the pool declines it for the moment
+    /// (the free-list and `MemClass::Pool` are unchanged) and takes it once
+    /// its other handles — readers, decoded views — have dropped.
     pub fn reclaim(&self, bytes: Bytes) {
-        if let Ok(buf) = bytes.try_into_mut() {
-            self.put(buf);
+        match bytes.try_into_mut() {
+            Ok(buf) => self.put(buf),
+            Err(shared) => {
+                // One pinned handle per buffer: a second one would keep the
+                // first from ever finding itself unique.
+                let mut pinned = self.pinned.lock();
+                if !pinned.iter().any(|p| p.as_ptr() == shared.as_ptr()) {
+                    pinned.push(shared);
+                }
+            }
         }
+    }
+
+    /// Move every pinned buffer nobody else holds any more onto the
+    /// free-list.
+    fn sweep(&self) {
+        let mut pinned = self.pinned.lock();
+        if pinned.is_empty() {
+            return;
+        }
+        let mut unique = Vec::new();
+        for bytes in std::mem::take(&mut *pinned) {
+            match bytes.try_into_mut() {
+                Ok(buf) => unique.push(buf),
+                Err(shared) => pinned.push(shared),
+            }
+        }
+        drop(pinned);
+        unique.into_iter().for_each(|buf| self.put(buf));
     }
 
     /// Number of buffers currently on the free-list.
     pub fn free_count(&self) -> usize {
+        self.sweep();
         self.free.lock().len()
     }
 
     /// Capacity of each buffer on the free-list (ascending).
     pub fn free_capacities(&self) -> Vec<usize> {
+        self.sweep();
         self.free.lock().iter().map(BytesMut::capacity).collect()
     }
 
-    /// Drop every retained buffer.
+    /// Drop every retained buffer, pinned ones included.
     pub fn drain(&self) {
+        self.pinned.lock().clear();
         let drained: usize = {
             let mut free = self.free.lock();
             let total = free.iter().map(BytesMut::capacity).sum();
@@ -248,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_with_outstanding_clone_drops_instead_of_pooling() {
+    fn a_pinned_buffer_joins_the_free_list_once_its_views_drop() {
         use crate::mem::{MemAccountant, MemClass};
         let m = Metrics::new();
         let mem = MemAccountant::new(1);
@@ -256,14 +297,25 @@ mod tests {
         let mut buf = pool.get(128);
         buf.extend_from_slice(b"still being read elsewhere");
         let frozen = buf.freeze();
-        let reader = frozen.clone();
-        pool.reclaim(frozen); // try_into_mut fails: reader holds a ref
+        let view = frozen.slice(6..11);
+        pool.reclaim(frozen); // try_into_mut fails: the view holds a ref
         assert_eq!(pool.free_count(), 0, "shared storage must not be pooled");
         assert_eq!(mem.live_class(0, MemClass::Pool), 0);
-        drop(reader); // last handle dropped *without* reclaim: storage is
-                      // freed by the allocator and never reaches the pool
-        assert_eq!(pool.free_count(), 0);
-        assert_eq!(mem.live_class(0, MemClass::Pool), 0);
+        drop(view); // the last view drops: the next pool call takes it
+        assert_eq!(pool.free_count(), 1);
+        assert_eq!(mem.live_class(0, MemClass::Pool), 128);
+        let again = pool.get(64);
+        assert_eq!(again.capacity(), 128, "the pinned buffer is recycled");
+
+        // `drain` forgets pinned buffers too.
+        let mut again = again;
+        again.extend_from_slice(b"more");
+        let frozen = again.freeze();
+        let view = frozen.slice(..4);
+        pool.reclaim(frozen);
+        pool.drain();
+        drop(view);
+        assert_eq!((pool.free_count(), mem.live_class(0, MemClass::Pool)), (0, 0));
     }
 
     #[test]
@@ -373,7 +425,8 @@ mod tests {
                         }
                         3 => {
                             // Freeze with an outstanding clone alive at
-                            // reclaim time: dropped, never pooled.
+                            // reclaim time: pooled by the next pool call
+                            // after the clone drops.
                             if let Some(b) = outstanding.pop() {
                                 let frozen = b.freeze();
                                 let reader = frozen.clone();

@@ -143,7 +143,7 @@ pub fn generate_microbench_input(
         while (k as usize) < pairs {
             let mut payload = vec![0u8; value_bytes];
             rng.fill(&mut payload[..]);
-            records.push((IntWritable(k), BytesWritable(payload)));
+            records.push((IntWritable(k), BytesWritable(payload.into())));
             k += num_partitions as i32;
         }
         write_seq_file(fs, &dir.join(&format!("part-{p:05}")), &records)?;

@@ -20,6 +20,12 @@
 //! table moves in rather than being cloned, and under `Full` a *sole*
 //! handle — one nobody else holds, so it can never be written again — takes
 //! its ordinal but no table slot and is freed while still hot.
+//!
+//! The receiving side has the same overhead in mirror image: a decoder that
+//! keeps every value in case a back-reference arrives. The serializer
+//! therefore records which ordinals a back-reference actually targeted
+//! ([`Serializer::finish`] returns them, ascending), and a decoder given that
+//! list ([`Deserializer::with_targets`]) registers only those values.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -108,6 +114,10 @@ pub struct Serializer {
     seen: HashMap<usize, (u32, Arc<dyn Any + Send + Sync>)>,
     window: std::collections::VecDeque<(usize, u32, Arc<dyn Any + Send + Sync>)>,
     next_id: u32,
+    /// Bit `id` is set when some back-reference targeted ordinal `id`.
+    /// Grows only on a hit, so a stream without back-references allocates
+    /// nothing for it.
+    targeted: Vec<u64>,
     payload_bytes: u64,
     dedup_hits: u64,
 }
@@ -134,6 +144,7 @@ impl Serializer {
             seen: HashMap::new(),
             window: std::collections::VecDeque::new(),
             next_id: 0,
+            targeted: Vec::new(),
             payload_bytes: 0,
             dedup_hits: 0,
         }
@@ -203,6 +214,11 @@ impl Serializer {
             self.buf.extend_from_slice(&[TAG_BACKREF]);
             self.buf.extend_from_slice(&id.to_le_bytes());
             self.dedup_hits += 1;
+            let word = id as usize / 64;
+            if word >= self.targeted.len() {
+                self.targeted.resize(word + 1, 0);
+            }
+            self.targeted[word] |= 1 << (id % 64);
             return;
         }
         let id = self.next_id;
@@ -241,12 +257,13 @@ impl Serializer {
         self.buf.is_empty()
     }
 
-    /// Finish the stream, returning a refcounted handle to the bytes and
-    /// their statistics. The conversion moves the storage — no copy — and
-    /// every consumer of the stream shares it by refcount; once the last
-    /// handle drops, the buffer can return to its pool
-    /// (`BufPool::reclaim`).
-    pub fn finish(self) -> (Bytes, SerStats) {
+    /// Finish the stream, returning a refcounted handle to the bytes, their
+    /// statistics and the ordinals some back-reference targeted, ascending
+    /// (what [`Deserializer::with_targets`] needs to register). The
+    /// conversion moves the storage — no copy — and every consumer of the
+    /// stream shares it by refcount; once the last handle drops, the buffer
+    /// can return to its pool (`BufPool::reclaim`).
+    pub fn finish(self) -> (Bytes, SerStats, Vec<u32>) {
         let stats = SerStats {
             total_bytes: self.buf.len() as u64,
             payload_bytes: self.payload_bytes,
@@ -257,7 +274,10 @@ impl Serializer {
                 _ => self.window.len() as u64,
             },
         };
-        (self.buf.freeze(), stats)
+        let targets = (0..64 * self.targeted.len() as u32)
+            .filter(|id| self.targeted[*id as usize / 64] & (1 << (id % 64)) != 0)
+            .collect();
+        (self.buf.freeze(), stats, targets)
     }
 }
 
@@ -269,20 +289,55 @@ impl Serializer {
 /// for one-shot decoding, or hand it an owned [`Bytes`] handle
 /// (`Deserializer<Bytes>`) so iterators can walk a shared shuffle stream
 /// without borrowing it — the storage stays alive by refcount.
+///
+/// A decoder built by [`Deserializer::new`] registers every inline value,
+/// since any of them may be referenced later. One built by
+/// [`Deserializer::with_targets`] registers only the ordinals the sender's
+/// back-references targeted; the aliases it rebuilds are the same.
 pub struct Deserializer<D: AsRef<[u8]>> {
     data: D,
     pos: usize,
+    /// Ordinals worth registering, ascending; `None` registers all.
+    targets: Option<Vec<u32>>,
+    /// Inline values decoded so far: the ordinal of the next one.
+    inlined: u32,
+    /// Registered values in ordinal order: `registry[i]` holds ordinal `i`,
+    /// or `targets[i]` when there is a target list.
     registry: Vec<Arc<dyn Any + Send + Sync>>,
 }
 
 impl<D: AsRef<[u8]>> Deserializer<D> {
-    /// Decode `data` from the start.
+    /// Decode `data` from the start, registering every inline value.
     pub fn new(data: D) -> Self {
         Deserializer {
             data,
             pos: 0,
+            targets: None,
+            inlined: 0,
             registry: Vec::new(),
         }
+    }
+
+    /// Decode `data` from the start, registering only the inline values
+    /// whose ordinals are in `targets` (ascending, as
+    /// [`Serializer::finish`] returns them). A back-reference to any other
+    /// ordinal is [`SerError::BadBackref`].
+    pub fn with_targets(data: D, targets: Vec<u32>) -> Self {
+        Deserializer {
+            targets: Some(targets),
+            ..Deserializer::new(data)
+        }
+    }
+
+    /// The stream being decoded. Pair with [`Deserializer::position`] and
+    /// [`Deserializer::advance`] for decoders that read it on their own.
+    pub fn data(&self) -> &D {
+        &self.data
+    }
+
+    /// Current read offset.
+    pub fn position(&self) -> usize {
+        self.pos
     }
 
     /// Bytes not yet consumed.
@@ -312,13 +367,8 @@ impl<D: AsRef<[u8]>> Deserializer<D> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// The not-yet-consumed suffix of the stream. Pair with
-    /// [`Deserializer::advance`] for decoders that work on raw slices.
-    pub fn rest(&self) -> &[u8] {
-        &self.data.as_ref()[self.pos..]
-    }
-
-    /// Consume `n` bytes previously inspected through [`Deserializer::rest`].
+    /// Consume `n` bytes a decoder read from [`Deserializer::data`] at
+    /// [`Deserializer::position`] on its own.
     pub fn advance(&mut self, n: usize) -> Result<(), SerError> {
         if self.remaining() < n {
             return Err(SerError::Eof);
@@ -343,15 +393,26 @@ impl<D: AsRef<[u8]>> Deserializer<D> {
         match tag {
             TAG_INLINE => {
                 let v = Arc::new(decode(self)?);
-                self.registry
-                    .push(Arc::clone(&v) as Arc<dyn Any + Send + Sync>);
+                let ordinal = self.inlined;
+                self.inlined += 1;
+                let register = match &self.targets {
+                    None => true,
+                    Some(targets) => targets.get(self.registry.len()) == Some(&ordinal),
+                };
+                if register {
+                    self.registry
+                        .push(Arc::clone(&v) as Arc<dyn Any + Send + Sync>);
+                }
                 Ok(v)
             }
             TAG_BACKREF => {
                 let id = self.read_u32()?;
-                let slot = self
-                    .registry
-                    .get(id as usize)
+                let index = match &self.targets {
+                    None => Some(id as usize),
+                    Some(targets) => targets.binary_search(&id).ok(),
+                };
+                let slot = index
+                    .and_then(|i| self.registry.get(i))
                     .ok_or(SerError::BadBackref(id))?;
                 Arc::clone(slot)
                     .downcast::<T>()
@@ -379,7 +440,7 @@ mod tests {
         let a = Arc::new(7u64);
         s.write_arc_with(&a, enc);
         s.write_arc_with(&a, enc);
-        let (bytes, stats) = s.finish();
+        let (bytes, stats, _) = s.finish();
         assert_eq!(stats.dedup_hits, 0);
         assert_eq!(stats.payload_bytes, 16);
         let mut d = Deserializer::new(&bytes[..]);
@@ -396,7 +457,7 @@ mod tests {
         for _ in 0..10 {
             s.write_arc_with(&v, enc);
         }
-        let (bytes, stats) = s.finish();
+        let (bytes, stats, _) = s.finish();
         assert_eq!(stats.dedup_hits, 9);
         assert_eq!(stats.payload_bytes, 8, "one inline copy only");
         // 1 inline record (1 + 8) + 9 backrefs (1 + 4)
@@ -418,7 +479,7 @@ mod tests {
         let b = Arc::new(5u64);
         s.write_arc_with(&a, enc);
         s.write_arc_with(&b, enc);
-        let (_, stats) = s.finish();
+        let (_, stats, _) = s.finish();
         assert_eq!(stats.dedup_hits, 0);
         assert_eq!(stats.values_retained, 2);
     }
@@ -433,7 +494,7 @@ mod tests {
             s.write_arc_with(&v, enc);
             drop(v); // address may be reused by the allocator
         }
-        let (bytes, stats) = s.finish();
+        let (bytes, stats, _) = s.finish();
         assert_eq!(stats.dedup_hits, 0, "distinct values must never alias");
         let mut d = Deserializer::new(&bytes[..]);
         for i in 0..100u64 {
@@ -453,12 +514,54 @@ mod tests {
         s.write_arc_with(&shared, enc);
         assert_eq!(s.seen.len(), 2, "the sole handle took no slot");
         assert!(weak.upgrade().is_some(), "a live Weak keeps its slot");
-        let (bytes, stats) = s.finish();
+        let (bytes, stats, targets) = s.finish();
         assert_eq!((stats.dedup_hits, stats.values_retained), (1, 3));
+        assert_eq!(targets, [1], "only the shared value was referenced");
         let mut d = Deserializer::new(&bytes[..]);
         let got: Vec<_> = (0..4).map(|_| d.read_arc_with(dec).unwrap()).collect();
         assert_eq!(got.iter().map(|v| **v).collect::<Vec<_>>(), [1, 2, 3, 2]);
         assert!(Arc::ptr_eq(&got[1], &got[3]), "backref ids count the sole ordinal");
+    }
+
+    #[test]
+    fn a_target_list_registers_only_referenced_values() {
+        let mut s = Serializer::new(DedupMode::Full);
+        let (a, b) = (Arc::new(1u64), Arc::new(2u64));
+        s.write_arc_with(&a, enc); // ordinal 0
+        for i in 10..80u64 {
+            s.write_arc_owned(Arc::new(i), enc); // ordinals 1..=70
+        }
+        s.write_arc_with(&b, enc); // ordinal 71
+        s.write_arc_with(&b, enc);
+        s.write_arc_with(&a, enc);
+        s.write_arc_with(&b, enc);
+        let (bytes, stats, targets) = s.finish();
+        assert_eq!(stats.dedup_hits, 3);
+        assert_eq!(targets, [0, 71], "each referenced ordinal once, ascending");
+
+        let decode_all = |mut d: Deserializer<&[u8]>| {
+            let got: Vec<_> = (0..75).map(|_| d.read_arc_with(dec).unwrap()).collect();
+            (got, d.registry.len())
+        };
+        let (all, registered_all) = decode_all(Deserializer::new(&bytes[..]));
+        let (some, registered_some) =
+            decode_all(Deserializer::with_targets(&bytes[..], targets.clone()));
+        assert_eq!((registered_all, registered_some), (72, 2));
+        for (i, j) in [(72, 71), (73, 0), (74, 71)] {
+            assert!(Arc::ptr_eq(&all[i], &all[j]) && Arc::ptr_eq(&some[i], &some[j]));
+        }
+        assert_eq!(
+            all.iter().map(|v| **v).collect::<Vec<_>>(),
+            some.iter().map(|v| **v).collect::<Vec<_>>()
+        );
+
+        // A back-reference the list does not name is dangling.
+        let mut d = Deserializer::with_targets(&bytes[..], vec![71]);
+        for _ in 0..72 {
+            d.read_arc_with(dec).unwrap();
+        }
+        d.read_arc_with(dec).unwrap();
+        assert_eq!(d.read_arc_with(dec).unwrap_err(), SerError::BadBackref(0));
     }
 
     #[test]
@@ -473,7 +576,7 @@ mod tests {
         // a different value, then back to v: still within the window
         s.write_arc_with(&w, enc);
         s.write_arc_with(&v, enc);
-        let (bytes, stats) = s.finish();
+        let (bytes, stats, _) = s.finish();
         assert_eq!(stats.dedup_hits, 5);
         assert!(
             stats.values_retained <= 4,
@@ -499,7 +602,7 @@ mod tests {
             s.write_arc_with(f, enc);
         }
         s.write_arc_with(&v, enc); // forgotten -> re-inlined
-        let (_, stats) = s.finish();
+        let (_, stats, _) = s.finish();
         assert_eq!(stats.dedup_hits, 0);
     }
 
@@ -512,8 +615,8 @@ mod tests {
             on.write_arc_with(&payload, enc);
             off.write_arc_with(&payload, enc);
         }
-        let (_, s_on) = on.finish();
-        let (_, s_off) = off.finish();
+        let (_, s_on, _) = on.finish();
+        let (_, s_off, _) = off.finish();
         assert!(s_on.total_bytes < (s_off.total_bytes / 1.5 as u64));
         assert!(s_on.total_bytes < s_off.total_bytes);
         assert_eq!(s_off.dedup_hits, 0);
@@ -528,7 +631,7 @@ mod tests {
             s.write_arc_with(&a, enc);
             s.write_arc_with(&b, enc);
         }
-        let (bytes, stats) = s.finish();
+        let (bytes, stats, _) = s.finish();
         assert_eq!(stats.dedup_hits, 4);
         let mut d = Deserializer::new(&bytes[..]);
         let mut got = Vec::new();
@@ -542,7 +645,7 @@ mod tests {
     fn truncated_stream_reports_eof() {
         let mut s = Serializer::new(DedupMode::Off);
         s.write_arc_with(&Arc::new(1u64), enc);
-        let (bytes, _) = s.finish();
+        let (bytes, _, _) = s.finish();
         let bytes = bytes.slice(..bytes.len() - 3);
         let mut d = Deserializer::new(&bytes[..]);
         assert_eq!(d.read_arc_with(dec).unwrap_err(), SerError::Eof);
@@ -571,7 +674,7 @@ mod tests {
         let v = Arc::new(1u64);
         s.write_arc_with(&v, enc);
         s.write_arc_with(&v, enc);
-        let (bytes, _) = s.finish();
+        let (bytes, _, _) = s.finish();
         let mut d = Deserializer::new(&bytes[..]);
         let _ = d.read_arc_with(dec).unwrap();
         // Try to read the backref as a different type.
@@ -585,7 +688,7 @@ mod tests {
         s.write_u32(7);
         s.write_u64(1 << 40);
         s.write_raw(b"hdr");
-        let (bytes, _) = s.finish();
+        let (bytes, _, _) = s.finish();
         let mut d = Deserializer::new(&bytes[..]);
         assert_eq!(d.read_u32().unwrap(), 7);
         assert_eq!(d.read_u64().unwrap(), 1 << 40);

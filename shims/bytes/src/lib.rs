@@ -114,6 +114,19 @@ impl PartialEq for Bytes {
 
 impl Eq for Bytes {}
 
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Lexicographic over the viewed bytes, like `[u8]`.
+impl Ord for Bytes {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self[..].cmp(&other[..])
+    }
+}
+
 impl PartialEq<[u8]> for Bytes {
     fn eq(&self, other: &[u8]) -> bool {
         self[..] == *other
@@ -280,6 +293,14 @@ mod tests {
         assert_eq!(m.capacity(), 3);
         m.clear();
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn order_is_lexicographic_over_the_view() {
+        let a = Bytes::from(b"abcd".to_vec());
+        assert!(a.slice(1..2) > a.slice(0..4), "b > abcd");
+        assert!(a.slice(0..2) < a.slice(0..3), "shorter prefix is less");
+        assert_eq!(a.slice(1..3).cmp(&Bytes::from(b"bc".to_vec())), std::cmp::Ordering::Equal);
     }
 
     #[test]

@@ -44,11 +44,13 @@ struct Measured {
 
 /// On a fresh cluster: a warm-up fig6 job over `/warmup`, then the measured
 /// fig6 job over `/in` — a *different* input, so M3R's input cache is as
-/// cold for the measured job as the pools are warm. With `cold` the pools
-/// are emptied in between, which leaves every other piece of engine state
-/// (clock, cache, job sequence) exactly as in the warm run.
+/// cold for the measured job as the pools are warm. `forget` then drops
+/// whatever the engine still holds of the warm-up output `/w`. With `cold`
+/// the pools are emptied in between, which leaves every other piece of
+/// engine state (clock, cache, job sequence) exactly as in the warm run.
 fn measured_after_warmup<E: Engine>(
     make: impl FnOnce(Cluster, SimDfs) -> E,
+    forget: impl FnOnce(&E),
     m3r_protocol: bool,
     cold: bool,
 ) -> Measured {
@@ -72,6 +74,7 @@ fn measured_after_warmup<E: Engine>(
         .remove(0)
     };
     run(&mut engine, "/warmup", "/w");
+    forget(&engine);
     let pools = || (0..PLACES).map(|p| cluster.pool(p));
     let free: usize = pools().map(|p| p.free_count()).sum();
     assert!(
@@ -112,6 +115,11 @@ fn buffer_pool_reuses_buffers_across_jobs() {
                 };
                 M3REngine::with_options(cluster, Arc::new(fs), opts)
             },
+            // Cached output values are views of the streams they arrived
+            // in: drop them so the streams' buffers can come back.
+            |engine| {
+                engine.caching_fs().delete(&HPath::new("/w"), true).unwrap();
+            },
             true,
             cold,
         )
@@ -129,6 +137,7 @@ fn buffer_pool_reuses_buffers_across_jobs() {
                 };
                 HadoopEngine::with_options(cluster, Arc::new(fs), opts)
             },
+            |_| {},
             false,
             cold,
         )
@@ -186,7 +195,7 @@ fn consecutive_dedup_eviction_is_identical_on_recycled_buffers() {
     // evict the oldest values as fresh ones arrive, and still catch every
     // in-window repeat.
     let values: Vec<Arc<BytesWritable>> = (0..8)
-        .map(|i| Arc::new(BytesWritable(vec![i as u8; 300])))
+        .map(|i| Arc::new(BytesWritable(vec![i as u8; 300].into())))
         .collect();
     let run = |mut stream: ShuffleStream| {
         for (i, v) in values.iter().enumerate() {
@@ -196,7 +205,7 @@ fn consecutive_dedup_eviction_is_identical_on_recycled_buffers() {
         stream.finish()
     };
 
-    let (first, stats_first) = run(ShuffleStream::with_buffer(
+    let (first, stats_first, _) = run(ShuffleStream::with_buffer(
         pool.get(1024),
         DedupMode::Consecutive,
     ));
@@ -223,13 +232,54 @@ fn consecutive_dedup_eviction_is_identical_on_recycled_buffers() {
     let first_copy = first.to_vec();
     pool.reclaim(first);
     assert_eq!(pool.free_count(), 1, "sole handle reclaims into the pool");
-    let (second, stats_second) = run(ShuffleStream::with_buffer(
+    let (second, stats_second, _) = run(ShuffleStream::with_buffer(
         pool.get(1024),
         DedupMode::Consecutive,
     ));
     assert_eq!(pool.free_count(), 0, "recycled buffer is in use again");
     assert_eq!(stats_second.dedup_hits, stats_first.dedup_hits);
     assert_eq!(first_copy, second.to_vec(), "recycled buffer changes bytes");
+}
+
+// ---------------------------------------------------------------------------
+// Reads borrow: decoded byte strings are views that pin their stream, and
+// the pool takes a pinned buffer only once the views drop
+// ---------------------------------------------------------------------------
+
+#[test]
+fn decoded_byte_strings_pin_their_stream_until_they_drop() {
+    use m3r::shuffle::{decode_targeted, ShuffleStream};
+
+    let (cluster, _fs) = fresh(PLACES);
+    let pool = cluster.pool(0);
+    let pool_bytes = || cluster.mem().live_class(0, MemClass::Pool);
+    let mut stream = ShuffleStream::with_buffer(pool.get(1 << 12), DedupMode::Full);
+    for i in 0..6 {
+        let value = BytesWritable(vec![i as u8; 100 + i].into());
+        stream.push_owned(i % PARTS, Arc::new(IntWritable(i as i32)), Arc::new(value));
+    }
+    let (bytes, _, targets) = stream.finish();
+    assert!(targets.is_empty(), "fresh values: no back-references, nothing to register");
+    let values: Vec<Arc<BytesWritable>> = decode_targeted::<IntWritable, BytesWritable>(
+        bytes.clone(),
+        targets,
+    )
+    .map(|rec| rec.map(|(_, _, v)| v))
+    .collect::<Result<_, _>>()
+    .unwrap();
+
+    // The iterator has dropped; the views outlive the stream handle too.
+    let (before, capacity) = (pool_bytes(), 1 << 12);
+    pool.reclaim(bytes);
+    assert_eq!(pool.free_count(), 0, "a pinned stream is not pooled");
+    assert_eq!(pool_bytes(), before, "…nor counted as pool bytes");
+    for (i, v) in values.iter().enumerate() {
+        assert_eq!(&v.0[..], &vec![i as u8; 100 + i][..], "view {i} still reads its bytes");
+    }
+
+    drop(values);
+    assert_eq!(pool.free_count(), 1, "the last view dropped: the pool takes the buffer");
+    assert_eq!(pool_bytes(), before + capacity as u64);
 }
 
 // ---------------------------------------------------------------------------
