@@ -42,7 +42,7 @@ use simgrid::mem::{MemAccountant, MemClass, OomMode};
 use simgrid::{meter, trace, Charge};
 
 use hmr_api::error::{HmrError, Result};
-use hmr_api::fs::{read_file, write_file, FileSystem, HPath};
+use hmr_api::fs::{read_file, subtree, write_file, FileSystem, HPath};
 use hmr_api::writable::{write_vu64, ByteReader, Writable};
 
 /// A cached key/value sequence: `Arc`-shared pairs, exactly what flows
@@ -152,7 +152,9 @@ struct GovState {
     /// One policy instance per place: budgets are per-place, so victim
     /// selection at one place must not disturb recency state at another.
     policies: Vec<Box<dyn EvictionPolicy>>,
-    entries: HashMap<HPath, Entry>,
+    /// Ordered by path, so a subtree is one key range
+    /// ([`hmr_api::fs::subtree`]).
+    entries: BTreeMap<HPath, Entry>,
     by_id: HashMap<u64, HPath>,
     next_id: u64,
     /// Interned tenant names; a tenant's id is its index here. Interning
@@ -246,7 +248,7 @@ impl KvCache {
             mem,
             state: Arc::new(Mutex::new(GovState {
                 policies: (0..places).map(|_| policy.build()).collect(),
-                entries: HashMap::new(),
+                entries: BTreeMap::new(),
                 by_id: HashMap::new(),
                 next_id: 0,
                 tenants: Vec::new(),
@@ -645,12 +647,7 @@ impl KvCache {
     /// the cache."
     pub fn delete(&self, path: &HPath) -> bool {
         let mut st = self.state.lock();
-        let doomed: Vec<HPath> = st
-            .entries
-            .keys()
-            .filter(|p| p.starts_with(path))
-            .cloned()
-            .collect();
+        let doomed: Vec<HPath> = subtree(&st.entries, path).map(|(p, _)| p.clone()).collect();
         for p in doomed {
             self.forget_locked(&mut st, &p);
         }
@@ -663,12 +660,7 @@ impl KvCache {
     pub fn rename(&self, src: &HPath, dst: &HPath) -> std::result::Result<(), KvError> {
         let mut st = self.state.lock();
         self.store.rename(&kpath(src), &kpath(dst))?;
-        let moved: Vec<HPath> = st
-            .entries
-            .keys()
-            .filter(|p| p.starts_with(src))
-            .cloned()
-            .collect();
+        let moved: Vec<HPath> = subtree(&st.entries, src).map(|(p, _)| p.clone()).collect();
         for p in moved {
             let e = st.entries.remove(&p).expect("listed above");
             let suffix = &p.as_str()[src.as_str().len()..];

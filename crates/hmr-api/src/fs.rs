@@ -9,6 +9,7 @@
 //! exposes the `CacheFS` extension (see `extensions`).
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -84,6 +85,21 @@ impl HPath {
                 && self.0.as_bytes().get(ancestor.0.len()) == Some(&b'/'))
     }
 
+    /// The key range of everything strictly beneath `self` in a map ordered
+    /// by path: [`self/`, `self0`). `0` is the byte after `/`, so the range
+    /// holds exactly the keys that continue `self` with a `/` and no
+    /// sibling such as `self.bak` or `self-2`, which sort between `self`
+    /// and `self/`. Beneath the root lies every key but the root.
+    pub fn descendants(&self) -> (Bound<HPath>, Bound<HPath>) {
+        if self.is_root() {
+            return (Bound::Excluded(HPath::root()), Bound::Unbounded);
+        }
+        (
+            Bound::Included(HPath(format!("{}/", self.0))),
+            Bound::Excluded(HPath(format!("{}0", self.0))),
+        )
+    }
+
     /// Path components, root-first.
     pub fn components(&self) -> impl Iterator<Item = &str> {
         self.0.split('/').filter(|c| !c.is_empty())
@@ -106,6 +122,19 @@ impl std::fmt::Display for HPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.0)
     }
+}
+
+/// Every entry of `map` at or beneath `p`, in path order: `p` itself, then
+/// the range of [`HPath::descendants`]. The one subtree query of every
+/// path-keyed namespace ([`MemFs`], `simdfs`, the M3R cache governor): it
+/// visits only the subtree, never a sibling and never the rest of the map.
+pub fn subtree<'m, V>(
+    map: &'m BTreeMap<HPath, V>,
+    p: &HPath,
+) -> impl Iterator<Item = (&'m HPath, &'m V)> {
+    map.get_key_value(p)
+        .into_iter()
+        .chain(map.range(p.descendants()))
 }
 
 /// Metadata for one file or directory.
@@ -338,11 +367,8 @@ impl FileSystem for MemFs {
                 Ok(true)
             }
             Some(MemNode::Dir) => {
-                let children: Vec<HPath> = nodes
-                    .range(path.clone()..)
-                    .take_while(|(p, _)| p.starts_with(path))
-                    .map(|(p, _)| p.clone())
-                    .collect();
+                let children: Vec<HPath> =
+                    subtree(&nodes, path).map(|(p, _)| p.clone()).collect();
                 if children.len() > 1 && !recursive {
                     return Err(HmrError::Io(format!("{path} is a non-empty directory")));
                 }
@@ -362,9 +388,7 @@ impl FileSystem for MemFs {
         if nodes.contains_key(dst) {
             return Err(HmrError::AlreadyExists(dst.to_string()));
         }
-        let moved: Vec<(HPath, HPath)> = nodes
-            .range(src.clone()..)
-            .take_while(|(p, _)| p.starts_with(src))
+        let moved: Vec<(HPath, HPath)> = subtree(&nodes, src)
             .map(|(p, _)| {
                 let suffix = &p.as_str()[src.as_str().len()..];
                 (p.clone(), HPath::new(format!("{}{}", dst.as_str(), suffix)))
@@ -422,12 +446,9 @@ impl FileSystem for MemFs {
         }
         let nodes = self.inner.nodes.read();
         let mut out = Vec::new();
-        for (p, _) in nodes
-            .range(path.clone()..)
-            .take_while(|(p, _)| p.starts_with(path))
-        {
-            if p != path && p.parent().as_ref() == Some(path) {
-                out.push(match nodes.get(p).unwrap() {
+        for (p, node) in nodes.range(path.descendants()) {
+            if p.parent().as_ref() == Some(path) {
+                out.push(match node {
                     MemNode::File(d) => FileStatus {
                         path: p.clone(),
                         is_dir: false,
@@ -451,9 +472,7 @@ impl FileSystem for MemFs {
         match nodes.get(path)? {
             MemNode::File(d) => Some(crate::comparator::fnv1a(d)),
             MemNode::Dir => {
-                let entries: Vec<(&HPath, u64)> = nodes
-                    .range(path.clone()..)
-                    .take_while(|(p, _)| p.starts_with(path))
+                let entries: Vec<(&HPath, u64)> = subtree(&nodes, path)
                     .filter_map(|(p, n)| match n {
                         MemNode::File(d) => Some((p, crate::comparator::fnv1a(d))),
                         MemNode::Dir => None,

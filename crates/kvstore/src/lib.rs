@@ -12,7 +12,8 @@
 //!   `getInfo`, `mkdirs`; *all operations are atomic (serializable)*.
 //! * **Metadata partitioning** — "a path is hashed to determine where the
 //!   metadata associated with that path is located"; each place owns a
-//!   shard of concurrent hash tables (one metadata, one data).
+//!   shard of two tables: metadata ordered by path, so every subtree query
+//!   is one key range, and block data hashed by id.
 //! * **Block placement** — "data blocks can live anywhere: their location
 //!   is specified by their metadata. The `createWriter` call will create a
 //!   block at the place where it is invoked."

@@ -4,6 +4,9 @@
 //! `java.io.File` values — abstract paths); `KPath` is the same idea with
 //! normalized `/a/b/c` strings.
 
+use std::collections::BTreeMap;
+use std::ops::Bound;
+
 /// A normalized absolute path.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KPath(String);
@@ -77,6 +80,21 @@ impl KPath {
                 && self.0.as_bytes().get(ancestor.0.len()) == Some(&b'/'))
     }
 
+    /// The key range of everything strictly beneath `self` in a map ordered
+    /// by path: [`self/`, `self0`). `0` is the byte after `/`, so the range
+    /// holds exactly the keys that continue `self` with a `/` and no
+    /// sibling such as `self.bak` or `self-2`, which sort between `self`
+    /// and `self/`. Beneath the root lies every key but the root.
+    pub(crate) fn descendants(&self) -> (Bound<KPath>, Bound<KPath>) {
+        if self.is_root() {
+            return (Bound::Excluded(KPath::root()), Bound::Unbounded);
+        }
+        (
+            Bound::Included(KPath(format!("{}/", self.0))),
+            Bound::Excluded(KPath(format!("{}0", self.0))),
+        )
+    }
+
     /// All ancestors from the root down to `self` inclusive.
     pub fn ancestors_inclusive(&self) -> Vec<KPath> {
         let mut out = vec![KPath::root()];
@@ -112,6 +130,18 @@ impl std::fmt::Display for KPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.0)
     }
+}
+
+/// Every entry of `map` at or beneath `p`, in path order: `p` itself, then
+/// the range of [`KPath::descendants`]. The store's one subtree query: it
+/// visits only the subtree, never a sibling and never the rest of the map.
+pub(crate) fn subtree<'m, V>(
+    map: &'m BTreeMap<KPath, V>,
+    p: &KPath,
+) -> impl Iterator<Item = (&'m KPath, &'m V)> {
+    map.get_key_value(p)
+        .into_iter()
+        .chain(map.range(p.descendants()))
 }
 
 /// Least common ancestor of a non-empty set of paths.

@@ -1,16 +1,17 @@
 //! The store proper: sharded metadata/data tables and the Fig 5 operations.
 //!
-//! Concurrency design (after §5.2): every place owns one metadata and one
-//! data hash table, protected by short critical sections. Multi-entry
-//! operations additionally acquire path locks from [`LockManager`] under
-//! the LCA-first discipline: mutating operations lock the ancestor chain of
+//! Concurrency design (after §5.2): every place owns one metadata table
+//! (ordered by path, so a subtree is a key range) and one data hash table,
+//! protected by short critical sections. Multi-entry operations
+//! additionally acquire path locks from [`LockManager`] under the
+//! LCA-first discipline: mutating operations lock the ancestor chain of
 //! their argument paths (so structural changes to overlapping subtrees
 //! serialize on their common ancestor), while block reads — the cache-hit
 //! hot path — lock only the path they touch and therefore run fully in
 //! parallel across places.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::locks::LockManager;
-use crate::path::KPath;
+use crate::path::{self, KPath};
 
 /// Opaque typed block payload. The M3R cache stores typed key/value
 /// sequences here and downcasts on read.
@@ -93,7 +94,7 @@ enum MetaEntry<M> {
 }
 
 struct Shard<M> {
-    meta: Mutex<HashMap<KPath, MetaEntry<M>>>,
+    meta: Mutex<BTreeMap<KPath, MetaEntry<M>>>,
     data: Mutex<HashMap<u64, BlockData>>,
 }
 
@@ -124,7 +125,7 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
             inner: Arc::new(StoreInner {
                 shards: (0..places)
                     .map(|_| Shard {
-                        meta: Mutex::new(HashMap::new()),
+                        meta: Mutex::new(BTreeMap::new()),
                         data: Mutex::new(HashMap::new()),
                     })
                     .collect(),
@@ -147,16 +148,17 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
         (h.finish() % self.inner.shards.len() as u64) as usize
     }
 
-    fn meta_shard(&self, path: &KPath) -> &Mutex<HashMap<KPath, MetaEntry<M>>> {
+    fn meta_shard(&self, path: &KPath) -> &Mutex<BTreeMap<KPath, MetaEntry<M>>> {
         &self.inner.shards[self.meta_place(path)].meta
     }
 
-    /// Paths whose metadata currently exists under `prefix` (inclusive).
+    /// Paths whose metadata currently exists under `prefix` (inclusive):
+    /// one key range per shard.
     fn subtree(&self, prefix: &KPath) -> Vec<KPath> {
         let mut out = Vec::new();
         for shard in &self.inner.shards {
             let meta = shard.meta.lock();
-            out.extend(meta.keys().filter(|p| p.starts_with(prefix)).cloned());
+            out.extend(path::subtree(&meta, prefix).map(|(p, _)| p.clone()));
         }
         out.sort();
         out
@@ -265,12 +267,8 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
                 None => return Err(KvError::NotFound(dir.clone())),
             }
         }
-        let mut kids: Vec<KPath> = self
-            .subtree(dir)
-            .into_iter()
-            .filter(|p| p != dir && p.parent().as_ref() == Some(dir))
-            .collect();
-        kids.sort();
+        let mut kids = self.subtree(dir);
+        kids.retain(|p| p.parent().as_ref() == Some(dir));
         Ok(kids)
     }
 

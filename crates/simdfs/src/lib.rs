@@ -28,7 +28,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 
 use hmr_api::error::{HmrError, Result};
-use hmr_api::fs::{FileStatus, FileSystem, FsReader, FsWriter, HPath};
+use hmr_api::fs::{subtree, FileStatus, FileSystem, FsReader, FsWriter, HPath};
 use simgrid::cost::Charge;
 use simgrid::meter;
 use simgrid::trace;
@@ -379,16 +379,13 @@ impl FileSystem for SimDfs {
                 Ok(true)
             }
             Some(DfsNode::Dir) => {
-                let subtree: Vec<HPath> = meta
-                    .range(path.clone()..)
-                    .take_while(|(p, _)| p.starts_with(path))
-                    .map(|(p, _)| p.clone())
-                    .collect();
-                if subtree.len() > 1 && !recursive {
+                let doomed: Vec<HPath> =
+                    subtree(&meta, path).map(|(p, _)| p.clone()).collect();
+                if doomed.len() > 1 && !recursive {
                     return Err(HmrError::Io(format!("{path} is a non-empty directory")));
                 }
                 let mut store = self.inner.blocks.write();
-                for p in subtree {
+                for p in doomed {
                     if let Some(DfsNode::File { blocks, .. }) = meta.remove(&p) {
                         for b in blocks {
                             store.remove(&b.id);
@@ -409,9 +406,7 @@ impl FileSystem for SimDfs {
         if meta.contains_key(dst) {
             return Err(HmrError::AlreadyExists(dst.to_string()));
         }
-        let moved: Vec<(HPath, HPath)> = meta
-            .range(src.clone()..)
-            .take_while(|(p, _)| p.starts_with(src))
+        let moved: Vec<(HPath, HPath)> = subtree(&meta, src)
             .map(|(p, _)| {
                 let suffix = &p.as_str()[src.as_str().len()..];
                 (p.clone(), HPath::new(format!("{}{}", dst.as_str(), suffix)))
@@ -473,11 +468,8 @@ impl FileSystem for SimDfs {
         }
         let meta = self.inner.meta.read();
         let mut out = Vec::new();
-        for (p, node) in meta
-            .range(path.clone()..)
-            .take_while(|(p, _)| p.starts_with(path))
-        {
-            if p != path && p.parent().as_ref() == Some(path) {
+        for (p, node) in meta.range(path.descendants()) {
+            if p.parent().as_ref() == Some(path) {
                 out.push(match node {
                     DfsNode::File { len, .. } => FileStatus {
                         path: p.clone(),
@@ -533,9 +525,8 @@ impl FileSystem for SimDfs {
                     (false, vec![(path.clone(), snapshot(blocks, version)?)])
                 }
                 DfsNode::Dir => {
-                    let subtree = meta.range(path.clone()..).take_while(|(p, _)| p.starts_with(path));
                     let mut files = Vec::new();
-                    for (p, node) in subtree {
+                    for (p, node) in subtree(&meta, path) {
                         if let DfsNode::File { blocks, version, .. } = node {
                             files.push((p.clone(), snapshot(blocks, version)?));
                         }

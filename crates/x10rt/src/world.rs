@@ -37,7 +37,8 @@ struct PlaceHandle {
     thread: Option<JoinHandle<()>>,
 }
 
-/// A fixed family of places. Dropping the world shuts the workers down.
+/// A fixed family of places. Dropping the world shuts the workers down and
+/// returns the heap pages they freed to the operating system.
 pub struct World {
     places: Vec<PlaceHandle>,
     panics: PanicLog,
@@ -193,8 +194,35 @@ impl Drop for World {
                 let _ = t.join();
             }
         }
+        release_freed_heap();
     }
 }
+
+/// Hand the heap pages the exited places freed back to the operating
+/// system.
+///
+/// glibc serves each thread from a malloc arena, keeps the pages freed
+/// inside an arena resident, and passes an exited thread's arena to the
+/// next new thread that allocates. Whether the next world's places inherit
+/// arenas already grown by places or arenas that lighter threads used is
+/// down to thread scheduling, so without this a process that builds worlds
+/// one after another would carry a peak resident set that differs by
+/// megabytes from one run to the next.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_freed_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::ffi::c_int;
+    }
+    // SAFETY: `malloc_trim` takes no pointer and reads no caller memory;
+    // glibc locks each arena while it trims it, so any thread may call it
+    // at any time.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_freed_heap() {}
 
 /// Capability to spawn asyncs that the enclosing [`World::finish`] waits on.
 pub struct Finish<'w> {
