@@ -616,10 +616,14 @@ impl KvCache {
 
     /// True when `path` is a cached directory.
     pub fn is_dir(&self, path: &HPath) -> bool {
-        matches!(
-            self.store.get_info(&kpath(path)).map(|i| i.kind),
-            Ok(kvstore::PathKind::Dir)
-        )
+        self.kind(path) == Some(true)
+    }
+
+    /// `None` when nothing is cached at `path`, else whether it is a
+    /// directory.
+    pub fn kind(&self, path: &HPath) -> Option<bool> {
+        let info = self.store.get_info(&kpath(path)).ok()?;
+        Some(info.kind == kvstore::PathKind::Dir)
     }
 
     /// The place holding `path`'s cached data, if any.
@@ -644,14 +648,17 @@ impl KvCache {
 
     /// Remove `path` (file or subtree) from the cache. §3.2.1: "deleting a
     /// file from the filesystem causes it to be transparently removed from
-    /// the cache."
+    /// the cache." The root is never deleted.
     pub fn delete(&self, path: &HPath) -> bool {
         let mut st = self.state.lock();
+        if !self.store.delete(&kpath(path)).unwrap_or(false) {
+            return false;
+        }
         let doomed: Vec<HPath> = subtree(&st.entries, path).map(|(p, _)| p.clone()).collect();
         for p in doomed {
             self.forget_locked(&mut st, &p);
         }
-        self.store.delete(&kpath(path)).unwrap_or(false)
+        true
     }
 
     /// Rename within the cache (keeps data at its place). Governor entries

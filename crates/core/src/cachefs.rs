@@ -9,6 +9,12 @@
 //! `CacheFS` extension exposes a raw-cache view whose operations touch
 //! *only* the cache.
 //!
+//! The namespace it presents is the union of disk and cache, under the same
+//! HDFS rules as `hmr_api::fs::Namespace`: every mutation is decided from
+//! that merged view before either side changes, and the cache changes only
+//! after the underlying filesystem accepted (or when the path exists only in
+//! the cache).
+//!
 //! Byte-level reads (`open`) go to the underlying filesystem: "since the
 //! file API is based on byte buffers, and the cache stores key-value pairs,
 //! these calls could not be trapped automatically" (§6.4 footnote). Typed
@@ -18,8 +24,11 @@ use std::sync::Arc;
 
 use hmr_api::error::{HmrError, Result};
 use hmr_api::extensions::CacheFsExt;
+use hmr_api::fs::{check_mkdirs, check_rename};
 use hmr_api::fs::{FileStatus, FileSystem, FsReader, FsWriter, HPath};
 use hmr_api::io::RecordReader;
+
+use kvstore::KvError;
 
 use crate::cache::KvCache;
 
@@ -56,6 +65,13 @@ impl CachingFs {
     {
         let hit = self.cache.get_seq::<K, V>(path, None)?;
         Some(Box::new(CachedSeqReader { hit: hit.seq, pos: 0 }))
+    }
+
+    /// `path`'s kind in the merged view: `None` when absent from both sides,
+    /// else whether it is a directory.
+    fn merged_kind(&self, path: &HPath) -> Option<bool> {
+        let on_disk = || self.under.get_file_status(path).ok().map(|s| s.is_dir);
+        self.cache.kind(path).or_else(on_disk)
     }
 
     fn synth_status(&self, path: &HPath) -> Option<FileStatus> {
@@ -99,9 +115,18 @@ where
 
 impl FileSystem for CachingFs {
     fn create(&self, path: &HPath) -> Result<Box<dyn FsWriter>> {
-        // A fresh byte-level write invalidates any cached entry.
+        // A cached directory at `path` or a cached file above it refuses
+        // the create. A cached file at `path` may be stale (its bytes gone
+        // from disk behind the cache's back), so the disk decides, and a
+        // fresh byte-level write invalidates the cached copy.
+        match self.cache.kind(path) {
+            Some(true) => return Err(HmrError::AlreadyExists(path.to_string())),
+            Some(false) => {}
+            None => path.parent().map_or(Ok(()), |d| check_mkdirs(&d, |p| self.cache.kind(p)))?,
+        }
+        let writer = self.under.create(path)?;
         self.cache.delete(path);
-        self.under.create(path)
+        Ok(writer)
     }
 
     fn open(&self, path: &HPath) -> Result<Box<dyn FsReader>> {
@@ -109,23 +134,30 @@ impl FileSystem for CachingFs {
     }
 
     fn delete(&self, path: &HPath, recursive: bool) -> Result<bool> {
-        let cached = self.cache.delete(path);
+        // A cached child makes `path` non-empty even where the disk has none.
+        if !recursive && !self.cache.list(path).is_empty() {
+            return Err(HmrError::Io(format!("{path} is a non-empty directory")));
+        }
         let under = self.under.delete(path, recursive)?;
-        Ok(cached || under)
+        Ok(self.cache.delete(path) || under)
     }
 
     fn rename(&self, src: &HPath, dst: &HPath) -> Result<()> {
-        let cache_moved = self.cache.rename(src, dst).is_ok();
+        check_rename(src, dst, |p| self.merged_kind(p))?;
         match self.under.rename(src, dst) {
-            Ok(()) => Ok(()),
             // A temp output exists only in the cache; moving it there is
             // enough.
-            Err(HmrError::NotFound(_)) if cache_moved => Ok(()),
-            Err(e) => Err(e),
+            Ok(()) | Err(HmrError::NotFound(_)) => {}
+            Err(e) => return Err(e),
+        }
+        match self.cache.rename(src, dst) {
+            Ok(()) | Err(KvError::NotFound(_)) => Ok(()),
+            Err(e) => Err(HmrError::Io(e.to_string())),
         }
     }
 
     fn mkdirs(&self, path: &HPath) -> Result<()> {
+        check_mkdirs(path, |p| self.cache.kind(p))?;
         self.under.mkdirs(path)
     }
 
@@ -154,8 +186,8 @@ impl FileSystem for CachingFs {
         for (p, m) in self.cache.list(path) {
             if seen.insert(p.clone()) {
                 out.push(FileStatus {
+                    is_dir: self.cache.is_dir(&p),
                     path: p,
-                    is_dir: false,
                     len: m.len,
                     block_size: u64::MAX,
                 });
@@ -259,8 +291,8 @@ impl FileSystem for RawCacheFs {
             .list(path)
             .into_iter()
             .map(|(p, m)| FileStatus {
+                is_dir: self.cache.is_dir(&p),
                 path: p,
-                is_dir: false,
                 len: m.len,
                 block_size: u64::MAX,
             })
@@ -379,6 +411,9 @@ mod tests {
     fn byte_create_invalidates_cache_entry() {
         let fs = setup();
         fs.cache().put_seq(0, &HPath::new("/f"), seq(1), 5).unwrap();
+        // Beneath a cached file is refused, and the cache is left alone.
+        assert!(write_file(&fs, &HPath::new("/f/g"), b"below").is_err());
+        assert!(fs.cache().contains(&HPath::new("/f")));
         write_file(&fs, &HPath::new("/f"), b"new bytes").unwrap();
         assert!(!fs.cache().contains(&HPath::new("/f")), "stale entry dropped");
     }

@@ -126,8 +126,8 @@ impl std::fmt::Display for HPath {
 
 /// Every entry of `map` at or beneath `p`, in path order: `p` itself, then
 /// the range of [`HPath::descendants`]. The one subtree query of every
-/// path-keyed namespace ([`MemFs`], `simdfs`, the M3R cache governor): it
-/// visits only the subtree, never a sibling and never the rest of the map.
+/// `HPath`-keyed map ([`Namespace`], the M3R cache governor): it visits
+/// only the subtree, never a sibling and never the rest of the map.
 pub fn subtree<'m, V>(
     map: &'m BTreeMap<HPath, V>,
     p: &HPath,
@@ -234,8 +234,8 @@ pub trait FileSystem: Send + Sync {
 }
 
 /// Combine per-file content versions into a directory version: a hash over
-/// the sorted `(path, version)` pairs. Shared by [`MemFs`] and `simdfs` so
-/// both filesystems agree on what a directory's version means.
+/// the sorted `(path, version)` pairs, so every [`Namespace`] agrees on what
+/// a directory's version means.
 pub fn combine_dir_version(entries: &[(&HPath, u64)]) -> u64 {
     let mut buf = Vec::with_capacity(entries.len() * 24);
     for (p, v) in entries {
@@ -247,25 +247,230 @@ pub fn combine_dir_version(entries: &[(&HPath, u64)]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
+// Namespace: the one home of the namespace rules
+// ---------------------------------------------------------------------------
+
+/// HDFS's refusals for a new entry at `p` (a created file, or a rename's
+/// destination), decided from `is_dir` (`None` for an absent path, else
+/// whether it is a directory): `p` must be absent and have no file above it.
+fn check_create(p: &HPath, is_dir: impl Fn(&HPath) -> Option<bool>) -> Result<()> {
+    if is_dir(p).is_some() {
+        return Err(HmrError::AlreadyExists(p.to_string()));
+    }
+    p.parent().map_or(Ok(()), |d| check_mkdirs(&d, is_dir))
+}
+
+/// HDFS's refusal for `mkdirs(p)`, decided from `is_dir` as in
+/// [`check_rename`]: no file at or above `p`. The nearest existing path at
+/// or above `p` decides, since the ancestors of a directory are
+/// directories.
+pub fn check_mkdirs(p: &HPath, is_dir: impl Fn(&HPath) -> Option<bool>) -> Result<()> {
+    let mut at = Some(p.clone());
+    while let Some(a) = at {
+        match is_dir(&a) {
+            Some(true) => return Ok(()),
+            Some(false) => return Err(HmrError::Io(format!("{a} is a file"))),
+            None => at = a.parent(),
+        }
+    }
+    Ok(())
+}
+
+/// HDFS's refusals for `rename(src, dst)`, decided from `is_dir` (`None`
+/// for an absent path, else whether it is a directory), in order: `src`
+/// must exist, `dst` must not lie inside it (the root's case included),
+/// `dst` must be absent, and no file may lie above `dst`. A filesystem that
+/// merges two namespaces (the M3R caching wrapper) passes its merged view.
+pub fn check_rename(src: &HPath, dst: &HPath, is_dir: impl Fn(&HPath) -> Option<bool>) -> Result<()> {
+    if is_dir(src).is_none() {
+        return Err(HmrError::NotFound(src.to_string()));
+    }
+    if dst.starts_with(src) {
+        return Err(HmrError::Io(format!("cannot move {src} into itself")));
+    }
+    check_create(dst, is_dir)
+}
+
+/// One entry of a [`Namespace`]: a directory, or a file and what the
+/// filesystem keeps of it.
+enum Node<F> {
+    Dir,
+    File(F),
+}
+
+/// A path namespace with HDFS's rules: the one home of the `create`,
+/// `mkdirs`, `delete`, `rename`, status, listing and content-version
+/// semantics shared by [`MemFs`] (files are `Bytes`) and `simdfs` (files own
+/// their blocks). The invariant: `/` is a directory that is never deleted,
+/// and every other key's parent exists and is a directory. Publishing and
+/// renaming create missing parents implicitly, as HDFS does.
+pub struct Namespace<F> {
+    nodes: BTreeMap<HPath, Node<F>>,
+    block_size: u64,
+    len_of: fn(&F) -> u64,
+}
+
+impl<F> Namespace<F> {
+    /// A namespace holding only `/`. Statuses report `block_size`, and a
+    /// file's length is `len_of` it.
+    pub fn new(block_size: u64, len_of: fn(&F) -> u64) -> Self {
+        let nodes = BTreeMap::from([(HPath::root(), Node::Dir)]);
+        Namespace {
+            nodes,
+            block_size,
+            len_of,
+        }
+    }
+
+    fn is_dir(&self, p: &HPath) -> Option<bool> {
+        self.nodes.get(p).map(|n| matches!(n, Node::Dir))
+    }
+
+    fn add_parents(&mut self, p: &HPath) {
+        for a in p.parent().iter().flat_map(|d| d.ancestors_inclusive()) {
+            self.nodes.entry(a).or_insert(Node::Dir);
+        }
+    }
+
+    /// The file at `p`: what `open` reads.
+    pub fn file(&self, p: &HPath) -> Result<&F> {
+        match self.nodes.get(p) {
+            Some(Node::File(f)) => Ok(f),
+            Some(Node::Dir) => Err(HmrError::Io(format!("{p} is a directory"))),
+            None => Err(HmrError::NotFound(p.to_string())),
+        }
+    }
+
+    /// `create`'s check: `p` must be absent and have no file above it.
+    pub fn check_create(&self, p: &HPath) -> Result<()> {
+        check_create(p, |q| self.is_dir(q))
+    }
+
+    /// Make `file` visible at `p` (a writer's close), repeating the create
+    /// check: of two writers that both passed it, the second is refused.
+    pub fn publish(&mut self, p: &HPath, file: F) -> Result<()> {
+        self.check_create(p)?;
+        self.add_parents(p);
+        self.nodes.insert(p.clone(), Node::File(file));
+        Ok(())
+    }
+
+    /// Create `p` and its missing ancestors as directories.
+    pub fn mkdirs(&mut self, p: &HPath) -> Result<()> {
+        check_mkdirs(p, |q| self.is_dir(q))?;
+        for a in p.ancestors_inclusive() {
+            self.nodes.entry(a).or_insert(Node::Dir);
+        }
+        Ok(())
+    }
+
+    /// Remove `p` and everything beneath it. A non-empty directory needs
+    /// `recursive`. `None` when nothing was removed (`p` absent, or the
+    /// root, which is never deleted); else the removed files, so the caller
+    /// can drop them after releasing its lock.
+    pub fn delete(&mut self, p: &HPath, recursive: bool) -> Result<Option<Vec<F>>> {
+        let Some(is_dir) = self.is_dir(p) else {
+            return Ok(None);
+        };
+        if is_dir && !recursive && self.nodes.range(p.descendants()).next().is_some() {
+            return Err(HmrError::Io(format!("{p} is a non-empty directory")));
+        }
+        if p.is_root() {
+            return Ok(None);
+        }
+        let doomed: Vec<HPath> = subtree(&self.nodes, p).map(|(q, _)| q.clone()).collect();
+        let files = doomed.iter().filter_map(|q| match self.nodes.remove(q) {
+            Some(Node::File(f)) => Some(f),
+            _ => None,
+        });
+        Ok(Some(files.collect()))
+    }
+
+    /// Move `src`'s subtree to `dst` after [`check_rename`].
+    pub fn rename(&mut self, src: &HPath, dst: &HPath) -> Result<()> {
+        check_rename(src, dst, |q| self.is_dir(q))?;
+        let moved: Vec<HPath> = subtree(&self.nodes, src).map(|(p, _)| p.clone()).collect();
+        self.add_parents(dst);
+        for from in moved {
+            let node = self.nodes.remove(&from).expect("listed above");
+            let to = HPath::new(format!("{dst}{}", &from.as_str()[src.as_str().len()..]));
+            self.nodes.insert(to, node);
+        }
+        Ok(())
+    }
+
+    fn status_of(&self, p: &HPath, node: &Node<F>) -> FileStatus {
+        let (is_dir, len) = match node {
+            Node::Dir => (true, 0),
+            Node::File(f) => (false, (self.len_of)(f)),
+        };
+        FileStatus {
+            path: p.clone(),
+            is_dir,
+            len,
+            block_size: self.block_size,
+        }
+    }
+
+    /// Stat `p`.
+    pub fn status(&self, p: &HPath) -> Result<FileStatus> {
+        let node = self.nodes.get(p).ok_or_else(|| HmrError::NotFound(p.to_string()))?;
+        Ok(self.status_of(p, node))
+    }
+
+    /// A directory's children in path order, or a file's own status.
+    pub fn list(&self, p: &HPath) -> Result<Vec<FileStatus>> {
+        let status = self.status(p)?;
+        if !status.is_dir {
+            return Ok(vec![status]);
+        }
+        let children = self.nodes.range(p.descendants());
+        let children = children.filter(|(q, _)| q.parent().as_ref() == Some(p));
+        Ok(children.map(|(q, n)| self.status_of(q, n)).collect())
+    }
+
+    /// The files `p`'s content version covers, each taken through `take`:
+    /// `p` itself when it is a file, else every file beneath the directory.
+    /// `None` when `p` is absent. A filesystem that hashes lazily takes
+    /// handles here, under its lock, and hashes after releasing it.
+    pub fn version_inputs<T>(&self, p: &HPath, mut take: impl FnMut(&F) -> T) -> Option<Vec<(&HPath, T)>> {
+        self.nodes.get(p)?;
+        let files = subtree(&self.nodes, p).filter_map(|(q, n)| match n {
+            Node::File(f) => Some((q, take(f))),
+            Node::Dir => None,
+        });
+        Some(files.collect())
+    }
+
+    /// `p`'s content version (see [`FileSystem::content_version`]), its
+    /// files' versions computed by `version` under the caller's lock.
+    pub fn content_version(&self, p: &HPath, version: impl FnMut(&F) -> u64) -> Option<u64> {
+        Some(content_version_of(p, &self.version_inputs(p, version)?))
+    }
+}
+
+/// `p`'s content version from the versions of its
+/// [`Namespace::version_inputs`]: a file's own version, or
+/// [`combine_dir_version`] over every file beneath a directory.
+pub fn content_version_of(p: &HPath, files: &[(&HPath, u64)]) -> u64 {
+    match files {
+        [(q, v)] if *q == p => *v,
+        _ => combine_dir_version(files),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // MemFs: the process-local filesystem
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
-enum MemNode {
-    File(Bytes),
-    Dir,
-}
+type MemNamespace = Arc<RwLock<Namespace<Bytes>>>;
 
 // The writer buffers locally and publishes atomically on close, matching
 // HDFS visibility semantics.
 struct BufWriter {
     target: HPath,
     buf: Vec<u8>,
-    fs: Arc<MemFsInner>,
-}
-
-struct MemFsInner {
-    nodes: RwLock<BTreeMap<HPath, MemNode>>,
+    ns: MemNamespace,
 }
 
 impl FsWriter for BufWriter {
@@ -275,11 +480,7 @@ impl FsWriter for BufWriter {
     }
     fn close(self: Box<Self>) -> Result<u64> {
         let len = self.buf.len() as u64;
-        let mut nodes = self.fs.nodes.write();
-        for anc in self.target.parent().iter().flat_map(|p| p.ancestors_inclusive()) {
-            nodes.entry(anc).or_insert(MemNode::Dir);
-        }
-        nodes.insert(self.target, MemNode::File(Bytes::from(self.buf)));
+        self.ns.write().publish(&self.target, Bytes::from(self.buf))?;
         Ok(len)
     }
 }
@@ -300,15 +501,16 @@ impl FsReader for BufReader {
     }
 }
 
-/// A simple in-memory filesystem with HDFS-like semantics (atomic rename,
-/// recursive delete, implicit parent creation, close-to-publish visibility).
-/// It charges no simulated cost: it stands in for the *local* filesystem
-/// that M3R can run against just as well as HDFS (§1).
+/// A simple in-memory filesystem with HDFS-like semantics (a [`Namespace`]
+/// of `Bytes`: atomic rename, recursive delete, implicit parent creation,
+/// close-to-publish visibility). It charges no simulated cost: it stands in
+/// for the *local* filesystem that M3R can run against just as well as
+/// HDFS (§1).
 ///
-/// State lives in an `Arc` so writers can publish after the borrow of
-/// `&self` has ended.
+/// The namespace lives in an `Arc` so writers can publish after the borrow
+/// of `&self` has ended.
 pub struct MemFs {
-    inner: Arc<MemFsInner>,
+    ns: MemNamespace,
 }
 
 impl Default for MemFs {
@@ -320,11 +522,10 @@ impl Default for MemFs {
 impl MemFs {
     /// An empty filesystem containing only `/`.
     pub fn new() -> Self {
-        let inner = Arc::new(MemFsInner {
-            nodes: RwLock::new(BTreeMap::new()),
-        });
-        inner.nodes.write().insert(HPath::root(), MemNode::Dir);
-        MemFs { inner }
+        let ns = Namespace::new(64 << 20, |b: &Bytes| b.len() as u64);
+        MemFs {
+            ns: Arc::new(RwLock::new(ns)),
+        }
     }
 
     /// Shared handle convenience.
@@ -335,152 +536,42 @@ impl MemFs {
 
 impl FileSystem for MemFs {
     fn create(&self, path: &HPath) -> Result<Box<dyn FsWriter>> {
-        let nodes = self.inner.nodes.read();
-        if nodes.contains_key(path) {
-            return Err(HmrError::AlreadyExists(path.to_string()));
-        }
-        drop(nodes);
+        self.ns.read().check_create(path)?;
         Ok(Box::new(BufWriter {
             target: path.clone(),
             buf: Vec::new(),
-            fs: Arc::clone(&self.inner),
+            ns: Arc::clone(&self.ns),
         }))
     }
 
     fn open(&self, path: &HPath) -> Result<Box<dyn FsReader>> {
-        let nodes = self.inner.nodes.read();
-        match nodes.get(path) {
-            Some(MemNode::File(data)) => Ok(Box::new(BufReader {
-                data: data.clone(),
-            })),
-            Some(MemNode::Dir) => Err(HmrError::Io(format!("{path} is a directory"))),
-            None => Err(HmrError::NotFound(path.to_string())),
-        }
+        let data = self.ns.read().file(path)?.clone();
+        Ok(Box::new(BufReader { data }))
     }
 
     fn delete(&self, path: &HPath, recursive: bool) -> Result<bool> {
-        let mut nodes = self.inner.nodes.write();
-        match nodes.get(path) {
-            None => Ok(false),
-            Some(MemNode::File(_)) => {
-                nodes.remove(path);
-                Ok(true)
-            }
-            Some(MemNode::Dir) => {
-                let children: Vec<HPath> =
-                    subtree(&nodes, path).map(|(p, _)| p.clone()).collect();
-                if children.len() > 1 && !recursive {
-                    return Err(HmrError::Io(format!("{path} is a non-empty directory")));
-                }
-                for c in children {
-                    nodes.remove(&c);
-                }
-                Ok(true)
-            }
-        }
+        let gone = self.ns.write().delete(path, recursive)?;
+        Ok(gone.is_some())
     }
 
     fn rename(&self, src: &HPath, dst: &HPath) -> Result<()> {
-        let mut nodes = self.inner.nodes.write();
-        if !nodes.contains_key(src) {
-            return Err(HmrError::NotFound(src.to_string()));
-        }
-        if nodes.contains_key(dst) {
-            return Err(HmrError::AlreadyExists(dst.to_string()));
-        }
-        let moved: Vec<(HPath, HPath)> = subtree(&nodes, src)
-            .map(|(p, _)| {
-                let suffix = &p.as_str()[src.as_str().len()..];
-                (p.clone(), HPath::new(format!("{}{}", dst.as_str(), suffix)))
-            })
-            .collect();
-        for (from, to) in moved {
-            let node = nodes.remove(&from).expect("listed above");
-            nodes.insert(to, node);
-        }
-        for anc in dst.parent().iter().flat_map(|p| p.ancestors_inclusive()) {
-            nodes.entry(anc).or_insert(MemNode::Dir);
-        }
-        Ok(())
+        self.ns.write().rename(src, dst)
     }
 
     fn mkdirs(&self, path: &HPath) -> Result<()> {
-        let mut nodes = self.inner.nodes.write();
-        for anc in path.ancestors_inclusive() {
-            match nodes.get(&anc) {
-                Some(MemNode::File(_)) => {
-                    return Err(HmrError::Io(format!("{anc} is a file")));
-                }
-                Some(MemNode::Dir) => {}
-                None => {
-                    nodes.insert(anc, MemNode::Dir);
-                }
-            }
-        }
-        Ok(())
+        self.ns.write().mkdirs(path)
     }
 
     fn get_file_status(&self, path: &HPath) -> Result<FileStatus> {
-        let nodes = self.inner.nodes.read();
-        match nodes.get(path) {
-            Some(MemNode::File(d)) => Ok(FileStatus {
-                path: path.clone(),
-                is_dir: false,
-                len: d.len() as u64,
-                block_size: 64 << 20,
-            }),
-            Some(MemNode::Dir) => Ok(FileStatus {
-                path: path.clone(),
-                is_dir: true,
-                len: 0,
-                block_size: 64 << 20,
-            }),
-            None => Err(HmrError::NotFound(path.to_string())),
-        }
+        self.ns.read().status(path)
     }
 
     fn list_status(&self, path: &HPath) -> Result<Vec<FileStatus>> {
-        let status = self.get_file_status(path)?;
-        if !status.is_dir {
-            return Ok(vec![status]);
-        }
-        let nodes = self.inner.nodes.read();
-        let mut out = Vec::new();
-        for (p, node) in nodes.range(path.descendants()) {
-            if p.parent().as_ref() == Some(path) {
-                out.push(match node {
-                    MemNode::File(d) => FileStatus {
-                        path: p.clone(),
-                        is_dir: false,
-                        len: d.len() as u64,
-                        block_size: 64 << 20,
-                    },
-                    MemNode::Dir => FileStatus {
-                        path: p.clone(),
-                        is_dir: true,
-                        len: 0,
-                        block_size: 64 << 20,
-                    },
-                });
-            }
-        }
-        Ok(out)
+        self.ns.read().list(path)
     }
 
     fn content_version(&self, path: &HPath) -> Option<u64> {
-        let nodes = self.inner.nodes.read();
-        match nodes.get(path)? {
-            MemNode::File(d) => Some(crate::comparator::fnv1a(d)),
-            MemNode::Dir => {
-                let entries: Vec<(&HPath, u64)> = subtree(&nodes, path)
-                    .filter_map(|(p, n)| match n {
-                        MemNode::File(d) => Some((p, crate::comparator::fnv1a(d))),
-                        MemNode::Dir => None,
-                    })
-                    .collect();
-                Some(combine_dir_version(&entries))
-            }
-        }
+        self.ns.read().content_version(path, |d| crate::comparator::fnv1a(d))
     }
 }
 

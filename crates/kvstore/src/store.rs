@@ -38,6 +38,8 @@ pub enum KvError {
     IsAFile(KPath),
     /// The file exists but holds no block with the requested metadata.
     NoSuchBlock(KPath),
+    /// A rename's destination lies inside its source.
+    IntoItself(KPath),
 }
 
 impl std::fmt::Display for KvError {
@@ -48,6 +50,7 @@ impl std::fmt::Display for KvError {
             KvError::IsADir(p) => write!(f, "is a directory: {p}"),
             KvError::IsAFile(p) => write!(f, "is a file: {p}"),
             KvError::NoSuchBlock(p) => write!(f, "no block with that metadata in {p}"),
+            KvError::IntoItself(p) => write!(f, "cannot move {p} into itself"),
         }
     }
 }
@@ -118,10 +121,11 @@ struct StoreInner<M> {
 }
 
 impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
-    /// A store sharded over `places` places (one shard pair per place).
+    /// A store sharded over `places` places (one shard pair per place),
+    /// holding only the root directory.
     pub fn new(places: usize) -> Self {
         assert!(places >= 1, "a store needs at least one place");
-        KvStore {
+        let store = KvStore {
             inner: Arc::new(StoreInner {
                 shards: (0..places)
                     .map(|_| Shard {
@@ -132,7 +136,10 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
                 locks: LockManager::new(),
                 next_id: AtomicU64::new(1),
             }),
-        }
+        };
+        let root = KPath::root();
+        store.meta_shard(&root).lock().insert(root, MetaEntry::Dir);
+        store
     }
 
     /// Number of places (shards).
@@ -289,8 +296,11 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
     }
 
     /// `delete(path)` — remove a file or a whole subtree. Returns whether
-    /// anything was removed.
+    /// anything was removed: the root, like HDFS's, is never deleted.
     pub fn delete(&self, path: &KPath) -> Result<bool, KvError> {
+        if path.is_root() {
+            return Ok(false);
+        }
         let _g = self.inner.locks.lock_set(&path.ancestors_inclusive());
         let victims = self.subtree(path);
         if victims.is_empty() {
@@ -309,13 +319,19 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
 
     /// `rename(src, dest)` — move a file or subtree. Block data does not
     /// move: only metadata is rewritten (the blocks' `place` is unchanged,
-    /// exactly like the paper's location-in-metadata design).
+    /// exactly like the paper's location-in-metadata design). HDFS's
+    /// refusals, in `hmr_api::fs::check_rename`'s order: a missing source,
+    /// a destination inside the source, an existing destination, and a
+    /// destination beneath a file.
     pub fn rename(&self, src: &KPath, dst: &KPath) -> Result<(), KvError> {
         let mut locked = src.ancestors_inclusive();
         locked.extend(dst.ancestors_inclusive());
         let _g = self.inner.locks.lock_set(&locked);
         if self.subtree(src).is_empty() {
             return Err(KvError::NotFound(src.clone()));
+        }
+        if dst.starts_with(src) {
+            return Err(KvError::IntoItself(src.clone()));
         }
         if !self.subtree(dst).is_empty() {
             return Err(KvError::AlreadyExists(dst.clone()));

@@ -20,59 +20,71 @@
 
 pub mod placement;
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::RwLock;
 
-use hmr_api::error::{HmrError, Result};
-use hmr_api::fs::{subtree, FileStatus, FileSystem, FsReader, FsWriter, HPath};
+use hmr_api::error::Result;
+use hmr_api::fs::{content_version_of, FileStatus, FileSystem, FsReader, FsWriter, HPath, Namespace};
 use simgrid::cost::Charge;
 use simgrid::meter;
 use simgrid::trace;
 
 pub use placement::PlacementPolicy;
 
-/// One replicated block of a file.
-#[derive(Clone, Debug)]
-pub struct BlockInfo {
-    /// Unique block id.
-    pub id: u64,
-    /// Block length in bytes.
-    pub len: u64,
-    /// Nodes holding a replica.
-    pub replicas: Vec<usize>,
+/// One block of a file: a view of the file's bytes, and the nodes holding a
+/// replica (replicas share the one buffer; placement is metadata, and the
+/// simulation charges as if each replica were distinct).
+struct Block {
+    data: Bytes,
+    replicas: Vec<usize>,
 }
 
-#[derive(Debug)]
-enum DfsNode {
-    File {
-        blocks: Vec<BlockInfo>,
-        len: u64,
-        /// fnv1a over the file's full contents: the file's *content
-        /// version* (`m3r-memo`). Files are immutable once closed, so it is
-        /// hashed on the first [`FileSystem::content_version`] and cached
-        /// here — jobs that never fingerprint never pay for it. Rewriting
-        /// identical bytes under a fresh path-and-recreate still yields the
-        /// same version, while any byte change yields a new one. Rename
-        /// moves the node (and cell) wholesale; delete removes it — so a
-        /// memo entry's recorded versions go stale exactly when the input's
-        /// content can no longer be proven unchanged.
-        version: Arc<OnceLock<u64>>,
-    },
-    Dir,
+/// A closed file. It owns its blocks, so deleting the file frees them.
+struct DfsFile {
+    blocks: Vec<Block>,
+    len: u64,
+    /// fnv1a over the file's full contents: the file's *content version*
+    /// (`m3r-memo`). Files are immutable once closed, so it is hashed on
+    /// the first [`FileSystem::content_version`] and kept here: jobs that
+    /// never fingerprint never pay for it. Rewriting identical bytes under
+    /// a fresh path-and-recreate still yields the same version, while any
+    /// byte change yields a new one. Rename moves the file (and cell)
+    /// wholesale; delete removes it, so a memo entry's recorded versions go
+    /// stale exactly when the input's content can no longer be proven
+    /// unchanged.
+    version: OnceLock<u64>,
+}
+
+impl DfsFile {
+    /// Blocks overlapping `[offset, offset+len)` with their in-file start
+    /// offsets.
+    fn blocks_in_range(&self, offset: u64, len: u64) -> impl Iterator<Item = (u64, &Block)> {
+        let end = offset.saturating_add(len);
+        let starts = self.blocks.iter().scan(0u64, |start, b| {
+            let s = *start;
+            *start += b.data.len() as u64;
+            Some((s, b))
+        });
+        starts.filter(move |(s, b)| s + b.data.len() as u64 > offset && *s < end)
+    }
+
+    /// The version, hashing the blocks into the cell if no one has yet (a
+    /// racing caller waits on the cell).
+    fn version(&self, bytes_hashed: &AtomicU64) -> u64 {
+        use hmr_api::comparator::{fnv1a, fnv1a_continue};
+        *self.version.get_or_init(|| {
+            bytes_hashed.fetch_add(self.len, Ordering::Relaxed);
+            self.blocks.iter().fold(fnv1a(&[]), |h, b| fnv1a_continue(h, &b.data))
+        })
+    }
 }
 
 struct Inner {
-    /// Namenode: all metadata, hierarchically keyed.
-    meta: RwLock<BTreeMap<HPath, DfsNode>>,
-    /// Datanodes: block id → bytes (replicas share one refcounted buffer;
-    /// placement is metadata — the simulation charges as if each replica
-    /// were distinct).
-    blocks: RwLock<std::collections::HashMap<u64, Bytes>>,
-    next_block: AtomicU64,
+    /// Namenode: the namespace, whose files own their blocks.
+    ns: RwLock<Namespace<Arc<DfsFile>>>,
     /// Bytes folded into content versions so far (each file at most once).
     bytes_hashed: AtomicU64,
     cluster: simgrid::Cluster,
@@ -97,20 +109,16 @@ impl SimDfs {
     /// A DFS with explicit block size and replication factor.
     pub fn with_config(cluster: simgrid::Cluster, block_size: u64, replication: usize) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        let replication = replication.clamp(1, cluster.len());
-        let inner = Inner {
-            meta: RwLock::new(BTreeMap::new()),
-            blocks: RwLock::new(std::collections::HashMap::new()),
-            next_block: AtomicU64::new(1),
-            bytes_hashed: AtomicU64::new(0),
-            policy: PlacementPolicy::new(cluster.len()),
-            cluster,
-            block_size,
-            replication,
-        };
-        inner.meta.write().insert(HPath::root(), DfsNode::Dir);
+        let ns = Namespace::new(block_size, |f: &Arc<DfsFile>| f.len);
         SimDfs {
-            inner: Arc::new(inner),
+            inner: Arc::new(Inner {
+                ns: RwLock::new(ns),
+                bytes_hashed: AtomicU64::new(0),
+                policy: PlacementPolicy::new(cluster.len()),
+                replication: replication.clamp(1, cluster.len()),
+                cluster,
+                block_size,
+            }),
         }
     }
 
@@ -137,33 +145,20 @@ impl SimDfs {
         self.inner.bytes_hashed.load(Ordering::Relaxed)
     }
 
-    /// A namenode round trip: metadata lives on one central node.
+    /// A namenode round trip: metadata lives on one central node. Every
+    /// `FileSystem` call charges exactly one.
     fn charge_namenode(&self) {
         meter::charge(Charge::NetTransfer { bytes: 256 });
     }
+}
 
-    /// Blocks of `path` overlapping `[offset, offset+len)` with their
-    /// in-file start offsets.
-    fn blocks_in_range(&self, path: &HPath, offset: u64, len: u64) -> Result<Vec<(u64, BlockInfo)>> {
-        let meta = self.inner.meta.read();
-        match meta.get(path) {
-            Some(DfsNode::File { blocks, .. }) => {
-                let mut out = Vec::new();
-                let mut start = 0u64;
-                let end = offset.saturating_add(len);
-                for b in blocks {
-                    let b_end = start + b.len;
-                    if b_end > offset && start < end {
-                        out.push((start, b.clone()));
-                    }
-                    start = b_end;
-                }
-                Ok(out)
-            }
-            Some(DfsNode::Dir) => Err(HmrError::Io(format!("{path} is a directory"))),
-            None => Err(HmrError::NotFound(path.to_string())),
-        }
-    }
+/// A stable hash of a path: seeds replica placement, and spreads the first
+/// replicas of unmetered writers.
+fn path_hash(p: &HPath) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    p.as_str().hash(&mut h);
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -184,83 +179,51 @@ impl FsWriter for DfsWriter {
 
     fn close(self: Box<Self>) -> Result<u64> {
         let inner = &*self.dfs.inner;
-        let total = self.buf.len() as u64;
         // Prefer the writer's own node for the first replica (HDFS
-        // write-local affinity); fall back to a path-hash.
-        let local = meter::current_meter().map(|m| m.node().id()).unwrap_or_else(|| {
-            // Unmetered writers (data generators) spread primaries by a
-            // stable hash of the path.
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            self.target.as_str().hash(&mut h);
-            (h.finish() % inner.cluster.len() as u64) as usize
-        });
-
+        // write-local affinity); unmetered writers (data generators) spread
+        // primaries by the path's hash. Placement is seeded by (path, chunk
+        // index), so replica layout (hence later read locality) never
+        // depends on the order concurrent writers close.
+        let seed = path_hash(&self.target);
+        let local = meter::current_meter()
+            .map(|m| m.node().id())
+            .unwrap_or((seed % inner.cluster.len() as u64) as usize);
         // Freeze the buffer once: every block is a view of that one
         // allocation, so splitting copies nothing.
         let data = Bytes::from(self.buf);
-        let block_size = inner.block_size as usize;
-        let mut blocks = Vec::new();
-        // Placement is seeded by (path, chunk index), not the block id: the
-        // global id counter's values depend on the order concurrent writers
-        // reach it, and replica layout (hence later read locality) must not.
-        let path_seed = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            self.target.as_str().hash(&mut h);
-            h.finish()
-        };
-        trace::span(trace::Phase::Io, "dfs_write", None, || {
-            for (chunk_idx, start) in (0..data.len()).step_by(block_size).enumerate() {
-                let chunk = data.slice(start..start.saturating_add(block_size).min(data.len()));
-                let id = inner.next_block.fetch_add(1, Ordering::Relaxed);
-                let replicas = inner.policy.place(
-                    local,
-                    path_seed.wrapping_add(chunk_idx as u64),
-                    inner.replication,
-                );
-                let len = chunk.len() as u64;
-                // Local disk write for the first replica; the replication
-                // pipeline moves the block over the network once per extra
-                // replica and writes it to that node's disk. All latencies are
-                // charged to the writing task (it blocks on the ack chain).
-                meter::charge(Charge::DiskWrite { bytes: len });
-                for _ in 1..replicas.len() {
-                    meter::charge(Charge::NetTransfer { bytes: len });
+        let chunks = (0..data.len()).step_by(inner.block_size as usize).enumerate();
+        let blocks = trace::span(trace::Phase::Io, "dfs_write", None, || {
+            chunks
+                .map(|(i, start)| {
+                    let end = start.saturating_add(inner.block_size as usize).min(data.len());
+                    let replicas = inner.policy.place(local, seed.wrapping_add(i as u64), inner.replication);
+                    // Local disk write for the first replica; the replication
+                    // pipeline moves the block over the network once per extra
+                    // replica and writes it to that node's disk. All latencies
+                    // are charged to the writing task (it blocks on the ack
+                    // chain).
+                    let len = (end - start) as u64;
                     meter::charge(Charge::DiskWrite { bytes: len });
-                }
-                inner.blocks.write().insert(id, chunk);
-                blocks.push(BlockInfo { id, len, replicas });
-            }
+                    for _ in 1..replicas.len() {
+                        meter::charge(Charge::NetTransfer { bytes: len });
+                        meter::charge(Charge::DiskWrite { bytes: len });
+                    }
+                    Block {
+                        data: data.slice(start..end),
+                        replicas,
+                    }
+                })
+                .collect()
         });
-
         self.dfs.charge_namenode();
-        let mut meta = inner.meta.write();
-        if meta.contains_key(&self.target) {
-            return Err(HmrError::AlreadyExists(self.target.to_string()));
-        }
-        if let Some(parent) = self.target.parent() {
-            for anc in parent.ancestors_inclusive() {
-                match meta.get(&anc) {
-                    Some(DfsNode::File { .. }) => {
-                        return Err(HmrError::Io(format!("{anc} is a file")));
-                    }
-                    Some(DfsNode::Dir) => {}
-                    None => {
-                        meta.insert(anc, DfsNode::Dir);
-                    }
-                }
-            }
-        }
-        meta.insert(
-            self.target,
-            DfsNode::File {
-                blocks,
-                len: total,
-                version: Arc::default(),
-            },
-        );
-        Ok(total)
+        let len = data.len() as u64;
+        let file = Arc::new(DfsFile {
+            blocks,
+            len,
+            version: OnceLock::new(),
+        });
+        inner.ns.write().publish(&self.target, file)?;
+        Ok(len)
     }
 }
 
@@ -268,58 +231,43 @@ impl FsWriter for DfsWriter {
 // Reader
 // ---------------------------------------------------------------------------
 
+/// Reads the file as it was at `open`: it holds the file, not its path.
 struct DfsReader {
-    dfs: SimDfs,
-    path: HPath,
-    len: u64,
+    file: Arc<DfsFile>,
 }
 
 impl FsReader for DfsReader {
     fn len(&self) -> u64 {
-        self.len
+        self.file.len
     }
 
     fn read_range(&mut self, offset: u64, len: u64) -> Result<Bytes> {
         let local = meter::current_meter().map(|m| m.node().id());
-        let end = offset.saturating_add(len).min(self.len);
+        let end = offset.saturating_add(len).min(self.file.len);
         if offset >= end {
             return Ok(Bytes::new());
         }
         // Gather the per-block handles first (charging as we go), so a
         // range inside one block returns a zero-copy slice of the stored
         // buffer and only multi-block reads pay a concatenation.
-        let mut parts: Vec<Bytes> = Vec::new();
-        trace::span(trace::Phase::Io, "dfs_read", None, || -> Result<()> {
-            for (block_start, info) in
-                self.dfs.blocks_in_range(&self.path, offset, end - offset)?
-            {
-                let bytes = {
-                    let blocks = self.dfs.inner.blocks.read();
-                    blocks
-                        .get(&info.id)
-                        .ok_or_else(|| {
-                            HmrError::Io(format!("block {} of {} lost", info.id, self.path))
-                        })?
-                        .clone()
-                };
-                let from = offset.saturating_sub(block_start).min(info.len) as usize;
-                let to = (end - block_start).min(info.len) as usize;
-                let slice = bytes.slice(from..to);
-                // Disk read at the replica host; network hop when no replica
-                // is local to the reading task's node.
-                meter::charge(Charge::DiskRead {
-                    bytes: slice.len() as u64,
-                });
-                let is_local = local.map(|n| info.replicas.contains(&n)).unwrap_or(true);
-                if !is_local {
-                    meter::charge(Charge::NetTransfer {
-                        bytes: slice.len() as u64,
-                    });
-                }
-                parts.push(slice);
-            }
-            Ok(())
-        })?;
+        let mut parts: Vec<Bytes> = trace::span(trace::Phase::Io, "dfs_read", None, || {
+            let blocks = self.file.blocks_in_range(offset, end - offset);
+            blocks
+                .map(|(start, b)| {
+                    let from = offset.saturating_sub(start) as usize;
+                    let to = ((end - start) as usize).min(b.data.len());
+                    let slice = b.data.slice(from..to);
+                    // Disk read at the replica host; network hop when no
+                    // replica is local to the reading task's node.
+                    let bytes = slice.len() as u64;
+                    meter::charge(Charge::DiskRead { bytes });
+                    if !local.is_none_or(|n| b.replicas.contains(&n)) {
+                        meter::charge(Charge::NetTransfer { bytes });
+                    }
+                    slice
+                })
+                .collect()
+        });
         if parts.len() == 1 {
             return Ok(parts.pop().expect("one part"));
         }
@@ -338,9 +286,7 @@ impl FsReader for DfsReader {
 impl FileSystem for SimDfs {
     fn create(&self, path: &HPath) -> Result<Box<dyn FsWriter>> {
         self.charge_namenode();
-        if self.inner.meta.read().contains_key(path) {
-            return Err(HmrError::AlreadyExists(path.to_string()));
-        }
+        self.inner.ns.read().check_create(path)?;
         Ok(Box::new(DfsWriter {
             dfs: self.clone(),
             target: path.clone(),
@@ -350,226 +296,58 @@ impl FileSystem for SimDfs {
 
     fn open(&self, path: &HPath) -> Result<Box<dyn FsReader>> {
         self.charge_namenode();
-        let meta = self.inner.meta.read();
-        match meta.get(path) {
-            Some(DfsNode::File { len, .. }) => Ok(Box::new(DfsReader {
-                dfs: self.clone(),
-                path: path.clone(),
-                len: *len,
-            })),
-            Some(DfsNode::Dir) => Err(HmrError::Io(format!("{path} is a directory"))),
-            None => Err(HmrError::NotFound(path.to_string())),
-        }
+        let file = Arc::clone(self.inner.ns.read().file(path)?);
+        Ok(Box::new(DfsReader { file }))
     }
 
     fn delete(&self, path: &HPath, recursive: bool) -> Result<bool> {
         self.charge_namenode();
-        // Lock order: namenode (`meta`) → datanodes (`blocks`), the same
-        // nesting `content_version` uses.
-        let mut meta = self.inner.meta.write();
-        match meta.get(path) {
-            None => Ok(false),
-            Some(DfsNode::File { .. }) => {
-                if let Some(DfsNode::File { blocks, .. }) = meta.remove(path) {
-                    let mut store = self.inner.blocks.write();
-                    for b in blocks {
-                        store.remove(&b.id);
-                    }
-                }
-                Ok(true)
-            }
-            Some(DfsNode::Dir) => {
-                let doomed: Vec<HPath> =
-                    subtree(&meta, path).map(|(p, _)| p.clone()).collect();
-                if doomed.len() > 1 && !recursive {
-                    return Err(HmrError::Io(format!("{path} is a non-empty directory")));
-                }
-                let mut store = self.inner.blocks.write();
-                for p in doomed {
-                    if let Some(DfsNode::File { blocks, .. }) = meta.remove(&p) {
-                        for b in blocks {
-                            store.remove(&b.id);
-                        }
-                    }
-                }
-                Ok(true)
-            }
-        }
+        // The removed files (and their blocks) drop after the lock is released.
+        let gone = self.inner.ns.write().delete(path, recursive)?;
+        Ok(gone.is_some())
     }
 
     fn rename(&self, src: &HPath, dst: &HPath) -> Result<()> {
         self.charge_namenode();
-        let mut meta = self.inner.meta.write();
-        if !meta.contains_key(src) {
-            return Err(HmrError::NotFound(src.to_string()));
-        }
-        if meta.contains_key(dst) {
-            return Err(HmrError::AlreadyExists(dst.to_string()));
-        }
-        let moved: Vec<(HPath, HPath)> = subtree(&meta, src)
-            .map(|(p, _)| {
-                let suffix = &p.as_str()[src.as_str().len()..];
-                (p.clone(), HPath::new(format!("{}{}", dst.as_str(), suffix)))
-            })
-            .collect();
-        for (from, to) in moved {
-            let node = meta.remove(&from).expect("listed above");
-            meta.insert(to, node);
-        }
-        if let Some(parent) = dst.parent() {
-            for anc in parent.ancestors_inclusive() {
-                meta.entry(anc).or_insert(DfsNode::Dir);
-            }
-        }
-        Ok(())
+        self.inner.ns.write().rename(src, dst)
     }
 
     fn mkdirs(&self, path: &HPath) -> Result<()> {
         self.charge_namenode();
-        let mut meta = self.inner.meta.write();
-        for anc in path.ancestors_inclusive() {
-            match meta.get(&anc) {
-                Some(DfsNode::File { .. }) => {
-                    return Err(HmrError::Io(format!("{anc} is a file")));
-                }
-                Some(DfsNode::Dir) => {}
-                None => {
-                    meta.insert(anc, DfsNode::Dir);
-                }
-            }
-        }
-        Ok(())
+        self.inner.ns.write().mkdirs(path)
     }
 
     fn get_file_status(&self, path: &HPath) -> Result<FileStatus> {
         self.charge_namenode();
-        let meta = self.inner.meta.read();
-        match meta.get(path) {
-            Some(DfsNode::File { len, .. }) => Ok(FileStatus {
-                path: path.clone(),
-                is_dir: false,
-                len: *len,
-                block_size: self.inner.block_size,
-            }),
-            Some(DfsNode::Dir) => Ok(FileStatus {
-                path: path.clone(),
-                is_dir: true,
-                len: 0,
-                block_size: self.inner.block_size,
-            }),
-            None => Err(HmrError::NotFound(path.to_string())),
-        }
+        self.inner.ns.read().status(path)
     }
 
     fn list_status(&self, path: &HPath) -> Result<Vec<FileStatus>> {
-        let status = self.get_file_status(path)?;
-        if !status.is_dir {
-            return Ok(vec![status]);
-        }
-        let meta = self.inner.meta.read();
-        let mut out = Vec::new();
-        for (p, node) in meta.range(path.descendants()) {
-            if p.parent().as_ref() == Some(path) {
-                out.push(match node {
-                    DfsNode::File { len, .. } => FileStatus {
-                        path: p.clone(),
-                        is_dir: false,
-                        len: *len,
-                        block_size: self.inner.block_size,
-                    },
-                    DfsNode::Dir => FileStatus {
-                        path: p.clone(),
-                        is_dir: true,
-                        len: 0,
-                        block_size: self.inner.block_size,
-                    },
-                });
-            }
-        }
-        Ok(out)
+        self.charge_namenode();
+        self.inner.ns.read().list(path)
     }
 
     fn block_locations(&self, path: &HPath, offset: u64, len: u64) -> Result<Vec<Vec<usize>>> {
         self.charge_namenode();
-        Ok(self
-            .blocks_in_range(path, offset, len)?
-            .into_iter()
-            .map(|(_, b)| b.replicas)
-            .collect())
+        let ns = self.inner.ns.read();
+        let blocks = ns.file(path)?.blocks_in_range(offset, len);
+        Ok(blocks.map(|(_, b)| b.replicas.clone()).collect())
     }
 
     fn content_version(&self, path: &HPath) -> Option<u64> {
-        // A version read costs the same namenode round trip as any stat.
-        // A file nobody has asked about yet is hashed here, once: its cell
-        // and block handles are taken under the locks, the bytes hashed
-        // after releasing them.
+        // A version read costs the same namenode round trip as any stat. A
+        // file nobody has asked about yet is hashed here, once: its handle
+        // is taken under the namenode lock and its bytes hashed after
+        // releasing it, so no open, stat or writer waits on a hash.
         self.charge_namenode();
-        let (is_dir, files) = {
-            // Lock order: namenode (`meta`) → datanodes (`blocks`), the
-            // same nesting `delete` uses.
-            let meta = self.inner.meta.read();
-            let mut store = None;
-            let mut snapshot = |blocks: &[BlockInfo], cell: &Arc<OnceLock<u64>>| {
-                if let Some(&v) = cell.get() {
-                    return Some(Version::Hashed(v));
-                }
-                let store = store.get_or_insert_with(|| self.inner.blocks.read());
-                let handles = blocks
-                    .iter()
-                    .map(|b| store.get(&b.id).cloned())
-                    .collect::<Option<Vec<Bytes>>>()?;
-                Some(Version::Unhashed(Arc::clone(cell), handles))
-            };
-            match meta.get(path)? {
-                DfsNode::File { blocks, version, .. } => {
-                    (false, vec![(path.clone(), snapshot(blocks, version)?)])
-                }
-                DfsNode::Dir => {
-                    let mut files = Vec::new();
-                    for (p, node) in subtree(&meta, path) {
-                        if let DfsNode::File { blocks, version, .. } = node {
-                            files.push((p.clone(), snapshot(blocks, version)?));
-                        }
-                    }
-                    (true, files)
-                }
-            }
+        let files: Vec<(HPath, Arc<DfsFile>)> = {
+            let ns = self.inner.ns.read();
+            let files = ns.version_inputs(path, Arc::clone)?;
+            files.into_iter().map(|(p, f)| (p.clone(), f)).collect()
         };
-        let versions: Vec<(HPath, u64)> = files
-            .into_iter()
-            .map(|(p, v)| (p, v.resolve(&self.inner.bytes_hashed)))
-            .collect();
-        if !is_dir {
-            return Some(versions[0].1);
-        }
-        let entries: Vec<(&HPath, u64)> = versions.iter().map(|(p, v)| (p, *v)).collect();
-        Some(hmr_api::fs::combine_dir_version(&entries))
-    }
-}
-
-/// A file's content version as read under the namenode lock.
-enum Version {
-    /// Already hashed by an earlier `content_version`.
-    Hashed(u64),
-    /// Not yet hashed: the file's cell and its blocks, in file order.
-    Unhashed(Arc<OnceLock<u64>>, Vec<Bytes>),
-}
-
-impl Version {
-    /// The version, hashing the blocks into the cell if no one has yet.
-    /// Runs outside every lock; a racing caller waits on the cell, and the
-    /// block handles keep the bytes alive even if the file is deleted
-    /// meanwhile (the caller then gets the version it snapshotted).
-    fn resolve(self, bytes_hashed: &AtomicU64) -> u64 {
-        use hmr_api::comparator::{fnv1a, fnv1a_continue};
-        match self {
-            Version::Hashed(v) => v,
-            Version::Unhashed(cell, blocks) => *cell.get_or_init(|| {
-                let n: usize = blocks.iter().map(|b| b.len()).sum();
-                bytes_hashed.fetch_add(n as u64, Ordering::Relaxed);
-                blocks.iter().fold(fnv1a(&[]), |h, b| fnv1a_continue(h, b))
-            }),
-        }
+        let hashed = &self.inner.bytes_hashed;
+        let versions: Vec<(&HPath, u64)> = files.iter().map(|(p, f)| (p, f.version(hashed))).collect();
+        Some(content_version_of(path, &versions))
     }
 }
 
@@ -673,10 +451,12 @@ mod tests {
     #[test]
     fn delete_frees_blocks() {
         let fs = dfs(2);
-        write_file(&fs, &HPath::new("/d/f"), &vec![0u8; 5000]).unwrap();
+        let f = HPath::new("/d/f");
+        write_file(&fs, &f, &vec![0u8; 5000]).unwrap();
+        let file = Arc::downgrade(fs.inner.ns.read().file(&f).unwrap());
         assert!(fs.delete(&HPath::new("/d"), true).unwrap());
-        assert!(fs.inner.blocks.read().is_empty(), "blocks reclaimed");
-        assert!(!fs.exists(&HPath::new("/d/f")));
+        assert!(file.upgrade().is_none(), "the file and its blocks are freed");
+        assert!(!fs.exists(&f));
     }
 
     #[test]
@@ -770,12 +550,9 @@ mod tests {
         let data: Vec<u8> = (0..3000u32).map(|i| (i % 253) as u8).collect();
         write_file(&fs, &HPath::new("/m"), &data).unwrap();
         let stored: Vec<Bytes> = {
-            let meta = fs.inner.meta.read();
-            let Some(DfsNode::File { blocks, .. }) = meta.get(&HPath::new("/m")) else {
-                panic!("/m is a file");
-            };
-            let store = fs.inner.blocks.read();
-            blocks.iter().map(|b| store[&b.id].clone()).collect()
+            let ns = fs.inner.ns.read();
+            let file = ns.file(&HPath::new("/m")).unwrap();
+            file.blocks.iter().map(|b| b.data.clone()).collect()
         };
         assert_eq!(stored.iter().map(|b| b.len()).collect::<Vec<_>>(), [1024, 1024, 952]);
         for w in stored.windows(2) {
@@ -797,6 +574,7 @@ mod tests {
             let fs = dfs(2);
             let (a, b) = (HPath::new("/r/a"), HPath::new("/r/b"));
             write_file(&fs, &a, &data).unwrap();
+            let file = Arc::downgrade(fs.inner.ns.read().file(&a).unwrap());
             let start = std::sync::Barrier::new(3);
             std::thread::scope(|s| {
                 for _ in 0..2 {
@@ -817,7 +595,7 @@ mod tests {
                 });
             });
             assert_eq!(fs.content_version(&b), None);
-            assert!(fs.inner.blocks.read().is_empty(), "round {round}: blocks reclaimed");
+            assert!(file.upgrade().is_none(), "round {round}: blocks freed");
         }
     }
 

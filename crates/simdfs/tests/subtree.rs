@@ -1,5 +1,5 @@
-//! SimDfs's subtree operations against the brute-force model MemFs is
-//! checked against, on paths whose siblings sort inside their prefix.
+//! SimDfs against the brute-force namespace model MemFs is checked against:
+//! every subtree operation on static layouts, and random op sequences.
 
 #[path = "../../hmr-api/tests/fs_model/mod.rs"]
 mod fs_model;
@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel};
 
-use fs_model::{check_subtree_ops, layout_strategy, path_strategy};
+use fs_model::{check_op_sequence, check_subtree_ops, layout_strategy, ops_strategy, path_strategy};
 
 fn fresh() -> Box<dyn FileSystem> {
     Box::new(SimDfs::with_config(
@@ -20,7 +20,7 @@ fn fresh() -> Box<dyn FileSystem> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn simdfs_subtree_ops_match_the_model(
@@ -30,5 +30,10 @@ proptest! {
         dst in path_strategy(),
     ) {
         check_subtree_ops(&fresh, &layout, &q, pick, &dst);
+    }
+
+    #[test]
+    fn simdfs_op_sequences_match_the_model(ops in ops_strategy()) {
+        check_op_sequence(&*fresh(), None, &ops);
     }
 }
