@@ -951,7 +951,7 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use hmr_api::writable::{BytesWritable, IntWritable};
+    use hmr_api::writable::{BytesWritable, IntWritable, Text};
     use proptest::prelude::*;
 
     fn mode_strategy() -> impl Strategy<Value = DedupMode> {
@@ -1106,21 +1106,46 @@ mod prop_tests {
             stray in proptest::collection::vec(any::<u32>(), 0..4),
         ) {
             let (bytes, _, targets) = encode_bucket(&spec, mode, true);
-            let decode_all = |b: Bytes| {
+            // The same records as `Text` pairs whose values hold multi-byte
+            // chars (one of them shared, so back-referenced), so a cut or a
+            // changed byte can land inside a char.
+            let (text, _, text_targets) = {
+                let shared = Arc::new(Text::from("ïß"));
+                let mut stream = ShuffleStream::new(mode);
+                for &(p, _, (vk, _), x) in &spec {
+                    let v = match vk {
+                        1 => Arc::clone(&shared),
+                        _ => Arc::new(Text::from(format!("{x}日本"))),
+                    };
+                    stream.push_owned(p, Arc::new(Text::from(format!("k{x}"))), v);
+                }
+                stream.finish()
+            };
+            let decode_all = |b: Bytes, targets: &Vec<u32>| {
                 let _ = decode_stream::<IntWritable, BytesWritable>(b.clone()).count();
                 let _ = decode_targeted::<IntWritable, BytesWritable>(b.clone(), targets.clone())
                     .count();
-                let _ = decode_targeted::<IntWritable, BytesWritable>(b, stray.clone()).count();
+                let _ = decode_targeted::<IntWritable, BytesWritable>(b.clone(), stray.clone())
+                    .count();
+                let _ = decode_targeted::<Text, Text>(b.clone(), stray.clone()).count();
+                let _ = decode_targeted::<Text, Text>(b.clone(), targets.clone()).count();
+                // Whatever decodes as `Text` is valid UTF-8.
+                for (_, k, v) in decode_stream::<Text, Text>(b).flatten() {
+                    assert!(std::str::from_utf8(k.as_str().as_bytes()).is_ok());
+                    assert!(std::str::from_utf8(v.as_str().as_bytes()).is_ok());
+                }
             };
-            for cut in (0..bytes.len()).step_by(1 + bytes.len() / 64) {
-                decode_all(bytes.slice(..cut));
+            for (bytes, targets) in [(&bytes, &targets), (&text, &text_targets)] {
+                for cut in (0..bytes.len()).step_by(1 + bytes.len() / 64) {
+                    decode_all(bytes.slice(..cut), targets);
+                }
+                if !bytes.is_empty() {
+                    let mut flipped = bytes.to_vec();
+                    flipped[at % bytes.len()] ^= flip;
+                    decode_all(flipped.into(), targets);
+                }
             }
-            if !bytes.is_empty() {
-                let mut flipped = bytes.to_vec();
-                flipped[at % bytes.len()] ^= flip;
-                decode_all(flipped.into());
-            }
-            decode_all(garbage.into());
+            decode_all(garbage.into(), &targets);
         }
 
         /// Streams decode back to exactly what was pushed, in order, for

@@ -77,12 +77,12 @@ impl RecordReader<LongWritable, Text> for LineReader {
             .position(|b| *b == b'\n')
             .map(|i| start + i)
             .unwrap_or(self.bytes.len());
-        let line = std::str::from_utf8(&self.bytes[start..line_end])
-            .map_err(|e| HmrError::Serde(format!("invalid utf8 line: {e}")))?;
+        // The line is a view of the split's bytes, not a copy.
+        let line = Text::from_utf8(self.bytes.slice(start..line_end))?;
         self.pos = line_end + 1;
         Ok(Some((
             LongWritable(self.base_offset as i64 + start as i64),
-            Text::from(line),
+            line,
         )))
     }
 }
@@ -204,7 +204,11 @@ mod tests {
         let splits = fmt.get_splits(&fs, &conf, 1).unwrap();
         let mut r = fmt.record_reader(&fs, splits[0].as_ref(), &conf).unwrap();
         let mut lines = Vec::new();
+        let mut first = None;
         while let Some((off, line)) = r.next().unwrap() {
+            // Every line is a view of the split's bytes, at its offset.
+            let at = first.get_or_insert(line.as_str().as_ptr());
+            assert_eq!(line.as_str().as_ptr(), at.wrapping_add(off.0 as usize));
             lines.push((off.0, line.as_str().to_string()));
         }
         assert_eq!(
@@ -230,6 +234,19 @@ mod tests {
         w.close().unwrap();
         let bytes = read_file(&fs, &HPath::new("/out/part-00000")).unwrap();
         assert_eq!(String::from_utf8(bytes.to_vec()).unwrap(), "word\t3\ncount\t1\n");
+    }
+
+    #[test]
+    fn invalid_utf8_line_is_a_typed_error() {
+        let fs = MemFs::new();
+        write_file(&fs, &HPath::new("/bad.txt"), b"ok\nbro\xFFken\nnever").unwrap();
+        let mut conf = JobConf::new();
+        conf.add_input_path(&HPath::new("/bad.txt"));
+        let fmt = TextInputFormat;
+        let splits = fmt.get_splits(&fs, &conf, 1).unwrap();
+        let mut r = fmt.record_reader(&fs, splits[0].as_ref(), &conf).unwrap();
+        assert_eq!(r.next().unwrap().unwrap().1.as_str(), "ok");
+        assert!(matches!(r.next(), Err(HmrError::Serde(_))));
     }
 
     #[test]

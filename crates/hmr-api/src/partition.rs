@@ -70,6 +70,21 @@ mod tests {
             assert!(a < 7);
             assert_eq!(a, b);
         }
+        // Placements of `Text` keys when `Text` held a `String`; a key's
+        // partition is its `str` hash, whatever holds the bytes.
+        for (word, hash, of_4, of_7) in [
+            ("", 3476900567878811119, 3, 4),
+            ("the", 1408696025010063379, 3, 2),
+            ("M3R", 5841942318692574465, 1, 0),
+            ("hadoop", 9158236605951237720, 0, 6),
+            ("naïve", 5596862398719544764, 0, 0),
+            ("日本語", 5023470454829861438, 2, 5),
+        ] {
+            let k = Text::from(word);
+            assert_eq!(stable_hash(&k), hash, "{word:?}");
+            assert_eq!(p.partition(&k, &(), 4), of_4, "{word:?}");
+            assert_eq!(p.partition(&k, &(), 7), of_7, "{word:?}");
+        }
     }
 
     #[test]

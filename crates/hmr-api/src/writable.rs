@@ -390,26 +390,75 @@ impl Writable for DoubleWritable {
     }
 }
 
-/// A UTF-8 string (Hadoop `Text`).
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Text(pub String);
+/// A UTF-8 string (Hadoop `Text`). The contents are a refcounted
+/// [`Bytes`] holding valid UTF-8 — every constructor validates — so a clone
+/// is a refcount, a decode from a backed [`ByteReader`] is a view of the
+/// stream, segment or block it was read from (which it keeps alive), and a
+/// line or token can be a view of the `Text` it lies in.
+///
+/// `Hash`, `Eq`, `Ord`, `Debug` and both byte forms are those of the
+/// `String` holding the same characters: `HashPartitioner` places a key by
+/// its `std::hash`, and `[u8]` hashes differently from `str`.
+#[derive(Clone, Default)]
+pub struct Text(Bytes);
 
 impl Text {
     /// Construct from anything string-like.
     pub fn from(s: impl Into<String>) -> Self {
-        Text(s.into())
+        Text(s.into().into_bytes().into())
+    }
+
+    /// Take `bytes` as the contents if they are valid UTF-8.
+    pub fn from_utf8(bytes: Bytes) -> Result<Self> {
+        std::str::from_utf8(&bytes)
+            .map_err(|e| HmrError::Serde(format!("invalid utf8 in Text: {e}")))?;
+        Ok(Text(bytes))
+    }
+
+    /// A view of `self[range]` sharing this `Text`'s storage. Errors when
+    /// the range is out of bounds or does not start and end on char
+    /// boundaries.
+    fn slice(&self, range: Range<usize>) -> Result<Text> {
+        let s = self.as_str();
+        if s.get(range.clone()).is_none() {
+            return Err(HmrError::Serde(format!(
+                "{range:?} is not a char range of a {}-byte Text",
+                s.len()
+            )));
+        }
+        Ok(Text(self.0.slice(range)))
+    }
+
+    /// The view of `sub`, a substring borrowed from [`Text::as_str`] (a
+    /// line or a token), sharing this `Text`'s storage. Errors when `sub`
+    /// does not lie inside it.
+    pub fn slice_ref(&self, sub: &str) -> Result<Text> {
+        let start = (sub.as_ptr() as usize).wrapping_sub(self.0.as_ptr() as usize);
+        match start.checked_add(sub.len()) {
+            Some(end) if end <= self.0.len() => self.slice(start..end),
+            _ => Err(HmrError::Serde(format!(
+                "a {}-byte str outside a {}-byte Text",
+                sub.len(),
+                self.0.len()
+            ))),
+        }
     }
 
     /// Replace the contents in place — the Hadoop `Text.set` reuse idiom
     /// that is incompatible with `ImmutableOutput` (paper Fig 4, left).
+    /// Copy-on-write: storage this `Text` owns alone is reused, shared
+    /// storage (a clone, or the stream a view came from) is left alone.
     pub fn set(&mut self, s: &str) {
-        self.0.clear();
-        self.0.push_str(s);
+        self.0.overwrite(s.as_bytes());
     }
 
     /// Borrow the contents.
     pub fn as_str(&self) -> &str {
-        &self.0
+        // SAFETY: the field is private and only ever holds valid UTF-8:
+        // `default` is empty, `from` and `set` copy a `str`, `from_utf8`
+        // (under `read_from`) validates, and `slice` (under `slice_ref`)
+        // cuts at char boundaries. Viewed bytes never change under a view.
+        unsafe { std::str::from_utf8_unchecked(&self.0) }
     }
 
     /// Mutate a shared `Text` in place. Clones defensively if the engine
@@ -420,23 +469,53 @@ impl Text {
     }
 }
 
+impl PartialEq for Text {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Byte-lexicographic, which is `str`'s order.
+impl Ord for Text {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl Hash for Text {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl std::fmt::Debug for Text {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Text").field(&self.as_str()).finish()
+    }
+}
+
 impl std::fmt::Display for Text {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
 impl Writable for Text {
     fn write_to<S: ByteSink + ?Sized>(&self, out: &mut S) {
         write_vu64(out, self.0.len() as u64);
-        out.put_slice(self.0.as_bytes());
+        out.put_slice(&self.0);
     }
     fn read_from(input: &mut ByteReader<'_>) -> Result<Self> {
         let n = input.read_vu64()? as usize;
-        let bytes = input.read_bytes(n)?;
-        let s = std::str::from_utf8(bytes)
-            .map_err(|e| HmrError::Serde(format!("invalid utf8 in Text: {e}")))?;
-        Ok(Text(s.to_string()))
+        Text::from_utf8(input.read_shared(n)?)
     }
     fn serialized_size(&self) -> usize {
         let n = self.0.len();
@@ -446,7 +525,7 @@ impl Writable for Text {
         // Content bytes WITHOUT the varint length prefix: `str` orders
         // byte-lexicographically, exactly memcmp with shorter-is-less —
         // while a length prefix would order "b" after "ab".
-        out.put_slice(self.0.as_bytes());
+        out.put_slice(&self.0);
         true
     }
 }
@@ -649,6 +728,12 @@ mod tests {
         assert!(inside.contains(&field.0.as_ptr()));
         let mut short = ByteReader::shared(&buf, 4..8);
         assert!(BytesWritable::read_from(&mut short).is_err());
+
+        // `Text` reads the same way, validated.
+        let mut r = ByteReader::shared(&buf, 4..buf.len());
+        let text = Text::read_from(&mut r).unwrap();
+        assert_eq!(text.as_str(), "payload");
+        assert!(inside.contains(&text.as_str().as_ptr()), "a view of the buffer");
     }
 
     #[test]
@@ -669,6 +754,27 @@ mod tests {
     }
 
     #[test]
+    fn text_views_refuse_foreign_strs_and_split_chars() {
+        let line = Text::from("naïve words");
+        let tok = line.as_str().split_whitespace().nth(1).unwrap();
+        let view = line.slice_ref(tok).unwrap();
+        assert_eq!(view, Text::from("words"));
+        assert_eq!(view.as_str().as_ptr(), tok.as_ptr(), "a view, not a copy");
+        assert_eq!(line.slice(0..5).unwrap().as_str(), "naïv");
+
+        let elsewhere = String::from("words");
+        assert!(matches!(line.slice_ref(&elsewhere), Err(HmrError::Serde(_))));
+        let tail = &line.as_str()[6..];
+        assert!(matches!(view.slice_ref(tail), Err(HmrError::Serde(_))), "overhangs the view");
+        assert!(matches!(line.slice(0..3), Err(HmrError::Serde(_))), "splits the 'ï'");
+        assert!(matches!(line.slice(3..12), Err(HmrError::Serde(_))), "out of bounds");
+        assert!(matches!(
+            Text::from_utf8(Bytes::from(vec![b'a', 0xC3])),
+            Err(HmrError::Serde(_))
+        ));
+    }
+
+    #[test]
     fn double_writable_is_a_usable_key() {
         use std::collections::BTreeSet;
         let mut s = BTreeSet::new();
@@ -682,10 +788,10 @@ mod tests {
     #[test]
     fn text_set_reuses_allocation() {
         let mut t = Text::from("abcdefgh");
-        let cap = t.0.capacity();
+        let buf = t.as_str().as_ptr();
         t.set("xy");
         assert_eq!(t.as_str(), "xy");
-        assert_eq!(t.0.capacity(), cap, "set() must reuse the buffer");
+        assert_eq!(t.as_str().as_ptr(), buf, "set() must reuse the buffer");
     }
 
     #[test]
@@ -704,12 +810,29 @@ mod tests {
     #[cfg(test)]
     mod prop {
         use super::*;
+        use crate::partition::stable_hash;
         use proptest::prelude::*;
+
+        /// Printable ASCII plus two- to four-byte chars.
+        const TEXT_CHARS: &str = "[ -~éßï日本語🦀]{0,24}";
 
         proptest! {
             #[test]
-            fn text_roundtrips(s in ".*") {
-                roundtrip(Text::from(s));
+            fn text_roundtrips(s in TEXT_CHARS, other in TEXT_CHARS) {
+                let t = Text::from(s.clone());
+                roundtrip(t.clone());
+                // A `Text` is the `String` it came from on every identity a
+                // job sees: partition, order, debug form and both byte forms.
+                prop_assert_eq!(stable_hash(&t), stable_hash(&s));
+                prop_assert_eq!(t.cmp(&Text::from(other.clone())), s.cmp(&other));
+                prop_assert_eq!(format!("{t:?}"), format!("Text({s:?})"));
+                let mut wire = Vec::new();
+                write_vu64(&mut wire, s.len() as u64);
+                wire.extend_from_slice(s.as_bytes());
+                prop_assert_eq!(to_bytes(&t), wire);
+                let mut raw = Vec::new();
+                prop_assert!(t.write_raw_sort_key(&mut raw));
+                prop_assert_eq!(raw, s.as_bytes().to_vec());
             }
 
             #[test]

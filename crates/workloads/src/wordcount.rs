@@ -90,9 +90,10 @@ impl TaskMapper<LongWritable, Text, Text, LongWritable> for FreshMapper {
     ) -> Result<()> {
         for tok in value.as_str().split_whitespace() {
             // The fresh allocation is the price of immutability: one new
-            // object per token (Fig 8's "new TextWritable()" penalty).
+            // object per token (Fig 8's "new TextWritable()" penalty). The
+            // simulation charges it; here the token is a view of its line.
             simgrid::meter::charge(Charge::Alloc { objects: 1 });
-            out.collect(Arc::new(Text::from(tok)), Arc::new(LongWritable(1)))?;
+            out.collect(Arc::new(value.slice_ref(tok)?), Arc::new(LongWritable(1)))?;
         }
         Ok(())
     }

@@ -58,6 +58,22 @@ impl Bytes {
         }
     }
 
+    /// Replace the viewed bytes with a copy of `data`. A sole owner (no
+    /// other handle shares the storage) rewrites its allocation in place,
+    /// reusing its capacity; a shared handle detaches onto fresh storage
+    /// and leaves the other handles' bytes unchanged (copy-on-write).
+    pub fn overwrite(&mut self, data: &[u8]) {
+        match Arc::get_mut(&mut self.data) {
+            Some(vec) => {
+                vec.clear();
+                vec.extend_from_slice(data);
+            }
+            None => self.data = Arc::new(data.to_vec()),
+        }
+        self.start = 0;
+        self.end = data.len();
+    }
+
     /// Recover the unique underlying buffer for reuse. Succeeds only when
     /// this handle is the sole owner and spans the whole allocation;
     /// otherwise returns `self` unchanged.
@@ -301,6 +317,18 @@ mod tests {
         assert!(a.slice(1..2) > a.slice(0..4), "b > abcd");
         assert!(a.slice(0..2) < a.slice(0..3), "shorter prefix is less");
         assert_eq!(a.slice(1..3).cmp(&Bytes::from(b"bc".to_vec())), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn overwrite_reuses_sole_storage_and_detaches_shared() {
+        let mut a = Bytes::from(b"abcdefgh".to_vec()).slice(2..4);
+        let at = a.as_ptr();
+        a.overwrite(b"xyz");
+        assert_eq!((&a[..], a.as_ptr()), (&b"xyz"[..], at.wrapping_sub(2)));
+        let b = a.clone();
+        a.overwrite(b"q");
+        assert_eq!((&a[..], &b[..]), (&b"q"[..], &b"xyz"[..]));
+        assert_ne!(a.as_ptr(), b.as_ptr(), "a shared handle detaches");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use hadoop_engine::{EngineOptions, HadoopEngine};
 use hmr_api::job::{Engine, JobResult};
-use hmr_api::writable::{BytesWritable, IntWritable};
+use hmr_api::writable::{BytesWritable, IntWritable, Text, WritableValue};
 use hmr_api::{FileSystem, HPath};
 use m3r::{M3REngine, M3ROptions};
 use simdfs::SimDfs;
@@ -248,6 +248,12 @@ fn consecutive_dedup_eviction_is_identical_on_recycled_buffers() {
 
 #[test]
 fn decoded_byte_strings_pin_their_stream_until_they_drop() {
+    pin_until_dropped(|i| BytesWritable(vec![i as u8; 100 + i].into()));
+    pin_until_dropped(|i| Text::from(format!("{i}ï").repeat(40 + i)));
+}
+
+/// Six values `value(i)` through one pooled stream, decoded as views.
+fn pin_until_dropped<V: WritableValue + PartialEq>(value: impl Fn(usize) -> V) {
     use m3r::shuffle::{decode_targeted, ShuffleStream};
 
     let (cluster, _fs) = fresh(PLACES);
@@ -255,18 +261,14 @@ fn decoded_byte_strings_pin_their_stream_until_they_drop() {
     let pool_bytes = || cluster.mem().live_class(0, MemClass::Pool);
     let mut stream = ShuffleStream::with_buffer(pool.get(1 << 12), DedupMode::Full);
     for i in 0..6 {
-        let value = BytesWritable(vec![i as u8; 100 + i].into());
-        stream.push_owned(i % PARTS, Arc::new(IntWritable(i as i32)), Arc::new(value));
+        stream.push_owned(i % PARTS, Arc::new(IntWritable(i as i32)), Arc::new(value(i)));
     }
     let (bytes, _, targets) = stream.finish();
     assert!(targets.is_empty(), "fresh values: no back-references, nothing to register");
-    let values: Vec<Arc<BytesWritable>> = decode_targeted::<IntWritable, BytesWritable>(
-        bytes.clone(),
-        targets,
-    )
-    .map(|rec| rec.map(|(_, _, v)| v))
-    .collect::<Result<_, _>>()
-    .unwrap();
+    let values: Vec<Arc<V>> = decode_targeted::<IntWritable, V>(bytes.clone(), targets)
+        .map(|rec| rec.map(|(_, _, v)| v))
+        .collect::<Result<_, _>>()
+        .unwrap();
 
     // The iterator has dropped; the views outlive the stream handle too.
     let (before, capacity) = (pool_bytes(), 1 << 12);
@@ -274,7 +276,7 @@ fn decoded_byte_strings_pin_their_stream_until_they_drop() {
     assert_eq!(pool.free_count(), 0, "a pinned stream is not pooled");
     assert_eq!(pool_bytes(), before, "…nor counted as pool bytes");
     for (i, v) in values.iter().enumerate() {
-        assert_eq!(&v.0[..], &vec![i as u8; 100 + i][..], "view {i} still reads its bytes");
+        assert!(**v == value(i), "view {i} still reads its bytes");
     }
 
     drop(values);
