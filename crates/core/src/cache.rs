@@ -670,8 +670,7 @@ impl KvCache {
         let moved: Vec<HPath> = subtree(&st.entries, src).map(|(p, _)| p.clone()).collect();
         for p in moved {
             let e = st.entries.remove(&p).expect("listed above");
-            let suffix = &p.as_str()[src.as_str().len()..];
-            let to = HPath::new(format!("{}{}", dst.as_str(), suffix));
+            let to = dst.join(&p.as_str()[src.as_str().len()..]);
             st.by_id.insert(e.id, to.clone());
             st.entries.insert(to, e);
         }

@@ -9,7 +9,6 @@
 //! exposes the `CacheFS` extension (see `extensions`).
 
 use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -17,125 +16,16 @@ use parking_lot::RwLock;
 
 use crate::error::{HmrError, Result};
 
-/// A normalized absolute path: `/a/b/c`, components free of `/`.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HPath(String);
+// The kv-store's path module, compiled here as well: one implementation
+// of the path type under both of its names. hmr-api does not depend on
+// kvstore, because a new edge in a crate that `e2e/` imports would change
+// the benchmark's frozen `e2e/Cargo.lock`.
+#[path = "../../kvstore/src/path.rs"]
+mod path;
 
-impl HPath {
-    /// Normalize `s` into an absolute path. Empty input becomes `/`.
-    pub fn new(s: impl AsRef<str>) -> Self {
-        let mut out = String::from("/");
-        for comp in s.as_ref().split('/').filter(|c| !c.is_empty() && *c != ".") {
-            if !out.ends_with('/') {
-                out.push('/');
-            }
-            out.push_str(comp);
-        }
-        HPath(out)
-    }
-
-    /// The root path `/`.
-    pub fn root() -> Self {
-        HPath("/".to_string())
-    }
-
-    /// The normalized string form.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// True for `/`.
-    pub fn is_root(&self) -> bool {
-        self.0 == "/"
-    }
-
-    /// Parent directory; `None` for the root.
-    pub fn parent(&self) -> Option<HPath> {
-        if self.is_root() {
-            return None;
-        }
-        match self.0.rfind('/') {
-            Some(0) => Some(HPath::root()),
-            Some(i) => Some(HPath(self.0[..i].to_string())),
-            None => None,
-        }
-    }
-
-    /// Final component; `None` for the root.
-    pub fn name(&self) -> Option<&str> {
-        if self.is_root() {
-            None
-        } else {
-            self.0.rfind('/').map(|i| &self.0[i + 1..])
-        }
-    }
-
-    /// Append a child component.
-    pub fn join(&self, child: &str) -> HPath {
-        HPath::new(format!("{}/{}", self.0, child))
-    }
-
-    /// True when `self` equals `ancestor` or lies beneath it.
-    pub fn starts_with(&self, ancestor: &HPath) -> bool {
-        if ancestor.is_root() {
-            return true;
-        }
-        self.0 == ancestor.0
-            || (self.0.starts_with(&ancestor.0)
-                && self.0.as_bytes().get(ancestor.0.len()) == Some(&b'/'))
-    }
-
-    /// The key range of everything strictly beneath `self` in a map ordered
-    /// by path: [`self/`, `self0`). `0` is the byte after `/`, so the range
-    /// holds exactly the keys that continue `self` with a `/` and no
-    /// sibling such as `self.bak` or `self-2`, which sort between `self`
-    /// and `self/`. Beneath the root lies every key but the root.
-    pub fn descendants(&self) -> (Bound<HPath>, Bound<HPath>) {
-        if self.is_root() {
-            return (Bound::Excluded(HPath::root()), Bound::Unbounded);
-        }
-        (
-            Bound::Included(HPath(format!("{}/", self.0))),
-            Bound::Excluded(HPath(format!("{}0", self.0))),
-        )
-    }
-
-    /// Path components, root-first.
-    pub fn components(&self) -> impl Iterator<Item = &str> {
-        self.0.split('/').filter(|c| !c.is_empty())
-    }
-
-    /// Every ancestor including the root and `self`, shortest first.
-    pub fn ancestors_inclusive(&self) -> Vec<HPath> {
-        let mut out = vec![HPath::root()];
-        let mut cur = String::new();
-        for c in self.components() {
-            cur.push('/');
-            cur.push_str(c);
-            out.push(HPath(cur.clone()));
-        }
-        out
-    }
-}
-
-impl std::fmt::Display for HPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-/// Every entry of `map` at or beneath `p`, in path order: `p` itself, then
-/// the range of [`HPath::descendants`]. The one subtree query of every
-/// `HPath`-keyed map ([`Namespace`], the M3R cache governor): it visits
-/// only the subtree, never a sibling and never the rest of the map.
-pub fn subtree<'m, V>(
-    map: &'m BTreeMap<HPath, V>,
-    p: &HPath,
-) -> impl Iterator<Item = (&'m HPath, &'m V)> {
-    map.get_key_value(p)
-        .into_iter()
-        .chain(map.range(p.descendants()))
-}
+/// A normalized absolute path: `/a/b/c`, components free of `/`. A clone
+/// is a refcount, and a parent or ancestor is a view of the same buffer.
+pub use path::{subtree, Descendants, KPath as HPath};
 
 /// Metadata for one file or directory.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -393,7 +283,7 @@ impl<F> Namespace<F> {
         self.add_parents(dst);
         for from in moved {
             let node = self.nodes.remove(&from).expect("listed above");
-            let to = HPath::new(format!("{dst}{}", &from.as_str()[src.as_str().len()..]));
+            let to = dst.join(&from.as_str()[src.as_str().len()..]);
             self.nodes.insert(to, node);
         }
         Ok(())
@@ -618,41 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn hpath_normalizes() {
-        assert_eq!(HPath::new("a/b").as_str(), "/a/b");
-        assert_eq!(HPath::new("/a//b/").as_str(), "/a/b");
-        assert_eq!(HPath::new("").as_str(), "/");
-        assert_eq!(HPath::new("/a/./b").as_str(), "/a/b");
-    }
-
-    #[test]
-    fn hpath_parent_and_name() {
-        let p = HPath::new("/a/b/c");
-        assert_eq!(p.name(), Some("c"));
-        assert_eq!(p.parent(), Some(HPath::new("/a/b")));
-        assert_eq!(HPath::new("/a").parent(), Some(HPath::root()));
-        assert_eq!(HPath::root().parent(), None);
-        assert_eq!(HPath::root().name(), None);
-    }
-
-    #[test]
-    fn hpath_starts_with_is_component_wise() {
-        assert!(HPath::new("/a/b/c").starts_with(&HPath::new("/a/b")));
-        assert!(HPath::new("/a/b").starts_with(&HPath::new("/a/b")));
-        assert!(!HPath::new("/a/bc").starts_with(&HPath::new("/a/b")));
-        assert!(HPath::new("/x").starts_with(&HPath::root()));
-    }
-
-    #[test]
-    fn hpath_ancestors() {
-        let p = HPath::new("/a/b");
-        assert_eq!(
-            p.ancestors_inclusive(),
-            vec![HPath::root(), HPath::new("/a"), HPath::new("/a/b")]
-        );
-    }
-
-    #[test]
     fn memfs_create_read_roundtrip() {
         let fs = MemFs::new();
         write_file(&fs, &HPath::new("/d/f"), b"hello").unwrap();
@@ -754,17 +609,6 @@ mod tests {
         }
 
         proptest! {
-            #[test]
-            fn normalization_is_idempotent(s in "[a-z/]{0,20}") {
-                let p = HPath::new(&s);
-                prop_assert_eq!(HPath::new(p.as_str()), p);
-            }
-
-            #[test]
-            fn parent_of_join_is_self(p in path_strategy(), c in "[a-z]{1,4}") {
-                prop_assert_eq!(p.join(&c).parent(), Some(p));
-            }
-
             #[test]
             fn written_files_read_back(p in path_strategy(), data in proptest::collection::vec(any::<u8>(), 0..128)) {
                 let fs = MemFs::new();

@@ -20,7 +20,7 @@ use std::collections::HashSet;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::path::{lca_all, KPath};
+use crate::path::KPath;
 
 #[derive(Default)]
 struct TableState {
@@ -43,18 +43,14 @@ impl LockManager {
     /// Acquire locks for an operation touching `paths` (2PL growing phase,
     /// all at once). The returned guard releases everything on drop (the
     /// shrinking phase). Locks are taken LCA-first, then in sorted order.
-    pub fn lock_set<'a>(&'a self, paths: &[KPath]) -> LockSet<'a> {
+    pub fn lock_set(&self, mut paths: Vec<KPath>) -> LockSet<'_> {
         assert!(!paths.is_empty(), "an operation must lock at least one path");
-        let lca = lca_all(paths.iter());
-        let mut ordered: Vec<KPath> = Vec::with_capacity(paths.len() + 1);
-        ordered.push(lca);
-        let mut rest: Vec<KPath> = paths.to_vec();
-        rest.sort();
-        rest.dedup();
-        for p in rest {
-            if p != ordered[0] {
-                ordered.push(p);
-            }
+        paths.sort();
+        paths.dedup();
+        // The LCA is a prefix of every path, so it sorts first.
+        let lca = paths[1..].iter().fold(paths[0].clone(), |acc, p| acc.lca(p));
+        if paths[0] != lca {
+            paths.insert(0, lca);
         }
 
         // Acquire atomically: wait until the whole ordered set is free,
@@ -63,14 +59,11 @@ impl LockManager {
         // table mutex while keeping the hold pattern identical.
         let mut st = self.state.lock();
         loop {
-            if ordered.iter().all(|p| !st.held.contains(p)) {
-                for p in &ordered {
+            if paths.iter().all(|p| !st.held.contains(p)) {
+                for p in &paths {
                     st.held.insert(p.clone());
                 }
-                return LockSet {
-                    mgr: self,
-                    paths: ordered,
-                };
+                return LockSet { mgr: self, paths };
             }
             self.released.wait(&mut st);
         }
@@ -96,7 +89,8 @@ impl LockSet<'_> {
 
     /// Runtime check of the paper's protocol: a task acquiring `extra`
     /// while holding this set must already hold `lca(extra, each held)`.
-    pub fn protocol_allows(&self, extra: &KPath) -> bool {
+    #[cfg(test)]
+    fn protocol_allows(&self, extra: &KPath) -> bool {
         self.paths
             .iter()
             .all(|held| self.paths.contains(&extra.lca(held)))
@@ -122,11 +116,17 @@ mod tests {
     #[test]
     fn lock_set_includes_lca_first() {
         let mgr = LockManager::new();
-        let guard = mgr.lock_set(&[KPath::new("/a/b/x"), KPath::new("/a/b/y")]);
+        let guard = mgr.lock_set(vec![KPath::new("/a/b/x"), KPath::new("/a/b/y")]);
         assert_eq!(guard.paths()[0], KPath::new("/a/b"), "LCA locked first");
         assert_eq!(guard.paths().len(), 3);
         drop(guard);
         assert_eq!(mgr.held_count(), 0);
+        let chain = KPath::new("/a/b/x").ancestors_inclusive();
+        assert_eq!(
+            mgr.lock_set(chain.clone()).paths(),
+            chain,
+            "a chain is its own order"
+        );
     }
 
     #[test]
@@ -140,7 +140,7 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..200 {
                         let shared = KPath::new("/shared/file");
-                        let _g = mgr.lock_set(std::slice::from_ref(&shared));
+                        let _g = mgr.lock_set(vec![shared]);
                         let v = in_critical.fetch_add(1, Ordering::SeqCst);
                         assert_eq!(v, 0, "mutual exclusion violated");
                         in_critical.fetch_sub(1, Ordering::SeqCst);
@@ -162,7 +162,7 @@ mod tests {
                 s.spawn(move || {
                     let p = KPath::new(format!("/tree{}/leaf", i % 4));
                     for _ in 0..100 {
-                        let _g = mgr.lock_set(std::slice::from_ref(&p));
+                        let _g = mgr.lock_set(vec![p.clone()]);
                     }
                 });
             }
@@ -188,7 +188,7 @@ mod tests {
                     };
                     s.spawn(move || {
                         for _ in 0..300 {
-                            let _g = mgr.lock_set(&[x.clone(), y.clone()]);
+                            let _g = mgr.lock_set(vec![x.clone(), y.clone()]);
                         }
                     });
                 }
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn protocol_check_accepts_descendants_of_held_lca() {
         let mgr = LockManager::new();
-        let g = mgr.lock_set(&[KPath::new("/a/b"), KPath::new("/a/c")]);
+        let g = mgr.lock_set(vec![KPath::new("/a/b"), KPath::new("/a/c")]);
         // lca(/a/q, /a/b) = /a which is held → allowed.
         assert!(g.protocol_allows(&KPath::new("/a/q")));
         // lca(/z, /a/b) = / which is NOT held → would risk deadlock.
@@ -211,6 +211,6 @@ mod tests {
     #[should_panic(expected = "at least one path")]
     fn empty_lock_set_rejected() {
         let mgr = LockManager::new();
-        let _ = mgr.lock_set(&[]);
+        let _ = mgr.lock_set(Vec::new());
     }
 }

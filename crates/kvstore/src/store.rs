@@ -96,8 +96,12 @@ enum MetaEntry<M> {
     Dir,
 }
 
+/// One place's metadata table, ordered by path so a subtree is one key
+/// range ([`path::subtree`]).
+type MetaShard<M> = Mutex<BTreeMap<KPath, MetaEntry<M>>>;
+
 struct Shard<M> {
-    meta: Mutex<BTreeMap<KPath, MetaEntry<M>>>,
+    meta: MetaShard<M>,
     data: Mutex<HashMap<u64, BlockData>>,
 }
 
@@ -155,7 +159,7 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
         (h.finish() % self.inner.shards.len() as u64) as usize
     }
 
-    fn meta_shard(&self, path: &KPath) -> &Mutex<BTreeMap<KPath, MetaEntry<M>>> {
+    fn meta_shard(&self, path: &KPath) -> &MetaShard<M> {
         &self.inner.shards[self.meta_place(path)].meta
     }
 
@@ -217,7 +221,7 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
     /// `createReader(path, info)` — fetch the block identified by `info`.
     /// Lock footprint: just `path` (cache hits stay parallel).
     pub fn create_reader(&self, path: &KPath, info: &M) -> Result<BlockData, KvError> {
-        let _g = self.inner.locks.lock_set(std::slice::from_ref(path));
+        let _g = self.inner.locks.lock_set(vec![path.clone()]);
         let blocks = {
             let meta = self.meta_shard(path).lock();
             match meta.get(path) {
@@ -241,7 +245,7 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
 
     /// `getInfo(path)` — kind and block list.
     pub fn get_info(&self, path: &KPath) -> Result<PathInfo<M>, KvError> {
-        let _g = self.inner.locks.lock_set(std::slice::from_ref(path));
+        let _g = self.inner.locks.lock_set(vec![path.clone()]);
         let meta = self.meta_shard(path).lock();
         match meta.get(path) {
             Some(MetaEntry::File(blocks)) => Ok(PathInfo {
@@ -265,7 +269,7 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
 
     /// Direct children of a directory.
     pub fn list(&self, dir: &KPath) -> Result<Vec<KPath>, KvError> {
-        let _g = self.inner.locks.lock_set(std::slice::from_ref(dir));
+        let _g = self.inner.locks.lock_set(vec![dir.clone()]);
         {
             let meta = self.meta_shard(dir).lock();
             match meta.get(dir) {
@@ -281,7 +285,7 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
 
     /// `mkdirs(path)` — create a directory and its ancestors.
     pub fn mkdirs(&self, path: &KPath) -> Result<(), KvError> {
-        let _g = self.inner.locks.lock_set(&path.ancestors_inclusive());
+        let _g = self.inner.locks.lock_set(path.ancestors_inclusive());
         for anc in path.ancestors_inclusive() {
             let mut meta = self.meta_shard(&anc).lock();
             match meta.get(&anc) {
@@ -301,7 +305,7 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
         if path.is_root() {
             return Ok(false);
         }
-        let _g = self.inner.locks.lock_set(&path.ancestors_inclusive());
+        let _g = self.inner.locks.lock_set(path.ancestors_inclusive());
         let victims = self.subtree(path);
         if victims.is_empty() {
             return Ok(false);
@@ -326,7 +330,7 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
     pub fn rename(&self, src: &KPath, dst: &KPath) -> Result<(), KvError> {
         let mut locked = src.ancestors_inclusive();
         locked.extend(dst.ancestors_inclusive());
-        let _g = self.inner.locks.lock_set(&locked);
+        let _g = self.inner.locks.lock_set(locked);
         if self.subtree(src).is_empty() {
             return Err(KvError::NotFound(src.clone()));
         }
@@ -343,8 +347,7 @@ impl<M: Clone + Eq + Send + Sync + 'static> KvStore<M> {
                 .lock()
                 .remove(&p)
                 .expect("listed in subtree");
-            let suffix = &p.as_str()[src.as_str().len()..];
-            let to = KPath::new(format!("{}{}", dst.as_str(), suffix));
+            let to = dst.join(&p.as_str()[src.as_str().len()..]);
             self.meta_shard(&to).lock().insert(to.clone(), entry);
         }
         Ok(())
@@ -373,7 +376,7 @@ impl<M: Clone + Eq + Send + Sync + 'static> BlockWriter<'_, M> {
         let _g = store
             .inner
             .locks
-            .lock_set(&self.path.ancestors_inclusive());
+            .lock_set(self.path.ancestors_inclusive());
         store.ensure_parents(&self.path)?;
         let id = store.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let mut meta = store.meta_shard(&self.path).lock();

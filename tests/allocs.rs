@@ -1,11 +1,9 @@
 //! Allocations as a deterministic meter. Wall clock on a shared host cannot
 //! tell small changes apart; the number of heap allocations a job makes
 //! per record does not drift with the host. This binary counts every
-//! allocation through its own `#[global_allocator]` and holds a single
-//! test, so nothing else allocates while a pass is counted.
+//! allocation through the `counting` module's `#[global_allocator]` and
+//! holds a single test, so nothing else allocates while a pass is counted.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hmr_api::counters::task_counter::MAP_OUTPUT_RECORDS;
@@ -15,33 +13,9 @@ use m3r::{M3REngine, M3ROptions};
 use workloads::{generate_text, run_wordcount, WcStyle};
 
 mod common;
+mod counting;
 use common::fresh;
-
-/// `System`, counting the calls that hand out a new block.
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use counting::allocs;
 
 const FILES: usize = 8;
 const CORPUS_BYTES: usize = 3 << 20;
@@ -68,10 +42,10 @@ fn fresh_text_wordcount_allocations_per_record() {
     let mut pass = || {
         engine.caching_fs().raw_cache().delete(&corpus, true).unwrap();
         engine.caching_fs().delete(&out, true).unwrap();
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         let r = run_wordcount(&mut engine, WcStyle::FreshText, &corpus, &out, REDUCERS).unwrap();
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-        allocs as f64 / r.counters.task(MAP_OUTPUT_RECORDS) as f64
+        let made = allocs() - before;
+        made as f64 / r.counters.task(MAP_OUTPUT_RECORDS) as f64
     };
     pass();
     let per_record = pass();
