@@ -10,10 +10,8 @@
 //! "everything resident" (identical to ∞, zero evictions) and ends at
 //! "almost nothing resident" — every iteration spilling and reloading
 //! through the SimDfs cost model, which is exactly the disk round trip
-//! Hadoop pays by design. A Hadoop reference row bounds the curve, a
-//! policy table compares LRU/LFU/cost-aware victim selection at `W/4`,
-//! and a fail-fast row shows the strict mode erroring instead of
-//! degrading.
+//! Hadoop pays by design. A Hadoop reference row bounds the curve, and a
+//! fail-fast row shows the strict mode erroring instead of degrading.
 //!
 //! Writes `bench-results/memory.json` (tables, via [`BenchReport`]) and
 //! `bench-results/memory.txt` (tables + the accountant's report section
@@ -26,7 +24,7 @@ use hmr_api::partition::FnPartitioner;
 use hmr_api::writable::{BytesWritable, IntWritable};
 use hmr_api::HPath;
 use m3r_bench::{secs, write_bench_file, BenchReport};
-use m3r::{M3REngine, M3ROptions, OomMode, PolicyKind};
+use m3r::{M3REngine, M3ROptions, OomMode};
 use std::sync::Arc;
 use workloads::microbench::{generate_microbench_input, run_microbench};
 
@@ -49,7 +47,7 @@ struct RunStats {
 /// One measured M3R run. The budget is applied only to the measured
 /// phase (after repartition + purge + reset), so every row pays the same
 /// setup and the sweep isolates the governance cost.
-fn m3r_run(budget: Option<u64>, policy: PolicyKind, oom: OomMode) -> Result<RunStats, String> {
+fn m3r_run(budget: Option<u64>, oom: OomMode) -> Result<RunStats, String> {
     let (cluster, fs) = m3r_bench::cluster(NODES);
     generate_microbench_input(&fs, &HPath::new("/in"), PAIRS, VALUE_BYTES, PARTS, 42).unwrap();
     let mut engine = M3REngine::with_options(
@@ -61,7 +59,6 @@ fn m3r_run(budget: Option<u64>, policy: PolicyKind, oom: OomMode) -> Result<RunS
             // schedule); keeping ∞-budget rows serial too makes every row
             // of the sweep the same execution shape.
             workers: simgrid::Workers::Never,
-            cache_policy: policy,
             ..M3ROptions::default()
         },
     );
@@ -137,13 +134,13 @@ fn main() {
     let mut txt = String::new();
 
     // -- budget sweep -------------------------------------------------------
-    let unlimited = m3r_run(None, PolicyKind::Lru, OomMode::Spill).unwrap();
+    let unlimited = m3r_run(None, OomMode::Spill).unwrap();
     let w = unlimited.high_watermark.max(1);
     println!("per-place high watermark at unlimited budget: {w} bytes");
 
     let mut runs: Vec<(Option<u64>, RunStats)> = vec![(None, unlimited)];
     for budget in [w, w / 2, w / 4, w / 8, w / 16] {
-        runs.push((Some(budget), m3r_run(Some(budget), PolicyKind::Lru, OomMode::Spill).unwrap()));
+        runs.push((Some(budget), m3r_run(Some(budget), OomMode::Spill).unwrap()));
     }
     // The degradation curve's shape: runs go from unlimited budget to the
     // tightest, and shrinking the budget may only cost simulated time,
@@ -179,26 +176,8 @@ fn main() {
     );
     push_txt(&mut txt, "budget sweep", &rows);
 
-    // -- eviction policies at W/4 ------------------------------------------
-    let mut prows = Vec::new();
-    for policy in [PolicyKind::Lru, PolicyKind::Lfu, PolicyKind::CostAware] {
-        let r = m3r_run(Some(w / 4), policy, OomMode::Spill).unwrap();
-        prows.push(vec![
-            policy.name().to_string(),
-            secs(r.secs),
-            r.evictions.to_string(),
-            r.reload_bytes.to_string(),
-        ]);
-    }
-    report.table(
-        "eviction policy at budget W/4",
-        &["policy", "sim_seconds", "evictions", "reload_bytes"],
-        prows.clone(),
-    );
-    push_txt(&mut txt, "eviction policy at W/4", &prows);
-
     // -- strict mode --------------------------------------------------------
-    let frows = vec![match m3r_run(Some(w / 8), PolicyKind::Lru, OomMode::FailFast) {
+    let frows = vec![match m3r_run(Some(w / 8), OomMode::FailFast) {
         Ok(r) => vec!["unexpected success".to_string(), secs(r.secs)],
         Err(e) => vec!["error (as designed)".to_string(), e],
     }];

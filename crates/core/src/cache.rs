@@ -18,15 +18,14 @@
 //!
 //! Every entry's bytes are reported to a [`MemAccountant`]
 //! ([`simgrid::MemClass::Cache`]), making the accountant the single source
-//! of truth for cache footprint ([`KvCache::total_bytes`] reads it). A
-//! cache built with [`KvCache::governed`] additionally enforces the
-//! accountant's per-place budget: when a put (or reload) pushes a place
-//! over budget, an [`EvictionPolicy`] picks victims deterministically
-//! (ties break on insertion order — never wall clock or thread schedule)
-//! and each victim is *spilled*: its pairs are serialized through the
-//! entry's captured codec and written to the spill filesystem through the
-//! normal cost model, while the kv-store keeps a marker block with the
-//! original metadata so the entry stays visible to the caching
+//! of truth for cache footprint ([`KvCache::total_bytes`] reads it), and
+//! every cache enforces that accountant's per-place budget: when a put (or
+//! reload) pushes a place over budget, the place's least recently used
+//! entry is the victim (recency counts cache events — never wall clock or
+//! thread schedule) and each victim is *spilled*: its pairs are serialized
+//! through the entry's typed encoder and written to the spill filesystem
+//! through the normal cost model, while the kv-store keeps a marker block
+//! with the original metadata so the entry stays visible to the caching
 //! filesystem. The next `get_seq` faults the entry back in (paying the
 //! disk read + deserialize), re-admitting it as the newest entry. Under
 //! [`OomMode::FailFast`] the cache errors instead of spilling — the
@@ -35,14 +34,13 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use kvstore::policy::{EvictionPolicy, PolicyKind};
-use kvstore::{BlockData, KPath, KvError, KvStore};
+use kvstore::{BlockData, KPath, KvError, KvStore, PathKind};
 use parking_lot::Mutex;
 use simgrid::mem::{MemAccountant, MemClass, OomMode};
 use simgrid::{meter, trace, Charge};
 
 use hmr_api::error::{HmrError, Result};
-use hmr_api::fs::{read_file, subtree, write_file, FileSystem, HPath};
+use hmr_api::fs::{read_file, subtree, write_file, FileSystem, HPath, MemFs};
 use hmr_api::writable::{write_vu64, ByteReader, Writable};
 
 /// A cached key/value sequence: `Arc`-shared pairs, exactly what flows
@@ -70,6 +68,22 @@ pub struct CacheMeta {
     pub records: u64,
 }
 
+/// What the cache holds at a path: the one metadata answer the caching
+/// filesystems and the engine ask for. Spilled entries answer exactly like
+/// resident ones — the kv-store keeps their metadata.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Cached {
+    /// A directory: some cached file lies beneath it.
+    Dir,
+    /// A cached sequence.
+    File {
+        /// Entry metadata.
+        meta: CacheMeta,
+        /// The place whose data table holds it.
+        place: usize,
+    },
+}
+
 /// A cache hit.
 pub struct CacheHit<K, V> {
     /// The cached sequence.
@@ -87,48 +101,86 @@ pub struct CacheHit<K, V> {
 #[derive(Debug)]
 struct SpilledMarker;
 
-/// Typed spill codec captured at `put_seq` time, when the concrete `K`/`V`
-/// are statically known. `encode` downcasts the stored block and writes
-/// `count, (k, v)*` in `Writable` wire form; `decode` reverses it. `Arc`
-/// aliasing across entries is lost on reload — each reloaded pair gets
-/// fresh `Arc`s — which costs memory, not correctness.
-#[derive(Clone)]
-struct Codec {
-    encode: Arc<dyn Fn(&BlockData) -> Option<Vec<u8>> + Send + Sync>,
-    decode: Arc<dyn Fn(&[u8]) -> Result<BlockData> + Send + Sync>,
+/// Spill encoder of a `(K, V)` entry: downcasts the stored block and writes
+/// `count, (k, v)*` in `Writable` wire form. `None` when the block is not
+/// a `CachedSeq<K, V>`.
+fn encode<K: Writable, V: Writable>(data: &BlockData) -> Option<Vec<u8>> {
+    let seq = Arc::clone(data).downcast::<CachedSeq<K, V>>().ok()?;
+    let mut buf = Vec::new();
+    write_vu64(&mut buf, seq.pairs.len() as u64);
+    for (k, v) in &seq.pairs {
+        k.write_to(&mut buf);
+        v.write_to(&mut buf);
+    }
+    Some(buf)
 }
 
-impl Codec {
-    fn of<K: Writable, V: Writable>() -> Codec {
-        Codec {
-            encode: Arc::new(|data: &BlockData| {
-                let seq = Arc::clone(data).downcast::<CachedSeq<K, V>>().ok()?;
-                let mut buf = Vec::new();
-                write_vu64(&mut buf, seq.pairs.len() as u64);
-                for (k, v) in &seq.pairs {
-                    k.write_to(&mut buf);
-                    v.write_to(&mut buf);
-                }
-                Some(buf)
-            }),
-            decode: Arc::new(|bytes: &[u8]| {
-                let mut r = ByteReader::new(bytes);
-                let n = r.read_vu64()?;
-                let mut pairs = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let k = K::read_from(&mut r)?;
-                    let v = V::read_from(&mut r)?;
-                    pairs.push((Arc::new(k), Arc::new(v)));
-                }
-                Ok(Arc::new(CachedSeq::<K, V>::new(pairs)) as BlockData)
-            }),
+/// Reverses [`encode`]. `Arc` aliasing across entries is lost on reload —
+/// each reloaded pair gets fresh `Arc`s — which costs memory, not
+/// correctness.
+fn decode<K: Writable, V: Writable>(bytes: &[u8]) -> Result<BlockData> {
+    let mut r = ByteReader::new(bytes);
+    let n = r.read_vu64()?;
+    let mut pairs = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        let k = K::read_from(&mut r)?;
+        let v = V::read_from(&mut r)?;
+        pairs.push((Arc::new(k), Arc::new(v)));
+    }
+    Ok(Arc::new(CachedSeq::<K, V>::new(pairs)) as BlockData)
+}
+
+/// Least-recently-used order over one place's resident entries. Each
+/// admission or hit stamps the entry's id with a fresh logical tick and
+/// the victim is the smallest stamp: stamps are unique, so the scan order
+/// over the map cannot influence the choice, and recency counts cache
+/// events, never wall-clock time.
+#[derive(Default)]
+struct Lru {
+    tick: u64,
+    last_touch: HashMap<u64, u64>,
+}
+
+impl Lru {
+    /// Admit `id`, or mark it the most recently used.
+    fn touch(&mut self, id: u64) {
+        self.tick += 1;
+        self.last_touch.insert(id, self.tick);
+    }
+
+    /// A hit on `id`; unknown ids are ignored.
+    fn access(&mut self, id: u64) {
+        if self.last_touch.contains_key(&id) {
+            self.touch(id);
         }
+    }
+
+    fn remove(&mut self, id: u64) {
+        self.last_touch.remove(&id);
+    }
+
+    /// The least recently used entry, forgotten; `None` when empty.
+    fn victim(&mut self) -> Option<u64> {
+        self.victim_from(|_| true)
+    }
+
+    /// The least recently used entry for which `allowed` holds, forgotten.
+    /// Quota eviction uses it to pick among one tenant's entries.
+    fn victim_from(&mut self, mut allowed: impl FnMut(u64) -> bool) -> Option<u64> {
+        let id = self
+            .last_touch
+            .iter()
+            .filter(|(id, _)| allowed(**id))
+            .min_by_key(|(_, stamp)| **stamp)
+            .map(|(id, _)| *id)?;
+        self.last_touch.remove(&id);
+        Some(id)
     }
 }
 
 /// Governor bookkeeping for one cache entry.
 struct Entry {
-    /// Insertion ordinal; fresh per (re-)admission. Policies key on it.
+    /// Admission ordinal; fresh per (re-)admission. The LRU keys on it.
     id: u64,
     place: usize,
     /// Accounted bytes (the entry's `len`).
@@ -137,7 +189,9 @@ struct Entry {
     /// False while the pairs live only in the spill file.
     resident: bool,
     spill_path: Option<HPath>,
-    codec: Codec,
+    /// The entry's typed spill codec, fixed at `put_seq` time.
+    encode: fn(&BlockData) -> Option<Vec<u8>>,
+    decode: fn(&[u8]) -> Result<BlockData>,
     /// The tenant (interned client id) whose job produced this entry, when
     /// the put came through the §5.3 job server. Quota enforcement charges
     /// the entry's bytes to this tenant.
@@ -145,13 +199,13 @@ struct Entry {
 }
 
 /// Mutable governor state, held under one lock across each cache
-/// operation so policy bookkeeping, accounting and store mutation can
+/// operation so LRU bookkeeping, accounting and store mutation can
 /// never interleave. The kv-store's own locks never call back up into
 /// the governor, so lock order is strictly governor → store.
 struct GovState {
-    /// One policy instance per place: budgets are per-place, so victim
-    /// selection at one place must not disturb recency state at another.
-    policies: Vec<Box<dyn EvictionPolicy>>,
+    /// One LRU per place: budgets are per-place, so victim selection at
+    /// one place must not disturb recency state at another.
+    lru: Vec<Lru>,
     /// Ordered by path, so a subtree is one key range
     /// ([`hmr_api::fs::subtree`]).
     entries: BTreeMap<HPath, Entry>,
@@ -168,11 +222,11 @@ struct GovState {
 }
 
 impl GovState {
-    fn admit(&mut self, path: HPath, entry_place: usize, bytes: u64) -> u64 {
+    fn admit(&mut self, path: HPath, entry_place: usize) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.by_id.insert(id, path);
-        self.policies[entry_place].on_insert(id, bytes);
+        self.lru[entry_place].touch(id);
         id
     }
 
@@ -189,14 +243,6 @@ impl GovState {
     }
 }
 
-/// Where evicted entries spill to.
-struct SpillTarget {
-    /// The *raw* filesystem (never a `CachingFs`, whose `create` would
-    /// re-enter the cache to invalidate the path being spilled).
-    fs: Arc<dyn FileSystem>,
-    root: HPath,
-}
-
 /// The typed facade over the kvstore used by the engine and the caching
 /// filesystem.
 #[derive(Clone)]
@@ -204,57 +250,46 @@ pub struct KvCache {
     store: KvStore<CacheMeta>,
     mem: MemAccountant,
     state: Arc<Mutex<GovState>>,
-    spill: Option<Arc<SpillTarget>>,
+    /// Where evicted entries spill, under [`SPILL_ROOT`]: the *raw*
+    /// filesystem (never a `CachingFs`, whose `create` would re-enter the
+    /// cache to invalidate the path being spilled).
+    spill: Arc<dyn FileSystem>,
 }
+
+/// The directory spill files live in.
+const SPILL_ROOT: &str = "/.m3r-spill";
 
 fn kpath(path: &HPath) -> KPath {
     KPath::new(path.as_str())
 }
 
 impl KvCache {
-    /// A cache sharded over `places`, accounted but ungoverned: bytes are
-    /// tallied (so [`KvCache::total_bytes`] works) against a private
-    /// accountant with an infinite budget, and nothing ever evicts.
+    /// A cache sharded over `places` with an accountant and a spill
+    /// target of its own: the accountant's budget is infinite until
+    /// someone sets one through [`KvCache::mem`], and spills go to a
+    /// private [`MemFs`].
     pub fn new(places: usize) -> Self {
-        Self::build(places, MemAccountant::new(places), None, PolicyKind::default())
+        Self::governed(places, MemAccountant::new(places), MemFs::shared())
     }
 
     /// A cache governed by `mem`'s per-place budget: entries that push a
-    /// place over budget are evicted by `policy` and spilled to
-    /// `spill_fs` under `/.m3r-spill`, or the cache errors when `mem` is
+    /// place over budget are evicted least recently used first and spilled
+    /// to `spill_fs` under `/.m3r-spill`, or the cache errors when `mem` is
     /// in [`OomMode::FailFast`]. `spill_fs` must be the raw filesystem,
-    /// not the caching wrapper (see `SpillTarget::fs`).
-    pub fn governed(
-        places: usize,
-        mem: MemAccountant,
-        spill_fs: Arc<dyn FileSystem>,
-        policy: PolicyKind,
-    ) -> Self {
-        let spill = Some(Arc::new(SpillTarget {
-            fs: spill_fs,
-            root: HPath::new("/.m3r-spill"),
-        }));
-        Self::build(places, mem, spill, policy)
-    }
-
-    fn build(
-        places: usize,
-        mem: MemAccountant,
-        spill: Option<Arc<SpillTarget>>,
-        policy: PolicyKind,
-    ) -> Self {
+    /// not the caching wrapper (see `KvCache::spill`).
+    pub fn governed(places: usize, mem: MemAccountant, spill_fs: Arc<dyn FileSystem>) -> Self {
         KvCache {
             store: KvStore::new(places),
             mem,
             state: Arc::new(Mutex::new(GovState {
-                policies: (0..places).map(|_| policy.build()).collect(),
+                lru: (0..places).map(|_| Lru::default()).collect(),
                 entries: BTreeMap::new(),
                 by_id: HashMap::new(),
                 next_id: 0,
                 tenants: Vec::new(),
                 quotas: BTreeMap::new(),
             })),
-            spill,
+            spill: spill_fs,
         }
     }
 
@@ -268,10 +303,13 @@ impl KvCache {
         &self.mem
     }
 
-    /// Cache `seq` for `path` at `place`. Replaces any previous entry for
-    /// the path (the path's block list is reduced to this one entry).
-    /// Errors only under a finite budget in [`OomMode::FailFast`] when
-    /// the put overflows `place`'s budget.
+    /// Cache `seq` for `path` at `place`, replacing a cached file at the
+    /// path (the path's block list is reduced to this one entry). Refuses,
+    /// changing nothing, what HDFS refuses: a path beneath a cached file
+    /// ([`HmrError::Io`]) and a cached directory at the path
+    /// ([`HmrError::AlreadyExists`]). Otherwise errors only under a finite
+    /// budget in [`OomMode::FailFast`] when the put overflows `place`'s
+    /// budget.
     pub fn put_seq<K: Writable, V: Writable>(
         &self,
         place: usize,
@@ -297,15 +335,21 @@ impl KvCache {
         let records = seq.pairs.len() as u64;
         let kp = kpath(path);
         let mut st = self.state.lock();
-        self.forget_locked(&mut st, path);
-        // Drop any stale entry first so the file holds exactly one block.
-        let _ = self.store.delete(&kp);
+        // Drop a stale file entry first so the file holds exactly one
+        // block. Only a file is replaced: the governor indexes exactly the
+        // store's files, and a path that is not one changes nothing here.
+        if self.forget_locked(&mut st, path) {
+            let _ = self.store.delete(&kp);
+        }
         self.store
             .write_block(place, &kp, CacheMeta { len, records }, seq, len)
-            .expect("cache path cannot collide after delete");
-        let codec = Codec::of::<K, V>();
+            .map_err(|e| match e {
+                KvError::IsAFile(anc) => HmrError::Io(format!("{anc} is a file")),
+                KvError::IsADir(p) => HmrError::AlreadyExists(p.to_string()),
+                e => HmrError::Io(format!("cache put: {e}")),
+            })?;
         let owner = owner.map(|t| st.intern(t));
-        let id = st.admit(path.clone(), place, len);
+        let id = st.admit(path.clone(), place);
         st.entries.insert(
             path.clone(),
             Entry {
@@ -315,7 +359,8 @@ impl KvCache {
                 meta: CacheMeta { len, records },
                 resident: true,
                 spill_path: None,
-                codec,
+                encode: encode::<K, V>,
+                decode: decode::<K, V>,
                 owner,
             },
         );
@@ -326,9 +371,8 @@ impl KvCache {
 
     /// Set (or clear with `None`) `client`'s resident-byte quota — the
     /// total cached bytes its jobs' entries may keep resident across all
-    /// places. Requires a spill target (a governed cache); ungoverned
-    /// caches ignore quotas. Setting a quota below current residency
-    /// triggers immediate quota-priority eviction in [`OomMode::Spill`].
+    /// places. Setting a quota below current residency triggers immediate
+    /// quota-priority eviction in [`OomMode::Spill`].
     pub fn set_client_quota(&self, client: &str, quota: Option<u64>) {
         let mut st = self.state.lock();
         let tenant = st.intern(client);
@@ -402,7 +446,7 @@ impl KvCache {
         if !resident {
             return self.reload_locked::<K, V>(&mut st, path);
         }
-        st.policies[place].on_access(id);
+        st.lru[place].access(id);
         let data = self.store.create_reader(&kpath(path), &meta).ok()?;
         let seq = data.downcast::<CachedSeq<K, V>>().ok()?;
         Some(CacheHit { seq, place, meta })
@@ -416,21 +460,20 @@ impl KvCache {
         st: &mut GovState,
         path: &HPath,
     ) -> Option<CacheHit<K, V>> {
-        let spill = Arc::clone(self.spill.as_ref()?);
-        let (place, bytes, meta, codec, spath) = {
+        let (place, bytes, meta, decode, spath) = {
             let e = st.entries.get(path)?;
-            (e.place, e.bytes, e.meta.clone(), e.codec.clone(), e.spill_path.clone()?)
+            (e.place, e.bytes, e.meta.clone(), e.decode, e.spill_path.clone()?)
         };
         let loaded = trace::span(trace::Phase::Cache, "cache_reload", None, || {
-            let raw = read_file(&*spill.fs, &spath).ok()?;
+            let raw = read_file(&*self.spill, &spath).ok()?;
             meter::charge(Charge::Deserialize { bytes: raw.len() as u64 });
-            (codec.decode)(&raw).ok()
+            decode(&raw).ok()
         })?;
         self.store
             .write_block(place, &kpath(path), meta.clone(), Arc::clone(&loaded), bytes)
             .ok()?;
-        let _ = spill.fs.delete(&spath, false);
-        let id = st.admit(path.clone(), place, bytes);
+        let _ = self.spill.delete(&spath, false);
+        let id = st.admit(path.clone(), place);
         let e = st.entries.get_mut(path).expect("entry present");
         e.id = id;
         e.resident = true;
@@ -447,19 +490,15 @@ impl KvCache {
     }
 
     /// Evict victims until every over-quota tenant fits its quota and every
-    /// place fits its budget (no-op when ungoverned, or when the budget is
-    /// infinite and no quotas are set — the accountant then never
-    /// influences behaviour, which is what the bit-equality tests pin).
+    /// place fits its budget (no-op when the budget is infinite and no
+    /// quotas are set — the accountant then never influences behaviour,
+    /// which is what the bit-equality tests pin).
     ///
     /// Quotas are enforced *first* — "over-quota tenants evict first" — so
     /// the budget step below only ever evicts from tenants already within
     /// their quotas (or unattributed entries).
     fn enforce_locked(&self, st: &mut GovState) -> Result<()> {
-        let Some(spill) = &self.spill else {
-            return Ok(());
-        };
-        let spill = Arc::clone(spill);
-        self.enforce_quotas_locked(st, &spill)?;
+        self.enforce_quotas_locked(st)?;
         let Some(budget) = self.mem.budget() else {
             return Ok(());
         };
@@ -479,22 +518,21 @@ impl KvCache {
                         self.mem.live_class(place, MemClass::Cache)
                     )));
                 }
-                let Some(victim) = st.policies[place].victim() else {
+                let Some(victim) = st.lru[place].victim() else {
                     break;
                 };
-                self.spill_locked(st, victim, spill.as_ref())?;
+                self.spill_locked(st, victim)?;
             }
         }
         Ok(())
     }
 
     /// Quota-priority eviction: for each quota'd tenant in interned order,
-    /// spill that tenant's own entries — chosen by the place's normal
-    /// eviction policy, restricted to the tenant ([`EvictionPolicy::
-    /// victim_from`]) — until its total residency fits the quota. Victims
+    /// spill that tenant's own entries — the place's least recently used
+    /// among them — until its total residency fits the quota. Victims
     /// come from the place where the tenant holds the most bytes (ties to
     /// the smallest place id) so pressure is relieved where it is worst.
-    fn enforce_quotas_locked(&self, st: &mut GovState, spill: &SpillTarget) -> Result<()> {
+    fn enforce_quotas_locked(&self, st: &mut GovState) -> Result<()> {
         let quotas: Vec<(u32, u64)> = st.quotas.iter().map(|(t, q)| (*t, *q)).collect();
         for (tenant, quota) in quotas {
             loop {
@@ -527,38 +565,32 @@ impl KvCache {
                     .filter(|e| e.resident && e.owner == Some(tenant) && e.place == place)
                     .map(|e| e.id)
                     .collect();
-                let Some(victim) =
-                    st.policies[place].victim_from(&mut |id| allowed.contains(&id))
-                else {
+                let Some(victim) = st.lru[place].victim_from(|id| allowed.contains(&id)) else {
                     break;
                 };
-                self.spill_locked(st, victim, spill)?;
+                self.spill_locked(st, victim)?;
             }
         }
         Ok(())
     }
 
-    /// Spill entry `id`: serialize through its codec, write the bytes to
+    /// Spill entry `id`: serialize through its encoder, write the bytes to
     /// the spill filesystem (charged as serialize + DFS write), and swap
     /// the kv-store data for a marker so the metadata stays visible.
-    fn spill_locked(&self, st: &mut GovState, id: u64, spill: &SpillTarget) -> Result<()> {
+    fn spill_locked(&self, st: &mut GovState, id: u64) -> Result<()> {
         let Some(path) = st.by_id.remove(&id) else {
-            return Ok(()); // policy outlived the entry; nothing to do
+            return Ok(()); // the LRU outlived the entry; nothing to do
         };
-        let (place, bytes, meta, codec) = {
+        let (place, bytes, meta, encode) = {
             let e = st.entries.get(&path).expect("by_id maps to a live entry");
             debug_assert!(e.resident, "victims are always resident");
-            (e.place, e.bytes, e.meta.clone(), e.codec.clone())
+            (e.place, e.bytes, e.meta.clone(), e.encode)
         };
         let kp = kpath(&path);
-        let encoded = self
-            .store
-            .create_reader(&kp, &meta)
-            .ok()
-            .and_then(|data| (codec.encode)(&data));
+        let encoded = self.store.create_reader(&kp, &meta).ok().and_then(|data| encode(&data));
         let Some(encoded) = encoded else {
             // Unreadable or not encodable: drop the entry outright rather
-            // than spill. `put_seq` captures the codec with the concrete
+            // than spill. `put_seq` fixes the encoder with the concrete
             // types, so this arm is defensive, not expected.
             st.entries.remove(&path);
             let _ = self.store.delete(&kp);
@@ -566,13 +598,13 @@ impl KvCache {
             self.mem.note_eviction(place, 0);
             return Ok(());
         };
-        let spath = spill.root.join(&format!("e{id}"));
-        let _ = spill.fs.delete(&spath, false);
+        let spath = HPath::new(format!("{SPILL_ROOT}/e{id}"));
+        let _ = self.spill.delete(&spath, false);
         trace::span(trace::Phase::Cache, "cache_spill", None, || {
             meter::charge(Charge::Serialize {
                 bytes: encoded.len() as u64,
             });
-            write_file(&*spill.fs, &spath, &encoded)
+            write_file(&*self.spill, &spath, &encoded)
         })?;
         self.store
             .write_block(place, &kp, meta, Arc::new(SpilledMarker) as BlockData, 0)
@@ -589,51 +621,37 @@ impl KvCache {
     }
 
     /// Drop governor state (and any spill file) for `path` only — the
-    /// kv-store entry is the caller's to handle.
-    fn forget_locked(&self, st: &mut GovState, path: &HPath) {
-        if let Some(e) = st.entries.remove(path) {
-            st.by_id.remove(&e.id);
-            st.policies[e.place].on_remove(e.id);
-            if e.resident {
-                self.mem.shrink(e.place, MemClass::Cache, e.bytes);
-            }
-            if let (Some(spill), Some(sp)) = (&self.spill, &e.spill_path) {
-                let _ = spill.fs.delete(sp, false);
-            }
+    /// kv-store entry is the caller's to handle. Returns whether `path`
+    /// was a cached file.
+    fn forget_locked(&self, st: &mut GovState, path: &HPath) -> bool {
+        let Some(e) = st.entries.remove(path) else {
+            return false;
+        };
+        st.by_id.remove(&e.id);
+        st.lru[e.place].remove(e.id);
+        if e.resident {
+            self.mem.shrink(e.place, MemClass::Cache, e.bytes);
         }
+        if let Some(sp) = &e.spill_path {
+            let _ = self.spill.delete(sp, false);
+        }
+        true
     }
 
-    /// Untyped metadata lookup: is `path` cached, and where/how big?
-    /// Spilled entries answer exactly like resident ones — the kv-store
-    /// keeps their metadata.
-    pub fn status(&self, path: &HPath) -> Option<CacheMeta> {
+    /// What is cached at `path`, if anything: one kv-store lookup.
+    pub fn stat(&self, path: &HPath) -> Option<Cached> {
         let info = self.store.get_info(&kpath(path)).ok()?;
         match info.kind {
-            kvstore::PathKind::File => info.blocks.first().map(|b| b.info.clone()),
-            kvstore::PathKind::Dir => Some(CacheMeta { len: 0, records: 0 }),
+            PathKind::Dir => Some(Cached::Dir),
+            PathKind::File => info.blocks.into_iter().next().map(|b| Cached::File {
+                meta: b.info,
+                place: b.place,
+            }),
         }
-    }
-
-    /// True when `path` is a cached directory.
-    pub fn is_dir(&self, path: &HPath) -> bool {
-        self.kind(path) == Some(true)
-    }
-
-    /// `None` when nothing is cached at `path`, else whether it is a
-    /// directory.
-    pub fn kind(&self, path: &HPath) -> Option<bool> {
-        let info = self.store.get_info(&kpath(path)).ok()?;
-        Some(info.kind == kvstore::PathKind::Dir)
-    }
-
-    /// The place holding `path`'s cached data, if any.
-    pub fn place_of(&self, path: &HPath) -> Option<usize> {
-        let info = self.store.get_info(&kpath(path)).ok()?;
-        info.blocks.first().map(|b| b.place)
     }
 
     /// Cached children of a directory path.
-    pub fn list(&self, dir: &HPath) -> Vec<(HPath, CacheMeta)> {
+    pub fn list(&self, dir: &HPath) -> Vec<(HPath, Cached)> {
         let Ok(children) = self.store.list(&kpath(dir)) else {
             return Vec::new();
         };
@@ -641,7 +659,7 @@ impl KvCache {
             .into_iter()
             .filter_map(|c| {
                 let p = HPath::new(c.as_str());
-                self.status(&p).map(|m| (p, m))
+                self.stat(&p).map(|c| (p, c))
             })
             .collect()
     }
@@ -662,7 +680,7 @@ impl KvCache {
     }
 
     /// Rename within the cache (keeps data at its place). Governor entries
-    /// are re-keyed; policy state and spill files key on entry ids, so
+    /// are re-keyed; LRU stamps and spill files key on entry ids, so
     /// recency and spilled bytes survive the rename untouched.
     pub fn rename(&self, src: &HPath, dst: &HPath) -> std::result::Result<(), KvError> {
         let mut st = self.state.lock();
@@ -675,11 +693,6 @@ impl KvCache {
             st.entries.insert(to, e);
         }
         Ok(())
-    }
-
-    /// Whether anything is cached under `path`.
-    pub fn contains(&self, path: &HPath) -> bool {
-        self.store.exists(&kpath(path))
     }
 
     /// Register the cache's telemetry source with `registry`: per-owner
@@ -817,8 +830,11 @@ mod tests {
         cache
             .rename(&HPath::new("/out/temp_1"), &HPath::new("/out/final"))
             .unwrap();
-        assert!(cache.contains(&HPath::new("/out/final/part-00001")));
-        assert_eq!(cache.place_of(&HPath::new("/out/final/part-00001")), Some(1));
+        assert!(matches!(
+            cache.stat(&HPath::new("/out/final/part-00001")),
+            Some(Cached::File { place: 1, .. })
+        ));
+        assert_eq!(cache.stat(&HPath::new("/out/temp_1")), None);
         assert!(cache.delete(&HPath::new("/out/final")));
         assert_eq!(cache.total_bytes(), 0);
     }
@@ -831,16 +847,80 @@ mod tests {
         let mut ls = cache.list(&HPath::new("/d"));
         ls.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(ls.len(), 2);
-        assert_eq!(ls[1].1.len, 7);
+        assert!(matches!(&ls[1].1, Cached::File { meta, .. } if meta.len == 7));
+        assert_eq!(cache.list(&HPath::root()), [(HPath::new("/d"), Cached::Dir)]);
+    }
+
+    #[test]
+    fn a_put_beneath_a_cached_file_is_refused_and_changes_nothing() {
+        let cache = KvCache::new(2);
+        cache.put_seq(0, &HPath::new("/f"), seq(1), 10).unwrap();
+        let err = cache.put_seq(0, &HPath::new("/f/g"), seq(1), 7).unwrap_err();
+        assert!(matches!(&err, HmrError::Io(m) if m == "/f is a file"), "{err}");
+        assert_eq!(cache.total_bytes(), 10);
+        assert_eq!(cache.stat(&HPath::new("/f/g")), None);
+        assert!(cache.get_seq::<IntWritable, Text>(&HPath::new("/f"), Some(10)).is_some());
+    }
+
+    #[test]
+    fn a_put_over_a_cached_directory_is_refused_and_changes_nothing() {
+        let cache = KvCache::new(2);
+        cache.put_seq(0, &HPath::new("/d/a"), seq(1), 10).unwrap();
+        let err = cache.put_seq(1, &HPath::new("/d"), seq(1), 7).unwrap_err();
+        assert!(matches!(err, HmrError::AlreadyExists(_)), "{err}");
+        assert_eq!(cache.total_bytes(), 10, "no accountant byte leaked");
+        assert_eq!(cache.stat(&HPath::new("/d")), Some(Cached::Dir));
+        assert!(cache.get_seq::<IntWritable, Text>(&HPath::new("/d/a"), Some(10)).is_some());
+    }
+
+    // -- LRU order ----------------------------------------------------------
+
+    #[test]
+    fn lru_evicts_least_recently_touched() {
+        let mut p = Lru::default();
+        p.touch(1);
+        p.touch(2);
+        p.touch(3);
+        p.access(1); // 2 is now coldest
+        assert_eq!(p.victim(), Some(2));
+        assert_eq!(p.victim(), Some(3));
+        assert_eq!(p.victim(), Some(1));
+        assert_eq!(p.victim(), None);
+    }
+
+    #[test]
+    fn victim_from_respects_the_filter_and_the_lru_order() {
+        let mut p = Lru::default();
+        p.touch(1);
+        p.touch(2);
+        p.touch(3);
+        // Restricted to {2, 3}, the coldest allowed entry goes first.
+        assert_eq!(p.victim_from(|id| id != 1), Some(2));
+        // The chosen entry is forgotten; the filter still applies.
+        assert_eq!(p.victim_from(|id| id != 1), Some(3));
+        assert_eq!(p.victim_from(|id| id != 1), None);
+        // Entry 1 remains for the unrestricted path.
+        assert_eq!(p.victim(), Some(1));
+    }
+
+    #[test]
+    fn removed_entries_are_never_victims() {
+        let mut p = Lru::default();
+        p.touch(1);
+        p.touch(2);
+        p.remove(1);
+        p.access(99); // unknown id: ignored
+        assert_eq!(p.victim(), Some(2));
+        assert_eq!(p.victim(), None);
     }
 
     // -- governance ---------------------------------------------------------
 
-    fn governed(places: usize, budget: u64, policy: PolicyKind) -> (KvCache, Arc<MemFs>) {
+    fn governed(places: usize, budget: u64) -> (KvCache, Arc<MemFs>) {
         let fs = MemFs::shared();
         let mem = MemAccountant::new(places);
         mem.set_budget(Some(budget));
-        let cache = KvCache::governed(places, mem, fs.clone() as Arc<dyn FileSystem>, policy);
+        let cache = KvCache::governed(places, mem, fs.clone() as Arc<dyn FileSystem>);
         (cache, fs)
     }
 
@@ -849,7 +929,7 @@ mod tests {
         // Budget of 25 at place 0: the second 20-byte entry evicts the
         // first (LRU), which must still stat, still list, and reload on
         // its next typed read.
-        let (cache, fs) = governed(1, 25, PolicyKind::Lru);
+        let (cache, fs) = governed(1, 25);
         let a = HPath::new("/d/a");
         let b = HPath::new("/d/b");
         cache.put_seq(0, &a, seq(3), 20).unwrap();
@@ -858,8 +938,11 @@ mod tests {
         assert!(cache.mem().spill_bytes(0) > 0);
         assert_eq!(cache.total_bytes(), 20, "only /d/b is resident");
         assert_eq!(
-            cache.status(&a),
-            Some(CacheMeta { len: 20, records: 3 }),
+            cache.stat(&a),
+            Some(Cached::File {
+                meta: CacheMeta { len: 20, records: 3 },
+                place: 0
+            }),
             "spilled entry keeps its metadata"
         );
         assert!(
@@ -878,7 +961,7 @@ mod tests {
 
     #[test]
     fn fail_fast_errors_instead_of_spilling() {
-        let (cache, fs) = governed(1, 25, PolicyKind::Lru);
+        let (cache, fs) = governed(1, 25);
         cache.mem().set_oom_mode(OomMode::FailFast);
         cache.put_seq(0, &HPath::new("/a"), seq(1), 20).unwrap();
         let err = cache
@@ -891,7 +974,7 @@ mod tests {
 
     #[test]
     fn budgets_are_per_place() {
-        let (cache, _fs) = governed(2, 25, PolicyKind::Lru);
+        let (cache, _fs) = governed(2, 25);
         cache.put_seq(0, &HPath::new("/a"), seq(1), 20).unwrap();
         cache.put_seq(1, &HPath::new("/b"), seq(1), 20).unwrap();
         assert_eq!(cache.mem().evictions(0) + cache.mem().evictions(1), 0);
@@ -900,7 +983,7 @@ mod tests {
 
     #[test]
     fn delete_and_rename_cover_spilled_entries() {
-        let (cache, fs) = governed(1, 25, PolicyKind::Lru);
+        let (cache, fs) = governed(1, 25);
         let a = HPath::new("/d/a");
         cache.put_seq(0, &a, seq(3), 20).unwrap();
         cache.put_seq(0, &HPath::new("/d/b"), seq(2), 20).unwrap(); // spills /d/a
@@ -927,8 +1010,7 @@ mod tests {
         // "small" (and the unattributed entry) must be untouched.
         let fs = MemFs::shared();
         let mem = MemAccountant::new(2);
-        let cache =
-            KvCache::governed(2, mem, fs.clone() as Arc<dyn FileSystem>, PolicyKind::Lru);
+        let cache = KvCache::governed(2, mem, fs.clone() as Arc<dyn FileSystem>);
         cache
             .put_seq_for(0, &HPath::new("/s/a"), seq(1), 20, Some("small"))
             .unwrap();
@@ -968,8 +1050,7 @@ mod tests {
     fn tightening_a_quota_evicts_immediately() {
         let fs = MemFs::shared();
         let mem = MemAccountant::new(1);
-        let cache =
-            KvCache::governed(1, mem, fs.clone() as Arc<dyn FileSystem>, PolicyKind::Lru);
+        let cache = KvCache::governed(1, mem, fs.clone() as Arc<dyn FileSystem>);
         cache
             .put_seq_for(0, &HPath::new("/t/a"), seq(2), 30, Some("c1"))
             .unwrap();
@@ -987,8 +1068,7 @@ mod tests {
         let fs = MemFs::shared();
         let mem = MemAccountant::new(1);
         mem.set_oom_mode(OomMode::FailFast);
-        let cache =
-            KvCache::governed(1, mem, fs.clone() as Arc<dyn FileSystem>, PolicyKind::Lru);
+        let cache = KvCache::governed(1, mem, fs.clone() as Arc<dyn FileSystem>);
         cache.set_client_quota("c", Some(25));
         cache
             .put_seq_for(0, &HPath::new("/a"), seq(1), 20, Some("c"))
@@ -1004,8 +1084,7 @@ mod tests {
     fn infinite_budget_never_touches_the_spill_fs() {
         let fs = MemFs::shared();
         let mem = MemAccountant::new(1);
-        let cache =
-            KvCache::governed(1, mem, fs.clone() as Arc<dyn FileSystem>, PolicyKind::Lru);
+        let cache = KvCache::governed(1, mem, fs.clone() as Arc<dyn FileSystem>);
         for i in 0..32 {
             cache
                 .put_seq(0, &HPath::new(format!("/f{i}")), seq(4), 1 << 20)

@@ -30,7 +30,7 @@ use hmr_api::io::RecordReader;
 
 use kvstore::KvError;
 
-use crate::cache::KvCache;
+use crate::cache::{Cached, KvCache};
 
 /// A `FileSystem` that merges an underlying filesystem with M3R's cache.
 #[derive(Clone)]
@@ -67,28 +67,32 @@ impl CachingFs {
         Some(Box::new(CachedSeqReader { hit: hit.seq, pos: 0 }))
     }
 
+    /// `path`'s kind in the cache: `None` when nothing is cached there,
+    /// else whether it is a directory.
+    fn cached_kind(&self, path: &HPath) -> Option<bool> {
+        self.cache.stat(path).map(|c| matches!(c, Cached::Dir))
+    }
+
     /// `path`'s kind in the merged view: `None` when absent from both sides,
     /// else whether it is a directory.
     fn merged_kind(&self, path: &HPath) -> Option<bool> {
         let on_disk = || self.under.get_file_status(path).ok().map(|s| s.is_dir);
-        self.cache.kind(path).or_else(on_disk)
+        self.cached_kind(path).or_else(on_disk)
     }
+}
 
-    fn synth_status(&self, path: &HPath) -> Option<FileStatus> {
-        if self.cache.is_dir(path) {
-            return Some(FileStatus {
-                path: path.clone(),
-                is_dir: true,
-                len: 0,
-                block_size: u64::MAX,
-            });
-        }
-        self.cache.status(path).map(|m| FileStatus {
-            path: path.clone(),
-            is_dir: false,
-            len: m.len,
-            block_size: u64::MAX,
-        })
+/// The status the cache alone gives `path`: a cached sequence has no
+/// blocks of its own, so its block size is unbounded.
+fn cached_status(path: HPath, cached: Cached) -> FileStatus {
+    let (is_dir, len) = match cached {
+        Cached::Dir => (true, 0),
+        Cached::File { meta, .. } => (false, meta.len),
+    };
+    FileStatus {
+        path,
+        is_dir,
+        len,
+        block_size: u64::MAX,
     }
 }
 
@@ -119,13 +123,19 @@ impl FileSystem for CachingFs {
         // the create. A cached file at `path` may be stale (its bytes gone
         // from disk behind the cache's back), so the disk decides, and a
         // fresh byte-level write invalidates the cached copy.
-        match self.cache.kind(path) {
-            Some(true) => return Err(HmrError::AlreadyExists(path.to_string())),
-            Some(false) => {}
-            None => path.parent().map_or(Ok(()), |d| check_mkdirs(&d, |p| self.cache.kind(p)))?,
-        }
+        let cached_file = match self.cache.stat(path) {
+            Some(Cached::Dir) => return Err(HmrError::AlreadyExists(path.to_string())),
+            Some(Cached::File { .. }) => true,
+            None => {
+                path.parent()
+                    .map_or(Ok(()), |d| check_mkdirs(&d, |p| self.cached_kind(p)))?;
+                false
+            }
+        };
         let writer = self.under.create(path)?;
-        self.cache.delete(path);
+        if cached_file {
+            self.cache.delete(path);
+        }
         Ok(writer)
     }
 
@@ -157,7 +167,7 @@ impl FileSystem for CachingFs {
     }
 
     fn mkdirs(&self, path: &HPath) -> Result<()> {
-        check_mkdirs(path, |p| self.cache.kind(p))?;
+        check_mkdirs(path, |p| self.cached_kind(p))?;
         self.under.mkdirs(path)
     }
 
@@ -165,7 +175,9 @@ impl FileSystem for CachingFs {
         match self.under.get_file_status(path) {
             Ok(st) => Ok(st),
             Err(HmrError::NotFound(_)) => self
-                .synth_status(path)
+                .cache
+                .stat(path)
+                .map(|c| cached_status(path.clone(), c))
                 .ok_or_else(|| HmrError::NotFound(path.to_string())),
             Err(e) => Err(e),
         }
@@ -175,30 +187,23 @@ impl FileSystem for CachingFs {
         let mut out = match self.under.list_status(path) {
             Ok(v) => v,
             Err(HmrError::NotFound(_)) => Vec::new(),
-
             Err(e) => return Err(e),
         };
-        let mut seen: std::collections::BTreeSet<HPath> =
-            out.iter().map(|s| s.path.clone()).collect();
-        if out.is_empty() && !self.under.exists(path) && !self.cache.contains(path) {
-            return Err(HmrError::NotFound(path.to_string()));
-        }
-        for (p, m) in self.cache.list(path) {
-            if seen.insert(p.clone()) {
-                out.push(FileStatus {
-                    is_dir: self.cache.is_dir(&p),
-                    path: p,
-                    len: m.len,
-                    block_size: u64::MAX,
-                });
+        if out.is_empty() {
+            let here = self.cache.stat(path);
+            if !self.under.exists(path) && here.is_none() {
+                return Err(HmrError::NotFound(path.to_string()));
+            }
+            // A cached file queried directly.
+            if let Some(file @ Cached::File { .. }) = here {
+                return Ok(vec![cached_status(path.clone(), file)]);
             }
         }
-        // A cached file queried directly.
-        if out.is_empty() {
-            if let Some(st) = self.synth_status(path) {
-                if !st.is_dir {
-                    out.push(st);
-                }
+        let mut seen: std::collections::BTreeSet<HPath> =
+            out.iter().map(|s| s.path.clone()).collect();
+        for (p, c) in self.cache.list(path) {
+            if seen.insert(p.clone()) {
+                out.push(cached_status(p, c));
             }
         }
         out.sort_by(|a, b| a.path.cmp(&b.path));
@@ -208,11 +213,10 @@ impl FileSystem for CachingFs {
     fn block_locations(&self, path: &HPath, offset: u64, len: u64) -> Result<Vec<Vec<usize>>> {
         match self.under.block_locations(path, offset, len) {
             Ok(locs) if !locs.is_empty() => Ok(locs),
-            _ => Ok(self
-                .cache
-                .place_of(path)
-                .map(|p| vec![vec![p]])
-                .unwrap_or_default()),
+            _ => Ok(match self.cache.stat(path) {
+                Some(Cached::File { place, .. }) => vec![vec![place]],
+                _ => Vec::new(),
+            }),
         }
     }
 
@@ -264,38 +268,20 @@ impl FileSystem for RawCacheFs {
         Ok(())
     }
     fn get_file_status(&self, path: &HPath) -> Result<FileStatus> {
-        if self.cache.is_dir(path) {
-            return Ok(FileStatus {
-                path: path.clone(),
-                is_dir: true,
-                len: 0,
-                block_size: u64::MAX,
-            });
-        }
         self.cache
-            .status(path)
-            .map(|m| FileStatus {
-                path: path.clone(),
-                is_dir: false,
-                len: m.len,
-                block_size: u64::MAX,
-            })
+            .stat(path)
+            .map(|c| cached_status(path.clone(), c))
             .ok_or_else(|| HmrError::NotFound(path.to_string()))
     }
     fn list_status(&self, path: &HPath) -> Result<Vec<FileStatus>> {
-        if !self.cache.contains(path) {
+        if self.cache.stat(path).is_none() {
             return Err(HmrError::NotFound(path.to_string()));
         }
         Ok(self
             .cache
             .list(path)
             .into_iter()
-            .map(|(p, m)| FileStatus {
-                is_dir: self.cache.is_dir(&p),
-                path: p,
-                len: m.len,
-                block_size: u64::MAX,
-            })
+            .map(|(p, c)| cached_status(p, c))
             .collect())
     }
 }
@@ -359,7 +345,7 @@ mod tests {
         write_file(&fs, &HPath::new("/f"), b"bytes").unwrap();
         fs.cache().put_seq(0, &HPath::new("/f"), seq(1), 5).unwrap();
         assert!(fs.delete(&HPath::new("/f"), false).unwrap());
-        assert!(!fs.cache().contains(&HPath::new("/f")), "cache kept coherent");
+        assert!(fs.cache().stat(&HPath::new("/f")).is_none(), "cache kept coherent");
         assert!(!fs.underlying().exists(&HPath::new("/f")));
     }
 
@@ -370,7 +356,7 @@ mod tests {
         fs.cache().put_seq(0, &HPath::new("/f"), seq(1), 5).unwrap();
         let raw = fs.raw_cache();
         assert!(raw.delete(&HPath::new("/f"), false).unwrap());
-        assert!(!fs.cache().contains(&HPath::new("/f")));
+        assert!(fs.cache().stat(&HPath::new("/f")).is_none());
         assert!(
             fs.underlying().exists(&HPath::new("/f")),
             "underlying file untouched by raw-cache delete"
@@ -384,8 +370,8 @@ mod tests {
         fs.cache().put_seq(2, &HPath::new("/out/temp_x"), seq(1), 5).unwrap();
         fs.rename(&HPath::new("/out/temp_x"), &HPath::new("/out/final"))
             .unwrap();
-        assert!(fs.cache().contains(&HPath::new("/out/final")));
-        assert!(!fs.cache().contains(&HPath::new("/out/temp_x")));
+        assert!(fs.cache().stat(&HPath::new("/out/final")).is_some());
+        assert!(fs.cache().stat(&HPath::new("/out/temp_x")).is_none());
     }
 
     #[test]
@@ -413,9 +399,9 @@ mod tests {
         fs.cache().put_seq(0, &HPath::new("/f"), seq(1), 5).unwrap();
         // Beneath a cached file is refused, and the cache is left alone.
         assert!(write_file(&fs, &HPath::new("/f/g"), b"below").is_err());
-        assert!(fs.cache().contains(&HPath::new("/f")));
+        assert!(fs.cache().stat(&HPath::new("/f")).is_some());
         write_file(&fs, &HPath::new("/f"), b"new bytes").unwrap();
-        assert!(!fs.cache().contains(&HPath::new("/f")), "stale entry dropped");
+        assert!(fs.cache().stat(&HPath::new("/f")).is_none(), "stale entry dropped");
     }
 
     #[test]

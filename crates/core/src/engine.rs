@@ -39,14 +39,13 @@ use hmr_api::job::{Engine, JobDef, JobFrame, JobResult, LaneEngine, MapOnlyConve
 use hmr_api::multi::NamedOutputs;
 use hmr_api::task::reduce_partition;
 use hmr_api::writable::{varint_len, Writable};
-use kvstore::policy::PolicyKind;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
 use simgrid::{Cluster, JobMem, MemClass, Meter, Workers};
 use x10rt::serialize::DedupMode;
 use x10rt::World;
 
-use crate::cache::{CachedSeq, KvCache};
+use crate::cache::{Cached, CachedSeq, KvCache};
 use crate::cachefs::CachingFs;
 use crate::shuffle::{decode_targeted, CombineTable, MapOutputBuffer, ShuffleStream};
 use crate::stability::PlaceMap;
@@ -80,9 +79,6 @@ pub struct M3ROptions {
     /// always run inline: eviction order must follow task order, never the
     /// thread schedule.
     pub workers: Workers,
-    /// Which cached entry the kv-cache evicts first once the accountant's
-    /// budget is exceeded. Inert under the default unlimited budget.
-    pub cache_policy: PolicyKind,
     /// ReStore-style cross-job result memoization (`m3r-memo`) — a result
     /// repository is a property of the installation, so this is the one
     /// switch: jobs that declare a `memo_identity` record their outputs (and
@@ -103,7 +99,6 @@ impl Default for M3ROptions {
             partition_stability: true,
             input_cache: true,
             workers: Workers::Auto,
-            cache_policy: PolicyKind::default(),
             memoize: false,
         }
     }
@@ -141,7 +136,7 @@ impl M3REngine {
         let mem = cluster.mem().clone();
         // Spills go to the *raw* filesystem: a `CachingFs::create` would
         // re-enter the cache to invalidate the path mid-spill.
-        let cache = KvCache::governed(places, mem.clone(), Arc::clone(&fs), opts.cache_policy);
+        let cache = KvCache::governed(places, mem.clone(), Arc::clone(&fs));
         // The cache's telemetry source is a pull-based callback: registering
         // it here is free at runtime and makes the cluster's telemetry
         // registry answer for per-tenant residency from engine birth.
@@ -210,46 +205,6 @@ impl M3REngine {
         } else {
             PlaceMap::Unstable { job_seq }
         }
-    }
-
-    /// Pre-populate the input cache for `paths` (the matvec benchmark
-    /// "pre-populated our cache with the input data" so the one-off load is
-    /// not measured across what stands in for many iterations, §6.2).
-    pub fn prepopulate_cache<K, V>(&self, conf: &JobConf, paths: &[HPath]) -> Result<()>
-    where
-        K: hmr_api::writable::WritableKey,
-        V: hmr_api::writable::WritableValue,
-    {
-        let fmt = hmr_api::io::SequenceFileInputFormat::<K, V>::new();
-        let mut sub = conf.clone();
-        sub.set_input_paths(paths);
-        let splits = fmt.get_splits(&*self.fs, &sub, self.num_places())?;
-        for (i, split) in splits.iter().enumerate() {
-            let Some(name) = split.cache_name() else {
-                continue;
-            };
-            let Some((path, _)) = cache_target(&name) else {
-                continue;
-            };
-            let place = split
-                .placed_partition()
-                .map(|p| PlaceMap::Stable.place_of(p, self.num_places()))
-                .or_else(|| split.locations().first().map(|l| l % self.num_places()))
-                .unwrap_or(i % self.num_places());
-            let mut reader = fmt.record_reader(&*self.fs, split.as_ref(), &sub)?;
-            let mut pairs = Vec::new();
-            while let Some((k, v)) = reader.next()? {
-                pairs.push((Arc::new(k), Arc::new(v)));
-            }
-            self.cache().put_seq_for(
-                place,
-                &path,
-                Arc::new(CachedSeq::new(pairs)),
-                split.length(),
-                conf.client_id(),
-            )?;
-        }
-        Ok(())
     }
 
     /// The job's distributed cache. Loaded bytes persist across jobs in the
@@ -695,7 +650,10 @@ impl M3REngine {
         for (i, split) in splits.iter().enumerate() {
             let cached = || {
                 let (path, _) = split.cache_name().and_then(|n| cache_target(&n))?;
-                self.fs.cache().place_of(&path)
+                match self.fs.cache().stat(&path)? {
+                    Cached::File { place, .. } => Some(place),
+                    Cached::Dir => None,
+                }
             };
             let place = if let Some(p) = split.placed_partition() {
                 place_map.place_of(p, nplaces)

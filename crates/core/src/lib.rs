@@ -53,10 +53,9 @@ pub mod repartition;
 pub mod shuffle;
 pub mod stability;
 
-pub use cache::{CacheHit, CacheMeta, CachedSeq, KvCache};
+pub use cache::{CacheHit, CacheMeta, Cached, CachedSeq, KvCache};
 pub use cachefs::{CachingFs, RawCacheFs};
 pub use engine::{M3REngine, M3ROptions, M3R_COUNTER_GROUP};
-pub use kvstore::policy::PolicyKind;
 pub use simgrid::mem::{MemAccountant, MemClass, OomMode};
 pub use interop::{JobClient, Ran};
 pub use repartition::{repartition, RepartitionJob};

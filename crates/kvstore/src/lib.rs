@@ -27,10 +27,8 @@
 
 pub mod locks;
 pub mod path;
-pub mod policy;
 pub mod store;
 
 pub use locks::{LockManager, LockSet};
 pub use path::KPath;
-pub use policy::{CostAware, EvictionPolicy, Lfu, Lru, PolicyKind};
 pub use store::{BlockData, BlockMeta, KvError, KvStore, PathInfo, PathKind};

@@ -18,7 +18,7 @@
 //!   must-fit-in-memory contract by erroring instead of spilling.
 //! * **Budget invariant** — property test: live cached bytes per place
 //!   never exceed the budget, across random put/get/delete workloads,
-//!   every policy, and spilled entries always reload intact.
+//!   and spilled entries always reload intact.
 //! * **One home for governance** — the budget and overflow mode live on
 //!   the cluster's accountant and nowhere else: building an engine never
 //!   writes them, and what is governed does not depend on whether the
@@ -33,7 +33,7 @@ use hmr_api::job::JobResult;
 use hmr_api::writable::{IntWritable, Text};
 use hmr_api::HPath;
 use m3r::cache::CachedSeq;
-use m3r::{KvCache, M3REngine, M3ROptions, MemAccountant, MemClass, OomMode, PolicyKind};
+use m3r::{KvCache, M3REngine, M3ROptions, MemAccountant, MemClass, OomMode};
 use proptest::prelude::*;
 use simgrid::Cluster;
 use workloads::microbench::{generate_microbench_input, run_microbench};
@@ -337,24 +337,13 @@ proptest! {
     #[test]
     fn live_cache_bytes_never_exceed_budget(
         budget in 32u64..160,
-        policy_pick in 0u8..3,
         ops in proptest::collection::vec((0u8..3, 0u8..12, 1u8..5), 1..48),
     ) {
-        let policy = match policy_pick {
-            0 => PolicyKind::Lru,
-            1 => PolicyKind::Lfu,
-            _ => PolicyKind::CostAware,
-        };
         let places = 2usize;
         let fs = MemFs::shared();
         let mem = MemAccountant::new(places);
         mem.set_budget(Some(budget));
-        let cache = KvCache::governed(
-            places,
-            mem,
-            fs.clone() as Arc<dyn hmr_api::FileSystem>,
-            policy,
-        );
+        let cache = KvCache::governed(places, mem, fs.clone() as Arc<dyn hmr_api::FileSystem>);
         // Model: path -> (records, len). The cache must agree after any
         // interleaving of puts, reads (which reload spilled entries), and
         // deletes, and must never hold more than `budget` live bytes.

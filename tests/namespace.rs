@@ -16,18 +16,27 @@
 //! disk-and-cache view before it touches either side, and the kv-store
 //! under it refuses a rename into its own subtree too. One pin per wrong
 //! answer, each on every filesystem it affected.
+//!
+//! The cache refuses a put that HDFS would refuse, so one M3R job's
+//! temporary output can neither panic a place nor silently drop another's:
+//! a part beneath a cached part file is an I/O error, a part over a cached
+//! output directory already exists, and either way the cache is unchanged.
 
 mod common;
 
 use std::sync::Arc;
 
 use hadoop_engine::HadoopEngine;
+use hmr_api::conf::JobConf;
 use hmr_api::counters::task_counter;
 use hmr_api::fs::{read_file, write_file, FileSystem, HPath, MemFs};
-use hmr_api::job::JobResult;
-use hmr_api::writable::IntWritable;
+use hmr_api::io::seqfile::write_seq_file;
+use hmr_api::job::{Engine, JobResult};
+use hmr_api::partition::HashPartitioner;
+use hmr_api::writable::{IntWritable, Text};
+use hmr_api::HmrError;
 use kvstore::{KPath, KvStore};
-use m3r::{CachedSeq, CachingFs, KvCache, M3REngine};
+use m3r::{CachedSeq, CachingFs, KvCache, M3REngine, RepartitionJob};
 use workloads::textgen::generate_text;
 use workloads::wordcount::{run_wordcount, WcStyle};
 
@@ -384,4 +393,69 @@ fn kvstore_refuses_a_rename_into_its_own_subtree() {
     assert!(store.rename(&c, &KPath::new("/c/d")).is_err());
     assert!(store.exists(&c) && store.exists(&x), "`/c` moved away");
     assert!(!store.exists(&KPath::new("/c/d/x")));
+}
+
+// ---------------------------------------------------------------------------
+// The cache's puts
+// ---------------------------------------------------------------------------
+
+/// An M3R engine over `/in`, a four-record sequence file.
+fn m3r_over_a_sequence_file() -> M3REngine {
+    let (cluster, fs) = fresh(2);
+    let records: Vec<(IntWritable, Text)> =
+        (0..4).map(|i| (IntWritable(i), Text::from("x"))).collect();
+    write_seq_file(&fs, &HPath::new("/in"), &records).unwrap();
+    M3REngine::new(cluster, Arc::new(fs))
+}
+
+/// An identity job over `/in` into the temporary output `out`, one reducer,
+/// so its one part is `out/part-00000`, kept only in the cache.
+fn copy_to_temp(engine: &mut M3REngine, out: &str) -> hmr_api::Result<JobResult> {
+    let mut conf = JobConf::new();
+    conf.add_input_path(&HPath::new("/in"));
+    conf.set_output_path(&HPath::new(out));
+    conf.add_temp_path(&HPath::new(out));
+    conf.set_num_reduce_tasks(1);
+    let job: RepartitionJob<IntWritable, Text> = RepartitionJob::new(|| Box::new(HashPartitioner));
+    engine.run_job(Arc::new(job), &conf)
+}
+
+/// Job A's one part still reads back from the cache, all four records.
+fn assert_part_reads_back(engine: &M3REngine, part: &str) {
+    let hit = engine
+        .cache()
+        .get_seq::<IntWritable, Text>(&HPath::new(part), None)
+        .unwrap_or_else(|| panic!("{part} is no longer cached"));
+    assert_eq!(hit.seq.pairs.len(), 4, "{part}");
+}
+
+#[test]
+fn m3r_temp_output_beneath_a_cached_part_is_refused() {
+    let mut engine = m3r_over_a_sequence_file();
+    copy_to_temp(&mut engine, "/t").unwrap();
+    let before = engine.cache().total_bytes();
+    assert!(before > 0);
+    let err = copy_to_temp(&mut engine, "/t/part-00000").unwrap_err();
+    assert!(
+        matches!(&err, HmrError::Io(m) if m.contains("/t/part-00000 is a file")),
+        "{err}"
+    );
+    assert_eq!(engine.cache().total_bytes(), before);
+    assert_part_reads_back(&engine, "/t/part-00000");
+}
+
+#[test]
+fn m3r_temp_output_over_a_cached_output_directory_is_refused() {
+    let mut engine = m3r_over_a_sequence_file();
+    copy_to_temp(&mut engine, "/t/part-00000").unwrap();
+    let before = engine.cache().total_bytes();
+    assert!(before > 0);
+    let err = copy_to_temp(&mut engine, "/t").unwrap_err();
+    assert!(matches!(err, HmrError::AlreadyExists(_)), "{err}");
+    assert_eq!(
+        engine.cache().total_bytes(),
+        before,
+        "no accountant byte leaked"
+    );
+    assert_part_reads_back(&engine, "/t/part-00000/part-00000");
 }
