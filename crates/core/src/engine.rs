@@ -34,11 +34,11 @@ use hmr_api::counters::{task_counter, Counters, TaskContext};
 use hmr_api::distcache::DistCache;
 use hmr_api::error::{HmrError, Result};
 use hmr_api::fs::{FileSystem, HPath};
-use hmr_api::io::{part_file_name, InputFormat, InputSplit, OutputFormat};
+use hmr_api::io::{part_file_name, seqfile, InputFormat, InputSplit, OutputFormat};
 use hmr_api::job::{Engine, JobDef, JobFrame, JobResult, LaneEngine, MapOnlyConvert};
 use hmr_api::multi::NamedOutputs;
 use hmr_api::task::reduce_partition;
-use hmr_api::writable::{varint_len, Writable};
+use hmr_api::writable::Writable;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
 use simgrid::{Cluster, JobMem, MemClass, Meter, Workers};
@@ -248,16 +248,10 @@ fn cache_target(name: &str) -> Option<(HPath, Option<u64>)> {
 }
 
 /// Serialized length a sequence would have as a SequenceFile — the "file
-/// size" reported for temporary outputs that never reach the DFS.
+/// size" reported for temporary outputs that never reach the DFS, and the
+/// size a part file's buffer is reserved at.
 fn seq_file_len<K: Writable, V: Writable>(pairs: &[(Arc<K>, Arc<V>)]) -> u64 {
-    let records: usize = pairs
-        .iter()
-        .map(|(k, v)| {
-            let (kl, vl) = (k.serialized_size(), v.serialized_size());
-            varint_len(kl as u64) + varint_len(vl as u64) + kl + vl
-        })
-        .sum();
-    4 + records as u64 // magic
+    seqfile::file_len(pairs.iter().map(|(k, v)| (&**k, &**v)))
 }
 
 /// Intermediate pairs of job `J`, as they move through the shuffle.
@@ -1281,8 +1275,12 @@ fn write_and_cache_output<J: JobDef>(
             })
             .collect()
     };
+    // Computed once: it sizes the part file's buffer exactly, and is the
+    // reported length of a temporary output.
+    let seq_len = seq_file_len(&pairs);
     let write_through = || -> Result<()> {
         let mut writer = output_format.record_writer(&**fs, conf, partition)?;
+        writer.reserve(seq_len);
         for (k, v) in &pairs {
             simgrid::meter::charge(Charge::Serialize {
                 bytes: (k.serialized_size() + v.serialized_size()) as u64,
@@ -1300,13 +1298,13 @@ fn write_and_cache_output<J: JobDef>(
     let len = if conf.is_temp_output(&dir) {
         // "If the output data is determined to be temporary ... the data
         // does not even need to be flushed to disk."
-        seq_file_len(&pairs)
+        seq_len
     } else {
         write_through()?;
         fs.underlying()
             .get_file_status(&part_path)
             .map(|s| s.len)
-            .unwrap_or_else(|_| seq_file_len(&pairs))
+            .unwrap_or(seq_len)
     };
     fs.cache().put_seq_for(
         place,

@@ -36,7 +36,7 @@ use hmr_api::counters::{task_counter, Counters, TaskContext};
 use hmr_api::distcache::DistCache;
 use hmr_api::error::{HmrError, Result};
 use hmr_api::fs::FileSystem;
-use hmr_api::io::{InputFormat, InputSplit, OutputFormat, RecordWriter};
+use hmr_api::io::{seqfile, InputFormat, InputSplit, OutputFormat, RecordWriter};
 use hmr_api::job::{Engine, JobDef, JobFrame, JobResult, LaneEngine};
 use hmr_api::multi::NamedOutputs;
 use hmr_api::task::{reduce_groups, reduce_partition};
@@ -45,7 +45,7 @@ use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
 use simgrid::{BufPool, Cluster, JobMem, MemClass, Meter, NodeId, Workers};
 
-use sortbuffer::{decode_segment, frame_record, SortBuffer};
+use sortbuffer::{decode_segment, SortBuffer};
 
 /// Counter group for Hadoop-engine statistics (mirrors the `m3r` group).
 pub const HADOOP_COUNTER_GROUP: &str = "hadoop";
@@ -604,14 +604,11 @@ impl<J: JobDef> Run<'_, J> {
                     simgrid::meter::charge(Charge::Sort {
                         records: out.pairs.len() as u64,
                     });
+                    // Segments are framed as SequenceFile records: one
+                    // header-first encode straight into the pooled buffer.
                     let mut buf = cluster.pool(node_id).get_any(in_bytes as usize);
-                    let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
                     for (k, v) in &out.pairs {
-                        kbuf.clear();
-                        vbuf.clear();
-                        k.write_to(&mut kbuf);
-                        v.write_to(&mut vbuf);
-                        frame_record(&mut buf, &kbuf, &vbuf);
+                        seqfile::append_record(&mut buf, &**k, &**v);
                     }
                     let seg = buf.freeze();
                     simgrid::meter::charge(Charge::Serialize {

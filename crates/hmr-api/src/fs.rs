@@ -44,6 +44,12 @@ pub struct FileStatus {
 pub trait FsWriter: Send {
     /// Append bytes to the file.
     fn write_all(&mut self, bytes: &[u8]) -> Result<()>;
+    /// Append a buffer the caller is done with. The default copies it; an
+    /// in-memory writer with nothing written yet adopts it, so a file
+    /// encoded whole into one `Vec` is stored without a copy.
+    fn write_owned(&mut self, bytes: Vec<u8>) -> Result<()> {
+        self.write_all(&bytes)
+    }
     /// Finish the file, making it visible; returns its final length.
     fn close(self: Box<Self>) -> Result<u64>;
 }
@@ -368,6 +374,10 @@ impl FsWriter for BufWriter {
         self.buf.extend_from_slice(bytes);
         Ok(())
     }
+    fn write_owned(&mut self, bytes: Vec<u8>) -> Result<()> {
+        adopt_or_append(&mut self.buf, bytes);
+        Ok(())
+    }
     fn close(self: Box<Self>) -> Result<u64> {
         let len = self.buf.len() as u64;
         self.ns.write().publish(&self.target, Bytes::from(self.buf))?;
@@ -462,6 +472,17 @@ impl FileSystem for MemFs {
 
     fn content_version(&self, path: &HPath) -> Option<u64> {
         self.ns.read().content_version(path, |d| crate::comparator::fnv1a(d))
+    }
+}
+
+/// The body of an in-memory [`FsWriter::write_owned`]: an empty `buf`
+/// becomes `bytes` itself (its allocation is what the file will store);
+/// otherwise `bytes` is appended.
+pub fn adopt_or_append(buf: &mut Vec<u8>, bytes: Vec<u8>) {
+    if buf.is_empty() {
+        *buf = bytes;
+    } else {
+        buf.extend_from_slice(&bytes);
     }
 }
 

@@ -87,6 +87,11 @@ pub trait OutputFormat<K, V>: Send + Sync {
 
 /// Writes one partition's output records.
 pub trait RecordWriter<K, V>: Send {
+    /// Hint that the committed file will be `len` bytes long when written
+    /// as a SequenceFile ([`seqfile::file_len`]), from a caller that holds
+    /// every record before it writes the first. The default ignores it, as
+    /// does a writer of any other format.
+    fn reserve(&mut self, _len: u64) {}
     /// Append one record.
     fn write(&mut self, key: &K, value: &V) -> Result<()>;
     /// Commit the partition file; returns bytes written.

@@ -7,6 +7,7 @@
 //! output cache entries).
 
 use std::marker::PhantomData;
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 use crate::conf::JobConf;
@@ -14,22 +15,81 @@ use crate::error::{HmrError, Result};
 use crate::fs::{FileSystem, FsWriter, HPath};
 use crate::io::split::{FileSplit, InputSplit};
 use crate::io::{list_input_files, part_file_name, InputFormat, OutputFormat, RecordReader, RecordWriter};
-use crate::writable::{write_vu64, ByteReader, Writable};
+use crate::writable::{varint_len, write_vu64, ByteReader, ByteSink, Writable};
 
 const MAGIC: &[u8; 4] = b"SEQ6";
 
-/// Serialize one record onto `out`. Key and value are encoded once,
-/// straight into `out`; their two varint lengths are appended after them
-/// and rotated to the front of the record in place, so no per-record
-/// buffer is allocated.
-pub fn append_record<K: Writable, V: Writable>(out: &mut Vec<u8>, key: &K, value: &V) {
+/// A buffer records are framed into in place: a part file's `Vec<u8>`, or
+/// a pooled `BytesMut` map-output segment (Hadoop's segments use the same
+/// framing).
+pub trait RecordBuf: ByteSink + DerefMut<Target = [u8]> {
+    /// Drop every byte from `len` on.
+    fn truncate(&mut self, len: usize);
+}
+
+impl RecordBuf for Vec<u8> {
+    fn truncate(&mut self, len: usize) {
+        Vec::truncate(self, len);
+    }
+}
+
+impl RecordBuf for bytes::BytesMut {
+    fn truncate(&mut self, len: usize) {
+        bytes::BytesMut::truncate(self, len);
+    }
+}
+
+/// Length of the SequenceFile holding `records`, magic included: what
+/// [`write_seq_file`] writes, computed from `serialized_size` alone.
+pub fn file_len<'a, K: Writable, V: Writable>(
+    records: impl IntoIterator<Item = (&'a K, &'a V)>,
+) -> u64 {
+    let body: usize = records
+        .into_iter()
+        .map(|(k, v)| {
+            let (klen, vlen) = (k.serialized_size(), v.serialized_size());
+            varint_len(klen as u64) + varint_len(vlen as u64) + klen + vlen
+        })
+        .sum();
+    (MAGIC.len() + body) as u64
+}
+
+/// Serialize one record onto `out`, header first: the two lengths come
+/// from `serialized_size`, then key and value are encoded once, straight
+/// into `out`, so no per-record buffer is allocated and nothing moves.
+/// A type whose `serialized_size` disagrees with its `write_to` still gets
+/// a correct frame (see [`reframe`]).
+pub fn append_record<B, K, V>(out: &mut B, key: &K, value: &V)
+where
+    B: RecordBuf + ?Sized,
+    K: Writable,
+    V: Writable,
+{
     let start = out.len();
+    let (klen, vlen) = (key.serialized_size(), value.serialized_size());
+    write_vu64(out, klen as u64);
+    write_vu64(out, vlen as u64);
+    let body = out.len();
     key.write_to(out);
-    let key_len = out.len() - start;
+    let key_end = out.len();
     value.write_to(out);
+    if (key_end - body, out.len() - key_end) != (klen, vlen) {
+        reframe(out, start, body, key_end);
+    }
+}
+
+/// The record at `out[start..]` carries a guessed header (`start..body`):
+/// drop it, append the lengths actually written, and rotate them to the
+/// front of the record.
+#[cold]
+fn reframe<B: RecordBuf + ?Sized>(out: &mut B, start: usize, body: usize, key_end: usize) {
+    let end = out.len();
+    let (klen, vlen) = (key_end - body, end - key_end);
+    out.copy_within(body..end, start);
+    out.truncate(end - (body - start));
     let record_end = out.len();
-    write_vu64(out, key_len as u64);
-    write_vu64(out, (record_end - start - key_len) as u64);
+    write_vu64(out, klen as u64);
+    write_vu64(out, vlen as u64);
     let header_len = out.len() - record_end;
     out[start..].rotate_right(header_len);
 }
@@ -170,11 +230,9 @@ impl<K: Writable, V: Writable> SequenceFileOutputFormat<K, V> {
             .output_path()
             .ok_or_else(|| HmrError::InvalidJob("no output path configured".into()))?;
         let path = dir.join(file_name);
-        let mut w = fs.create(&path)?;
-        w.write_all(MAGIC)?;
         Ok(Box::new(SeqFileWriter {
-            writer: Some(w),
-            buf: Vec::new(),
+            writer: fs.create(&path)?,
+            file: MAGIC.to_vec(),
             _marker: PhantomData,
         }))
     }
@@ -205,39 +263,45 @@ impl<K: Writable, V: Writable> OutputFormat<K, V> for SequenceFileOutputFormat<K
     }
 }
 
+/// Encodes the whole file into `file`, which `close` hands to the
+/// filesystem writer by value: an in-memory filesystem stores that very
+/// allocation.
 struct SeqFileWriter<K, V> {
-    writer: Option<Box<dyn FsWriter>>,
-    buf: Vec<u8>,
+    writer: Box<dyn FsWriter>,
+    file: Vec<u8>,
     _marker: PhantomData<fn() -> (K, V)>,
 }
 
 impl<K: Writable, V: Writable> RecordWriter<K, V> for SeqFileWriter<K, V> {
-    fn write(&mut self, key: &K, value: &V) -> Result<()> {
-        self.buf.clear();
-        append_record(&mut self.buf, key, value);
-        self.writer
-            .as_mut()
-            .expect("writer open")
-            .write_all(&self.buf)
+    fn reserve(&mut self, len: u64) {
+        let more = (len as usize).saturating_sub(self.file.len());
+        self.file.reserve_exact(more);
     }
-    fn close(mut self: Box<Self>) -> Result<u64> {
-        self.writer.take().expect("writer open").close()
+    fn write(&mut self, key: &K, value: &V) -> Result<()> {
+        append_record(&mut self.file, key, value);
+        Ok(())
+    }
+    fn close(self: Box<Self>) -> Result<u64> {
+        let Self { mut writer, file, .. } = *self;
+        writer.write_owned(file)?;
+        writer.close()
     }
 }
 
-/// Write a whole sequence file in one call (generators and tests).
+/// Write a whole sequence file in one call (generators and tests), into
+/// one buffer sized exactly by [`file_len`].
 pub fn write_seq_file<K: Writable, V: Writable>(
     fs: &dyn FileSystem,
     path: &HPath,
     records: &[(K, V)],
 ) -> Result<u64> {
-    let mut out = Vec::with_capacity(64 + records.len() * 16);
+    let mut out = Vec::with_capacity(file_len(records.iter().map(|(k, v)| (k, v))) as usize);
     out.extend_from_slice(MAGIC);
     for (k, v) in records {
         append_record(&mut out, k, v);
     }
     let mut w = fs.create(path)?;
-    w.write_all(&out)?;
+    w.write_owned(out)?;
     w.close()
 }
 
@@ -363,11 +427,37 @@ mod tests {
             out.extend_from_slice(&vbuf);
         }
 
+        /// The header-first encoder, into a `Vec` and into a `BytesMut`,
+        /// writes exactly the reference's bytes.
         fn same_encoding<K: Writable, V: Writable>(prefix: &[u8], key: &K, value: &V) {
             let (mut got, mut want) = (prefix.to_vec(), prefix.to_vec());
             append_record(&mut got, key, value);
             two_vec_append(&mut want, key, value);
             assert_eq!(got, want, "{key:?} / {value:?}");
+            let mut segment = bytes::BytesMut::new();
+            segment.extend_from_slice(prefix);
+            append_record(&mut segment, key, value);
+            assert_eq!(&segment[..], &want[..], "{key:?} / {value:?} into a BytesMut");
+        }
+
+        /// Raw bytes whose `serialized_size` is off by `lie`: the encoder
+        /// cannot trust the header it wrote first.
+        #[derive(Debug)]
+        struct Liar {
+            bytes: Vec<u8>,
+            lie: isize,
+        }
+
+        impl Writable for Liar {
+            fn write_to<S: ByteSink + ?Sized>(&self, out: &mut S) {
+                out.put_slice(&self.bytes);
+            }
+            fn read_from(_: &mut ByteReader<'_>) -> Result<Self> {
+                Err(HmrError::Unsupported("write-only test type".into()))
+            }
+            fn serialized_size(&self) -> usize {
+                self.bytes.len().saturating_add_signed(self.lie)
+            }
         }
 
         /// Payload lengths whose encodings land on either side of the
@@ -399,6 +489,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
+            /// The header-first encoder writes the reference's bytes, also
+            /// for a type whose `serialized_size` disagrees with its
+            /// `write_to` by up to 200 bytes either way (the header written
+            /// first is then longer or shorter than the true one).
             #[test]
             fn append_record_matches_the_two_vec_encoder(
                 prefix in proptest::collection::vec(any::<u8>(), 0..8),
@@ -406,6 +500,7 @@ mod tests {
                 vlen in payload_len(),
                 seed in any::<u8>(),
                 n in any::<i32>(),
+                (klie, vlie) in (-200isize..200, -200isize..200),
             ) {
                 same_encoding(&prefix, &IntWritable(n), &text(vlen, seed));
                 same_encoding(&prefix, &text(klen, seed), &IntWritable(n));
@@ -416,6 +511,11 @@ mod tests {
                     &BytesWritable(payload(vlen, !seed).into()),
                 );
                 same_encoding(&prefix, &IntWritable(n), &BytesWritable(payload(vlen, seed).into()));
+                let key = Liar { bytes: payload(klen, seed), lie: klie };
+                let value = Liar { bytes: payload(vlen, !seed), lie: vlie };
+                same_encoding(&prefix, &key, &value);
+                same_encoding(&prefix, &key, &text(vlen, seed));
+                same_encoding(&prefix, &IntWritable(n), &value);
             }
 
             /// The reader takes views of the file it reads: a valid file

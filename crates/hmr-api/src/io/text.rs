@@ -109,6 +109,28 @@ impl<K, V> TextOutputFormat<K, V> {
     }
 }
 
+impl<K, V> TextOutputFormat<K, V>
+where
+    K: Writable + std::fmt::Display,
+    V: Writable + std::fmt::Display,
+{
+    fn open_writer(
+        &self,
+        fs: &dyn FileSystem,
+        conf: &JobConf,
+        file_name: &str,
+    ) -> Result<Box<dyn RecordWriter<K, V>>> {
+        let dir = conf
+            .output_path()
+            .ok_or_else(|| HmrError::InvalidJob("no output path configured".into()))?;
+        Ok(Box::new(LineWriter {
+            writer: fs.create(&dir.join(file_name))?,
+            file: Vec::new(),
+            _marker: PhantomData,
+        }))
+    }
+}
+
 impl<K, V> OutputFormat<K, V> for TextOutputFormat<K, V>
 where
     K: Writable + std::fmt::Display,
@@ -120,14 +142,7 @@ where
         conf: &JobConf,
         partition: usize,
     ) -> Result<Box<dyn RecordWriter<K, V>>> {
-        let dir = conf
-            .output_path()
-            .ok_or_else(|| HmrError::InvalidJob("no output path configured".into()))?;
-        let path = dir.join(&part_file_name(partition));
-        Ok(Box::new(LineWriter {
-            writer: Some(fs.create(&path)?),
-            _marker: PhantomData,
-        }))
+        self.open_writer(fs, conf, &part_file_name(partition))
     }
 
     fn record_writer_named(
@@ -137,19 +152,15 @@ where
         name: &str,
         partition: usize,
     ) -> Result<Box<dyn RecordWriter<K, V>>> {
-        let dir = conf
-            .output_path()
-            .ok_or_else(|| HmrError::InvalidJob("no output path configured".into()))?;
-        let path = dir.join(&crate::multi::named_part_file(name, partition));
-        Ok(Box::new(LineWriter {
-            writer: Some(fs.create(&path)?),
-            _marker: PhantomData,
-        }))
+        self.open_writer(fs, conf, &crate::multi::named_part_file(name, partition))
     }
 }
 
+/// Formats each line straight into `file`, which `close` hands to the
+/// filesystem writer by value, as [`super::seqfile`]'s writer does.
 struct LineWriter<K, V> {
-    writer: Option<Box<dyn FsWriter>>,
+    writer: Box<dyn FsWriter>,
+    file: Vec<u8>,
     _marker: PhantomData<fn() -> (K, V)>,
 }
 
@@ -159,14 +170,14 @@ where
     V: Writable + std::fmt::Display,
 {
     fn write(&mut self, key: &K, value: &V) -> Result<()> {
-        let line = format!("{key}\t{value}\n");
-        self.writer
-            .as_mut()
-            .expect("writer open")
-            .write_all(line.as_bytes())
+        use std::io::Write;
+        writeln!(self.file, "{key}\t{value}")
+            .map_err(|e| HmrError::Io(e.to_string()))
     }
-    fn close(mut self: Box<Self>) -> Result<u64> {
-        self.writer.take().expect("writer open").close()
+    fn close(self: Box<Self>) -> Result<u64> {
+        let Self { mut writer, file, .. } = *self;
+        writer.write_owned(file)?;
+        writer.close()
     }
 }
 

@@ -27,7 +27,10 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 
 use hmr_api::error::Result;
-use hmr_api::fs::{content_version_of, FileStatus, FileSystem, FsReader, FsWriter, HPath, Namespace};
+use hmr_api::fs::{
+    adopt_or_append, content_version_of, FileStatus, FileSystem, FsReader, FsWriter, HPath,
+    Namespace,
+};
 use simgrid::cost::Charge;
 use simgrid::meter;
 use simgrid::trace;
@@ -177,6 +180,11 @@ impl FsWriter for DfsWriter {
         Ok(())
     }
 
+    fn write_owned(&mut self, bytes: Vec<u8>) -> Result<()> {
+        adopt_or_append(&mut self.buf, bytes);
+        Ok(())
+    }
+
     fn close(self: Box<Self>) -> Result<u64> {
         let inner = &*self.dfs.inner;
         // Prefer the writer's own node for the first replica (HDFS
@@ -189,7 +197,8 @@ impl FsWriter for DfsWriter {
             .map(|m| m.node().id())
             .unwrap_or((seed % inner.cluster.len() as u64) as usize);
         // Freeze the buffer once: every block is a view of that one
-        // allocation, so splitting copies nothing.
+        // allocation (the caller's own, when it came by `write_owned`), so
+        // neither storing nor splitting copies.
         let data = Bytes::from(self.buf);
         let chunks = (0..data.len()).step_by(inner.block_size as usize).enumerate();
         let blocks = trace::span(trace::Phase::Io, "dfs_write", None, || {
@@ -369,6 +378,67 @@ mod tests {
         let st = fs.get_file_status(&HPath::new("/a/b")).unwrap();
         assert_eq!(st.len, 8);
         assert!(!st.is_dir);
+    }
+
+    /// The write side's handoff, on both in-memory filesystems: a part file
+    /// streamed through `SequenceFileOutputFormat` (with or without the
+    /// size hint) is `write_seq_file`'s file byte for byte, `write_all` and
+    /// `write_owned` append in call order, and an adopted buffer is the
+    /// stored block itself.
+    #[test]
+    fn encoded_files_are_handed_over_not_copied() {
+        use hmr_api::conf::JobConf;
+        use hmr_api::fs::MemFs;
+        use hmr_api::io::seqfile::{file_len, write_seq_file, SequenceFileOutputFormat};
+        use hmr_api::io::OutputFormat;
+        use hmr_api::writable::{IntWritable, Text};
+
+        let records: Vec<(IntWritable, Text)> = (0..300)
+            .map(|i| (IntWritable(i), Text::from(format!("value-{i}"))))
+            .collect();
+        let len = file_len(records.iter().map(|(k, v)| (k, v)));
+        let sim = SimDfs::with_config(Cluster::new(2, CostModel::default()), 1 << 20, 2);
+        let filesystems: [(&str, Box<dyn FileSystem>); 2] =
+            [("MemFs", Box::new(MemFs::new())), ("SimDfs", Box::new(sim))];
+        for (name, fs) in &filesystems {
+            let fs = fs.as_ref();
+            write_seq_file(fs, &HPath::new("/ref"), &records).unwrap();
+            let want = read_file(fs, &HPath::new("/ref")).unwrap();
+            for (partition, hint) in [(0, None), (1, Some(len))] {
+                let mut conf = JobConf::new();
+                conf.set_output_path(&HPath::new("/out"));
+                let format = SequenceFileOutputFormat::<IntWritable, Text>::new();
+                let mut w = format.record_writer(fs, &conf, partition).unwrap();
+                if let Some(len) = hint {
+                    w.reserve(len);
+                }
+                for (k, v) in &records {
+                    w.write(k, v).unwrap();
+                }
+                assert_eq!(w.close().unwrap(), want.len() as u64, "{name}");
+                let part = HPath::new(format!("/out/part-{partition:05}"));
+                assert_eq!(read_file(fs, &part).unwrap(), want, "{name}, hint {hint:?}");
+            }
+
+            let mixed = HPath::new("/mixed");
+            let mut w = fs.create(&mixed).unwrap();
+            w.write_all(b"head,").unwrap();
+            w.write_owned(b"owned,".to_vec()).unwrap();
+            w.write_all(b"tail").unwrap();
+            assert_eq!(w.close().unwrap(), 15, "{name}");
+            let got = read_file(fs, &mixed).unwrap();
+            assert_eq!(got, &b"head,owned,tail"[..], "{name}");
+
+            let adopted = HPath::new("/adopted");
+            let owned = b"one allocation".to_vec();
+            let at = owned.as_ptr();
+            let mut w = fs.create(&adopted).unwrap();
+            w.write_owned(owned).unwrap();
+            w.close().unwrap();
+            let stored = fs.open(&adopted).unwrap().read_range(0, 14).unwrap();
+            assert_eq!(&stored[..], b"one allocation", "{name}");
+            assert_eq!(stored.as_ptr(), at, "{name}: the block is the adopted buffer");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! SystemML job moves and caches far more bytes per non-zero) is preserved.
 
 use hmr_api::error::{HmrError, Result};
-use hmr_api::writable::{write_vi64, write_vu64, ByteReader, ByteSink, Writable};
+use hmr_api::writable::{varint_len, write_vi64, write_vu64, ByteReader, ByteSink, Writable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,6 +28,10 @@ impl Writable for MatrixIndexes {
     }
     fn read_from(input: &mut ByteReader<'_>) -> Result<Self> {
         Ok(MatrixIndexes(input.read_vi64()?, input.read_vi64()?))
+    }
+    fn serialized_size(&self) -> usize {
+        let zigzag_len = |v: i64| varint_len(((v << 1) ^ (v >> 63)) as u64);
+        zigzag_len(self.0) + zigzag_len(self.1)
     }
 }
 
@@ -297,8 +301,10 @@ mod tests {
 
     #[test]
     fn indexes_roundtrip() {
-        for ix in [MatrixIndexes(0, 0), MatrixIndexes(-3, 1 << 40)] {
-            let back: MatrixIndexes = from_bytes(&to_bytes(&ix)).unwrap();
+        for ix in [MatrixIndexes(0, 0), MatrixIndexes(-3, 1 << 40), MatrixIndexes(i64::MIN, -64)] {
+            let bytes = to_bytes(&ix);
+            assert_eq!(bytes.len(), ix.serialized_size(), "{ix:?}");
+            let back: MatrixIndexes = from_bytes(&bytes).unwrap();
             assert_eq!(back, ix);
         }
     }

@@ -29,8 +29,10 @@ const JOBS_PER_ROUND: usize = 8;
 
 /// A `servermix`-shaped job on M3R (2 places, 2 workers, one 400-record
 /// `(IntWritable, Text)` input, an identity repartition into 4 reducers):
-/// after warm-up, each job makes at most 1,100 heap allocations. A path
-/// that allocates once per ancestor costs several hundred more.
+/// after warm-up, each job makes at most 860 heap allocations (843.8 in
+/// debug and release builds). A path that allocates once per ancestor
+/// costs several hundred more; a part file whose buffer grows record by
+/// record and is copied again at close costs about 40 more.
 #[test]
 fn servermix_job_allocations_per_job() {
     let (cluster, fs) = fresh(2);
@@ -72,7 +74,7 @@ fn servermix_job_allocations_per_job() {
     }
     let per_job = counted as f64 / COUNTED_JOBS as f64;
     assert!(
-        per_job <= 1100.0,
-        "{per_job:.1} allocations per job (bound 1,100)"
+        per_job <= 860.0,
+        "{per_job:.1} allocations per job (bound 860)"
     );
 }
