@@ -765,16 +765,13 @@ impl<J: JobDef> Outbox<J> {
                 let stream = self.streams[dest].get_or_insert_with(|| run.open_stream(place));
                 stream.reserve(table_bytes as usize);
                 let before = stream.len();
-                for (p, key, values) in table.drain() {
-                    let mut out: hmr_api::collect::VecCollector<J::K2, J::V2> =
-                        hmr_api::collect::VecCollector::new();
-                    combiner.reduce(key, &mut values.into_iter(), &mut out, &mut ctx)?;
-                    *self.stream_counts[dest].entry(p).or_insert(0) += out.pairs.len() as u64;
-                    self.place_combined.1 += out.pairs.len() as u64;
-                    for (k, v) in out.pairs {
-                        stream.push_owned(p, k, v);
-                    }
-                }
+                let counts = &mut self.stream_counts[dest];
+                let combined = &mut self.place_combined.1;
+                table.drain_combined(&mut *combiner, &mut ctx, |p, k, v| {
+                    *counts.entry(p).or_insert(0) += 1;
+                    *combined += 1;
+                    stream.push_owned(p, k, v);
+                })?;
                 simgrid::meter::charge(Charge::Serialize {
                     bytes: (stream.len() - before) as u64,
                 });
@@ -800,10 +797,10 @@ fn map_phase_at_place<J: JobDef>(
     let mut outbox = Outbox::<J> {
         streams: (0..nplaces).map(|_| None).collect(),
         stream_counts: vec![HashMap::new(); nplaces],
-        combine_tables: (run.conf.place_level_combine()
-            && run.num_reducers > 0
-            && run.job.create_combiner(&run.conf).is_some())
-        .then(|| (0..nplaces).map(|_| CombineTable::new()).collect()),
+        combine_tables: (run.conf.place_level_combine() && run.num_reducers > 0)
+            .then(|| run.job.create_combiner(&run.conf))
+            .flatten()
+            .map(|combiner| (0..nplaces).map(|_| CombineTable::new(&*combiner)).collect()),
         place_combined: (0, 0),
         combine_counters: Counters::new(),
     };
@@ -991,22 +988,25 @@ fn run_map_task<J: JobDef>(
     let group_cmp = job.grouping_comparator();
     // A combiner job whose groups are raw-key equality classes in
     // ascending raw order (natural sort and grouping comparators) groups at
-    // collect time and never materialises its duplicate keys. Everything
-    // else buffers plain pairs; the input sequence is already materialized,
-    // so its length pre-sizes those buckets (uniform spread assumption).
-    let mut buffer = if combiner.is_some() && sort_cmp.is_natural() && group_cmp.is_natural() {
-        MapOutputBuffer::grouping(
-            num_parts,
-            job.partitioner(conf),
-            job.immutable_output(),
-        )
-    } else {
-        MapOutputBuffer::with_capacity_hint(
+    // collect time and never materialises its duplicate keys (nor, when the
+    // combiner folds, its duplicate values). Everything else buffers plain
+    // pairs; the input sequence is already materialized, so its length
+    // pre-sizes those buckets (uniform spread assumption).
+    let mut buffer = match combiner.as_deref() {
+        Some(combiner) if sort_cmp.is_natural() && group_cmp.is_natural() => {
+            MapOutputBuffer::grouping(
+                num_parts,
+                job.partitioner(conf),
+                job.immutable_output(),
+                combiner,
+            )
+        }
+        _ => MapOutputBuffer::with_capacity_hint(
             num_parts,
             job.partitioner(conf),
             job.immutable_output(),
             pairs.pairs.len(),
-        )
+        ),
     };
     let mut mapper = job.create_mapper(conf);
     mapper.setup(&mut ctx)?;
@@ -1029,14 +1029,9 @@ fn run_map_task<J: JobDef>(
             records: records as u64,
         });
         ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, records as i64);
-        let mut out: hmr_api::collect::VecCollector<J::K2, J::V2> =
-            hmr_api::collect::VecCollector::new();
-        part.into_grouped(&sort_cmp, &group_cmp)
-            .for_each_group(|key, values| {
-                combiner.reduce(key, values, &mut out, &mut ctx)
-            })?;
-        ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.pairs.len() as i64);
-        parts.push(out.pairs);
+        let out = part.combine(&mut **combiner, &sort_cmp, &group_cmp, &mut ctx)?;
+        ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.len() as i64);
+        parts.push(out);
     }
 
     let mut routed = RoutedOutput::<J> {

@@ -15,16 +15,22 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use hmr_api::collect::OutputCollector;
+use hmr_api::collect::{OutputCollector, VecCollector};
 use hmr_api::comparator::{
     apply_permutation, ingest_reduce_groups, KeyComparator, RawKeyIndex, SortTuning,
 };
+use hmr_api::counters::TaskContext;
 use hmr_api::error::{HmrError, Result};
 use hmr_api::partition::Partitioner;
+use hmr_api::task::{reduce_groups, TaskReducer};
 use hmr_api::writable::{ByteReader, Writable};
 use simgrid::cost::Charge;
 use simgrid::meter;
 use x10rt::serialize::{DedupMode, Deserializer, SerError, Serializer};
+
+/// A combiner's fold, as [`TaskReducer::as_fold`] declares it: the
+/// accumulator first, the next value second.
+type Fold<V> = fn(&mut V, &V);
 
 /// Map-task-side collector: partitions emitted pairs, applying the
 /// `ImmutableOutput` cloning contract at emit time.
@@ -33,7 +39,9 @@ use x10rt::serialize::{DedupMode, Deserializer, SerError, Serializer};
 /// `collect()`: each partition interns the emitted key's raw sort bytes in
 /// a [`RawKeyIndex`], keeps a key only when it founds a group and appends
 /// just the value otherwise — so a combiner job never materialises its
-/// duplicate keys. See DESIGN.md, "Map-side grouping at collect time".
+/// duplicate keys. When the combiner declares a fold, a partition keeps one
+/// running value per group instead and no emitted value outlives its
+/// `collect()`. See DESIGN.md, "Map-side grouping at collect time".
 pub struct MapOutputBuffer<K, V> {
     partitioner: Box<dyn Partitioner<K, V>>,
     num_partitions: usize,
@@ -44,101 +52,131 @@ pub struct MapOutputBuffer<K, V> {
 
 /// One partition of a finished [`MapOutputBuffer`].
 pub enum MapPart<K, V> {
-    /// Every emitted pair, in arrival order.
-    Pairs(Vec<(Arc<K>, Arc<V>)>),
+    /// Emitted pairs in arrival order, `records` of them collected. A
+    /// folding partition that degraded leads with its groups so far as
+    /// `(key, acc)` pairs, so it holds fewer pairs than records.
+    Pairs {
+        /// The pairs, in arrival order.
+        pairs: Vec<(Arc<K>, Arc<V>)>,
+        /// Records collected into the partition.
+        records: usize,
+    },
     /// Grouped at collect time.
     Groups(KeyGroups<K, V>),
 }
 
 /// A partition grouped at collect time: the first-arrived key of every
-/// group, every value in arrival order, and the index that says which
-/// value belongs to which group.
+/// group, the index that says which record belongs to which group, and
+/// what the partition keeps of the values.
 pub struct KeyGroups<K, V> {
     index: RawKeyIndex,
     /// Group id -> the key that founded the group.
     keys: Vec<Arc<K>>,
-    /// Arrival order; record `i` belongs to group `index.gid_of()[i]`.
-    values: Vec<Arc<V>>,
+    values: GroupValues<V>,
 }
 
-/// One partition arranged for the combiner: group `j` is `keys[j]` with
-/// the next `counts[j]` of `values`. Groups are in reduce order, a
-/// group's values in arrival order.
-pub struct GroupedPart<K, V> {
-    /// One key per group: the first-arrived (sort-first) key.
-    keys: Vec<Arc<K>>,
-    /// Records per group, parallel to `keys`.
-    counts: Vec<u32>,
-    /// Every value, group after group.
-    values: Vec<Arc<V>>,
-}
-
-impl<K: Send + Sync + 'static, V: Send + Sync + 'static> GroupedPart<K, V> {
-    /// Call `f` once per group, in order, with the group's key and an
-    /// iterator that hands over (not clones) its values. Whatever `f`
-    /// leaves unread is dropped before the next group.
-    pub fn for_each_group(
-        mut self,
-        mut f: impl FnMut(Arc<K>, &mut dyn Iterator<Item = Arc<V>>) -> Result<()>,
-    ) -> Result<()> {
-        let mut values = self.values.drain(..);
-        for (key, &count) in self.keys.drain(..).zip(&self.counts) {
-            let mut group = values.by_ref().take(count as usize);
-            f(key, &mut group)?;
-            group.for_each(drop);
-        }
-        Ok(())
-    }
+/// What a [`KeyGroups`] keeps of its values.
+enum GroupValues<V> {
+    /// Every value in arrival order; record `i` belongs to group
+    /// `index.gid_of()[i]`.
+    Every(Vec<Arc<V>>),
+    /// The combiner's fold and one accumulator per group, parallel to
+    /// `keys`: a copy of the group's first value with every later value
+    /// folded in, in arrival order.
+    Folded(Fold<V>, Vec<V>),
 }
 
 impl<K, V> KeyGroups<K, V>
 where
     K: Writable + Send + Sync + 'static,
-    V: Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
-    fn new() -> Self {
+    fn new(fold: Option<Fold<V>>) -> Self {
         KeyGroups {
             index: RawKeyIndex::with_capacity(0),
             keys: Vec::new(),
-            values: Vec::new(),
+            values: match fold {
+                Some(fold) => GroupValues::Folded(fold, Vec::new()),
+                None => GroupValues::Every(Vec::new()),
+            },
         }
     }
 
-    /// Back to plain pairs in arrival order; duplicates alias their
-    /// group's key.
+    /// Back to pairs: every record in arrival order, duplicates aliasing
+    /// their group's key — or, folded, one `(key, acc)` pair per group in
+    /// founding order.
     fn into_pairs(self) -> Vec<(Arc<K>, Arc<V>)> {
-        self.index
-            .gid_of()
-            .iter()
-            .zip(self.values)
-            .map(|(&g, v)| (Arc::clone(&self.keys[g as usize]), v))
-            .collect()
-    }
-
-    /// Groups ascending by raw key, values scattered into group order.
-    fn into_grouped(mut self) -> GroupedPart<K, V> {
-        let mut layout = self.index.layout(&SortTuning::default());
-        drop(self.index);
-        apply_permutation(&mut self.values, &mut layout.records);
-        apply_permutation(&mut self.keys, &mut layout.groups);
-        GroupedPart {
-            keys: self.keys,
-            counts: layout.counts,
-            values: self.values,
+        match self.values {
+            GroupValues::Every(values) => self
+                .index
+                .gid_of()
+                .iter()
+                .zip(values)
+                .map(|(&g, v)| (Arc::clone(&self.keys[g as usize]), v))
+                .collect(),
+            GroupValues::Folded(_, accs) => folded_pairs(self.keys, accs),
         }
     }
+
+    /// The groups through `combiner`, ascending by raw key: a folded
+    /// partition's `(key, acc)` pairs as they stand, otherwise one
+    /// `reduce` per group over its values in arrival order.
+    fn combine(
+        self,
+        combiner: &mut dyn TaskReducer<K, V, K, V>,
+        ctx: &mut TaskContext,
+    ) -> Result<Vec<(Arc<K>, Arc<V>)>> {
+        let KeyGroups {
+            index,
+            mut keys,
+            values,
+        } = self;
+        let mut values = match values {
+            GroupValues::Folded(_, accs) => {
+                let mut order = index.group_order(&SortTuning::default());
+                let mut pairs = folded_pairs(keys, accs);
+                apply_permutation(&mut pairs, &mut order);
+                return Ok(pairs);
+            }
+            GroupValues::Every(values) => values,
+        };
+        let mut layout = index.layout(&SortTuning::default());
+        drop(index);
+        apply_permutation(&mut values, &mut layout.records);
+        apply_permutation(&mut keys, &mut layout.groups);
+        // Values go to the combiner by ownership; whatever it leaves
+        // unread drops before the next group.
+        let mut out = VecCollector::new();
+        let mut values = values.into_iter();
+        for (key, count) in keys.into_iter().zip(layout.counts) {
+            let mut group = values.by_ref().take(count as usize);
+            combiner.reduce(key, &mut group, &mut out, ctx)?;
+            group.for_each(drop);
+        }
+        Ok(out.pairs)
+    }
+}
+
+/// Folded groups as pairs, in the order given.
+fn folded_pairs<K, V>(keys: Vec<Arc<K>>, accs: Vec<V>) -> Vec<(Arc<K>, Arc<V>)> {
+    keys.into_iter().zip(accs).map(|(k, acc)| (k, Arc::new(acc))).collect()
 }
 
 impl<K, V> MapPart<K, V>
 where
     K: Writable + Send + Sync + 'static,
-    V: Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
+    fn pairs(pairs: Vec<(Arc<K>, Arc<V>)>) -> Self {
+        let records = pairs.len();
+        MapPart::Pairs { pairs, records }
+    }
+
     /// Records collected into this partition.
     pub fn len(&self) -> usize {
         match self {
-            MapPart::Pairs(pairs) => pairs.len(),
-            MapPart::Groups(groups) => groups.values.len(),
+            MapPart::Pairs { records, .. } => *records,
+            MapPart::Groups(groups) => groups.index.records(),
         }
     }
 
@@ -147,33 +185,36 @@ where
         self.len() == 0
     }
 
-    /// The partition as plain pairs in arrival order.
+    /// The partition as pairs: every record in arrival order, or, where
+    /// it folded, one `(key, acc)` pair per group.
     pub fn into_pairs(self) -> Vec<(Arc<K>, Arc<V>)> {
         match self {
-            MapPart::Pairs(pairs) => pairs,
+            MapPart::Pairs { pairs, .. } => pairs,
             MapPart::Groups(groups) => groups.into_pairs(),
         }
     }
 
-    /// The partition arranged for the combiner. A partition grouped at
-    /// collect time only has to order its groups; plain pairs go through
-    /// [`ingest_reduce_groups`]. Both yield the groups, keys and value
-    /// order of a stable sort under `sort_cmp` split by `group_cmp`.
-    pub fn into_grouped(
+    /// The partition through the job's combiner, in reduce order: the
+    /// groups, keys and value order of a stable sort under `sort_cmp`
+    /// split by `group_cmp`, one `reduce` per group. A partition grouped
+    /// at collect time only has to order its groups, and one that folded
+    /// holds its answer already: `(key, acc)` per group, no `reduce` call.
+    /// Plain pairs go through [`ingest_reduce_groups`].
+    pub fn combine(
         self,
+        combiner: &mut dyn TaskReducer<K, V, K, V>,
         sort_cmp: &KeyComparator<K>,
         group_cmp: &KeyComparator<K>,
-    ) -> GroupedPart<K, V> {
+        ctx: &mut TaskContext,
+    ) -> Result<Vec<(Arc<K>, Arc<V>)>> {
         match self {
-            MapPart::Groups(groups) => groups.into_grouped(),
-            MapPart::Pairs(mut pairs) => {
+            MapPart::Groups(groups) => groups.combine(combiner, ctx),
+            MapPart::Pairs { mut pairs, .. } => {
                 let tuning = SortTuning::default();
                 let spans = ingest_reduce_groups(&mut pairs, sort_cmp, group_cmp, &tuning, None);
-                GroupedPart {
-                    keys: spans.iter().map(|span| Arc::clone(&pairs[span.start].0)).collect(),
-                    counts: spans.iter().map(|span| span.len() as u32).collect(),
-                    values: pairs.into_iter().map(|(_, v)| v).collect(),
-                }
+                let mut out = VecCollector::new();
+                reduce_groups(pairs, spans, combiner, &mut out, ctx)?;
+                Ok(out.pairs)
             }
         }
     }
@@ -204,25 +245,30 @@ where
     ) -> Self {
         let per_part = expected_records.div_ceil(num_partitions.max(1));
         Self::with_parts(num_partitions, partitioner, immutable, || {
-            MapPart::Pairs(Vec::with_capacity(per_part))
+            MapPart::pairs(Vec::with_capacity(per_part))
         })
     }
 
-    /// A buffer that groups at `collect()`. Only legal when raw-key
-    /// equality is the job's grouping relation and ascending raw order its
-    /// sort order — natural sort *and* grouping comparator — and only
-    /// worth it when a combiner will consume the groups. A partition whose
-    /// keys turn out to have no raw sort form (or that outgrows the
-    /// index's `u32` offsets) degrades to plain pairs, arrival order
-    /// intact. Nothing is pre-sized, since the groups are a fraction of
+    /// A buffer that groups at `collect()` for `combiner`. Only legal when
+    /// raw-key equality is the job's grouping relation and ascending raw
+    /// order its sort order — natural sort *and* grouping comparator — and
+    /// only worth it when the combiner will consume the groups. If the
+    /// combiner declares a fold ([`TaskReducer::as_fold`]), each group
+    /// keeps one accumulator and no value. A partition whose keys turn out
+    /// to have no raw sort form (or that outgrows the index's `u32`
+    /// offsets) degrades to pairs: the folded groups so far as
+    /// `(key, acc)`, or every record in arrival order, and the records
+    /// after it. Nothing is pre-sized, since the groups are a fraction of
     /// the input.
     pub fn grouping(
         num_partitions: usize,
         partitioner: Box<dyn Partitioner<K, V>>,
         immutable: bool,
+        combiner: &dyn TaskReducer<K, V, K, V>,
     ) -> Self {
+        let fold = combiner.as_fold();
         Self::with_parts(num_partitions, partitioner, immutable, || {
-            MapPart::Groups(KeyGroups::new())
+            MapPart::Groups(KeyGroups::new(fold))
         })
     }
 
@@ -291,20 +337,34 @@ where
         if let MapPart::Groups(groups) = part {
             // Interned from the borrowed key: a duplicate key is dropped
             // (or never copied) right here.
-            if let Some((_, founded)) = groups.index.intern(&*key) {
+            if let Some((g, founded)) = groups.index.intern(&*key) {
                 if founded {
                     groups.keys.push(own(key, immutable));
                 }
-                groups.values.push(own(value, immutable));
+                match &mut groups.values {
+                    GroupValues::Every(values) => values.push(own(value, immutable)),
+                    // The group's own copy of its first value (moved out
+                    // when nothing else holds it); a later value is folded
+                    // in and dropped here, on the thread that made it.
+                    GroupValues::Folded(_, accs) if founded => {
+                        accs.push(Arc::unwrap_or_clone(value))
+                    }
+                    GroupValues::Folded(fold, accs) => fold(&mut accs[g as usize], &value),
+                }
                 return Ok(());
             }
             // No raw sort form, or the index is full: this partition
-            // carries on as plain pairs.
-            let groups = std::mem::replace(part, MapPart::Pairs(Vec::new()));
-            *part = MapPart::Pairs(groups.into_pairs());
+            // carries on as pairs.
+            let groups = std::mem::replace(part, MapPart::pairs(Vec::new()));
+            let records = groups.len();
+            *part = MapPart::Pairs {
+                pairs: groups.into_pairs(),
+                records,
+            };
         }
-        if let MapPart::Pairs(pairs) = part {
+        if let MapPart::Pairs { pairs, records } = part {
             pairs.push((own(key, immutable), own(value, immutable)));
+            *records += 1;
         }
         Ok(())
     }
@@ -485,32 +545,35 @@ const COMBINE_VALUE_OVERHEAD: u64 = 8;
 /// one key group stay in arrival order, which the engine guarantees is task
 /// order (buckets are absorbed on the place thread in task order). Equal
 /// keys therefore tie-break on task order, and the job's combiner must be
-/// associative + commutative (see `hmr_api::conf::PLACE_COMBINE`).
+/// associative + commutative (see `hmr_api::conf::PLACE_COMBINE`). When the
+/// combiner declares a fold ([`TaskReducer::as_fold`]), a group keeps one
+/// accumulator, folded in that same order, instead of its values.
 pub struct CombineTable<K, V> {
-    entries: BTreeMap<(usize, Vec<u8>), (Arc<K>, Vec<Arc<V>>)>,
+    entries: BTreeMap<(usize, Vec<u8>), (Arc<K>, Held<V>)>,
+    fold: Option<Fold<V>>,
     bytes: u64,
     records: u64,
 }
 
-impl<K, V> Default for CombineTable<K, V>
-where
-    K: Writable,
-    V: Writable,
-{
-    fn default() -> Self {
-        Self::new()
-    }
+/// What a [`CombineTable`] keeps of one group's values.
+enum Held<V> {
+    /// Every absorbed value, in arrival (task) order.
+    Values(Vec<Arc<V>>),
+    /// The combiner's fold and a copy of the first value with every later
+    /// one folded in.
+    Folded(Fold<V>, V),
 }
 
 impl<K, V> CombineTable<K, V>
 where
     K: Writable,
-    V: Writable,
+    V: Writable + Clone,
 {
-    /// An empty table.
-    pub fn new() -> Self {
+    /// An empty table for `combiner`.
+    pub fn new(combiner: &dyn TaskReducer<K, V, K, V>) -> Self {
         CombineTable {
             entries: BTreeMap::new(),
+            fold: combiner.as_fold(),
             bytes: 0,
             records: 0,
         }
@@ -533,7 +596,9 @@ where
 
     /// Approximate live bytes held (serialized key + value sizes plus
     /// modelled per-entry overhead) — what the memory accountant should
-    /// carry under `MemClass::Combine`.
+    /// carry under `MemClass::Combine`. The model counts every absorbed
+    /// value, folded or not, so budget flush points do not depend on the
+    /// combiner.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
@@ -550,11 +615,18 @@ where
         let vlen = value.serialized_size() as u64;
         let grew = match self.entries.entry((partition, kbytes)) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
-                e.get_mut().1.push(value);
+                match &mut e.get_mut().1 {
+                    Held::Values(values) => values.push(value),
+                    Held::Folded(fold, acc) => fold(acc, &value),
+                }
                 vlen + COMBINE_VALUE_OVERHEAD
             }
             std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert((key, vec![value]));
+                let held = match self.fold {
+                    Some(fold) => Held::Folded(fold, Arc::unwrap_or_clone(value)),
+                    None => Held::Values(vec![value]),
+                };
+                e.insert((key, held));
                 klen + COMBINE_ENTRY_OVERHEAD + vlen + COMBINE_VALUE_OVERHEAD
             }
         };
@@ -563,15 +635,33 @@ where
         (grew, klen)
     }
 
-    /// Drain every group in deterministic order — partition ascending, then
-    /// serialized key bytes ascending; each group's values in arrival (task)
-    /// order — resetting the table to empty.
-    pub fn drain(&mut self) -> impl Iterator<Item = (usize, Arc<K>, Vec<Arc<V>>)> {
+    /// Drain every group through `combiner` in deterministic order —
+    /// partition ascending, then serialized key bytes ascending — and
+    /// reset the table to empty. A folded group is its `(key, acc)` pair;
+    /// any other hands its values, in arrival (task) order, to
+    /// `combiner.reduce`. `emit` receives every combined pair with its
+    /// partition.
+    pub fn drain_combined(
+        &mut self,
+        combiner: &mut dyn TaskReducer<K, V, K, V>,
+        ctx: &mut TaskContext,
+        mut emit: impl FnMut(usize, Arc<K>, Arc<V>),
+    ) -> Result<()> {
         self.bytes = 0;
         self.records = 0;
-        std::mem::take(&mut self.entries)
-            .into_iter()
-            .map(|((p, _), (k, vs))| (p, k, vs))
+        let mut out = VecCollector::new();
+        for ((p, _), (key, held)) in std::mem::take(&mut self.entries) {
+            match held {
+                Held::Folded(_, acc) => emit(p, key, Arc::new(acc)),
+                Held::Values(values) => {
+                    combiner.reduce(key, &mut values.into_iter(), &mut out, ctx)?;
+                    for (k, v) in out.pairs.drain(..) {
+                        emit(p, k, v);
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -579,7 +669,8 @@ where
 mod tests {
     use super::*;
     use hmr_api::partition::FnPartitioner;
-    use hmr_api::writable::{BytesWritable, IntWritable};
+    use hmr_api::task::{IdentityReducer, LongSumReducer};
+    use hmr_api::writable::{BytesWritable, IntWritable, LongWritable};
 
     fn modulo_partitioner() -> Box<dyn Partitioner<IntWritable, BytesWritable>> {
         Box::new(FnPartitioner::new(|k: &IntWritable, _: &BytesWritable, n| {
@@ -617,27 +708,48 @@ mod tests {
         assert_eq!(d.ser_bytes, 0, "local path never serializes");
     }
 
-    /// A finished partition as the combiner would see it: one
-    /// `(key, values)` entry per group.
+    pub(super) fn task_ctx() -> TaskContext {
+        TaskContext::new(
+            "t_0",
+            Arc::new(hmr_api::conf::JobConf::new()),
+            Arc::new(hmr_api::distcache::DistCache::empty()),
+        )
+    }
+
+    /// A combiner that records every group it is handed — the key and its
+    /// values, by handle — and emits nothing. It declares no fold.
+    pub(super) struct Recorder<K, V>(pub Vec<(Arc<K>, Vec<Arc<V>>)>);
+
+    impl<K: Send + Sync, V: Send + Sync> TaskReducer<K, V, K, V> for Recorder<K, V> {
+        fn reduce(
+            &mut self,
+            key: Arc<K>,
+            values: &mut dyn Iterator<Item = Arc<V>>,
+            _out: &mut dyn OutputCollector<K, V>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            self.0.push((key, values.collect()));
+            Ok(())
+        }
+    }
+
+    /// A finished partition as the combiner sees it: one `(key, values)`
+    /// entry per group.
     fn groups_of<K, V>(part: MapPart<K, V>) -> Vec<(Arc<K>, Vec<Arc<V>>)>
     where
         K: hmr_api::writable::WritableKey + Send + Sync + 'static,
-        V: Send + Sync + 'static,
+        V: Clone + Send + Sync + 'static,
     {
         let nat = KeyComparator::<K>::natural();
-        let mut out = Vec::new();
-        part.into_grouped(&nat, &nat)
-            .for_each_group(|k, vs| {
-                out.push((k, vs.collect()));
-                Ok(())
-            })
-            .unwrap();
-        out
+        let mut seen = Recorder(Vec::new());
+        let out = part.combine(&mut seen, &nat, &nat, &mut task_ctx()).unwrap();
+        assert!(out.is_empty());
+        seen.0
     }
 
     #[test]
     fn grouping_buffer_aliases_first_key_and_every_value() {
-        let mut buf = MapOutputBuffer::grouping(4, modulo_partitioner(), true);
+        let mut buf = MapOutputBuffer::grouping(4, modulo_partitioner(), true, &IdentityReducer);
         // Partition 1 sees keys 9, 5, 9, 5, 9; each emit is a fresh Arc.
         let emitted: Vec<_> = [9, 5, 9, 5, 9]
             .iter()
@@ -694,7 +806,7 @@ mod tests {
             let before = cluster.metrics().snapshot();
             let groups = simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
                 let mut buf = if grouping {
-                    MapOutputBuffer::grouping(4, modulo_partitioner(), false)
+                    MapOutputBuffer::grouping(4, modulo_partitioner(), false, &IdentityReducer)
                 } else {
                     MapOutputBuffer::new(4, modulo_partitioner(), false)
                 };
@@ -723,7 +835,7 @@ mod tests {
     /// A key that has a raw sort form except for one value (no real type
     /// behaves like this; it stands in for "any later key declines").
     #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-    struct Flaky(i32);
+    pub(super) struct Flaky(pub i32);
     impl Writable for Flaky {
         fn write_to<S: hmr_api::writable::ByteSink + ?Sized>(&self, out: &mut S) {
             IntWritable(self.0).write_to(out)
@@ -747,9 +859,10 @@ mod tests {
             buf.into_parts().swap_remove(0)
         };
         let one_part = || Box::new(FnPartitioner::new(|_: &Flaky, _: &IntWritable, _| 0));
-        let degraded = collect_all(MapOutputBuffer::grouping(1, one_part(), true));
+        let grouping = || MapOutputBuffer::grouping(1, one_part(), true, &IdentityReducer);
+        let degraded = collect_all(grouping());
         assert!(
-            matches!(degraded, MapPart::Pairs(_)),
+            matches!(degraded, MapPart::Pairs { .. }),
             "the fourth key declined"
         );
         let plain = collect_all(MapOutputBuffer::new(1, one_part(), true));
@@ -761,12 +874,7 @@ mod tests {
             .enumerate()
             .map(|(i, &k)| (k, i as i32))
             .collect();
-        assert_eq!(
-            flat(
-                collect_all(MapOutputBuffer::grouping(1, one_part(), true)).into_pairs()
-            ),
-            arrival
-        );
+        assert_eq!(flat(collect_all(grouping()).into_pairs()), arrival);
         // ...and the combiner sees exactly what the plain buffer gives it.
         let view = |part: MapPart<Flaky, IntWritable>| -> Vec<(i32, Vec<i32>)> {
             groups_of(part)
@@ -784,9 +892,24 @@ mod tests {
         assert_eq!(view(plain), expect);
     }
 
+    /// Emits each group's first value and reads no further.
+    struct FirstOnly;
+
+    impl TaskReducer<IntWritable, BytesWritable, IntWritable, BytesWritable> for FirstOnly {
+        fn reduce(
+            &mut self,
+            key: Arc<IntWritable>,
+            values: &mut dyn Iterator<Item = Arc<BytesWritable>>,
+            out: &mut dyn OutputCollector<IntWritable, BytesWritable>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            out.collect(key, values.next().unwrap())
+        }
+    }
+
     #[test]
-    fn grouped_part_drops_values_the_callback_leaves_unread() {
-        let mut buf = MapOutputBuffer::grouping(1, modulo_partitioner(), true);
+    fn combine_drops_values_the_combiner_leaves_unread() {
+        let mut buf = MapOutputBuffer::grouping(1, modulo_partitioner(), true, &FirstOnly);
         for (i, k) in [2, 1, 2, 1, 2].into_iter().enumerate() {
             buf.collect(
                 Arc::new(IntWritable(k)),
@@ -795,15 +918,14 @@ mod tests {
             .unwrap();
         }
         let nat = KeyComparator::<IntWritable>::natural();
-        let mut firsts = Vec::new();
-        buf.into_parts()
+        let firsts: Vec<_> = buf
+            .into_parts()
             .swap_remove(0)
-            .into_grouped(&nat, &nat)
-            .for_each_group(|k, vs| {
-                firsts.push((k.0, vs.next().unwrap().0[0]));
-                Ok(())
-            })
-            .unwrap();
+            .combine(&mut FirstOnly, &nat, &nat, &mut task_ctx())
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.0, v.0[0]))
+            .collect();
         assert_eq!(
             firsts,
             vec![(1, 1), (2, 0)],
@@ -893,9 +1015,22 @@ mod tests {
         assert!(res.is_err());
     }
 
+    /// Drain `t` through `combiner`: every emitted `(partition, key, value)`.
+    fn drained<V: Writable + Clone>(
+        t: &mut CombineTable<IntWritable, V>,
+        combiner: &mut dyn TaskReducer<IntWritable, V, IntWritable, V>,
+    ) -> Vec<(usize, i32, V)> {
+        let mut out = Vec::new();
+        t.drain_combined(combiner, &mut task_ctx(), |p, k, v| {
+            out.push((p, k.0, (*v).clone()))
+        })
+        .unwrap();
+        out
+    }
+
     #[test]
     fn combine_table_merges_and_drains_deterministically() {
-        let mut t: CombineTable<IntWritable, IntWritable> = CombineTable::new();
+        let mut t: CombineTable<IntWritable, IntWritable> = CombineTable::new(&IdentityReducer);
         // Absorb in a scrambled order; equal keys across "tasks" merge.
         t.absorb(1, Arc::new(IntWritable(9)), Arc::new(IntWritable(100)));
         t.absorb(0, Arc::new(IntWritable(4)), Arc::new(IntWritable(1)));
@@ -904,28 +1039,61 @@ mod tests {
         t.absorb(0, Arc::new(IntWritable(4)), Arc::new(IntWritable(2)));
         assert_eq!(t.records(), 5);
         assert_eq!(t.groups(), 3);
-        let drained: Vec<_> = t
-            .drain()
-            .map(|(p, k, vs)| (p, k.0, vs.iter().map(|v| v.0).collect::<Vec<_>>()))
-            .collect();
         // Partition-ascending, then key-bytes-ascending; values in arrival
-        // (task) order within each group.
+        // (task) order within each group (the identity combiner replays
+        // them).
+        let values = |v: Vec<(usize, i32, IntWritable)>| -> Vec<(usize, i32, i32)> {
+            v.into_iter().map(|(p, k, v)| (p, k, v.0)).collect()
+        };
         assert_eq!(
-            drained,
-            vec![
-                (0, 2, vec![7]),
-                (0, 4, vec![1, 2]),
-                (1, 9, vec![100, 200]),
-            ]
+            values(drained(&mut t, &mut IdentityReducer)),
+            vec![(0, 2, 7), (0, 4, 1), (0, 4, 2), (1, 9, 100), (1, 9, 200)]
         );
         assert!(t.is_empty(), "drain resets the table");
         assert_eq!(t.bytes(), 0);
         assert_eq!(t.records(), 0);
     }
 
+    /// `LongSumReducer` without its fold declaration.
+    pub(super) struct Unfolded;
+
+    impl<K: Send + Sync + 'static> TaskReducer<K, LongWritable, K, LongWritable> for Unfolded {
+        fn reduce(
+            &mut self,
+            key: Arc<K>,
+            values: &mut dyn Iterator<Item = Arc<LongWritable>>,
+            out: &mut dyn OutputCollector<K, LongWritable>,
+            ctx: &mut TaskContext,
+        ) -> Result<()> {
+            LongSumReducer.reduce(key, values, out, ctx)
+        }
+    }
+
+    #[test]
+    fn folding_combine_table_drains_what_reduce_would_and_bills_the_same_bytes() {
+        let records = [(1, 9, 5), (0, 4, 1), (1, 9, -2), (0, 2, 7), (0, 4, 3), (0, 4, 1)];
+        let mut folded = CombineTable::new(&LongSumReducer);
+        let mut reduced = CombineTable::new(&Unfolded);
+        for (p, k, v) in records {
+            let one = Arc::new(LongWritable(v));
+            assert_eq!(
+                folded.absorb(p, Arc::new(IntWritable(k)), Arc::clone(&one)),
+                reduced.absorb(p, Arc::new(IntWritable(k)), Arc::clone(&one)),
+                "same modelled growth per absorb"
+            );
+            assert_eq!(Arc::strong_count(&one), 2, "the folding table kept no value");
+            assert_eq!(folded.bytes(), reduced.bytes());
+        }
+        assert_eq!((folded.groups(), folded.records()), (3, 6));
+        let out = drained(&mut folded, &mut LongSumReducer);
+        assert_eq!(out, drained(&mut reduced, &mut Unfolded));
+        let sums: Vec<_> = out.into_iter().map(|(p, k, v)| (p, k, v.0)).collect();
+        assert_eq!(sums, vec![(0, 2, 7), (0, 4, 5), (1, 9, 3)]);
+    }
+
     #[test]
     fn combine_table_byte_accounting_grows_per_absorb() {
-        let mut t: CombineTable<IntWritable, BytesWritable> = CombineTable::new();
+        let mut t: CombineTable<IntWritable, BytesWritable> = CombineTable::new(&IdentityReducer);
         let k = Arc::new(IntWritable(1));
         let (g1, klen) = t.absorb(0, Arc::clone(&k), Arc::new(BytesWritable(vec![0u8; 10].into())));
         assert_eq!(klen, k.serialized_size() as u64);
@@ -950,8 +1118,11 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::{task_ctx, Flaky, Recorder, Unfolded};
     use super::*;
-    use hmr_api::writable::{BytesWritable, IntWritable, Text};
+    use hmr_api::partition::FnPartitioner;
+    use hmr_api::task::{IdentityReducer, LongSumReducer};
+    use hmr_api::writable::{BytesWritable, IntWritable, LongWritable, Text};
     use proptest::prelude::*;
 
     fn mode_strategy() -> impl Strategy<Value = DedupMode> {
@@ -1216,7 +1387,8 @@ mod prop_tests {
                     (Arc::new(Text::from(key)), Arc::new(IntWritable(i as i32)))
                 })
                 .collect();
-            let mut grouping = MapOutputBuffer::grouping(3, Box::new(HashPartitioner), true);
+            let mut grouping =
+                MapOutputBuffer::grouping(3, Box::new(HashPartitioner), true, &IdentityReducer);
             let mut plain = MapOutputBuffer::new(3, Box::new(HashPartitioner), true);
             for (k, v) in &emitted {
                 grouping.collect(Arc::clone(k), Arc::clone(v)).unwrap();
@@ -1235,13 +1407,9 @@ mod prop_tests {
                         (Arc::clone(&sorted[s.start].0), values)
                     })
                     .collect();
-                let mut got = Vec::new();
-                g.into_grouped(&nat, &nat)
-                    .for_each_group(|k, vs| {
-                        got.push((k, vs.collect::<Vec<_>>()));
-                        Ok(())
-                    })
-                    .unwrap();
+                let mut seen = Recorder(Vec::new());
+                g.combine(&mut seen, &nat, &nat, &mut task_ctx()).unwrap();
+                let got = seen.0;
                 prop_assert_eq!(got.len(), expect.len());
                 for ((gk, gv), (ek, ev)) in got.iter().zip(&expect) {
                     prop_assert!(Arc::ptr_eq(gk, ek), "the first-arrived key Arc");
@@ -1249,6 +1417,73 @@ mod prop_tests {
                     prop_assert!(gv.iter().zip(ev).all(|(a, b)| Arc::ptr_eq(a, b)));
                 }
             }
+        }
+
+        /// A folding combiner at collect time is its `reduce`: over random
+        /// keys and values, any partition count (so one-record partitions
+        /// occur) and either cloning contract, partitions that degrade
+        /// mid-way (at key 13, which has no raw sort form) included, the
+        /// folding buffer yields the record count, the pairs and the charges
+        /// that the same combiner gives without its fold declaration —
+        /// through the grouping buffer and through the plain sort path. The
+        /// engine's rule applies: a partition of fewer than two records
+        /// skips the combiner.
+        #[test]
+        fn fold_at_collect_matches_reduce(
+            picks in proptest::collection::vec(
+                (0i32..24, -3i64..1_000),
+                0..300,
+            ),
+            parts in 1usize..6,
+            immutable in any::<bool>(),
+            degrade in any::<bool>(),
+        ) {
+            let picks: Vec<(i32, i64)> = picks
+                .into_iter()
+                .map(|(k, v)| (if k == 13 && !degrade { 14 } else { k }, v))
+                .collect();
+            type Out = (Vec<Vec<(i32, i64)>>, Vec<usize>, simgrid::metrics::MetricsSnapshot);
+            let run = |mut buf: MapOutputBuffer<Flaky, LongWritable>,
+                       combiner: &mut dyn TaskReducer<Flaky, LongWritable, Flaky, LongWritable>|
+             -> Out {
+                let cluster = simgrid::Cluster::new(1, simgrid::CostModel::default());
+                let (pairs, lens) =
+                    simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
+                        for &(k, v) in &picks {
+                            buf.collect(Arc::new(Flaky(k)), Arc::new(LongWritable(v))).unwrap();
+                        }
+                        let nat = KeyComparator::<Flaky>::natural();
+                        let mut pairs = Vec::new();
+                        let mut lens = Vec::new();
+                        for part in buf.into_parts() {
+                            lens.push(part.len());
+                            let out = if part.len() < 2 {
+                                part.into_pairs()
+                            } else {
+                                part.combine(combiner, &nat, &nat, &mut task_ctx()).unwrap()
+                            };
+                            pairs.push(out.iter().map(|(k, v)| (k.0, v.0)).collect());
+                        }
+                        (pairs, lens)
+                    });
+                (pairs, lens, cluster.metrics().snapshot())
+            };
+            let modulo = || {
+                Box::new(FnPartitioner::new(|k: &Flaky, _: &LongWritable, n| k.0 as usize % n))
+            };
+            let folded = run(
+                MapOutputBuffer::grouping(parts, modulo(), immutable, &LongSumReducer),
+                &mut LongSumReducer,
+            );
+            let reduced = run(
+                MapOutputBuffer::grouping(parts, modulo(), immutable, &Unfolded),
+                &mut Unfolded,
+            );
+            let sorted = run(MapOutputBuffer::new(parts, modulo(), immutable), &mut Unfolded);
+            prop_assert_eq!(&folded, &reduced);
+            prop_assert_eq!(&folded.0, &sorted.0);
+            prop_assert_eq!(&folded.1, &sorted.1);
+            prop_assert_eq!(folded.1.iter().sum::<usize>(), picks.len());
         }
 
         /// Full de-duplication never sends more payload bytes than Off.

@@ -491,10 +491,9 @@ impl RawKeyIndex {
         }
     }
 
-    /// Lay the interned records out grouped: groups in ascending raw-key
-    /// order — the order the sorted path would emit — and each group's
-    /// records in arrival order, exactly what the *stable* sort
-    /// guarantees.
+    /// Group ids in ascending raw-key order — the order the sorted path
+    /// emits its groups in. Enough on its own for a caller that kept one
+    /// value per group; [`RawKeyIndex::layout`] adds the record permutation.
     ///
     /// Representatives are ordered as cached `(prefix, gid)` entries so
     /// the common case is a register compare; the full raw form breaks
@@ -504,28 +503,36 @@ impl RawKeyIndex {
     /// groups the reps take the same radix pass the raw sort path uses —
     /// only G entries wide, which is the whole advantage of grouping by
     /// hash; fewer are comparison-sorted.
-    pub fn layout(&self, tuning: &SortTuning) -> GroupLayout {
+    pub fn group_order(&self, tuning: &SortTuning) -> Vec<u32> {
         let groups = self.groups();
-        let mut group_order: Vec<(u64, u32)> =
+        let mut order: Vec<(u64, u32)> =
             (0..groups as u32).map(|g| (raw_prefix(self.raw(g)), g)).collect();
         if groups >= tuning.raw_min_pairs {
-            radix_sort_by_raw(&mut group_order, |g| self.raw(g));
+            radix_sort_by_raw(&mut order, |g| self.raw(g));
         } else {
-            group_order.sort_unstable_by(|a, b| {
+            order.sort_unstable_by(|a, b| {
                 a.0.cmp(&b.0).then_with(|| self.raw(a.1).cmp(self.raw(b.1)))
             });
         }
+        order.into_iter().map(|(_, g)| g).collect()
+    }
+
+    /// Lay the interned records out grouped: groups in ascending raw-key
+    /// order — the order the sorted path would emit — and each group's
+    /// records in arrival order, exactly what the *stable* sort
+    /// guarantees. The groups are [`RawKeyIndex::group_order`]'s.
+    pub fn layout(&self, tuning: &SortTuning) -> GroupLayout {
+        let groups = self.group_order(tuning);
         let mut layout = GroupLayout {
-            groups: Vec::with_capacity(groups),
-            counts: Vec::with_capacity(groups),
+            counts: Vec::with_capacity(groups.len()),
             records: vec![0; self.records()],
+            groups,
         };
-        let mut offset = vec![0u32; groups]; // group -> next free position
+        let mut offset = vec![0u32; layout.groups.len()]; // group -> next free position
         let mut cursor = 0u32;
-        for &(_, g) in &group_order {
+        for &g in &layout.groups {
             offset[g as usize] = cursor;
             let c = self.counts[g as usize];
-            layout.groups.push(g);
             layout.counts.push(c);
             cursor += c;
         }

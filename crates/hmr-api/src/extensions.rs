@@ -12,6 +12,7 @@
 //! | `PlacedSplit` (§4.3) | [`crate::io::InputSplit::placed_partition`] |
 //! | `CacheFS` (§4.2.3–4.2.4) | [`CacheFsExt`] below |
 //! | temp outputs (§4.2.3) | [`crate::conf::JobConf::is_temp_output`] |
+//! | combiner folds (not in the paper; same contract: Hadoop ignores it) | [`crate::task::TaskReducer::as_fold`] |
 //!
 //! The stock engine consults none of them.
 

@@ -380,7 +380,7 @@ impl FsWriter for BufWriter {
     }
     fn close(self: Box<Self>) -> Result<u64> {
         let len = self.buf.len() as u64;
-        self.ns.write().publish(&self.target, Bytes::from(self.buf))?;
+        self.ns.write().publish(&self.target, freeze(self.buf))?;
         Ok(len)
     }
 }
@@ -484,6 +484,15 @@ pub fn adopt_or_append(buf: &mut Vec<u8>, bytes: Vec<u8>) {
     } else {
         buf.extend_from_slice(&bytes);
     }
+}
+
+/// Freeze an in-memory writer's buffer into the bytes its file stores.
+/// Capacity the writer grew beyond the file's length is handed back to the
+/// allocator first (it shrinks the block; nothing here copies), so a stored
+/// file keeps its length in memory, not its writer's slack.
+pub fn freeze(mut buf: Vec<u8>) -> Bytes {
+    buf.shrink_to_fit();
+    Bytes::from(buf)
 }
 
 /// Write an entire file in one call.

@@ -69,6 +69,23 @@ pub trait TaskReducer<K2, V2, K3, V3>: Send {
     ) -> Result<()> {
         Ok(())
     }
+    /// M3R extension (§4 style: Hadoop ignores it, M3R exploits it): this
+    /// reducer, used as a combiner, is a fold. Return `Some(f)` only when
+    /// all three hold:
+    ///
+    /// * for every group `reduce` emits exactly one pair: the group's first
+    ///   key with an accumulator that starts as a copy of the first value
+    ///   and takes each later value through `f`, in arrival order;
+    /// * `reduce` does nothing else: no counters, no charges, no side
+    ///   output;
+    /// * replacing any prefix of a group's values by the one value the
+    ///   fold makes of that prefix leaves `reduce`'s output unchanged.
+    ///
+    /// M3R's map side then keeps one running value per distinct key and
+    /// never calls `reduce` for a folded group.
+    fn as_fold(&self) -> Option<fn(&mut V3, &V2)> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -329,6 +346,11 @@ impl<K: Send + Sync + 'static>
         let sum: i64 = values.map(|v| v.0).sum();
         out.collect(key, Arc::new(crate::writable::LongWritable(sum)))
     }
+    fn as_fold(
+        &self,
+    ) -> Option<fn(&mut crate::writable::LongWritable, &crate::writable::LongWritable)> {
+        Some(|acc, v| acc.0 += v.0)
+    }
 }
 
 #[cfg(test)]
@@ -392,6 +414,18 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.pairs[0].1 .0, 10);
+    }
+
+    #[test]
+    fn long_sum_fold_matches_reduce_and_others_declare_none() {
+        let fold = TaskReducer::<Text, LongWritable, Text, LongWritable>::as_fold(&LongSumReducer)
+            .expect("LongSumReducer folds");
+        let mut acc = LongWritable(1);
+        for v in 2..=4 {
+            fold(&mut acc, &LongWritable(v));
+        }
+        assert_eq!(acc, LongWritable(10));
+        assert!(TaskReducer::<Text, Text, Text, Text>::as_fold(&IdentityReducer).is_none());
     }
 
     /// Reads only the first value of each group. `released[j]` are values

@@ -28,7 +28,7 @@ use parking_lot::RwLock;
 
 use hmr_api::error::Result;
 use hmr_api::fs::{
-    adopt_or_append, content_version_of, FileStatus, FileSystem, FsReader, FsWriter, HPath,
+    adopt_or_append, content_version_of, freeze, FileStatus, FileSystem, FsReader, FsWriter, HPath,
     Namespace,
 };
 use simgrid::cost::Charge;
@@ -196,10 +196,10 @@ impl FsWriter for DfsWriter {
         let local = meter::current_meter()
             .map(|m| m.node().id())
             .unwrap_or((seed % inner.cluster.len() as u64) as usize);
-        // Freeze the buffer once: every block is a view of that one
-        // allocation (the caller's own, when it came by `write_owned`), so
-        // neither storing nor splitting copies.
-        let data = Bytes::from(self.buf);
+        // Freeze the buffer once, without its growth slack: every block is
+        // a view of that one allocation (the caller's own, when it came by
+        // `write_owned`), so neither storing nor splitting copies.
+        let data = freeze(self.buf);
         let chunks = (0..data.len()).step_by(inner.block_size as usize).enumerate();
         let blocks = trace::span(trace::Phase::Io, "dfs_write", None, || {
             chunks

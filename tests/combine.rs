@@ -10,25 +10,33 @@
 //!   engine drains early and degrades to plain streaming — outputs still
 //!   identical, and the accountant shows the table engaged before giving
 //!   way.
+//! * Fold: a combiner that declares a fold (`TaskReducer::as_fold`) answers
+//!   exactly as its `reduce` does, at the map side and in the place-level
+//!   tables — same bytes, counters, metrics and accounted memory.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hadoop_engine::{EngineOptions, HadoopEngine};
 use hmr_api::collect::OutputCollector;
+use hmr_api::comparator::KeyComparator;
 use hmr_api::conf::JobConf;
+use hmr_api::counters::task_counter::{COMBINE_INPUT_RECORDS, COMBINE_OUTPUT_RECORDS};
 use hmr_api::counters::TaskContext;
 use hmr_api::error::Result;
 use hmr_api::io::seqfile::{read_seq_file, write_seq_file};
 use hmr_api::io::{InputFormat, OutputFormat, SequenceFileInputFormat, SequenceFileOutputFormat};
-use hmr_api::job::{Engine, JobDef, JobResult};
+use hmr_api::job::{ComputeIdentity, Engine, JobDef, JobResult, MapOnlyConvert};
+use hmr_api::partition::Partitioner;
 use hmr_api::task::{LongSumReducer, TaskMapper, TaskReducer};
 use hmr_api::writable::{IntWritable, LongWritable, Text};
 use hmr_api::{FileSystem, HPath};
 use m3r::{M3REngine, M3ROptions};
 use proptest::prelude::*;
 use simdfs::SimDfs;
-use simgrid::{Cluster, CostModel};
+use simgrid::{Cluster, CostModel, MemClass, Workers};
+use workloads::generate_text;
+use workloads::wordcount::{WcStyle, WordCountJob};
 
 mod common;
 use common::{assert_same_result, forced, part_bytes};
@@ -302,4 +310,141 @@ fn foreign_shuffle_bytes_never_move_the_place_combine_flush() {
         budget + 1,
         "the parked bytes stayed live through the job"
     );
+}
+
+/// `J` with its combiner's fold declaration hidden: wherever the engine
+/// would fold, it runs the combiner's `reduce`.
+struct NoFold<J>(J);
+
+/// A combiner that delegates everything but `as_fold`.
+struct Delegating<K, V>(Box<dyn TaskReducer<K, V, K, V>>);
+
+impl<K, V> TaskReducer<K, V, K, V> for Delegating<K, V> {
+    fn setup(&mut self, ctx: &mut TaskContext) -> Result<()> {
+        self.0.setup(ctx)
+    }
+    fn reduce(
+        &mut self,
+        key: Arc<K>,
+        values: &mut dyn Iterator<Item = Arc<V>>,
+        out: &mut dyn OutputCollector<K, V>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
+        self.0.reduce(key, values, out, ctx)
+    }
+    fn cleanup(
+        &mut self,
+        out: &mut dyn OutputCollector<K, V>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
+        self.0.cleanup(out, ctx)
+    }
+}
+
+impl<J: JobDef> JobDef for NoFold<J> {
+    type K1 = J::K1;
+    type V1 = J::V1;
+    type K2 = J::K2;
+    type V2 = J::V2;
+    type K3 = J::K3;
+    type V3 = J::V3;
+
+    fn create_mapper(&self, c: &JobConf) -> Box<dyn TaskMapper<J::K1, J::V1, J::K2, J::V2>> {
+        self.0.create_mapper(c)
+    }
+    fn create_reducer(&self, c: &JobConf) -> Box<dyn TaskReducer<J::K2, J::V2, J::K3, J::V3>> {
+        self.0.create_reducer(c)
+    }
+    fn create_combiner(
+        &self,
+        c: &JobConf,
+    ) -> Option<Box<dyn TaskReducer<J::K2, J::V2, J::K2, J::V2>>> {
+        let combiner = self.0.create_combiner(c)?;
+        Some(Box::new(Delegating(combiner)))
+    }
+    fn partitioner(&self, c: &JobConf) -> Box<dyn Partitioner<J::K2, J::V2>> {
+        self.0.partitioner(c)
+    }
+    fn input_format(&self, c: &JobConf) -> Box<dyn InputFormat<J::K1, J::V1>> {
+        self.0.input_format(c)
+    }
+    fn output_format(&self, c: &JobConf) -> Box<dyn OutputFormat<J::K3, J::V3>> {
+        self.0.output_format(c)
+    }
+    fn immutable_output(&self) -> bool {
+        self.0.immutable_output()
+    }
+    fn sort_comparator(&self) -> KeyComparator<J::K2> {
+        self.0.sort_comparator()
+    }
+    fn grouping_comparator(&self) -> KeyComparator<J::K2> {
+        self.0.grouping_comparator()
+    }
+    fn map_only_convert(&self) -> Option<MapOnlyConvert<J::K2, J::V2, J::K3, J::V3>> {
+        self.0.map_only_convert()
+    }
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn memo_identity(&self) -> Option<ComputeIdentity> {
+        self.0.memo_identity()
+    }
+}
+
+/// One WordCount job on a fresh 3-place M3R instance over a six-file
+/// corpus: its result, its part files, and per place the live bytes of
+/// every accounted class plus the combine tables' high watermark.
+fn run_word_count<J: JobDef>(
+    job: J,
+    place_combine: bool,
+    workers: Workers,
+) -> (JobResult, Parts, Vec<u64>) {
+    const PLACES: usize = 3;
+    const REDUCERS: usize = 4;
+    let cluster = Cluster::new(PLACES, CostModel::default());
+    let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
+    for f in 0..6 {
+        generate_text(&fs, &HPath::new(format!("/in/text-{f}")), 40_000, f).unwrap();
+    }
+    let opts = M3ROptions { worker_threads: 2, workers, ..M3ROptions::default() };
+    let mut engine = M3REngine::with_options(cluster.clone(), Arc::new(fs.clone()), opts);
+    let r = engine
+        .run_job(Arc::new(job), &job_conf("/out", REDUCERS, place_combine))
+        .unwrap();
+    let mem = cluster.mem();
+    let classes =
+        [MemClass::Cache, MemClass::Shuffle, MemClass::Pool, MemClass::Combine, MemClass::Memo];
+    let accounted = (0..PLACES)
+        .flat_map(|p| {
+            let live = classes.map(|class| mem.live_class(p, class));
+            live.into_iter().chain([mem.combine_high_watermark(p)])
+        })
+        .collect();
+    (r, part_bytes(&fs, "/out", REDUCERS), accounted)
+}
+
+#[test]
+fn a_folding_combiner_is_its_reduce_on_every_path() {
+    for style in [WcStyle::FreshText, WcStyle::ReuseText] {
+        for place_combine in [false, true] {
+            for workers in [Workers::Never, Workers::Always] {
+                let what = format!("{style:?}, place combine {place_combine}, {workers:?}");
+                let (folded, folded_parts, folded_mem) =
+                    run_word_count(WordCountJob::new(style), place_combine, workers);
+                let (reduced, reduced_parts, reduced_mem) =
+                    run_word_count(NoFold(WordCountJob::new(style)), place_combine, workers);
+                assert_same_result(&folded, &reduced, &what);
+                assert_eq!(folded_parts, reduced_parts, "{what}: part-file bytes");
+                assert_eq!(folded_mem, reduced_mem, "{what}: accounted bytes per place and class");
+                let task = |name| folded.counters.task(name);
+                assert!(
+                    task(COMBINE_OUTPUT_RECORDS) * 2 < task(COMBINE_INPUT_RECORDS),
+                    "{what}: the map-side combine barely merged — the test is vacuous"
+                );
+                let place_combined =
+                    folded.counters.get(m3r::M3R_COUNTER_GROUP, "PLACE_COMBINE_INPUT_RECORDS");
+                assert_eq!(place_combined > 0, place_combine, "{what}: place combine engaged");
+            }
+        }
+    }
 }

@@ -1,33 +1,66 @@
 //! The counting allocator shared by the allocation-meter suites. Each
 //! suite that pulls it in with `mod counting;` installs it as that test
 //! binary's `#[global_allocator]` and holds a single test, so nothing else
-//! allocates while a window is counted.
+//! allocates while a window is counted. It counts the calls that hand out
+//! a block and tracks live and peak-live bytes (a `dealloc` subtracts what
+//! its block held).
+#![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// `System`, counting the calls that hand out a new block.
+/// `System`, counting the calls that hand out a new block and the bytes
+/// the blocks hold.
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
-// `System`'s guarantees are this allocator's; the counter is an atomic
-// that publishes no other data.
+// `System`'s guarantees are this allocator's; the counters are atomics
+// that publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            // On failure the old block stays allocated, unchanged.
+            if new_size > layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                shrank(layout.size() - new_size);
+            }
+        }
+        p
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -38,4 +71,19 @@ static GLOBAL: Counting = Counting;
 /// Allocations made so far by every thread of this binary.
 pub fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Bytes currently allocated by every thread of this binary.
+pub fn live_bytes() -> u64 {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// The most bytes that were live at once since the last [`reset_peak`].
+pub fn peak_live_bytes() -> u64 {
+    PEAK.load(Ordering::Relaxed)
+}
+
+/// Restart the peak at the bytes live now.
+pub fn reset_peak() {
+    PEAK.store(live_bytes(), Ordering::Relaxed);
 }
