@@ -986,28 +986,18 @@ fn run_map_task<J: JobDef>(
     let mut combiner = job.create_combiner(conf);
     let sort_cmp = job.sort_comparator();
     let group_cmp = job.grouping_comparator();
-    // A combiner job whose groups are raw-key equality classes in
-    // ascending raw order (natural sort and grouping comparators) groups at
-    // collect time and never materialises its duplicate keys (nor, when the
-    // combiner folds, its duplicate values). Everything else buffers plain
-    // pairs; the input sequence is already materialized, so its length
-    // pre-sizes those buckets (uniform spread assumption).
-    let mut buffer = match combiner.as_deref() {
-        Some(combiner) if sort_cmp.is_natural() && group_cmp.is_natural() => {
-            MapOutputBuffer::grouping(
-                num_parts,
-                job.partitioner(conf),
-                job.immutable_output(),
-                combiner,
-            )
-        }
-        _ => MapOutputBuffer::with_capacity_hint(
-            num_parts,
-            job.partitioner(conf),
-            job.immutable_output(),
-            pairs.pairs.len(),
-        ),
-    };
+    // The buffer folds a folding combiner in at collect time where that is
+    // legal, and otherwise keeps plain pairs; the input sequence is already
+    // materialized, so its length pre-sizes those buckets.
+    let mut buffer = MapOutputBuffer::new(
+        num_parts,
+        job.partitioner(conf),
+        job.immutable_output(),
+        combiner.as_deref(),
+        &sort_cmp,
+        &group_cmp,
+        pairs.pairs.len(),
+    );
     let mut mapper = job.create_mapper(conf);
     mapper.setup(&mut ctx)?;
     for (k, v) in &pairs.pairs {

@@ -9,6 +9,13 @@
 //! * **remote** — pairs are serialized with X10's de-duplicating protocol
 //!   (§3.2.2.3) into one stream per (source place, destination place) and
 //!   moved over the network after the map barrier.
+//!
+//! Before any of that, the job's combiner runs map-side. A combiner that
+//! declares a fold ([`TaskReducer::as_fold`]) under natural sort and
+//! grouping comparators is applied at `collect()`: each partition keeps
+//! one accumulator per distinct key and drops every duplicate key and
+//! value on the spot. Every other combiner runs over the partition's
+//! plain pairs through the one sort path both engines share.
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -35,13 +42,12 @@ type Fold<V> = fn(&mut V, &V);
 /// Map-task-side collector: partitions emitted pairs, applying the
 /// `ImmutableOutput` cloning contract at emit time.
 ///
-/// A [`MapOutputBuffer::grouping`] buffer additionally groups at
+/// A folding buffer (see [`MapOutputBuffer::new`]) additionally combines at
 /// `collect()`: each partition interns the emitted key's raw sort bytes in
-/// a [`RawKeyIndex`], keeps a key only when it founds a group and appends
-/// just the value otherwise — so a combiner job never materialises its
-/// duplicate keys. When the combiner declares a fold, a partition keeps one
-/// running value per group instead and no emitted value outlives its
-/// `collect()`. See DESIGN.md, "Map-side grouping at collect time".
+/// a [`RawKeyIndex`], keeps a key and a copy of its value only when the key
+/// founds a group and folds the value in otherwise, so no duplicate key or
+/// value outlives its `collect()`. See DESIGN.md, "Map-side folding at
+/// collect time".
 pub struct MapOutputBuffer<K, V> {
     partitioner: Box<dyn Partitioner<K, V>>,
     num_partitions: usize,
@@ -61,105 +67,50 @@ pub enum MapPart<K, V> {
         /// Records collected into the partition.
         records: usize,
     },
-    /// Grouped at collect time.
+    /// Folded at collect time.
     Groups(KeyGroups<K, V>),
 }
 
-/// A partition grouped at collect time: the first-arrived key of every
-/// group, the index that says which record belongs to which group, and
-/// what the partition keeps of the values.
+/// A partition folded at collect time: the index that says which key
+/// belongs to which group, and per group the first-arrived key and the
+/// combiner's accumulator.
 pub struct KeyGroups<K, V> {
     index: RawKeyIndex,
+    fold: Fold<V>,
     /// Group id -> the key that founded the group.
     keys: Vec<Arc<K>>,
-    values: GroupValues<V>,
+    /// Group id -> a copy of the group's first value with every later
+    /// value folded in, in arrival order.
+    accs: Vec<V>,
+    /// Records collected into the partition.
+    records: usize,
 }
 
-/// What a [`KeyGroups`] keeps of its values.
-enum GroupValues<V> {
-    /// Every value in arrival order; record `i` belongs to group
-    /// `index.gid_of()[i]`.
-    Every(Vec<Arc<V>>),
-    /// The combiner's fold and one accumulator per group, parallel to
-    /// `keys`: a copy of the group's first value with every later value
-    /// folded in, in arrival order.
-    Folded(Fold<V>, Vec<V>),
-}
-
-impl<K, V> KeyGroups<K, V>
-where
-    K: Writable + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    fn new(fold: Option<Fold<V>>) -> Self {
+impl<K, V> KeyGroups<K, V> {
+    fn new(fold: Fold<V>) -> Self {
         KeyGroups {
             index: RawKeyIndex::with_capacity(0),
+            fold,
             keys: Vec::new(),
-            values: match fold {
-                Some(fold) => GroupValues::Folded(fold, Vec::new()),
-                None => GroupValues::Every(Vec::new()),
-            },
+            accs: Vec::new(),
+            records: 0,
         }
     }
 
-    /// Back to pairs: every record in arrival order, duplicates aliasing
-    /// their group's key — or, folded, one `(key, acc)` pair per group in
-    /// founding order.
+    /// One `(key, acc)` pair per group, in founding order.
     fn into_pairs(self) -> Vec<(Arc<K>, Arc<V>)> {
-        match self.values {
-            GroupValues::Every(values) => self
-                .index
-                .gid_of()
-                .iter()
-                .zip(values)
-                .map(|(&g, v)| (Arc::clone(&self.keys[g as usize]), v))
-                .collect(),
-            GroupValues::Folded(_, accs) => folded_pairs(self.keys, accs),
-        }
+        let accs = self.accs.into_iter().map(Arc::new);
+        self.keys.into_iter().zip(accs).collect()
     }
 
-    /// The groups through `combiner`, ascending by raw key: a folded
-    /// partition's `(key, acc)` pairs as they stand, otherwise one
-    /// `reduce` per group over its values in arrival order.
-    fn combine(
-        self,
-        combiner: &mut dyn TaskReducer<K, V, K, V>,
-        ctx: &mut TaskContext,
-    ) -> Result<Vec<(Arc<K>, Arc<V>)>> {
-        let KeyGroups {
-            index,
-            mut keys,
-            values,
-        } = self;
-        let mut values = match values {
-            GroupValues::Folded(_, accs) => {
-                let mut order = index.group_order(&SortTuning::default());
-                let mut pairs = folded_pairs(keys, accs);
-                apply_permutation(&mut pairs, &mut order);
-                return Ok(pairs);
-            }
-            GroupValues::Every(values) => values,
-        };
-        let mut layout = index.layout(&SortTuning::default());
-        drop(index);
-        apply_permutation(&mut values, &mut layout.records);
-        apply_permutation(&mut keys, &mut layout.groups);
-        // Values go to the combiner by ownership; whatever it leaves
-        // unread drops before the next group.
-        let mut out = VecCollector::new();
-        let mut values = values.into_iter();
-        for (key, count) in keys.into_iter().zip(layout.counts) {
-            let mut group = values.by_ref().take(count as usize);
-            combiner.reduce(key, &mut group, &mut out, ctx)?;
-            group.for_each(drop);
-        }
-        Ok(out.pairs)
+    /// The `(key, acc)` pairs ascending by raw key: what the combiner's
+    /// `reduce` would emit on the sort path, without calling it.
+    fn combine(self) -> Vec<(Arc<K>, Arc<V>)> {
+        let mut order = self.index.group_order(&SortTuning::default());
+        let mut pairs = self.into_pairs();
+        apply_permutation(&mut pairs, &mut order);
+        pairs
     }
-}
-
-/// Folded groups as pairs, in the order given.
-fn folded_pairs<K, V>(keys: Vec<Arc<K>>, accs: Vec<V>) -> Vec<(Arc<K>, Arc<V>)> {
-    keys.into_iter().zip(accs).map(|(k, acc)| (k, Arc::new(acc))).collect()
 }
 
 impl<K, V> MapPart<K, V>
@@ -176,7 +127,7 @@ where
     pub fn len(&self) -> usize {
         match self {
             MapPart::Pairs { records, .. } => *records,
-            MapPart::Groups(groups) => groups.index.records(),
+            MapPart::Groups(groups) => groups.records,
         }
     }
 
@@ -196,10 +147,10 @@ where
 
     /// The partition through the job's combiner, in reduce order: the
     /// groups, keys and value order of a stable sort under `sort_cmp`
-    /// split by `group_cmp`, one `reduce` per group. A partition grouped
-    /// at collect time only has to order its groups, and one that folded
-    /// holds its answer already: `(key, acc)` per group, no `reduce` call.
-    /// Plain pairs go through [`ingest_reduce_groups`].
+    /// split by `group_cmp`, one `reduce` per group. A partition that
+    /// folded at collect time holds its answer already and only orders its
+    /// groups: `(key, acc)` per group, no `reduce` call. Plain pairs go
+    /// through [`ingest_reduce_groups`].
     pub fn combine(
         self,
         combiner: &mut dyn TaskReducer<K, V, K, V>,
@@ -208,7 +159,7 @@ where
         ctx: &mut TaskContext,
     ) -> Result<Vec<(Arc<K>, Arc<V>)>> {
         match self {
-            MapPart::Groups(groups) => groups.combine(combiner, ctx),
+            MapPart::Groups(groups) => Ok(groups.combine()),
             MapPart::Pairs { mut pairs, .. } => {
                 let tuning = SortTuning::default();
                 let spans = ingest_reduce_groups(&mut pairs, sort_cmp, group_cmp, &tuning, None);
@@ -225,60 +176,41 @@ where
     K: Writable + Clone + Send + Sync + 'static,
     V: Writable + Clone + Send + Sync + 'static,
 {
-    /// A buffer for `num_partitions` partitions.
+    /// A buffer for `num_partitions` partitions of a map task whose job
+    /// has `combiner` (if any) and the given comparators.
+    ///
+    /// The buffer folds at `collect()` when the combiner declares a fold
+    /// ([`TaskReducer::as_fold`]) and both the sort and the grouping
+    /// comparator are natural: then raw-key equality is the grouping
+    /// relation and ascending raw order the reduce order, so one
+    /// accumulator per raw key, ordered by raw key at the end, is what
+    /// the sort path would hand the combiner's `reduce` to compute. A
+    /// partition whose keys turn out to have no raw sort form (or that
+    /// outgrows the index's `u32` offsets or group ids) degrades to pairs:
+    /// its folded groups so far as `(key, acc)`, then the later records.
+    ///
+    /// Every other buffer keeps plain pairs, each partition pre-sized for
+    /// `expected_records` spread uniformly (the repeated doubling a map
+    /// task would otherwise pay per bucket); a folding partition is not,
+    /// since its groups are a fraction of the input.
     pub fn new(
         num_partitions: usize,
         partitioner: Box<dyn Partitioner<K, V>>,
         immutable: bool,
-    ) -> Self {
-        Self::with_capacity_hint(num_partitions, partitioner, immutable, 0)
-    }
-
-    /// Like [`MapOutputBuffer::new`], but pre-sizes every partition bucket
-    /// assuming `expected_records` spread uniformly — the allocation-churn
-    /// fix for the repeated doubling a map task otherwise pays per bucket.
-    pub fn with_capacity_hint(
-        num_partitions: usize,
-        partitioner: Box<dyn Partitioner<K, V>>,
-        immutable: bool,
+        combiner: Option<&dyn TaskReducer<K, V, K, V>>,
+        sort_cmp: &KeyComparator<K>,
+        group_cmp: &KeyComparator<K>,
         expected_records: usize,
     ) -> Self {
-        let per_part = expected_records.div_ceil(num_partitions.max(1));
-        Self::with_parts(num_partitions, partitioner, immutable, || {
-            MapPart::pairs(Vec::with_capacity(per_part))
-        })
-    }
-
-    /// A buffer that groups at `collect()` for `combiner`. Only legal when
-    /// raw-key equality is the job's grouping relation and ascending raw
-    /// order its sort order — natural sort *and* grouping comparator — and
-    /// only worth it when the combiner will consume the groups. If the
-    /// combiner declares a fold ([`TaskReducer::as_fold`]), each group
-    /// keeps one accumulator and no value. A partition whose keys turn out
-    /// to have no raw sort form (or that outgrows the index's `u32`
-    /// offsets) degrades to pairs: the folded groups so far as
-    /// `(key, acc)`, or every record in arrival order, and the records
-    /// after it. Nothing is pre-sized, since the groups are a fraction of
-    /// the input.
-    pub fn grouping(
-        num_partitions: usize,
-        partitioner: Box<dyn Partitioner<K, V>>,
-        immutable: bool,
-        combiner: &dyn TaskReducer<K, V, K, V>,
-    ) -> Self {
-        let fold = combiner.as_fold();
-        Self::with_parts(num_partitions, partitioner, immutable, || {
-            MapPart::Groups(KeyGroups::new(fold))
-        })
-    }
-
-    fn with_parts(
-        num_partitions: usize,
-        partitioner: Box<dyn Partitioner<K, V>>,
-        immutable: bool,
-        part: impl FnMut() -> MapPart<K, V>,
-    ) -> Self {
         let num_partitions = num_partitions.max(1);
+        let fold = combiner
+            .and_then(|c| c.as_fold())
+            .filter(|_| sort_cmp.is_natural() && group_cmp.is_natural());
+        let per_part = expected_records.div_ceil(num_partitions);
+        let part = || match fold {
+            Some(fold) => MapPart::Groups(KeyGroups::new(fold)),
+            None => MapPart::pairs(Vec::with_capacity(per_part)),
+        };
         MapOutputBuffer {
             partitioner,
             num_partitions,
@@ -318,7 +250,7 @@ where
         if !immutable {
             // §3.2.2.1: "this forces M3R to conservatively make a copy of
             // every key/value pair." Billed per emitted record, whether or
-            // not grouping ends up needing the key's copy.
+            // not folding ends up needing the copies.
             let bytes = (key.serialized_size() + value.serialized_size()) as u64;
             meter::charge(Charge::Clone { bytes });
             meter::charge(Charge::Alloc { objects: 2 });
@@ -338,18 +270,15 @@ where
             // Interned from the borrowed key: a duplicate key is dropped
             // (or never copied) right here.
             if let Some((g, founded)) = groups.index.intern(&*key) {
+                groups.records += 1;
                 if founded {
+                    // The group's own copy of its first value, moved out
+                    // when nothing else holds it.
                     groups.keys.push(own(key, immutable));
-                }
-                match &mut groups.values {
-                    GroupValues::Every(values) => values.push(own(value, immutable)),
-                    // The group's own copy of its first value (moved out
-                    // when nothing else holds it); a later value is folded
-                    // in and dropped here, on the thread that made it.
-                    GroupValues::Folded(_, accs) if founded => {
-                        accs.push(Arc::unwrap_or_clone(value))
-                    }
-                    GroupValues::Folded(fold, accs) => fold(&mut accs[g as usize], &value),
+                    groups.accs.push(Arc::unwrap_or_clone(value));
+                } else {
+                    // Folded in and dropped here, on the thread that made it.
+                    (groups.fold)(&mut groups.accs[g as usize], &value);
                 }
                 return Ok(());
             }
@@ -678,9 +607,24 @@ mod tests {
         }))
     }
 
+    /// A buffer for `combiner` (if any) under natural comparators.
+    pub(super) fn buffer<K, V>(
+        parts: usize,
+        partitioner: Box<dyn Partitioner<K, V>>,
+        immutable: bool,
+        combiner: Option<&dyn TaskReducer<K, V, K, V>>,
+    ) -> MapOutputBuffer<K, V>
+    where
+        K: Writable + Ord + Clone + Send + Sync + 'static,
+        V: Writable + Clone + Send + Sync + 'static,
+    {
+        let nat = KeyComparator::natural();
+        MapOutputBuffer::new(parts, partitioner, immutable, combiner, &nat, &nat, 0)
+    }
+
     #[test]
     fn immutable_buffer_aliases() {
-        let mut buf = MapOutputBuffer::new(4, modulo_partitioner(), true);
+        let mut buf = buffer(4, modulo_partitioner(), true, None);
         let k = Arc::new(IntWritable(5));
         let v = Arc::new(BytesWritable(vec![1, 2, 3].into()));
         buf.collect(Arc::clone(&k), Arc::clone(&v)).unwrap();
@@ -696,7 +640,7 @@ mod tests {
         let v = Arc::new(BytesWritable(vec![1, 2, 3].into()));
         let before = cluster.metrics().snapshot();
         simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
-            let mut buf = MapOutputBuffer::new(4, modulo_partitioner(), false);
+            let mut buf = buffer(4, modulo_partitioner(), false, None);
             buf.collect(Arc::clone(&k), Arc::clone(&v)).unwrap();
             let part = buf.into_parts().swap_remove(1).into_pairs();
             assert!(!Arc::ptr_eq(&part[0].0, &k), "defensive copy");
@@ -716,40 +660,40 @@ mod tests {
         )
     }
 
-    /// A combiner that records every group it is handed — the key and its
-    /// values, by handle — and emits nothing. It declares no fold.
-    pub(super) struct Recorder<K, V>(pub Vec<(Arc<K>, Vec<Arc<V>>)>);
+    /// Emits each group's first value and reads no further. It declares
+    /// the matching fold, which leaves the accumulator as it is.
+    pub(super) struct FirstOnly;
 
-    impl<K: Send + Sync, V: Send + Sync> TaskReducer<K, V, K, V> for Recorder<K, V> {
+    impl<K: Send + Sync, V: Send + Sync> TaskReducer<K, V, K, V> for FirstOnly {
         fn reduce(
             &mut self,
             key: Arc<K>,
             values: &mut dyn Iterator<Item = Arc<V>>,
-            _out: &mut dyn OutputCollector<K, V>,
+            out: &mut dyn OutputCollector<K, V>,
             _ctx: &mut TaskContext,
         ) -> Result<()> {
-            self.0.push((key, values.collect()));
-            Ok(())
+            out.collect(key, values.next().expect("groups are never empty"))
+        }
+
+        fn as_fold(&self) -> Option<fn(&mut V, &V)> {
+            Some(|_, _| {})
         }
     }
 
-    /// A finished partition as the combiner sees it: one `(key, values)`
-    /// entry per group.
-    fn groups_of<K, V>(part: MapPart<K, V>) -> Vec<(Arc<K>, Vec<Arc<V>>)>
+    /// A finished partition through [`FirstOnly`] under natural
+    /// comparators: `(first key, first value)` per group, ascending.
+    pub(super) fn firsts<K, V>(part: MapPart<K, V>) -> Vec<(Arc<K>, Arc<V>)>
     where
-        K: hmr_api::writable::WritableKey + Send + Sync + 'static,
+        K: Writable + Ord + Send + Sync + 'static,
         V: Clone + Send + Sync + 'static,
     {
-        let nat = KeyComparator::<K>::natural();
-        let mut seen = Recorder(Vec::new());
-        let out = part.combine(&mut seen, &nat, &nat, &mut task_ctx()).unwrap();
-        assert!(out.is_empty());
-        seen.0
+        let nat = KeyComparator::natural();
+        part.combine(&mut FirstOnly, &nat, &nat, &mut task_ctx()).unwrap()
     }
 
     #[test]
-    fn grouping_buffer_aliases_first_key_and_every_value() {
-        let mut buf = MapOutputBuffer::grouping(4, modulo_partitioner(), true, &IdentityReducer);
+    fn folding_buffer_aliases_first_key_and_drops_duplicates_at_collect() {
+        let mut buf = buffer(4, modulo_partitioner(), true, Some(&FirstOnly));
         // Partition 1 sees keys 9, 5, 9, 5, 9; each emit is a fresh Arc.
         let emitted: Vec<_> = [9, 5, 9, 5, 9]
             .iter()
@@ -769,67 +713,48 @@ mod tests {
         assert!(matches!(parts[1], MapPart::Groups(_)));
         assert_eq!(parts[1].len(), 5);
         assert!(parts[0].is_empty());
-        for (k, _) in &emitted[2..] {
-            assert_eq!(
-                Arc::strong_count(k),
-                1,
-                "duplicate keys were dropped at collect"
-            );
+        for (k, v) in &emitted[2..] {
+            assert_eq!(Arc::strong_count(k), 1, "duplicate keys were dropped at collect");
+            assert_eq!(Arc::strong_count(v), 1, "duplicate values were folded and dropped");
         }
-        let groups = groups_of(parts.swap_remove(1));
+        let groups = firsts(parts.swap_remove(1));
         assert_eq!(groups.len(), 2, "groups ascending: 5 then 9");
-        assert!(
-            Arc::ptr_eq(&groups[0].0, &emitted[1].0),
-            "first-arrived key of 5"
-        );
-        assert!(
-            Arc::ptr_eq(&groups[1].0, &emitted[0].0),
-            "first-arrived key of 9"
-        );
-        for (group, arrivals) in groups.iter().zip([&[1usize, 3][..], &[0, 2, 4]]) {
-            assert_eq!(group.1.len(), arrivals.len());
-            for (v, &i) in group.1.iter().zip(arrivals) {
-                assert!(
-                    Arc::ptr_eq(v, &emitted[i].1),
-                    "values alias, in arrival order"
-                );
-            }
-        }
+        assert!(Arc::ptr_eq(&groups[0].0, &emitted[1].0), "first-arrived key of 5");
+        assert!(Arc::ptr_eq(&groups[1].0, &emitted[0].0), "first-arrived key of 9");
+        assert_eq!(*groups[0].1, *emitted[1].1, "each group's accumulator is its first value");
+        assert_eq!(*groups[1].1, *emitted[0].1);
     }
 
     #[test]
-    fn grouping_buffer_bills_every_record_but_copies_keys_once_per_group() {
-        let run = |grouping: bool| {
+    fn folding_buffer_bills_every_record_but_copies_keys_once_per_group() {
+        let run = |fold: bool| {
             let cluster = simgrid::Cluster::new(1, simgrid::CostModel::default());
             let k = Arc::new(IntWritable(5));
             let v = Arc::new(BytesWritable(vec![1, 2, 3].into()));
             let before = cluster.metrics().snapshot();
             let groups = simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
-                let mut buf = if grouping {
-                    MapOutputBuffer::grouping(4, modulo_partitioner(), false, &IdentityReducer)
-                } else {
-                    MapOutputBuffer::new(4, modulo_partitioner(), false)
-                };
+                let combiner: Option<&dyn TaskReducer<IntWritable, BytesWritable, _, _>> =
+                    if fold { Some(&FirstOnly) } else { None };
+                let mut buf = buffer(4, modulo_partitioner(), false, combiner);
                 for _ in 0..3 {
                     buf.collect(Arc::clone(&k), Arc::clone(&v)).unwrap();
                 }
-                groups_of(buf.into_parts().swap_remove(1))
+                let part = buf.into_parts().swap_remove(1);
+                assert_eq!(matches!(part, MapPart::Groups(_)), fold);
+                firsts(part)
             });
             assert_eq!(Arc::strong_count(&k), 1, "nothing emitted is retained");
+            assert_eq!(Arc::strong_count(&v), 1);
             assert_eq!(groups.len(), 1);
             assert!(!Arc::ptr_eq(&groups[0].0, &k), "defensive copy of the key");
             assert_eq!(*groups[0].0, *k);
-            assert_eq!(groups[0].1.len(), 3);
-            assert!(groups[0].1.iter().all(|c| !Arc::ptr_eq(c, &v) && **c == *v));
+            assert_eq!(*groups[0].1, *v);
             cluster.metrics().snapshot().since(&before)
         };
-        let (grouped, plain) = (run(true), run(false));
-        assert_eq!(
-            grouped, plain,
-            "identical charges with and without grouping"
-        );
-        assert_eq!(grouped.allocs, 6);
-        assert!(grouped.clone_bytes > 0);
+        let (folded, plain) = (run(true), run(false));
+        assert_eq!(folded, plain, "identical charges with and without the fold");
+        assert_eq!(folded.allocs, 6);
+        assert!(folded.clone_bytes > 0);
     }
 
     /// A key that has a raw sort form except for one value (no real type
@@ -849,7 +774,7 @@ mod tests {
     }
 
     #[test]
-    fn grouping_buffer_degrades_to_arrival_order_when_a_key_has_no_raw_form() {
+    fn folding_buffer_degrades_to_pairs_when_a_key_has_no_raw_form() {
         let keys = [7, 3, 7, 13, 3, 13, 7, 1];
         let collect_all = |mut buf: MapOutputBuffer<Flaky, IntWritable>| {
             for (i, &k) in keys.iter().enumerate() {
@@ -859,78 +784,27 @@ mod tests {
             buf.into_parts().swap_remove(0)
         };
         let one_part = || Box::new(FnPartitioner::new(|_: &Flaky, _: &IntWritable, _| 0));
-        let grouping = || MapOutputBuffer::grouping(1, one_part(), true, &IdentityReducer);
-        let degraded = collect_all(grouping());
+        let folding = || buffer(1, one_part(), true, Some(&FirstOnly));
+        let degraded = collect_all(folding());
         assert!(
             matches!(degraded, MapPart::Pairs { .. }),
             "the fourth key declined"
         );
-        let plain = collect_all(MapOutputBuffer::new(1, one_part(), true));
+        assert_eq!(degraded.len(), keys.len(), "the true record count");
+        let plain = collect_all(buffer(1, one_part(), true, None));
         let flat = |pairs: Vec<(Arc<Flaky>, Arc<IntWritable>)>| -> Vec<(i32, i32)> {
             pairs.iter().map(|(k, v)| (k.0, v.0)).collect()
         };
-        let arrival: Vec<(i32, i32)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, i as i32))
-            .collect();
-        assert_eq!(flat(collect_all(grouping()).into_pairs()), arrival);
-        // ...and the combiner sees exactly what the plain buffer gives it.
-        let view = |part: MapPart<Flaky, IntWritable>| -> Vec<(i32, Vec<i32>)> {
-            groups_of(part)
-                .iter()
-                .map(|(k, vs)| (k.0, vs.iter().map(|v| v.0).collect()))
-                .collect()
-        };
-        let expect = vec![
-            (1, vec![7]),
-            (3, vec![1, 4]),
-            (7, vec![0, 2, 6]),
-            (13, vec![3, 5]),
-        ];
-        assert_eq!(view(degraded), expect);
-        assert_eq!(view(plain), expect);
-    }
-
-    /// Emits each group's first value and reads no further.
-    struct FirstOnly;
-
-    impl TaskReducer<IntWritable, BytesWritable, IntWritable, BytesWritable> for FirstOnly {
-        fn reduce(
-            &mut self,
-            key: Arc<IntWritable>,
-            values: &mut dyn Iterator<Item = Arc<BytesWritable>>,
-            out: &mut dyn OutputCollector<IntWritable, BytesWritable>,
-            _ctx: &mut TaskContext,
-        ) -> Result<()> {
-            out.collect(key, values.next().unwrap())
-        }
-    }
-
-    #[test]
-    fn combine_drops_values_the_combiner_leaves_unread() {
-        let mut buf = MapOutputBuffer::grouping(1, modulo_partitioner(), true, &FirstOnly);
-        for (i, k) in [2, 1, 2, 1, 2].into_iter().enumerate() {
-            buf.collect(
-                Arc::new(IntWritable(k)),
-                Arc::new(BytesWritable(vec![i as u8].into())),
-            )
-            .unwrap();
-        }
-        let nat = KeyComparator::<IntWritable>::natural();
-        let firsts: Vec<_> = buf
-            .into_parts()
-            .swap_remove(0)
-            .combine(&mut FirstOnly, &nat, &nat, &mut task_ctx())
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.0, v.0[0]))
-            .collect();
+        // The groups folded so far as `(key, acc)` in founding order, then
+        // the later records in arrival order.
         assert_eq!(
-            firsts,
-            vec![(1, 1), (2, 0)],
-            "each group starts at its own first value"
+            flat(collect_all(folding()).into_pairs()),
+            vec![(7, 0), (3, 1), (13, 3), (3, 4), (13, 5), (7, 6), (1, 7)]
         );
+        // ...and the combiner answers exactly what the plain buffer gives.
+        let expect = vec![(1, 7), (3, 1), (7, 0), (13, 3)];
+        assert_eq!(flat(firsts(degraded)), expect);
+        assert_eq!(flat(firsts(plain)), expect);
     }
 
     #[test]
@@ -1105,10 +979,11 @@ mod tests {
 
     #[test]
     fn bad_partition_from_partitioner_is_rejected() {
-        let mut buf: MapOutputBuffer<IntWritable, BytesWritable> = MapOutputBuffer::new(
+        let mut buf: MapOutputBuffer<IntWritable, BytesWritable> = buffer(
             2,
             Box::new(FnPartitioner::new(|_: &IntWritable, _: &BytesWritable, _| 7)),
             true,
+            None,
         );
         assert!(buf
             .collect(Arc::new(IntWritable(0)), Arc::new(BytesWritable(vec![].into())))
@@ -1118,10 +993,10 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
-    use super::tests::{task_ctx, Flaky, Recorder, Unfolded};
+    use super::tests::{buffer, firsts, task_ctx, FirstOnly, Flaky, Unfolded};
     use super::*;
     use hmr_api::partition::FnPartitioner;
-    use hmr_api::task::{IdentityReducer, LongSumReducer};
+    use hmr_api::task::LongSumReducer;
     use hmr_api::writable::{BytesWritable, IntWritable, LongWritable, Text};
     use proptest::prelude::*;
 
@@ -1363,17 +1238,16 @@ mod prop_tests {
             }
         }
 
-        /// Whatever is collected, a grouping buffer hands the combiner
-        /// exactly the groups — same first key, same values in the same
-        /// order — that a stable sort + span scan of the plain buffer's
-        /// pairs does, partition by partition.
+        /// Whatever is collected, a folding buffer answers, partition by
+        /// partition, with the groups a stable sort + span scan of the plain
+        /// buffer's pairs gives: the same first-arrived key `Arc` at the
+        /// head of each, ascending, and the fold of its values.
         #[test]
-        fn grouping_buffer_matches_stable_sort_then_group(
+        fn folding_buffer_matches_stable_sort_then_group(
             picks in proptest::collection::vec((0u8..4, 0u16..300), 0..700),
         ) {
             use hmr_api::comparator::{group_spans, sort_pairs_tuned};
             use hmr_api::partition::HashPartitioner;
-            use hmr_api::writable::Text;
             let emitted: Vec<(Arc<Text>, Arc<IntWritable>)> = picks
                 .iter()
                 .enumerate()
@@ -1387,34 +1261,25 @@ mod prop_tests {
                     (Arc::new(Text::from(key)), Arc::new(IntWritable(i as i32)))
                 })
                 .collect();
-            let mut grouping =
-                MapOutputBuffer::grouping(3, Box::new(HashPartitioner), true, &IdentityReducer);
-            let mut plain = MapOutputBuffer::new(3, Box::new(HashPartitioner), true);
+            let mut folding = buffer(3, Box::new(HashPartitioner), true, Some(&FirstOnly));
+            let mut plain = buffer(3, Box::new(HashPartitioner), true, None);
             for (k, v) in &emitted {
-                grouping.collect(Arc::clone(k), Arc::clone(v)).unwrap();
+                folding.collect(Arc::clone(k), Arc::clone(v)).unwrap();
                 plain.collect(Arc::clone(k), Arc::clone(v)).unwrap();
             }
             let nat = KeyComparator::<Text>::natural();
             let decoded = SortTuning { raw_min_pairs: usize::MAX };
-            for (g, p) in grouping.into_parts().into_iter().zip(plain.into_parts()) {
-                prop_assert_eq!(g.len(), p.len());
+            for (f, p) in folding.into_parts().into_iter().zip(plain.into_parts()) {
+                prop_assert_eq!(f.len(), p.len());
                 let mut sorted = p.into_pairs();
                 sort_pairs_tuned(&mut sorted, &nat, &decoded, None);
-                let expect: Vec<_> = group_spans(&sorted, &nat)
-                    .into_iter()
-                    .map(|s| {
-                        let values: Vec<_> = sorted[s.clone()].iter().map(|(_, v)| Arc::clone(v)).collect();
-                        (Arc::clone(&sorted[s.start].0), values)
-                    })
-                    .collect();
-                let mut seen = Recorder(Vec::new());
-                g.combine(&mut seen, &nat, &nat, &mut task_ctx()).unwrap();
-                let got = seen.0;
+                let expect: Vec<_> =
+                    group_spans(&sorted, &nat).into_iter().map(|s| &sorted[s.start]).collect();
+                let got = firsts(f);
                 prop_assert_eq!(got.len(), expect.len());
-                for ((gk, gv), (ek, ev)) in got.iter().zip(&expect) {
+                for ((gk, gv), (ek, ev)) in got.iter().zip(expect) {
                     prop_assert!(Arc::ptr_eq(gk, ek), "the first-arrived key Arc");
-                    prop_assert_eq!(gv.len(), ev.len());
-                    prop_assert!(gv.iter().zip(ev).all(|(a, b)| Arc::ptr_eq(a, b)));
+                    prop_assert_eq!(gv.0, ev.0, "the group's first value");
                 }
             }
         }
@@ -1423,11 +1288,10 @@ mod prop_tests {
         /// keys and values, any partition count (so one-record partitions
         /// occur) and either cloning contract, partitions that degrade
         /// mid-way (at key 13, which has no raw sort form) included, the
-        /// folding buffer yields the record count, the pairs and the charges
-        /// that the same combiner gives without its fold declaration —
-        /// through the grouping buffer and through the plain sort path. The
-        /// engine's rule applies: a partition of fewer than two records
-        /// skips the combiner.
+        /// folding buffer yields the record counts, the pairs and the
+        /// charges that the same combiner without its fold declaration gives
+        /// through the plain sort path. The engine's rule applies: a
+        /// partition of fewer than two records skips the combiner.
         #[test]
         fn fold_at_collect_matches_reduce(
             picks in proptest::collection::vec(
@@ -1443,9 +1307,11 @@ mod prop_tests {
                 .map(|(k, v)| (if k == 13 && !degrade { 14 } else { k }, v))
                 .collect();
             type Out = (Vec<Vec<(i32, i64)>>, Vec<usize>, simgrid::metrics::MetricsSnapshot);
-            let run = |mut buf: MapOutputBuffer<Flaky, LongWritable>,
-                       combiner: &mut dyn TaskReducer<Flaky, LongWritable, Flaky, LongWritable>|
+            let run = |combiner: &mut dyn TaskReducer<Flaky, LongWritable, Flaky, LongWritable>|
              -> Out {
+                let modulo =
+                    Box::new(FnPartitioner::new(|k: &Flaky, _: &LongWritable, n| k.0 as usize % n));
+                let mut buf = buffer(parts, modulo, immutable, Some(&*combiner));
                 let cluster = simgrid::Cluster::new(1, simgrid::CostModel::default());
                 let (pairs, lens) =
                     simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
@@ -1468,21 +1334,8 @@ mod prop_tests {
                     });
                 (pairs, lens, cluster.metrics().snapshot())
             };
-            let modulo = || {
-                Box::new(FnPartitioner::new(|k: &Flaky, _: &LongWritable, n| k.0 as usize % n))
-            };
-            let folded = run(
-                MapOutputBuffer::grouping(parts, modulo(), immutable, &LongSumReducer),
-                &mut LongSumReducer,
-            );
-            let reduced = run(
-                MapOutputBuffer::grouping(parts, modulo(), immutable, &Unfolded),
-                &mut Unfolded,
-            );
-            let sorted = run(MapOutputBuffer::new(parts, modulo(), immutable), &mut Unfolded);
-            prop_assert_eq!(&folded, &reduced);
-            prop_assert_eq!(&folded.0, &sorted.0);
-            prop_assert_eq!(&folded.1, &sorted.1);
+            let folded = run(&mut LongSumReducer);
+            prop_assert_eq!(&folded, &run(&mut Unfolded));
             prop_assert_eq!(folded.1.iter().sum::<usize>(), picks.len());
         }
 

@@ -16,13 +16,15 @@
 //! * [`ingest_reduce_groups`] — reduce ingest on both engines: the sort,
 //!   then the span scan;
 //! * [`RawKeyIndex`] — the hash-group kernel: interns raw sort keys one
-//!   record at a time (`raw bytes → group id`) and lays the groups out in
-//!   ascending key order, sorting only the G distinct keys instead of all
-//!   N records. The M3R map output buffer feeds it at `collect()` time.
+//!   record at a time (`raw bytes → group id`) and orders the groups by
+//!   key, sorting only the G distinct keys instead of all N records. The
+//!   M3R map output buffer feeds it at `collect()` time when the job's
+//!   combiner folds, keeping one accumulator per group.
 //!
 //! Every kernel is pinned bit-identical to the plain stable
 //! sort-then-group path: same permutation, same spans, regardless of which
-//! fast path engages. The kernels order `(Arc<K>, V)` entries by key alone
+//! fast path engages; the index's group order is that path's sequence of
+//! span heads. The kernels order `(Arc<K>, V)` entries by key alone
 //! and only move the payload `V`: reduce ingest carries the decoded
 //! `Arc<value>`, the Hadoop map-side sort buffer a byte span.
 
@@ -33,28 +35,45 @@ use std::sync::Arc;
 use crate::writable::Writable;
 
 /// A total order over keys, shareable across tasks and places.
-#[derive(Clone)]
 pub struct KeyComparator<K> {
-    cmp: Arc<dyn Fn(&K, &K) -> Ordering + Send + Sync>,
-    /// True only for [`KeyComparator::natural`]: the order is the key
-    /// type's `Ord`, which licenses the raw-key (memcmp) sort fast path
-    /// for types whose serialized sort form preserves that order. Custom
-    /// and reversed comparators must go through the decoded compare.
-    natural_order: bool,
+    order: Order<K>,
+}
+
+/// Which order a [`KeyComparator`] is.
+enum Order<K> {
+    /// The key type's `Ord` ([`KeyComparator::natural`]), which licenses
+    /// the raw-key (memcmp) fast paths for types whose serialized sort form
+    /// preserves that order.
+    Natural(fn(&K, &K) -> Ordering),
+    /// Any other order (reversed, secondary-sort, opaque); it goes through
+    /// the decoded compare.
+    Custom(Arc<dyn Fn(&K, &K) -> Ordering + Send + Sync>),
+}
+
+impl<K> Clone for KeyComparator<K> {
+    fn clone(&self) -> Self {
+        let order = match &self.order {
+            Order::Natural(f) => Order::Natural(*f),
+            Order::Custom(f) => Order::Custom(Arc::clone(f)),
+        };
+        KeyComparator { order }
+    }
 }
 
 impl<K> KeyComparator<K> {
     /// Wrap an arbitrary comparison function.
     pub fn new(f: impl Fn(&K, &K) -> Ordering + Send + Sync + 'static) -> Self {
         KeyComparator {
-            cmp: Arc::new(f),
-            natural_order: false,
+            order: Order::Custom(Arc::new(f)),
         }
     }
 
     /// Compare two keys.
     pub fn compare(&self, a: &K, b: &K) -> Ordering {
-        (self.cmp)(a, b)
+        match &self.order {
+            Order::Natural(f) => f(a, b),
+            Order::Custom(f) => f(a, b),
+        }
     }
 
     /// Keys equal under this comparator (used for grouping).
@@ -65,7 +84,7 @@ impl<K> KeyComparator<K> {
     /// True when this comparator is the key type's natural order, making
     /// the raw-key sort fast path legal (see [`sort_pairs_tuned`]).
     pub fn is_natural(&self) -> bool {
-        self.natural_order
+        matches!(self.order, Order::Natural(_))
     }
 }
 
@@ -73,8 +92,7 @@ impl<K: Ord> KeyComparator<K> {
     /// The key type's natural order — Hadoop's `WritableComparable` default.
     pub fn natural() -> Self {
         KeyComparator {
-            cmp: Arc::new(|a: &K, b: &K| a.cmp(b)),
-            natural_order: true,
+            order: Order::Natural(K::cmp),
         }
     }
 
@@ -137,8 +155,8 @@ pub const RAW_SORT_MIN_PAIRS: usize = 1024;
 /// ([`RAW_SORT_MIN_PAIRS`]); tests set it to force one sort path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SortTuning {
-    /// Minimum pairs (or, for [`RawKeyIndex::layout`], distinct groups)
-    /// before the raw-key radix sort path engages.
+    /// Minimum pairs (or, for [`RawKeyIndex::group_order`], distinct
+    /// groups) before the raw-key radix sort path engages.
     pub raw_min_pairs: usize,
 }
 
@@ -341,20 +359,20 @@ const MIN_SLOTS: usize = 64;
 /// behind, a new key founds the next group and its raw bytes are kept
 /// once. The open-addressing table (linear probing, raw-byte equality
 /// behind a 32-bit hash tag) grows with the number of *groups*, so a
-/// duplicate-heavy stream of N records costs O(G) memory beyond the
-/// per-record group id.
+/// duplicate-heavy stream of N records costs O(G) memory and nothing per
+/// record.
 ///
-/// [`RawKeyIndex::layout`] then orders the G group representatives by raw
-/// bytes and derives the record permutation of a stable sort followed by
-/// [`group_spans`] — without ever sorting the N records.
+/// [`RawKeyIndex::group_order`] then orders the G group representatives by
+/// raw bytes: the order in which a stable sort followed by [`group_spans`]
+/// meets the groups, without ever sorting the N records.
 ///
 /// Legality is the caller's: raw-key equality must be the grouping
 /// relation and ascending raw order the observable output order, i.e.
 /// both the sort and the grouping comparator are the natural order.
 ///
-/// Offsets, group ids and record indices are stored as `u32`; an intern
-/// that would not fit is declined (`None`) rather than truncated, and the
-/// caller falls back to the sort path.
+/// Offsets and group ids are stored as `u32`; an intern that would not fit
+/// is declined (`None`) rather than truncated, and the caller falls back to
+/// the sort path.
 pub struct RawKeyIndex {
     /// `hash tag << 32 | gid + 1`; 0 is empty. Power-of-two length, at
     /// most half full.
@@ -363,25 +381,9 @@ pub struct RawKeyIndex {
     bytes: Vec<u8>,
     /// Group `g`'s raw key is `bytes[offsets[g]..offsets[g + 1]]`.
     offsets: Vec<u32>,
-    /// Group -> records interned into it.
-    counts: Vec<u32>,
-    /// Record (arrival order) -> group id.
-    gid_of: Vec<u32>,
-    /// Largest byte offset / record count accepted; `u32::MAX` outside
+    /// Largest byte offset / group count accepted; `u32::MAX` outside
     /// tests.
     limit: usize,
-}
-
-/// The grouped arrangement of a [`RawKeyIndex`]'s records: groups in
-/// ascending raw-key order, records of one group in arrival order.
-pub struct GroupLayout {
-    /// Group ids in ascending raw-key order.
-    pub groups: Vec<u32>,
-    /// Record count of each group, parallel to `groups`.
-    pub counts: Vec<u32>,
-    /// `records[p]` is the arrival index of the record at grouped
-    /// position `p` — feed it to [`apply_permutation`].
-    pub records: Vec<u32>,
 }
 
 impl RawKeyIndex {
@@ -400,25 +402,13 @@ impl RawKeyIndex {
             slots: vec![0; cap],
             bytes: Vec::new(),
             offsets: vec![0],
-            counts: Vec::new(),
-            gid_of: Vec::new(),
             limit,
         }
     }
 
     /// Distinct keys interned so far.
     pub fn groups(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Records interned so far.
-    pub fn records(&self) -> usize {
-        self.gid_of.len()
-    }
-
-    /// The group id of every record, in arrival order.
-    pub fn gid_of(&self) -> &[u32] {
-        &self.gid_of
+        self.offsets.len() - 1
     }
 
     /// Group `g`'s raw sort key.
@@ -430,10 +420,10 @@ impl RawKeyIndex {
     /// Intern the next record's key. Returns its group id and whether the
     /// record founded that group, or `None` — leaving the index exactly as
     /// it was — when the key has no raw sort form or the index is full
-    /// (`u32` offsets / indices would wrap).
+    /// (`u32` offsets / group ids would wrap).
     pub fn intern<K: Writable>(&mut self, key: &K) -> Option<(u32, bool)> {
         let start = self.bytes.len();
-        if self.gid_of.len() >= self.limit || !key.write_raw_sort_key(&mut self.bytes) {
+        if !key.write_raw_sort_key(&mut self.bytes) {
             self.bytes.truncate(start);
             return None;
         }
@@ -452,23 +442,20 @@ impl RawKeyIndex {
                 let g = probe as u32 - 1;
                 if self.raw(g) == &self.bytes[start..] {
                     self.bytes.truncate(start);
-                    self.counts[g as usize] += 1;
-                    self.gid_of.push(g);
                     return Some((g, false));
                 }
             }
             slot = (slot + 1) & mask;
         }
-        if self.bytes.len() > self.limit {
+        let groups = self.groups();
+        if self.bytes.len() > self.limit || groups >= self.limit {
             self.bytes.truncate(start);
             return None;
         }
-        let g = self.counts.len() as u32;
+        let g = groups as u32;
         self.slots[slot] = tag | (u64::from(g) + 1);
         self.offsets.push(self.bytes.len() as u32);
-        self.counts.push(1);
-        self.gid_of.push(g);
-        if self.counts.len() * 2 > self.slots.len() {
+        if self.groups() * 2 > self.slots.len() {
             self.grow();
         }
         Some((g, true))
@@ -481,7 +468,7 @@ impl RawKeyIndex {
         self.slots.clear();
         self.slots.resize(cap, 0);
         let mask = cap - 1;
-        for g in 0..self.counts.len() as u32 {
+        for g in 0..self.groups() as u32 {
             let hash = fnv1a(self.raw(g));
             let mut slot = hash as usize & mask;
             while self.slots[slot] != 0 {
@@ -492,8 +479,8 @@ impl RawKeyIndex {
     }
 
     /// Group ids in ascending raw-key order — the order the sorted path
-    /// emits its groups in. Enough on its own for a caller that kept one
-    /// value per group; [`RawKeyIndex::layout`] adds the record permutation.
+    /// emits its groups in, which is all a caller that keeps one value per
+    /// group needs.
     ///
     /// Representatives are ordered as cached `(prefix, gid)` entries so
     /// the common case is a register compare; the full raw form breaks
@@ -515,35 +502,6 @@ impl RawKeyIndex {
             });
         }
         order.into_iter().map(|(_, g)| g).collect()
-    }
-
-    /// Lay the interned records out grouped: groups in ascending raw-key
-    /// order — the order the sorted path would emit — and each group's
-    /// records in arrival order, exactly what the *stable* sort
-    /// guarantees. The groups are [`RawKeyIndex::group_order`]'s.
-    pub fn layout(&self, tuning: &SortTuning) -> GroupLayout {
-        let groups = self.group_order(tuning);
-        let mut layout = GroupLayout {
-            counts: Vec::with_capacity(groups.len()),
-            records: vec![0; self.records()],
-            groups,
-        };
-        let mut offset = vec![0u32; layout.groups.len()]; // group -> next free position
-        let mut cursor = 0u32;
-        for &g in &layout.groups {
-            offset[g as usize] = cursor;
-            let c = self.counts[g as usize];
-            layout.counts.push(c);
-            cursor += c;
-        }
-        // Counting scatter in arrival order: each group's positions fill
-        // front-to-back.
-        for (i, &g) in self.gid_of.iter().enumerate() {
-            let at = &mut offset[g as usize];
-            layout.records[*at as usize] = i as u32;
-            *at += 1;
-        }
-        layout
     }
 }
 
@@ -579,30 +537,6 @@ mod tests {
     }
     fn decoded_tuning() -> SortTuning {
         SortTuning { raw_min_pairs: usize::MAX }
-    }
-
-    /// Group a whole run through a [`RawKeyIndex`], as the collect-time
-    /// grouper does record by record: intern every key, lay the groups
-    /// out and permute `pairs` into that layout. Returns the group spans,
-    /// or `None` — leaving `pairs` in arrival order — when the index
-    /// declines a key.
-    fn group_by_index<K: Writable, V>(
-        pairs: &mut [(Arc<K>, V)],
-        tuning: &SortTuning,
-    ) -> Option<Vec<Range<usize>>> {
-        let mut index = RawKeyIndex::with_capacity(pairs.len());
-        if pairs.iter().any(|(k, _)| index.intern(&**k).is_none()) {
-            return None;
-        }
-        let mut layout = index.layout(tuning);
-        let mut spans = Vec::with_capacity(layout.counts.len());
-        let mut cursor = 0usize;
-        for &c in &layout.counts {
-            spans.push(cursor..cursor + c as usize);
-            cursor += c as usize;
-        }
-        apply_permutation(pairs, &mut layout.records);
-        Some(spans)
     }
 
     /// [`sort_pairs_tuned`] under the default tuning.
@@ -731,30 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn index_grouping_matches_sort_then_group() {
-        for n in [0usize, 1, 7, 1000, 5000] {
-            let mut seed = 31 + n as u64;
-            let base: Vec<(Arc<Text>, Arc<IntWritable>)> = (0..n)
-                .map(|i| {
-                    (
-                        Arc::new(Text::from(format!("w{:02}", lcg(&mut seed) % 60))),
-                        Arc::new(IntWritable(i as i32)),
-                    )
-                })
-                .collect();
-            let nat = KeyComparator::natural();
-            let mut hashed = base.clone();
-            let hspans =
-                group_by_index(&mut hashed, &SortTuning::default()).expect("Text has raw keys");
-            let mut sorted = base;
-            sort_pairs_tuned(&mut sorted, &nat, &decoded_tuning(), None);
-            let sspans = group_spans(&sorted, &nat);
-            assert_eq!(flat(&hashed), flat(&sorted), "pair layout, n={n}");
-            assert_eq!(hspans, sspans, "spans, n={n}");
-        }
-    }
-
-    #[test]
     fn ingest_groups_by_the_grouping_comparator() {
         // Secondary sort: group by primary only, so one group holds keys
         // the sort comparator orders apart.
@@ -774,45 +684,38 @@ mod tests {
         assert_eq!(first, vec![3, 5, 9], "secondary order inside the group");
     }
 
-    /// What a collect-time grouper does with the index: intern every key,
-    /// keep the founding key of each group, then read the layout back as
-    /// `(pairs in grouped order, spans)`.
-    fn group_incrementally<K: Writable + Clone, V: Clone>(
-        base: &[(Arc<K>, Arc<V>)],
-        tuning: &SortTuning,
-    ) -> (Vec<(K, V)>, Vec<Range<usize>>) {
+    /// What the collect-time fold does with the index: intern every key
+    /// in arrival order, keep the key `Arc` that founds each group, and
+    /// read the founders back in [`RawKeyIndex::group_order`]. Checks that
+    /// they are exactly the head of each span a stable sort under the
+    /// natural order followed by [`group_spans`] gives, `Arc` for `Arc`.
+    fn founders_are_span_heads<K: Writable + Ord>(keys: &[Arc<K>], tuning: &SortTuning) {
         let mut index = RawKeyIndex::with_capacity(0);
-        let mut keys: Vec<&Arc<K>> = Vec::new();
-        for (k, _) in base {
+        let mut founders: Vec<&Arc<K>> = Vec::new();
+        for k in keys {
             let (g, founded) = index.intern(&**k).expect("raw keys");
             assert_eq!(
                 founded,
-                g as usize == keys.len(),
+                g as usize == founders.len(),
                 "ids are dense, in first-arrival order"
             );
             if founded {
-                keys.push(k);
+                founders.push(k);
             }
         }
-        assert_eq!(index.groups(), keys.len());
-        assert_eq!(index.records(), base.len());
-        let layout = index.layout(tuning);
-        let pairs = layout
-            .records
-            .iter()
-            .map(|&i| {
-                let g = index.gid_of()[i as usize] as usize;
-                ((**keys[g]).clone(), (*base[i as usize].1).clone())
-            })
+        assert_eq!(index.groups(), founders.len());
+        let nat = KeyComparator::natural();
+        let mut sorted: Vec<(Arc<K>, ())> = keys.iter().map(|k| (Arc::clone(k), ())).collect();
+        sort_pairs_tuned(&mut sorted, &nat, tuning, None);
+        let heads: Vec<&Arc<K>> = group_spans(&sorted, &nat)
+            .into_iter()
+            .map(|s| &sorted[s.start].0)
             .collect();
-        let mut spans = Vec::new();
-        let mut cursor = 0usize;
-        for (&g, &c) in layout.groups.iter().zip(&layout.counts) {
-            assert_eq!(index.gid_of()[layout.records[cursor] as usize], g);
-            spans.push(cursor..cursor + c as usize);
-            cursor += c as usize;
+        let order = index.group_order(tuning);
+        assert_eq!(order.len(), heads.len());
+        for (&g, head) in order.iter().zip(heads) {
+            assert!(Arc::ptr_eq(founders[g as usize], head), "the first-arrived key heads its span");
         }
-        (pairs, spans)
     }
 
     #[test]
@@ -828,7 +731,6 @@ mod tests {
             }
         }
         assert_eq!(index.groups(), 700);
-        assert_eq!(index.records(), 2100);
         assert_eq!(index.raw(5), &((5u32 * 31) ^ 0x8000_0000).to_be_bytes());
     }
 
@@ -850,27 +752,36 @@ mod tests {
 
     #[test]
     fn index_declines_instead_of_wrapping_or_guessing() {
-        // Stubbed limit: 16 bytes of raw keys / 16 records.
+        // Stubbed limit: 16 bytes of raw keys / 16 groups.
         let mut index = RawKeyIndex::with_limit(0, 16);
         for k in 0..4 {
             assert_eq!(index.intern(&IntWritable(k)), Some((k as u32, true)));
         }
         // A fifth distinct key would push the raw bytes past the limit.
         assert_eq!(index.intern(&IntWritable(4)), None);
-        assert_eq!(
-            (index.groups(), index.records()),
-            (4, 4),
-            "declined intern leaves no trace"
-        );
-        // Duplicates add no bytes, so they fit — until the record limit.
-        for i in 0..12 {
+        assert_eq!(index.groups(), 4, "declined intern leaves no trace");
+        // Duplicates add no bytes and no group, so they always fit.
+        for i in 0..40 {
             assert_eq!(
                 index.intern(&IntWritable(i % 4)),
                 Some((i as u32 % 4, false))
             );
         }
-        assert_eq!(index.intern(&IntWritable(0)), None);
-        assert_eq!((index.groups(), index.records()), (4, 16));
+        assert_eq!(index.groups(), 4);
+
+        // Sixteen groups in fifteen bytes (the empty key has none): a
+        // seventeenth would still fit the bytes, but not the group limit.
+        let mut index = RawKeyIndex::with_limit(0, 16);
+        let keys: Vec<Text> = std::iter::once(String::new())
+            .chain((b'a'..=b'o').map(|c| char::from(c).to_string()))
+            .map(Text::from)
+            .collect();
+        for (g, k) in keys.iter().enumerate() {
+            assert_eq!(index.intern(k), Some((g as u32, true)));
+        }
+        assert_eq!(index.intern(&Text::from("p")), None);
+        assert_eq!(index.intern(&Text::from("o")), Some((15, false)));
+        assert_eq!(index.groups(), 16);
 
         // A key without a raw form is declined too, partial bytes and all.
         let mut index = RawKeyIndex::with_capacity(0);
@@ -886,13 +797,14 @@ mod tests {
         let base: Vec<(Arc<Flaky>, Arc<IntWritable>)> = (0..40)
             .map(|i| (Arc::new(Flaky(39 - i)), Arc::new(IntWritable(i))))
             .collect();
-        let mut declined = base.clone();
-        assert!(group_by_index(&mut declined, &SortTuning::default()).is_none());
-        assert_eq!(
-            flat(&declined),
-            flat(&base),
-            "a declined run is left in arrival order"
-        );
+        let mut index = RawKeyIndex::with_capacity(0);
+        let declined: Vec<i32> = base
+            .iter()
+            .filter(|(k, _)| index.intern(&**k).is_none())
+            .map(|(k, _)| k.0)
+            .collect();
+        assert_eq!(declined, vec![13], "only the key without a raw form");
+        assert_eq!(index.groups(), 39);
         let nat = KeyComparator::<Flaky>::natural();
         let mut flaky = base;
         let spans = ingest_reduce_groups(&mut flaky, &nat, &nat, &SortTuning::default(), None);
@@ -959,87 +871,45 @@ mod tests {
                 }
             }
 
-            /// Collect-time grouping through the index, record by record and
-            /// over a whole run, reproduces the stable sort + span scan
-            /// exactly — on byte-string keys with heavy duplication, shared
-            /// > 8-byte prefixes and empty keys, with enough distinct keys
-            /// to double the 64-slot table several times.
+            /// The index's group order is the sorted path's sequence of span
+            /// heads, founding key for founding key, under the radix and the
+            /// decoded tuning alike: on byte-string keys with heavy
+            /// duplication, shared > 8-byte prefixes and empty keys (enough
+            /// distinct ones to double the 64-slot table several times), and
+            /// on sign-flipped longs. The radix sort of the same run agrees
+            /// with the plain stable sort.
             #[test]
-            fn incremental_and_batch_grouping_match_stable_sort_on_text(
+            fn group_order_founders_are_the_sorted_span_heads(
                 picks in proptest::collection::vec((0u8..4, 0u16..400), 0..900),
+                longs in proptest::collection::vec(-150i64..150, 0..900),
                 radix in any::<bool>(),
             ) {
-                let base: Vec<(Arc<Text>, Arc<IntWritable>)> = picks
+                let texts: Vec<Arc<Text>> = picks
                     .iter()
-                    .enumerate()
-                    .map(|(i, &(shape, k))| {
-                        let key = match shape {
+                    .map(|&(shape, k)| {
+                        Arc::new(Text::from(match shape {
                             0 => String::new(),
                             1 => format!("{}", k % 7),
                             2 => format!("shared-prefix-{k:03}"),
                             _ => format!("w{k}"),
-                        };
-                        (Arc::new(Text::from(key)), Arc::new(IntWritable(i as i32)))
+                        }))
                     })
                     .collect();
-                let tuning = SortTuning {
-                    raw_min_pairs: if radix { 1 } else { usize::MAX },
-                };
-                let nat = KeyComparator::<Text>::natural();
-                let mut truth = base.clone();
-                sort_pairs_tuned(&mut truth, &nat, &decoded_tuning(), None);
-                let tspans = group_spans(&truth, &nat);
-                let (pairs, spans) = group_incrementally(&base, &tuning);
-                prop_assert_eq!(&pairs, &flat(&truth));
-                prop_assert_eq!(&spans, &tspans);
-                let mut batch = base;
-                let bspans = group_by_index(&mut batch, &tuning).expect("raw keys");
-                prop_assert_eq!(flat(&batch), flat(&truth));
-                prop_assert_eq!(bspans, tspans);
-            }
-
-            #[test]
-            fn incremental_and_batch_grouping_match_stable_sort_on_longs(
-                keys in proptest::collection::vec(-150i64..150, 0..900),
-            ) {
-                let base: Vec<(Arc<LongWritable>, Arc<IntWritable>)> = keys
-                    .iter()
+                let longs: Vec<Arc<LongWritable>> =
+                    longs.iter().map(|&k| Arc::new(LongWritable(k * 0x0101_0101))).collect();
+                let tuning = if radix { radix_tuning() } else { decoded_tuning() };
+                founders_are_span_heads(&texts, &tuning);
+                founders_are_span_heads(&longs, &tuning);
+                let base: Vec<(Arc<LongWritable>, Arc<IntWritable>)> = longs
+                    .into_iter()
                     .enumerate()
-                    .map(|(i, &k)| (Arc::new(LongWritable(k * 0x0101_0101)), Arc::new(IntWritable(i as i32))))
+                    .map(|(i, k)| (k, Arc::new(IntWritable(i as i32))))
                     .collect();
-                let nat = KeyComparator::<LongWritable>::natural();
-                let mut truth = base.clone();
-                sort_pairs_tuned(&mut truth, &nat, &decoded_tuning(), None);
-                let tspans = group_spans(&truth, &nat);
-                let (pairs, spans) = group_incrementally(&base, &SortTuning::default());
-                prop_assert_eq!(&pairs, &flat(&truth));
-                prop_assert_eq!(&spans, &tspans);
-                let mut batch = base;
-                let bspans =
-                    group_by_index(&mut batch, &SortTuning::default()).expect("raw keys");
-                prop_assert_eq!(flat(&batch), flat(&truth));
-                prop_assert_eq!(bspans, tspans);
-            }
-
-            #[test]
-            fn fast_paths_agree_with_stable_sort(keys in proptest::collection::vec(-30i32..30, 0..120)) {
-                let base: Vec<(Arc<IntWritable>, Arc<IntWritable>)> = keys
-                    .iter()
-                    .enumerate()
-                    .map(|(i, k)| (Arc::new(IntWritable(*k)), Arc::new(IntWritable(i as i32))))
-                    .collect();
-                let nat = KeyComparator::<IntWritable>::natural();
-                // Ground truth: the plain decoded stable sort.
                 let mut truth = base.clone();
                 truth.sort_by(|a, b| a.0.cmp(&b.0));
-                let tspans = group_spans(&truth, &nat);
-                let mut hashed = base.clone();
-                let hspans = group_by_index(&mut hashed, &radix_tuning()).expect("raw keys");
-                prop_assert_eq!(flat(&hashed), flat(&truth));
-                prop_assert_eq!(hspans, tspans);
-                let mut radix = base;
-                sort_pairs_tuned(&mut radix, &nat, &radix_tuning(), None);
-                prop_assert_eq!(flat(&radix), flat(&truth));
+                let mut sorted = base;
+                sort_pairs_tuned(&mut sorted, &KeyComparator::natural(), &tuning, None);
+                prop_assert_eq!(flat(&sorted), flat(&truth));
             }
         }
     }
