@@ -688,7 +688,8 @@ struct Outbox<J: JobDef> {
 impl<J: JobDef> Outbox<J> {
     /// Absorb one task's remote buckets into the combine `tables`: equal
     /// keys merge across tasks, and only the (cheaper) key encoding is
-    /// billed now — the combined output serializes at drain time.
+    /// billed now, from the keys' serialized sizes — the combined output
+    /// serializes at drain time.
     fn absorb(
         run: &Run<J>,
         place: usize,
@@ -730,13 +731,12 @@ impl<J: JobDef> Outbox<J> {
         }
     }
 
-    /// Combine-and-serialize the combine tables into the shuffle streams:
-    /// for every `(partition, key)` group — partition-ascending,
-    /// key-bytes-ascending, values in task order — run the job's combiner,
-    /// then push the combined pairs. Grouping is billed as sort work over
-    /// the emitted groups and the combined output as serialize work, on
-    /// whatever meter is installed (a task scratch clock for a budget
-    /// flush, the place clock for the end-of-map drain).
+    /// Combine-and-serialize the combine tables into the shuffle streams,
+    /// partitions ascending ([`CombineTable::drain_combined`]). Per table
+    /// the grouping is billed as one sort pass over its groups, then the
+    /// combined output as serialize work, on whatever meter is installed
+    /// (a task scratch clock for a budget flush, the place clock for the
+    /// end-of-map drain).
     fn drain_combine_tables(&mut self, run: &Run<J>, place: usize) -> Result<()> {
         let Some(mut tables) = self.combine_tables.take() else {
             return Ok(());
@@ -753,25 +753,22 @@ impl<J: JobDef> Outbox<J> {
                 }
                 let table_bytes = table.bytes();
                 self.place_combined.0 += table.records();
-                // Grouping happened incrementally at absorb time (the
-                // BTreeMap insert, billed per key there); the drain is one
-                // ordered walk, so only the emitted groups pay a sort-pass
-                // record each. This is what makes place combining a net win
-                // in `records_sorted`: the reducers re-sort far fewer
-                // records than the mappers fed into the tables.
-                simgrid::meter::charge(Charge::Sort {
-                    records: table.groups() as u64,
-                });
                 let stream = self.streams[dest].get_or_insert_with(|| run.open_stream(place));
                 stream.reserve(table_bytes as usize);
                 let before = stream.len();
                 let counts = &mut self.stream_counts[dest];
                 let combined = &mut self.place_combined.1;
-                table.drain_combined(&mut *combiner, &mut ctx, |p, k, v| {
+                let groups = table.drain_combined(&mut *combiner, &mut ctx, |p, k, v| {
                     *counts.entry(p).or_insert(0) += 1;
                     *combined += 1;
                     stream.push_owned(p, k, v);
                 })?;
+                // One charge per table: `Sort` is priced n·log₂n, so it is
+                // neither split per partition nor summed per record. This
+                // is what makes place combining a net win in
+                // `records_sorted`: the reducers re-sort far fewer records
+                // than the mappers fed into the tables.
+                simgrid::meter::charge(Charge::Sort { records: groups });
                 simgrid::meter::charge(Charge::Serialize {
                     bytes: (stream.len() - before) as u64,
                 });
@@ -800,7 +797,10 @@ fn map_phase_at_place<J: JobDef>(
         combine_tables: (run.conf.place_level_combine() && run.num_reducers > 0)
             .then(|| run.job.create_combiner(&run.conf))
             .flatten()
-            .map(|combiner| (0..nplaces).map(|_| CombineTable::new(&*combiner)).collect()),
+            .map(|combiner| {
+                let (sort, group) = (run.job.sort_comparator(), run.job.grouping_comparator());
+                (0..nplaces).map(|_| CombineTable::new(&*combiner, &sort, &group)).collect()
+            }),
         place_combined: (0, 0),
         combine_counters: Counters::new(),
     };
@@ -1019,7 +1019,7 @@ fn run_map_task<J: JobDef>(
             records: records as u64,
         });
         ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, records as i64);
-        let out = part.combine(&mut **combiner, &sort_cmp, &group_cmp, &mut ctx)?;
+        let (out, _) = part.combine(&mut **combiner, &sort_cmp, &group_cmp, &mut ctx)?;
         ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.len() as i64);
         parts.push(out);
     }

@@ -10,26 +10,26 @@
 //!   (§3.2.2.3) into one stream per (source place, destination place) and
 //!   moved over the network after the map barrier.
 //!
-//! Before any of that, the job's combiner runs map-side. A combiner that
+//! Before any of that, the job's combiner runs map-side, and with place
+//! combining on once more across every map task of a place. Both scopes
+//! group through one kernel ([`MapPart`]) under one rule: a combiner that
 //! declares a fold ([`TaskReducer::as_fold`]) under natural sort and
-//! grouping comparators is applied at `collect()`: each partition keeps
-//! one accumulator per distinct key and drops every duplicate key and
-//! value on the spot. Every other combiner runs over the partition's
-//! plain pairs through the one sort path both engines share.
+//! grouping comparators is applied at `collect()`, each partition keeping
+//! one accumulator per distinct key and dropping every duplicate key and
+//! value on the spot. Every other combiner runs over the partition's plain
+//! pairs through the one sort path both engines share ([`combine_run`]).
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use hmr_api::collect::{OutputCollector, VecCollector};
-use hmr_api::comparator::{
-    apply_permutation, ingest_reduce_groups, KeyComparator, RawKeyIndex, SortTuning,
-};
+use hmr_api::collect::OutputCollector;
+use hmr_api::comparator::{apply_permutation, KeyComparator, RawKeyIndex, SortTuning};
 use hmr_api::counters::TaskContext;
 use hmr_api::error::{HmrError, Result};
 use hmr_api::partition::Partitioner;
-use hmr_api::task::{reduce_groups, TaskReducer};
+use hmr_api::task::{combine_run, TaskReducer};
 use hmr_api::writable::{ByteReader, Writable};
 use simgrid::cost::Charge;
 use simgrid::meter;
@@ -39,15 +39,35 @@ use x10rt::serialize::{DedupMode, Deserializer, SerError, Serializer};
 /// accumulator first, the next value second.
 type Fold<V> = fn(&mut V, &V);
 
+/// The fold rule, for the map buffer and the place table alike: fold at
+/// collect time when the combiner declares a fold and both the sort and
+/// the grouping comparator are natural. Then raw-key equality is the
+/// grouping relation and ascending raw order the reduce order, so one
+/// accumulator per raw key, ordered by raw key at the end, is what the
+/// sort path would hand the combiner's `reduce` to compute.
+fn fold_rule<K, V>(
+    combiner: Option<&dyn TaskReducer<K, V, K, V>>,
+    sort_cmp: &KeyComparator<K>,
+    group_cmp: &KeyComparator<K>,
+) -> Option<Fold<V>> {
+    combiner
+        .and_then(|c| c.as_fold())
+        .filter(|_| sort_cmp.is_natural() && group_cmp.is_natural())
+}
+
+/// §4.1: an `ImmutableOutput` job promised not to mutate emitted objects,
+/// so what is retained is an alias; otherwise a deep copy.
+fn own<T: Clone>(x: Arc<T>, immutable: bool) -> Arc<T> {
+    if immutable {
+        x
+    } else {
+        Arc::new((*x).clone())
+    }
+}
+
 /// Map-task-side collector: partitions emitted pairs, applying the
-/// `ImmutableOutput` cloning contract at emit time.
-///
-/// A folding buffer (see [`MapOutputBuffer::new`]) additionally combines at
-/// `collect()`: each partition interns the emitted key's raw sort bytes in
-/// a [`RawKeyIndex`], keeps a key and a copy of its value only when the key
-/// founds a group and folds the value in otherwise, so no duplicate key or
-/// value outlives its `collect()`. See DESIGN.md, "Map-side folding at
-/// collect time".
+/// `ImmutableOutput` cloning contract at emit time, and collects each into
+/// its [`MapPart`].
 pub struct MapOutputBuffer<K, V> {
     partitioner: Box<dyn Partitioner<K, V>>,
     num_partitions: usize,
@@ -56,9 +76,10 @@ pub struct MapOutputBuffer<K, V> {
     emitted: u64,
 }
 
-/// One partition of a finished [`MapOutputBuffer`].
+/// One partition's collected records: of a map task, or of every map task
+/// of a place bound for one destination ([`CombineTable`]).
 pub enum MapPart<K, V> {
-    /// Emitted pairs in arrival order, `records` of them collected. A
+    /// Collected pairs in arrival order, `records` of them collected. A
     /// folding partition that degraded leads with its groups so far as
     /// `(key, acc)` pairs, so it holds fewer pairs than records.
     Pairs {
@@ -118,9 +139,52 @@ where
     K: Writable + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    fn pairs(pairs: Vec<(Arc<K>, Arc<V>)>) -> Self {
-        let records = pairs.len();
-        MapPart::Pairs { pairs, records }
+    /// An empty partition: folding under `fold` (see [`fold_rule`]), else
+    /// plain pairs with room for `capacity` records.
+    fn new(fold: Option<Fold<V>>, capacity: usize) -> Self {
+        match fold {
+            Some(fold) => MapPart::Groups(KeyGroups::new(fold)),
+            None => MapPart::Pairs {
+                pairs: Vec::with_capacity(capacity),
+                records: 0,
+            },
+        }
+    }
+
+    /// Collect one record, keeping what it keeps through [`own`]. A folding
+    /// partition interns the key's raw sort bytes from the borrowed key: a
+    /// key that founds a group is kept with a copy of its value (moved out
+    /// when nothing else holds it), and any later value is folded into its
+    /// group's accumulator and dropped here, on the thread that made it. A
+    /// key with no raw sort form, or an index outgrowing its `u32` offsets
+    /// or group ids, degrades the partition to pairs: its folded groups so
+    /// far as `(key, acc)`, then this and every later record.
+    fn collect(&mut self, key: Arc<K>, value: Arc<V>, immutable: bool)
+    where
+        K: Clone,
+    {
+        if let MapPart::Groups(groups) = self {
+            if let Some((g, founded)) = groups.index.intern(&*key) {
+                groups.records += 1;
+                if founded {
+                    groups.keys.push(own(key, immutable));
+                    groups.accs.push(Arc::unwrap_or_clone(value));
+                } else {
+                    (groups.fold)(&mut groups.accs[g as usize], &value);
+                }
+                return;
+            }
+            let records = self.len();
+            let folded = std::mem::replace(self, MapPart::new(None, 0));
+            *self = MapPart::Pairs {
+                pairs: folded.into_pairs(),
+                records,
+            };
+        }
+        if let MapPart::Pairs { pairs, records } = self {
+            pairs.push((own(key, immutable), own(value, immutable)));
+            *records += 1;
+        }
     }
 
     /// Records collected into this partition.
@@ -150,23 +214,22 @@ where
     /// split by `group_cmp`, one `reduce` per group. A partition that
     /// folded at collect time holds its answer already and only orders its
     /// groups: `(key, acc)` per group, no `reduce` call. Plain pairs go
-    /// through [`ingest_reduce_groups`].
+    /// through [`combine_run`]. Returns the combined pairs and the number
+    /// of groups.
     pub fn combine(
         self,
         combiner: &mut dyn TaskReducer<K, V, K, V>,
         sort_cmp: &KeyComparator<K>,
         group_cmp: &KeyComparator<K>,
         ctx: &mut TaskContext,
-    ) -> Result<Vec<(Arc<K>, Arc<V>)>> {
+    ) -> Result<(Vec<(Arc<K>, Arc<V>)>, usize)> {
         match self {
-            MapPart::Groups(groups) => Ok(groups.combine()),
-            MapPart::Pairs { mut pairs, .. } => {
-                let tuning = SortTuning::default();
-                let spans = ingest_reduce_groups(&mut pairs, sort_cmp, group_cmp, &tuning, None);
-                let mut out = VecCollector::new();
-                reduce_groups(pairs, spans, combiner, &mut out, ctx)?;
-                Ok(out.pairs)
+            MapPart::Groups(groups) => {
+                let pairs = groups.combine();
+                let count = pairs.len();
+                Ok((pairs, count))
             }
+            MapPart::Pairs { pairs, .. } => combine_run(pairs, combiner, sort_cmp, group_cmp, ctx),
         }
     }
 }
@@ -177,22 +240,14 @@ where
     V: Writable + Clone + Send + Sync + 'static,
 {
     /// A buffer for `num_partitions` partitions of a map task whose job
-    /// has `combiner` (if any) and the given comparators.
-    ///
-    /// The buffer folds at `collect()` when the combiner declares a fold
-    /// ([`TaskReducer::as_fold`]) and both the sort and the grouping
-    /// comparator are natural: then raw-key equality is the grouping
-    /// relation and ascending raw order the reduce order, so one
-    /// accumulator per raw key, ordered by raw key at the end, is what
-    /// the sort path would hand the combiner's `reduce` to compute. A
-    /// partition whose keys turn out to have no raw sort form (or that
-    /// outgrows the index's `u32` offsets or group ids) degrades to pairs:
-    /// its folded groups so far as `(key, acc)`, then the later records.
-    ///
-    /// Every other buffer keeps plain pairs, each partition pre-sized for
-    /// `expected_records` spread uniformly (the repeated doubling a map
-    /// task would otherwise pay per bucket); a folding partition is not,
-    /// since its groups are a fraction of the input.
+    /// has `combiner` (if any) and the given comparators. Its partitions
+    /// fold at `collect()` when the combiner declares a fold
+    /// ([`TaskReducer::as_fold`]) and both comparators are natural (the
+    /// fold rule, `fold_rule`, which the place table shares). Every other
+    /// buffer keeps plain pairs, each partition pre-sized for
+    /// `expected_records` spread uniformly (the repeated doubling a map task
+    /// would otherwise pay per bucket). A folding partition is not, since
+    /// its groups are a fraction of the input.
     pub fn new(
         num_partitions: usize,
         partitioner: Box<dyn Partitioner<K, V>>,
@@ -203,19 +258,15 @@ where
         expected_records: usize,
     ) -> Self {
         let num_partitions = num_partitions.max(1);
-        let fold = combiner
-            .and_then(|c| c.as_fold())
-            .filter(|_| sort_cmp.is_natural() && group_cmp.is_natural());
+        let fold = fold_rule(combiner, sort_cmp, group_cmp);
         let per_part = expected_records.div_ceil(num_partitions);
-        let part = || match fold {
-            Some(fold) => MapPart::Groups(KeyGroups::new(fold)),
-            None => MapPart::pairs(Vec::with_capacity(per_part)),
-        };
         MapOutputBuffer {
             partitioner,
             num_partitions,
             immutable,
-            parts: std::iter::repeat_with(part).take(num_partitions).collect(),
+            parts: std::iter::repeat_with(|| MapPart::new(fold, per_part))
+                .take(num_partitions)
+                .collect(),
             emitted: 0,
         }
     }
@@ -246,8 +297,7 @@ where
                 self.num_partitions
             )));
         }
-        let immutable = self.immutable;
-        if !immutable {
+        if !self.immutable {
             // §3.2.2.1: "this forces M3R to conservatively make a copy of
             // every key/value pair." Billed per emitted record, whether or
             // not folding ends up needing the copies.
@@ -255,46 +305,8 @@ where
             meter::charge(Charge::Clone { bytes });
             meter::charge(Charge::Alloc { objects: 2 });
         }
-        // §4.1: an `ImmutableOutput` job promised not to mutate emitted
-        // objects, so what is retained is an alias; otherwise a deep copy.
-        fn own<T: Clone>(x: Arc<T>, immutable: bool) -> Arc<T> {
-            if immutable {
-                x
-            } else {
-                Arc::new((*x).clone())
-            }
-        }
         self.emitted += 1;
-        let part = &mut self.parts[p];
-        if let MapPart::Groups(groups) = part {
-            // Interned from the borrowed key: a duplicate key is dropped
-            // (or never copied) right here.
-            if let Some((g, founded)) = groups.index.intern(&*key) {
-                groups.records += 1;
-                if founded {
-                    // The group's own copy of its first value, moved out
-                    // when nothing else holds it.
-                    groups.keys.push(own(key, immutable));
-                    groups.accs.push(Arc::unwrap_or_clone(value));
-                } else {
-                    // Folded in and dropped here, on the thread that made it.
-                    (groups.fold)(&mut groups.accs[g as usize], &value);
-                }
-                return Ok(());
-            }
-            // No raw sort form, or the index is full: this partition
-            // carries on as pairs.
-            let groups = std::mem::replace(part, MapPart::pairs(Vec::new()));
-            let records = groups.len();
-            *part = MapPart::Pairs {
-                pairs: groups.into_pairs(),
-                records,
-            };
-        }
-        if let MapPart::Pairs { pairs, records } = part {
-            pairs.push((own(key, immutable), own(value, immutable)));
-            *records += 1;
-        }
+        self.parts[p].collect(key, value, self.immutable);
         Ok(())
     }
 }
@@ -454,143 +466,106 @@ where
     }
 }
 
-/// Modelled heap overhead per distinct key admitted to a combine table
-/// (map node + key `Arc` bookkeeping), in bytes.
-const COMBINE_ENTRY_OVERHEAD: u64 = 48;
-/// Modelled heap overhead per absorbed value (one `Arc` slot), in bytes.
-const COMBINE_VALUE_OVERHEAD: u64 = 8;
-
-/// A place-level shared combine table (ROADMAP item 3, after the in-node
-/// combiners line of work): one table per *destination* place, fed by every
-/// map task of the source place, merging equal keys **across tasks** before
-/// the shuffle stream serializes anything. Where per-mapper combining only
+/// A place-level shared combine table (after the in-node combiners line
+/// of work): one table per *destination* place, fed by every map task of
+/// the source place, merging equal keys **across tasks** before the
+/// shuffle stream serializes anything. Where per-mapper combining only
 /// collapses duplicates within one task's output, this collapses them
 /// across the whole map wave — on skewed keys that is where most of the
 /// remaining shuffle volume lives.
 ///
-/// Determinism contract: entries are keyed by `(partition, serialized key
-/// bytes)` in a `BTreeMap`, so the drain order is partition-ascending then
-/// key-bytes-ascending regardless of absorption interleaving; values within
-/// one key group stay in arrival order, which the engine guarantees is task
-/// order (buckets are absorbed on the place thread in task order). Equal
-/// keys therefore tie-break on task order, and the job's combiner must be
-/// associative + commutative (see `hmr_api::conf::PLACE_COMBINE`). When the
-/// combiner declares a fold ([`TaskReducer::as_fold`]), a group keeps one
-/// accumulator, folded in that same order, instead of its values.
+/// It is the map side's partition kept across a place's tasks: one
+/// [`MapPart`] per partition seen, built under the same fold rule and
+/// drained through [`MapPart::combine`]. So the drain answers, partition by
+/// partition in ascending order, what a stable sort of the absorbed records
+/// under the job's comparators, grouped and `reduce`d, gives. Records
+/// arrive in task order (buckets are absorbed on the place thread in task
+/// order), so equal keys tie-break on task order, and the job's combiner
+/// must be associative + commutative (see `hmr_api::conf::PLACE_COMBINE`).
 pub struct CombineTable<K, V> {
-    entries: BTreeMap<(usize, Vec<u8>), (Arc<K>, Held<V>)>,
     fold: Option<Fold<V>>,
+    sort_cmp: KeyComparator<K>,
+    group_cmp: KeyComparator<K>,
+    /// Partition -> every record absorbed for it since the last drain.
+    parts: BTreeMap<usize, MapPart<K, V>>,
     bytes: u64,
-    records: u64,
-}
-
-/// What a [`CombineTable`] keeps of one group's values.
-enum Held<V> {
-    /// Every absorbed value, in arrival (task) order.
-    Values(Vec<Arc<V>>),
-    /// The combiner's fold and a copy of the first value with every later
-    /// one folded in.
-    Folded(Fold<V>, V),
 }
 
 impl<K, V> CombineTable<K, V>
 where
-    K: Writable,
-    V: Writable + Clone,
+    K: Writable + Clone + Send + Sync + 'static,
+    V: Writable + Clone + Send + Sync + 'static,
 {
-    /// An empty table for `combiner`.
-    pub fn new(combiner: &dyn TaskReducer<K, V, K, V>) -> Self {
+    /// An empty table for `combiner` under the job's comparators.
+    pub fn new(
+        combiner: &dyn TaskReducer<K, V, K, V>,
+        sort_cmp: &KeyComparator<K>,
+        group_cmp: &KeyComparator<K>,
+    ) -> Self {
         CombineTable {
-            entries: BTreeMap::new(),
-            fold: combiner.as_fold(),
+            fold: fold_rule(Some(combiner), sort_cmp, group_cmp),
+            sort_cmp: sort_cmp.clone(),
+            group_cmp: group_cmp.clone(),
+            parts: BTreeMap::new(),
             bytes: 0,
-            records: 0,
         }
     }
 
     /// True when nothing has been absorbed since the last drain.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Distinct `(partition, key)` groups currently held.
-    pub fn groups(&self) -> usize {
-        self.entries.len()
+        self.parts.is_empty()
     }
 
     /// Records absorbed since the last drain.
     pub fn records(&self) -> u64 {
-        self.records
+        self.parts.values().map(|part| part.len() as u64).sum()
     }
 
-    /// Approximate live bytes held (serialized key + value sizes plus
-    /// modelled per-entry overhead) — what the memory accountant should
-    /// carry under `MemClass::Combine`. The model counts every absorbed
-    /// value, folded or not, so budget flush points do not depend on the
-    /// combiner.
+    /// Modelled live bytes held — what the memory accountant carries under
+    /// `MemClass::Combine`: the serialized key and value size of every
+    /// absorbed record, whatever the table keeps of it, so budget flush
+    /// points depend neither on the combiner's declaration nor on the
+    /// comparators.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
 
-    /// Absorb one `(partition, key, value)` record, merging it into the
-    /// group of any previously absorbed equal key (dropping the new key).
-    /// Returns `(grew_bytes, key_bytes)`: how many accountable bytes the
-    /// table grew by, and the encoded key length (the serialization work
-    /// the caller should bill for admission).
+    /// Absorb one `(partition, key, value)` record into its partition
+    /// (`MapPart::collect`, aliasing the handles the table now owns).
+    /// Returns `(grew_bytes, key_bytes)`: how many modelled bytes the table
+    /// grew by, and the key's serialized size (the serialization work the
+    /// caller bills for admission).
     pub fn absorb(&mut self, partition: usize, key: Arc<K>, value: Arc<V>) -> (u64, u64) {
-        let mut kbytes = Vec::with_capacity(key.serialized_size());
-        key.write_to(&mut kbytes);
-        let klen = kbytes.len() as u64;
-        let vlen = value.serialized_size() as u64;
-        let grew = match self.entries.entry((partition, kbytes)) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                match &mut e.get_mut().1 {
-                    Held::Values(values) => values.push(value),
-                    Held::Folded(fold, acc) => fold(acc, &value),
-                }
-                vlen + COMBINE_VALUE_OVERHEAD
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                let held = match self.fold {
-                    Some(fold) => Held::Folded(fold, Arc::unwrap_or_clone(value)),
-                    None => Held::Values(vec![value]),
-                };
-                e.insert((key, held));
-                klen + COMBINE_ENTRY_OVERHEAD + vlen + COMBINE_VALUE_OVERHEAD
-            }
-        };
+        let klen = key.serialized_size() as u64;
+        let grew = klen + value.serialized_size() as u64;
+        self.parts
+            .entry(partition)
+            .or_insert_with(|| MapPart::new(self.fold, 0))
+            .collect(key, value, true);
         self.bytes += grew;
-        self.records += 1;
         (grew, klen)
     }
 
-    /// Drain every group through `combiner` in deterministic order —
-    /// partition ascending, then serialized key bytes ascending — and
-    /// reset the table to empty. A folded group is its `(key, acc)` pair;
-    /// any other hands its values, in arrival (task) order, to
-    /// `combiner.reduce`. `emit` receives every combined pair with its
-    /// partition.
+    /// Drain every partition through `combiner` ([`MapPart::combine`]),
+    /// partitions ascending, and reset the table to empty. `emit` receives
+    /// every combined pair with its partition. Returns the number of groups
+    /// the combine saw.
     pub fn drain_combined(
         &mut self,
         combiner: &mut dyn TaskReducer<K, V, K, V>,
         ctx: &mut TaskContext,
         mut emit: impl FnMut(usize, Arc<K>, Arc<V>),
-    ) -> Result<()> {
+    ) -> Result<u64> {
         self.bytes = 0;
-        self.records = 0;
-        let mut out = VecCollector::new();
-        for ((p, _), (key, held)) in std::mem::take(&mut self.entries) {
-            match held {
-                Held::Folded(_, acc) => emit(p, key, Arc::new(acc)),
-                Held::Values(values) => {
-                    combiner.reduce(key, &mut values.into_iter(), &mut out, ctx)?;
-                    for (k, v) in out.pairs.drain(..) {
-                        emit(p, k, v);
-                    }
-                }
+        let mut groups = 0;
+        for (p, part) in std::mem::take(&mut self.parts) {
+            let (pairs, count) = part.combine(combiner, &self.sort_cmp, &self.group_cmp, ctx)?;
+            groups += count as u64;
+            for (k, v) in pairs {
+                emit(p, k, v);
             }
         }
-        Ok(())
+        Ok(groups)
     }
 }
 
@@ -598,7 +573,7 @@ where
 mod tests {
     use super::*;
     use hmr_api::partition::FnPartitioner;
-    use hmr_api::task::{IdentityReducer, LongSumReducer};
+    use hmr_api::task::LongSumReducer;
     use hmr_api::writable::{BytesWritable, IntWritable, LongWritable};
 
     fn modulo_partitioner() -> Box<dyn Partitioner<IntWritable, BytesWritable>> {
@@ -688,7 +663,7 @@ mod tests {
         V: Clone + Send + Sync + 'static,
     {
         let nat = KeyComparator::natural();
-        part.combine(&mut FirstOnly, &nat, &nat, &mut task_ctx()).unwrap()
+        part.combine(&mut FirstOnly, &nat, &nat, &mut task_ctx()).unwrap().0
     }
 
     #[test]
@@ -889,45 +864,6 @@ mod tests {
         assert!(res.is_err());
     }
 
-    /// Drain `t` through `combiner`: every emitted `(partition, key, value)`.
-    fn drained<V: Writable + Clone>(
-        t: &mut CombineTable<IntWritable, V>,
-        combiner: &mut dyn TaskReducer<IntWritable, V, IntWritable, V>,
-    ) -> Vec<(usize, i32, V)> {
-        let mut out = Vec::new();
-        t.drain_combined(combiner, &mut task_ctx(), |p, k, v| {
-            out.push((p, k.0, (*v).clone()))
-        })
-        .unwrap();
-        out
-    }
-
-    #[test]
-    fn combine_table_merges_and_drains_deterministically() {
-        let mut t: CombineTable<IntWritable, IntWritable> = CombineTable::new(&IdentityReducer);
-        // Absorb in a scrambled order; equal keys across "tasks" merge.
-        t.absorb(1, Arc::new(IntWritable(9)), Arc::new(IntWritable(100)));
-        t.absorb(0, Arc::new(IntWritable(4)), Arc::new(IntWritable(1)));
-        t.absorb(1, Arc::new(IntWritable(9)), Arc::new(IntWritable(200)));
-        t.absorb(0, Arc::new(IntWritable(2)), Arc::new(IntWritable(7)));
-        t.absorb(0, Arc::new(IntWritable(4)), Arc::new(IntWritable(2)));
-        assert_eq!(t.records(), 5);
-        assert_eq!(t.groups(), 3);
-        // Partition-ascending, then key-bytes-ascending; values in arrival
-        // (task) order within each group (the identity combiner replays
-        // them).
-        let values = |v: Vec<(usize, i32, IntWritable)>| -> Vec<(usize, i32, i32)> {
-            v.into_iter().map(|(p, k, v)| (p, k, v.0)).collect()
-        };
-        assert_eq!(
-            values(drained(&mut t, &mut IdentityReducer)),
-            vec![(0, 2, 7), (0, 4, 1), (0, 4, 2), (1, 9, 100), (1, 9, 200)]
-        );
-        assert!(t.is_empty(), "drain resets the table");
-        assert_eq!(t.bytes(), 0);
-        assert_eq!(t.records(), 0);
-    }
-
     /// `LongSumReducer` without its fold declaration.
     pub(super) struct Unfolded;
 
@@ -941,40 +877,6 @@ mod tests {
         ) -> Result<()> {
             LongSumReducer.reduce(key, values, out, ctx)
         }
-    }
-
-    #[test]
-    fn folding_combine_table_drains_what_reduce_would_and_bills_the_same_bytes() {
-        let records = [(1, 9, 5), (0, 4, 1), (1, 9, -2), (0, 2, 7), (0, 4, 3), (0, 4, 1)];
-        let mut folded = CombineTable::new(&LongSumReducer);
-        let mut reduced = CombineTable::new(&Unfolded);
-        for (p, k, v) in records {
-            let one = Arc::new(LongWritable(v));
-            assert_eq!(
-                folded.absorb(p, Arc::new(IntWritable(k)), Arc::clone(&one)),
-                reduced.absorb(p, Arc::new(IntWritable(k)), Arc::clone(&one)),
-                "same modelled growth per absorb"
-            );
-            assert_eq!(Arc::strong_count(&one), 2, "the folding table kept no value");
-            assert_eq!(folded.bytes(), reduced.bytes());
-        }
-        assert_eq!((folded.groups(), folded.records()), (3, 6));
-        let out = drained(&mut folded, &mut LongSumReducer);
-        assert_eq!(out, drained(&mut reduced, &mut Unfolded));
-        let sums: Vec<_> = out.into_iter().map(|(p, k, v)| (p, k, v.0)).collect();
-        assert_eq!(sums, vec![(0, 2, 7), (0, 4, 5), (1, 9, 3)]);
-    }
-
-    #[test]
-    fn combine_table_byte_accounting_grows_per_absorb() {
-        let mut t: CombineTable<IntWritable, BytesWritable> = CombineTable::new(&IdentityReducer);
-        let k = Arc::new(IntWritable(1));
-        let (g1, klen) = t.absorb(0, Arc::clone(&k), Arc::new(BytesWritable(vec![0u8; 10].into())));
-        assert_eq!(klen, k.serialized_size() as u64);
-        assert!(g1 > 10, "first absorb pays key + entry overhead");
-        let (g2, _) = t.absorb(0, Arc::clone(&k), Arc::new(BytesWritable(vec![0u8; 10].into())));
-        assert!(g2 < g1, "merging into an existing group is cheaper");
-        assert_eq!(t.bytes(), g1 + g2);
     }
 
     #[test]
@@ -996,7 +898,8 @@ mod prop_tests {
     use super::tests::{buffer, firsts, task_ctx, FirstOnly, Flaky, Unfolded};
     use super::*;
     use hmr_api::partition::FnPartitioner;
-    use hmr_api::task::LongSumReducer;
+    use hmr_api::collect::VecCollector;
+    use hmr_api::task::{IdentityReducer, LongSumReducer};
     use hmr_api::writable::{BytesWritable, IntWritable, LongWritable, Text};
     use proptest::prelude::*;
 
@@ -1291,7 +1194,10 @@ mod prop_tests {
         /// folding buffer yields the record counts, the pairs and the
         /// charges that the same combiner without its fold declaration gives
         /// through the plain sort path. The engine's rule applies: a
-        /// partition of fewer than two records skips the combiner.
+        /// partition of fewer than two records skips the combiner. The same
+        /// records split across `tasks` and absorbed into a place table
+        /// drain to the same pairs, and the table's modelled bytes after
+        /// each task do not depend on the declaration.
         #[test]
         fn fold_at_collect_matches_reduce(
             picks in proptest::collection::vec(
@@ -1299,6 +1205,7 @@ mod prop_tests {
                 0..300,
             ),
             parts in 1usize..6,
+            tasks in 1usize..5,
             immutable in any::<bool>(),
             degrade in any::<bool>(),
         ) {
@@ -1306,19 +1213,26 @@ mod prop_tests {
                 .into_iter()
                 .map(|(k, v)| (if k == 13 && !degrade { 14 } else { k }, v))
                 .collect();
-            type Out = (Vec<Vec<(i32, i64)>>, Vec<usize>, simgrid::metrics::MetricsSnapshot);
+            type Out = (
+                Vec<Vec<(i32, i64)>>,
+                Vec<usize>,
+                Vec<Vec<(i32, i64)>>,
+                Vec<u64>,
+                simgrid::metrics::MetricsSnapshot,
+            );
             let run = |combiner: &mut dyn TaskReducer<Flaky, LongWritable, Flaky, LongWritable>|
              -> Out {
                 let modulo =
                     Box::new(FnPartitioner::new(|k: &Flaky, _: &LongWritable, n| k.0 as usize % n));
                 let mut buf = buffer(parts, modulo, immutable, Some(&*combiner));
+                let nat = KeyComparator::<Flaky>::natural();
+                let mut table = CombineTable::new(&*combiner, &nat, &nat);
                 let cluster = simgrid::Cluster::new(1, simgrid::CostModel::default());
-                let (pairs, lens) =
+                let (pairs, lens, drained, bytes) =
                     simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
                         for &(k, v) in &picks {
                             buf.collect(Arc::new(Flaky(k)), Arc::new(LongWritable(v))).unwrap();
                         }
-                        let nat = KeyComparator::<Flaky>::natural();
                         let mut pairs = Vec::new();
                         let mut lens = Vec::new();
                         for part in buf.into_parts() {
@@ -1326,17 +1240,126 @@ mod prop_tests {
                             let out = if part.len() < 2 {
                                 part.into_pairs()
                             } else {
-                                part.combine(combiner, &nat, &nat, &mut task_ctx()).unwrap()
+                                part.combine(combiner, &nat, &nat, &mut task_ctx()).unwrap().0
                             };
                             pairs.push(out.iter().map(|(k, v)| (k.0, v.0)).collect());
                         }
-                        (pairs, lens)
+                        let mut bytes = Vec::new();
+                        for task in picks.chunks(picks.len().div_ceil(tasks).max(1)) {
+                            for &(k, v) in task {
+                                let p = k as usize % parts;
+                                table.absorb(p, Arc::new(Flaky(k)), Arc::new(LongWritable(v)));
+                            }
+                            bytes.push(table.bytes());
+                        }
+                        let mut drained = vec![Vec::new(); parts];
+                        table
+                            .drain_combined(combiner, &mut task_ctx(), |p, k, v| {
+                                drained[p].push((k.0, v.0))
+                            })
+                            .unwrap();
+                        (pairs, lens, drained, bytes)
                     });
-                (pairs, lens, cluster.metrics().snapshot())
+                (pairs, lens, drained, bytes, cluster.metrics().snapshot())
             };
             let folded = run(&mut LongSumReducer);
             prop_assert_eq!(&folded, &run(&mut Unfolded));
             prop_assert_eq!(folded.1.iter().sum::<usize>(), picks.len());
+            prop_assert_eq!(&folded.2, &folded.0, "the place table drains what the buffer gives");
+        }
+
+        /// A place table drains, partition by partition in ascending order,
+        /// what a stable sort of each partition's absorbed records under
+        /// the job's comparators, split into groups and handed to `reduce`,
+        /// gives — over natural and custom comparators, with folding and
+        /// other combiners, records split across several tasks. It folds
+        /// only under the fold rule, and its modelled bytes are the
+        /// serialized sizes of everything absorbed since the last drain.
+        #[test]
+        fn combine_table_drains_a_stable_sort_then_reduce(
+            records in proptest::collection::vec((0usize..4, -6i32..6, -3i64..100), 0..200),
+            tasks in 1usize..5,
+            order in 0u8..4,
+            which in 0u8..3,
+        ) {
+            type Cmp = KeyComparator<IntWritable>;
+            let (sort_cmp, group_cmp): (Cmp, Cmp) = match order {
+                0 => (KeyComparator::natural(), KeyComparator::natural()),
+                1 => (KeyComparator::reversed(), KeyComparator::reversed()),
+                // Secondary-sort shaped: k and -k form one group.
+                2 => {
+                    let abs = || KeyComparator::new(|a: &IntWritable, b: &IntWritable| {
+                        a.0.abs().cmp(&b.0.abs())
+                    });
+                    (abs(), abs())
+                }
+                _ => (
+                    KeyComparator::natural(),
+                    KeyComparator::new(|a: &IntWritable, b: &IntWritable| {
+                        a.0.div_euclid(2).cmp(&b.0.div_euclid(2))
+                    }),
+                ),
+            };
+            type Combiner =
+                Box<dyn TaskReducer<IntWritable, LongWritable, IntWritable, LongWritable>>;
+            let combiner = || -> Combiner {
+                match which {
+                    0 => Box::new(LongSumReducer),
+                    1 => Box::new(Unfolded),
+                    _ => Box::new(IdentityReducer),
+                }
+            };
+            let mut table = CombineTable::new(&*combiner(), &sort_cmp, &group_cmp);
+            prop_assert_eq!(table.fold.is_some(), order == 0 && which == 0, "the fold rule");
+            let mut expect_bytes = 0;
+            for task in records.chunks(records.len().div_ceil(tasks).max(1)) {
+                // One task's output reaches the table bucket by bucket.
+                for p in 0..4 {
+                    for &(_, k, v) in task.iter().filter(|r| r.0 == p) {
+                        let (key, value) = (Arc::new(IntWritable(k)), Arc::new(LongWritable(v)));
+                        let klen = key.serialized_size() as u64;
+                        let grew = klen + value.serialized_size() as u64;
+                        prop_assert_eq!(table.absorb(p, key, value), (grew, klen));
+                        expect_bytes += grew;
+                    }
+                }
+                prop_assert_eq!(table.bytes(), expect_bytes);
+            }
+            prop_assert_eq!(table.records(), records.len() as u64);
+            prop_assert_eq!(table.is_empty(), records.is_empty());
+
+            let mut expect = Vec::new();
+            let mut expect_groups = 0;
+            for p in 0..4 {
+                let mut run: Vec<_> = records
+                    .iter()
+                    .filter(|r| r.0 == p)
+                    .map(|&(_, k, v)| (Arc::new(IntWritable(k)), Arc::new(LongWritable(v))))
+                    .collect();
+                run.sort_by(|a, b| sort_cmp.compare(&a.0, &b.0));
+                let mut reference = combiner();
+                let mut rest = &run[..];
+                while let Some(head) = rest.first() {
+                    let len =
+                        rest.iter().take_while(|r| group_cmp.same_group(&head.0, &r.0)).count();
+                    let (group, tail) = rest.split_at(len);
+                    let mut out = VecCollector::new();
+                    let mut values = group.iter().map(|(_, v)| Arc::clone(v));
+                    reference
+                        .reduce(Arc::clone(&head.0), &mut values, &mut out, &mut task_ctx())
+                        .unwrap();
+                    expect.extend(out.pairs.iter().map(|(k, v)| (p, k.0, v.0)));
+                    expect_groups += 1;
+                    rest = tail;
+                }
+            }
+            let mut got = Vec::new();
+            let emit = |p, k: Arc<IntWritable>, v: Arc<LongWritable>| got.push((p, k.0, v.0));
+            let groups = table.drain_combined(&mut *combiner(), &mut task_ctx(), emit).unwrap();
+            prop_assert_eq!(got, expect);
+            prop_assert_eq!(groups, expect_groups);
+            prop_assert!(table.is_empty(), "drain resets the table");
+            prop_assert_eq!((table.bytes(), table.records()), (0, 0));
         }
 
         /// Full de-duplication never sends more payload bytes than Off.

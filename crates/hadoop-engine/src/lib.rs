@@ -29,8 +29,7 @@ pub mod sortbuffer;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use hmr_api::collect::{MapCollector, OutputCollector, VecCollector};
-use hmr_api::comparator::{ingest_reduce_groups, SortTuning};
+use hmr_api::collect::{MapCollector, OutputCollector};
 use hmr_api::conf::JobConf;
 use hmr_api::counters::{task_counter, Counters, TaskContext};
 use hmr_api::distcache::DistCache;
@@ -39,7 +38,7 @@ use hmr_api::fs::FileSystem;
 use hmr_api::io::{seqfile, InputFormat, InputSplit, OutputFormat, RecordWriter};
 use hmr_api::job::{Engine, JobDef, JobFrame, JobResult, LaneEngine};
 use hmr_api::multi::NamedOutputs;
-use hmr_api::task::{reduce_groups, reduce_partition};
+use hmr_api::task::{combine_run, reduce_partition};
 use hmr_api::writable::Writable;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
@@ -582,32 +581,22 @@ impl<J: JobDef> Run<'_, J> {
                         pairs.extend(decode_segment::<J::K2, J::V2>(&map_outputs[t][partition])?);
                     }
                     simgrid::meter::charge(Charge::Deserialize { bytes: in_bytes });
-                    let groups = ingest_reduce_groups(
-                        &mut pairs,
-                        &sort_cmp,
-                        &group_cmp,
-                        &SortTuning::default(),
-                        None,
-                    );
                     ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, pairs.len() as i64);
-                    let mut out: VecCollector<J::K2, J::V2> = VecCollector::new();
-                    reduce_groups(pairs, groups, &mut *combiner, &mut out, &mut ctx)?;
-                    ctx.incr_task_counter(
-                        task_counter::COMBINE_OUTPUT_RECORDS,
-                        out.pairs.len() as i64,
-                    );
+                    let (out, _) =
+                        combine_run(pairs, &mut *combiner, &sort_cmp, &group_cmp, &mut ctx)?;
+                    ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.len() as i64);
                     // The inputs are the wave tasks' already-sorted segments, so
                     // this is a k-way merge, not a fresh sort: bill one sort-pass
                     // record per emitted group (the merge's output walk). That
                     // keeps `records_sorted` a net win — reducers re-merge far
                     // fewer records than the wave produced.
                     simgrid::meter::charge(Charge::Sort {
-                        records: out.pairs.len() as u64,
+                        records: out.len() as u64,
                     });
                     // Segments are framed as SequenceFile records: one
                     // header-first encode straight into the pooled buffer.
                     let mut buf = cluster.pool(node_id).get_any(in_bytes as usize);
-                    for (k, v) in &out.pairs {
+                    for (k, v) in &out {
                         seqfile::append_record(&mut buf, &**k, &**v);
                     }
                     let seg = buf.freeze();

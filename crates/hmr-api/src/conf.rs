@@ -46,6 +46,12 @@ pub const CLIENT_ID: &str = "m3r.client.id";
 /// order with equal keys tie-broken by task order. A combiner that is
 /// sensitive to grouping depth or value arrival order will change job
 /// output with this flag on. Jobs without a combiner ignore the flag.
+///
+/// On M3R a place's tables combine under the map side's own rule: each
+/// partition's records, gathered from every map task of the place, are
+/// sorted and grouped under the job's sort and grouping comparators and
+/// handed to the combiner, or folded as they arrive when the combiner
+/// declares a fold and both comparators are natural.
 pub const PLACE_COMBINE: &str = "m3r.shuffle.place.combine";
 
 /// A string-keyed configuration map with typed accessors.

@@ -58,7 +58,8 @@ pub fn file_len<'a, K: Writable, V: Writable>(
 /// from `serialized_size`, then key and value are encoded once, straight
 /// into `out`, so no per-record buffer is allocated and nothing moves.
 /// A type whose `serialized_size` disagrees with its `write_to` still gets
-/// a correct frame (see [`reframe`]).
+/// a correct frame: the record is re-headed with the lengths actually
+/// written.
 pub fn append_record<B, K, V>(out: &mut B, key: &K, value: &V)
 where
     B: RecordBuf + ?Sized,

@@ -15,11 +15,12 @@ use std::sync::Arc;
 use simgrid::trace::{self, Phase};
 use simgrid::Charge;
 
-use crate::collect::OutputCollector;
-use crate::comparator::{ingest_reduce_groups, SortTuning};
+use crate::collect::{OutputCollector, VecCollector};
+use crate::comparator::{ingest_reduce_groups, KeyComparator, SortTuning};
 use crate::counters::{task_counter, TaskContext};
 use crate::error::Result;
 use crate::job::JobDef;
+use crate::writable::Writable;
 use crate::{mapred, mapreduce};
 
 /// Engine-facing mapper: what actually runs inside a map task.
@@ -94,7 +95,7 @@ pub trait TaskReducer<K2, V2, K3, V3>: Send {
 
 /// The reducer loop: hand every group of the ingested (sorted and grouped)
 /// `pairs` to `reducer`, first key of the group and its values in order.
-/// Reducers, and the Hadoop engine's node-level combine, all end here.
+/// Reducers, and every combiner on the sort path ([`combine_run`]), end here.
 /// `groups` are [`ingest_reduce_groups`]' contiguous spans; keys and values
 /// move to the reducer, and what it leaves unread drops before the next group.
 pub fn reduce_groups<K2, V2, K3, V3>(
@@ -115,6 +116,26 @@ pub fn reduce_groups<K2, V2, K3, V3>(
         values.for_each(drop);
     }
     Ok(())
+}
+
+/// A combiner over one run of pairs, on the sort path: the run sorted and
+/// grouped under the job's comparators ([`ingest_reduce_groups`]), then
+/// [`reduce_groups`] into a fresh collector. Returns the combined pairs
+/// and the number of groups the combiner saw. Bills and counts nothing
+/// itself; M3R's map and place combines and the Hadoop node combine do.
+pub fn combine_run<K: Writable, V>(
+    mut pairs: Vec<(Arc<K>, Arc<V>)>,
+    combiner: &mut dyn TaskReducer<K, V, K, V>,
+    sort_cmp: &KeyComparator<K>,
+    group_cmp: &KeyComparator<K>,
+    ctx: &mut TaskContext,
+) -> Result<(Vec<(Arc<K>, Arc<V>)>, usize)> {
+    let tuning = SortTuning::default();
+    let groups = ingest_reduce_groups(&mut pairs, sort_cmp, group_cmp, &tuning, None);
+    let count = groups.len();
+    let mut out = VecCollector::new();
+    reduce_groups(pairs, groups, combiner, &mut out, ctx)?;
+    Ok((out.pairs, count))
 }
 
 /// One reduce partition, from assembled input to a filled sink: the `Sort`

@@ -1,13 +1,14 @@
 //! Hot-path kernel determinism: which sort and group kernels a job runs is
 //! decided by its shape alone, and every choice is wall-clock only. A
 //! natural-order run of at least `RAW_SORT_MIN_PAIRS` pairs takes the
-//! raw-key radix sort; on M3R a combiner job whose sort and grouping
-//! comparators are both natural groups its map output at `collect()`.
+//! raw-key radix sort; on M3R a job whose combiner declares a fold
+//! (`LongSumReducer` here) and whose sort and grouping comparators are both
+//! natural folds its map output at `collect()`.
 //!
 //! The reference is the same job under an opaque comparator,
 //! `KeyComparator::new(|a, b| a.cmp(b))`: the same order, but not
 //! `is_natural`, so every path takes the decoded stable sort, span grouping
-//! and no collect-time grouping. On either engine, serial or parallel, at a
+//! and no collect-time fold. On either engine, serial or parallel, at a
 //! corpus whose reduce partitions all fall below the threshold and at one
 //! whose partitions mostly lie above it, the natural job must match its
 //! reference in simulated seconds (compared through `f64::to_bits`, i.e.
