@@ -29,15 +29,16 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
+use hmr_api::collect::{MapCollector, OutputCollector};
 use hmr_api::conf::JobConf;
 use hmr_api::counters::{task_counter, Counters, TaskContext};
 use hmr_api::distcache::DistCache;
 use hmr_api::error::{HmrError, Result};
 use hmr_api::fs::{FileSystem, HPath};
 use hmr_api::io::{part_file_name, seqfile, InputFormat, InputSplit, OutputFormat};
-use hmr_api::job::{Engine, JobDef, JobFrame, JobResult, LaneEngine, MapOnlyConvert};
+use hmr_api::job::{map_only, Engine, JobDef, JobFrame, JobResult, LaneEngine, MapOnlyConvert};
 use hmr_api::multi::NamedOutputs;
-use hmr_api::task::reduce_partition;
+use hmr_api::task::{reduce_partition, run_mapper};
 use hmr_api::writable::Writable;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
@@ -365,6 +366,16 @@ impl<J: JobDef> Run<J> {
     fn task_ctx(&self, id: String) -> TaskContext {
         TaskContext::new(id, Arc::clone(&self.conf), Arc::clone(&self.dist_cache))
     }
+
+    /// The job output of task `index`: a reduce partition, or the split a
+    /// map-only task maps.
+    fn output_sink(&self, index: usize) -> OutputSink<'_, J::K3, J::V3> {
+        OutputSink {
+            main: Vec::new(),
+            named: NamedOutputs::new(&*self.output_format, &*self.fs, &self.conf, index),
+            named_records: 0,
+        }
+    }
 }
 
 impl Engine for M3REngine {
@@ -533,14 +544,7 @@ impl M3REngine {
                     input_format.get_splits(&*self.fs, conf, nplaces * self.opts.worker_threads)
                 })
             })?;
-            let convert = match num_reducers {
-                0 => Some(job.map_only_convert().ok_or_else(|| {
-                    HmrError::InvalidJob(
-                        "0 reducers requires JobDef::map_only_convert (map-only job)".into(),
-                    )
-                })?),
-                _ => None,
-            };
+            let convert = map_only(&**job, num_reducers)?;
             input_bytes = splits.iter().map(|s| s.length()).sum();
             plan = Some((Arc::new(splits), convert));
         }
@@ -754,7 +758,6 @@ impl<J: JobDef> Outbox<J> {
                 let table_bytes = table.bytes();
                 self.place_combined.0 += table.records();
                 let stream = self.streams[dest].get_or_insert_with(|| run.open_stream(place));
-                stream.reserve(table_bytes as usize);
                 let before = stream.len();
                 let counts = &mut self.stream_counts[dest];
                 let combined = &mut self.place_combined.1;
@@ -916,11 +919,13 @@ fn map_phase_at_place<J: JobDef>(
     Ok(())
 }
 
-/// One map task: cache-aware input, real mapper, optional combiner, then
-/// routing into local and remote buckets. Safe to run concurrently with
-/// the other tasks of its wave: it only touches per-task state plus the
-/// thread-safe cache/DFS/counters, and returns its routed buckets for the
-/// place thread to serialize in task order.
+/// One map task: cache-aware input, then the mapper loop both engines run
+/// ([`run_mapper`]) — into the job output for a map-only job, as on Hadoop
+/// (§5.3), else into the [`MapOutputBuffer`], whose partitions go through
+/// the optional combiner into local and remote buckets. Safe to run
+/// concurrently with the other tasks of its wave: it only touches per-task
+/// state plus the thread-safe cache/DFS/counters, and returns its routed
+/// buckets for the place thread to serialize in task order.
 fn run_map_task<J: JobDef>(
     run: &Run<J>,
     place: usize,
@@ -981,8 +986,26 @@ fn run_map_task<J: JobDef>(
         }
     };
 
-    // ---- run the mapper ---------------------------------------------------
-    let num_parts = run.num_reducers.max(1);
+    let input = pairs.pairs.iter().map(|(k, v)| Ok((Arc::clone(k), Arc::clone(v))));
+    let mut routed = RoutedOutput::<J> {
+        local: Vec::new(),
+        remote: Vec::new(),
+    };
+
+    // ---- map-only: the mapper writes the job output (§5.3) -----------------
+    if let Some(convert) = convert {
+        let mut out = run.output_sink(si);
+        let mut mapper = job.create_mapper(conf);
+        run_mapper(&mut *mapper, input, &mut MapCollector::new(&mut out, convert), &mut ctx)?;
+        // Named pairs count as output records, as Hadoop's writer counts them.
+        let records = out.main.len() as u64 + out.named_records;
+        write_and_cache_output(run, place, si, out)?;
+        run.output_records.fetch_add(records, Ordering::Relaxed);
+        run.counters.lock().merge(&ctx.into_counters());
+        return Ok(routed);
+    }
+
+    // ---- run the mapper into the map-output buffer --------------------------
     let mut combiner = job.create_combiner(conf);
     let sort_cmp = job.sort_comparator();
     let group_cmp = job.grouping_comparator();
@@ -990,7 +1013,7 @@ fn run_map_task<J: JobDef>(
     // legal, and otherwise keeps plain pairs; the input sequence is already
     // materialized, so its length pre-sizes those buckets.
     let mut buffer = MapOutputBuffer::new(
-        num_parts,
+        run.num_reducers,
         job.partitioner(conf),
         job.immutable_output(),
         combiner.as_deref(),
@@ -999,56 +1022,27 @@ fn run_map_task<J: JobDef>(
         pairs.pairs.len(),
     );
     let mut mapper = job.create_mapper(conf);
-    mapper.setup(&mut ctx)?;
-    for (k, v) in &pairs.pairs {
-        mapper.map(Arc::clone(k), Arc::clone(v), &mut buffer, &mut ctx)?;
-    }
-    mapper.cleanup(&mut buffer, &mut ctx)?;
-    ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, pairs.pairs.len() as i64);
-    ctx.incr_task_counter(task_counter::MAP_OUTPUT_RECORDS, buffer.emitted() as i64);
+    run_mapper(&mut *mapper, input, &mut buffer, &mut ctx)?;
 
-    // ---- optional combiner --------------------------------------------------
-    let mut parts: Vec<Pairs<J>> = Vec::with_capacity(num_parts);
-    for part in buffer.into_parts() {
-        let records = part.len();
-        let Some(combiner) = combiner.as_mut().filter(|_| records >= 2) else {
-            parts.push(part.into_pairs());
-            continue;
-        };
-        simgrid::meter::charge(Charge::Sort {
-            records: records as u64,
-        });
-        ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, records as i64);
-        let (out, _) = part.combine(&mut **combiner, &sort_cmp, &group_cmp, &mut ctx)?;
-        ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.len() as i64);
-        parts.push(out);
-    }
-
-    let mut routed = RoutedOutput::<J> {
-        local: Vec::new(),
-        remote: Vec::new(),
-    };
-    // ---- map-only: straight to output (§5.3) --------------------------------
-    if let Some(convert) = convert {
-        let converted: Vec<(Arc<J::K3>, Arc<J::V3>)> = parts
-            .into_iter()
-            .flatten()
-            .map(|(k, v)| convert(k, v))
-            .collect();
-        let records = converted.len() as u64;
-        write_and_cache_output(run, place, si, converted)?;
-        run.output_records.fetch_add(records, Ordering::Relaxed);
-        run.counters.lock().merge(&ctx.into_counters());
-        return Ok(routed);
-    }
-
-    // ---- route: local buckets vs remote buckets (§3.2.2) --------------------
+    // ---- optional combiner, then route: local vs remote buckets (§3.2.2) ---
     // Serialization into the place-wide de-duplicating streams is deferred
     // to the place thread (task order), so concurrent tasks never contend
     // on shared serializer state.
-    let mut local_n = 0i64;
-    let mut remote_n = 0i64;
-    for (p, bucket) in parts.into_iter().enumerate() {
+    let (mut local_n, mut remote_n) = (0i64, 0i64);
+    for (p, part) in buffer.into_parts().into_iter().enumerate() {
+        let records = part.len();
+        let bucket = match combiner.as_mut().filter(|_| records >= 2) {
+            None => part.into_pairs(),
+            Some(combiner) => {
+                simgrid::meter::charge(Charge::Sort {
+                    records: records as u64,
+                });
+                ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, records as i64);
+                let (out, _) = part.combine(&mut **combiner, &sort_cmp, &group_cmp, &mut ctx)?;
+                ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.len() as i64);
+                out
+            }
+        };
         if bucket.is_empty() {
             continue;
         }
@@ -1180,23 +1174,25 @@ fn ingest_stream<K: Writable + Send + Sync, V: Writable + Send + Sync>(
     Ok(())
 }
 
-/// Reduce-side collector: main-output pairs accumulate in memory (for the
-/// cache and the deferred DFS write); named side outputs (`MultipleOutputs`,
-/// §4.2.2) stream straight to their writers and bypass the cache.
-struct ReduceCollector<'a, K, V> {
+/// Where a reduce partition or a map-only mapper writes the job output:
+/// main-output pairs accumulate in memory (for the cache and the deferred
+/// DFS write); named side outputs (`MultipleOutputs`, §4.2.2) stream
+/// straight to their writers and bypass the cache.
+struct OutputSink<'a, K, V> {
     main: Vec<(Arc<K>, Arc<V>)>,
     named: NamedOutputs<'a, K, V>,
+    /// Pairs written to the named outputs.
+    named_records: u64,
 }
 
-impl<K: Writable, V: Writable> hmr_api::collect::OutputCollector<K, V>
-    for ReduceCollector<'_, K, V>
-{
+impl<K: Writable, V: Writable> OutputCollector<K, V> for OutputSink<'_, K, V> {
     fn collect(&mut self, key: Arc<K>, value: Arc<V>) -> Result<()> {
         self.main.push((key, value));
         Ok(())
     }
 
     fn collect_named(&mut self, name: &str, key: Arc<K>, value: Arc<V>) -> Result<()> {
+        self.named_records += 1;
         self.named.write(name, &key, &value)
     }
 }
@@ -1217,32 +1213,29 @@ fn run_reduce_partition<J: JobDef>(
         partition,
         pairs,
         || {},
-        || {
-            Ok(ReduceCollector {
-                main: Vec::new(),
-                named: NamedOutputs::new(&*run.output_format, &*run.fs, &run.conf, partition),
-            })
-        },
+        || Ok(run.output_sink(partition)),
         &mut ctx,
     )?;
-    out.named.close()?;
     let records = out.main.len() as u64;
     ctx.incr_task_counter(task_counter::REDUCE_OUTPUT_RECORDS, records as i64);
-    write_and_cache_output(run, place, partition, out.main)?;
+    write_and_cache_output(run, place, partition, out)?;
     run.output_records.fetch_add(records, Ordering::Relaxed);
     run.counters.lock().merge(&ctx.into_counters());
     Ok(())
 }
 
-/// Output handling shared by reducers and map-only mappers: cache the
-/// sequence at this place under the part file's name; write it to the DFS
-/// through the RecordWriter unless the output is temporary.
+/// Output handling shared by reducers and map-only mappers: close the named
+/// outputs, then cache the main sequence at this place under the part
+/// file's name and write it to the DFS through the RecordWriter unless the
+/// output is temporary.
 fn write_and_cache_output<J: JobDef>(
     run: &Run<J>,
     place: usize,
     partition: usize,
-    pairs: Vec<(Arc<J::K3>, Arc<J::V3>)>,
+    out: OutputSink<'_, J::K3, J::V3>,
 ) -> Result<()> {
+    out.named.close()?;
+    let pairs = out.main;
     let (conf, fs, output_format) = (&run.conf, &run.fs, &*run.output_format);
     // Reducer output is subject to the same reuse contract as mapper
     // output: without ImmutableOutput the cache must hold copies.

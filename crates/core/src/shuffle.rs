@@ -73,7 +73,6 @@ pub struct MapOutputBuffer<K, V> {
     num_partitions: usize,
     immutable: bool,
     parts: Vec<MapPart<K, V>>,
-    emitted: u64,
 }
 
 /// One partition's collected records: of a map task, or of every map task
@@ -267,13 +266,7 @@ where
             parts: std::iter::repeat_with(|| MapPart::new(fold, per_part))
                 .take(num_partitions)
                 .collect(),
-            emitted: 0,
         }
-    }
-
-    /// Pairs emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// The collected partitions, in partition order.
@@ -305,7 +298,6 @@ where
             meter::charge(Charge::Clone { bytes });
             meter::charge(Charge::Alloc { objects: 2 });
         }
-        self.emitted += 1;
         self.parts[p].collect(key, value, self.immutable);
         Ok(())
     }
@@ -683,7 +675,6 @@ mod tests {
         for (k, v) in &emitted {
             buf.collect(Arc::clone(k), Arc::clone(v)).unwrap();
         }
-        assert_eq!(buf.emitted(), 5);
         let mut parts = buf.into_parts();
         assert!(matches!(parts[1], MapPart::Groups(_)));
         assert_eq!(parts[1].len(), 5);

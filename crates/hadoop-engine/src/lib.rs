@@ -33,12 +33,12 @@ use hmr_api::collect::{MapCollector, OutputCollector};
 use hmr_api::conf::JobConf;
 use hmr_api::counters::{task_counter, Counters, TaskContext};
 use hmr_api::distcache::DistCache;
-use hmr_api::error::{HmrError, Result};
+use hmr_api::error::Result;
 use hmr_api::fs::FileSystem;
 use hmr_api::io::{seqfile, InputFormat, InputSplit, OutputFormat, RecordWriter};
-use hmr_api::job::{Engine, JobDef, JobFrame, JobResult, LaneEngine};
+use hmr_api::job::{map_only, Engine, JobDef, JobFrame, JobResult, LaneEngine};
 use hmr_api::multi::NamedOutputs;
-use hmr_api::task::{combine_run, reduce_partition};
+use hmr_api::task::{combine_run, reduce_partition, run_mapper};
 use hmr_api::writable::Writable;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
@@ -321,15 +321,7 @@ impl HadoopEngine {
         let splits =
             input_format.get_splits(&*self.fs, conf, nnodes * self.opts.map_slots_per_node)?;
         let num_reducers = conf.num_reduce_tasks();
-        let convert = if num_reducers == 0 {
-            Some(job.map_only_convert().ok_or_else(|| {
-                HmrError::InvalidJob(
-                    "0 reducers requires JobDef::map_only_convert (map-only job)".into(),
-                )
-            })?)
-        } else {
-            None
-        };
+        let convert = map_only(job, num_reducers)?;
         // Distributed cache staging, charged to the submitting node.
         let dist_cache = Arc::new(simgrid::with_meter(
             Meter::new(cluster.node(0).clone()),
@@ -400,6 +392,10 @@ impl HadoopEngine {
 }
 
 impl<J: JobDef> Run<'_, J> {
+    fn task_ctx(&self, id: String) -> TaskContext {
+        TaskContext::new(id, Arc::clone(self.conf), Arc::clone(&self.dist_cache))
+    }
+
     /// The tasktracker receives work one heartbeat at a time.
     fn heartbeat(&self, node_id: NodeId) {
         simgrid::with_meter(Meter::new(self.cluster.node(node_id).clone()), || {
@@ -544,11 +540,7 @@ impl<J: JobDef> Run<'_, J> {
             .job
             .create_combiner(self.conf)
             .expect("combine_wave_segments requires a combiner");
-        let mut ctx = TaskContext::new(
-            format!("combine_n_{node_id:06}"),
-            Arc::clone(self.conf),
-            Arc::clone(&self.dist_cache),
-        );
+        let mut ctx = self.task_ctx(format!("combine_n_{node_id:06}"));
         let sort_cmp = self.job.sort_comparator();
         let group_cmp = self.job.grouping_comparator();
         simgrid::with_meter(Meter::new(cluster.node(node_id).clone()), || {
@@ -631,11 +623,7 @@ impl<J: JobDef> Run<'_, J> {
     ) -> Result<MapTaskOutput> {
         let (job, conf, fs) = (self.job, self.conf, &*self.engine.fs);
         simgrid::meter::charge(Charge::TaskStartup);
-        let mut ctx = TaskContext::new(
-            format!("attempt_m_{task_idx:06}_0"),
-            Arc::clone(conf),
-            Arc::clone(&self.dist_cache),
-        );
+        let mut ctx = self.task_ctx(format!("attempt_m_{task_idx:06}_0"));
         ctx.set_split_tag(hmr_api::multi::split_tag(split));
 
         let mut mapper = job.create_mapper(conf);
@@ -644,21 +632,14 @@ impl<J: JobDef> Run<'_, J> {
         simgrid::meter::charge(Charge::Deserialize {
             bytes: split.length(),
         });
+        let input = std::iter::from_fn(|| reader.next().transpose())
+            .map(|record| record.map(|(k, v)| (Arc::new(k), Arc::new(v))));
 
         if let Some(convert) = convert {
             // Map-only: "output from the mapper is sent directly to output as
             // per Hadoop" (§5.3). The task writes part-<map index>.
             let mut sink = WriterCollector::open(self.output_format, fs, conf, task_idx)?;
-            {
-                let mut out = MapCollector::new(&mut sink, convert);
-                mapper.setup(&mut ctx)?;
-                while let Some((k, v)) = reader.next()? {
-                    ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, 1);
-                    ctx.incr_task_counter(task_counter::MAP_OUTPUT_RECORDS, 1);
-                    mapper.map(Arc::new(k), Arc::new(v), &mut out, &mut ctx)?;
-                }
-                mapper.cleanup(&mut out, &mut ctx)?;
-            }
+            run_mapper(&mut *mapper, input, &mut MapCollector::new(&mut sink, convert), &mut ctx)?;
             let records = sink.close()?;
             return Ok(MapTaskOutput {
                 segments: Vec::new(),
@@ -674,24 +655,9 @@ impl<J: JobDef> Run<'_, J> {
             job.sort_comparator(),
             job.grouping_comparator(),
             job.create_combiner(conf),
-            TaskContext::new(
-                format!("combiner_m_{task_idx:06}"),
-                Arc::clone(conf),
-                Arc::clone(&self.dist_cache),
-            ),
+            self.task_ctx(format!("combiner_m_{task_idx:06}")),
         );
-        mapper.setup(&mut ctx)?;
-        let mut in_records = 0i64;
-        while let Some((k, v)) = reader.next()? {
-            in_records += 1;
-            mapper.map(Arc::new(k), Arc::new(v), &mut buffer, &mut ctx)?;
-        }
-        mapper.cleanup(&mut buffer, &mut ctx)?;
-        ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, in_records);
-        ctx.incr_task_counter(
-            task_counter::MAP_OUTPUT_RECORDS,
-            buffer.emitted_records() as i64,
-        );
+        run_mapper(&mut *mapper, input, &mut buffer, &mut ctx)?;
         let (segments, combiner_counters) = buffer.finish(Some(pool))?;
         let mut counters = ctx.into_counters();
         counters.merge(&combiner_counters);
@@ -711,11 +677,7 @@ impl<J: JobDef> Run<'_, J> {
         partition: usize,
     ) -> Result<(Counters, u64)> {
         simgrid::meter::charge(Charge::TaskStartup);
-        let mut ctx = TaskContext::new(
-            format!("attempt_r_{partition:06}_0"),
-            Arc::clone(self.conf),
-            Arc::clone(&self.dist_cache),
-        );
+        let mut ctx = self.task_ctx(format!("attempt_r_{partition:06}_0"));
         ctx.set_partition(Some(partition));
 
         // Shuffle fetch: every map task's segment for this partition.
@@ -782,6 +744,7 @@ fn retry_attempts<T>(
 mod tests {
     use super::*;
     use hmr_api::comparator::KeyComparator;
+    use hmr_api::error::HmrError;
     use hmr_api::io::seqfile::{read_seq_file, write_seq_file};
     use hmr_api::io::{SequenceFileInputFormat, SequenceFileOutputFormat};
     use hmr_api::task::{IdentityMapper, IdentityReducer, LongSumReducer, TaskMapper, TaskReducer};

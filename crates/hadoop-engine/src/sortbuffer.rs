@@ -30,11 +30,10 @@ use hmr_api::collect::{OutputCollector, VecCollector};
 use hmr_api::comparator::{ingest_reduce_groups, sort_pairs_tuned, KeyComparator, SortTuning};
 use hmr_api::counters::{task_counter, TaskContext};
 use hmr_api::error::{HmrError, Result};
+use hmr_api::io::seqfile;
 use hmr_api::partition::Partitioner;
 use hmr_api::task::TaskReducer;
-use hmr_api::writable::{
-    from_bytes, from_reader, varint_len, write_vu64, ByteReader, ByteSink, Writable,
-};
+use hmr_api::writable::{from_bytes, varint_len, write_vu64, ByteReader, ByteSink, Writable};
 use simgrid::cost::Charge;
 use simgrid::meter;
 use simgrid::trace;
@@ -110,19 +109,16 @@ pub fn frame_record<S: ByteSink + ?Sized>(out: &mut S, kbytes: &[u8], vbytes: &[
     out.put_slice(vbytes);
 }
 
-/// Decode every framed record of the segment `bytes` into typed pairs.
-/// Reads are backed by the segment, so a byte-string field decodes into a
-/// view of it rather than a copy. Each key and value must consume its frame
-/// exactly: truncated input or bytes left over inside a frame are a typed
-/// [`HmrError::Serde`], never a panic.
+/// Decode every framed record of the segment `bytes` into typed pairs,
+/// through the SequenceFile frame reader ([`seqfile::read_record`]): a
+/// truncated frame or bytes left over inside one are a typed
+/// [`HmrError::Serde`], never a panic. Reads are backed by the segment, so
+/// a byte-string field decodes into a view of it rather than a copy.
 pub fn decode_segment<K: Writable, V: Writable>(bytes: &Bytes) -> Result<Vec<(Arc<K>, Arc<V>)>> {
     let mut r = ByteReader::shared(bytes, 0..bytes.len());
     let mut out = Vec::new();
     while r.remaining() > 0 {
-        let klen = r.read_vu64()? as usize;
-        let vlen = r.read_vu64()? as usize;
-        let key = from_reader::<K>(r.sub(klen)?)?;
-        let value = from_reader::<V>(r.sub(vlen)?)?;
+        let (key, value) = seqfile::read_record(&mut r)?;
         out.push((Arc::new(key), Arc::new(value)));
     }
     Ok(out)
@@ -154,7 +150,6 @@ pub struct SortBuffer<K, V> {
     run_records: u64,
     parts: Vec<PartIndex<K>>,
     threshold_bytes: usize,
-    emitted: u64,
 }
 
 impl<K: Writable, V: Writable> SortBuffer<K, V> {
@@ -185,7 +180,6 @@ impl<K: Writable, V: Writable> SortBuffer<K, V> {
             run_records: 0,
             parts: (0..num_partitions.max(1)).map(|_| part()).collect(),
             threshold_bytes: threshold_bytes.max(1),
-            emitted: 0,
         }
     }
 
@@ -195,11 +189,6 @@ impl<K: Writable, V: Writable> SortBuffer<K, V> {
     fn with_tuning(mut self, tuning: SortTuning) -> Self {
         self.tuning = tuning;
         self
-    }
-
-    /// Records emitted by the mapper into this buffer (pre-combiner).
-    pub fn emitted_records(&self) -> u64 {
-        self.emitted
     }
 
     /// Number of spills performed so far (observability for tests/metrics).
@@ -328,7 +317,6 @@ impl<K: Writable, V: Writable> OutputCollector<K, V> for SortBuffer<K, V> {
         let span = append_record(run_id, run, &*key, &*value, FIELD_LIMIT)?;
         part.entries.push((key, span));
         self.run_records += 1;
-        self.emitted += 1;
         if run.len() >= self.threshold_bytes {
             self.spill()?;
         }

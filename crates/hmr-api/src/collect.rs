@@ -55,8 +55,10 @@ impl<K, V> OutputCollector<K, V> for VecCollector<K, V> {
     }
 }
 
-/// A collector that transforms pairs through a function before forwarding —
-/// engines use this for the map-only conversion path.
+/// A collector that transforms pairs through a function before forwarding,
+/// named side outputs included. Both engines run a map-only job's mapper
+/// through one, with the job's `map_only_convert` in front of the job
+/// output.
 pub struct MapCollector<'a, K, V, K2, V2> {
     inner: &'a mut dyn OutputCollector<K2, V2>,
     f: Arc<dyn Fn(Arc<K>, Arc<V>) -> (Arc<K2>, Arc<V2>) + Send + Sync>,

@@ -15,7 +15,7 @@ use crate::error::{HmrError, Result};
 use crate::fs::{FileSystem, FsWriter, HPath};
 use crate::io::split::{FileSplit, InputSplit};
 use crate::io::{list_input_files, part_file_name, InputFormat, OutputFormat, RecordReader, RecordWriter};
-use crate::writable::{varint_len, write_vu64, ByteReader, ByteSink, Writable};
+use crate::writable::{from_reader, varint_len, write_vu64, ByteReader, ByteSink, Writable};
 
 const MAGIC: &[u8; 4] = b"SEQ6";
 
@@ -95,6 +95,19 @@ fn reframe<B: RecordBuf + ?Sized>(out: &mut B, start: usize, body: usize, key_en
     out[start..].rotate_right(header_len);
 }
 
+/// Decode the record framed at `r`'s position, the inverse of
+/// [`append_record`]; Hadoop's map-output segments are read through it too.
+/// Each key and value must consume its frame exactly: a truncated frame, or
+/// bytes a field leaves over inside its frame, is a typed
+/// [`HmrError::Serde`], never a panic.
+pub fn read_record<K: Writable, V: Writable>(r: &mut ByteReader<'_>) -> Result<(K, V)> {
+    let klen = r.read_vu64()? as usize;
+    let vlen = r.read_vu64()? as usize;
+    let key = from_reader(r.sub(klen)?)?;
+    let value = from_reader(r.sub(vlen)?)?;
+    Ok((key, value))
+}
+
 /// Reads `(K, V)` records from SequenceFiles.
 pub struct SequenceFileInputFormat<K, V> {
     _marker: PhantomData<fn() -> (K, V)>,
@@ -158,45 +171,39 @@ impl<K: Writable, V: Writable> InputFormat<K, V> for SequenceFileInputFormat<K, 
             .ok_or_else(|| {
                 HmrError::Unsupported("SequenceFileInputFormat needs a FileSplit".into())
             })?;
-        let mut reader = fs.open(&file.path)?;
-        let bytes = reader.read_range(file.offset, file.len)?;
-        Ok(Box::new(SeqFileReader {
-            bytes,
-            pos: 0,
-            checked_magic: false,
-            _marker: PhantomData,
-        }))
+        let bytes = fs.open(&file.path)?.read_range(file.offset, file.len)?;
+        Ok(Box::new(SeqFileReader::open(bytes)?))
     }
 }
 
 struct SeqFileReader<K, V> {
     bytes: bytes::Bytes,
     pos: usize,
-    checked_magic: bool,
     _marker: PhantomData<fn() -> (K, V)>,
+}
+
+impl<K, V> SeqFileReader<K, V> {
+    /// A reader over a whole file's `bytes`, positioned past the magic.
+    fn open(bytes: bytes::Bytes) -> Result<Self> {
+        if !bytes.starts_with(MAGIC) {
+            return Err(HmrError::Serde("bad SequenceFile magic".into()));
+        }
+        let pos = MAGIC.len();
+        Ok(SeqFileReader { bytes, pos, _marker: PhantomData })
+    }
 }
 
 impl<K: Writable, V: Writable> RecordReader<K, V> for SeqFileReader<K, V> {
     fn next(&mut self) -> Result<Option<(K, V)>> {
-        if !self.checked_magic {
-            if self.bytes.len() < 4 || &self.bytes[..4] != MAGIC {
-                return Err(HmrError::Serde("bad SequenceFile magic".into()));
-            }
-            self.pos = 4;
-            self.checked_magic = true;
-        }
         if self.pos >= self.bytes.len() {
             return Ok(None);
         }
         // Backed by the block: a byte-string field decodes into a view of
         // it, not a copy.
         let mut r = ByteReader::shared(&self.bytes, self.pos..self.bytes.len());
-        let klen = r.read_vu64()? as usize;
-        let vlen = r.read_vu64()? as usize;
-        let key = K::read_from(&mut r.sub(klen)?)?;
-        let value = V::read_from(&mut r.sub(vlen)?)?;
+        let record = read_record(&mut r)?;
         self.pos += r.position();
-        Ok(Some((key, value)))
+        Ok(Some(record))
     }
 }
 
@@ -311,18 +318,8 @@ pub fn read_seq_file<K: Writable, V: Writable>(
     fs: &dyn FileSystem,
     path: &HPath,
 ) -> Result<Vec<(K, V)>> {
-    let bytes = fs.open(path)?.read_all()?;
-    let mut reader = SeqFileReader::<K, V> {
-        bytes,
-        pos: 0,
-        checked_magic: false,
-        _marker: PhantomData,
-    };
-    let mut out = Vec::new();
-    while let Some(kv) = reader.next()? {
-        out.push(kv);
-    }
-    Ok(out)
+    let mut reader = SeqFileReader::open(fs.open(path)?.read_all()?)?;
+    std::iter::from_fn(|| reader.next().transpose()).collect()
 }
 
 #[cfg(test)]
@@ -397,6 +394,25 @@ mod tests {
         crate::fs::write_file(&fs, &HPath::new("/junk"), b"not a seqfile").unwrap();
         let r: Result<Vec<(IntWritable, Text)>> = read_seq_file(&fs, &HPath::new("/junk"));
         assert!(matches!(r, Err(HmrError::Serde(_))));
+    }
+
+    #[test]
+    fn bytes_left_inside_a_frame_are_rejected() {
+        // A 5-byte key frame around a 4-byte IntWritable: the reader must
+        // not skip the fifth byte.
+        let mut file = MAGIC.to_vec();
+        write_vu64(&mut file, 5);
+        write_vu64(&mut file, 1);
+        IntWritable(7).write_to(&mut file);
+        file.push(0xee);
+        Text::from("").write_to(&mut file);
+        let fs = MemFs::new();
+        crate::fs::write_file(&fs, &HPath::new("/long-key"), &file).unwrap();
+        let r: Result<Vec<(IntWritable, Text)>> = read_seq_file(&fs, &HPath::new("/long-key"));
+        match r {
+            Err(HmrError::Serde(msg)) => assert!(msg.contains("1 trailing bytes"), "{msg}"),
+            other => panic!("a long key frame read back as {other:?}"),
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use crate::comparator::KeyComparator;
 use crate::conf::JobConf;
 use crate::counters::Counters;
-use crate::error::Result;
+use crate::error::{HmrError, Result};
 use crate::fs::{FileSystem, HPath};
 use crate::io::{InputFormat, OutputFormat};
 use crate::partition::{HashPartitioner, Partitioner};
@@ -26,6 +26,20 @@ use crate::writable::{WritableKey, WritableValue};
 /// output" (§5.3). Usually the identity with `K2=K3, V2=V3`.
 pub type MapOnlyConvert<K2, V2, K3, V3> =
     Arc<dyn Fn(Arc<K2>, Arc<V2>) -> (Arc<K3>, Arc<V3>) + Send + Sync>;
+
+/// The map-only conversion of `job` under `num_reducers`: `None` with
+/// reducers, else [`JobDef::map_only_convert`], which 0 reducers requires.
+pub fn map_only<J: JobDef>(
+    job: &J,
+    num_reducers: usize,
+) -> Result<Option<MapOnlyConvert<J::K2, J::V2, J::K3, J::V3>>> {
+    if num_reducers > 0 {
+        return Ok(None);
+    }
+    job.map_only_convert().map(Some).ok_or_else(|| {
+        HmrError::InvalidJob("0 reducers requires JobDef::map_only_convert (map-only job)".into())
+    })
+}
 
 /// The canonical identity of a job's *compute*: which mapper, reducer,
 /// combiner and partitioner it runs. This is the Rust analogue of the class

@@ -1,4 +1,6 @@
-//! The unified task-side traits both engines execute, plus adapters from
+//! The unified task-side traits both engines execute, the task loops they
+//! run over them ([`run_mapper`] into the engine's map-output buffer or, for
+//! a map-only job, the job output; [`reduce_partition`]), and adapters from
 //! the two public Hadoop API styles.
 //!
 //! "The compatibility layer is complicated by the need to support two sets
@@ -90,8 +92,50 @@ pub trait TaskReducer<K2, V2, K3, V3>: Send {
 }
 
 // ---------------------------------------------------------------------------
-// The reduce-partition core both engines run
+// The map and reduce task loops both engines run
 // ---------------------------------------------------------------------------
+
+/// Forwards to `inner`, counting the pairs collected on the main output.
+struct CountingCollector<'a, C> {
+    inner: &'a mut C,
+    pairs: u64,
+}
+
+impl<K, V, C: OutputCollector<K, V>> OutputCollector<K, V> for CountingCollector<'_, C> {
+    fn collect(&mut self, key: Arc<K>, value: Arc<V>) -> Result<()> {
+        self.pairs += 1;
+        self.inner.collect(key, value)
+    }
+
+    fn collect_named(&mut self, name: &str, key: Arc<K>, value: Arc<V>) -> Result<()> {
+        self.inner.collect_named(name, key, value)
+    }
+}
+
+/// The mapper loop: `setup`, `map` over every `input` record, `cleanup`,
+/// all writing into `out`. Counts `MAP_INPUT_RECORDS` per input record and
+/// `MAP_OUTPUT_RECORDS` per pair collected on the main output (named side
+/// outputs are job output, not map output). Generic over the collector, so
+/// `out` is reached without a second dynamic call per record.
+pub fn run_mapper<K1, V1, K2, V2, C: OutputCollector<K2, V2>>(
+    mapper: &mut dyn TaskMapper<K1, V1, K2, V2>,
+    input: impl IntoIterator<Item = Result<(Arc<K1>, Arc<V1>)>>,
+    out: &mut C,
+    ctx: &mut TaskContext,
+) -> Result<()> {
+    let mut out = CountingCollector { inner: out, pairs: 0 };
+    let mut records = 0i64;
+    mapper.setup(ctx)?;
+    for record in input {
+        let (key, value) = record?;
+        records += 1;
+        mapper.map(key, value, &mut out, ctx)?;
+    }
+    mapper.cleanup(&mut out, ctx)?;
+    ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, records);
+    ctx.incr_task_counter(task_counter::MAP_OUTPUT_RECORDS, out.pairs as i64);
+    Ok(())
+}
 
 /// The reducer loop: hand every group of the ingested (sorted and grouped)
 /// `pairs` to `reducer`, first key of the group and its values in order.

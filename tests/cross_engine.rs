@@ -1,23 +1,26 @@
 //! Cross-crate integration: the same jobs — exercising the broader API
 //! surface (new-style `mapreduce` interface, secondary sort, named side
-//! outputs, the distributed cache) — run on both engines and agree.
+//! outputs, the distributed cache, map-only jobs) — run on both engines and
+//! agree.
 
 use std::sync::Arc;
 
 use hmr_api::collect::OutputCollector;
 use hmr_api::comparator::KeyComparator;
 use hmr_api::conf::JobConf;
-use hmr_api::counters::TaskContext;
+use hmr_api::counters::{task_counter, TaskContext};
 use hmr_api::error::Result;
-use hmr_api::fs::{write_file, FileSystem, HPath};
+use hmr_api::fs::{read_file, write_file, FileSystem, HPath};
 use hmr_api::io::seqfile::{read_seq_file, write_seq_file};
 use hmr_api::io::{InputFormat, OutputFormat, SequenceFileInputFormat, SequenceFileOutputFormat};
-use hmr_api::job::{Engine, JobDef};
+use hmr_api::job::{Engine, JobDef, JobResult, MapOnlyConvert};
 use hmr_api::mapreduce;
 use hmr_api::task::{IdentityMapper, MapreduceReducerAdapter, TaskMapper, TaskReducer};
-use hmr_api::writable::{IntWritable, PairWritable, Text};
+use hmr_api::writable::{IntWritable, LongWritable, PairWritable, Text};
 use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel};
+use workloads::textgen::generate_text;
+use workloads::wordcount::{WcStyle, WordCountJob};
 
 fn setup(nodes: usize) -> (Cluster, SimDfs) {
     let cluster = Cluster::new(nodes, CostModel::default());
@@ -343,4 +346,218 @@ fn m3r_memoizes_distributed_cache_files_across_jobs() {
     // Job 1 read the dictionary and the input; job 2 read neither.
     assert!(r1.metrics.disk_bytes_read > 0);
     assert_eq!(r2.metrics.disk_bytes_read, 0, "dict memoized + input cached");
+}
+
+// ---------------------------------------------------------------------------
+// Map-only jobs (§5.3): "output from the mapper is sent directly to output
+// as per Hadoop" — on both engines, with Hadoop's semantics.
+// ---------------------------------------------------------------------------
+
+/// WordCount with 0 reducers. Its `LongSumReducer` combiner stays declared;
+/// a job without a reduce phase never runs it.
+struct MapOnlyWordCount(WcStyle);
+
+impl JobDef for MapOnlyWordCount {
+    type K1 = LongWritable;
+    type V1 = Text;
+    type K2 = Text;
+    type V2 = LongWritable;
+    type K3 = Text;
+    type V3 = LongWritable;
+
+    fn create_mapper(
+        &self,
+        c: &JobConf,
+    ) -> Box<dyn TaskMapper<LongWritable, Text, Text, LongWritable>> {
+        WordCountJob::new(self.0).create_mapper(c)
+    }
+    fn create_reducer(
+        &self,
+        c: &JobConf,
+    ) -> Box<dyn TaskReducer<Text, LongWritable, Text, LongWritable>> {
+        WordCountJob::new(self.0).create_reducer(c)
+    }
+    fn create_combiner(
+        &self,
+        c: &JobConf,
+    ) -> Option<Box<dyn TaskReducer<Text, LongWritable, Text, LongWritable>>> {
+        WordCountJob::new(self.0).create_combiner(c)
+    }
+    fn input_format(&self, c: &JobConf) -> Box<dyn InputFormat<LongWritable, Text>> {
+        WordCountJob::new(self.0).input_format(c)
+    }
+    fn output_format(&self, c: &JobConf) -> Box<dyn OutputFormat<Text, LongWritable>> {
+        WordCountJob::new(self.0).output_format(c)
+    }
+    fn immutable_output(&self) -> bool {
+        WordCountJob::new(self.0).immutable_output()
+    }
+    fn map_only_convert(&self) -> Option<MapOnlyConvert<Text, LongWritable, Text, LongWritable>> {
+        Some(Arc::new(|k, v| (k, v)))
+    }
+}
+
+/// Odd keys to the main output, even keys to the named output `even`.
+struct EvenOddMapper;
+
+impl TaskMapper<IntWritable, Text, IntWritable, Text> for EvenOddMapper {
+    fn map(
+        &mut self,
+        key: Arc<IntWritable>,
+        value: Arc<Text>,
+        out: &mut dyn OutputCollector<IntWritable, Text>,
+        _ctx: &mut TaskContext,
+    ) -> Result<()> {
+        if key.0 % 2 == 0 {
+            out.collect_named("even", key, value)
+        } else {
+            out.collect(key, value)
+        }
+    }
+}
+
+struct MapOnlyEvenOdd;
+
+impl JobDef for MapOnlyEvenOdd {
+    type K1 = IntWritable;
+    type V1 = Text;
+    type K2 = IntWritable;
+    type V2 = Text;
+    type K3 = IntWritable;
+    type V3 = Text;
+    fn create_mapper(
+        &self,
+        _c: &JobConf,
+    ) -> Box<dyn TaskMapper<IntWritable, Text, IntWritable, Text>> {
+        Box::new(EvenOddMapper)
+    }
+    fn create_reducer(
+        &self,
+        _c: &JobConf,
+    ) -> Box<dyn TaskReducer<IntWritable, Text, IntWritable, Text>> {
+        Box::new(hmr_api::task::IdentityReducer)
+    }
+    fn input_format(&self, _c: &JobConf) -> Box<dyn InputFormat<IntWritable, Text>> {
+        Box::new(SequenceFileInputFormat::new())
+    }
+    fn output_format(&self, _c: &JobConf) -> Box<dyn OutputFormat<IntWritable, Text>> {
+        Box::new(SequenceFileOutputFormat::new())
+    }
+    fn map_only_convert(&self) -> Option<MapOnlyConvert<IntWritable, Text, IntWritable, Text>> {
+        Some(Arc::new(|k, v| (k, v)))
+    }
+}
+
+/// One engine's run of a map-only job: its result, every file of its output
+/// directory but `_SUCCESS` by name with its bytes, and the pairs its part
+/// files hold.
+struct MapOnlyRun {
+    result: JobResult,
+    files: Vec<(String, bytes::Bytes)>,
+    main_pairs: i64,
+}
+
+fn run_map_only<J: JobDef>(
+    engine: &str,
+    job: J,
+    input: &dyn Fn(&SimDfs),
+) -> std::result::Result<MapOnlyRun, String> {
+    let (cluster, fs) = setup(2);
+    input(&fs);
+    let c = conf("/in", "/out", 0);
+    let result = match engine {
+        "hadoop" => hadoop_engine::HadoopEngine::new(cluster, Arc::new(fs.clone()))
+            .run_job(Arc::new(job), &c),
+        _ => m3r::M3REngine::new(cluster, Arc::new(fs.clone())).run_job(Arc::new(job), &c),
+    }
+    .map_err(|e| format!("{engine}: the job failed: {e}"))?;
+    let mut run = MapOnlyRun { result, files: Vec::new(), main_pairs: 0 };
+    for status in fs.list_status(&HPath::new("/out")).unwrap() {
+        let name = status.path.name().unwrap().to_string();
+        if name.starts_with("part-") {
+            let pairs = read_seq_file::<J::K3, J::V3>(&fs, &status.path).unwrap();
+            run.main_pairs += pairs.len() as i64;
+        }
+        if name != "_SUCCESS" {
+            run.files.push((name, read_file(&fs, &status.path).unwrap()));
+        }
+    }
+    Ok(run)
+}
+
+/// Where the two engines' runs of `job` disagree with each other or with
+/// Hadoop's map-only semantics.
+fn map_only_disagreements<J: JobDef>(job: impl Fn() -> J, input: &dyn Fn(&SimDfs)) -> Vec<String> {
+    let runs = (run_map_only("hadoop", job(), input), run_map_only("m3r", job(), input));
+    let (hadoop, m3r) = match runs {
+        (Ok(h), Ok(m)) => (h, m),
+        (h, m) => return [h.err(), m.err()].into_iter().flatten().collect(),
+    };
+    let mut found = Vec::new();
+    let names = |run: &MapOnlyRun| -> Vec<String> {
+        run.files.iter().map(|(name, bytes)| format!("{name} ({} B)", bytes.len())).collect()
+    };
+    if hadoop.files != m3r.files {
+        let (h, m) = (names(&hadoop), names(&m3r));
+        found.push(format!("output files differ: hadoop {h:?}, m3r {m:?}"));
+    }
+    let (h, m) = (&hadoop.result, &m3r.result);
+    if h.output_records != m.output_records {
+        let (h, m) = (h.output_records, m.output_records);
+        found.push(format!("output_records: hadoop {h}, m3r {m}"));
+    }
+    for counter in [task_counter::MAP_INPUT_RECORDS, task_counter::MAP_OUTPUT_RECORDS] {
+        let (h, m) = (h.counters.task(counter), m.counters.task(counter));
+        if h != m {
+            found.push(format!("{counter}: hadoop {h}, m3r {m}"));
+        }
+    }
+    for (engine, run) in [("hadoop", &hadoop), ("m3r", &m3r)] {
+        let map_output = run.result.counters.task(task_counter::MAP_OUTPUT_RECORDS);
+        if map_output != run.main_pairs {
+            found.push(format!(
+                "{engine}: MAP_OUTPUT_RECORDS {map_output}, main pairs written {}",
+                run.main_pairs
+            ));
+        }
+        for (group, name, value) in run.result.counters.iter() {
+            if name.starts_with("COMBINE") {
+                found.push(format!("{engine}: {group}.{name} = {value} with no reduce phase"));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn map_only_jobs_agree_with_hadoop_on_both_engines() {
+    let corpus = |fs: &SimDfs| {
+        for (i, seed) in [3, 4].into_iter().enumerate() {
+            generate_text(fs, &HPath::new(format!("/in/text-{i}")), 600, seed).unwrap();
+        }
+    };
+    let numbers = |fs: &SimDfs| {
+        for file in 0..2 {
+            let records: Vec<(IntWritable, Text)> = (file * 10..file * 10 + 10)
+                .map(|i| (IntWritable(i), Text::from(format!("v{i}"))))
+                .collect();
+            write_seq_file(fs, &HPath::new(format!("/in/part-{file:05}")), &records).unwrap();
+        }
+    };
+    let rows: [(&str, Vec<String>); 3] = [
+        (
+            "WordCount + combiner, FreshText",
+            map_only_disagreements(|| MapOnlyWordCount(WcStyle::FreshText), &corpus),
+        ),
+        (
+            "WordCount + combiner, ReuseText",
+            map_only_disagreements(|| MapOnlyWordCount(WcStyle::ReuseText), &corpus),
+        ),
+        ("named output", map_only_disagreements(|| MapOnlyEvenOdd, &numbers)),
+    ];
+    let report: Vec<String> = rows
+        .iter()
+        .flat_map(|(row, found)| found.iter().map(move |f| format!("{row}: {f}")))
+        .collect();
+    assert!(report.is_empty(), "map-only runs disagree:\n{}", report.join("\n"));
 }
