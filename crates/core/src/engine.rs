@@ -325,7 +325,6 @@ struct Run<J: JobDef> {
     /// The lowest failing place's error, with that place: which place's
     /// error is reported must not depend on which one failed first.
     error: Mutex<Option<(usize, HmrError)>>,
-    output_records: AtomicU64,
 }
 
 impl<J: JobDef> Run<J> {
@@ -373,7 +372,6 @@ impl<J: JobDef> Run<J> {
         OutputSink {
             main: Vec::new(),
             named: NamedOutputs::new(&*self.output_format, &*self.fs, &self.conf, index),
-            named_records: 0,
         }
     }
 }
@@ -462,13 +460,14 @@ impl M3REngine {
         let mut map_entry = None;
         let result = frame.run(
             format_args!("{} (m3r)", conf.job_name()),
+            &conf,
             reuse.durable,
             commit,
             |tjob, held| {
-                let (counters, records, entry) =
+                let (counters, entry) =
                     self.execute(cluster, job_seq, tjob, held, &job, &conf, basis.as_ref())?;
                 map_entry = entry;
-                Ok((counters, records))
+                Ok(counters)
             },
         )?;
 
@@ -494,8 +493,8 @@ impl M3REngine {
     }
 
     /// Everything between the job frame's open and commit. Returns the
-    /// job's counters and output record count and — after a fresh map phase
-    /// of a memo-eligible job (`basis`) — the map-prefix entry to retain.
+    /// job's counters and — after a fresh map phase of a memo-eligible job
+    /// (`basis`) — the map-prefix entry to retain.
     #[allow(clippy::too_many_arguments)]
     fn execute<J: JobDef>(
         &self,
@@ -506,7 +505,7 @@ impl M3REngine {
         job: &Arc<J>,
         conf: &Arc<JobConf>,
         basis: Option<&m3r_memo::FingerprintBasis>,
-    ) -> Result<(Counters, u64, Option<(MapPhaseData<J>, Counters)>)> {
+    ) -> Result<(Counters, Option<(MapPhaseData<J>, Counters)>)> {
         let nplaces = cluster.len();
         let place_map = self.place_map(job_seq);
         let num_reducers = conf.num_reduce_tasks();
@@ -569,7 +568,6 @@ impl M3REngine {
                 .collect(),
             counters: Mutex::new(Counters::new()),
             error: Mutex::new(None),
-            output_records: AtomicU64::new(0),
         });
 
         if let Some((data, map_counters)) = &retained {
@@ -633,7 +631,7 @@ impl M3REngine {
             (parts, map_counters)
         });
         let counters = run.counters.lock().clone();
-        Ok((counters, run.output_records.load(Ordering::Relaxed), map_entry))
+        Ok((counters, map_entry))
     }
 
     /// Split → place assignment. Priority: PlacedSplit (§4.3) → cached
@@ -997,10 +995,7 @@ fn run_map_task<J: JobDef>(
         let mut out = run.output_sink(si);
         let mut mapper = job.create_mapper(conf);
         run_mapper(&mut *mapper, input, &mut MapCollector::new(&mut out, convert), &mut ctx)?;
-        // Named pairs count as output records, as Hadoop's writer counts them.
-        let records = out.main.len() as u64 + out.named_records;
         write_and_cache_output(run, place, si, out)?;
-        run.output_records.fetch_add(records, Ordering::Relaxed);
         run.counters.lock().merge(&ctx.into_counters());
         return Ok(routed);
     }
@@ -1181,8 +1176,6 @@ fn ingest_stream<K: Writable + Send + Sync, V: Writable + Send + Sync>(
 struct OutputSink<'a, K, V> {
     main: Vec<(Arc<K>, Arc<V>)>,
     named: NamedOutputs<'a, K, V>,
-    /// Pairs written to the named outputs.
-    named_records: u64,
 }
 
 impl<K: Writable, V: Writable> OutputCollector<K, V> for OutputSink<'_, K, V> {
@@ -1192,7 +1185,6 @@ impl<K: Writable, V: Writable> OutputCollector<K, V> for OutputSink<'_, K, V> {
     }
 
     fn collect_named(&mut self, name: &str, key: Arc<K>, value: Arc<V>) -> Result<()> {
-        self.named_records += 1;
         self.named.write(name, &key, &value)
     }
 }
@@ -1216,10 +1208,7 @@ fn run_reduce_partition<J: JobDef>(
         || Ok(run.output_sink(partition)),
         &mut ctx,
     )?;
-    let records = out.main.len() as u64;
-    ctx.incr_task_counter(task_counter::REDUCE_OUTPUT_RECORDS, records as i64);
     write_and_cache_output(run, place, partition, out)?;
-    run.output_records.fetch_add(records, Ordering::Relaxed);
     run.counters.lock().merge(&ctx.into_counters());
     Ok(())
 }

@@ -153,7 +153,6 @@ impl HadoopEngine {
 struct WriterCollector<'a, K, V> {
     writer: Box<dyn RecordWriter<K, V>>,
     named: NamedOutputs<'a, K, V>,
-    records: u64,
 }
 
 impl<'a, K: Writable, V: Writable> WriterCollector<'a, K, V> {
@@ -166,14 +165,12 @@ impl<'a, K: Writable, V: Writable> WriterCollector<'a, K, V> {
         Ok(WriterCollector {
             writer: format.record_writer(fs, conf, partition)?,
             named: NamedOutputs::new(format, fs, conf, partition),
-            records: 0,
         })
     }
 
-    fn close(self) -> Result<u64> {
+    fn close(self) -> Result<()> {
         self.writer.close()?;
-        self.named.close()?;
-        Ok(self.records)
+        self.named.close()
     }
 }
 
@@ -182,25 +179,12 @@ impl<K: Writable, V: Writable> OutputCollector<K, V> for WriterCollector<'_, K, 
         simgrid::meter::charge(Charge::Serialize {
             bytes: (key.serialized_size() + value.serialized_size()) as u64,
         });
-        self.writer.write(&key, &value)?;
-        self.records += 1;
-        Ok(())
+        self.writer.write(&key, &value)
     }
 
     fn collect_named(&mut self, name: &str, key: Arc<K>, value: Arc<V>) -> Result<()> {
-        self.named.write(name, &key, &value)?;
-        self.records += 1;
-        Ok(())
+        self.named.write(name, &key, &value)
     }
-}
-
-/// Outcome of one map task.
-struct MapTaskOutput {
-    /// Per-partition serialized segments (empty for map-only jobs), held
-    /// by refcount and read in place by reduce tasks.
-    segments: Vec<Bytes>,
-    counters: Counters,
-    output_records: u64,
 }
 
 impl Engine for HadoopEngine {
@@ -284,6 +268,7 @@ impl HadoopEngine {
         let output_format = job.output_format(&conf);
         let result = frame.run(
             format_args!("{} (hadoop)", conf.job_name()),
+            &conf,
             &*self.fs,
             output_format.output_path(&conf),
             |tjob, held| self.execute(cluster, tjob, held, &*job, &conf, &*output_format),
@@ -305,7 +290,7 @@ impl HadoopEngine {
         job: &J,
         conf: &Arc<JobConf>,
         output_format: &dyn OutputFormat<J::K3, J::V3>,
-    ) -> Result<(Counters, u64)> {
+    ) -> Result<Counters> {
         let nnodes = cluster.len();
         // Submission: jobid from the jobtracker, job configuration and user
         // code staged to the jobtracker's filesystem (§3.1). Charged through
@@ -348,15 +333,8 @@ impl HadoopEngine {
             .map(|(i, s)| s.locations().first().copied().unwrap_or(i % nnodes) % nnodes)
             .collect();
         let mut counters = Counters::new();
-        let mut output_records = 0u64;
-        let mut map_outputs = run.map_phase(
-            &*input_format,
-            &splits,
-            &assigns,
-            convert,
-            &mut counters,
-            &mut output_records,
-        )?;
+        let mut map_outputs =
+            run.map_phase(&*input_format, &splits, &assigns, convert, &mut counters)?;
 
         // What the reducers will actually fetch — the engine's shuffle
         // volume after any node-level combining. Recorded unconditionally
@@ -369,7 +347,7 @@ impl HadoopEngine {
         counters.incr(HADOOP_COUNTER_GROUP, "SHUFFLE_SEGMENT_BYTES", seg_bytes_total);
 
         if num_reducers > 0 {
-            run.reduce_phase(&map_outputs, &mut counters, &mut output_records)?;
+            run.reduce_phase(&map_outputs, &mut counters)?;
         }
 
         // Segments die with the job: un-park them and recycle the buffers
@@ -387,7 +365,7 @@ impl HadoopEngine {
                 cluster.pool(node_id).reclaim(seg);
             }
         }
-        Ok((counters, output_records))
+        Ok(counters)
     }
 }
 
@@ -414,7 +392,6 @@ impl<J: JobDef> Run<'_, J> {
         assigns: &[NodeId],
         convert: Option<hmr_api::job::MapOnlyConvert<J::K2, J::V2, J::K3, J::V3>>,
         counters: &mut Counters,
-        output_records: &mut u64,
     ) -> Result<Vec<Vec<Bytes>>> {
         let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); self.cluster.len()];
         for (i, &n) in assigns.iter().enumerate() {
@@ -455,14 +432,13 @@ impl<J: JobDef> Run<'_, J> {
                             .map(|out| (task, out))
                         })
                     },
-                    |(task, out)| {
-                        counters.merge(&out.counters);
-                        *output_records += out.output_records;
+                    |(task, (segments, task_counters))| {
+                        counters.merge(&task_counters);
                         // Segments are parked on the producing node until
                         // the reducers fetch them — live shuffle memory.
-                        let seg_bytes: u64 = out.segments.iter().map(|s| s.len() as u64).sum();
+                        let seg_bytes: u64 = segments.iter().map(|s| s.len() as u64).sum();
                         self.held.grow(node_id, MemClass::Shuffle, seg_bytes);
-                        map_outputs[task] = out.segments;
+                        map_outputs[task] = segments;
                         Ok(())
                     },
                 )?;
@@ -476,12 +452,7 @@ impl<J: JobDef> Run<'_, J> {
 
     /// Reduce tasks in slot-sized, heartbeat-paced waves; partition `p`
     /// reduces on node `p % nodes`.
-    fn reduce_phase(
-        &self,
-        map_outputs: &[Vec<Bytes>],
-        counters: &mut Counters,
-        output_records: &mut u64,
-    ) -> Result<()> {
+    fn reduce_phase(&self, map_outputs: &[Vec<Bytes>], counters: &mut Counters) -> Result<()> {
         // No reducer finishes its sort before the last mapper is done;
         // the jobtracker notices completion on a heartbeat.
         let all_maps_done = self.cluster.max_time();
@@ -507,9 +478,8 @@ impl<J: JobDef> Run<'_, J> {
                             })
                         })
                     },
-                    |(task_counters, recs)| {
+                    |task_counters| {
                         counters.merge(&task_counters);
-                        *output_records += recs;
                         Ok(())
                     },
                 )?;
@@ -612,7 +582,9 @@ impl<J: JobDef> Run<'_, J> {
     }
 
     /// One map task attempt: fresh JVM, split read, real mapper execution,
-    /// sort/spill/merge (or direct output for map-only jobs).
+    /// sort/spill/merge (or direct output for map-only jobs). Returns the
+    /// task's per-partition segments (none for a map-only job), held by
+    /// refcount and read in place by reduce tasks, and its counters.
     fn map_task(
         &self,
         input_format: &dyn InputFormat<J::K1, J::V1>,
@@ -620,7 +592,7 @@ impl<J: JobDef> Run<'_, J> {
         task_idx: usize,
         convert: Option<hmr_api::job::MapOnlyConvert<J::K2, J::V2, J::K3, J::V3>>,
         pool: &BufPool,
-    ) -> Result<MapTaskOutput> {
+    ) -> Result<(Vec<Bytes>, Counters)> {
         let (job, conf, fs) = (self.job, self.conf, &*self.engine.fs);
         simgrid::meter::charge(Charge::TaskStartup);
         let mut ctx = self.task_ctx(format!("attempt_m_{task_idx:06}_0"));
@@ -640,12 +612,8 @@ impl<J: JobDef> Run<'_, J> {
             // per Hadoop" (§5.3). The task writes part-<map index>.
             let mut sink = WriterCollector::open(self.output_format, fs, conf, task_idx)?;
             run_mapper(&mut *mapper, input, &mut MapCollector::new(&mut sink, convert), &mut ctx)?;
-            let records = sink.close()?;
-            return Ok(MapTaskOutput {
-                segments: Vec::new(),
-                counters: ctx.into_counters(),
-                output_records: records,
-            });
+            sink.close()?;
+            return Ok((Vec::new(), ctx.into_counters()));
         }
 
         let mut buffer = SortBuffer::new(
@@ -661,21 +629,13 @@ impl<J: JobDef> Run<'_, J> {
         let (segments, combiner_counters) = buffer.finish(Some(pool))?;
         let mut counters = ctx.into_counters();
         counters.merge(&combiner_counters);
-        Ok(MapTaskOutput {
-            segments,
-            counters,
-            output_records: 0,
-        })
+        Ok((segments, counters))
     }
 
     /// One reduce task attempt: fetch every mapper's segment (disk + network
     /// — Hadoop's shuffle has no local fast path), merge-sort out of core,
     /// then the shared reduce core writing straight to the DFS.
-    fn reduce_task(
-        &self,
-        map_outputs: &[Vec<Bytes>],
-        partition: usize,
-    ) -> Result<(Counters, u64)> {
+    fn reduce_task(&self, map_outputs: &[Vec<Bytes>], partition: usize) -> Result<Counters> {
         simgrid::meter::charge(Charge::TaskStartup);
         let mut ctx = self.task_ctx(format!("attempt_r_{partition:06}_0"));
         ctx.set_partition(Some(partition));
@@ -703,7 +663,7 @@ impl<J: JobDef> Run<'_, J> {
             simgrid::meter::charge(Charge::Deserialize { bytes: total_bytes });
             Ok(())
         })?;
-        let sink = reduce_partition(
+        reduce_partition(
             self.job,
             partition,
             pairs,
@@ -716,10 +676,9 @@ impl<J: JobDef> Run<'_, J> {
             },
             || WriterCollector::open(self.output_format, &*self.engine.fs, self.conf, partition),
             &mut ctx,
-        )?;
-        let records = sink.close()?;
-        ctx.incr_task_counter(task_counter::REDUCE_OUTPUT_RECORDS, records as i64);
-        Ok((ctx.into_counters(), records))
+        )?
+        .close()?;
+        Ok(ctx.into_counters())
     }
 }
 

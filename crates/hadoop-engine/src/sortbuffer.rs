@@ -33,7 +33,7 @@ use hmr_api::error::{HmrError, Result};
 use hmr_api::io::seqfile;
 use hmr_api::partition::Partitioner;
 use hmr_api::task::TaskReducer;
-use hmr_api::writable::{from_bytes, varint_len, write_vu64, ByteReader, ByteSink, Writable};
+use hmr_api::writable::{from_bytes, ByteReader, Writable};
 use simgrid::cost::Charge;
 use simgrid::meter;
 use simgrid::trace;
@@ -58,10 +58,9 @@ impl Span {
         runs[self.run][self.off..][..klen + vlen].split_at(klen)
     }
 
-    /// Bytes [`frame_record`] emits for this record.
+    /// Bytes [`seqfile::frame_record`] emits for this record.
     fn framed_len(&self) -> usize {
-        let (klen, vlen) = (u64::from(self.klen), u64::from(self.vlen));
-        varint_len(klen) + varint_len(vlen) + self.klen as usize + self.vlen as usize
+        seqfile::frame_len(self.klen as usize, self.vlen as usize)
     }
 }
 
@@ -98,15 +97,6 @@ fn append_record<K: Writable, V: Writable>(
         klen,
         vlen,
     })
-}
-
-/// Frame one serialized record onto any byte sink (a `Vec<u8>` scratch or
-/// a pooled `BytesMut` segment buffer).
-pub fn frame_record<S: ByteSink + ?Sized>(out: &mut S, kbytes: &[u8], vbytes: &[u8]) {
-    write_vu64(out, kbytes.len() as u64);
-    write_vu64(out, vbytes.len() as u64);
-    out.put_slice(kbytes);
-    out.put_slice(vbytes);
 }
 
 /// Decode every framed record of the segment `bytes` into typed pairs,
@@ -294,7 +284,7 @@ impl<K: Writable, V: Writable> SortBuffer<K, V> {
             };
             for (_, s) in &part.entries {
                 let (kbytes, vbytes) = s.split(&self.runs);
-                frame_record(&mut seg, kbytes, vbytes);
+                seqfile::frame_record(&mut seg, kbytes, vbytes);
             }
             debug_assert_eq!(seg.len(), size, "segment sized exactly");
             seg.freeze()
@@ -329,9 +319,10 @@ mod tests {
     use super::*;
     use hmr_api::conf::JobConf;
     use hmr_api::distcache::DistCache;
+    use hmr_api::io::seqfile::frame_record;
     use hmr_api::partition::HashPartitioner;
     use hmr_api::task::LongSumReducer;
-    use hmr_api::writable::{to_bytes, LongWritable, Text};
+    use hmr_api::writable::{to_bytes, varint_len, LongWritable, Text};
 
     fn ctx() -> TaskContext {
         TaskContext::new(
@@ -577,8 +568,11 @@ mod prop_tests {
     use hmr_api::conf::JobConf;
     use hmr_api::distcache::DistCache;
     use hmr_api::partition::FnPartitioner;
+    use hmr_api::io::seqfile::frame_record;
     use hmr_api::task::LongSumReducer;
-    use hmr_api::writable::{to_bytes, BytesWritable, IntWritable, LongWritable, PairWritable, Text};
+    use hmr_api::writable::{
+        to_bytes, ByteSink, BytesWritable, IntWritable, LongWritable, PairWritable, Text,
+    };
     use proptest::prelude::*;
     use std::cmp::Ordering;
 

@@ -39,6 +39,12 @@ impl RecordBuf for bytes::BytesMut {
     }
 }
 
+/// Bytes one record frame takes: its two length headers, then a `klen`-byte
+/// key and a `vlen`-byte value.
+pub fn frame_len(klen: usize, vlen: usize) -> usize {
+    varint_len(klen as u64) + varint_len(vlen as u64) + klen + vlen
+}
+
 /// Length of the SequenceFile holding `records`, magic included: what
 /// [`write_seq_file`] writes, computed from `serialized_size` alone.
 pub fn file_len<'a, K: Writable, V: Writable>(
@@ -46,12 +52,18 @@ pub fn file_len<'a, K: Writable, V: Writable>(
 ) -> u64 {
     let body: usize = records
         .into_iter()
-        .map(|(k, v)| {
-            let (klen, vlen) = (k.serialized_size(), v.serialized_size());
-            varint_len(klen as u64) + varint_len(vlen as u64) + klen + vlen
-        })
+        .map(|(k, v)| frame_len(k.serialized_size(), v.serialized_size()))
         .sum();
     (MAGIC.len() + body) as u64
+}
+
+/// Frame a record whose key and value are already encoded onto `out`: the
+/// [`frame_len`] bytes [`append_record`] writes for that key and value.
+pub fn frame_record<S: ByteSink + ?Sized>(out: &mut S, kbytes: &[u8], vbytes: &[u8]) {
+    write_vu64(out, kbytes.len() as u64);
+    write_vu64(out, vbytes.len() as u64);
+    out.put_slice(kbytes);
+    out.put_slice(vbytes);
 }
 
 /// Serialize one record onto `out`, header first: the two lengths come

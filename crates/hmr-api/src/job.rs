@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use crate::comparator::KeyComparator;
 use crate::conf::JobConf;
+use crate::counters::task_counter::{MAP_OUTPUT_RECORDS, REDUCE_OUTPUT_RECORDS};
 use crate::counters::Counters;
 use crate::error::{HmrError, Result};
 use crate::fs::{FileSystem, HPath};
@@ -39,6 +40,16 @@ pub fn map_only<J: JobDef>(
     job.map_only_convert().map(Some).ok_or_else(|| {
         HmrError::InvalidJob("0 reducers requires JobDef::map_only_convert (map-only job)".into())
     })
+}
+
+/// A job's [`JobResult::output_records`], read off its counters: the pairs
+/// its reducers collected on the main output (`REDUCE_OUTPUT_RECORDS`), or,
+/// with 0 reducers, its mappers' (`MAP_OUTPUT_RECORDS`). Both are counted by
+/// the task loops of [`crate::task`], so the two engines and a memo replay
+/// report the same number; named side outputs count in neither.
+pub fn output_records(counters: &Counters, num_reducers: usize) -> u64 {
+    let counter = if num_reducers > 0 { REDUCE_OUTPUT_RECORDS } else { MAP_OUTPUT_RECORDS };
+    counters.task(counter) as u64
 }
 
 /// The canonical identity of a job's *compute*: which mapper, reducer,
@@ -188,7 +199,8 @@ pub struct JobResult {
     pub counters: Counters,
     /// Work the cluster performed during this job (metrics delta).
     pub metrics: simgrid::metrics::MetricsSnapshot,
-    /// Records written by the output stage.
+    /// Pairs written to the job's main output (named side outputs not
+    /// included), read off `counters` by [`output_records`].
     pub output_records: u64,
 }
 
@@ -214,26 +226,29 @@ impl JobFrame {
         }
     }
 
-    /// Run `body` as trace job `label` (stringified only when the trace
-    /// records it: pass `format_args!`). The body gets the trace job id and
-    /// the job's memory ledger, and returns the job's counters and output
-    /// record count. Whatever the body grew through the ledger and did not
-    /// shrink again is released when it returns — on `Err` as much as on
-    /// `Ok`. On success the `_SUCCESS` marker is created in `commit` (when
-    /// the job has a durable output directory) through `marker_fs`, and all
-    /// clocks align at the job's end: the client observes completion once.
+    /// Run `body`, the job submitted under `conf`, as trace job `label`
+    /// (stringified only when the trace records it: pass `format_args!`).
+    /// The body gets the trace job id and the job's memory ledger, and
+    /// returns the job's counters, which give `output_records`
+    /// ([`output_records`]). Whatever the body grew through the ledger and
+    /// did not shrink again is released when it returns — on `Err` as much
+    /// as on `Ok`. On success the `_SUCCESS` marker is created in `commit`
+    /// (when the job has a durable output directory) through `marker_fs`,
+    /// and all clocks align at the job's end: the client observes
+    /// completion once.
     pub fn run(
         self,
         label: impl std::fmt::Display,
+        conf: &JobConf,
         marker_fs: &dyn FileSystem,
         commit: Option<HPath>,
-        body: impl FnOnce(u64, &Arc<simgrid::JobMem>) -> Result<(Counters, u64)>,
+        body: impl FnOnce(u64, &Arc<simgrid::JobMem>) -> Result<Counters>,
     ) -> Result<JobResult> {
         let tjob = self.cluster.trace().begin_job(label);
         let held = Arc::new(simgrid::JobMem::new(self.cluster.mem()));
         let outcome = body(tjob, &held);
         held.release();
-        let (counters, output_records) = outcome?;
+        let counters = outcome?;
         if let Some(dir) = commit {
             let marker = dir.join("_SUCCESS");
             if !marker_fs.exists(&marker) {
@@ -246,9 +261,9 @@ impl JobFrame {
         }
         Ok(JobResult {
             sim_time: t_end - self.t0,
+            output_records: output_records(&counters, conf.num_reduce_tasks()),
             counters,
             metrics: self.cluster.metrics().snapshot().since(&self.m0),
-            output_records,
         })
     }
 }

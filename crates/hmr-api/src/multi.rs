@@ -162,9 +162,13 @@ where
     K2: Send + Sync + 'static,
     V2: Send + Sync + 'static,
 {
-    fn setup(&mut self, ctx: &mut TaskContext) -> Result<()> {
+    fn setup(
+        &mut self,
+        out: &mut dyn OutputCollector<K2, V2>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
         for m in &mut self.mappers {
-            m.setup(ctx)?;
+            m.setup(out, ctx)?;
         }
         Ok(())
     }

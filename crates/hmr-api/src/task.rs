@@ -3,6 +3,12 @@
 //! a map-only job, the job output; [`reduce_partition`]), and adapters from
 //! the two public Hadoop API styles.
 //!
+//! The two loops count every task counter on both engines, output pairs on
+//! the main output only: a named side output (`MultipleOutputs`) counts in
+//! no framework counter, as in Hadoop, where only the main writer counts
+//! records. A job's `output_records` is read off these counters
+//! ([`crate::job::output_records`]).
+//!
 //! "The compatibility layer is complicated by the need to support two sets
 //! of Hadoop APIs: the older `mapred` and the newer `mapreduce` interfaces.
 //! Since many classes (such as Map) do not share a common type, separate
@@ -27,8 +33,12 @@ use crate::{mapred, mapreduce};
 
 /// Engine-facing mapper: what actually runs inside a map task.
 pub trait TaskMapper<K1, V1, K2, V2>: Send {
-    /// Called once before the first record.
-    fn setup(&mut self, _ctx: &mut TaskContext) -> Result<()> {
+    /// Called once before the first record; may emit leading pairs.
+    fn setup(
+        &mut self,
+        _out: &mut dyn OutputCollector<K2, V2>,
+        _ctx: &mut TaskContext,
+    ) -> Result<()> {
         Ok(())
     }
     /// Called per input record.
@@ -51,8 +61,12 @@ pub trait TaskMapper<K1, V1, K2, V2>: Send {
 
 /// Engine-facing reducer (also used for combiners).
 pub trait TaskReducer<K2, V2, K3, V3>: Send {
-    /// Called once before the first group.
-    fn setup(&mut self, _ctx: &mut TaskContext) -> Result<()> {
+    /// Called once before the first group; may emit leading pairs.
+    fn setup(
+        &mut self,
+        _out: &mut dyn OutputCollector<K3, V3>,
+        _ctx: &mut TaskContext,
+    ) -> Result<()> {
         Ok(())
     }
     /// Called once per key group; `values` iterates the group's values in
@@ -114,9 +128,10 @@ impl<K, V, C: OutputCollector<K, V>> OutputCollector<K, V> for CountingCollector
 
 /// The mapper loop: `setup`, `map` over every `input` record, `cleanup`,
 /// all writing into `out`. Counts `MAP_INPUT_RECORDS` per input record and
-/// `MAP_OUTPUT_RECORDS` per pair collected on the main output (named side
-/// outputs are job output, not map output). Generic over the collector, so
-/// `out` is reached without a second dynamic call per record.
+/// `MAP_OUTPUT_RECORDS` per pair collected on the main output, `setup` and
+/// `cleanup` included (named side outputs count in no framework counter).
+/// Generic over the collector, so `out` is reached without a second dynamic
+/// call per record.
 pub fn run_mapper<K1, V1, K2, V2, C: OutputCollector<K2, V2>>(
     mapper: &mut dyn TaskMapper<K1, V1, K2, V2>,
     input: impl IntoIterator<Item = Result<(Arc<K1>, Arc<V1>)>>,
@@ -125,7 +140,7 @@ pub fn run_mapper<K1, V1, K2, V2, C: OutputCollector<K2, V2>>(
 ) -> Result<()> {
     let mut out = CountingCollector { inner: out, pairs: 0 };
     let mut records = 0i64;
-    mapper.setup(ctx)?;
+    mapper.setup(&mut out, ctx)?;
     for record in input {
         let (key, value) = record?;
         records += 1;
@@ -185,10 +200,11 @@ pub fn combine_run<K: Writable, V>(
 /// One reduce partition, from assembled input to a filled sink: the `Sort`
 /// span (billed per record whichever sort path runs, so simulated time is
 /// independent of the path taken), the input counters, and the job's
-/// reducer over every group. `spill` bills
-/// whatever the engine pays inside the sort span ahead of the sort itself
-/// (Hadoop's out-of-core merge); `open_sink` runs after the sort, where
-/// Hadoop opens its DFS writer.
+/// reducer over every group, its main-output pairs counted in
+/// `REDUCE_OUTPUT_RECORDS` as [`run_mapper`] counts map output. `spill`
+/// bills whatever the engine pays inside the sort span ahead of the sort
+/// itself (Hadoop's out-of-core merge); `open_sink` runs after the sort,
+/// where Hadoop opens its DFS writer.
 pub fn reduce_partition<J: JobDef, S: OutputCollector<J::K3, J::V3>>(
     job: &J,
     partition: usize,
@@ -214,10 +230,12 @@ pub fn reduce_partition<J: JobDef, S: OutputCollector<J::K3, J::V3>>(
     ctx.incr_task_counter(task_counter::REDUCE_INPUT_GROUPS, groups.len() as i64);
 
     let mut sink = open_sink()?;
+    let mut out = CountingCollector { inner: &mut sink, pairs: 0 };
     let mut reducer = job.create_reducer(ctx.conf());
-    reducer.setup(ctx)?;
-    reduce_groups(pairs, groups, &mut *reducer, &mut sink, ctx)?;
-    reducer.cleanup(&mut sink, ctx)?;
+    reducer.setup(&mut out, ctx)?;
+    reduce_groups(pairs, groups, &mut *reducer, &mut out, ctx)?;
+    reducer.cleanup(&mut out, ctx)?;
+    ctx.incr_task_counter(task_counter::REDUCE_OUTPUT_RECORDS, out.pairs as i64);
     Ok(sink)
 }
 
@@ -232,7 +250,11 @@ impl<K1, V1, K2, V2, M> TaskMapper<K1, V1, K2, V2> for MapredMapperAdapter<M>
 where
     M: mapred::Mapper<K1, V1, K2, V2>,
 {
-    fn setup(&mut self, ctx: &mut TaskContext) -> Result<()> {
+    fn setup(
+        &mut self,
+        _out: &mut dyn OutputCollector<K2, V2>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
         self.0.configure(ctx.conf());
         Ok(())
     }
@@ -261,7 +283,11 @@ impl<K2, V2, K3, V3, R> TaskReducer<K2, V2, K3, V3> for MapredReducerAdapter<R>
 where
     R: mapred::Reducer<K2, V2, K3, V3>,
 {
-    fn setup(&mut self, ctx: &mut TaskContext) -> Result<()> {
+    fn setup(
+        &mut self,
+        _out: &mut dyn OutputCollector<K3, V3>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
         self.0.configure(ctx.conf());
         Ok(())
     }
@@ -294,11 +320,12 @@ impl<K1, V1, K2, V2, M> TaskMapper<K1, V1, K2, V2> for MapreduceMapperAdapter<M>
 where
     M: mapreduce::Mapper<K1, V1, K2, V2>,
 {
-    fn setup(&mut self, _ctx: &mut TaskContext) -> Result<()> {
-        // The new API's setup receives a Context; engines call setup through
-        // `map`'s first invocation pattern is avoided by delegating here
-        // with a throwaway collector — instead we defer setup to first map.
-        Ok(())
+    fn setup(
+        &mut self,
+        out: &mut dyn OutputCollector<K2, V2>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
+        self.0.setup(&mut mapreduce::Context::new(out, ctx))
     }
     fn map(
         &mut self,
@@ -307,16 +334,14 @@ where
         out: &mut dyn OutputCollector<K2, V2>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        let mut c = mapreduce::Context::new(out, ctx);
-        self.0.map(key, value, &mut c)
+        self.0.map(key, value, &mut mapreduce::Context::new(out, ctx))
     }
     fn cleanup(
         &mut self,
         out: &mut dyn OutputCollector<K2, V2>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        let mut c = mapreduce::Context::new(out, ctx);
-        self.0.cleanup(&mut c)
+        self.0.cleanup(&mut mapreduce::Context::new(out, ctx))
     }
 }
 
@@ -327,6 +352,13 @@ impl<K2, V2, K3, V3, R> TaskReducer<K2, V2, K3, V3> for MapreduceReducerAdapter<
 where
     R: mapreduce::Reducer<K2, V2, K3, V3>,
 {
+    fn setup(
+        &mut self,
+        out: &mut dyn OutputCollector<K3, V3>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
+        self.0.setup(&mut mapreduce::Context::new(out, ctx))
+    }
     fn reduce(
         &mut self,
         key: Arc<K2>,
@@ -334,16 +366,14 @@ where
         out: &mut dyn OutputCollector<K3, V3>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        let mut c = mapreduce::Context::new(out, ctx);
-        self.0.reduce(key, values, &mut c)
+        self.0.reduce(key, values, &mut mapreduce::Context::new(out, ctx))
     }
     fn cleanup(
         &mut self,
         out: &mut dyn OutputCollector<K3, V3>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        let mut c = mapreduce::Context::new(out, ctx);
-        self.0.cleanup(&mut c)
+        self.0.cleanup(&mut mapreduce::Context::new(out, ctx))
     }
 }
 
@@ -578,7 +608,7 @@ mod tests {
         });
         let mut out = VecCollector::new();
         let mut c = ctx();
-        TaskMapper::setup(&mut a, &mut c).unwrap();
+        TaskMapper::setup(&mut a, &mut out, &mut c).unwrap();
         a.map(
             Arc::new(IntWritable(0)),
             Arc::new(Text::from("hi")),

@@ -4,7 +4,8 @@
 //!
 //! * **Full entries** — the complete retained output partition set of a
 //!   finished job (raw `part-*` bytes, engine-agnostic), plus its counters
-//!   and output-record count. A hit replays these bytes verbatim.
+//!   (the replay's `output_records` is read off them). A hit replays these
+//!   bytes verbatim.
 //! * **Map entries** — the shuffle-stable reduce-input partitions of a
 //!   finished map phase, stored as an opaque `Arc<dyn Any>` (they are typed
 //!   by the job's `K2/V2` domain, which only the engine knows). A hit lets
@@ -45,8 +46,6 @@ pub struct FullHit {
     pub parts: Vec<(String, Bytes)>,
     /// The counters the original run reported.
     pub counters: Counters,
-    /// Records the original run's output stage wrote.
-    pub output_records: u64,
 }
 
 struct FullEntry {
@@ -146,7 +145,6 @@ impl ReuseIndex {
         inputs: Vec<(HPath, u64)>,
         parts: Vec<(String, Bytes)>,
         counters: Counters,
-        output_records: u64,
     ) {
         let place = self.place_of(fp);
         let bytes: u64 = parts
@@ -155,11 +153,7 @@ impl ReuseIndex {
             .sum();
         let entry = FullEntry {
             inputs,
-            hit: FullHit {
-                parts,
-                counters,
-                output_records,
-            },
+            hit: FullHit { parts, counters },
             bytes,
             tick: self.tick(),
         };
@@ -436,7 +430,7 @@ mod tests {
         let idx = ReuseIndex::new(4);
         let (fp, inputs) = fp_for(&fs, "/in/a", "m");
         assert!(idx.lookup_full(fp, &fs).is_none());
-        idx.record_full(fp, inputs, part(b"out"), Counters::new(), 1);
+        idx.record_full(fp, inputs, part(b"out"), Counters::new());
         let hit = idx.lookup_full(fp, &fs).expect("hit");
         assert_eq!(&hit.parts[0].1[..], b"out");
         assert_eq!(idx.hits(), 1);
@@ -458,10 +452,10 @@ mod tests {
         let idx = ReuseIndex::governed(1, mem.clone());
         let (fp1, inputs1) = fp_for(&fs, "/in/a", "m1");
         let (fp2, inputs2) = fp_for(&fs, "/in/a", "m2");
-        idx.record_full(fp1, inputs1, part(&[1u8; 40]), Counters::new(), 1);
+        idx.record_full(fp1, inputs1, part(&[1u8; 40]), Counters::new());
         // Touch fp1 so LRU order is observable, then overflow the budget.
         assert!(idx.lookup_full(fp1, &fs).is_some());
-        idx.record_full(fp2, inputs2, part(&[2u8; 40]), Counters::new(), 1);
+        idx.record_full(fp2, inputs2, part(&[2u8; 40]), Counters::new());
         // 50 + 50 accountable bytes > 64: the older entry (fp1) is dropped.
         assert_eq!(idx.evictions(), 1);
         assert!(idx.lookup_full(fp2, &fs).is_some(), "newest survives");

@@ -100,7 +100,6 @@ mod prop {
                 basis.input_versions().to_vec(),
                 vec![("part-00000".to_string(), bytes::Bytes::copy_from_slice(b"o"))],
                 Counters::new(),
-                1,
             );
             prop_assert!(idx.lookup_full(basis.job_fingerprint(), &fs).is_some());
 

@@ -67,6 +67,7 @@ impl Reuse<'_> {
         let out_dir = conf.output_path().expect("memo_basis() gated on output");
         frame.run(
             format_args!("{} ({} memo)", conf.job_name(), self.engine),
+            conf,
             self.durable,
             Some(out_dir.clone()),
             |_, _| {
@@ -77,7 +78,7 @@ impl Reuse<'_> {
                     }
                     fs::write_file(self.fs, &path, bytes)?;
                 }
-                Ok((hit.counters, hit.output_records))
+                Ok(hit.counters)
             },
         )
     }
@@ -125,7 +126,6 @@ impl Reuse<'_> {
             basis.input_versions().to_vec(),
             parts,
             result.counters.clone(),
-            result.output_records,
         );
     }
 }

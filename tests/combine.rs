@@ -320,8 +320,8 @@ struct NoFold<J>(J);
 struct Delegating<K, V>(Box<dyn TaskReducer<K, V, K, V>>);
 
 impl<K, V> TaskReducer<K, V, K, V> for Delegating<K, V> {
-    fn setup(&mut self, ctx: &mut TaskContext) -> Result<()> {
-        self.0.setup(ctx)
+    fn setup(&mut self, out: &mut dyn OutputCollector<K, V>, ctx: &mut TaskContext) -> Result<()> {
+        self.0.setup(out, ctx)
     }
     fn reduce(
         &mut self,

@@ -15,7 +15,9 @@ use hmr_api::io::seqfile::{read_seq_file, write_seq_file};
 use hmr_api::io::{InputFormat, OutputFormat, SequenceFileInputFormat, SequenceFileOutputFormat};
 use hmr_api::job::{Engine, JobDef, JobResult, MapOnlyConvert};
 use hmr_api::mapreduce;
-use hmr_api::task::{IdentityMapper, MapreduceReducerAdapter, TaskMapper, TaskReducer};
+use hmr_api::task::{
+    IdentityMapper, MapreduceMapperAdapter, MapreduceReducerAdapter, TaskMapper, TaskReducer,
+};
 use hmr_api::writable::{IntWritable, LongWritable, PairWritable, Text};
 use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel};
@@ -218,12 +220,22 @@ fn named_outputs_work_on_both_engines() {
     write_seq_file(&fs, &HPath::new("/in/part-00000"), &records).unwrap();
 
     let mut hadoop = hadoop_engine::HadoopEngine::new(cluster.clone(), Arc::new(fs.clone()));
-    hadoop
+    let rh = hadoop
         .run_job(Arc::new(EvenOddJob), &conf("/in", "/h", 2))
         .unwrap();
     let mut m3r = m3r::M3REngine::new(cluster, Arc::new(fs.clone()));
-    m3r.run_job(Arc::new(EvenOddJob), &conf("/in", "/m", 2))
+    let rm = m3r
+        .run_job(Arc::new(EvenOddJob), &conf("/in", "/m", 2))
         .unwrap();
+    // Only the main output counts: the 10 odd pairs, not the 10 named ones.
+    for (engine, r) in [("hadoop", &rh), ("m3r", &rm)] {
+        let reduce_out = r.counters.task(task_counter::REDUCE_OUTPUT_RECORDS);
+        assert_eq!(
+            (r.output_records, reduce_out),
+            (10, 10),
+            "{engine}: output_records, REDUCE_OUTPUT_RECORDS"
+        );
+    }
 
     for dir in ["/h", "/m"] {
         let mut main_recs = Vec::new();
@@ -520,6 +532,12 @@ fn map_only_disagreements<J: JobDef>(job: impl Fn() -> J, input: &dyn Fn(&SimDfs
                 run.main_pairs
             ));
         }
+        if run.result.output_records as i64 != map_output {
+            let records = run.result.output_records;
+            found.push(format!(
+                "{engine}: output_records {records}, MAP_OUTPUT_RECORDS {map_output}"
+            ));
+        }
         for (group, name, value) in run.result.counters.iter() {
             if name.starts_with("COMBINE") {
                 found.push(format!("{engine}: {group}.{name} = {value} with no reduce phase"));
@@ -560,4 +578,121 @@ fn map_only_jobs_agree_with_hadoop_on_both_engines() {
         .flat_map(|(row, found)| found.iter().map(move |f| format!("{row}: {f}")))
         .collect();
     assert!(report.is_empty(), "map-only runs disagree:\n{}", report.join("\n"));
+}
+
+// ---------------------------------------------------------------------------
+// New-API `setup` (§5.3): it runs once per task with a live `Context`, and
+// the pairs it writes are task output like any other.
+// ---------------------------------------------------------------------------
+
+/// Identity, plus one `(-1, "map setup")` pair written in `setup`.
+struct SetupWritingMapper;
+
+impl mapreduce::Mapper<IntWritable, Text, IntWritable, Text> for SetupWritingMapper {
+    fn setup(&mut self, ctx: &mut mapreduce::Context<'_, IntWritable, Text>) -> Result<()> {
+        ctx.incr_counter("app", "map_setups", 1);
+        ctx.write(Arc::new(IntWritable(-1)), Arc::new(Text::from("map setup")))
+    }
+    fn map(
+        &mut self,
+        key: Arc<IntWritable>,
+        value: Arc<Text>,
+        ctx: &mut mapreduce::Context<'_, IntWritable, Text>,
+    ) -> Result<()> {
+        ctx.write(key, value)
+    }
+}
+
+/// Identity, plus one `(-2, "reduce setup")` pair written in `setup`.
+struct SetupWritingReducer;
+
+impl mapreduce::Reducer<IntWritable, Text, IntWritable, Text> for SetupWritingReducer {
+    fn setup(&mut self, ctx: &mut mapreduce::Context<'_, IntWritable, Text>) -> Result<()> {
+        ctx.incr_counter("app", "reduce_setups", 1);
+        ctx.write(Arc::new(IntWritable(-2)), Arc::new(Text::from("reduce setup")))
+    }
+    fn reduce(
+        &mut self,
+        key: Arc<IntWritable>,
+        values: &mut dyn Iterator<Item = Arc<Text>>,
+        ctx: &mut mapreduce::Context<'_, IntWritable, Text>,
+    ) -> Result<()> {
+        for v in values {
+            ctx.write(Arc::clone(&key), v)?;
+        }
+        Ok(())
+    }
+}
+
+struct NewApiSetupJob;
+
+impl JobDef for NewApiSetupJob {
+    type K1 = IntWritable;
+    type V1 = Text;
+    type K2 = IntWritable;
+    type V2 = Text;
+    type K3 = IntWritable;
+    type V3 = Text;
+    fn create_mapper(
+        &self,
+        _c: &JobConf,
+    ) -> Box<dyn TaskMapper<IntWritable, Text, IntWritable, Text>> {
+        Box::new(MapreduceMapperAdapter(SetupWritingMapper))
+    }
+    fn create_reducer(
+        &self,
+        _c: &JobConf,
+    ) -> Box<dyn TaskReducer<IntWritable, Text, IntWritable, Text>> {
+        Box::new(MapreduceReducerAdapter(SetupWritingReducer))
+    }
+    fn input_format(&self, _c: &JobConf) -> Box<dyn InputFormat<IntWritable, Text>> {
+        Box::new(SequenceFileInputFormat::new())
+    }
+    fn output_format(&self, _c: &JobConf) -> Box<dyn OutputFormat<IntWritable, Text>> {
+        Box::new(SequenceFileOutputFormat::new())
+    }
+    fn name(&self) -> &str {
+        "new-api-setup"
+    }
+}
+
+#[test]
+fn new_api_setup_runs_and_writes_on_both_engines() {
+    let (cluster, fs) = setup(2);
+    // Two input files: two map tasks, each writing 10 pairs plus its setup
+    // pair; two reducers, each passing those on plus its own setup pair.
+    for file in 0..2 {
+        let records: Vec<(IntWritable, Text)> = (file * 10..file * 10 + 10)
+            .map(|i| (IntWritable(i), Text::from(format!("v{i}"))))
+            .collect();
+        write_seq_file(&fs, &HPath::new(format!("/in/part-{file:05}")), &records).unwrap();
+    }
+    let mut hadoop = hadoop_engine::HadoopEngine::new(cluster.clone(), Arc::new(fs.clone()));
+    let rh = hadoop.run_job(Arc::new(NewApiSetupJob), &conf("/in", "/h", 2)).unwrap();
+    let mut m3r = m3r::M3REngine::new(cluster, Arc::new(fs.clone()));
+    let rm = m3r.run_job(Arc::new(NewApiSetupJob), &conf("/in", "/m", 2)).unwrap();
+
+    let mut outputs = Vec::new();
+    for (dir, r) in [("/h", &rh), ("/m", &rm)] {
+        let mut got = Vec::new();
+        for p in 0..2 {
+            let part = HPath::new(format!("{dir}/part-{p:05}"));
+            got.extend(read_seq_file::<IntWritable, Text>(&fs, &part).unwrap());
+        }
+        got.sort();
+        let setup_pairs = |key: i32| got.iter().filter(|(k, _)| k.0 == key).count();
+        assert_eq!(
+            (setup_pairs(-1), setup_pairs(-2), got.len()),
+            (2, 2, 24),
+            "{dir}: map-setup pairs, reduce-setup pairs, all pairs"
+        );
+        assert_eq!(r.counters.get("app", "map_setups"), 2, "{dir}: one per map task");
+        assert_eq!(r.counters.get("app", "reduce_setups"), 2, "{dir}: one per reducer");
+        assert_eq!(r.counters.task(task_counter::MAP_OUTPUT_RECORDS), 22, "{dir}");
+        assert_eq!(r.counters.task(task_counter::REDUCE_INPUT_RECORDS), 22, "{dir}");
+        assert_eq!(r.counters.task(task_counter::REDUCE_OUTPUT_RECORDS), 24, "{dir}");
+        assert_eq!(r.output_records, 24, "{dir}");
+        outputs.push(got);
+    }
+    assert_eq!(outputs[0], outputs[1], "the engines wrote the same pairs");
 }
