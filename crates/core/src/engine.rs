@@ -38,7 +38,7 @@ use hmr_api::fs::{FileSystem, HPath};
 use hmr_api::io::{part_file_name, seqfile, InputFormat, InputSplit, OutputFormat};
 use hmr_api::job::{map_only, Engine, JobDef, JobFrame, JobResult, LaneEngine, MapOnlyConvert};
 use hmr_api::multi::NamedOutputs;
-use hmr_api::task::{reduce_partition, run_mapper};
+use hmr_api::task::{reduce_partition, run_mapper, TaskReducer};
 use hmr_api::writable::Writable;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
@@ -680,10 +680,13 @@ struct Outbox<J: JobDef> {
     /// into one `CombineTable` per destination instead of serializing
     /// immediately; equal keys merge across every map task at this place
     /// and the tables drain into the streams once — after the last wave, or
-    /// early if a finite budget is breached (degrading to plain streaming).
-    combine_tables: Option<Vec<CombineTable<J::K2, J::V2>>>,
-    /// (input records, output records) that went through the place combiner.
-    place_combined: (u64, u64),
+    /// early if a finite budget is breached (degrading to plain streaming)
+    /// — through the place's one combiner.
+    combine_tables: Option<(
+        Box<dyn TaskReducer<J::K2, J::V2, J::K2, J::V2>>,
+        Vec<CombineTable<J::K2, J::V2>>,
+    )>,
+    /// The drains' counters: `COMBINE_*` and the combiner's own.
     combine_counters: Counters,
 }
 
@@ -734,19 +737,15 @@ impl<J: JobDef> Outbox<J> {
     }
 
     /// Combine-and-serialize the combine tables into the shuffle streams,
-    /// partitions ascending ([`CombineTable::drain_combined`]). Per table
-    /// the grouping is billed as one sort pass over its groups, then the
-    /// combined output as serialize work, on whatever meter is installed
-    /// (a task scratch clock for a budget flush, the place clock for the
-    /// end-of-map drain).
+    /// partitions ascending ([`CombineTable::drain_combined`]: one combiner
+    /// run per partition). Per table the grouping is billed as one sort
+    /// pass over its groups, then the combined output as serialize work, on
+    /// whatever meter is installed (a task scratch clock for a budget flush,
+    /// the place clock for the end-of-map drain).
     fn drain_combine_tables(&mut self, run: &Run<J>, place: usize) -> Result<()> {
-        let Some(mut tables) = self.combine_tables.take() else {
+        let Some((mut combiner, mut tables)) = self.combine_tables.take() else {
             return Ok(());
         };
-        let mut combiner = run
-            .job
-            .create_combiner(&run.conf)
-            .expect("combine tables only exist for jobs with a combiner");
         let mut ctx = run.task_ctx(format!("m3r_pc_{place:06}"));
         trace::span(Phase::Combine, "drain", None, || -> Result<()> {
             for (dest, table) in tables.iter_mut().enumerate() {
@@ -754,14 +753,11 @@ impl<J: JobDef> Outbox<J> {
                     continue;
                 }
                 let table_bytes = table.bytes();
-                self.place_combined.0 += table.records();
                 let stream = self.streams[dest].get_or_insert_with(|| run.open_stream(place));
                 let before = stream.len();
                 let counts = &mut self.stream_counts[dest];
-                let combined = &mut self.place_combined.1;
                 let groups = table.drain_combined(&mut *combiner, &mut ctx, |p, k, v| {
                     *counts.entry(p).or_insert(0) += 1;
-                    *combined += 1;
                     stream.push_owned(p, k, v);
                 })?;
                 // One charge per table: `Sort` is priced n·log₂n, so it is
@@ -800,9 +796,10 @@ fn map_phase_at_place<J: JobDef>(
             .flatten()
             .map(|combiner| {
                 let (sort, group) = (run.job.sort_comparator(), run.job.grouping_comparator());
-                (0..nplaces).map(|_| CombineTable::new(&*combiner, &sort, &group)).collect()
+                let tables =
+                    (0..nplaces).map(|_| CombineTable::new(&*combiner, &sort, &group)).collect();
+                (combiner, tables)
             }),
-        place_combined: (0, 0),
         combine_counters: Counters::new(),
     };
     // Locally shuffled pairs accumulate here in task order and are
@@ -828,7 +825,7 @@ fn map_phase_at_place<J: JobDef>(
             // the same charges, in the same stream order, as a sequential
             // execution.
             |(si, routed)| {
-                if let Some(tables) = outbox.combine_tables.as_mut() {
+                if let Some((_, tables)) = outbox.combine_tables.as_mut() {
                     trace::span(Phase::Combine, "absorb", Some(si as u64), || {
                         Outbox::absorb(run, place, tables, routed.remote)
                     });
@@ -902,15 +899,17 @@ fn map_phase_at_place<J: JobDef>(
             targets,
         });
     }
-    let (combined_in, combined_out) = outbox.place_combined;
+    let combined = |name| outbox.combine_counters.task(name);
+    let combined_in = combined(task_counter::COMBINE_INPUT_RECORDS);
     if any_stream || combined_in > 0 {
         let mut counters = run.counters.lock();
         counters.incr(M3R_COUNTER_GROUP, "SHUFFLE_STREAM_BYTES", stream_bytes);
         counters.incr(M3R_COUNTER_GROUP, "DEDUP_HITS", dedup_hits);
         counters.incr(M3R_COUNTER_GROUP, "DEDUP_RETAINED_VALUES", dedup_retained);
         if combined_in > 0 {
-            counters.incr(M3R_COUNTER_GROUP, "PLACE_COMBINE_INPUT_RECORDS", combined_in as i64);
-            counters.incr(M3R_COUNTER_GROUP, "PLACE_COMBINE_OUTPUT_RECORDS", combined_out as i64);
+            let combined_out = combined(task_counter::COMBINE_OUTPUT_RECORDS);
+            counters.incr(M3R_COUNTER_GROUP, "PLACE_COMBINE_INPUT_RECORDS", combined_in);
+            counters.incr(M3R_COUNTER_GROUP, "PLACE_COMBINE_OUTPUT_RECORDS", combined_out);
             counters.merge(&outbox.combine_counters);
         }
     }
@@ -1032,10 +1031,7 @@ fn run_map_task<J: JobDef>(
                 simgrid::meter::charge(Charge::Sort {
                     records: records as u64,
                 });
-                ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, records as i64);
-                let (out, _) = part.combine(&mut **combiner, &sort_cmp, &group_cmp, &mut ctx)?;
-                ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.len() as i64);
-                out
+                part.combine(&mut **combiner, &sort_cmp, &group_cmp, &mut ctx)?.0
             }
         };
         if bucket.is_empty() {

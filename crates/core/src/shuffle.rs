@@ -17,19 +17,23 @@
 //! grouping comparators is applied at `collect()`, each partition keeping
 //! one accumulator per distinct key and dropping every duplicate key and
 //! value on the spot. Every other combiner runs over the partition's plain
-//! pairs through the one sort path both engines share ([`combine_run`]).
+//! pairs through the sort path. Either way the partition goes through one
+//! combiner run, the one both engines share ([`combine_run`]): `setup`, the
+//! groups, `cleanup`, and the `COMBINE_*` counters.
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use hmr_api::collect::OutputCollector;
-use hmr_api::comparator::{apply_permutation, KeyComparator, RawKeyIndex, SortTuning};
+use hmr_api::collect::{OutputCollector, VecCollector};
+use hmr_api::comparator::{
+    apply_permutation, ingest_reduce_groups, KeyComparator, RawKeyIndex, SortTuning,
+};
 use hmr_api::counters::TaskContext;
 use hmr_api::error::{HmrError, Result};
 use hmr_api::partition::Partitioner;
-use hmr_api::task::{combine_run, TaskReducer};
+use hmr_api::task::{combine_run, CombineInput, Objects, TaskReducer};
 use hmr_api::writable::{ByteReader, Writable};
 use simgrid::cost::Charge;
 use simgrid::meter;
@@ -208,13 +212,13 @@ where
         }
     }
 
-    /// The partition through the job's combiner, in reduce order: the
-    /// groups, keys and value order of a stable sort under `sort_cmp`
-    /// split by `group_cmp`, one `reduce` per group. A partition that
-    /// folded at collect time holds its answer already and only orders its
-    /// groups: `(key, acc)` per group, no `reduce` call. Plain pairs go
-    /// through [`combine_run`]. Returns the combined pairs and the number
-    /// of groups.
+    /// The partition through the job's combiner as one combiner run
+    /// ([`combine_run`]), in reduce order: the groups, keys and value order
+    /// of a stable sort under `sort_cmp` split by `group_cmp`, one `reduce`
+    /// per group, between the combiner's `setup` and `cleanup`. A partition
+    /// that folded at collect time holds its answer already and only orders
+    /// its groups: `(key, acc)` per group, handed over whole, no `reduce`
+    /// call. Returns the combined pairs and the number of groups.
     pub fn combine(
         self,
         combiner: &mut dyn TaskReducer<K, V, K, V>,
@@ -222,14 +226,18 @@ where
         group_cmp: &KeyComparator<K>,
         ctx: &mut TaskContext,
     ) -> Result<(Vec<(Arc<K>, Arc<V>)>, usize)> {
-        match self {
-            MapPart::Groups(groups) => {
-                let pairs = groups.combine();
-                let count = pairs.len();
-                Ok((pairs, count))
+        let records = self.len();
+        let input = match self {
+            MapPart::Groups(groups) => CombineInput::Folded(groups.combine()),
+            MapPart::Pairs { mut pairs, .. } => {
+                let tuning = SortTuning::default();
+                let groups = ingest_reduce_groups(&mut pairs, sort_cmp, group_cmp, &tuning, None);
+                CombineInput::Sort(pairs, groups)
             }
-            MapPart::Pairs { pairs, .. } => combine_run(pairs, combiner, sort_cmp, group_cmp, ctx),
-        }
+        };
+        let mut out = VecCollector::new();
+        let groups = combine_run(combiner, records, input, Objects, &mut out, ctx)?;
+        Ok((out.pairs, groups))
     }
 }
 
@@ -506,11 +514,6 @@ where
     /// True when nothing has been absorbed since the last drain.
     pub fn is_empty(&self) -> bool {
         self.parts.is_empty()
-    }
-
-    /// Records absorbed since the last drain.
-    pub fn records(&self) -> u64 {
-        self.parts.values().map(|part| part.len() as u64).sum()
     }
 
     /// Modelled live bytes held — what the memory accountant carries under
@@ -890,6 +893,7 @@ mod prop_tests {
     use super::*;
     use hmr_api::partition::FnPartitioner;
     use hmr_api::collect::VecCollector;
+    use hmr_api::counters::task_counter::{COMBINE_INPUT_RECORDS, COMBINE_OUTPUT_RECORDS};
     use hmr_api::task::{IdentityReducer, LongSumReducer};
     use hmr_api::writable::{BytesWritable, IntWritable, LongWritable, Text};
     use proptest::prelude::*;
@@ -1316,7 +1320,6 @@ mod prop_tests {
                 }
                 prop_assert_eq!(table.bytes(), expect_bytes);
             }
-            prop_assert_eq!(table.records(), records.len() as u64);
             prop_assert_eq!(table.is_empty(), records.is_empty());
 
             let mut expect = Vec::new();
@@ -1346,11 +1349,15 @@ mod prop_tests {
             }
             let mut got = Vec::new();
             let emit = |p, k: Arc<IntWritable>, v: Arc<LongWritable>| got.push((p, k.0, v.0));
-            let groups = table.drain_combined(&mut *combiner(), &mut task_ctx(), emit).unwrap();
+            let mut ctx = task_ctx();
+            let groups = table.drain_combined(&mut *combiner(), &mut ctx, emit).unwrap();
+            let combined = |name| ctx.counters().task(name) as usize;
+            let counted = (combined(COMBINE_INPUT_RECORDS), combined(COMBINE_OUTPUT_RECORDS));
+            prop_assert_eq!(counted, (records.len(), expect.len()), "every run counted");
             prop_assert_eq!(got, expect);
             prop_assert_eq!(groups, expect_groups);
             prop_assert!(table.is_empty(), "drain resets the table");
-            prop_assert_eq!((table.bytes(), table.records()), (0, 0));
+            prop_assert_eq!(table.bytes(), 0);
         }
 
         /// Full de-duplication never sends more payload bytes than Off.

@@ -29,16 +29,19 @@ pub mod sortbuffer;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use hmr_api::collect::{MapCollector, OutputCollector};
+use hmr_api::collect::{MapCollector, OutputCollector, VecCollector};
+use hmr_api::comparator::{ingest_reduce_groups, SortTuning};
 use hmr_api::conf::JobConf;
-use hmr_api::counters::{task_counter, Counters, TaskContext};
+use hmr_api::counters::{Counters, TaskContext};
 use hmr_api::distcache::DistCache;
 use hmr_api::error::Result;
 use hmr_api::fs::FileSystem;
 use hmr_api::io::{seqfile, InputFormat, InputSplit, OutputFormat, RecordWriter};
 use hmr_api::job::{map_only, Engine, JobDef, JobFrame, JobResult, LaneEngine};
 use hmr_api::multi::NamedOutputs;
-use hmr_api::task::{combine_run, reduce_partition, run_mapper};
+use hmr_api::task::{
+    combine_run, reduce_partition, run_mapper, CombineInput, Objects, TaskReducer,
+};
 use hmr_api::writable::Writable;
 use simgrid::cost::Charge;
 use simgrid::trace::{self, Phase};
@@ -398,13 +401,12 @@ impl<J: JobDef> Run<'_, J> {
             per_node[n].push(i);
         }
         let mut map_outputs: Vec<Vec<Bytes>> = (0..splits.len()).map(|_| Vec::new()).collect();
-        // Node-level shared combine: only meaningful with reducers to
-        // shuffle to and a combiner to merge with.
-        let node_combine = self.conf.place_level_combine()
-            && self.num_reducers > 0
-            && self.job.create_combiner(self.conf).is_some();
-
         for (node_id, tasks) in per_node.iter().enumerate() {
+            // Node-level shared combine: only meaningful with reducers to
+            // shuffle to and a combiner to merge with, one per node.
+            let mut node_combiner = (self.conf.place_level_combine() && self.num_reducers > 0)
+                .then(|| self.job.create_combiner(self.conf))
+                .flatten();
             for wave in tasks.chunks(self.engine.opts.map_slots_per_node) {
                 self.heartbeat(node_id);
                 simgrid::pool::traced_wave(
@@ -442,8 +444,10 @@ impl<J: JobDef> Run<'_, J> {
                         Ok(())
                     },
                 )?;
-                if node_combine {
-                    counters.merge(&self.combine_wave_segments(node_id, wave, &mut map_outputs)?);
+                if let Some(combiner) = node_combiner.as_deref_mut() {
+                    let combined =
+                        self.combine_wave_segments(node_id, wave, combiner, &mut map_outputs)?;
+                    counters.merge(&combined);
                 }
             }
         }
@@ -491,7 +495,8 @@ impl<J: JobDef> Run<'_, J> {
     /// Node-level shared combine — the Hadoop-engine analogue of M3R's
     /// place-level combine table. After a map wave's barrier, each
     /// partition's per-task segments are decoded in task order, sorted,
-    /// merged through the job's combiner, and re-framed into a single
+    /// merged through the node's combiner (one combiner run per
+    /// partition), and re-framed into a single
     /// segment parked under the wave's first contributing task (the others
     /// keep an empty segment, which the reduce fetch already skips). Runs on
     /// the tasktracker's driver thread in deterministic partition/task
@@ -503,16 +508,14 @@ impl<J: JobDef> Run<'_, J> {
         &self,
         node_id: NodeId,
         wave: &[usize],
+        combiner: &mut dyn TaskReducer<J::K2, J::V2, J::K2, J::V2>,
         map_outputs: &mut [Vec<Bytes>],
     ) -> Result<Counters> {
         let (cluster, held) = (self.cluster, self.held);
-        let mut combiner = self
-            .job
-            .create_combiner(self.conf)
-            .expect("combine_wave_segments requires a combiner");
         let mut ctx = self.task_ctx(format!("combine_n_{node_id:06}"));
         let sort_cmp = self.job.sort_comparator();
         let group_cmp = self.job.grouping_comparator();
+        let tuning = SortTuning::default();
         simgrid::with_meter(Meter::new(cluster.node(node_id).clone()), || {
             trace::span(Phase::Combine, "wave", None, || -> Result<()> {
                 for partition in 0..self.num_reducers {
@@ -543,10 +546,13 @@ impl<J: JobDef> Run<'_, J> {
                         pairs.extend(decode_segment::<J::K2, J::V2>(&map_outputs[t][partition])?);
                     }
                     simgrid::meter::charge(Charge::Deserialize { bytes: in_bytes });
-                    ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, pairs.len() as i64);
-                    let (out, _) =
-                        combine_run(pairs, &mut *combiner, &sort_cmp, &group_cmp, &mut ctx)?;
-                    ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.len() as i64);
+                    let records = pairs.len();
+                    let groups =
+                        ingest_reduce_groups(&mut pairs, &sort_cmp, &group_cmp, &tuning, None);
+                    let input = CombineInput::Sort(pairs, groups);
+                    let mut out = VecCollector::new();
+                    combine_run(combiner, records, input, Objects, &mut out, &mut ctx)?;
+                    let out = out.pairs;
                     // The inputs are the wave tasks' already-sorted segments, so
                     // this is a k-way merge, not a fresh sort: bill one sort-pass
                     // record per emitted group (the merge's output walk). That
@@ -703,10 +709,11 @@ fn retry_attempts<T>(
 mod tests {
     use super::*;
     use hmr_api::comparator::KeyComparator;
+    use hmr_api::counters::task_counter;
     use hmr_api::error::HmrError;
     use hmr_api::io::seqfile::{read_seq_file, write_seq_file};
     use hmr_api::io::{SequenceFileInputFormat, SequenceFileOutputFormat};
-    use hmr_api::task::{IdentityMapper, IdentityReducer, LongSumReducer, TaskMapper, TaskReducer};
+    use hmr_api::task::{IdentityMapper, IdentityReducer, LongSumReducer, TaskMapper};
     use hmr_api::writable::{LongWritable, Text};
     use hmr_api::HPath;
     use simdfs::SimDfs;

@@ -15,8 +15,12 @@
 //!
 //! Every ordering enters through the reduce-ingest kernels of
 //! [`hmr_api::comparator`], one partition at a time: a spill is
-//! [`sort_pairs_tuned`] over the collecting run, or [`ingest_reduce_groups`]
-//! when a combiner walks the groups; the final merge is the same stable sort
+//! [`sort_pairs_tuned`] over the collecting run or, with a combiner,
+//! [`ingest_reduce_groups`] and one combiner run ([`combine_run`], the one
+//! both engines share) per partition that holds records, each group's
+//! values decoded from the run's bytes as the combiner reads them and each
+//! combined pair serialized into the spill as it is collected; the final
+//! merge is the same stable sort
 //! over the partition's sorted runs laid end to end in spill order, which
 //! *is* the stable k-way merge with ties to the earlier run. Cost is billed
 //! from record and byte counts alone, so the kernel path taken never moves a
@@ -26,13 +30,13 @@
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use hmr_api::collect::{OutputCollector, VecCollector};
+use hmr_api::collect::OutputCollector;
 use hmr_api::comparator::{ingest_reduce_groups, sort_pairs_tuned, KeyComparator, SortTuning};
-use hmr_api::counters::{task_counter, TaskContext};
+use hmr_api::counters::TaskContext;
 use hmr_api::error::{HmrError, Result};
 use hmr_api::io::seqfile;
 use hmr_api::partition::Partitioner;
-use hmr_api::task::TaskReducer;
+use hmr_api::task::{combine_run, CombineInput, GroupValues, TaskReducer};
 use hmr_api::writable::{from_bytes, ByteReader, Writable};
 use simgrid::cost::Charge;
 use simgrid::meter;
@@ -122,6 +126,41 @@ struct PartIndex<K> {
     sorted: usize,
 }
 
+/// A spill combine's values, decoded from the collecting run's bytes as
+/// the combiner reads them. Each group's decoding is billed as it opens:
+/// the real engine must decode buffered bytes to combine them.
+struct Decode<'a> {
+    runs: &'a [Vec<u8>],
+}
+
+impl<V: Writable> GroupValues<Span, V> for Decode<'_> {
+    fn open<K>(&mut self, group: &[(Arc<K>, Span)]) {
+        let bytes = group.iter().map(|(_, s)| u64::from(s.vlen)).sum();
+        meter::charge(Charge::Deserialize { bytes });
+    }
+
+    fn value(&mut self, span: Span) -> Result<Arc<V>> {
+        from_bytes::<V>(span.split(self.runs).1).map(Arc::new)
+    }
+}
+
+/// A spill combine's output, which replaces the run: each pair serialized
+/// again into the spilled run (`run`, whose bytes are `bytes`) as it is
+/// collected, and indexed in `entries`.
+struct SpillWriter<'a, K> {
+    run: usize,
+    bytes: &'a mut Vec<u8>,
+    entries: &'a mut Vec<(Arc<K>, Span)>,
+}
+
+impl<K: Writable, V: Writable> OutputCollector<K, V> for SpillWriter<'_, K> {
+    fn collect(&mut self, key: Arc<K>, value: Arc<V>) -> Result<()> {
+        let span = append_record(self.run, self.bytes, &*key, &*value, FIELD_LIMIT)?;
+        self.entries.push((key, span));
+        Ok(())
+    }
+}
+
 /// The spill-based map-output buffer. Implements [`OutputCollector`] so the
 /// mapper writes straight into it.
 pub struct SortBuffer<K, V> {
@@ -187,8 +226,9 @@ impl<K: Writable, V: Writable> SortBuffer<K, V> {
     }
 
     /// Sort the collecting run partition by partition — with a combiner,
-    /// group it and replace it, index entries and bytes, with the combiner's
-    /// output — and flush it to local disk.
+    /// run each partition holding records through it ([`combine_run`]) and
+    /// replace the run, index entries and bytes, with its output — and
+    /// flush it to local disk.
     fn spill(&mut self) -> Result<()> {
         if self.run_records == 0 {
             return Ok(());
@@ -199,47 +239,25 @@ impl<K: Writable, V: Writable> SortBuffer<K, V> {
                 records: self.run_records,
             });
             let run_id = self.runs.len() - 1;
-            let mut combined: Vec<u8> = Vec::new();
-            for part in &mut self.parts {
-                let Some(combiner) = self.combiner.as_deref_mut() else {
-                    let run = &mut part.entries[part.sorted..];
-                    sort_pairs_tuned(run, &self.sort_cmp, &self.tuning, None);
-                    continue;
-                };
-                let mut run = part.entries.split_off(part.sorted);
-                let (sort, group) = (&self.sort_cmp, &self.group_cmp);
-                for span in ingest_reduce_groups(&mut run, sort, group, &self.tuning, None) {
-                    let group = &run[span];
-                    // Combiner input: deserialize the group's values (charged —
-                    // the real engine must decode buffered bytes to combine them).
-                    let vbytes: u64 = group.iter().map(|(_, s)| u64::from(s.vlen)).sum();
-                    meter::charge(Charge::Deserialize { bytes: vbytes });
-                    self.combiner_ctx
-                        .incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, group.len() as i64);
-                    let values = group
-                        .iter()
-                        .map(|(_, s)| from_bytes::<V>(s.split(&self.runs).1).map(Arc::new))
-                        .collect::<Result<Vec<_>>>()?;
-                    let mut collected: VecCollector<K, V> = VecCollector::new();
-                    combiner.reduce(
-                        Arc::clone(&group[0].0),
-                        &mut values.into_iter(),
-                        &mut collected,
-                        &mut self.combiner_ctx,
-                    )?;
-                    self.combiner_ctx.incr_task_counter(
-                        task_counter::COMBINE_OUTPUT_RECORDS,
-                        collected.pairs.len() as i64,
-                    );
-                    // Combiner output is re-serialized; it replaces the run.
-                    for (k, v) in collected.pairs {
-                        let span = append_record(run_id, &mut combined, &*k, &*v, FIELD_LIMIT)?;
-                        part.entries.push((k, span));
-                    }
+            let (sort, group, tuning) = (&self.sort_cmp, &self.group_cmp, &self.tuning);
+            if let Some(combiner) = self.combiner.as_deref_mut() {
+                let mut combined: Vec<u8> = Vec::new();
+                for part in self.parts.iter_mut().filter(|p| p.entries.len() > p.sorted) {
+                    let mut run = part.entries.split_off(part.sorted);
+                    let records = run.len();
+                    let groups = ingest_reduce_groups(&mut run, sort, group, tuning, None);
+                    let (bytes, entries) = (&mut combined, &mut part.entries);
+                    let mut out = SpillWriter { run: run_id, bytes, entries };
+                    let input = CombineInput::Sort(run, groups);
+                    let values = Decode { runs: &self.runs };
+                    let ctx = &mut self.combiner_ctx;
+                    combine_run(combiner, records, input, values, &mut out, ctx)?;
                 }
-            }
-            if self.combiner.is_some() {
                 self.runs[run_id] = combined;
+            } else {
+                for part in &mut self.parts {
+                    sort_pairs_tuned(&mut part.entries[part.sorted..], sort, tuning, None);
+                }
             }
             meter::charge(Charge::DiskWrite {
                 bytes: self.runs[run_id].len() as u64,
@@ -318,6 +336,7 @@ impl<K: Writable, V: Writable> OutputCollector<K, V> for SortBuffer<K, V> {
 mod tests {
     use super::*;
     use hmr_api::conf::JobConf;
+    use hmr_api::counters::task_counter;
     use hmr_api::distcache::DistCache;
     use hmr_api::io::seqfile::frame_record;
     use hmr_api::partition::HashPartitioner;
@@ -566,6 +585,7 @@ mod prop_tests {
     use super::*;
     use hmr_api::comparator::fnv1a;
     use hmr_api::conf::JobConf;
+    use hmr_api::counters::task_counter;
     use hmr_api::distcache::DistCache;
     use hmr_api::partition::FnPartitioner;
     use hmr_api::io::seqfile::frame_record;

@@ -31,6 +31,12 @@ pub trait OutputCollector<K, V> {
             "named output '{name}' not supported by this collector"
         )))
     }
+
+    /// Emit every pair of `pairs`, in order: one [`collect`](Self::collect)
+    /// each, unless the collector can take the vector whole.
+    fn collect_all(&mut self, pairs: Vec<(Arc<K>, Arc<V>)>) -> Result<()> {
+        pairs.into_iter().try_for_each(|(k, v)| self.collect(k, v))
+    }
 }
 
 /// A collector that appends into a vector — used in unit tests and as the
@@ -51,6 +57,16 @@ impl<K, V> VecCollector<K, V> {
 impl<K, V> OutputCollector<K, V> for VecCollector<K, V> {
     fn collect(&mut self, key: Arc<K>, value: Arc<V>) -> Result<()> {
         self.pairs.push((key, value));
+        Ok(())
+    }
+
+    /// Into an empty collector the vector moves whole.
+    fn collect_all(&mut self, pairs: Vec<(Arc<K>, Arc<V>)>) -> Result<()> {
+        if self.pairs.is_empty() {
+            self.pairs = pairs;
+        } else {
+            self.pairs.extend(pairs);
+        }
         Ok(())
     }
 }
@@ -89,6 +105,19 @@ impl<K, V, K2, V2> OutputCollector<K, V> for MapCollector<'_, K, V, K2, V2> {
 mod tests {
     use super::*;
     use crate::writable::{IntWritable, Text};
+
+    #[test]
+    fn collect_all_moves_into_an_empty_vec_collector_and_appends_otherwise() {
+        let pair = |i: i32| (Arc::new(IntWritable(i)), Arc::new(Text::from("v")));
+        let pairs: Vec<_> = (0..3).map(pair).collect();
+        let buffer = pairs.as_ptr();
+        let mut c = VecCollector::new();
+        c.collect_all(pairs).unwrap();
+        assert_eq!(c.pairs.as_ptr(), buffer, "moved, not copied");
+        c.collect_all(vec![pair(3)]).unwrap();
+        let keys: Vec<i32> = c.pairs.iter().map(|(k, _)| k.0).collect();
+        assert_eq!(keys, vec![0, 1, 2, 3]);
+    }
 
     #[test]
     fn vec_collector_preserves_order() {

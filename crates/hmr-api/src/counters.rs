@@ -41,7 +41,9 @@ pub mod task_counter {
 /// Grouped job counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
-    values: BTreeMap<(String, String), i64>,
+    /// Group -> name -> value, looked up by `&str`: reading a counter, or
+    /// adding to one that is present, allocates nothing.
+    values: BTreeMap<String, BTreeMap<String, i64>>,
 }
 
 impl Counters {
@@ -52,18 +54,23 @@ impl Counters {
 
     /// Add `amount` to counter `(group, name)`.
     pub fn incr(&mut self, group: &str, name: &str, amount: i64) {
-        *self
-            .values
-            .entry((group.to_string(), name.to_string()))
-            .or_insert(0) += amount;
+        let Some(names) = self.values.get_mut(group) else {
+            let names = BTreeMap::from([(name.to_string(), amount)]);
+            self.values.insert(group.to_string(), names);
+            return;
+        };
+        match names.get_mut(name) {
+            Some(value) => *value += amount,
+            None => {
+                names.insert(name.to_string(), amount);
+            }
+        }
     }
 
     /// Current value of `(group, name)` (0 when never incremented).
     pub fn get(&self, group: &str, name: &str) -> i64 {
-        self.values
-            .get(&(group.to_string(), name.to_string()))
-            .copied()
-            .unwrap_or(0)
+        let names = self.values.get(group);
+        names.and_then(|names| names.get(name)).copied().unwrap_or(0)
     }
 
     /// Shorthand for a framework counter.
@@ -73,21 +80,21 @@ impl Counters {
 
     /// Merge `other` into `self` (sum per counter).
     pub fn merge(&mut self, other: &Counters) {
-        for ((g, n), v) in &other.values {
-            *self.values.entry((g.clone(), n.clone())).or_insert(0) += v;
+        for (group, name, value) in other.iter() {
+            self.incr(group, name, value);
         }
     }
 
-    /// Iterate `(group, name, value)`.
+    /// Iterate `(group, name, value)`, ordered by group, then name.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, i64)> {
-        self.values
-            .iter()
-            .map(|((g, n), v)| (g.as_str(), n.as_str(), *v))
+        self.values.iter().flat_map(|(g, names)| {
+            names.iter().map(move |(n, v)| (g.as_str(), n.as_str(), *v))
+        })
     }
 
     /// Number of distinct counters.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.values.values().map(BTreeMap::len).sum()
     }
 
     /// True when no counter was ever incremented.
@@ -238,8 +245,10 @@ mod tests {
         let mut c = Counters::new();
         c.incr("b", "n", 1);
         c.incr("a", "m", 1);
+        c.incr("a", "b", 0);
         let order: Vec<(&str, &str)> = c.iter().map(|(g, n, _)| (g, n)).collect();
-        assert_eq!(order, vec![("a", "m"), ("b", "n")]);
+        assert_eq!(order, vec![("a", "b"), ("a", "m"), ("b", "n")]);
+        assert_eq!(c.len(), 3, "a counter added with 0 is present");
     }
 
     #[test]

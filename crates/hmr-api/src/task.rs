@@ -1,10 +1,11 @@
 //! The unified task-side traits both engines execute, the task loops they
 //! run over them ([`run_mapper`] into the engine's map-output buffer or, for
-//! a map-only job, the job output; [`reduce_partition`]), and adapters from
-//! the two public Hadoop API styles.
+//! a map-only job, the job output; [`combine_run`] over one partition's map
+//! output; [`reduce_partition`]), and adapters from the two public Hadoop
+//! API styles.
 //!
-//! The two loops count every task counter on both engines, output pairs on
-//! the main output only: a named side output (`MultipleOutputs`) counts in
+//! The three loops count every task counter on both engines, output pairs
+//! on the main output only: a named side output (`MultipleOutputs`) counts in
 //! no framework counter, as in Hadoop, where only the main writer counts
 //! records. A job's `output_records` is read off these counters
 //! ([`crate::job::output_records`]).
@@ -23,12 +24,11 @@ use std::sync::Arc;
 use simgrid::trace::{self, Phase};
 use simgrid::Charge;
 
-use crate::collect::{OutputCollector, VecCollector};
-use crate::comparator::{ingest_reduce_groups, KeyComparator, SortTuning};
+use crate::collect::OutputCollector;
+use crate::comparator::{ingest_reduce_groups, SortTuning};
 use crate::counters::{task_counter, TaskContext};
 use crate::error::Result;
 use crate::job::JobDef;
-use crate::writable::Writable;
 use crate::{mapred, mapreduce};
 
 /// Engine-facing mapper: what actually runs inside a map task.
@@ -99,14 +99,16 @@ pub trait TaskReducer<K2, V2, K3, V3>: Send {
     ///   fold makes of that prefix leaves `reduce`'s output unchanged.
     ///
     /// M3R's map side then keeps one running value per distinct key and
-    /// never calls `reduce` for a folded group.
+    /// never calls `reduce` for a folded group. `setup` and `cleanup` are
+    /// not part of the declaration: they run around a folded combiner run
+    /// as around any other ([`combine_run`]) and may write and count.
     fn as_fold(&self) -> Option<fn(&mut V3, &V2)> {
         None
     }
 }
 
 // ---------------------------------------------------------------------------
-// The map and reduce task loops both engines run
+// The map, combine and reduce loops both engines run
 // ---------------------------------------------------------------------------
 
 /// Forwards to `inner`, counting the pairs collected on the main output.
@@ -123,6 +125,11 @@ impl<K, V, C: OutputCollector<K, V>> OutputCollector<K, V> for CountingCollector
 
     fn collect_named(&mut self, name: &str, key: Arc<K>, value: Arc<V>) -> Result<()> {
         self.inner.collect_named(name, key, value)
+    }
+
+    fn collect_all(&mut self, pairs: Vec<(Arc<K>, Arc<V>)>) -> Result<()> {
+        self.pairs += pairs.len() as u64;
+        self.inner.collect_all(pairs)
     }
 }
 
@@ -152,49 +159,102 @@ pub fn run_mapper<K1, V1, K2, V2, C: OutputCollector<K2, V2>>(
     Ok(())
 }
 
-/// The reducer loop: hand every group of the ingested (sorted and grouped)
-/// `pairs` to `reducer`, first key of the group and its values in order.
-/// Reducers, and every combiner on the sort path ([`combine_run`]), end here.
+/// How a group loop makes each group's values from its entries: as they
+/// are ([`Objects`]) or, in Hadoop's sort buffer, decoded from spill bytes
+/// as the combiner reads them.
+pub trait GroupValues<E, V> {
+    /// Called with each group's entries before its `reduce` call.
+    fn open<K>(&mut self, _group: &[(Arc<K>, E)]) {}
+    /// The value of one entry.
+    fn value(&mut self, entry: E) -> Result<Arc<V>>;
+}
+
+/// Values that are objects already.
+pub struct Objects;
+
+impl<V> GroupValues<Arc<V>, V> for Objects {
+    fn value(&mut self, value: Arc<V>) -> Result<Arc<V>> {
+        Ok(value)
+    }
+}
+
+/// The group loop of every reducer and combiner: hand each group of the
+/// ingested (sorted and grouped) `entries` to `reducer`, first key of the
+/// group and its values in order, each made by `values` as it is read.
 /// `groups` are [`ingest_reduce_groups`]' contiguous spans; keys and values
-/// move to the reducer, and what it leaves unread drops before the next group.
-pub fn reduce_groups<K2, V2, K3, V3>(
-    pairs: Vec<(Arc<K2>, Arc<V2>)>,
+/// move to the reducer, and what it leaves unread drops before the next
+/// group. A value that cannot be made ends the group, then the loop.
+pub fn reduce_groups<K2, E, V2, K3, V3>(
+    entries: Vec<(Arc<K2>, E)>,
     groups: Vec<Range<usize>>,
+    mut values: impl GroupValues<E, V2>,
     reducer: &mut dyn TaskReducer<K2, V2, K3, V3>,
     out: &mut dyn OutputCollector<K3, V3>,
     ctx: &mut TaskContext,
 ) -> Result<()> {
-    let mut pairs = pairs.into_iter();
+    let mut entries = entries.into_iter();
     for group in groups {
-        let mut group = pairs.by_ref().take(group.len());
+        values.open(&entries.as_slice()[..group.len()]);
+        let mut group = entries.by_ref().take(group.len());
         let Some((key, first)) = group.next() else {
             continue;
         };
-        let mut values = std::iter::once(first).chain(group.map(|(_, v)| v));
-        reducer.reduce(key, &mut values, out, ctx)?;
-        values.for_each(drop);
+        let mut failed = None;
+        let mut read = std::iter::once(first)
+            .chain(group.map(|(_, entry)| entry))
+            .map_while(|entry| values.value(entry).map_err(|e| failed = Some(e)).ok())
+            .fuse();
+        reducer.reduce(key, &mut read, out, ctx)?;
+        read.for_each(drop);
+        if let Some(e) = failed {
+            return Err(e);
+        }
     }
     Ok(())
 }
 
-/// A combiner over one run of pairs, on the sort path: the run sorted and
-/// grouped under the job's comparators ([`ingest_reduce_groups`]), then
-/// [`reduce_groups`] into a fresh collector. Returns the combined pairs
-/// and the number of groups the combiner saw. Bills and counts nothing
-/// itself; M3R's map and place combines and the Hadoop node combine do.
-pub fn combine_run<K: Writable, V>(
-    mut pairs: Vec<(Arc<K>, Arc<V>)>,
+/// What one combiner run combines: one partition's records.
+pub enum CombineInput<K, V, E> {
+    /// Entries sorted and grouped under the job's comparators, with their
+    /// groups ([`ingest_reduce_groups`]): `reduce` runs once per group.
+    Sort(Vec<(Arc<K>, E)>, Vec<Range<usize>>),
+    /// Folded at collect time ([`TaskReducer::as_fold`]): one `(key, acc)`
+    /// per group in reduce order, what `reduce` would emit, so it is not
+    /// called.
+    Folded(Vec<(Arc<K>, Arc<V>)>),
+}
+
+/// One combiner run, the unit per which Hadoop's `CombinerRunner` runs a
+/// combiner: one partition's `records` records through `combiner` —
+/// `setup`, every group ([`reduce_groups`], or the folded pairs moved
+/// whole), `cleanup` — into one counting collector around `out`. Counts
+/// `COMBINE_INPUT_RECORDS` as `records` and `COMBINE_OUTPUT_RECORDS` per
+/// pair collected. Every combine site of both engines runs here; each
+/// keeps its own charges and gate. Returns the number of groups.
+pub fn combine_run<K, V, E, C: OutputCollector<K, V>>(
     combiner: &mut dyn TaskReducer<K, V, K, V>,
-    sort_cmp: &KeyComparator<K>,
-    group_cmp: &KeyComparator<K>,
+    records: usize,
+    input: CombineInput<K, V, E>,
+    values: impl GroupValues<E, V>,
+    out: &mut C,
     ctx: &mut TaskContext,
-) -> Result<(Vec<(Arc<K>, Arc<V>)>, usize)> {
-    let tuning = SortTuning::default();
-    let groups = ingest_reduce_groups(&mut pairs, sort_cmp, group_cmp, &tuning, None);
-    let count = groups.len();
-    let mut out = VecCollector::new();
-    reduce_groups(pairs, groups, combiner, &mut out, ctx)?;
-    Ok((out.pairs, count))
+) -> Result<usize> {
+    let mut out = CountingCollector { inner: out, pairs: 0 };
+    combiner.setup(&mut out, ctx)?;
+    let groups = match input {
+        CombineInput::Sort(entries, groups) => {
+            let count = groups.len();
+            reduce_groups(entries, groups, values, combiner, &mut out, ctx).map(|()| count)
+        }
+        CombineInput::Folded(pairs) => {
+            let count = pairs.len();
+            out.collect_all(pairs).map(|()| count)
+        }
+    }?;
+    combiner.cleanup(&mut out, ctx)?;
+    ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, records as i64);
+    ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.pairs as i64);
+    Ok(groups)
 }
 
 /// One reduce partition, from assembled input to a filled sink: the `Sort`
@@ -233,7 +293,7 @@ pub fn reduce_partition<J: JobDef, S: OutputCollector<J::K3, J::V3>>(
     let mut out = CountingCollector { inner: &mut sink, pairs: 0 };
     let mut reducer = job.create_reducer(ctx.conf());
     reducer.setup(&mut out, ctx)?;
-    reduce_groups(pairs, groups, &mut *reducer, &mut out, ctx)?;
+    reduce_groups(pairs, groups, Objects, &mut *reducer, &mut out, ctx)?;
     reducer.cleanup(&mut out, ctx)?;
     ctx.incr_task_counter(task_counter::REDUCE_OUTPUT_RECORDS, out.pairs as i64);
     Ok(sink)
@@ -559,8 +619,8 @@ mod tests {
             released: vec![vec![], vec![weak(1), weak(2)], vec![]],
         };
         let mut out = VecCollector::new();
-        reduce_groups(input.clone(), vec![0..3, 3..4, 4..6], &mut r, &mut out, &mut ctx())
-            .unwrap();
+        let groups = vec![0..3, 3..4, 4..6];
+        reduce_groups(input.clone(), groups, Objects, &mut r, &mut out, &mut ctx()).unwrap();
         let firsts: Vec<_> = r.seen.iter().map(|(k, v)| (k.to_string(), v.0)).collect();
         assert_eq!(
             firsts,
@@ -574,6 +634,77 @@ mod tests {
             assert_eq!(Arc::strong_count(k), 1 + usize::from(handed), "key {i}");
             assert_eq!(Arc::strong_count(v), 1 + usize::from(handed), "value {i}");
         }
+    }
+
+    /// Sums each group; `setup` and `cleanup` each write one pair.
+    struct Bracketing;
+
+    impl TaskReducer<Text, LongWritable, Text, LongWritable> for Bracketing {
+        fn setup(
+            &mut self,
+            out: &mut dyn OutputCollector<Text, LongWritable>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            out.collect(Arc::new(Text::from("setup")), Arc::new(LongWritable(0)))
+        }
+        fn reduce(
+            &mut self,
+            key: Arc<Text>,
+            values: &mut dyn Iterator<Item = Arc<LongWritable>>,
+            out: &mut dyn OutputCollector<Text, LongWritable>,
+            ctx: &mut TaskContext,
+        ) -> Result<()> {
+            LongSumReducer.reduce(key, values, out, ctx)
+        }
+        fn cleanup(
+            &mut self,
+            out: &mut dyn OutputCollector<Text, LongWritable>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            out.collect(Arc::new(Text::from("cleanup")), Arc::new(LongWritable(0)))
+        }
+    }
+
+    /// Values made from `i64`s, failing on a negative one.
+    struct Checked;
+
+    impl GroupValues<i64, LongWritable> for Checked {
+        fn value(&mut self, v: i64) -> Result<Arc<LongWritable>> {
+            if v < 0 {
+                return Err(crate::error::HmrError::Serde(format!("bad value {v}")));
+            }
+            Ok(Arc::new(LongWritable(v)))
+        }
+    }
+
+    #[test]
+    fn combine_run_brackets_the_groups_and_counts_every_pair() {
+        let key = |k: &str| Arc::new(Text::from(k));
+        let run = |input| {
+            let (mut out, mut c) = (VecCollector::new(), ctx());
+            let groups = combine_run(&mut Bracketing, 5, input, Checked, &mut out, &mut c)?;
+            let pairs: Vec<_> = out.pairs.iter().map(|(k, v)| (k.to_string(), v.0)).collect();
+            let counters = c.into_counters();
+            let names = [task_counter::COMBINE_INPUT_RECORDS, task_counter::COMBINE_OUTPUT_RECORDS];
+            let counted = names.map(|name| counters.task(name));
+            Ok::<_, crate::error::HmrError>((pairs, groups, counted))
+        };
+        let keys = ["a", "a", "b", "c", "c"];
+        let sorted: Vec<_> = keys.iter().zip(1..).map(|(k, v)| (key(k), v)).collect();
+        let expect = |mid: Vec<(&str, i64)>| {
+            let all = [vec![("setup", 0)], mid, vec![("cleanup", 0)]].concat();
+            all.into_iter().map(|(k, v)| (k.to_string(), v)).collect::<Vec<_>>()
+        };
+        let grouped = CombineInput::Sort(sorted.clone(), vec![0..2, 2..3, 3..5]);
+        let sums = vec![("a", 3), ("b", 3), ("c", 9)];
+        assert_eq!(run(grouped).unwrap(), (expect(sums.clone()), 3, [5, 5]));
+        let folded = sums.iter().map(|&(k, v)| (key(k), Arc::new(LongWritable(v)))).collect();
+        assert_eq!(run(CombineInput::Folded(folded)).unwrap(), (expect(sums), 3, [5, 5]));
+
+        let mut bad = sorted;
+        bad[3].1 = -1;
+        let failed = run(CombineInput::Sort(bad, vec![0..2, 2..3, 3..5]));
+        assert!(matches!(failed, Err(crate::error::HmrError::Serde(_))));
     }
 
     struct OldCounting {

@@ -3,6 +3,7 @@
 //! outputs, the distributed cache, map-only jobs) — run on both engines and
 //! agree.
 
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use hmr_api::collect::OutputCollector;
@@ -14,10 +15,11 @@ use hmr_api::fs::{read_file, write_file, FileSystem, HPath};
 use hmr_api::io::seqfile::{read_seq_file, write_seq_file};
 use hmr_api::io::{InputFormat, OutputFormat, SequenceFileInputFormat, SequenceFileOutputFormat};
 use hmr_api::job::{Engine, JobDef, JobResult, MapOnlyConvert};
-use hmr_api::mapreduce;
 use hmr_api::task::{
-    IdentityMapper, MapreduceMapperAdapter, MapreduceReducerAdapter, TaskMapper, TaskReducer,
+    IdentityMapper, MapredReducerAdapter, MapreduceMapperAdapter, MapreduceReducerAdapter,
+    TaskMapper, TaskReducer,
 };
+use hmr_api::{mapred, mapreduce};
 use hmr_api::writable::{IntWritable, LongWritable, PairWritable, Text};
 use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel};
@@ -695,4 +697,261 @@ fn new_api_setup_runs_and_writes_on_both_engines() {
         outputs.push(got);
     }
     assert_eq!(outputs[0], outputs[1], "the engines wrote the same pairs");
+}
+
+// ---------------------------------------------------------------------------
+// Combiner lifecycle (§5.3: "any combination of old and new style mapper,
+// combiner, and reducer"): Hadoop makes, sets up and closes a combiner per
+// combiner run, one spill partition's records, and what the combiner writes
+// in `cleanup` is map output like any other.
+// ---------------------------------------------------------------------------
+
+/// A new-API LongSum combiner whose `setup` and `cleanup` each bump a user
+/// counter, and whose `cleanup` writes `("~", 0)`.
+struct NewApiSum;
+
+impl mapreduce::Reducer<Text, LongWritable, Text, LongWritable> for NewApiSum {
+    fn setup(&mut self, ctx: &mut mapreduce::Context<'_, Text, LongWritable>) -> Result<()> {
+        ctx.incr_counter("combiner", "setups", 1);
+        Ok(())
+    }
+    fn reduce(
+        &mut self,
+        key: Arc<Text>,
+        values: &mut dyn Iterator<Item = Arc<LongWritable>>,
+        ctx: &mut mapreduce::Context<'_, Text, LongWritable>,
+    ) -> Result<()> {
+        ctx.write(key, Arc::new(LongWritable(values.map(|v| v.0).sum())))
+    }
+    fn cleanup(&mut self, ctx: &mut mapreduce::Context<'_, Text, LongWritable>) -> Result<()> {
+        ctx.incr_counter("combiner", "cleanups", 1);
+        ctx.write(Arc::new(Text::from("~")), Arc::new(LongWritable(0)))
+    }
+}
+
+/// `configure` and `close` calls of one job's old-API combiners.
+#[derive(Default)]
+struct LifecycleCalls {
+    configured: AtomicI64,
+    closed: AtomicI64,
+}
+
+/// An old-API LongSum combiner counting its `configure` and `close` calls.
+struct OldApiSum(Arc<LifecycleCalls>);
+
+impl mapred::Reducer<Text, LongWritable, Text, LongWritable> for OldApiSum {
+    fn configure(&mut self, _conf: &JobConf) {
+        self.0.configured.fetch_add(1, Ordering::SeqCst);
+    }
+    fn reduce(
+        &mut self,
+        key: &Text,
+        values: &mut dyn Iterator<Item = Arc<LongWritable>>,
+        output: &mut dyn OutputCollector<Text, LongWritable>,
+        _reporter: &mut TaskContext,
+    ) -> Result<()> {
+        let sum = LongWritable(values.map(|v| v.0).sum());
+        output.collect(Arc::new(key.clone()), Arc::new(sum))
+    }
+    fn close(&mut self) -> Result<()> {
+        self.0.closed.fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    }
+}
+
+/// Either combiner, with or without the declaration that its `reduce` is
+/// the fold `acc += value`.
+struct Declared {
+    inner: Box<dyn TaskReducer<Text, LongWritable, Text, LongWritable>>,
+    fold: bool,
+}
+
+impl TaskReducer<Text, LongWritable, Text, LongWritable> for Declared {
+    fn setup(
+        &mut self,
+        out: &mut dyn OutputCollector<Text, LongWritable>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
+        self.inner.setup(out, ctx)
+    }
+    fn reduce(
+        &mut self,
+        key: Arc<Text>,
+        values: &mut dyn Iterator<Item = Arc<LongWritable>>,
+        out: &mut dyn OutputCollector<Text, LongWritable>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
+        self.inner.reduce(key, values, out, ctx)
+    }
+    fn cleanup(
+        &mut self,
+        out: &mut dyn OutputCollector<Text, LongWritable>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
+        self.inner.cleanup(out, ctx)
+    }
+    fn as_fold(&self) -> Option<fn(&mut LongWritable, &LongWritable)> {
+        if self.fold {
+            Some(|acc, v| acc.0 += v.0)
+        } else {
+            None
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum CombinerForm {
+    None,
+    NewApi,
+    OldApi,
+}
+
+/// FreshText WordCount with a `LongSumReducer` and the combiner `form`.
+struct LifecycleJob {
+    form: CombinerForm,
+    fold: bool,
+    calls: Arc<LifecycleCalls>,
+}
+
+impl JobDef for LifecycleJob {
+    type K1 = LongWritable;
+    type V1 = Text;
+    type K2 = Text;
+    type V2 = LongWritable;
+    type K3 = Text;
+    type V3 = LongWritable;
+
+    fn create_mapper(
+        &self,
+        c: &JobConf,
+    ) -> Box<dyn TaskMapper<LongWritable, Text, Text, LongWritable>> {
+        WordCountJob::new(WcStyle::FreshText).create_mapper(c)
+    }
+    fn create_reducer(
+        &self,
+        c: &JobConf,
+    ) -> Box<dyn TaskReducer<Text, LongWritable, Text, LongWritable>> {
+        WordCountJob::new(WcStyle::FreshText).create_reducer(c)
+    }
+    fn create_combiner(
+        &self,
+        _c: &JobConf,
+    ) -> Option<Box<dyn TaskReducer<Text, LongWritable, Text, LongWritable>>> {
+        let inner: Box<dyn TaskReducer<_, _, _, _>> = match self.form {
+            CombinerForm::None => return None,
+            CombinerForm::NewApi => Box::new(MapreduceReducerAdapter(NewApiSum)),
+            CombinerForm::OldApi => Box::new(MapredReducerAdapter(OldApiSum(self.calls.clone()))),
+        };
+        Some(Box::new(Declared { inner, fold: self.fold }))
+    }
+    fn input_format(&self, c: &JobConf) -> Box<dyn InputFormat<LongWritable, Text>> {
+        WordCountJob::new(WcStyle::FreshText).input_format(c)
+    }
+    fn output_format(&self, c: &JobConf) -> Box<dyn OutputFormat<Text, LongWritable>> {
+        WordCountJob::new(WcStyle::FreshText).output_format(c)
+    }
+    fn immutable_output(&self) -> bool {
+        true
+    }
+}
+
+/// One lifecycle row's job output (sorted), result, and (setup, cleanup)
+/// runs: the user counters for the new API, `configure` / `close` calls for
+/// the old.
+type LifecycleRun = (Vec<(String, i64)>, JobResult, (i64, i64));
+
+/// Four 2 000-byte text files on two nodes, two reducers; Hadoop spills
+/// every 512 bytes of map output, so each map task spills several times.
+fn run_lifecycle(engine: &str, form: CombinerForm, across: bool, fold: bool) -> LifecycleRun {
+    let (cluster, fs) = setup(2);
+    for (i, seed) in [5, 6, 7, 8].into_iter().enumerate() {
+        generate_text(&fs, &HPath::new(format!("/in/text-{i}")), 2000, seed).unwrap();
+    }
+    let mut c = conf("/in", "/out", 2);
+    c.set_place_level_combine(across);
+    let calls = Arc::new(LifecycleCalls::default());
+    let job = Arc::new(LifecycleJob { form, fold, calls: Arc::clone(&calls) });
+    let fs_arc: Arc<dyn FileSystem> = Arc::new(fs.clone());
+    let result = match engine {
+        "hadoop" => {
+            let opts = hadoop_engine::EngineOptions {
+                sort_buffer_bytes: 512,
+                ..Default::default()
+            };
+            hadoop_engine::HadoopEngine::with_options(cluster, fs_arc, opts).run_job(job, &c)
+        }
+        _ => m3r::M3REngine::new(cluster, fs_arc).run_job(job, &c),
+    }
+    .unwrap();
+    let mut out = Vec::new();
+    for p in 0..2 {
+        let part = HPath::new(format!("/out/part-{p:05}"));
+        let pairs = read_seq_file::<Text, LongWritable>(&fs, &part).unwrap();
+        out.extend(pairs.into_iter().map(|(k, v)| (k.as_str().to_string(), v.0)));
+    }
+    out.sort();
+    let runs = match form {
+        CombinerForm::OldApi => (
+            calls.configured.load(Ordering::SeqCst),
+            calls.closed.load(Ordering::SeqCst),
+        ),
+        _ => {
+            let calls = |name| result.counters.get("combiner", name);
+            (calls("setups"), calls("cleanups"))
+        }
+    };
+    (out, result, runs)
+}
+
+#[test]
+fn combiner_lifecycle_runs_on_both_engines() {
+    let (plain, ..) = run_lifecycle("hadoop", CombinerForm::None, false, false);
+    assert_eq!(run_lifecycle("m3r", CombinerForm::None, false, false).0, plain);
+    // A combiner's output stays in the partition it combines, as in Hadoop,
+    // so both reducers receive `("~", 0)` pairs and each sums them into one.
+    let mut with_tilde = plain.clone();
+    with_tilde.extend([("~".to_string(), 0), ("~".to_string(), 0)]);
+
+    let mut failures = Vec::new();
+    for form in [CombinerForm::NewApi, CombinerForm::OldApi] {
+        let expected = if form == CombinerForm::NewApi { &with_tilde } else { &plain };
+        // (engine, combine across a node's / place's tasks, fold declared)
+        let rows = [
+            ("hadoop", false, false),
+            ("hadoop", true, false),
+            ("m3r", false, false),
+            ("m3r", true, false),
+            ("m3r", false, true),
+            ("m3r", true, true),
+        ];
+        let mut runs_without_across = 0;
+        for (engine, across, fold) in rows {
+            let row = format!("{form:?} on {engine}, across {across}, fold {fold}");
+            let (out, result, (setups, cleanups)) = run_lifecycle(engine, form, across, fold);
+            if setups < 1 || setups != cleanups {
+                failures.push(format!("{row}: {setups} setup runs, {cleanups} cleanup runs"));
+            }
+            if out != *expected {
+                let tildes = out.iter().filter(|(k, _)| k == "~").count();
+                let (got, want) = (out.len(), expected.len());
+                failures.push(format!("{row}: {got} output pairs ({tildes} `~`), {want} expected"));
+            }
+            let combined_in = result.counters.task(task_counter::COMBINE_INPUT_RECORDS);
+            if combined_in < 1 {
+                failures.push(format!("{row}: COMBINE_INPUT_RECORDS {combined_in}"));
+            }
+            // More runs than one per map task and partition: tasks spilled
+            // more than once.
+            if engine == "hadoop" && !across && setups <= 4 * 2 {
+                failures.push(format!("{row}: {setups} runs for 4 map tasks of 2 partitions"));
+            }
+            // Combining across tasks adds combiner runs to the same job.
+            if !across {
+                runs_without_across = setups;
+            } else if setups <= runs_without_across {
+                failures.push(format!("{row}: {setups} runs, {runs_without_across} without"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
